@@ -1,9 +1,9 @@
-"""Micro-benchmark: vectorized prefill pipeline vs. the per-event reference engine.
+"""Micro-benchmark: coalesced prefill pipeline vs. the per-event reference engine.
 
 Measures the headline claim of the prefill-pipeline PR: on a prompt-heavy trace
 (heavy inputs, short decodes — the RAG/agentic-burst regime) the fast engine
-(coalesced prefill epochs priced by the memoized ``prefill_latency_grid``,
-vectorized KV-transfer handoffs, coalesced ``KV_BATCH`` arrivals) beats the
+(coalesced prefill epochs priced by the memoized ``prefill_latency_memo``,
+precomputed KV-transfer handoffs, coalesced ``KV_BATCH`` arrivals) beats the
 retained per-event reference engine by >= 4x wall-clock while producing
 **bitwise-identical** per-request metrics.
 

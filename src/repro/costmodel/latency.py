@@ -202,7 +202,8 @@ class ReplicaCostModel:
         #: filled by :meth:`decode_step_grid` and shared across simulator epochs
         self._decode_step_memo: Dict[Tuple[int, int], float] = {}
         #: memoized prefill latencies keyed by (input_length, batch_size);
-        #: filled by :meth:`prefill_latency_grid` and shared across prefill epochs
+        #: filled by :meth:`prefill_latency_memo` / :meth:`prefill_latency_grid`
+        #: and shared across prefill epochs
         self._prefill_memo: Dict[Tuple[int, int], float] = {}
         self._pp_links: List[AlphaBetaModel] | None = None
         self._stages: List[_StageView] = []
@@ -238,6 +239,19 @@ class ReplicaCostModel:
         )
         return AlphaBetaModel(alpha_s=lat, beta_bytes_per_s=bw)
 
+    def _stage_links(self) -> List[AlphaBetaModel]:
+        """Links between consecutive pipeline stages, built on first use.
+
+        Caching is exact: the cluster's network model is never mutated
+        (degraded views are copies), so every pricing path — scalar, array
+        and memo — reads the same links a fresh build would return.
+        """
+        if self._pp_links is None:
+            self._pp_links = [
+                self._stage_link(a, b) for a, b in zip(self._stages[:-1], self._stages[1:])
+            ]
+        return self._pp_links
+
     def _tp_comm_time(self, stage: _StageView, tokens: int, batch_size: int) -> float:
         """Tensor-parallel all-reduce time across one stage for a forward pass."""
         if stage.tp <= 1:
@@ -254,8 +268,8 @@ class ReplicaCostModel:
             return 0.0
         activation_bytes = tokens * batch_size * self.model.hidden_size * self.model.dtype_bytes
         total = 0.0
-        for a, b in zip(self._stages[:-1], self._stages[1:]):
-            total += self._stage_link(a, b).transfer_seconds(activation_bytes)
+        for link in self._stage_links():
+            total += link.transfer_seconds(activation_bytes)
         return total
 
     # ------------------------------------------------------------------ prefill
@@ -294,9 +308,8 @@ class ReplicaCostModel:
         one place the scalar path calls a libm transcendental (``math.exp``),
         whose numpy counterpart is not guaranteed ULP-identical — so that factor
         alone is computed through the scalar helper, which costs O(n) cheap
-        python calls while all per-stage roofline math stays vectorized.  This
-        is the kernel behind the simulator's coalesced prefill epochs, where one
-        call prices every queued batch of a replica at once.
+        python calls while all per-stage roofline math stays vectorized.  It
+        fills :meth:`prefill_latency_grid`'s memo misses.
         """
         s = np.asarray(input_lengths, dtype=np.int64)
         b = np.asarray(batch_sizes, dtype=np.int64)
@@ -347,17 +360,32 @@ class ReplicaCostModel:
                 tp_comm = (2.0 * allreduce) * stage.num_layers
             total = total + ((np.maximum(compute_t, mem_t) + overhead) + tp_comm)
         if len(self._stages) > 1:
-            if self._pp_links is None:
-                self._pp_links = [
-                    self._stage_link(a, bb)
-                    for a, bb in zip(self._stages[:-1], self._stages[1:])
-                ]
             activation_bytes = s * b * model.hidden_size * model.dtype_bytes
             pp = 0.0
-            for link in self._pp_links:
+            for link in self._stage_links():
                 pp = pp + (link.alpha_s + activation_bytes / link.beta_bytes_per_s)
             total = total + pp
         return total * self.slowdown
+
+    def prefill_latency_memo(self, input_length: int, batch_size: int) -> float:
+        """Memoized scalar prefill latency, sharing :meth:`prefill_latency_grid`'s memo.
+
+        The prefill twin of :meth:`decode_step_memo`: the fast simulator's
+        prefill-epoch planner prices one batch at a time through it.  Because
+        :meth:`prefill_latency` and :meth:`prefill_latency_array` are
+        bitwise-identical, the cached values agree no matter which path
+        filled them.
+        """
+        memo = self._prefill_memo
+        key = (input_length, batch_size)
+        cached = memo.get(key)
+        if cached is not None:
+            return cached
+        value = self.prefill_latency(input_length, batch_size)
+        if len(memo) >= PREFILL_LATENCY_MEMO_MAX:
+            memo.clear()
+        memo[key] = value
+        return value
 
     def prefill_latency_grid(
         self, input_lengths: np.ndarray, batch_sizes: np.ndarray
@@ -366,9 +394,9 @@ class ReplicaCostModel:
 
         Looks every (input_length, batch_size) pair up in the per-replica memo
         and computes only the missing entries with :meth:`prefill_latency_array`
-        — the prefill analogue of :meth:`decode_step_grid`.  Prompt-heavy traces
-        revisit batch shapes constantly once the queue saturates the batch cap,
-        so the steady-state cost collapses to dict lookups.
+        — the prefill analogue of :meth:`decode_step_grid`, used where a whole
+        grid is priced at once (:meth:`prefill_service_moments`).  The memo is
+        shared with :meth:`prefill_latency_memo`.
         """
         s = np.asarray(input_lengths, dtype=np.int64)
         b = np.asarray(batch_sizes, dtype=np.int64)
@@ -507,14 +535,9 @@ class ReplicaCostModel:
                 tp_comm = (2.0 * allreduce) * stage.num_layers
             total = total + ((np.maximum(compute_t, mem_t) + overhead) + tp_comm)
         if len(self._stages) > 1:
-            if self._pp_links is None:
-                self._pp_links = [
-                    self._stage_link(a, bb)
-                    for a, bb in zip(self._stages[:-1], self._stages[1:])
-                ]
             activation_bytes = 1 * b * model.hidden_size * model.dtype_bytes
             pp = 0.0
-            for link in self._pp_links:
+            for link in self._stage_links():
                 pp = pp + (link.alpha_s + activation_bytes / link.beta_bytes_per_s)
             total = total + pp
         return total * self.slowdown

@@ -43,11 +43,11 @@ Two engines implement the same semantics:
 
   On the prefill side it **coalesces queued batches into epochs**: when a
   replica picks up work, the whole queue is chunked into multi-request batches
-  (greedy FIFO, up to ``max_prefill_batch_requests`` per batch), every batch is
-  priced in one call against the memoized
-  :meth:`~repro.costmodel.latency.ReplicaCostModel.prefill_latency_grid`, and
-  the per-batch completion times plus every KV-transfer handoff are computed in
-  a single numpy pass up front.  A new arrival on the replica truncates the
+  (greedy FIFO, up to ``max_prefill_batch_requests`` per batch), and one scalar
+  pass prices every batch through the memoized
+  :meth:`~repro.costmodel.latency.ReplicaCostModel.prefill_latency_memo` and
+  precomputes the per-batch completion times plus every KV-transfer handoff up
+  front.  A new arrival on the replica truncates the
   epoch at the first batch that has not yet started (re-queueing its rows),
   exactly where the per-event engine would re-form batches.  The resulting KV
   transfers are emitted as **coalesced arrival batches** (one ``KV_BATCH``
@@ -66,8 +66,10 @@ Two engines implement the same semantics:
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Deque, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -159,10 +161,10 @@ class _PrefillReplica:
     The reference engine only uses ``queue`` / ``busy`` (the queue holds
     :class:`Request` objects and batches are re-formed at every
     ``PREFILL_DONE``); the fast engine queues integer request rows and
-    additionally carries the state of the current coalesced prefill epoch: the
-    planned batch rows and their offsets, precomputed start/completion times,
-    the precomputed KV-transfer handoffs of every batch, and the truncation
-    bookkeeping.
+    additionally carries the state of the current coalesced prefill epoch (as
+    plain lists): the planned batch rows and their offsets, precomputed
+    start/completion times, the precomputed KV-transfer handoffs and
+    single-token rows of every batch, and the truncation bookkeeping.
     """
 
     group_id: int
@@ -173,16 +175,18 @@ class _PrefillReplica:
     busy: bool = False
     # ---- fast engine coalesced-epoch state ----
     #: rows of every batch of the current epoch, concatenated in execution order
-    epoch_rows: Optional[np.ndarray] = None
+    epoch_rows: Optional[List[int]] = None
     #: batch ``k`` spans ``epoch_rows[epoch_offsets[k]:epoch_offsets[k + 1]]``
-    epoch_offsets: Optional[np.ndarray] = None
+    epoch_offsets: Optional[List[int]] = None
     #: absolute start time of every planned batch
-    epoch_starts: Optional[np.ndarray] = None
+    epoch_starts: Optional[List[float]] = None
     #: absolute completion time of every planned batch
-    epoch_dones: Optional[np.ndarray] = None
+    epoch_dones: Optional[List[float]] = None
     #: per batch: coalesced KV handoffs as (decode group, rows sorted by
-    #: arrival, arrival times) — precomputed in one numpy pass at plan time
-    epoch_kv: List[List[Tuple[int, np.ndarray, np.ndarray]]] = field(default_factory=list)
+    #: arrival, arrival times) — precomputed at plan time
+    epoch_kv: List[List[Tuple[int, List[int], List[float]]]] = field(default_factory=list)
+    #: per batch: single-token rows, which finish at prefill with no handoff
+    epoch_single: List[List[int]] = field(default_factory=list)
     #: number of leading batches still valid (arrival truncation shortens this)
     epoch_cut: int = 0
     #: epoch generation counter; batch events carrying an older value are stale
@@ -207,8 +211,8 @@ class _KVBatch:
     """
 
     decode_id: int
-    rows: np.ndarray
-    times: np.ndarray
+    rows: List[int]
+    times: List[float]
     #: index of the next undelivered arrival
     pos: int = 0
     #: heap sequence number assigned at the first push; reused on every repush
@@ -252,7 +256,7 @@ class _DecodeReplica:
     ctx: np.ndarray = field(default_factory=_empty_ids)
     rem: np.ndarray = field(default_factory=_empty_ids)
     #: absolute times of the current epoch's step boundaries (b_1 .. b_K)
-    epoch_times: Optional[np.ndarray] = None
+    epoch_times: Optional[List[float]] = None
     #: number of steps the epoch was planned with
     epoch_len: int = 0
     #: number of steps the scheduled wake will apply (truncation shortens this)
@@ -359,9 +363,9 @@ class ServingSimulator:
         self._kv_bytes_per_token = kv_cache_bytes_per_token(
             model, bits=plan.kv_transport_bits
         )
-        #: (prefill group, decode group) -> (alpha, beta) of the best link, or
-        #: ``None`` for co-located pairs (zero-cost transfer); lazily filled
-        self._kv_links: Dict[Tuple[int, int], Optional[Tuple[float, float]]] = {}
+        #: (prefill group, decode group) -> (alpha, beta) of the best link;
+        #: lazily filled
+        self._kv_links: Dict[Tuple[int, int], Tuple[float, float]] = {}
         self._reset_fast_state()
 
     # ------------------------------------------------------------------ reset
@@ -389,6 +393,7 @@ class ServingSimulator:
             replica.epoch_starts = None
             replica.epoch_dones = None
             replica.epoch_kv = []
+            replica.epoch_single = []
             replica.epoch_cut = 0
             replica.epoch_seq = 0
             replica.inflight_batch = None
@@ -790,23 +795,30 @@ class ServingSimulator:
         # started".  The leading batch always survives: the epoch was planned
         # strictly before ``now`` (an arrival at the plan instant would have
         # been processed first).
-        if last >= 1 and float(replica.epoch_starts[last]) >= now:
+        if last >= 1 and replica.epoch_starts[last] >= now:
             assert replica.epoch_rows is not None
             cancelled = replica.epoch_rows[offsets[last] : offsets[last + 1]]
-            replica.queue.extendleft(cancelled[::-1].tolist())
+            replica.queue.extendleft(cancelled[::-1])
             replica.epoch_cut = last
 
     def _plan_prefill_epoch(self, replica: _PrefillReplica, now: float) -> None:
         """Start a coalesced prefill epoch at ``now``.
 
         Drains the replica's queue into greedy FIFO batches (up to
-        ``max_prefill_batch_requests`` rows each), prices every batch with
-        one call into the memoized vectorized
-        :meth:`~repro.costmodel.latency.ReplicaCostModel.prefill_latency_grid`,
-        and precomputes every batch's start/completion time plus all KV-transfer
-        handoffs in a single numpy pass.  One cheap ``PREFILL_BATCH`` event per
-        batch replays the precomputed timeline; an arrival mid-epoch truncates
-        the not-yet-started tail (see :meth:`_on_prefill_arrival_fast`).
+        ``max_prefill_batch_requests`` rows each) and walks them in order:
+        each batch is priced by the memoized scalar
+        :meth:`~repro.costmodel.latency.ReplicaCostModel.prefill_latency_memo`
+        at its longest prompt, its completion time accumulates ``t = t +
+        latency`` (the reference engine's per-batch ``now + latency`` chain),
+        and every multi-token row's KV arrival is ``done + (alpha + bytes /
+        beta)`` over the cached link — the operation order of
+        :func:`~repro.costmodel.kv_transfer.kv_transfer_seconds`.  Arrivals are
+        grouped per decode replica in first-appearance order (the order the
+        per-event engine pushes their heap events) and stably sorted by time,
+        so one :class:`_KVBatch` cursor per group drains them in exact heap
+        order.  One cheap ``PREFILL_BATCH`` event per batch replays the plan;
+        an arrival mid-epoch truncates the not-yet-started tail (see
+        :meth:`_on_prefill_arrival_fast`).
         """
         if not replica.queue:
             replica.busy = False
@@ -815,109 +827,79 @@ class ServingSimulator:
             replica.epoch_cut = 0
             return
         replica.busy = True
-        cap = self.config.max_prefill_batch_requests
-        nq = len(replica.queue)
-        rows = np.fromiter(replica.queue, dtype=np.int64, count=nq)
+        rows = list(replica.queue)
         replica.queue.clear()
-        offsets = np.append(np.arange(0, nq, cap, dtype=np.int64), nq)
-        max_inputs = np.maximum.reduceat(self._inlen[rows], offsets[:-1])
-        sizes = np.diff(offsets)
-        latencies = replica.cost.prefill_latency_grid(max_inputs, sizes)
-        # Sequential accumulation, bitwise-identical to the reference engine's
-        # per-batch now + latency chain (np.cumsum accumulates left to right).
-        nb = offsets.size - 1
-        buffer = np.empty(nb + 1, dtype=np.float64)
-        buffer[0] = now
-        buffer[1:] = latencies
-        times = np.cumsum(buffer)
+        nq = len(rows)
+        inlen = self._inlen[rows].tolist()
+        outlen = self._outlen[rows].tolist()
+        dec = self._dec_rep[rows].tolist()
+        cap = self.config.max_prefill_batch_requests
+        price = replica.cost.prefill_latency_memo
+        kv_bytes = self._kv_bytes_per_token
+        prefill_id = replica.group_id
+        offsets = list(range(0, nq, cap))
+        offsets.append(nq)
+        starts: List[float] = []
+        dones: List[float] = []
+        plan: List[List[Tuple[int, List[int], List[float]]]] = []
+        singles: List[List[int]] = []
+        t = now
+        for lo, hi in zip(offsets, offsets[1:]):
+            starts.append(t)
+            t = t + price(max(inlen[lo:hi]), hi - lo)
+            dones.append(t)
+            groups: Dict[int, List[Tuple[float, int]]] = {}
+            single: List[int] = []
+            for p in range(lo, hi):
+                if outlen[p] <= 1:
+                    single.append(rows[p])
+                    continue
+                alpha, beta = self._kv_link(prefill_id, dec[p])
+                arrival = t + (alpha + (kv_bytes * (inlen[p] + 1)) / beta)
+                groups.setdefault(dec[p], []).append((arrival, rows[p]))
+            per_batch: List[Tuple[int, List[int], List[float]]] = []
+            for decode_id, handoffs in groups.items():
+                handoffs.sort(key=itemgetter(0))  # stable: ties keep queue order
+                per_batch.append(
+                    (decode_id, [r for _, r in handoffs], [a for a, _ in handoffs])
+                )
+            plan.append(per_batch)
+            singles.append(single)
         replica.epoch_rows = rows
         replica.epoch_offsets = offsets
-        replica.epoch_starts = times[:-1]
-        replica.epoch_dones = times[1:]
-        replica.epoch_cut = nb
+        replica.epoch_starts = starts
+        replica.epoch_dones = dones
+        replica.epoch_kv = plan
+        replica.epoch_single = singles
+        replica.epoch_cut = len(dones)
         replica.epoch_seq += 1
-        replica.epoch_kv = self._plan_epoch_kv(replica, rows, offsets, replica.epoch_dones)
-        for k, done in enumerate(replica.epoch_dones.tolist()):
+        for k, done in enumerate(dones):
             self._events.push(
                 Event(
                     time=done,
                     kind=EventKind.PREFILL_BATCH,
-                    replica_id=replica.group_id,
+                    replica_id=prefill_id,
                     payload=(replica.epoch_seq, k),
                 )
             )
 
-    def _kv_link(self, prefill_id: int, decode_id: int) -> Optional[Tuple[float, float]]:
-        """(alpha, beta) of the best link between two groups; ``None`` if co-located."""
-        key = (prefill_id, decode_id)
-        if key in self._kv_links:
-            return self._kv_links[key]
-        src = self.plan.group(prefill_id).gpu_ids
-        dst = self.plan.group(decode_id).gpu_ids
-        if set(src) & set(dst):
-            link = None
-        else:
-            network = self.cluster.network
-            i, j, _bw = network.best_link_between(list(src), list(dst))
-            link = (network.latency_s(i, j), network.bandwidth_bytes(i, j))
-        self._kv_links[key] = link
-        return link
+    def _kv_link(self, prefill_id: int, decode_id: int) -> Tuple[float, float]:
+        """(alpha, beta) of the best link between a prefill and a decode group.
 
-    def _plan_epoch_kv(
-        self,
-        replica: _PrefillReplica,
-        rows: np.ndarray,
-        offsets: np.ndarray,
-        dones: np.ndarray,
-    ) -> List[List[Tuple[int, np.ndarray, np.ndarray]]]:
-        """Precompute every batch's KV-transfer handoffs, coalesced per target.
-
-        The arrival time of every multi-token request in the epoch is computed
-        in one vectorized pass per decode group (``batch_done + alpha +
-        bytes/beta`` against the cached link parameters — bitwise-identical to
-        the reference engine's per-request :func:`kv_transfer_seconds` calls),
-        then grouped per (batch, decode replica) in first-appearance order (the
-        order the per-event engine would push their heap events) and stably
-        sorted by arrival time so a single :class:`_KVBatch` cursor can drain
-        them in exact heap order.
+        Groups never share GPUs (:class:`DeploymentPlan` rejects it), so every
+        pair has a real link; results are cached per pair.
         """
-        nb = offsets.size - 1
-        multi = self._outlen[rows] > 1
-        if not bool(multi.any()):
-            return [[] for _ in range(nb)]
-        dec = self._dec_rep[rows]
-        batch_of = np.repeat(np.arange(nb), np.diff(offsets))
-        times = np.zeros(rows.size, dtype=np.float64)
-        for gid in self.decodes:
-            mask = multi & (dec == gid)
-            if not bool(mask.any()):
-                continue
-            link = self._kv_link(replica.group_id, gid)
-            if link is None:
-                times[mask] = dones[batch_of[mask]]
-            else:
-                alpha, beta = link
-                tokens = self._inlen[rows[mask]] + 1
-                times[mask] = dones[batch_of[mask]] + (
-                    alpha + (self._kv_bytes_per_token * tokens) / beta
-                )
-        plan: List[List[Tuple[int, np.ndarray, np.ndarray]]] = []
-        multi_list = multi.tolist()
-        dec_list = dec.tolist()
-        offs = offsets.tolist()
-        for k in range(nb):
-            groups: Dict[int, List[int]] = {}
-            for p in range(offs[k], offs[k + 1]):
-                if multi_list[p]:
-                    groups.setdefault(dec_list[p], []).append(p)
-            per_batch: List[Tuple[int, np.ndarray, np.ndarray]] = []
-            for gid, positions in groups.items():
-                idx = np.asarray(positions, dtype=np.int64)
-                t = times[idx]
-                order = np.argsort(t, kind="stable")
-                per_batch.append((gid, rows[idx[order]], t[order]))
-            plan.append(per_batch)
-        return plan
+        key = (prefill_id, decode_id)
+        link = self._kv_links.get(key)
+        if link is None:
+            network = self.cluster.network
+            i, j, _bw = network.best_link_between(
+                list(self.plan.group(prefill_id).gpu_ids),
+                list(self.plan.group(decode_id).gpu_ids),
+            )
+            link = (network.latency_s(i, j), network.bandwidth_bytes(i, j))
+            self._kv_links[key] = link
+        return link
 
     def _on_prefill_batch(self, replica: _PrefillReplica, idx: int, now: float) -> None:
         """Apply one precomputed prefill-batch completion (fast engine).
@@ -934,12 +916,15 @@ class ServingSimulator:
             and replica.epoch_starts is not None
         )
         offsets = replica.epoch_offsets
-        rows = replica.epoch_rows[offsets[idx] : offsets[idx + 1]]
-        self._m_pstart[rows] = replica.epoch_starts[idx]
-        self._m_first[rows] = now
-        single = rows[self._outlen[rows] <= 1]
-        if single.size:
+        start = replica.epoch_starts[idx]
+        m_pstart = self._m_pstart
+        m_first = self._m_first
+        for r in replica.epoch_rows[offsets[idx] : offsets[idx + 1]]:
+            m_pstart[r] = start
+            m_first[r] = now
+        if replica.epoch_single[idx]:
             # Single-token responses finish at prefill; no KV transfer needed.
+            single = np.asarray(replica.epoch_single[idx], dtype=np.int64)
             self._m_kvdone[single] = now
             self._m_comp[single] = now
             self._m_fin[single] = True
@@ -951,7 +936,7 @@ class ServingSimulator:
                 holder = _KVBatch(decode_id=decode_id, rows=kv_rows, times=times)
                 holder.heap_seq = self._events.push(
                     Event(
-                        time=float(times[0]),
+                        time=times[0],
                         kind=EventKind.KV_BATCH,
                         replica_id=decode_id,
                         payload=holder,
@@ -961,10 +946,10 @@ class ServingSimulator:
             dead_rows: List[int] = []
             for decode_id, kv_rows, times in replica.epoch_kv[idx]:
                 if decode_id in self._dead_decodes:
-                    dead_rows.extend(kv_rows.tolist())
+                    dead_rows.extend(kv_rows)
                     continue
                 target = self.decodes[decode_id]
-                for r in kv_rows.tolist():
+                for r in kv_rows:
                     target.inflight[r] = True
                 holder = _KVBatch(
                     decode_id=decode_id,
@@ -974,7 +959,7 @@ class ServingSimulator:
                 )
                 holder.heap_seq = self._events.push(
                     Event(
-                        time=float(times[0]),
+                        time=times[0],
                         kind=EventKind.KV_BATCH,
                         replica_id=decode_id,
                         payload=holder,
@@ -1000,10 +985,10 @@ class ServingSimulator:
         """
         times = holder.times
         rows = holder.rows
-        n = rows.size
+        n = len(rows)
         events = self._events
         while holder.pos < n:
-            t = float(times[holder.pos])
+            t = times[holder.pos]
             if (
                 self._fault_pos < len(self._fault_events)
                 and self._fault_events[self._fault_pos].time <= t
@@ -1058,7 +1043,7 @@ class ServingSimulator:
                 return
             holder.pos += 1
             self._clock = max(self._clock, t)
-            self._on_kv_arrived_fast(holder.decode_id, int(rows[holder.pos - 1]), t)
+            self._on_kv_arrived_fast(holder.decode_id, rows[holder.pos - 1], t)
 
     # ------------------------------------------------------ decode (fast engine)
     def _admit_pending_fast(self, replica: _DecodeReplica) -> int:
@@ -1150,7 +1135,7 @@ class ServingSimulator:
                     mean = 1
                 acc = acc + cost.decode_step_memo(n, mean)
                 times_list.append(acc)
-            replica.epoch_times = np.asarray(times_list, dtype=np.float64)
+            replica.epoch_times = times_list
         else:
             steps = np.arange(k, dtype=np.int64)
             context_sum = ctx_sum + n * steps
@@ -1164,13 +1149,13 @@ class ServingSimulator:
             buffer = np.empty(k + 1, dtype=np.float64)
             buffer[0] = now
             buffer[1:] = latencies
-            replica.epoch_times = np.cumsum(buffer)[1:]
+            replica.epoch_times = np.cumsum(buffer)[1:].tolist()
         replica.epoch_len = k
         replica.epoch_cut = k
         replica.epoch_seq += 1
         self._events.push(
             Event(
-                time=float(replica.epoch_times[-1]),
+                time=replica.epoch_times[-1],
                 kind=EventKind.DECODE_WAKE,
                 replica_id=replica.group_id,
                 payload=replica.epoch_seq,
@@ -1201,12 +1186,12 @@ class ServingSimulator:
                     assert replica.epoch_times is not None
                     times = replica.epoch_times[applied:planned]
                     replica.epoch_times = times
-                    replica.epoch_len = int(times.size)
-                    replica.epoch_cut = int(times.size)
+                    replica.epoch_len = len(times)
+                    replica.epoch_cut = len(times)
                     replica.epoch_seq += 1
                     self._events.push(
                         Event(
-                            time=float(times[-1]),
+                            time=times[-1],
                             kind=EventKind.DECODE_WAKE,
                             replica_id=replica.group_id,
                             payload=replica.epoch_seq,
@@ -1236,7 +1221,7 @@ class ServingSimulator:
         k = int(np.searchsorted(replica.rem, steps, side="right"))
         if k:
             assert replica.epoch_times is not None
-            done = float(replica.epoch_times[steps - 1])
+            done = replica.epoch_times[steps - 1]
             finished_rows = replica.rows[:k]
             self._m_comp[finished_rows] = done
             self._m_fin[finished_rows] = True
@@ -1273,18 +1258,18 @@ class ServingSimulator:
             # A FIFO head already waiting means admission is blocked on capacity
             # that only a completion can free — the epoch end already covers it.
             return
-        assert replica.epoch_times is not None
-        times = replica.epoch_times[: replica.epoch_cut]
+        times = replica.epoch_times
+        assert times is not None
         # First step boundary at or after the arrival: that is where the
         # reference engine's per-step admission would pick the request up.
-        idx = int(np.searchsorted(times, now, side="left"))
+        idx = bisect_left(times, now, 0, replica.epoch_cut)
         steps = idx + 1
         if steps < replica.epoch_cut:
             replica.epoch_cut = steps
             replica.epoch_seq += 1
             self._events.push(
                 Event(
-                    time=float(times[idx]),
+                    time=times[idx],
                     kind=EventKind.DECODE_WAKE,
                     replica_id=replica.group_id,
                     payload=replica.epoch_seq,
@@ -1355,11 +1340,9 @@ class ServingSimulator:
                 # win) is lost with the replica.
                 cut = replica.epoch_cut
                 assert replica.epoch_dones is not None and replica.epoch_offsets is not None
-                fired = int(np.searchsorted(replica.epoch_dones[:cut], t, side="left"))
+                fired = bisect_left(replica.epoch_dones, t, 0, cut)
                 offsets = replica.epoch_offsets
-                victims.extend(
-                    replica.epoch_rows[offsets[fired] : offsets[cut]].tolist()
-                )
+                victims.extend(replica.epoch_rows[offsets[fired] : offsets[cut]])
             replica.queue.clear()
             replica.busy = False
             replica.epoch_rows = None
@@ -1367,6 +1350,7 @@ class ServingSimulator:
             replica.epoch_starts = None
             replica.epoch_dones = None
             replica.epoch_kv = []
+            replica.epoch_single = []
             replica.epoch_cut = 0
             replica.epoch_seq += 1
         for gid in entry.dead_decode:
@@ -1379,10 +1363,10 @@ class ServingSimulator:
                 # entries win) delivered their tokens; the reference engine
                 # advanced its clock through each of them, so replay the last
                 # fired boundary here to keep makespans bitwise-identical.
-                times = replica.epoch_times[: replica.epoch_cut]
-                fired = int(np.searchsorted(times, t, side="left"))
+                times = replica.epoch_times
+                fired = bisect_left(times, t, 0, replica.epoch_cut)
                 if fired > 0:
-                    self._clock = max(self._clock, float(times[fired - 1]))
+                    self._clock = max(self._clock, times[fired - 1])
             victims.extend(replica.rows.tolist())
             victims.extend(int(r) for r in replica.pending)
             victims.extend(replica.inflight.keys())
@@ -1423,11 +1407,11 @@ class ServingSimulator:
         for replica in self.decodes.values():
             if not replica.stepping or replica.epoch_times is None:
                 continue
-            times = replica.epoch_times[: replica.epoch_cut]
-            steps = int(np.searchsorted(times, horizon, side="right"))
+            times = replica.epoch_times
+            steps = bisect_right(times, horizon, 0, replica.epoch_cut)
             if steps > 0:
                 self._apply_steps(replica, steps)
-                self._clock = max(self._clock, float(times[steps - 1]))
+                self._clock = max(self._clock, times[steps - 1])
 
     # ------------------------------------------------------------------ reference
     def _run_reference(

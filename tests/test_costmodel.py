@@ -214,6 +214,15 @@ class TestReplicaCostModel:
         # The memo grid returns the same values, cold and warm.
         assert np.all(cost.prefill_latency_grid(inputs, batches) == scalar)
         assert np.all(cost.prefill_latency_grid(inputs, batches) == scalar)
+        # The scalar memo shares the grid's memo: warm after the grid, and
+        # cold first on a fresh model with the grid reading what it filled.
+        pairs = list(zip(inputs.tolist(), batches.tolist()))
+        memo = np.array([cost.prefill_latency_memo(s, b) for s, b in pairs])
+        assert np.all(memo == scalar)
+        cold = ReplicaCostModel(cluster, plan, model)
+        memo = np.array([cold.prefill_latency_memo(s, b) for s, b in pairs])
+        assert np.all(memo == scalar)
+        assert np.all(cold.prefill_latency_grid(inputs, batches) == scalar)
 
     def test_prefill_latency_array_validates(self, a40_pair_cost):
         with pytest.raises(ValueError):

@@ -1,12 +1,13 @@
 """Seeded equivalence of the vectorized engine and the per-event reference.
 
 The fast engine (struct-of-arrays decode state, coalesced decode epochs,
-coalesced prefill epochs with vectorized KV handoffs, memoized latency grids)
+coalesced prefill epochs with precomputed KV handoffs, memoized latencies)
 must be *indistinguishable* from the retained per-event reference
 implementation: identical per-request metrics — bitwise, not approximately —
 identical completion order and identical makespan, across random traces,
 windowed (failure-style) serving, single-token outputs, horizon-truncated runs,
-prompt-heavy traces and every supported prefill batch size (1, 4, 16).  Any
+prompt-heavy traces on one and on two decode replicas, and every supported
+prefill batch size (1, 4, 16).  Any
 divergence here means the coalescing math drifted from the per-event semantics,
 so the assertions are exact equality on raw floats.
 
@@ -260,6 +261,53 @@ def test_arrival_truncated_prefill_epochs_identical(prefill_batch, rate):
     fast = _run(trace, "fast", seed=2, prefill_batch=prefill_batch, horizon=4.0)
     reference = _run(trace, "reference", seed=2, prefill_batch=prefill_batch, horizon=4.0)
     _assert_identical(fast, reference)
+
+
+def _assert_batches_split_across_decodes(result):
+    """Some prefill batch handed its KV to more than one decode replica.
+
+    Rows of one batch share their prefill replica and first-token time, so a
+    batch whose rows carry different decode replicas proves the per-target
+    grouping of the KV handoff was exercised.
+    """
+    targets = {}
+    for m in result.metrics:
+        if m.request.output_length > 1:
+            key = (m.prefill_replica, m.first_token_time)
+            targets.setdefault(key, set()).add(m.decode_replica)
+    assert any(len(t) > 1 for t in targets.values())
+
+
+@pytest.mark.parametrize("prefill_batch", PREFILL_BATCH_SIZES)
+@pytest.mark.parametrize("seed", [0, 3, 9])
+def test_multi_decode_prompt_heavy_traces_identical(seed, prefill_batch):
+    """Fault-free KV handoffs split across two decode replicas stay bitwise.
+
+    The two-prefill / two-decode plan makes every epoch group its handoffs
+    per decode target and sort each group by arrival time; without a fault
+    timeline nothing else exercises that grouping on several targets.
+    """
+    trace = generate_requests(PROMPT_HEAVY_WORKLOAD, 8.0, num_requests=60, seed=seed)
+    kwargs = dict(seed=seed, prefill_batch=prefill_batch, plan=MULTI_PLAN, model=MULTI_MODEL)
+    fast = _run(trace, "fast", **kwargs)
+    _assert_identical(fast, _run(trace, "reference", **kwargs))
+    if prefill_batch > 1:
+        _assert_batches_split_across_decodes(fast)
+
+
+@pytest.mark.parametrize("prefill_batch", (4, 16))
+@pytest.mark.parametrize("rate", [12.0, 30.0])
+def test_multi_decode_arrival_truncated_prefill_epochs_identical(prefill_batch, rate):
+    """Arrival truncation of multi-batch epochs over two decode replicas."""
+    trace = generate_requests(PROMPT_HEAVY_WORKLOAD, rate, num_requests=70, seed=21)
+    kwargs = dict(seed=2, prefill_batch=prefill_batch, plan=MULTI_PLAN, model=MULTI_MODEL)
+    fast = _run(trace, "fast", **kwargs)
+    _assert_identical(fast, _run(trace, "reference", **kwargs))
+    _assert_batches_split_across_decodes(fast)
+    _assert_identical(
+        _run(trace, "fast", horizon=4.0, **kwargs),
+        _run(trace, "reference", horizon=4.0, **kwargs),
+    )
 
 
 def test_engines_identical_across_windows():

@@ -123,11 +123,12 @@ def test_attainment_monotone_in_slo_scale(seed):
 )
 @settings(max_examples=20, deadline=None)
 def test_prefill_grid_scalar_parity(seed, size, max_input, max_batch):
-    """prefill_latency_array / prefill_latency_grid are the scalar model bitwise.
+    """prefill_latency_array / _grid / _memo are the scalar model bitwise.
 
     Mirrors the decode-grid parity suite: the fast engine's coalesced prefill
-    epochs price whole queues through these kernels, so any ULP of drift here
-    breaks the engines' bitwise-identical-metrics contract.
+    epochs price every batch through the shared memo, so any ULP of drift
+    between its fill paths breaks the engines' bitwise-identical-metrics
+    contract.
     """
     from repro.costmodel.latency import ReplicaCostModel
     from repro.parallelism.config import ReplicaPlan
@@ -145,3 +146,11 @@ def test_prefill_grid_scalar_parity(seed, size, max_input, max_batch):
     assert np.all(cost.prefill_latency_grid(inputs, batches) == scalar)
     # Warm-memo pass returns the same bits.
     assert np.all(cost.prefill_latency_grid(inputs, batches) == scalar)
+    # The scalar memo shares that memo, in both fill orders: grid first (the
+    # memo reads grid-filled entries), then memo first on a fresh model (the
+    # grid reads memo-filled entries).
+    pairs = list(zip(inputs.tolist(), batches.tolist()))
+    assert np.all(np.array([cost.prefill_latency_memo(s, b) for s, b in pairs]) == scalar)
+    cold = ReplicaCostModel(CLUSTER, plan, MODEL)
+    assert np.all(np.array([cold.prefill_latency_memo(s, b) for s, b in pairs]) == scalar)
+    assert np.all(cold.prefill_latency_grid(inputs, batches) == scalar)
