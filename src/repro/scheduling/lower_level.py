@@ -11,12 +11,14 @@ level:
 
 The resulting system-level attainment is the value ``f(x)`` consumed by the tabu
 search.  Parallel-plan deduction is memoised on (GPU set, phase) because the tabu
-search revisits the same groups in many candidate solutions.
+search revisits the same groups in many candidate solutions; objectives are
+memoised on the solution key and LP orchestrations on their exact inputs, for
+the same reason.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -153,6 +155,11 @@ class LowerLevelSolver:
             max(1, int(round(workload.mean_output_length))),
         )
         self._objective_cache: Dict[object, float] = {}
+        # LP orchestrations keyed by their exact inputs.  The fixed point's
+        # second pass often reproduces the first pass's LP, and candidates
+        # whose groups price identically reach the same LP again.  The memo
+        # lives with the solver (one search), never process-wide.
+        self._orchestration_cache: Dict[object, OrchestrationResult] = {}
         self.num_evaluations = 0
 
     # ------------------------------------------------------------------ plans
@@ -355,7 +362,13 @@ class LowerLevelSolver:
         self, d: np.ndarray, prefill_caps: List[float], decode_caps: List[float]
     ) -> OrchestrationResult:
         if self.orchestration_mode == "lp":
-            return solve_orchestration(d, prefill_caps, decode_caps)
+            key = (d.shape, d.tobytes(), tuple(prefill_caps), tuple(decode_caps))
+            result = self._orchestration_cache.get(key)
+            if result is None:
+                result = solve_orchestration(d, prefill_caps, decode_caps)
+                self._orchestration_cache[key] = result
+            # Fresh arrays on every call: callers own what they get back.
+            return replace(result, x=result.x.copy(), y=result.y.copy(), z=result.z.copy())
         if self.orchestration_mode == "uniform":
             m, n = d.shape
             x = np.full(m, 1.0 / m)

@@ -14,7 +14,7 @@ before the (comparatively expensive) lower-level evaluation.
 
 from __future__ import annotations
 
-from typing import Callable, FrozenSet, Hashable, Iterable, List, Optional
+from typing import Callable, FrozenSet, Hashable, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -65,12 +65,15 @@ def _apply_flip(solution: UpperLevelSolution, idx: int) -> UpperLevelSolution:
     return solution.replace_group(idx, group.with_phase(group.phase.other()))
 
 
+def _split_cut(num_gpus: int, ratio: float) -> int:
+    """GPUs kept in the first half when splitting ``num_gpus`` at ``ratio``."""
+    return min(max(int(num_gpus * ratio), 1), num_gpus - 1)
+
+
 def _apply_split(
-    solution: UpperLevelSolution, idx: int, ratio: float, phase_a: Phase, phase_b: Phase
+    solution: UpperLevelSolution, idx: int, cut: int, phase_a: Phase, phase_b: Phase
 ) -> UpperLevelSolution:
     gpus = sorted(solution.groups[idx].gpu_ids)
-    cut = int(len(gpus) * ratio)
-    cut = min(max(cut, 1), len(gpus) - 1)
     first = GroupAssignment(gpu_ids=frozenset(gpus[:cut]), phase=phase_a)
     second = GroupAssignment(gpu_ids=frozenset(gpus[cut:]), phase=phase_b)
     return solution.replace_group(idx, first, second)
@@ -100,6 +103,9 @@ def _apply_move(
     return UpperLevelSolution.from_lists([(g.gpu_ids, g.phase) for g in groups])
 
 
+_APPLIERS = {"flip": _apply_flip, "split": _apply_split, "merge": _apply_merge, "move": _apply_move}
+
+
 # --------------------------------------------------------------------------- moves
 def flip_phase(
     solution: UpperLevelSolution, rng: RNGLike = None, group_index: Optional[int] = None
@@ -119,8 +125,8 @@ def split_group(
     if not splittable:
         return None
     idx = int(gen.choice(splittable))
-    ratio = float(gen.uniform(0.25, 0.75))
-    return _apply_split(solution, idx, ratio, _random_phase(gen), _random_phase(gen))
+    cut = _split_cut(solution.groups[idx].num_gpus, float(gen.uniform(0.25, 0.75)))
+    return _apply_split(solution, idx, cut, _random_phase(gen), _random_phase(gen))
 
 
 def merge_groups(
@@ -248,32 +254,33 @@ class _MovePlan:
         self._cursor[kind] = slot + 1
         return slot
 
-    # ------------------------------------------------------------------ apply
-    def apply(self, kind: str) -> Optional[UpperLevelSolution]:
-        """Materialise the next pre-drawn move of ``kind`` (None when impossible).
+    # ------------------------------------------------------------------ resolve
+    def resolve(self, kind: str) -> Optional[Tuple]:
+        """Parameters of the next pre-drawn move of ``kind`` (None when impossible).
 
-        Only the parameter *lookup* lives here; the move mechanics are the
-        shared ``_apply_*`` functions, so batch and standalone sampling cannot
-        diverge semantically.
+        Always advances the cursor of ``kind``.  The returned tuple fully
+        determines the candidate :meth:`build` makes from it, so two equal
+        tuples in one batch name the same candidate.
         """
         solution = self.solution
         slot = self._next(kind)
         if kind == "flip":
-            return _apply_flip(solution, self.flip_idx[slot])
+            return ("flip", self.flip_idx[slot])
         if kind == "split":
             if not self.split_idx:
                 return None
             idx = self.splittable[self.split_idx[slot]]
+            cut = _split_cut(solution.groups[idx].num_gpus, self.split_ratio[slot])
             phase_a, phase_b = (
                 Phase.PREFILL if flag else Phase.DECODE for flag in self.split_phases[slot]
             )
-            return _apply_split(solution, idx, self.split_ratio[slot], phase_a, phase_b)
+            return ("split", idx, cut, phase_a, phase_b)
         if kind == "merge":
             if not self.merge_pairs:
                 return None
             a, b = self.merge_pairs[slot]
             phase = Phase.PREFILL if self.merge_phase[slot] else Phase.DECODE
-            return _apply_merge(solution, a, b, phase)
+            return ("merge", min(a, b), max(a, b), phase)
         # kind == "move"
         if not self.move_src:
             return None
@@ -292,8 +299,16 @@ class _MovePlan:
         # Random subset of the movable GPUs via pre-drawn uniform keys.
         keys = self.move_subset_u[slot, : len(candidates)]
         chosen = np.argsort(keys, kind="stable")[:count]
-        moved = frozenset(candidates[c] for c in chosen)
-        return _apply_move(solution, src_idx, dst_idx, moved)
+        return ("move", src_idx, dst_idx, frozenset(candidates[c] for c in chosen))
+
+    def build(self, move: Tuple) -> UpperLevelSolution:
+        """Materialise a move resolved by :meth:`resolve`.
+
+        The move mechanics are the shared ``_apply_*`` functions, so batch and
+        standalone sampling cannot diverge semantically.
+        """
+        kind, *params = move
+        return _APPLIERS[kind](self.solution, *params)
 
 
 def construct_neighbors(
@@ -313,6 +328,8 @@ def construct_neighbors(
     sequence and every move parameter (indices, ratios, phases, moved subsets)
     are sampled up front with a single RNG draw per kind (:class:`_MovePlan`),
     then materialised until enough feasible, distinct candidates are found.
+    A move whose resolved parameters repeat an earlier attempt of the batch is
+    skipped without being built.
 
     ``moves`` restricts the allowed move set; the lightweight rescheduler passes
     ``["flip"]`` so that only phase designations change (§3.4).  ``exclude_keys``
@@ -345,17 +362,24 @@ def construct_neighbors(
             hold_memo[gpu_ids] = ok
         return ok
 
+    # A move resolved earlier in the batch names a candidate that was already
+    # accepted or rejected: ``seen`` only grows and feasibility is
+    # deterministic, so a repeat would be rejected again — skip it unbuilt.
+    tried: set[Tuple] = set()
     for kind in plan.kinds:
         if len(neighbors) >= num_neighbors:
             break
-        candidate = plan.apply(kind)
-        if candidate is None:
+        move = plan.resolve(kind)
+        if move is None or move in tried:
             continue
-        if candidate.key() in seen:
+        tried.add(move)
+        candidate = plan.build(move)
+        key = candidate.key()
+        if key in seen:
             continue
         if not _feasible(cluster, model, candidate, kv_reserve_fraction, can_hold=can_hold):
             continue
-        seen.add(candidate.key())
+        seen.add(key)
         neighbors.append(candidate)
     return neighbors
 

@@ -100,13 +100,17 @@ class UpperLevelSolution:
 
         Cached on first use: the key is consulted by neighbourhood dedup, the
         tabu list and every per-scenario objective memo, so robust scheduling
-        asks for it many times per candidate.
+        asks for it many times per candidate.  The ``(sorted ids, phase)``
+        pairs are ordered by ``(min id, phase)`` directly — the order
+        :meth:`canonical` would give — without building the canonical copy.
         """
         cached = getattr(self, "_key", None)
         if cached is None:
             cached = tuple(
-                (tuple(sorted(g.gpu_ids)), g.phase.value)
-                for g in self.canonical().groups
+                sorted(
+                    ((tuple(sorted(g.gpu_ids)), g.phase.value) for g in self.groups),
+                    key=lambda pair: (pair[0][0], pair[1]),
+                )
             )
             object.__setattr__(self, "_key", cached)
         return cached

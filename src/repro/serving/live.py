@@ -447,8 +447,10 @@ class LiveServeReport:
             recovery-triggered replan onwards (1.0 when none happened);
             ``num_failure_replans`` / ``num_recovery_replans`` — windows whose
             start installed a fault-triggered plan; ``mean_time_to_replan_s``
-            — mean delay from a capacity loss taking effect to the next
-            successful replan (0 when replanned at the same boundary);
+            — mean *simulated* seconds from a capacity loss taking effect to
+            the window boundary of the next successful replan (0 when
+            replanned at the same boundary).  It is not the replan's wall
+            time: perfbench reports that as ``scheduling.replan_*_s``;
             ``mean_mttr_s`` — mean time between a capacity-loss event and the
             recovery event that revived its GPUs; ``requests_<outcome>`` — the
             run-level request count per

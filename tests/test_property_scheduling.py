@@ -5,11 +5,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.types import Phase
-from repro.hardware.cluster import make_cloud_cluster
+from repro.hardware.cluster import make_cloud_cluster, make_two_datacenter_cluster
 from repro.kvcache.paged import BlockAllocationError, PagedKVCache
 from repro.model.architecture import get_model_config
 from repro.parallelism.partition import partition_layers, stage_max_layers
-from repro.scheduling.neighbors import construct_neighbors
+from repro.core.rng import ensure_rng
+from repro.scheduling.neighbors import (
+    _KNOWN_MOVES,
+    _MovePlan,
+    _feasible,
+    construct_neighbors,
+    flip_phase,
+)
 from repro.scheduling.orchestration import solve_orchestration
 from repro.scheduling.solution import UpperLevelSolution
 
@@ -20,6 +27,7 @@ pytestmark = pytest.mark.slow
 
 
 CLUSTER = make_cloud_cluster(seed=0)
+TWO_DC = make_two_datacenter_cluster(seed=0)
 MODEL_30B = get_model_config("llama-30b")
 MODEL_13B = get_model_config("llama-13b")
 
@@ -67,6 +75,69 @@ def test_neighbors_preserve_gpu_partition(solution, seed, count):
         all_ids = [g for group in neighbor.groups for g in group.gpu_ids]
         assert len(all_ids) == len(set(all_ids))
         assert set(all_ids) == set(solution.all_gpu_ids)
+
+
+def _reference_neighbors(solution, cluster, model, num_neighbors, seed, moves, exclude_keys):
+    """construct_neighbors as a plain loop that builds every attempt."""
+    allowed = list(moves) if moves else list(_KNOWN_MOVES)
+    plan = _MovePlan(ensure_rng(seed), allowed, 8 * num_neighbors, solution, cluster)
+    seen = {solution.key(), *exclude_keys}
+    neighbors = []
+    for kind in plan.kinds:
+        if len(neighbors) >= num_neighbors:
+            break
+        move = plan.resolve(kind)
+        if move is None:
+            continue
+        candidate = plan.build(move)
+        if candidate.key() in seen or not _feasible(cluster, model, candidate, 0.3):
+            continue
+        seen.add(candidate.key())
+        neighbors.append(candidate)
+    return neighbors
+
+
+@st.composite
+def partitions(draw):
+    """Random partitions of the two-DC or the cloud cluster, any group sizes."""
+    cluster, model = draw(st.sampled_from([(TWO_DC, MODEL_13B), (CLUSTER, MODEL_30B)]))
+    ids = draw(st.permutations(list(cluster.gpu_ids)))
+    num_groups = draw(st.integers(2, min(8, len(ids))))
+    cut_points = st.sets(
+        st.integers(1, len(ids) - 1), min_size=num_groups - 1, max_size=num_groups - 1
+    )
+    cuts = sorted(draw(cut_points))
+    bounds = [0, *cuts, len(ids)]
+    groups = [
+        (ids[lo:hi], draw(st.sampled_from([Phase.PREFILL, Phase.DECODE])))
+        for lo, hi in zip(bounds, bounds[1:])
+    ]
+    return cluster, model, UpperLevelSolution.from_lists(groups)
+
+
+@given(
+    case=partitions(),
+    seed=st.integers(0, 10_000),
+    count=st.integers(1, 12),
+    moves=st.one_of(
+        st.none(),
+        st.just(["flip"]),
+        st.lists(st.sampled_from(_KNOWN_MOVES), min_size=1, max_size=4, unique=True),
+    ),
+    excluded_flips=st.lists(st.integers(0, 7), max_size=4),
+)
+@settings(max_examples=80, deadline=None)
+def test_neighbors_match_build_every_attempt_reference(case, seed, count, moves, excluded_flips):
+    """Skipping repeated moves unbuilt returns exactly the reference candidates, in order."""
+    cluster, model, solution = case
+    exclude = [
+        flip_phase(solution, group_index=i % solution.num_groups).key() for i in excluded_flips
+    ]
+    fast = construct_neighbors(
+        solution, cluster, model, num_neighbors=count, rng=seed, moves=moves, exclude_keys=exclude
+    )
+    reference = _reference_neighbors(solution, cluster, model, count, seed, moves, exclude)
+    assert [n.groups for n in fast] == [n.groups for n in reference]
 
 
 # --------------------------------------------------------------------------- orchestration

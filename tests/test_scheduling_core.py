@@ -288,6 +288,72 @@ class TestLowerLevelSolver:
         rnd = self._solver(cluster, model, workload, orchestration_mode="random").solve(solution)
         assert lp.objective >= rnd.objective - 1e-6
 
+    @staticmethod
+    def _counting(monkeypatch, name):
+        import repro.scheduling.lower_level as lower_level
+
+        calls = []
+        original = getattr(lower_level, name)
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(lower_level, name, counted)
+        return calls
+
+    def test_lp_orchestration_memoised_per_solver(
+        self, monkeypatch, small_hetero_cluster_mod, model_30b_mod, conversation_mod
+    ):
+        cluster, model, workload = small_hetero_cluster_mod, model_30b_mod, conversation_mod
+        a40 = [g.gpu_id for g in cluster.gpus_of_type("A40")]
+        ti = [g.gpu_id for g in cluster.gpus_of_type("3090Ti")]
+        solution = UpperLevelSolution.from_lists(
+            [(a40[:2], Phase.PREFILL), (a40[2:], Phase.PREFILL), (ti, Phase.DECODE)]
+        )
+        calls = self._counting(monkeypatch, "solve_orchestration")
+        solver = self._solver(cluster, model, workload)
+        first = solver.solve(solution)
+        after_first = len(calls)
+        second = solver.solve(solution)
+        assert after_first >= 1
+        assert len(calls) == after_first, "the repeated LPs must come from the memo"
+
+        a, b = first.orchestration, second.orchestration
+        for name in ("x", "y", "z"):
+            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+            assert not np.shares_memory(getattr(a, name), getattr(b, name))
+        assert (a.objective, a.served_fraction) == (b.objective, b.served_fraction)
+        assert first.objective == second.objective
+        assert first.plan == second.plan
+
+        kept = {name: getattr(b, name).copy() for name in ("x", "y", "z")}
+        for name in kept:
+            getattr(a, name)[:] = -1.0
+        third = solver.solve(solution)
+        assert len(calls) == after_first
+        for name, before in kept.items():
+            np.testing.assert_array_equal(getattr(b, name), before)
+            np.testing.assert_array_equal(getattr(third.orchestration, name), before)
+
+    def test_random_orchestration_not_memoised(
+        self, monkeypatch, small_hetero_cluster_mod, model_30b_mod, conversation_mod
+    ):
+        cluster, model, workload = small_hetero_cluster_mod, model_30b_mod, conversation_mod
+        a40 = [g.gpu_id for g in cluster.gpus_of_type("A40")]
+        ti = [g.gpu_id for g in cluster.gpus_of_type("3090Ti")]
+        solution = UpperLevelSolution.from_lists(
+            [(a40[:2], Phase.PREFILL), (a40[2:], Phase.PREFILL), (ti, Phase.DECODE)]
+        )
+        calls = self._counting(monkeypatch, "random_orchestration")
+        solver = self._solver(cluster, model, workload, orchestration_mode="random")
+        first = solver.solve(solution)
+        after_first = len(calls)
+        second = solver.solve(solution)
+        assert after_first >= 1
+        assert len(calls) == 2 * after_first
+        assert not np.array_equal(first.orchestration.z, second.orchestration.z)
+
 
 class TestRoutingPolicy:
     def test_uniform_routing(self):

@@ -47,6 +47,23 @@ class TestSolution:
         b = UpperLevelSolution.from_lists([([0, 1], Phase.DECODE), ([2, 3], Phase.DECODE)])
         assert a.key() != b.key()
 
+    def test_key_matches_canonical_order_for_unsorted_groups(self):
+        # Built directly, so the groups keep their non-canonical order.
+        solution = UpperLevelSolution(
+            groups=(
+                GroupAssignment(gpu_ids=frozenset({9, 4, 7}), phase=Phase.DECODE),
+                GroupAssignment(gpu_ids=frozenset({5, 0}), phase=Phase.PREFILL),
+                GroupAssignment(gpu_ids=frozenset({3, 8}), phase=Phase.PREFILL),
+                GroupAssignment(gpu_ids=frozenset({1}), phase=Phase.DECODE),
+            )
+        )
+        canonical_key = tuple(
+            (tuple(sorted(g.gpu_ids)), g.phase.value) for g in solution.canonical().groups
+        )
+        assert solution.key() == canonical_key
+        assert solution.key() == solution.canonical().key()
+        assert [ids[0] for ids, _ in solution.key()] == [0, 1, 3, 4]
+
     def test_replace_group_removal(self, simple_solution):
         smaller = simple_solution.replace_group(0)
         assert smaller.num_groups == 2
