@@ -166,7 +166,6 @@ def test_estimator_saturation_agreement():
 
     payload = {
         "benchmark": "bench_estimator_saturation",
-        "kind": "estimator_agreement",
         "mode": mode,
         "workload": CODING_WORKLOAD.name,
         "capacity_rps": round(capacity_rps, 4),

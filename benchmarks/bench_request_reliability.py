@@ -22,8 +22,8 @@ the reliability claims rest on:
 
 Set ``REPRO_BENCH_REDUCED=1`` for the CI smoke configuration (same shape,
 smaller traces).  Results are written to ``BENCH_request_reliability.json``
-(override with ``REPRO_BENCH_JSON``) and gated against a committed baseline
-by ``benchmarks/check_regression.py`` (kind ``request_reliability``).
+(override with ``REPRO_BENCH_JSON``); ``benchmarks/check_regression.py``
+compares ``retry_attainment`` with the committed baseline.
 
 Run with:  PYTHONPATH=src python -m pytest benchmarks/bench_request_reliability.py -s
 """
@@ -40,9 +40,9 @@ from repro.faults import (
     FaultEvent,
     FaultKind,
     FaultSchedule,
+    FaultTimeline,
     ReplicaFaultEvent,
     RetryPolicy,
-    timeline_from_windows,
 )
 from repro.hardware.cluster import make_two_datacenter_cluster
 from repro.model.architecture import get_model_config
@@ -151,8 +151,8 @@ def _stream_timeline(plan, span):
     """Kill/revive cycles over the stream: one group of each phase at a time."""
     prefills = [g.group_id for g in plan.prefill_groups]
     decodes = [g.group_id for g in plan.decode_groups]
-    return timeline_from_windows(
-        [
+    return FaultTimeline(
+        events=[
             ReplicaFaultEvent(time=0.15 * span, dead_prefill=(prefills[0],)),
             ReplicaFaultEvent(time=0.30 * span, revived_prefill=(prefills[0],)),
             ReplicaFaultEvent(time=0.45 * span, dead_decode=(decodes[1],)),
@@ -229,7 +229,6 @@ def test_request_reliability_gate():
 
     payload = {
         "benchmark": "bench_request_reliability",
-        "kind": "request_reliability",
         "mode": mode,
         "num_live_requests": NUM_LIVE,
         "retry_completed": int(completed(retry_stats)),

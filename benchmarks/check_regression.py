@@ -1,586 +1,151 @@
-"""Bench regression gate: compare fresh benchmark reports against committed baselines.
+"""Bench regression gate: compare each fresh benchmark report with its committed baseline.
 
-The CI bench-smoke job used to run every benchmark under a blanket
-``continue-on-error``, which made the whole step advisory — engine-agreement
-breaks and order-of-magnitude perf regressions alike shipped silently.  This
-script splits the signal from the noise:
+Each measured-contract benchmark asserts its own absolute properties (engine
+agreement, full drain, deterministic replay, outcome conservation, ...), so a
+broken contract fails that benchmark's own pytest run.  This gate does the one
+job a benchmark cannot: compare its fresh report, read from the working
+directory, with the committed ``baselines/<report stem>_reduced.json`` beside
+this script.  Each ``MANIFEST`` row holds one drift rule and at most one
+advisory wall-clock key.
 
-**Gating** (non-zero exit):
+The gate fails (exit 1) on a missing or unparsable report, a ``mode`` or
+``benchmark`` name mismatch, a drift metric missing from either report, or a
+metric past its bound in a worse direction (exactly at the bound passes).  An
+advisory ``(key, factor)`` only prints ``WARN`` when the fresh value exceeds
+``factor`` times the baseline's: absolute wall clock tracks runner hardware.
 
-* the fresh run is missing or unreadable (the benchmark crashed);
-* ``identical_metrics`` is false — the fast engine diverged from the per-event
-  reference engine, which is a correctness break, not a perf wobble;
-* the fast-vs-reference **speedup ratio** regressed by more than
-  ``--max-regression`` (default 30%) against the committed baseline.  The ratio
-  is measured fast vs. reference *on the same machine in the same run*, so
-  shared-runner slowness largely cancels out of it;
-* the long-decode trace did not fully drain;
-* the baseline and fresh run used different benchmark modes (a reduced-mode
-  run must not be judged against a full-mode baseline, or vice versa).
+Usage, after the six benchmarks ran with ``REPRO_BENCH_REDUCED=1``::
 
-Reports with ``"kind": "estimator_agreement"`` (the saturation-ramp benchmark)
-are gated under their own rules instead of the speedup rules:
-
-* an overloaded plan (``rho >= 1``) must estimate **exactly zero** attainment;
-* the worst ramp-point gap and the mean gap must sit within the tolerances the
-  report itself records;
-* the mean gap must not drift more than ``GAP_DRIFT_SLACK`` above the committed
-  baseline's — simulation seeds are pinned, so genuine estimator changes are
-  the only thing that moves it.
-
-Reports with ``"kind": "chaos_recovery"`` (the fault-storm benchmark) gate the
-failure-lifecycle properties instead:
-
-* same-seed chaos replay must be deterministic (bitwise-identical fault
-  schedule and telemetry stream across two runs);
-* the fault-aware adaptive loop must hold worst-window attainment at least at
-  the static run's, with >= 1 failure-triggered and >= 1 recovery-triggered
-  plan change installed, and post-recovery attainment at least the attainment
-  under failure;
-* the total-loss scenario must complete with >= 1 zero-attainment outage
-  window instead of aborting the sweep;
-* adaptive worst-window attainment must not drift more than
-  ``CHAOS_DRIFT_SLACK`` from the committed baseline — the replay is
-  deterministic, so only a genuine serving change can move it.
-
-Reports with ``"kind": "request_reliability"`` (the in-engine retry benchmark)
-gate the request-level fault semantics:
-
-* the bounded-retry arm must complete strictly more requests than the
-  drop-only arm under the identical seeded storm, with >= 1
-  ``retried_then_finished`` outcome on the retry side and >= 1
-  ``dropped_outage`` outcome on the drop-only side;
-* retry-arm SLO attainment must not fall below the drop-only arm's;
-* same-seed storm replay must be deterministic (identical ``fault_stats``
-  and per-window telemetry across two runs);
-* the streamed conservation leg must hold: every arrival maps to exactly one
-  terminal outcome (``stream_conserved`` true, outcome counts summing to the
-  trace size);
-* retry-arm attainment must not drift more than ``RELIABILITY_DRIFT_SLACK``
-  from the committed baseline — the storm is seeded end to end, so movement
-  means the engine's fault disposition changed.
-
-Reports with ``"kind": "megatrace"`` (the million-request streaming benchmark)
-gate the streaming-core contract:
-
-* the subsampled-window spot check must be bitwise-identical between the fast
-  engine and the per-event reference oracle;
-* the streamed trace must fully drain;
-* streamed throughput (requests per second of wall clock) must not fall below
-  ``1 - MEGATRACE_THROUGHPUT_SLACK`` of the committed baseline's — measured as
-  a ratio, so it still moves with runner hardware, which is why the slack is
-  loose (absolute wall clock stays advisory).
-
-**Non-gating** (printed as warnings): absolute wall-clock movements.  Those are
-dominated by runner hardware and CPU steal, so they stay advisory.
-
-Usage::
-
-    python benchmarks/check_regression.py \
-        --baseline benchmarks/baselines/BENCH_simcore_reduced.json \
-        --fresh BENCH_simcore.json
-
-Several (baseline, fresh) pairs can be gated in one invocation — the CI
-bench-smoke job checks the decode-core, prefill-pipeline and
-estimator-saturation benchmarks together::
-
-    python benchmarks/check_regression.py \
-        --pair benchmarks/baselines/BENCH_simcore_reduced.json BENCH_simcore.json \
-        --pair benchmarks/baselines/BENCH_prefill_reduced.json BENCH_prefill.json \
-        --pair benchmarks/baselines/BENCH_estimator_saturation_reduced.json \
-               BENCH_estimator_saturation.json
+    python benchmarks/check_regression.py
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-from typing import Dict, List, Optional, Sequence, Tuple
-
-#: Fractional speedup loss vs. the baseline above which the gate fails.
-DEFAULT_MAX_REGRESSION = 0.30
-
-#: Fractional absolute wall-clock growth above which a (non-gating) warning is
-#: printed.  Deliberately loose: shared runners routinely move 2x.
-WALLCLOCK_WARN_FACTOR = 2.0
-
-#: Absolute mean-gap growth vs. the baseline above which an estimator-agreement
-#: report fails.  Seeds are pinned, so the sim side is deterministic; only an
-#: estimator change can move the gap, and this much movement needs a fresh
-#: baseline (i.e. a deliberate decision), not a silent pass.
-GAP_DRIFT_SLACK = 0.03
-
-#: Absolute movement of adaptive worst-window attainment vs. the committed
-#: chaos baseline above which the gate fails.  The fault replay is
-#: deterministic end to end, so movement means the serving or rescheduling
-#: behaviour changed and the baseline needs a deliberate regeneration.
-CHAOS_DRIFT_SLACK = 0.05
-
-#: Absolute movement of retry-arm SLO attainment vs. the committed
-#: request-reliability baseline above which the gate fails.  The storm is
-#: seeded end to end (trace, fault instants, retry jitter), so attainment can
-#: only move when the engine's fault-disposition behaviour changes — which
-#: needs a deliberate baseline regeneration, not a silent pass.
-RELIABILITY_DRIFT_SLACK = 0.05
-
-#: Fractional streamed-throughput loss vs. the committed megatrace baseline
-#: above which the gate fails.  Deliberately loose — throughput is an absolute
-#: wall-clock quantity, so shared-runner noise moves it — but a larger drop
-#: means the streaming fast path itself regressed.
-MEGATRACE_THROUGHPUT_SLACK = 0.60
+from dataclasses import dataclass
+from pathlib import Path
+from typing import Dict, List, Optional, Tuple
 
 
-def load_report(path: str) -> Optional[Dict]:
+@dataclass(frozen=True)
+class Gate:
+    """One manifest row: a benchmark's fresh report and its drift rule."""
+
+    benchmark: str
+    fresh: str
+    metric: str
+    #: allowed drift: absolute, or as a share of the baseline value
+    max_abs: Optional[float] = None
+    max_rel: Optional[float] = None
+    #: ``higher`` fails a drop, ``lower`` fails a rise, ``both`` fails either
+    better: str = "higher"
+    #: ``(wall-clock key, growth factor)`` that warns, never fails
+    advisory: Optional[Tuple[str, float]] = None
+
+    @property
+    def baseline(self) -> Path:
+        stem = Path(self.fresh).stem
+        return Path(__file__).resolve().parent / "baselines" / f"{stem}_reduced.json"
+
+    def allowed(self, base: float) -> Tuple[float, float]:
+        """The closed interval a fresh value may land in."""
+        if self.max_rel is not None:
+            lo, hi = base * (1.0 - self.max_rel), base * (1.0 + self.max_rel)
+        else:
+            lo, hi = base - self.max_abs, base + self.max_abs
+        if self.better == "higher":
+            hi = math.inf
+        elif self.better == "lower":
+            lo = -math.inf
+        return lo, hi
+
+
+MANIFEST = (
+    Gate("bench_simulator_core", "BENCH_simcore.json", "speedup",
+         max_rel=0.30, better="higher", advisory=("t_fast_s", 2.0)),
+    Gate("bench_prefill_core", "BENCH_prefill.json", "speedup",
+         max_rel=0.30, better="higher", advisory=("t_fast_s", 2.0)),
+    Gate("bench_estimator_saturation", "BENCH_estimator_saturation.json", "mean_gap",
+         max_abs=0.03, better="lower"),
+    Gate("bench_chaos_recovery", "BENCH_chaos_recovery.json", "adaptive_worst",
+         max_abs=0.05, better="both"),
+    Gate("bench_megatrace", "BENCH_megatrace.json", "requests_per_s",
+         max_rel=0.60, better="higher", advisory=("t_fast_s", 2.0)),
+    Gate("bench_request_reliability", "BENCH_request_reliability.json", "retry_attainment",
+         max_abs=0.05, better="both", advisory=("elapsed_s", 2.0)),
+)
+
+
+def load_report(path: Path) -> Optional[Dict]:
     """Load a benchmark JSON report; ``None`` when missing or unparsable."""
     try:
-        with open(path) as handle:
-            return json.load(handle)
+        return json.loads(path.read_text())
     except (OSError, ValueError):
         return None
 
 
-def compare_agreement(baseline: Dict, fresh: Dict) -> Tuple[List[str], List[str]]:
-    """Gate an estimator-agreement report (kind ``estimator_agreement``)."""
-    failures: List[str] = []
-    warnings: List[str] = []
-
-    if not fresh.get("overload_estimate_zero", False):
-        failures.append(
-            "overloaded plan no longer estimates exactly zero attainment "
-            f"(estimated {fresh.get('overload_estimated')!r} at "
-            f"rho {fresh.get('overload_rho')!r}) — the overload contract broke"
-        )
-
-    for key, bar_key in (("max_gap", "point_tolerance"), ("mean_gap", "mean_tolerance")):
-        try:
-            value = float(fresh[key])
-            bar = float(fresh[bar_key])
-        except (KeyError, TypeError, ValueError):
-            failures.append(f"{key}/{bar_key} missing from the fresh report")
-            continue
-        if value > bar:
-            failures.append(
-                f"{key} {value:.3f} exceeds the report's own tolerance {bar}"
-            )
-
+def compare(gate: Gate, baseline: Dict, fresh: Dict) -> Tuple[List[str], List[str]]:
+    """Return ``(failures, warnings)`` for a fresh report against its baseline."""
+    for key, expected in (("mode", baseline.get("mode")), ("benchmark", gate.benchmark)):
+        found = (baseline.get(key), fresh.get(key))
+        if found != (expected, expected):
+            return [
+                f"{key} mismatch: expected {expected!r}, the baseline has "
+                f"{found[0]!r} and the fresh report {found[1]!r}"
+            ], []
     try:
-        base_mean = float(baseline["mean_gap"])
-        fresh_mean = float(fresh["mean_gap"])
+        base, value = float(baseline[gate.metric]), float(fresh[gate.metric])
     except (KeyError, TypeError, ValueError):
-        failures.append("mean_gap missing from baseline or fresh report")
-    else:
-        if fresh_mean > base_mean + GAP_DRIFT_SLACK:
-            failures.append(
-                f"mean estimator-vs-simulator gap drifted from {base_mean:.3f} "
-                f"to {fresh_mean:.3f} (> {GAP_DRIFT_SLACK} slack); if the "
-                "estimator change is intentional, regenerate the baseline"
-            )
+        return [f"{gate.metric} missing from the baseline or the fresh report"], []
 
+    failures, warnings = [], []
+    lo, hi = gate.allowed(base)
+    if not lo <= value <= hi:
+        failures.append(
+            f"{gate.metric} drifted from {base:g} to {value:g}, outside "
+            f"[{lo:g}, {hi:g}]; if the change is intentional, regenerate the baseline"
+        )
+    if gate.advisory:
+        key, factor = gate.advisory
+        base_wall, wall = baseline.get(key) or 0, fresh.get(key) or 0
+        if 0 < base_wall * factor < wall:
+            warnings.append(
+                f"{key} grew {wall / base_wall:.1f}x ({base_wall:g} -> {wall:g}); "
+                "non-gating (runner noise)"
+            )
     return failures, warnings
 
 
-def compare_chaos(baseline: Dict, fresh: Dict) -> Tuple[List[str], List[str]]:
-    """Gate a chaos-recovery report (kind ``chaos_recovery``)."""
-    failures: List[str] = []
-    warnings: List[str] = []
-
-    if not fresh.get("deterministic_replay", False):
-        failures.append(
-            "deterministic_replay is false: the same injector seed no longer "
-            "produces a bitwise-identical fault schedule and telemetry stream"
-        )
-
-    ordering_checks = (
-        (
-            "adaptive_worst",
-            "static_worst",
-            "fault-aware adaptive worst-window attainment fell below static",
-        ),
-        (
-            "post_recovery_attainment",
-            "attainment_under_failure",
-            "attainment did not recover after the rejoin replan",
-        ),
-    )
-    for high_key, low_key, message in ordering_checks:
-        try:
-            high = float(fresh[high_key])
-            low = float(fresh[low_key])
-        except (KeyError, TypeError, ValueError):
-            failures.append(f"{high_key}/{low_key} missing from the fresh report")
-            continue
-        if high < low - 1e-9:
-            failures.append(f"{message}: {high_key} {high:.3f} < {low_key} {low:.3f}")
-
-    for key, label in (
-        ("failure_replans", "failure-triggered"),
-        ("recovery_replans", "recovery-triggered"),
-    ):
-        count = fresh.get(key)
-        if not isinstance(count, int) or count < 1:
-            failures.append(
-                f"no {label} plan change installed ({key} is {count!r}); the "
-                "failure lifecycle no longer exercises the rescheduler"
-            )
-
-    if not isinstance(fresh.get("total_loss_outage_windows"), int) or (
-        fresh["total_loss_outage_windows"] < 1
-    ):
-        failures.append(
-            "total-loss scenario produced no outage windows "
-            f"({fresh.get('total_loss_outage_windows')!r})"
-        )
-    if fresh.get("total_loss_error"):
-        failures.append(
-            f"total-loss scenario aborted the sweep: {fresh['total_loss_error']}"
-        )
-    if not fresh.get("total_loss_post_attainment_zero", False):
-        failures.append(
-            "requests arriving after total capacity loss were not all "
-            "reported unserved (outage attainment must be zero)"
-        )
-
-    try:
-        base_worst = float(baseline["adaptive_worst"])
-        fresh_worst = float(fresh["adaptive_worst"])
-    except (KeyError, TypeError, ValueError):
-        failures.append("adaptive_worst missing from baseline or fresh report")
+def check(gate: Gate) -> bool:
+    """Gate one manifest row and print its verdict; ``True`` when it passes."""
+    baseline, fresh = load_report(gate.baseline), load_report(Path(gate.fresh))
+    if baseline is None or fresh is None:
+        missing = gate.baseline if baseline is None else gate.fresh
+        failures = [f"report {str(missing)!r} missing or unparsable; did the bench crash?"]
+        warnings = []
     else:
-        if abs(fresh_worst - base_worst) > CHAOS_DRIFT_SLACK:
-            failures.append(
-                f"adaptive worst-window attainment drifted from {base_worst:.3f} "
-                f"to {fresh_worst:.3f} (> {CHAOS_DRIFT_SLACK} slack); the replay "
-                "is deterministic, so if the serving change is intentional, "
-                "regenerate the baseline"
-            )
-
-    return failures, warnings
-
-
-def compare_reliability(baseline: Dict, fresh: Dict) -> Tuple[List[str], List[str]]:
-    """Gate a request-reliability report (kind ``request_reliability``)."""
-    failures: List[str] = []
-    warnings: List[str] = []
-
-    if not fresh.get("deterministic_replay", False):
-        failures.append(
-            "deterministic_replay is false: the same-seed storm no longer "
-            "produces identical fault_stats and per-window telemetry"
-        )
-
-    retry_completed = fresh.get("retry_completed")
-    drop_completed = fresh.get("drop_completed")
-    if not isinstance(retry_completed, int) or not isinstance(drop_completed, int):
-        failures.append(
-            "retry_completed/drop_completed missing from the fresh report"
-        )
-    elif retry_completed <= drop_completed:
-        failures.append(
-            f"retry no longer beats drop-only: {retry_completed} vs "
-            f"{drop_completed} completed under the identical storm"
-        )
-
-    for key, label in (
-        ("retry_recovered", "retried_then_finished outcome on the retry arm"),
-        ("drop_dropped", "dropped_outage outcome on the drop-only arm"),
-    ):
-        count = fresh.get(key)
-        if not isinstance(count, int) or count < 1:
-            failures.append(
-                f"no {label} ({key} is {count!r}); the storm no longer "
-                "exercises the disposition path under test"
-            )
-
-    try:
-        retry_att = float(fresh["retry_attainment"])
-        drop_att = float(fresh["drop_attainment"])
-    except (KeyError, TypeError, ValueError):
-        failures.append("retry/drop attainment missing from the fresh report")
-    else:
-        if retry_att < drop_att - 1e-9:
-            failures.append(
-                f"retry attainment {retry_att:.3f} fell below drop-only's "
-                f"{drop_att:.3f} under the identical storm"
-            )
-
-    if not fresh.get("stream_conserved", False):
-        failures.append(
-            "outcome conservation broke at streaming scale: "
-            f"{fresh.get('stream_conservation_error') or 'unknown error'}"
-        )
-    outcomes = fresh.get("stream_outcomes")
-    total = fresh.get("stream_num_requests")
-    if not isinstance(outcomes, dict) or not isinstance(total, int):
-        failures.append(
-            "stream_outcomes/stream_num_requests missing from the fresh report"
-        )
-    elif sum(outcomes.values()) != total:
-        failures.append(
-            f"stream outcomes sum to {sum(outcomes.values())}, expected {total}"
-        )
-
-    try:
-        base_att = float(baseline["retry_attainment"])
-        fresh_att = float(fresh["retry_attainment"])
-    except (KeyError, TypeError, ValueError):
-        failures.append("retry_attainment missing from baseline or fresh report")
-    else:
-        if abs(fresh_att - base_att) > RELIABILITY_DRIFT_SLACK:
-            failures.append(
-                f"retry-arm attainment drifted from {base_att:.3f} to "
-                f"{fresh_att:.3f} (> {RELIABILITY_DRIFT_SLACK} slack); the "
-                "storm is seeded, so if the disposition change is "
-                "intentional, regenerate the baseline"
-            )
-
-    base_wall = baseline.get("elapsed_s")
-    fresh_wall = fresh.get("elapsed_s")
-    if (
-        isinstance(base_wall, (int, float))
-        and isinstance(fresh_wall, (int, float))
-        and base_wall > 0
-        and fresh_wall > WALLCLOCK_WARN_FACTOR * base_wall
-    ):
-        warnings.append(
-            f"benchmark wall clock grew {fresh_wall / base_wall:.1f}x "
-            f"({base_wall:.2f}s -> {fresh_wall:.2f}s); non-gating (runner noise)"
-        )
-
-    return failures, warnings
-
-
-def compare_megatrace(baseline: Dict, fresh: Dict) -> Tuple[List[str], List[str]]:
-    """Gate a million-request streaming report (kind ``megatrace``)."""
-    failures: List[str] = []
-    warnings: List[str] = []
-
-    if not fresh.get("spot_identical", False):
-        failures.append(
-            "spot_identical is false: the fast engine diverged from the "
-            "per-event reference oracle on the subsampled window "
-            "(correctness break, not a perf wobble)"
-        )
-
-    finished = fresh.get("num_finished_fast")
-    requests = fresh.get("num_requests")
-    if not isinstance(finished, int) or not isinstance(requests, int):
-        failures.append(
-            "num_finished_fast/num_requests missing from the fresh report"
-        )
-    elif finished != requests:
-        failures.append(
-            f"streamed trace did not drain: {finished} of {requests} "
-            "requests finished"
-        )
-
-    try:
-        base_rps = float(baseline["requests_per_s"])
-        fresh_rps = float(fresh["requests_per_s"])
-    except (KeyError, TypeError, ValueError):
-        failures.append("requests_per_s missing from baseline or fresh report")
-    else:
-        floor = base_rps * (1.0 - MEGATRACE_THROUGHPUT_SLACK)
-        if fresh_rps < floor:
-            failures.append(
-                f"streamed throughput collapsed: {fresh_rps:,.0f} req/s vs "
-                f"baseline {base_rps:,.0f} req/s (floor {floor:,.0f} req/s); "
-                "if the engine change is intentional, regenerate the baseline"
-            )
-
-    base_wall = baseline.get("t_fast_s")
-    fresh_wall = fresh.get("t_fast_s")
-    if (
-        isinstance(base_wall, (int, float))
-        and isinstance(fresh_wall, (int, float))
-        and base_wall > 0
-        and fresh_wall > WALLCLOCK_WARN_FACTOR * base_wall
-    ):
-        warnings.append(
-            f"streamed wall clock grew {fresh_wall / base_wall:.1f}x "
-            f"({base_wall:.3f}s -> {fresh_wall:.3f}s); non-gating (runner noise)"
-        )
-
-    return failures, warnings
-
-
-def compare(
-    baseline: Dict, fresh: Dict, max_regression: float = DEFAULT_MAX_REGRESSION
-) -> Tuple[List[str], List[str]]:
-    """Return ``(failures, warnings)`` for a fresh report against a baseline."""
-    failures: List[str] = []
-    warnings: List[str] = []
-
-    base_mode = baseline.get("mode")
-    fresh_mode = fresh.get("mode")
-    if base_mode != fresh_mode:
-        failures.append(
-            f"benchmark mode mismatch: baseline is {base_mode!r} but the fresh "
-            f"run is {fresh_mode!r}; regenerate the baseline in the same mode"
-        )
-        return failures, warnings
-
-    special_kinds = {
-        "estimator_agreement": compare_agreement,
-        "chaos_recovery": compare_chaos,
-        "megatrace": compare_megatrace,
-        "request_reliability": compare_reliability,
-    }
-    kinds = (baseline.get("kind"), fresh.get("kind"))
-    if any(kind in special_kinds for kind in kinds):
-        if baseline.get("kind") != fresh.get("kind"):
-            failures.append(
-                f"report kind mismatch: baseline is {baseline.get('kind')!r} "
-                f"but the fresh run is {fresh.get('kind')!r}"
-            )
-            return failures, warnings
-        return special_kinds[fresh["kind"]](baseline, fresh)
-
-    if not fresh.get("identical_metrics", False):
-        failures.append(
-            "identical_metrics is false: the fast engine diverged from the "
-            "per-event reference engine (correctness break, not a perf wobble)"
-        )
-
-    finished = fresh.get("num_finished_fast")
-    requests = fresh.get("num_requests")
-    if finished is None or requests is None:
-        # Guard the gate itself: a payload that stops reporting these keys must
-        # not pass vacuously (None == None).
-        failures.append(
-            "num_finished_fast/num_requests missing from the fresh report"
-        )
-    elif finished != requests:
-        failures.append(
-            f"trace did not drain: {finished} of {requests} requests finished"
-        )
-
-    try:
-        base_speedup = float(baseline["speedup"])
-        fresh_speedup = float(fresh["speedup"])
-    except (KeyError, TypeError, ValueError):
-        failures.append("speedup missing from baseline or fresh report")
-    else:
-        floor = base_speedup * (1.0 - max_regression)
-        if fresh_speedup < floor:
-            failures.append(
-                f"speedup regressed more than {max_regression:.0%}: "
-                f"{fresh_speedup:.2f}x vs baseline {base_speedup:.2f}x "
-                f"(floor {floor:.2f}x)"
-            )
-
-    base_wall = baseline.get("t_fast_s")
-    fresh_wall = fresh.get("t_fast_s")
-    if (
-        isinstance(base_wall, (int, float))
-        and isinstance(fresh_wall, (int, float))
-        and base_wall > 0
-        and fresh_wall > WALLCLOCK_WARN_FACTOR * base_wall
-    ):
-        warnings.append(
-            f"fast-engine wall clock grew {fresh_wall / base_wall:.1f}x "
-            f"({base_wall:.3f}s -> {fresh_wall:.3f}s); non-gating (runner noise)"
-        )
-
-    return failures, warnings
-
-
-def check_pair(baseline_path: str, fresh_path: str, max_regression: float) -> int:
-    """Gate one (baseline, fresh) report pair; returns the number of failures."""
-    baseline = load_report(baseline_path)
-    if baseline is None:
-        print(f"FAIL: baseline report {baseline_path!r} missing or unreadable")
-        return 1
-    fresh = load_report(fresh_path)
-    if fresh is None:
-        print(
-            f"FAIL: fresh report {fresh_path!r} missing or unreadable — "
-            "did the benchmark run crash?"
-        )
-        return 1
-
-    name = fresh.get("benchmark", fresh_path)
-    failures, warnings = compare(baseline, fresh, max_regression=max_regression)
+        failures, warnings = compare(gate, baseline, fresh)
     for message in warnings:
-        print(f"WARN: [{name}] {message}")
-    if failures:
-        for message in failures:
-            print(f"FAIL: [{name}] {message}")
-        return len(failures)
-    if fresh.get("kind") == "estimator_agreement":
+        print(f"WARN: [{gate.benchmark}] {message}")
+    for message in failures:
+        print(f"FAIL: [{gate.benchmark}] {message}")
+    if not failures:
         print(
-            f"OK: [{name}] max gap {fresh['max_gap']} / mean gap "
-            f"{fresh['mean_gap']} within tolerances "
-            f"(mode {fresh.get('mode')!r}), overloaded plan estimates zero"
+            f"OK: [{gate.benchmark}] {gate.metric} {fresh[gate.metric]} vs baseline "
+            f"{baseline[gate.metric]} (mode {fresh['mode']!r})"
         )
-    elif fresh.get("kind") == "megatrace":
-        print(
-            f"OK: [{name}] spot window bitwise-identical, "
-            f"{fresh['num_finished_fast']}/{fresh['num_requests']} drained, "
-            f"{fresh['requests_per_s']:,.0f} req/s "
-            f"(mode {fresh.get('mode')!r})"
-        )
-    elif fresh.get("kind") == "request_reliability":
-        print(
-            f"OK: [{name}] retry completed {fresh['retry_completed']} "
-            f"({fresh['retry_recovered']} after retry) vs drop-only "
-            f"{fresh['drop_completed']}, deterministic replay, "
-            f"{fresh['stream_num_requests']} streamed requests conserved "
-            f"(mode {fresh.get('mode')!r})"
-        )
-    elif fresh.get("kind") == "chaos_recovery":
-        print(
-            f"OK: [{name}] deterministic replay, adaptive worst "
-            f"{fresh['adaptive_worst']} >= static {fresh['static_worst']}, "
-            f"{fresh['failure_replans']} failure / {fresh['recovery_replans']} "
-            f"recovery replans, total loss degrades gracefully "
-            f"(mode {fresh.get('mode')!r})"
-        )
-    else:
-        print(
-            f"OK: [{name}] speedup {fresh['speedup']}x vs baseline "
-            f"{baseline['speedup']}x (mode {fresh.get('mode')!r}), "
-            "metrics bitwise-identical"
-        )
-    return 0
+    return not failures
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--baseline",
-        default="benchmarks/baselines/BENCH_simcore_reduced.json",
-        help="committed baseline report (mode must match the fresh run)",
-    )
-    parser.add_argument(
-        "--fresh",
-        default="BENCH_simcore.json",
-        help="report written by the benchmark run under test",
-    )
-    parser.add_argument(
-        "--pair",
-        nargs=2,
-        action="append",
-        metavar=("BASELINE", "FRESH"),
-        help="gate an additional (baseline, fresh) report pair; repeatable — "
-        "when given, --baseline/--fresh are ignored",
-    )
-    parser.add_argument(
-        "--max-regression",
-        type=float,
-        default=DEFAULT_MAX_REGRESSION,
-        help="fractional speedup loss that fails the gate (default 0.30)",
-    )
-    args = parser.parse_args(argv)
-
-    pairs = args.pair if args.pair else [(args.baseline, args.fresh)]
-    total_failures = 0
-    for baseline_path, fresh_path in pairs:
-        total_failures += check_pair(
-            baseline_path, fresh_path, max_regression=args.max_regression
-        )
-    return 1 if total_failures else 0
+def main() -> int:
+    """Gate every manifest row; 0 when all pass, 1 otherwise."""
+    verdicts = [check(gate) for gate in MANIFEST]
+    return 0 if all(verdicts) else 1
 
 
 if __name__ == "__main__":
+    argparse.ArgumentParser(description=__doc__.splitlines()[0]).parse_args()
     sys.exit(main())

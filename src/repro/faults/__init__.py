@@ -39,7 +39,6 @@ from repro.faults.timeline import (
     FaultTimeline,
     ReplicaFaultEvent,
     compile_fault_timeline,
-    timeline_from_windows,
 )
 
 __all__ = [
@@ -55,5 +54,4 @@ __all__ = [
     "FaultTimeline",
     "ReplicaFaultEvent",
     "compile_fault_timeline",
-    "timeline_from_windows",
 ]

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Tuple
 
 from repro.core.types import Phase
 from repro.faults.taxonomy import CAPACITY_LOSS_KINDS, FaultKind, FaultSchedule
@@ -167,16 +167,8 @@ def compile_fault_timeline(
     return FaultTimeline(events=tuple(events))
 
 
-def timeline_from_windows(
-    events: Sequence[ReplicaFaultEvent],
-) -> FaultTimeline:
-    """Build a timeline directly from replica events (tests, hand-built storms)."""
-    return FaultTimeline(events=tuple(events))
-
-
 __all__ = [
     "ReplicaFaultEvent",
     "FaultTimeline",
     "compile_fault_timeline",
-    "timeline_from_windows",
 ]

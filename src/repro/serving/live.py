@@ -279,7 +279,7 @@ class LiveServeConfig:
         events.
     reschedule_on_shift:
         Fall back to the workload profiler's shift detector in windows without
-        breaches (the original ``serve_adaptive`` trigger).
+        breaches.
     validate_reschedule:
         Shadow-validate every rescheduling candidate by replaying the window
         just served under it: the candidate is adopted only when it strictly

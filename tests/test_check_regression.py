@@ -1,445 +1,259 @@
 """Unit tests for the CI bench regression gate (benchmarks/check_regression.py).
 
-The acceptance criterion for the gate is that it *demonstrably fails* on an
-injected regression — these tests inject each failure mode (speedup collapse,
-engine divergence, undrained trace, mode mismatch, missing report) and assert a
-non-zero exit, plus the healthy path returning zero.
+The gate only compares fresh reports with their committed baselines; each
+benchmark asserts its own absolute contract.  The drift cases are generated
+from the manifest, so every row is exercised at its bound, just past it, and
+on its better side.
 """
 
 import json
+import math
 import sys
 from pathlib import Path
 
 import pytest
 
 # The benchmarks directory is not a package; import the script by path.
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks"))
+BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
+sys.path.insert(0, str(BENCHMARKS))
 import check_regression  # noqa: E402
+from check_regression import MANIFEST, compare  # noqa: E402
+
+GATES = {gate.benchmark: gate for gate in MANIFEST}
+SIMCORE = GATES["bench_simulator_core"]
+AGREEMENT = GATES["bench_estimator_saturation"]
+CHAOS = GATES["bench_chaos_recovery"]
+RELIABILITY = GATES["bench_request_reliability"]
+BASELINE_FILES = sorted(p.name for p in (BENCHMARKS / "baselines").glob("*.json"))
 
 
-def report(**overrides):
-    payload = {
-        "benchmark": "bench_simulator_core",
-        "mode": "reduced",
-        "num_requests": 240,
-        "decode_tokens": 27073,
-        "t_fast_s": 0.05,
-        "t_reference_s": 0.2,
-        "speedup": 4.0,
-        "speedup_bar": 2.0,
-        "identical_metrics": True,
-        "num_finished_fast": 240,
-        "num_finished_reference": 240,
-    }
-    payload.update(overrides)
-    return payload
+def report(gate, value, **extra):
+    """A minimal report of ``gate``'s benchmark with its drift metric at ``value``."""
+    return {"benchmark": gate.benchmark, "mode": "reduced", gate.metric: value, **extra}
 
 
-def agreement_report(**overrides):
-    payload = {
-        "benchmark": "bench_estimator_saturation",
-        "kind": "estimator_agreement",
-        "mode": "reduced",
-        "max_gap": 0.14,
-        "mean_gap": 0.07,
-        "point_tolerance": 0.20,
-        "mean_tolerance": 0.10,
-        "overload_rho": 1.3,
-        "overload_estimated": 0.0,
-        "overload_estimate_zero": True,
-    }
-    payload.update(overrides)
-    return payload
+def committed(gate):
+    return json.loads(gate.baseline.read_text())
 
 
-def write(path: Path, payload) -> str:
-    path.write_text(json.dumps(payload))
-    return str(path)
+def drift_verdicts(gate, value):
+    """Gate a copy of the committed baseline whose drift metric is ``value``."""
+    base = committed(gate)
+    return compare(gate, base, dict(base, **{gate.metric: value}))
+
+
+def worse_bounds(gate):
+    """The finite bounds of a row, each with the outward direction that fails."""
+    lo, hi = gate.allowed(committed(gate)[gate.metric])
+    return [(bound, step) for bound, step in ((lo, -math.inf), (hi, math.inf))
+            if math.isfinite(bound)]
+
+
+class TestManifest:
+    def test_every_baseline_has_a_row_and_every_row_a_baseline(self):
+        assert sorted(gate.baseline.name for gate in MANIFEST) == BASELINE_FILES
+
+    @pytest.mark.parametrize("gate", MANIFEST, ids=lambda gate: gate.benchmark)
+    def test_drift_just_past_the_bound_fails(self, gate):
+        for bound, outward in worse_bounds(gate):
+            failures, _ = drift_verdicts(gate, math.nextafter(bound, outward))
+            assert any("drifted" in f for f in failures)
+
+    @pytest.mark.parametrize("gate", MANIFEST, ids=lambda gate: gate.benchmark)
+    def test_drift_exactly_at_the_bound_passes(self, gate):
+        for bound, _ in worse_bounds(gate):
+            assert drift_verdicts(gate, bound)[0] == []
+
+    @pytest.mark.parametrize("gate", MANIFEST, ids=lambda gate: gate.benchmark)
+    def test_large_moves_fail_only_in_a_worse_direction(self, gate):
+        base = committed(gate)[gate.metric]
+        move = 10 * (gate.max_abs if gate.max_rel is None else gate.max_rel * base)
+        up_fails = bool(drift_verdicts(gate, base + move)[0])
+        down_fails = bool(drift_verdicts(gate, base - move)[0])
+        assert (up_fails, down_fails) == {
+            "higher": (False, True),
+            "lower": (True, False),
+            "both": (True, True),
+        }[gate.better]
 
 
 class TestCompare:
+    """The generic rules, shown on the decode-core speedup row."""
+
     def test_healthy_run_passes(self):
-        failures, warnings = check_regression.compare(report(), report(speedup=3.9))
-        assert failures == []
-        assert warnings == []
+        assert compare(SIMCORE, report(SIMCORE, 4.0), report(SIMCORE, 3.9)) == ([], [])
 
     def test_injected_speedup_regression_fails(self):
         # >30% below the baseline: 4.0x -> 2.0x must trip the gate.
-        failures, _ = check_regression.compare(report(), report(speedup=2.0))
-        assert any("regressed" in f for f in failures)
+        failures, _ = compare(SIMCORE, report(SIMCORE, 4.0), report(SIMCORE, 2.0))
+        assert any("drifted" in f for f in failures)
 
     def test_regression_at_exactly_the_floor_passes(self):
-        failures, _ = check_regression.compare(report(), report(speedup=2.8))
-        assert failures == []
-
-    def test_divergent_metrics_fail(self):
-        failures, _ = check_regression.compare(report(), report(identical_metrics=False))
-        assert any("identical_metrics" in f for f in failures)
-
-    def test_undrained_trace_fails(self):
-        failures, _ = check_regression.compare(report(), report(num_finished_fast=239))
-        assert any("did not drain" in f for f in failures)
+        assert compare(SIMCORE, report(SIMCORE, 4.0), report(SIMCORE, 2.8))[0] == []
 
     def test_mode_mismatch_fails(self):
-        failures, _ = check_regression.compare(report(mode="full"), report())
+        fresh = dict(report(SIMCORE, 4.0), mode="full")
+        failures, _ = compare(SIMCORE, report(SIMCORE, 4.0), fresh)
         assert any("mode mismatch" in f for f in failures)
 
     def test_wallclock_growth_warns_but_does_not_fail(self):
-        failures, warnings = check_regression.compare(report(), report(t_fast_s=0.5))
+        failures, warnings = compare(
+            SIMCORE, report(SIMCORE, 4.0, t_fast_s=0.05), report(SIMCORE, 4.0, t_fast_s=0.5)
+        )
         assert failures == []
         assert any("non-gating" in w for w in warnings)
 
-    def test_missing_drain_counters_fail_instead_of_passing_vacuously(self):
-        fresh = report()
-        del fresh["num_finished_fast"]
-        del fresh["num_requests"]
-        failures, _ = check_regression.compare(report(), fresh)
-        assert any("missing from the fresh report" in f for f in failures)
-
     def test_missing_speedup_fails(self):
-        fresh = report()
+        fresh = report(SIMCORE, 4.0)
         del fresh["speedup"]
-        failures, _ = check_regression.compare(report(), fresh)
+        failures, _ = compare(SIMCORE, report(SIMCORE, 4.0), fresh)
         assert any("speedup missing" in f for f in failures)
 
 
 class TestCompareAgreement:
-    """The estimator-agreement kind is gated by gaps, not speedups."""
+    """The estimator-agreement row gates the mean gap, lower is better."""
 
     def test_healthy_agreement_report_passes(self):
-        failures, warnings = check_regression.compare(
-            agreement_report(), agreement_report(mean_gap=0.08)
-        )
-        assert failures == []
-        assert warnings == []
-
-    def test_broken_overload_contract_fails(self):
-        failures, _ = check_regression.compare(
-            agreement_report(),
-            agreement_report(overload_estimated=0.42, overload_estimate_zero=False),
-        )
-        assert any("overload contract" in f for f in failures)
-
-    def test_gap_beyond_own_tolerance_fails(self):
-        failures, _ = check_regression.compare(
-            agreement_report(), agreement_report(max_gap=0.25)
-        )
-        assert any("exceeds the report's own tolerance" in f for f in failures)
+        assert compare(AGREEMENT, report(AGREEMENT, 0.07), report(AGREEMENT, 0.08)) == ([], [])
 
     def test_mean_gap_drift_beyond_slack_fails(self):
-        # Within tolerance (0.07 -> 0.10 <= 0.10) but > 0.03 above the baseline.
-        failures, _ = check_regression.compare(
-            agreement_report(), agreement_report(mean_gap=0.101)
-        )
+        failures, _ = compare(AGREEMENT, report(AGREEMENT, 0.07), report(AGREEMENT, 0.101))
         assert any("drifted" in f for f in failures)
 
     def test_missing_gap_keys_fail_instead_of_passing_vacuously(self):
-        fresh = agreement_report()
-        del fresh["max_gap"]
-        failures, _ = check_regression.compare(agreement_report(), fresh)
-        assert any("max_gap" in f for f in failures)
+        fresh = report(AGREEMENT, 0.07)
+        del fresh["mean_gap"]
+        failures, _ = compare(AGREEMENT, report(AGREEMENT, 0.07), fresh)
+        assert any("mean_gap missing" in f for f in failures)
 
     def test_kind_mismatch_fails(self):
-        failures, _ = check_regression.compare(agreement_report(), report())
-        assert any("kind mismatch" in f for f in failures)
+        # The benchmark name is the report's kind: a speedup report cannot be
+        # judged against the agreement baseline.
+        failures, _ = compare(AGREEMENT, report(AGREEMENT, 0.07), report(SIMCORE, 4.0))
+        assert any("benchmark mismatch" in f for f in failures)
 
     def test_speedup_rules_not_applied_to_agreement_reports(self):
-        # An agreement report has no speedup/drain keys; the speedup rules
-        # must not fire spuriously.
-        failures, _ = check_regression.compare(agreement_report(), agreement_report())
-        assert failures == []
-
-
-def chaos_report(**overrides):
-    payload = {
-        "benchmark": "bench_chaos_recovery",
-        "kind": "chaos_recovery",
-        "mode": "reduced",
-        "deterministic_replay": True,
-        "static_worst": 0.0,
-        "adaptive_worst": 0.3,
-        "failure_replans": 2,
-        "recovery_replans": 2,
-        "attainment_under_failure": 0.42,
-        "post_recovery_attainment": 0.8,
-        "total_loss_outage_windows": 1,
-        "total_loss_error": "",
-        "total_loss_post_attainment_zero": True,
-    }
-    payload.update(overrides)
-    return payload
+        # An agreement report has no speedup key; only its own row applies.
+        base = committed(AGREEMENT)
+        assert "speedup" not in base
+        assert compare(AGREEMENT, base, base) == ([], [])
 
 
 class TestCompareChaos:
-    """The chaos gate fails on every injected lifecycle break."""
+    """The chaos row gates adaptive worst-window attainment in both directions."""
 
     def test_healthy_chaos_report_passes(self):
-        failures, warnings = check_regression.compare(chaos_report(), chaos_report())
-        assert failures == []
-        assert warnings == []
-
-    def test_nondeterministic_replay_fails(self):
-        failures, _ = check_regression.compare(
-            chaos_report(), chaos_report(deterministic_replay=False)
-        )
-        assert any("deterministic_replay" in f for f in failures)
-
-    def test_adaptive_below_static_fails(self):
-        failures, _ = check_regression.compare(
-            chaos_report(),
-            chaos_report(adaptive_worst=0.1, static_worst=0.3),
-        )
-        assert any("fell below static" in f for f in failures)
-
-    def test_missing_replans_fail(self):
-        failures, _ = check_regression.compare(
-            chaos_report(), chaos_report(failure_replans=0, recovery_replans=0)
-        )
-        assert any("failure-triggered" in f for f in failures)
-        assert any("recovery-triggered" in f for f in failures)
-
-    def test_no_recovery_after_rejoin_fails(self):
-        failures, _ = check_regression.compare(
-            chaos_report(),
-            chaos_report(post_recovery_attainment=0.2, attainment_under_failure=0.42),
-        )
-        assert any("recover after the rejoin" in f for f in failures)
-
-    def test_total_loss_break_fails(self):
-        failures, _ = check_regression.compare(
-            chaos_report(),
-            chaos_report(
-                total_loss_outage_windows=0,
-                total_loss_error="SchedulingError: boom",
-                total_loss_post_attainment_zero=False,
-            ),
-        )
-        assert any("outage windows" in f for f in failures)
-        assert any("aborted the sweep" in f for f in failures)
-        assert any("unserved" in f for f in failures)
+        assert compare(CHAOS, report(CHAOS, 0.3), report(CHAOS, 0.3)) == ([], [])
 
     def test_worst_window_drift_beyond_slack_fails(self):
-        drift = check_regression.CHAOS_DRIFT_SLACK + 0.01
-        failures, _ = check_regression.compare(
-            chaos_report(), chaos_report(adaptive_worst=0.3 + drift)
-        )
-        assert any("drifted" in f for f in failures)
+        for moved in (0.36, 0.24):
+            failures, _ = compare(CHAOS, report(CHAOS, 0.3), report(CHAOS, moved))
+            assert any("drifted" in f for f in failures)
 
     def test_missing_keys_fail_instead_of_passing_vacuously(self):
-        broken = chaos_report()
-        for key in ("adaptive_worst", "failure_replans", "total_loss_outage_windows"):
-            broken.pop(key)
-        failures, _ = check_regression.compare(chaos_report(), broken)
-        assert failures
+        base = report(CHAOS, 0.3)
+        assert compare(CHAOS, base, {"benchmark": CHAOS.benchmark, "mode": "reduced"})[0]
+        assert compare(CHAOS, {"benchmark": CHAOS.benchmark, "mode": "reduced"}, base)[0]
 
     def test_mode_mismatch_fails(self):
-        failures, _ = check_regression.compare(
-            chaos_report(), chaos_report(mode="full")
-        )
+        fresh = dict(report(CHAOS, 0.3), mode="full")
+        failures, _ = compare(CHAOS, report(CHAOS, 0.3), fresh)
         assert any("mode mismatch" in f for f in failures)
 
     def test_kind_mismatch_fails(self):
-        failures, _ = check_regression.compare(chaos_report(), agreement_report())
-        assert any("kind mismatch" in f for f in failures)
-
-
-def reliability_report(**overrides):
-    payload = {
-        "benchmark": "bench_request_reliability",
-        "kind": "request_reliability",
-        "mode": "reduced",
-        "num_live_requests": 900,
-        "retry_completed": 900,
-        "retry_recovered": 4,
-        "retry_dropped": 0,
-        "retry_attainment": 0.84,
-        "drop_completed": 896,
-        "drop_dropped": 4,
-        "drop_attainment": 0.83,
-        "deterministic_replay": True,
-        "stream_num_requests": 50_000,
-        "stream_outcomes": {
-            "pending": 0,
-            "finished": 30_000,
-            "retried_then_finished": 12_000,
-            "timed_out": 8_000,
-            "dropped_outage": 0,
-            "shed": 0,
-        },
-        "stream_conserved": True,
-        "stream_conservation_error": "",
-        "elapsed_s": 8.0,
-    }
-    payload.update(overrides)
-    return payload
+        failures, _ = compare(CHAOS, report(CHAOS, 0.3), report(AGREEMENT, 0.3))
+        assert any("benchmark mismatch" in f for f in failures)
 
 
 class TestCompareReliability:
-    """The reliability gate fails on every injected fault-semantics break."""
+    """The reliability row gates retry-arm attainment in both directions."""
 
     def test_healthy_reliability_report_passes(self):
-        failures, warnings = check_regression.compare(
-            reliability_report(), reliability_report()
-        )
-        assert failures == []
-        assert warnings == []
-
-    def test_nondeterministic_replay_fails(self):
-        failures, _ = check_regression.compare(
-            reliability_report(), reliability_report(deterministic_replay=False)
-        )
-        assert any("deterministic_replay" in f for f in failures)
-
-    def test_retry_not_beating_drop_only_fails(self):
-        failures, _ = check_regression.compare(
-            reliability_report(),
-            reliability_report(retry_completed=896, drop_completed=896),
-        )
-        assert any("no longer beats drop-only" in f for f in failures)
-
-    def test_storm_without_dispositions_fails(self):
-        failures, _ = check_regression.compare(
-            reliability_report(),
-            reliability_report(retry_recovered=0, drop_dropped=0),
-        )
-        assert any("retried_then_finished" in f for f in failures)
-        assert any("dropped_outage" in f for f in failures)
-
-    def test_retry_attainment_below_drop_only_fails(self):
-        failures, _ = check_regression.compare(
-            reliability_report(),
-            reliability_report(retry_attainment=0.70, drop_attainment=0.83),
-        )
-        assert any("fell below drop-only" in f for f in failures)
-
-    def test_conservation_break_fails(self):
-        failures, _ = check_regression.compare(
-            reliability_report(),
-            reliability_report(
-                stream_conserved=False,
-                stream_conservation_error="outcome counts sum to 49999",
-            ),
-        )
-        assert any("conservation broke" in f for f in failures)
-
-    def test_outcome_sum_mismatch_fails(self):
-        bad = reliability_report()
-        bad["stream_outcomes"] = dict(bad["stream_outcomes"], finished=29_999)
-        failures, _ = check_regression.compare(reliability_report(), bad)
-        assert any("sum to" in f for f in failures)
+        assert compare(
+            RELIABILITY, report(RELIABILITY, 0.84), report(RELIABILITY, 0.84)
+        ) == ([], [])
 
     def test_attainment_drift_beyond_slack_fails(self):
-        drift = check_regression.RELIABILITY_DRIFT_SLACK + 0.01
-        failures, _ = check_regression.compare(
-            reliability_report(),
-            reliability_report(
-                retry_attainment=0.84 + drift, drop_attainment=0.83
-            ),
-        )
+        failures, _ = compare(RELIABILITY, report(RELIABILITY, 0.84), report(RELIABILITY, 0.90))
         assert any("drifted" in f for f in failures)
 
     def test_missing_keys_fail_instead_of_passing_vacuously(self):
-        broken = reliability_report()
-        for key in ("retry_completed", "retry_attainment", "stream_outcomes"):
-            broken.pop(key)
-        failures, _ = check_regression.compare(reliability_report(), broken)
-        assert failures
+        fresh = {"benchmark": RELIABILITY.benchmark, "mode": "reduced", "retry_attainment": None}
+        assert compare(RELIABILITY, report(RELIABILITY, 0.84), fresh)[0]
 
     def test_wallclock_growth_warns_but_does_not_fail(self):
-        failures, warnings = check_regression.compare(
-            reliability_report(), reliability_report(elapsed_s=40.0)
+        failures, warnings = compare(
+            RELIABILITY,
+            report(RELIABILITY, 0.84, elapsed_s=8.0),
+            report(RELIABILITY, 0.84, elapsed_s=40.0),
         )
         assert failures == []
         assert any("non-gating" in w for w in warnings)
 
     def test_mode_mismatch_fails(self):
-        failures, _ = check_regression.compare(
-            reliability_report(), reliability_report(mode="full")
-        )
+        fresh = dict(report(RELIABILITY, 0.84), mode="full")
+        failures, _ = compare(RELIABILITY, report(RELIABILITY, 0.84), fresh)
         assert any("mode mismatch" in f for f in failures)
 
     def test_kind_mismatch_fails(self):
-        failures, _ = check_regression.compare(reliability_report(), chaos_report())
-        assert any("kind mismatch" in f for f in failures)
+        failures, _ = compare(RELIABILITY, report(RELIABILITY, 0.84), report(CHAOS, 0.84))
+        assert any("benchmark mismatch" in f for f in failures)
 
 
 class TestMain:
-    def test_healthy_exit_zero(self, tmp_path, capsys):
-        base = write(tmp_path / "base.json", report())
-        fresh = write(tmp_path / "fresh.json", report(speedup=3.8))
-        assert check_regression.main(["--baseline", base, "--fresh", fresh]) == 0
-        assert "OK:" in capsys.readouterr().out
+    """``main()`` gates every row against fresh reports in the working directory."""
 
-    def test_injected_regression_exit_nonzero(self, tmp_path, capsys):
-        base = write(tmp_path / "base.json", report())
-        fresh = write(tmp_path / "fresh.json", report(speedup=1.5))
-        assert check_regression.main(["--baseline", base, "--fresh", fresh]) == 1
-        assert "FAIL:" in capsys.readouterr().out
+    @pytest.fixture
+    def fresh_dir(self, tmp_path, monkeypatch):
+        """A working directory holding a copy of every committed baseline."""
+        monkeypatch.chdir(tmp_path)
+        for gate in MANIFEST:
+            (tmp_path / gate.fresh).write_text(gate.baseline.read_text())
+        return tmp_path
 
-    def test_missing_fresh_report_exit_nonzero(self, tmp_path):
-        base = write(tmp_path / "base.json", report())
-        missing = str(tmp_path / "does-not-exist.json")
-        assert check_regression.main(["--baseline", base, "--fresh", missing]) == 1
+    @staticmethod
+    def rewrite(directory, gate, **overrides):
+        path = directory / gate.fresh
+        path.write_text(json.dumps(dict(json.loads(path.read_text()), **overrides)))
 
-    def test_unparsable_fresh_report_exit_nonzero(self, tmp_path):
-        base = write(tmp_path / "base.json", report())
-        broken = tmp_path / "broken.json"
-        broken.write_text("{not json")
-        assert check_regression.main(["--baseline", base, "--fresh", str(broken)]) == 1
-
-    def test_custom_tolerance_respected(self, tmp_path):
-        base = write(tmp_path / "base.json", report())
-        fresh = write(tmp_path / "fresh.json", report(speedup=2.5))
-        # 2.5x is a 37.5% regression: fails at the default 30% tolerance...
-        assert check_regression.main(["--baseline", base, "--fresh", fresh]) == 1
-        # ...but passes when the operator loosens the gate to 50%.
-        assert (
-            check_regression.main(
-                ["--baseline", base, "--fresh", fresh, "--max-regression", "0.5"]
-            )
-            == 0
-        )
-
-    @pytest.mark.parametrize(
-        "name",
-        [
-            "BENCH_simcore_reduced.json",
-            "BENCH_prefill_reduced.json",
-            "BENCH_estimator_saturation_reduced.json",
-            "BENCH_chaos_recovery_reduced.json",
-            "BENCH_request_reliability_reduced.json",
-        ],
-    )
-    def test_gates_against_the_committed_baseline(self, name):
-        """Every committed reduced-mode baseline is readable and self-consistent."""
-        committed = Path(__file__).resolve().parent.parent / "benchmarks/baselines" / name
-        baseline = check_regression.load_report(str(committed))
-        assert baseline is not None
-        assert baseline["mode"] == "reduced"
-        # A fresh run identical to the baseline must pass its own gate.
-        failures, _ = check_regression.compare(baseline, baseline)
-        assert failures == []
-
-    def test_multiple_pairs_all_gated(self, tmp_path, capsys):
-        """--pair checks every (baseline, fresh) pair; any failure fails the run."""
-        sim_base = write(tmp_path / "sim_base.json", report())
-        sim_fresh = write(tmp_path / "sim_fresh.json", report(speedup=3.8))
-        pre_base = write(
-            tmp_path / "pre_base.json",
-            report(benchmark="bench_prefill_core", speedup=4.5),
-        )
-        pre_fresh = write(
-            tmp_path / "pre_fresh.json",
-            report(benchmark="bench_prefill_core", speedup=4.2),
-        )
-        argv = ["--pair", sim_base, sim_fresh, "--pair", pre_base, pre_fresh]
-        assert check_regression.main(argv) == 0
+    def test_healthy_exit_zero(self, fresh_dir, capsys):
+        assert check_regression.main() == 0
         out = capsys.readouterr().out
-        assert "[bench_simulator_core]" in out and "[bench_prefill_core]" in out
-        # One regressed pair fails the whole gate, and names the culprit.
-        pre_bad = write(
-            tmp_path / "pre_bad.json",
-            report(benchmark="bench_prefill_core", speedup=1.0),
-        )
-        assert check_regression.main(["--pair", sim_base, sim_fresh, "--pair", pre_base, pre_bad]) == 1
-        assert "FAIL: [bench_prefill_core]" in capsys.readouterr().out
+        assert out.count("OK:") == len(MANIFEST)
+        assert "FAIL:" not in out and "WARN:" not in out
+
+    def test_injected_regression_exit_nonzero(self, fresh_dir, capsys):
+        self.rewrite(fresh_dir, SIMCORE, speedup=1.5)
+        assert check_regression.main() == 1
+        assert "FAIL: [bench_simulator_core]" in capsys.readouterr().out
+
+    def test_missing_fresh_report_exit_nonzero(self, fresh_dir, capsys):
+        (fresh_dir / CHAOS.fresh).unlink()
+        assert check_regression.main() == 1
+        assert "FAIL: [bench_chaos_recovery]" in capsys.readouterr().out
+
+    def test_unparsable_fresh_report_exit_nonzero(self, fresh_dir):
+        (fresh_dir / AGREEMENT.fresh).write_text("{not json")
+        assert check_regression.main() == 1
+
+    def test_advisory_blowup_warns_and_exits_zero(self, fresh_dir, capsys):
+        megatrace = GATES["bench_megatrace"]
+        self.rewrite(fresh_dir, megatrace, t_fast_s=10 * committed(megatrace)["t_fast_s"])
+        assert check_regression.main() == 0
+        assert "WARN: [bench_megatrace] t_fast_s grew" in capsys.readouterr().out
+
+    def test_multiple_pairs_all_gated(self, fresh_dir, capsys):
+        """Every row is gated: a regression in the last row fails the whole run."""
+        self.rewrite(fresh_dir, MANIFEST[-1], **{MANIFEST[-1].metric: 0.0})
+        assert check_regression.main() == 1
+        out = capsys.readouterr().out
+        assert out.count("OK:") == len(MANIFEST) - 1
+        assert f"FAIL: [{MANIFEST[-1].benchmark}]" in out
+
+    @pytest.mark.parametrize("name", BASELINE_FILES)
+    def test_gates_against_the_committed_baseline(self, name):
+        """Every committed baseline is a reduced-mode report that passes against itself."""
+        (gate,) = [gate for gate in MANIFEST if gate.baseline.name == name]
+        baseline = committed(gate)
+        assert baseline["mode"] == "reduced"
+        assert compare(gate, baseline, baseline) == ([], [])

@@ -28,7 +28,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.types import Phase, Request
 from repro.costmodel.reference import a100_reference_latency
 from repro.faults.retry import RetryPolicy
-from repro.faults.timeline import ReplicaFaultEvent, timeline_from_windows
+from repro.faults.timeline import FaultTimeline, ReplicaFaultEvent
 from repro.hardware.cluster import make_two_datacenter_cluster
 from repro.model.architecture import get_model_config
 from repro.scheduling.deployment import DeploymentPlan
@@ -383,8 +383,8 @@ def _both(trace, faults, retry=RETRY, seed=0, horizon=None, require_terminal=Tru
 
 def test_fault_prefill_death_mid_run_identical():
     """A prefill replica dying mid-run preempts queued/batched work identically."""
-    timeline = timeline_from_windows(
-        [ReplicaFaultEvent(time=2.0, dead_prefill=(MULTI_PREFILLS[0],))]
+    timeline = FaultTimeline(
+        events=[ReplicaFaultEvent(time=2.0, dead_prefill=(MULTI_PREFILLS[0],))]
     )
     result = _both(_fault_trace(), timeline)
     counts = result.outcome_counts()
@@ -399,8 +399,8 @@ def test_fault_decode_death_mid_run_identical():
     either in transfer to the dead replica or already decoding on it — both
     must restart from scratch (lost KV) on the survivor, identically.
     """
-    timeline = timeline_from_windows(
-        [ReplicaFaultEvent(time=2.5, dead_decode=(MULTI_DECODES[0],))]
+    timeline = FaultTimeline(
+        events=[ReplicaFaultEvent(time=2.5, dead_decode=(MULTI_DECODES[0],))]
     )
     result = _both(_fault_trace(), timeline)
     counts = result.outcome_counts()
@@ -417,8 +417,8 @@ def test_fault_coincident_with_arrival_identical():
     """
     trace = _fault_trace(seed=9)
     t = trace[len(trace) // 2].arrival_time
-    timeline = timeline_from_windows(
-        [ReplicaFaultEvent(time=t, dead_prefill=(MULTI_PREFILLS[1],))]
+    timeline = FaultTimeline(
+        events=[ReplicaFaultEvent(time=t, dead_prefill=(MULTI_PREFILLS[1],))]
     )
     result = _both(trace, timeline)
     assert result.outcome_counts()["retried_then_finished"] > 0
@@ -427,8 +427,8 @@ def test_fault_coincident_with_arrival_identical():
 def test_fault_fail_recover_fail_cycle_identical():
     """A replica that dies, revives fresh and dies again stays bitwise-aligned."""
     victim = MULTI_PREFILLS[0]
-    timeline = timeline_from_windows(
-        [
+    timeline = FaultTimeline(
+        events=[
             ReplicaFaultEvent(time=1.5, dead_prefill=(victim,)),
             ReplicaFaultEvent(time=3.0, revived_prefill=(victim,)),
             ReplicaFaultEvent(time=5.0, dead_prefill=(victim,)),
@@ -440,8 +440,8 @@ def test_fault_fail_recover_fail_cycle_identical():
 
 def test_fault_total_loss_drops_everything_identically():
     """Killing every replica leaves no survivor: all in-flight work drops out."""
-    timeline = timeline_from_windows(
-        [
+    timeline = FaultTimeline(
+        events=[
             ReplicaFaultEvent(
                 time=2.0, dead_prefill=MULTI_PREFILLS, dead_decode=MULTI_DECODES
             )
@@ -456,8 +456,8 @@ def test_fault_total_loss_drops_everything_identically():
 
 def test_fault_drop_only_policy_identical():
     """``RetryPolicy.drop_only()``: any preemption is terminal, identically."""
-    timeline = timeline_from_windows(
-        [ReplicaFaultEvent(time=2.0, dead_prefill=(MULTI_PREFILLS[0],))]
+    timeline = FaultTimeline(
+        events=[ReplicaFaultEvent(time=2.0, dead_prefill=(MULTI_PREFILLS[0],))]
     )
     result = _both(_fault_trace(), timeline, retry=RetryPolicy.drop_only())
     counts = result.outcome_counts()
@@ -468,8 +468,8 @@ def test_fault_drop_only_policy_identical():
 
 def test_fault_deadline_times_out_identically():
     """A tight per-request deadline turns late retries into ``timed_out``."""
-    timeline = timeline_from_windows(
-        [ReplicaFaultEvent(time=2.0, dead_prefill=(MULTI_PREFILLS[0],))]
+    timeline = FaultTimeline(
+        events=[ReplicaFaultEvent(time=2.0, dead_prefill=(MULTI_PREFILLS[0],))]
     )
     # backoff 2.0s always exceeds a 1.5s deadline measured from arrival, so
     # every victim whose retry is scheduled must time out instead.
@@ -481,8 +481,8 @@ def test_fault_deadline_times_out_identically():
 @pytest.mark.parametrize("horizon", [1.0, 3.0])
 def test_fault_under_horizon_identical(horizon):
     """Horizon truncation layered over a fault timeline stays aligned."""
-    timeline = timeline_from_windows(
-        [ReplicaFaultEvent(time=0.8, dead_prefill=(MULTI_PREFILLS[0],))]
+    timeline = FaultTimeline(
+        events=[ReplicaFaultEvent(time=0.8, dead_prefill=(MULTI_PREFILLS[0],))]
     )
     _both(_fault_trace(), timeline, horizon=horizon, require_terminal=False)
 
@@ -509,7 +509,7 @@ def _random_timeline(rng):
             events.append(event)
             dead_p = (dead_p | set(kill_p)) - set(revive_p)
             dead_d = (dead_d | set(kill_d)) - set(revive_d)
-    return timeline_from_windows(events)
+    return FaultTimeline(events=events)
 
 
 @given(
