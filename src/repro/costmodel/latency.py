@@ -20,7 +20,8 @@ Two phase-specific regimes emerge directly from the arithmetic intensity:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -91,9 +92,9 @@ class CostModelParams:
 
 DEFAULT_PARAMS = CostModelParams()
 
-#: cap on the per-replica decode-step memo (entries are ~100 bytes; the cap
-#: bounds long-lived simulators serving context-diverse traces to a few tens of
-#: MB — the memo simply restarts cold when it fills)
+#: cap on the total entries of a replica's decode-step latency rows (8 bytes
+#: each, so a few MB per replica); when an extension would pass it, every row
+#: is dropped and rebuilt on demand
 DECODE_STEP_MEMO_MAX = 262_144
 
 #: cap on the per-replica prefill-latency memo (keys are (input_length,
@@ -146,7 +147,13 @@ def single_gpu_phase_latency(
 
 @dataclass
 class _StageView:
-    """Cached per-stage quantities used by the replica cost model."""
+    """Cached per-stage quantities used by the replica cost model.
+
+    The model-accounting terms (``mlp_flops_1`` onward) are fixed per stage,
+    so they are computed once here by the same functions and operation order
+    the per-call formulas used; every latency path reads them, which keeps
+    scalar and array pricing bitwise equal.
+    """
 
     gpu_ids: tuple
     num_layers: int
@@ -156,6 +163,21 @@ class _StageView:
     intra_bandwidth_bytes: float
     intra_latency_s: float
     total_memory_bytes: float
+    #: ``mlp_flops(model, 1, num_layers)``: projection + FFN FLOPs of one token
+    mlp_flops_1: float
+    #: ``parameter_bytes(model) * (num_layers / model.num_layers)``
+    weight_bytes: float
+    #: ``kv_cache_bytes_per_token(model, num_layers=num_layers)``
+    kv_bytes_per_token: float
+    #: ``sum_flops * tp_efficiency(tp)``: the prefill compute denominator
+    #: before the batch-dependent MFU factor
+    tp_flops: float
+    #: ``tp_flops * decode_mfu``: the decode compute denominator
+    decode_flops: float
+    #: ``sum_bandwidth * memory_efficiency``: the memory-time denominator
+    mem_rate: float
+    #: ``num_layers * per_layer_overhead_s + per_stage_overhead_s``
+    overhead_s: float
 
 
 class ReplicaCostModel:
@@ -198,9 +220,10 @@ class ReplicaCostModel:
         self.model = model
         self.params = params
         self.slowdown = float(slowdown)
-        #: memoized decode-step latencies keyed by (batch_size, context_length);
-        #: filled by :meth:`decode_step_grid` and shared across simulator epochs
-        self._decode_step_memo: Dict[Tuple[int, int], float] = {}
+        #: dense decode-step latency rows, one per batch size:
+        #: ``self._decode_rows[n][c]`` is the step latency at batch ``n`` and
+        #: mean context ``max(1, c)``; see :meth:`decode_step_row`
+        self._decode_rows: Dict[int, array] = {}
         #: memoized prefill latencies keyed by (input_length, batch_size);
         #: filled by :meth:`prefill_latency_memo` / :meth:`prefill_latency_grid`
         #: and shared across prefill epochs
@@ -208,8 +231,13 @@ class ReplicaCostModel:
         self._pp_links: List[AlphaBetaModel] | None = None
         self._stages: List[_StageView] = []
         network = cluster.network
+        param_bytes = parameter_bytes(model)
         for stage in plan.stages:
             gpus = [cluster.gpu(g) for g in stage.gpu_ids]
+            layers = stage.num_layers
+            sum_flops = sum(g.spec.peak_fp16_flops for g in gpus)
+            sum_bandwidth = sum(g.spec.memory_bandwidth_bytes for g in gpus)
+            tp_flops = sum_flops * params.tp_efficiency(stage.tp)
             intra_bw = network.min_bandwidth_within(stage.gpu_ids)
             if math.isinf(intra_bw):
                 intra_bw_bytes = 1e15
@@ -220,13 +248,20 @@ class ReplicaCostModel:
             self._stages.append(
                 _StageView(
                     gpu_ids=tuple(stage.gpu_ids),
-                    num_layers=stage.num_layers,
+                    num_layers=layers,
                     tp=stage.tp,
-                    sum_flops=sum(g.spec.peak_fp16_flops for g in gpus),
-                    sum_bandwidth=sum(g.spec.memory_bandwidth_bytes for g in gpus),
+                    sum_flops=sum_flops,
+                    sum_bandwidth=sum_bandwidth,
                     intra_bandwidth_bytes=intra_bw_bytes,
                     intra_latency_s=intra_lat,
                     total_memory_bytes=sum(g.spec.memory_bytes for g in gpus),
+                    mlp_flops_1=mlp_flops(model, 1, layers),
+                    weight_bytes=param_bytes * (layers / model.num_layers),
+                    kv_bytes_per_token=kv_cache_bytes_per_token(model, num_layers=layers),
+                    tp_flops=tp_flops,
+                    decode_flops=tp_flops * params.decode_mfu,
+                    mem_rate=sum_bandwidth * params.memory_efficiency,
+                    overhead_s=layers * params.per_layer_overhead_s + params.per_stage_overhead_s,
                 )
             )
 
@@ -279,17 +314,29 @@ class ReplicaCostModel:
             raise ValueError("input_length and batch_size must be >= 1")
         total_tokens = input_length * batch_size
         mfu = self.params.prefill_mfu(total_tokens)
+        model = self.model
         total = 0.0
         for stage in self._stages:
+            layers = stage.num_layers
+            # mlp_flops is linear in seq_len, so the one-token value scales
+            # exactly (see model.flops).
             flops = (
-                mlp_flops(self.model, input_length, stage.num_layers)
-                + attention_flops(self.model, input_length, input_length, stage.num_layers)
+                stage.mlp_flops_1 * input_length
+                + attention_flops(model, input_length, input_length, layers)
             ) * batch_size
-            compute_t = flops / (stage.sum_flops * self.params.tp_efficiency(stage.tp) * mfu)
-            mem_bytes = prefill_memory_bytes(self.model, input_length, batch_size, stage.num_layers)
-            mem_t = mem_bytes / (stage.sum_bandwidth * self.params.memory_efficiency)
-            overhead = stage.num_layers * self.params.per_layer_overhead_s + self.params.per_stage_overhead_s
-            total += max(compute_t, mem_t) + overhead + self._tp_comm_time(stage, input_length, batch_size)
+            compute_t = flops / (stage.tp_flops * mfu)
+            # mem_bytes = prefill_memory_bytes(model, input_length, batch_size, layers)
+            kv_written = stage.kv_bytes_per_token * input_length * batch_size
+            activations = (
+                2.0 * model.hidden_size * model.dtype_bytes * input_length * batch_size * layers
+            )
+            mem_bytes = float(stage.weight_bytes + kv_written + activations)
+            mem_t = mem_bytes / stage.mem_rate
+            total += (
+                max(compute_t, mem_t)
+                + stage.overhead_s
+                + self._tp_comm_time(stage, input_length, batch_size)
+            )
         total += self._pp_comm_time(input_length, batch_size)
         return total * self.slowdown
 
@@ -331,23 +378,16 @@ class ReplicaCostModel:
             layers = stage.num_layers
             # flops = (mlp_flops(model, s, layers)
             #          + attention_flops(model, s, s, layers)) * batch, with the
-            # scalar path's exact multiplication order (mlp_flops is linear in
-            # seq_len, so the one-token value scales exactly — see model.flops).
-            mlp = mlp_flops(model, 1, layers) * s
+            # scalar path's exact multiplication order.
+            mlp = stage.mlp_flops_1 * s
             att = layers * 4.0 * s * s * h
             flops = (mlp + att) * b
-            compute_t = flops / (
-                stage.sum_flops * params.tp_efficiency(stage.tp) * mfu
-            )
+            compute_t = flops / (stage.tp_flops * mfu)
             # mem_bytes = prefill_memory_bytes(model, s, batch, layers)
-            frac = layers / model.num_layers
-            weights = parameter_bytes(model) * frac
-            kv_written = kv_cache_bytes_per_token(model, num_layers=layers) * s * b
+            kv_written = stage.kv_bytes_per_token * s * b
             activations = 2.0 * model.hidden_size * model.dtype_bytes * s * b * layers
-            mem_t = (weights + kv_written + activations) / (
-                stage.sum_bandwidth * params.memory_efficiency
-            )
-            overhead = layers * params.per_layer_overhead_s + params.per_stage_overhead_s
+            mem_t = (stage.weight_bytes + kv_written + activations) / stage.mem_rate
+            overhead = stage.overhead_s
             if stage.tp <= 1:
                 tp_comm: np.ndarray | float = 0.0
             else:
@@ -475,14 +515,22 @@ class ReplicaCostModel:
         """Time of one decode step (one token per sequence) for a batch."""
         if batch_size < 1 or context_length < 1:
             raise ValueError("batch_size and context_length must be >= 1")
+        h = self.model.hidden_size
         total = 0.0
         for stage in self._stages:
-            flops = decode_flops_per_token(self.model, context_length, stage.num_layers) * batch_size
-            compute_t = flops / (stage.sum_flops * self.params.tp_efficiency(stage.tp) * self.params.decode_mfu)
-            mem_bytes = decode_memory_bytes_per_token(self.model, context_length, batch_size, stage.num_layers)
-            mem_t = mem_bytes / (stage.sum_bandwidth * self.params.memory_efficiency)
-            overhead = stage.num_layers * self.params.per_layer_overhead_s + self.params.per_stage_overhead_s
-            total += max(compute_t, mem_t) + overhead + self._tp_comm_time(stage, 1, batch_size)
+            # decode_flops_per_token(model, context_length, layers) * batch
+            flops = (
+                stage.mlp_flops_1 + stage.num_layers * 4.0 * 1 * context_length * h
+            ) * batch_size
+            compute_t = flops / stage.decode_flops
+            # decode_memory_bytes_per_token(model, context_length, batch, layers)
+            mem_bytes = float(
+                stage.weight_bytes + stage.kv_bytes_per_token * context_length * batch_size
+            )
+            mem_t = mem_bytes / stage.mem_rate
+            total += (
+                max(compute_t, mem_t) + stage.overhead_s + self._tp_comm_time(stage, 1, batch_size)
+            )
         total += self._pp_comm_time(1, batch_size)
         return total * self.slowdown
 
@@ -493,9 +541,8 @@ class ReplicaCostModel:
 
         Bitwise-identical to the scalar method: every element goes through the
         same sequence of float64 operations (all integer intermediates stay below
-        2**53, so the int-to-float conversion points round identically).  This is
-        the kernel behind the simulator's coalesced decode epochs, where one call
-        prices every step of a jump at once.
+        2**53, so the int-to-float conversion points round identically).  It
+        fills the latency rows of :meth:`decode_step_row`.
         """
         b = np.asarray(batch_sizes, dtype=np.int64)
         c = np.asarray(context_lengths, dtype=np.int64)
@@ -506,23 +553,17 @@ class ReplicaCostModel:
         if int(b.min()) < 1 or int(c.min()) < 1:
             raise ValueError("batch_size and context_length must be >= 1")
         model = self.model
-        params = self.params
         total = np.zeros(b.shape, dtype=np.float64)
         for stage in self._stages:
             # flops = decode_flops_per_token(model, ctx, layers) * batch, with the
             # scalar path's exact multiplication order (see model.flops).
-            mlp1 = mlp_flops(model, 1, stage.num_layers)
             att = stage.num_layers * 4.0 * 1 * c * model.hidden_size
-            flops = (mlp1 + att) * b
-            compute_t = flops / (
-                stage.sum_flops * params.tp_efficiency(stage.tp) * params.decode_mfu
-            )
+            flops = (stage.mlp_flops_1 + att) * b
+            compute_t = flops / stage.decode_flops
             # mem_bytes = decode_memory_bytes_per_token(model, ctx, batch, layers)
-            frac = stage.num_layers / model.num_layers
-            weights = parameter_bytes(model) * frac
-            kv_read = kv_cache_bytes_per_token(model, num_layers=stage.num_layers) * c * b
-            mem_t = (weights + kv_read) / (stage.sum_bandwidth * params.memory_efficiency)
-            overhead = stage.num_layers * params.per_layer_overhead_s + params.per_stage_overhead_s
+            kv_read = stage.kv_bytes_per_token * c * b
+            mem_t = (stage.weight_bytes + kv_read) / stage.mem_rate
+            overhead = stage.overhead_s
             if stage.tp <= 1:
                 tp_comm: np.ndarray | float = 0.0
             else:
@@ -542,59 +583,62 @@ class ReplicaCostModel:
             total = total + pp
         return total * self.slowdown
 
-    def decode_step_memo(self, batch_size: int, context_length: int) -> float:
-        """Memoized scalar decode-step latency, sharing :meth:`decode_step_grid`'s memo.
+    def decode_step_row(self, batch_size: int, length: int) -> array:
+        """The decode-step latency row of ``batch_size``, at least ``length`` long.
 
-        The fast simulator's small-epoch path prices one step at a time; going
-        through the shared memo keeps those lookups at dict-get cost and —
-        because :meth:`decode_step_latency` and
-        :meth:`decode_step_latency_array` are bitwise-identical — the cached
-        values agree with the vectorized path no matter which filled them.
+        Entry ``c`` of the row is ``decode_step_latency(batch_size, max(1, c))``:
+        the price of one step at mean context ``c``, with the simulator's clamp
+        to one.  A decode epoch of ``k`` steps at constant batch ``n`` has the
+        consecutive mean contexts ``m0 .. m0 + k - 1``, so its step latencies
+        are the slice ``row[m0 : m0 + k]``.  Rows are filled by
+        :meth:`decode_step_latency_array`, which is bitwise equal to the
+        scalar method, and grow by doubling.  When the rows of this replica
+        would hold more than ``DECODE_STEP_MEMO_MAX`` entries, all of them are
+        dropped first.
         """
-        memo = self._decode_step_memo
-        key = (batch_size, context_length)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        value = self.decode_step_latency(batch_size, context_length)
-        if len(memo) >= DECODE_STEP_MEMO_MAX:
-            memo.clear()
-        memo[key] = value
-        return value
+        rows = self._decode_rows
+        row = rows.get(batch_size)
+        if row is not None and len(row) >= length:
+            return row
+        have = 0 if row is None else len(row)
+        size = max(length, 2 * have)
+        held = sum(len(r) for r in rows.values())
+        if held + size - have > DECODE_STEP_MEMO_MAX:
+            rows.clear()
+            row = None
+            have = 0
+            size = length
+        contexts = np.arange(have, size, dtype=np.int64)
+        np.maximum(contexts, 1, out=contexts)
+        values = self.decode_step_latency_array(
+            np.full(size - have, batch_size, dtype=np.int64), contexts
+        )
+        if row is None:
+            row = rows[batch_size] = array("d")
+        row.frombytes(values.tobytes())
+        return row
+
+    def decode_step_memo(self, batch_size: int, context_length: int) -> float:
+        """Scalar decode-step latency read from :meth:`decode_step_row`.
+
+        Bitwise equal to :meth:`decode_step_latency`, at the cost of a row
+        lookup once the row is built.
+        """
+        if batch_size < 1 or context_length < 1:
+            raise ValueError("batch_size and context_length must be >= 1")
+        return self.decode_step_row(batch_size, context_length + 1)[context_length]
 
     def decode_step_grid(
         self, batch_sizes: np.ndarray, context_lengths: np.ndarray
     ) -> np.ndarray:
-        """Memoized elementwise decode-step latencies.
-
-        Looks every (batch, context) pair up in the per-replica memo and computes
-        only the missing entries with :meth:`decode_step_latency_array`.  Decode
-        replicas revisit the same grid points constantly (the batch saturates and
-        contexts advance through the same integer range across requests), so the
-        memo turns the steady-state cost into a dict lookup.
-        """
+        """Elementwise :meth:`decode_step_memo` over parallel (batch, context) arrays."""
         b = np.asarray(batch_sizes, dtype=np.int64)
         c = np.asarray(context_lengths, dtype=np.int64)
-        out = np.empty(b.shape, dtype=np.float64)
-        memo = self._decode_step_memo
-        missing: List[int] = []
-        b_list = b.tolist()
-        c_list = c.tolist()
-        for i, key in enumerate(zip(b_list, c_list)):
-            cached = memo.get(key)
-            if cached is None:
-                missing.append(i)
-            else:
-                out[i] = cached
-        if missing:
-            idx = np.asarray(missing, dtype=np.intp)
-            values = self.decode_step_latency_array(b[idx], c[idx])
-            out[idx] = values
-            if len(memo) + len(missing) > DECODE_STEP_MEMO_MAX:
-                memo.clear()
-            for i, value in zip(missing, values.tolist()):
-                memo[(b_list[i], c_list[i])] = value
-        return out
+        if b.shape != c.shape:
+            raise ValueError("batch_sizes and context_lengths must have the same shape")
+        pairs = zip(b.ravel().tolist(), c.ravel().tolist())
+        values = [self.decode_step_memo(n, m) for n, m in pairs]
+        return np.array(values, dtype=np.float64).reshape(b.shape)
 
     def decode_latency(self, batch_size: int, context_length: int, num_tokens: int) -> float:
         """Time to generate ``num_tokens`` tokens per sequence for a batch.

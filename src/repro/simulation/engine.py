@@ -26,13 +26,16 @@ Two engines implement the same semantics:
   bounding memory by the chunk size — and arrivals are driven by a cursor over
   the ingested columns instead of one heap event per request.
 
-  On the decode side it keeps per-replica struct-of-arrays state (rows sorted
-  by remaining tokens) and **coalesces decode steps into epochs**: the batch
-  composition is constant until the earliest completion, so the per-step
-  latencies up to ``min(first completion, budget)`` are priced in one
-  vectorized call against the memoized
-  :meth:`~repro.costmodel.latency.ReplicaCostModel.decode_step_grid` (a scalar
-  memo path serves very short epochs) and a single wake event replaces
+  On the decode side each replica keeps its running batch as a step counter,
+  a min-heap of ``(finish_step, row)`` and a running context sum, and
+  **coalesces decode steps into epochs**: the batch composition is constant
+  until the earliest completion, and with a constant batch of ``n`` the mean
+  context of step ``t`` is ``ctx_sum // n + t`` (the reference's truncated
+  float64 mean, exactly, below 2**53).  So an epoch's step latencies are one
+  contiguous slice of the batch size's dense latency row
+  (:meth:`~repro.costmodel.latency.ReplicaCostModel.decode_step_row`), turned
+  into boundary times by ``itertools.accumulate`` — the reference's
+  sequential ``now + latency`` float adds — and a single wake event replaces
   thousands of per-token heap events.  A KV arrival mid-epoch truncates the
   epoch at the first step boundary after the arrival, exactly where the
   per-event engine would admit the request — and when nothing was admitted at
@@ -69,6 +72,8 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
+from itertools import accumulate
 from operator import itemgetter
 from typing import Deque, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -102,9 +107,6 @@ ENGINES = ("fast", "reference")
 _MIN_EPOCH_BUDGET = 16
 #: decode epoch budget ceiling: quiet replicas coalesce up to this many steps
 _MAX_EPOCH_BUDGET = 4096
-#: epochs at most this long are priced through the scalar memo, skipping the
-#: fixed cost of the vectorized grid path
-_SMALL_EPOCH_STEPS = 16
 
 # RequestOutcome values as plain ints for the fast engine's outcome column.
 _OUT_FINISHED = int(RequestOutcome.FINISHED)
@@ -235,10 +237,16 @@ class _DecodeReplica:
     """Run-time state of one decode replica.
 
     The reference engine tracks the running batch in ``active`` (request_id ->
-    [context, remaining]) and queues :class:`Request` objects in ``pending``;
-    the fast engine queues request rows and keeps the batch as struct-of-arrays
-    (``rows`` / ``ctx`` / ``rem``, sorted ascending by remaining tokens) plus
-    the precomputed step boundary times of the current coalesced epoch.
+    [context, remaining]) and queues :class:`Request` objects in ``pending``.
+    The fast engine queues request rows and keeps the batch as a step counter
+    ``steps_done``, a min-heap ``heap`` of ``(finish_step, row)`` and the
+    running context sum ``ctx_sum``.  A row admitted at step ``s`` with ``o``
+    output tokens enters with context ``in_len + 1`` (the prefill produced the
+    first token) and finishes at step ``s + o - 1`` with context
+    ``in_len + o``.  Applying a span of steps is O(1), retiring a finisher is
+    one heap pop, and the earliest completion is ``heap[0][0] - steps_done``
+    steps away.  Beside the batch it holds the precomputed step boundary
+    times of the current coalesced epoch.
     """
 
     group_id: int
@@ -251,10 +259,13 @@ class _DecodeReplica:
     #: (reference engine)
     pending: Deque = field(default_factory=deque)
     stepping: bool = False
-    # ---- fast engine struct-of-arrays state (sorted ascending by ``rem``) ----
-    rows: np.ndarray = field(default_factory=_empty_ids)
-    ctx: np.ndarray = field(default_factory=_empty_ids)
-    rem: np.ndarray = field(default_factory=_empty_ids)
+    # ---- fast engine batch ----
+    #: min-heap of (finish step, request row) over the running batch
+    heap: List[Tuple[int, int]] = field(default_factory=list)
+    #: decode steps run so far; finish steps are counted on this clock
+    steps_done: int = 0
+    #: sum of the running rows' current context lengths
+    ctx_sum: int = 0
     #: absolute times of the current epoch's step boundaries (b_1 .. b_K)
     epoch_times: Optional[List[float]] = None
     #: number of steps the epoch was planned with
@@ -402,9 +413,9 @@ class ServingSimulator:
             replica.pending.clear()
             replica.kv.reset()
             replica.stepping = False
-            replica.rows = _empty_ids()
-            replica.ctx = _empty_ids()
-            replica.rem = _empty_ids()
+            replica.heap = []
+            replica.steps_done = 0
+            replica.ctx_sum = 0
             replica.epoch_times = None
             replica.epoch_len = 0
             replica.epoch_cut = 0
@@ -1049,71 +1060,59 @@ class ServingSimulator:
     def _admit_pending_fast(self, replica: _DecodeReplica) -> int:
         """Admit pending rows while capacity allows; return the admitted count.
 
-        Admitted rows are merged into the replica's ``rem``-sorted arrays by a
-        stable sort + binary insertion, preserving the sorted-by-remaining
-        invariant the epoch planner relies on.  Relative order among equal
-        ``rem`` values is observationally irrelevant: ties complete together
-        at the same boundary and every aggregate over them commutes.
+        Replays the reference's FIFO ``kv.can_allocate``-guarded loop, pushing
+        each newcomer's finish step onto the batch heap and its context onto
+        ``ctx_sum``.
         """
-        if not replica.pending or replica.rows.size >= replica.max_batch:
+        heap = replica.heap
+        pending = replica.pending
+        max_batch = replica.max_batch
+        if not pending or len(heap) >= max_batch:
             return 0
-        new_rows: List[int] = []
-        new_ctx: List[int] = []
-        new_rem: List[int] = []
         inlen = self._inlen
         outlen = self._outlen
         kv = replica.kv
-        while replica.pending and replica.rows.size + len(new_rows) < replica.max_batch:
-            row = replica.pending[0]
+        # The prefill already produced the first output token: a row enters
+        # with context ``i + 1`` and ``o - 1`` steps to go.
+        finish_base = replica.steps_done - 1
+        ctx_sum = replica.ctx_sum
+        admitted = 0
+        while pending and len(heap) < max_batch:
+            row = pending[0]
             i = int(inlen[row])
             o = int(outlen[row])
             if not kv.can_allocate(i + o):
                 break
-            replica.pending.popleft()
+            pending.popleft()
             kv.allocate(row, i + o)
-            # The prefill already produced the first output token.
-            new_rows.append(row)
-            new_ctx.append(i + 1)
-            new_rem.append(o - 1)
-        if not new_rows:
-            return 0
-        rows_a = np.asarray(new_rows, dtype=np.int64)
-        ctx_a = np.asarray(new_ctx, dtype=np.int64)
-        rem_a = np.asarray(new_rem, dtype=np.int64)
-        if len(new_rows) > 1:
-            order = np.argsort(rem_a, kind="stable")
-            rows_a = rows_a[order]
-            ctx_a = ctx_a[order]
-            rem_a = rem_a[order]
-        if replica.rows.size == 0:
-            replica.rows = rows_a
-            replica.ctx = ctx_a
-            replica.rem = rem_a
-        else:
-            pos = np.searchsorted(replica.rem, rem_a)
-            replica.rows = np.insert(replica.rows, pos, rows_a)
-            replica.ctx = np.insert(replica.ctx, pos, ctx_a)
-            replica.rem = np.insert(replica.rem, pos, rem_a)
-        return len(new_rows)
+            ctx_sum += i + 1
+            heappush(heap, (finish_base + o, row))
+            admitted += 1
+        replica.ctx_sum = ctx_sum
+        return admitted
 
     def _plan_epoch(self, replica: _DecodeReplica, now: float, admit: bool = True) -> None:
         """Start a coalesced decode epoch at ``now``.
 
         The batch composition cannot change before the earliest completion
-        (``rem[0]`` steps away), so the epoch spans ``min(rem[0],
-        epoch_budget)`` steps with a **constant batch**: the mean context of
-        step ``t`` is the closed form ``trunc((ctx_sum + n*(t-1)) / n)``, and
-        all step latencies price in one vectorized call (a scalar-memo loop
-        serves epochs of at most ``_SMALL_EPOCH_STEPS`` steps, skipping numpy
-        fixed costs).  One DECODE_WAKE event stands in for the whole jump; a KV
-        arrival mid-epoch truncates it at the first boundary after the arrival,
-        and an epoch ending at the budget (no completion, no admission) simply
-        replans from unchanged state — a pure scheduling horizon, invisible in
-        the metrics.
+        (``heap[0][0] - steps_done`` steps away), so the epoch spans that many
+        steps, capped at ``epoch_budget``, with a **constant batch** of ``n``.
+        The reference prices step ``t`` at mean context
+        ``int((ctx_sum + n*t) / n)``, which for integers below 2**53 equals
+        ``ctx_sum // n + t``: the epoch's step latencies are the contiguous
+        slice ``row[m0 : m0 + k]`` of the batch size's latency row
+        (:meth:`~repro.costmodel.latency.ReplicaCostModel.decode_step_row`),
+        and ``accumulate`` turns it into boundary times by the reference's
+        left-to-right ``now + latency`` chain.  One DECODE_WAKE event stands
+        in for the whole jump; a KV arrival mid-epoch truncates it at the
+        first boundary after the arrival, and an epoch ending at the budget
+        (no completion, no admission) simply replans from unchanged state — a
+        pure scheduling horizon, invisible in the metrics.
         """
         if admit:
             self._admit_pending_fast(replica)
-        n = int(replica.rows.size)
+        heap = replica.heap
+        n = len(heap)
         if n == 0:
             replica.stepping = False
             replica.epoch_times = None
@@ -1121,41 +1120,18 @@ class ServingSimulator:
             replica.epoch_cut = 0
             return
         replica.stepping = True
-        ctx_sum = int(replica.ctx.sum())
-        k = min(int(replica.rem[0]), replica.epoch_budget)
-        if k <= _SMALL_EPOCH_STEPS:
-            cost = replica.cost
-            acc = now
-            times_list: List[float] = []
-            for t in range(k):
-                # int(int / int): correctly-rounded float64 division then
-                # truncation — bitwise the reference's int(np.mean([...])).
-                mean = int((ctx_sum + n * t) / n)
-                if mean < 1:
-                    mean = 1
-                acc = acc + cost.decode_step_memo(n, mean)
-                times_list.append(acc)
-            replica.epoch_times = times_list
-        else:
-            steps = np.arange(k, dtype=np.int64)
-            context_sum = ctx_sum + n * steps
-            mean_ctx = (context_sum.astype(np.float64) / float(n)).astype(np.int64)
-            np.maximum(mean_ctx, 1, out=mean_ctx)
-            latencies = replica.cost.decode_step_grid(
-                np.full(k, n, dtype=np.int64), mean_ctx
-            )
-            # Sequential accumulation, bitwise-identical to the reference
-            # engine's now += latency chain (np.cumsum adds left to right).
-            buffer = np.empty(k + 1, dtype=np.float64)
-            buffer[0] = now
-            buffer[1:] = latencies
-            replica.epoch_times = np.cumsum(buffer)[1:].tolist()
+        k = min(heap[0][0] - replica.steps_done, replica.epoch_budget)
+        m0 = replica.ctx_sum // n
+        row = replica.cost.decode_step_row(n, m0 + k)
+        times = list(accumulate(row[m0 : m0 + k], initial=now))
+        del times[0]
+        replica.epoch_times = times
         replica.epoch_len = k
         replica.epoch_cut = k
         replica.epoch_seq += 1
         self._events.push(
             Event(
-                time=replica.epoch_times[-1],
+                time=times[-1],
                 kind=EventKind.DECODE_WAKE,
                 replica_id=replica.group_id,
                 payload=replica.epoch_seq,
@@ -1182,7 +1158,7 @@ class ServingSimulator:
             replica.epoch_budget = max(_MIN_EPOCH_BUDGET, 2 * applied)
             if completed == 0:
                 admitted = self._admit_pending_fast(replica)
-                if admitted == 0 and replica.rows.size:
+                if admitted == 0 and replica.heap:
                     assert replica.epoch_times is not None
                     times = replica.epoch_times[applied:planned]
                     replica.epoch_times = times
@@ -1210,38 +1186,37 @@ class ServingSimulator:
     def _apply_steps(self, replica: _DecodeReplica, steps: int) -> int:
         """Advance the batch by ``steps`` tokens; return the completion count.
 
-        Epochs never extend past the earliest completion, so every finishing
-        row has ``rem == steps`` exactly and completes at the final applied
-        boundary ``epoch_times[steps - 1]``; the sorted-by-``rem`` invariant
-        makes the finishers a prefix slice.
+        Epochs never extend past the earliest completion, so every finisher
+        sits at the heap top with finish step ``steps_done`` exactly and
+        completes at the final applied boundary ``epoch_times[steps - 1]``;
+        each takes its final context ``in_len + out_len`` out of ``ctx_sum``.
         """
         if steps <= 0:
             return 0
-        n = int(replica.rows.size)
-        k = int(np.searchsorted(replica.rem, steps, side="right"))
-        if k:
-            assert replica.epoch_times is not None
-            done = replica.epoch_times[steps - 1]
-            finished_rows = replica.rows[:k]
-            self._m_comp[finished_rows] = done
-            self._m_fin[finished_rows] = True
-            self._m_out[finished_rows] = np.where(
-                self._att[finished_rows] > 0, _OUT_RETRIED, _OUT_FINISHED
-            )
-            kv = replica.kv
-            for row in finished_rows.tolist():
-                kv.free(row)
-            if k == n:
-                replica.rows = _empty_ids()
-                replica.ctx = _empty_ids()
-                replica.rem = _empty_ids()
-                return k
-            replica.rows = replica.rows[k:]
-            replica.ctx = replica.ctx[k:]
-            replica.rem = replica.rem[k:]
-        replica.ctx = replica.ctx + steps
-        replica.rem = replica.rem - steps
-        return k
+        heap = replica.heap
+        replica.ctx_sum += len(heap) * steps
+        replica.steps_done += steps
+        now_step = replica.steps_done
+        if heap[0][0] > now_step:
+            return 0
+        assert replica.epoch_times is not None
+        done = replica.epoch_times[steps - 1]
+        inlen = self._inlen
+        outlen = self._outlen
+        att = self._att
+        kv = replica.kv
+        ctx_sum = replica.ctx_sum
+        finished = 0
+        while heap and heap[0][0] == now_step:
+            row = heappop(heap)[1]
+            ctx_sum -= int(inlen[row]) + int(outlen[row])
+            self._m_comp[row] = done
+            self._m_fin[row] = True
+            self._m_out[row] = _OUT_RETRIED if att[row] > 0 else _OUT_FINISHED
+            kv.free(row)
+            finished += 1
+        replica.ctx_sum = ctx_sum
+        return finished
 
     def _on_kv_arrived_fast(self, replica_id: int, row: int, now: float) -> None:
         """Record a KV arrival and truncate the replica's epoch if admissible."""
@@ -1367,12 +1342,12 @@ class ServingSimulator:
                 fired = bisect_left(times, t, 0, replica.epoch_cut)
                 if fired > 0:
                     self._clock = max(self._clock, times[fired - 1])
-            victims.extend(replica.rows.tolist())
+            victims.extend(row for _, row in replica.heap)
             victims.extend(int(r) for r in replica.pending)
             victims.extend(replica.inflight.keys())
-            replica.rows = _empty_ids()
-            replica.ctx = _empty_ids()
-            replica.rem = _empty_ids()
+            replica.heap = []
+            replica.steps_done = 0
+            replica.ctx_sum = 0
             replica.pending.clear()
             replica.inflight.clear()
             replica.kv.reset()

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.core.types import Phase
@@ -176,6 +177,59 @@ class TestReplicaCostModel:
         # The memo grid returns the same values, cold and warm.
         assert np.all(cost.decode_step_grid(batches, contexts) == scalar)
         assert np.all(cost.decode_step_grid(batches, contexts) == scalar)
+
+    @pytest.mark.parametrize("pipelined", [False, True])
+    def test_decode_step_rows_match_scalar_bitwise(
+        self, small_hetero_cluster_module, model_30b_module, pipelined, monkeypatch
+    ):
+        """Entry ``c`` of a batch size's latency row is the scalar
+        ``decode_step_latency(n, max(1, c))`` bitwise, after every extension
+        and after the rows are dropped and rebuilt."""
+        from repro.costmodel import latency
+
+        cluster, model = small_hetero_cluster_module, model_30b_module
+        a40 = [g.gpu_id for g in cluster.gpus_of_type("A40")]
+        if pipelined:
+            half = model.num_layers // 2
+            plan = ReplicaPlan.from_stage_lists([a40[:2], a40[2:]], [half, model.num_layers - half])
+        else:
+            plan = ReplicaPlan.from_stage_lists([a40], [model.num_layers])
+        cost = ReplicaCostModel(cluster, plan, model)
+
+        def scalar_row(n, length):
+            return [cost.decode_step_latency(n, max(1, c)) for c in range(length)]
+
+        for n in (1, 7, 256):
+            # Within one doubling, past one, and past several at once.
+            for length in (1, 2, 3, 700, 3000):
+                row = cost.decode_step_row(n, length)
+                assert len(row) >= length
+                assert list(row) == scalar_row(n, len(row))
+            assert cost.decode_step_memo(n, 2999) == cost.decode_step_latency(n, 2999)
+        batches = np.array([[1, 7], [256, 3]])
+        contexts = np.array([[5, 4000], [1, 17]])
+        grid = cost.decode_step_grid(batches, contexts)
+        assert grid.shape == (2, 2)
+        assert grid.tolist() == [
+            [cost.decode_step_latency(int(b), int(c)) for b, c in zip(bs, cs)]
+            for bs, cs in zip(batches, contexts)
+        ]
+        with pytest.raises(ValueError):
+            cost.decode_step_memo(1, 0)
+
+        # A budget of 256 entries holds one row of 200 but not two: building
+        # the second drops the first, which then rebuilds to the same values.
+        monkeypatch.setattr(latency, "DECODE_STEP_MEMO_MAX", 256)
+        small = ReplicaCostModel(cluster, plan, model)
+        first = list(small.decode_step_row(3, 200))
+        assert list(small.decode_step_row(5, 200)) == scalar_row(5, 200)
+        assert set(small._decode_rows) == {5}
+        assert list(small.decode_step_row(3, 200)) == first == scalar_row(3, 200)
+        assert set(small._decode_rows) == {3}
+        # Extending a row past the budget drops it too and rebuilds it whole.
+        assert list(small.decode_step_row(3, 300)) == scalar_row(3, 300)
+        # A row longer than the whole budget is still built in full.
+        assert list(small.decode_step_row(9, 1000)) == scalar_row(9, 1000)
 
     def test_decode_step_latency_array_validates(self, a40_pair_cost):
         import numpy as np

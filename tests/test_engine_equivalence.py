@@ -1,7 +1,7 @@
 """Seeded equivalence of the vectorized engine and the per-event reference.
 
-The fast engine (struct-of-arrays decode state, coalesced decode epochs,
-coalesced prefill epochs with precomputed KV handoffs, memoized latencies)
+The fast engine (heap-ordered decode batch, coalesced decode epochs priced
+from latency rows, coalesced prefill epochs with precomputed KV handoffs)
 must be *indistinguishable* from the retained per-event reference
 implementation: identical per-request metrics — bitwise, not approximately —
 identical completion order and identical makespan, across random traces,
@@ -21,11 +21,14 @@ drop-only policies, deadlines and horizon truncation — and every run must
 conserve requests (each arrival maps to exactly one terminal outcome).
 """
 
+from bisect import bisect_left
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.types import Phase, Request
+from repro.costmodel import latency
 from repro.costmodel.reference import a100_reference_latency
 from repro.faults.retry import RetryPolicy
 from repro.faults.timeline import FaultTimeline, ReplicaFaultEvent
@@ -485,6 +488,70 @@ def test_fault_under_horizon_identical(horizon):
         events=[ReplicaFaultEvent(time=0.8, dead_prefill=(MULTI_PREFILLS[0],))]
     )
     _both(_fault_trace(), timeline, horizon=horizon, require_terminal=False)
+
+
+def _shared_output_trace(num_requests=96, output_length=24):
+    """Bursts of six identical requests, all with one output length.
+
+    A burst's requests reach their decode replica at the same instant, join
+    the batch at the same step and finish at the same step, so the fast
+    engine's ``(finish_step, row)`` batch heap is full of ties.
+    """
+    return Trace(
+        [
+            Request(
+                request_id=i,
+                arrival_time=0.25 * (i // 6),
+                input_length=(128, 512)[(i // 6) % 2],
+                output_length=output_length,
+                workload="ties",
+            )
+            for i in range(num_requests)
+        ]
+    )
+
+
+@pytest.mark.parametrize("horizon", [None, 3.0])
+def test_shared_output_length_ties_identical(horizon, monkeypatch):
+    """Heap ties, a decode death mid-epoch and the horizon flush stay aligned."""
+    # Record the dying replica's epoch at the fault instant: (steps fired,
+    # steps planned), to prove the death really lands inside an epoch.
+    at_death = []
+    apply_fault = ServingSimulator._apply_fault_fast
+
+    def spy(self, entry):
+        for gid in entry.dead_decode:
+            replica = self.decodes[gid]
+            if replica.stepping:
+                fired = bisect_left(replica.epoch_times, entry.time, 0, replica.epoch_cut)
+                at_death.append((fired, replica.epoch_cut))
+        apply_fault(self, entry)
+
+    monkeypatch.setattr(ServingSimulator, "_apply_fault_fast", spy)
+    timeline = FaultTimeline(
+        events=[ReplicaFaultEvent(time=1.7, dead_decode=(MULTI_DECODES[0],))]
+    )
+    result = _both(
+        _shared_output_trace(), timeline, horizon=horizon, require_terminal=horizon is None
+    )
+    assert len(at_death) == 1 and 0 < at_death[0][0] < at_death[0][1]
+    counts = result.outcome_counts()
+    assert counts["retried_then_finished"] > 0
+    finished = [m.completion_time for m in result.metrics if m.finished]
+    assert len(finished) - len(set(finished)) >= 10  # many finishers share a step
+    if horizon is not None:
+        assert counts["pending"] > 0  # the run really was cut mid-flight
+
+
+def test_tiny_decode_row_bound_identical(monkeypatch):
+    """Decode rows dropped on nearly every extension still price bitwise.
+
+    With the row budget below one row's length, every new batch size clears
+    the replica's rows, so the fast engine keeps pricing from rebuilt rows.
+    """
+    monkeypatch.setattr(latency, "DECODE_STEP_MEMO_MAX", 64)
+    trace = generate_requests(CONVERSATION_WORKLOAD, 6.0, num_requests=60, seed=4)
+    _assert_identical(_run(trace, "fast", seed=1), _run(trace, "reference", seed=1))
 
 
 def _random_timeline(rng):

@@ -154,3 +154,28 @@ def test_prefill_grid_scalar_parity(seed, size, max_input, max_batch):
     cold = ReplicaCostModel(CLUSTER, plan, MODEL)
     assert np.all(np.array([cold.prefill_latency_memo(s, b) for s, b in pairs]) == scalar)
     assert np.all(cold.prefill_latency_grid(inputs, batches) == scalar)
+
+
+@st.composite
+def _epoch_sums(draw):
+    """(n, s, t) with n >= 1, s >= n, t >= 0 and s + n*t < 2**53."""
+    limit = 2**53 - 1
+    n = draw(st.integers(1, 2**26))
+    s = draw(st.integers(n, limit))
+    t = draw(st.integers(0, (limit - s) // n))
+    return n, s, t
+
+
+@given(_epoch_sums())
+@settings(max_examples=300, deadline=None)
+def test_epoch_mean_context_is_floor_plus_step(sums):
+    """The identity behind slice-priced decode epochs.
+
+    The reference prices a step at ``int(np.mean(contexts))``, i.e. the
+    float64 quotient ``(s + n*t) / n`` truncated; the fast engine reads
+    ``s // n + t`` from a latency row.  Below 2**53 the rounding error of the
+    quotient is under ``1/n``, the smallest distance from ``s/n`` to the next
+    integer, so truncation never crosses it.
+    """
+    n, s, t = sums
+    assert int((s + n * t) / n) == s // n + t
