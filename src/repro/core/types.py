@@ -21,7 +21,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field, replace
-from typing import Iterator, Optional
+from typing import Optional
 
 
 class Phase(str, enum.Enum):
@@ -174,8 +174,7 @@ class RequestMetrics:
     decode_replica: Optional[int] = None
     #: whether the request completed within the simulation horizon
     finished: bool = False
-    #: typed terminal disposition (``PENDING`` for legacy producers that only
-    #: set ``finished``; use :meth:`resolved_outcome` when aggregating)
+    #: typed terminal disposition (``PENDING`` until the request reaches one)
     outcome: RequestOutcome = RequestOutcome.PENDING
     #: number of fault dispositions the request went through (0 = never touched
     #: by a fault; a request dropped on its first dispatch still counts 1)
@@ -311,11 +310,6 @@ class SLOSpec:
         return metrics.value_for(slo_type) <= self.deadline_for(slo_type)
 
 
-def iter_finished(metrics: list[RequestMetrics]) -> Iterator[RequestMetrics]:
-    """Yield only the finished entries of a metrics list."""
-    return (m for m in metrics if m.finished)
-
-
 __all__ = [
     "Phase",
     "SLOType",
@@ -324,5 +318,4 @@ __all__ = [
     "RequestOutcome",
     "OUTCOME_NAMES",
     "SLOSpec",
-    "iter_finished",
 ]

@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.exceptions import ConfigurationError, SchedulingError
 from repro.core.rng import ensure_rng
-from repro.core.types import RequestMetrics, RequestOutcome, SLOType
+from repro.core.types import SLOType
 from repro.costmodel.latency import CostModelParams, DEFAULT_PARAMS
 from repro.costmodel.reference import a100_reference_latency
 from repro.faults.retry import RetryPolicy
@@ -390,7 +390,11 @@ class ScenarioSweep:
             window_start = event.time
             if dead:
                 if not window.is_empty:
-                    results.append(_outage_result(window, f"{label}[{k}]"))
+                    results.append(
+                        SimulationResult.dropped(
+                            window, makespan=window[-1].arrival_time, label=f"{label}[{k}]"
+                        )
+                    )
                     outage_windows += 1
                 continue
             alive = sorted(system.cluster.gpu_ids)
@@ -450,7 +454,11 @@ class ScenarioSweep:
         tail = trace.window(window_start, float("inf"))
         if not tail.is_empty:
             if dead:
-                results.append(_outage_result(tail, f"{label}[tail]"))
+                results.append(
+                    SimulationResult.dropped(
+                        tail, makespan=tail[-1].arrival_time, label=f"{label}[tail]"
+                    )
+                )
                 outage_windows += 1
             else:
                 results.append(system.serve(tail, label=f"{label}[tail]"))
@@ -524,28 +532,6 @@ class ScenarioSweep:
             for _, o in sorted(outcomes.items())
         ]
         return format_table(headers, rows, precision=precision, title="Scenario sweep")
-
-
-def _outage_result(window: Trace, label: str) -> SimulationResult:
-    """Zero-attainment result of a window that arrived during a total outage.
-
-    Every arrival becomes an unfinished :class:`~repro.core.types.RequestMetrics`
-    record with outcome ``dropped_outage``, which the attainment accounting
-    counts as an SLO miss — the window reports attainment 0 without losing its
-    requests from the merged result.
-    """
-    metrics = [
-        RequestMetrics(request=request, outcome=RequestOutcome.DROPPED_OUTAGE)
-        for request in window
-    ]
-    arrivals = [request.arrival_time for request in window]
-    duration = (max(arrivals) - min(arrivals)) if len(arrivals) >= 2 else 0.0
-    return SimulationResult(
-        metrics=metrics,
-        makespan=max(arrivals) if arrivals else 0.0,
-        trace_duration=duration,
-        label=label,
-    )
 
 
 def _run_scenario(

@@ -60,7 +60,7 @@ from typing import (
 import numpy as np
 
 from repro.core.exceptions import InvalidPlanError, SchedulingError
-from repro.core.types import OUTCOME_NAMES, RequestMetrics, RequestOutcome, SLOType
+from repro.core.types import OUTCOME_NAMES, SLOType
 from repro.faults.retry import RetryPolicy
 from repro.faults.state import ClusterFaultState
 from repro.faults.taxonomy import CAPACITY_LOSS_KINDS, FaultKind, FaultSchedule
@@ -706,17 +706,17 @@ class LiveServer:
     ) -> WindowTelemetry:
         """Build the telemetry record of one served window."""
         slo = self.system.slo
-        finished = result.finished
-        queue_waits = [m.queue_time for m in finished]
-        per_tenant: Dict[str, float] = {}
-        tenant_metrics: Dict[str, List] = {}
-        for m in result.metrics:
-            tag = m.request.workload or ""
+        a = result.arrays
+        queue_waits = a.queue_time()[a.finished]
+        met = a.meets(slo, SLOType.E2E).tolist()
+        tenant_hits: Dict[str, List[bool]] = {}
+        for request, hit in zip(result.requests, met):
+            tag = request.workload or ""
             if tag.startswith("tenant:"):
-                tenant_metrics.setdefault(tag.split(":", 1)[1], []).append(m)
-        for tenant, metrics in sorted(tenant_metrics.items()):
-            hits = sum(1 for m in metrics if slo.is_met(m, SLOType.E2E))
-            per_tenant[tenant] = hits / len(metrics)
+                tenant_hits.setdefault(tag.split(":", 1)[1], []).append(hit)
+        per_tenant = {
+            tenant: sum(hits) / len(hits) for tenant, hits in sorted(tenant_hits.items())
+        }
         outcome_counts = {k: int(v) for k, v in result.outcome_counts().items()}
         outcome_counts["shed"] = outcome_counts.get("shed", 0) + num_shed
         return WindowTelemetry(
@@ -732,7 +732,7 @@ class LiveServer:
             attainment_e2e=result.slo_attainment(slo, SLOType.E2E),
             attainment_ttft=result.slo_attainment(slo, SLOType.TTFT),
             attainment_tpot=result.slo_attainment(slo, SLOType.TPOT),
-            mean_queue_wait=float(np.mean(queue_waits)) if queue_waits else 0.0,
+            mean_queue_wait=float(np.mean(queue_waits)) if queue_waits.size else 0.0,
             completion_rate=result.completion_rate,
             estimated_rho=health.rho,
             estimated_attainment=health.attainment,
@@ -784,35 +784,44 @@ class LiveServer:
                 self._carry_sync = sync
                 continue
             self._degraded_now = bool(sync is not None and sync.degraded)
-            if sync is not None and sync.unservable:
-                telemetry, result, served_plan = self._outage_window(
-                    index, w_start, window_end, window, sync, label
-                )
-                if self.on_window is not None:
-                    self.on_window(telemetry)
-                yield telemetry, result, served_plan
-                index += 1
-                continue
             served_plan = system.require_plan()
-            served_plan_id = plan_signature(served_plan)
-            faults, fault_notes = self._intra_window_faults(w_start, window_end)
-            if faults is not None:
-                self._degraded_now = True
-            health = self.plan_health(window)
-            admitted, num_shed = self._admit(window, health)
-            result = system.serve(
-                admitted,
-                label=f"{label}[{index}]",
-                faults=faults,
-                retry=config.retry_policy,
-            )
-            system.monitor.heartbeat_all(window_end)
+            outage = sync is not None and sync.unservable
+            if outage:
+                # No servable capacity: every arrival is an outage drop (an SLO
+                # miss), so the window reports attainment 0 and the run goes on.
+                faults, fault_notes = None, ()
+                served_plan_id = ""
+                health = PlanHealth(
+                    rho=0.0, attainment=0.0, request_rate=len(window) / (window_end - w_start)
+                )
+                num_shed = 0
+                if system.coordinator is not None:
+                    for request in window:
+                        system.coordinator.record_outage_drop(request)
+                result = SimulationResult.dropped(
+                    window, makespan=window_end, label=f"{label}[{index}]"
+                )
+            else:
+                served_plan_id = plan_signature(served_plan)
+                faults, fault_notes = self._intra_window_faults(w_start, window_end)
+                if faults is not None:
+                    self._degraded_now = True
+                health = self.plan_health(window)
+                admitted, num_shed = self._admit(window, health)
+                result = system.serve(
+                    admitted,
+                    label=f"{label}[{index}]",
+                    faults=faults,
+                    retry=config.retry_policy,
+                )
+                system.monitor.heartbeat_all(window_end)
+                if system.coordinator is not None:
+                    system.coordinator.record_outcomes(result.outcome_counts())
             telemetry = self._measure(
                 index, w_start, window_end, result, health,
                 num_shed, served_plan_id,
             )
-            if system.coordinator is not None:
-                system.coordinator.record_outcomes(result.outcome_counts())
+            telemetry.outage = outage
             if sync is not None:
                 telemetry.faults = sync.descriptions + fault_notes
                 telemetry.degraded = sync.degraded or faults is not None
@@ -828,8 +837,9 @@ class LiveServer:
             for event in events:
                 if self.on_breach is not None:
                     self.on_breach(event)
-            telemetry.plan_changed = self._adapt(events, admitted, label)
-            self._last_window = admitted
+            if not outage:
+                telemetry.plan_changed = self._adapt(events, admitted, label)
+                self._last_window = admitted
             if self.on_window is not None:
                 self.on_window(telemetry)
             yield telemetry, result, served_plan
@@ -1004,57 +1014,6 @@ class LiveServer:
             self._replan_cooldown = self.config.replan_backoff_windows
             self._replan_failures = 0
         return False
-
-    def _outage_window(
-        self,
-        index: int,
-        start: float,
-        end: float,
-        window: Trace,
-        sync: _FaultSync,
-        label: str,
-    ) -> Tuple[WindowTelemetry, SimulationResult, DeploymentPlan]:
-        """Record one window that arrived while no servable capacity existed.
-
-        Every arrival is logged as an outage drop on the coordinator and
-        becomes an unfinished :class:`~repro.core.types.RequestMetrics` with
-        outcome ``dropped_outage`` (an SLO miss), so the window reports
-        attainment 0 without aborting the run; SLO objectives still resolve
-        and breach events still fire.
-        """
-        system = self.system
-        slo_config = self.config.slo_config or auto_slo_config()
-        coordinator = system.coordinator
-        metrics = []
-        for request in window:
-            if coordinator is not None:
-                coordinator.record_outage_drop(request)
-            metrics.append(
-                RequestMetrics(request=request, outcome=RequestOutcome.DROPPED_OUTAGE)
-            )
-        arrivals = [r.arrival_time for r in window]
-        result = SimulationResult(
-            metrics=metrics,
-            makespan=end,
-            trace_duration=(max(arrivals) - min(arrivals)) if len(arrivals) >= 2 else 0.0,
-            label=f"{label}[{index}]",
-        )
-        rate = result.num_requests / (end - start) if end > start else 0.0
-        health = PlanHealth(rho=0.0, attainment=0.0, request_rate=rate)
-        telemetry = self._measure(index, start, end, result, health, 0, "")
-        telemetry.outage = True
-        telemetry.degraded = True
-        telemetry.faults = sync.descriptions
-        telemetry.num_gpus_alive = sync.num_alive
-        profile, objectives = resolve_slo_objectives(slo_config, telemetry.snapshot())
-        telemetry.profile = profile
-        report = evaluate_slo_objectives(telemetry.snapshot(), objectives, profile=profile)
-        events = self.tracker.update(report, time=end, window_index=index, context=label)
-        telemetry.breaches = tuple(events)
-        for event in events:
-            if self.on_breach is not None:
-                self.on_breach(event)
-        return telemetry, result, system.require_plan()
 
     def _adapt(self, events: List[BreachEvent], window: Trace, label: str) -> bool:
         """Run the online rescheduling policy after one window; return whether the plan changed."""

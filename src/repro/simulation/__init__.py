@@ -17,7 +17,7 @@ engine internals and the equivalence contract.
 """
 
 from repro.simulation.events import Event, EventKind, EventQueue
-from repro.simulation.metrics import MetricArrays, SimulationResult, summarize_requests
+from repro.simulation.metrics import MetricArrays, SimulationResult
 from repro.simulation.engine import ServingSimulator, SimulatorConfig
 from repro.simulation.colocated import ColocatedSimulator
 
@@ -27,7 +27,6 @@ __all__ = [
     "EventQueue",
     "MetricArrays",
     "SimulationResult",
-    "summarize_requests",
     "ServingSimulator",
     "SimulatorConfig",
     "ColocatedSimulator",

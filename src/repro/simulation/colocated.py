@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.core.exceptions import SimulationError
 from repro.core.rng import ensure_rng
-from repro.core.types import Request, RequestMetrics
+from repro.core.types import Request, RequestMetrics, RequestOutcome
 from repro.costmodel.latency import (
     CostModelParams,
     DEFAULT_MAX_PREFILL_BATCH_REQUESTS,
@@ -37,7 +37,7 @@ from repro.kvcache.paged import PagedKVCache
 from repro.model.architecture import ModelConfig
 from repro.parallelism.config import ReplicaPlan
 from repro.simulation.events import Event, EventKind, EventQueue
-from repro.simulation.metrics import SimulationResult
+from repro.simulation.metrics import MetricArrays, SimulationResult
 from repro.workload.trace import Trace
 
 
@@ -142,10 +142,11 @@ class ColocatedSimulator:
 
         metrics = [self._metrics[rid] for rid in sorted(self._metrics)]
         return SimulationResult(
-            metrics=metrics,
+            MetricArrays.from_metrics(metrics),
             makespan=self._clock,
             trace_duration=trace.duration,
             label=label,
+            requests=[m.request for m in metrics],
         )
 
     # ------------------------------------------------------------------ handlers
@@ -231,6 +232,7 @@ class ColocatedSimulator:
                 if request.output_length <= 1:
                     metrics.completion_time = now
                     metrics.finished = True
+                    metrics.outcome = RequestOutcome.FINISHED
                 else:
                     replica.kv.allocate(request.request_id, request.total_tokens)
                     replica.active[request.request_id] = [
@@ -250,6 +252,7 @@ class ColocatedSimulator:
                 metrics = self._metrics[request_id]
                 metrics.completion_time = now
                 metrics.finished = True
+                metrics.outcome = RequestOutcome.FINISHED
         self._schedule_work(replica, now)
 
 

@@ -763,7 +763,7 @@ class ServingSimulator:
             trace_duration = (
                 float(self._arr[self._n - 1] - self._arr[0]) if self._n >= 2 else 0.0
             )
-        return SimulationResult.from_arrays(
+        return SimulationResult(
             arrays,
             makespan=self._clock,
             trace_duration=trace_duration,
@@ -1462,10 +1462,11 @@ class ServingSimulator:
                 raise SimulationError(f"unexpected event kind {event.kind}")
         metrics = [self._metrics[rid] for rid in sorted(self._metrics)]
         return SimulationResult(
-            metrics=metrics,
+            MetricArrays.from_metrics(metrics),
             makespan=self._clock,
             trace_duration=trace.duration,
             label=label,
+            requests=[m.request for m in metrics],
         )
 
     def _on_arrival(self, request: Request, now: float) -> None:

@@ -8,23 +8,21 @@ The paper's evaluation reports two families of numbers:
   Tables 5 and 8).
 
 :class:`SimulationResult` wraps the per-request metrics produced by a simulator
-run and exposes those aggregates.  The result is backed by one of two storages:
-
-* a list of :class:`~repro.core.types.RequestMetrics` objects (the reference
-  engine, windowed serving, and hand-built results), or
-* a :class:`MetricArrays` column block (the fast engine's struct-of-arrays
-  output), in which case aggregates are computed vectorized and the object list
-  is only materialized on first access to :attr:`SimulationResult.metrics` —
-  a million-request run aggregates without ever building a million objects.
-
-Both storages describe the same requests, so every aggregate is identical
-(bitwise) whichever backing a result carries.
+run and exposes those aggregates.  A result has one storage: a
+:class:`MetricArrays` column block, one numpy column per metric field, and every
+aggregate is computed vectorized over it.  The fast engine writes the columns
+directly; the per-event engines (the reference oracle and the co-located
+simulator) convert their :class:`~repro.core.types.RequestMetrics` records once
+at the end of a run with :meth:`MetricArrays.from_metrics`.
+:attr:`SimulationResult.metrics` is a lazy, read-only object view of the
+columns, built only on first access — a million-request run aggregates without
+ever building a million objects.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -39,31 +37,20 @@ from repro.core.types import (
     SLOType,
 )
 
+#: replica-id column value of a request never routed to a replica
+#: (``None`` in the object view)
+_NO_REPLICA = -1
 
-def summarize_requests(metrics: Sequence[RequestMetrics]) -> Dict[str, float]:
-    """Mean latency components over the finished requests of a run."""
-    finished = [m for m in metrics if m.finished]
-    if not finished:
-        return {
-            "num_finished": 0.0,
-            "mean_ttft": float("nan"),
-            "mean_tpot": float("nan"),
-            "mean_e2e": float("nan"),
-            "mean_queue": float("nan"),
-            "mean_prefill": float("nan"),
-            "mean_kv_transfer": float("nan"),
-            "mean_decode": float("nan"),
-        }
-    return {
-        "num_finished": float(len(finished)),
-        "mean_ttft": float(np.mean([m.ttft for m in finished])),
-        "mean_tpot": float(np.mean([m.tpot for m in finished])),
-        "mean_e2e": float(np.mean([m.e2e_latency for m in finished])),
-        "mean_queue": float(np.mean([m.queue_time for m in finished])),
-        "mean_prefill": float(np.mean([m.prefill_time for m in finished])),
-        "mean_kv_transfer": float(np.mean([m.kv_transfer_time for m in finished])),
-        "mean_decode": float(np.mean([m.decode_time for m in finished])),
-    }
+#: the latency means of :meth:`SimulationResult.summary`
+_SUMMARY_MEANS = (
+    "mean_ttft",
+    "mean_tpot",
+    "mean_e2e",
+    "mean_queue",
+    "mean_prefill",
+    "mean_kv_transfer",
+    "mean_decode",
+)
 
 
 @dataclass
@@ -71,12 +58,11 @@ class MetricArrays:
     """Per-request metrics of one simulation run in struct-of-arrays form.
 
     One numpy column per :class:`~repro.core.types.RequestMetrics` field (plus
-    the request attributes the aggregates need), ordered by request id — the
-    fast engine writes these columns directly, so a run never holds per-request
-    Python objects.  Derived latencies (TTFT / TPOT / E2E and the component
-    breakdown) are computed vectorized with exactly the float64 operations of
-    the scalar :class:`~repro.core.types.RequestMetrics` properties, keeping
-    array-backed aggregates bitwise-identical to object-backed ones.
+    the request attributes the aggregates need), ordered by request id.
+    Derived latencies (TTFT / TPOT / E2E and the component breakdown) are
+    computed vectorized with exactly the float64 operations of the scalar
+    :class:`~repro.core.types.RequestMetrics` properties, so every aggregate
+    equals its per-object computation bitwise.
 
     Parameters
     ----------
@@ -89,15 +75,14 @@ completion_time:
     finished:
         Completion flags (``bool``).
     prefill_replica, decode_replica:
-        Serving-group ids the request was routed to (``int64``).
+        Serving-group ids the request was routed to (``int64``; ``-1`` when
+        it never was).
     outcome:
         Typed terminal disposition per request (``int64``,
-        :class:`~repro.core.types.RequestOutcome` values).  Producers
-        predating the taxonomy may omit it; it is then derived from
-        ``finished`` (finished → ``FINISHED``, else ``PENDING``).
+        :class:`~repro.core.types.RequestOutcome` values).
     attempts:
         Number of fault dispositions per request (``int64``; zero when the
-        run saw no faults).  Defaults to all-zero when omitted.
+        run saw no faults).
     """
 
     request_id: np.ndarray
@@ -112,23 +97,41 @@ completion_time:
     finished: np.ndarray
     prefill_replica: np.ndarray
     decode_replica: np.ndarray
-    outcome: Optional[np.ndarray] = None
-    attempts: Optional[np.ndarray] = None
-
-    def __post_init__(self) -> None:
-        if self.outcome is None:
-            self.outcome = np.where(
-                self.finished, int(RequestOutcome.FINISHED), int(RequestOutcome.PENDING)
-            ).astype(np.int64)
-        if self.attempts is None:
-            self.attempts = np.zeros(self.request_id.size, dtype=np.int64)
+    outcome: np.ndarray
+    attempts: np.ndarray
 
     def __len__(self) -> int:
         return self.request_id.size
 
+    @classmethod
+    def from_metrics(cls, metrics: Sequence[RequestMetrics]) -> "MetricArrays":
+        """Columns of a :class:`RequestMetrics` list, in list order."""
+
+        def column(values: Iterable, dtype) -> np.ndarray:
+            return np.array(list(values), dtype=dtype)
+
+        def replica(rid: Optional[int]) -> int:
+            return _NO_REPLICA if rid is None else rid
+
+        return cls(
+            request_id=column((m.request.request_id for m in metrics), np.int64),
+            arrival_time=column((m.request.arrival_time for m in metrics), np.float64),
+            input_length=column((m.request.input_length for m in metrics), np.int64),
+            output_length=column((m.request.output_length for m in metrics), np.int64),
+            enqueue_time=column((m.enqueue_time for m in metrics), np.float64),
+            prefill_start=column((m.prefill_start for m in metrics), np.float64),
+            first_token_time=column((m.first_token_time for m in metrics), np.float64),
+            kv_transfer_done=column((m.kv_transfer_done for m in metrics), np.float64),
+            completion_time=column((m.completion_time for m in metrics), np.float64),
+            finished=column((m.finished for m in metrics), bool),
+            prefill_replica=column((replica(m.prefill_replica) for m in metrics), np.int64),
+            decode_replica=column((replica(m.decode_replica) for m in metrics), np.int64),
+            outcome=column((int(m.outcome) for m in metrics), np.int64),
+            attempts=column((m.attempts for m in metrics), np.int64),
+        )
+
     def outcome_counts(self) -> Dict[str, int]:
         """Request count per :class:`~repro.core.types.RequestOutcome` name."""
-        assert self.outcome is not None
         counts = np.bincount(self.outcome, minlength=len(OUTCOME_NAMES))
         return {name: int(counts[i]) for i, name in enumerate(OUTCOME_NAMES)}
 
@@ -149,6 +152,10 @@ completion_time:
         """End-to-end latency per request (arrival → last token)."""
         return self.completion_time - self.arrival_time
 
+    def queue_time(self) -> np.ndarray:
+        """Time each request queued before its prefill started."""
+        return self.prefill_start - self.arrival_time
+
     def value_for(self, slo_type: SLOType) -> np.ndarray:
         """Latency column compared against an SLO of ``slo_type``."""
         if slo_type is SLOType.TTFT:
@@ -157,126 +164,122 @@ completion_time:
             return self.tpot()
         return self.e2e_latency()
 
+    def meets(self, slo: SLOSpec, slo_type: SLOType) -> np.ndarray:
+        """Per-request flags: finished and within the ``slo_type`` deadline."""
+        return self.finished & (self.value_for(slo_type) <= slo.deadline_for(slo_type))
+
     # ------------------------------------------------------------------ objects
-    def materialize(
+    def synthesize_requests(
         self,
-        requests: Optional[Sequence[Request]] = None,
         workload_spans: Optional[Sequence[Tuple[int, str]]] = None,
         row_order: Optional[np.ndarray] = None,
-    ) -> List[RequestMetrics]:
-        """Build the equivalent :class:`RequestMetrics` list.
+    ) -> List[Request]:
+        """Build the :class:`Request` behind each row from the request columns.
 
         Parameters
         ----------
-        requests:
-            Backing :class:`Request` objects in column order (e.g. the original
-            trace requests); synthesized from the columns when omitted.
         workload_spans:
             ``(first_row, tag)`` pairs describing the workload tag of
-            contiguous ingestion-row ranges, used to tag synthesized requests.
+            contiguous ingestion-row ranges; requests are tagged ``"generic"``
+            when omitted.
         row_order:
             When the columns were reordered from ingestion order (sorted by
             request id), the ingestion row behind each column position — lets
             ``workload_spans`` (which speak ingestion rows) resolve correctly.
         """
         n = len(self)
-        ids = self.request_id.tolist()
-        arrivals = self.arrival_time.tolist()
-        inputs = self.input_length.tolist()
-        outputs = self.output_length.tolist()
-        if requests is None:
-            tags = self._resolve_workloads(n, workload_spans, row_order)
-            requests = [
-                Request(
-                    request_id=ids[i],
-                    arrival_time=arrivals[i],
-                    input_length=inputs[i],
-                    output_length=outputs[i],
-                    workload=tags[i],
-                )
-                for i in range(n)
-            ]
-        enq = self.enqueue_time.tolist()
-        pstart = self.prefill_start.tolist()
-        first = self.first_token_time.tolist()
-        kvd = self.kv_transfer_done.tolist()
-        comp = self.completion_time.tolist()
-        fin = self.finished.tolist()
-        prep = self.prefill_replica.tolist()
-        drep = self.decode_replica.tolist()
-        assert self.outcome is not None and self.attempts is not None
-        out = self.outcome.tolist()
-        att = self.attempts.tolist()
+        if workload_spans:
+            starts = [s for s, _ in workload_spans]
+            span_tags = [t for _, t in workload_spans]
+            rows = row_order.tolist() if row_order is not None else range(n)
+            tags = [span_tags[bisect_right(starts, r) - 1] for r in rows]
+        else:
+            tags = ["generic"] * n
         return [
-            RequestMetrics(
-                request=requests[i],
-                enqueue_time=enq[i],
-                prefill_start=pstart[i],
-                first_token_time=first[i],
-                kv_transfer_done=kvd[i],
-                completion_time=comp[i],
-                prefill_replica=prep[i],
-                decode_replica=drep[i],
-                finished=fin[i],
-                outcome=RequestOutcome(out[i]),
-                attempts=att[i],
+            Request(
+                request_id=rid,
+                arrival_time=arrival,
+                input_length=inp,
+                output_length=out,
+                workload=tag,
             )
-            for i in range(n)
+            for rid, arrival, inp, out, tag in zip(
+                self.request_id.tolist(),
+                self.arrival_time.tolist(),
+                self.input_length.tolist(),
+                self.output_length.tolist(),
+                tags,
+            )
         ]
 
-    @staticmethod
-    def _resolve_workloads(
-        n: int,
-        workload_spans: Optional[Sequence[Tuple[int, str]]],
-        row_order: Optional[np.ndarray],
-    ) -> List[str]:
-        if not workload_spans:
-            return ["generic"] * n
-        starts = [s for s, _ in workload_spans]
-        tags = [t for _, t in workload_spans]
-        rows = row_order.tolist() if row_order is not None else range(n)
-        return [tags[bisect_right(starts, r) - 1] for r in rows]
+    def materialize(self, requests: Sequence[Request]) -> List[RequestMetrics]:
+        """Build the equivalent :class:`RequestMetrics` list.
+
+        ``requests`` holds the :class:`Request` behind each row, in column order.
+        """
+
+        def replicas(column: np.ndarray) -> List[Optional[int]]:
+            return [None if rid == _NO_REPLICA else rid for rid in column.tolist()]
+
+        return [
+            RequestMetrics(
+                request=request,
+                enqueue_time=enq,
+                prefill_start=pstart,
+                first_token_time=first,
+                kv_transfer_done=kvd,
+                completion_time=comp,
+                prefill_replica=prep,
+                decode_replica=drep,
+                finished=fin,
+                outcome=RequestOutcome(out),
+                attempts=att,
+            )
+            for request, enq, pstart, first, kvd, comp, prep, drep, fin, out, att in zip(
+                requests,
+                self.enqueue_time.tolist(),
+                self.prefill_start.tolist(),
+                self.first_token_time.tolist(),
+                self.kv_transfer_done.tolist(),
+                self.completion_time.tolist(),
+                replicas(self.prefill_replica),
+                replicas(self.decode_replica),
+                self.finished.tolist(),
+                self.outcome.tolist(),
+                self.attempts.tolist(),
+            )
+        ]
+
+
+def _arrival_span(arrival_time: np.ndarray) -> float:
+    """Span between the earliest and latest arrival (zero below two requests)."""
+    if arrival_time.size < 2:
+        return 0.0
+    return float(arrival_time.max() - arrival_time.min())
 
 
 class SimulationResult:
     """Per-request metrics plus run-level aggregates of one simulation.
 
-    Construct with either ``metrics`` (a :class:`RequestMetrics` list, the
-    historical form) or via :meth:`from_arrays` (the fast engine's
-    struct-of-arrays form).  :attr:`metrics` is always available — array-backed
-    results materialize the object list lazily on first access — and every
-    aggregate returns identical values for both backings.
+    Parameters
+    ----------
+    arrays:
+        The run's metric columns — the result's only storage.
+    makespan:
+        Simulation time at which the last event was processed.
+    trace_duration:
+        Wall-clock duration of the simulated request trace (arrival span).
+    label:
+        Label of the system / plan that produced the run (for reporting).
+    requests, workload_spans, row_order:
+        Backing of the object view: the :class:`Request` behind each row (e.g.
+        the original trace requests), or — when omitted — the workload spans
+        and row order they are synthesized from (see
+        :meth:`MetricArrays.synthesize_requests`).
     """
 
     def __init__(
         self,
-        metrics: Optional[List[RequestMetrics]] = None,
-        makespan: float = 0.0,
-        trace_duration: float = 0.0,
-        label: str = "",
-        arrays: Optional[MetricArrays] = None,
-        requests: Optional[Sequence[Request]] = None,
-        workload_spans: Optional[Sequence[Tuple[int, str]]] = None,
-        row_order: Optional[np.ndarray] = None,
-    ) -> None:
-        if metrics is None and arrays is None:
-            metrics = []
-        self._metrics = metrics
-        #: column backing of the run, or ``None`` for list-backed results
-        self.arrays = arrays
-        self._requests = requests
-        self._workload_spans = workload_spans
-        self._row_order = row_order
-        #: simulation time at which the last event was processed
-        self.makespan = makespan
-        #: wall-clock duration of the simulated request trace (arrival span)
-        self.trace_duration = trace_duration
-        #: label of the system / plan that produced the run (for reporting)
-        self.label = label
-
-    @classmethod
-    def from_arrays(
-        cls,
         arrays: MetricArrays,
         makespan: float,
         trace_duration: float,
@@ -284,38 +287,61 @@ class SimulationResult:
         requests: Optional[Sequence[Request]] = None,
         workload_spans: Optional[Sequence[Tuple[int, str]]] = None,
         row_order: Optional[np.ndarray] = None,
+    ) -> None:
+        #: per-request metric columns, ordered by request id
+        self.arrays = arrays
+        self._requests = requests
+        self._workload_spans = workload_spans
+        self._row_order = row_order
+        self._metrics: Optional[List[RequestMetrics]] = None
+        self.makespan = makespan
+        self.trace_duration = trace_duration
+        self.label = label
+
+    @classmethod
+    def dropped(
+        cls, trace: Iterable[Request], makespan: float, label: str = ""
     ) -> "SimulationResult":
-        """Wrap a :class:`MetricArrays` block as an array-backed result."""
+        """Result of requests that arrived while no servable capacity existed.
+
+        Every request becomes an unfinished ``dropped_outage`` row (an SLO
+        miss), so the window reports attainment 0 without losing its requests
+        from a merged result.
+        """
+        metrics = [
+            RequestMetrics(request=request, outcome=RequestOutcome.DROPPED_OUTAGE)
+            for request in trace
+        ]
+        arrays = MetricArrays.from_metrics(metrics)
         return cls(
-            metrics=None,
+            arrays,
             makespan=makespan,
-            trace_duration=trace_duration,
+            trace_duration=_arrival_span(arrays.arrival_time),
             label=label,
-            arrays=arrays,
-            requests=requests,
-            workload_spans=workload_spans,
-            row_order=row_order,
+            requests=[m.request for m in metrics],
         )
 
     @property
-    def metrics(self) -> List[RequestMetrics]:
-        """Per-request metrics, ordered by request id (materialized lazily)."""
-        if self._metrics is None:
-            assert self.arrays is not None
-            self._metrics = self.arrays.materialize(
-                requests=self._requests,
-                workload_spans=self._workload_spans,
-                row_order=self._row_order,
+    def requests(self) -> Sequence[Request]:
+        """The request behind each row, ordered by request id (built lazily)."""
+        if self._requests is None:
+            self._requests = self.arrays.synthesize_requests(
+                self._workload_spans, self._row_order
             )
+        return self._requests
+
+    @property
+    def metrics(self) -> List[RequestMetrics]:
+        """Per-request metrics, ordered by request id (a lazy object view)."""
+        if self._metrics is None:
+            self._metrics = self.arrays.materialize(self.requests)
         return self._metrics
 
     # ------------------------------------------------------------------ basics
     @property
     def num_requests(self) -> int:
         """Number of requests injected."""
-        if self.arrays is not None:
-            return len(self.arrays)
-        return len(self.metrics)
+        return len(self.arrays)
 
     @property
     def finished(self) -> List[RequestMetrics]:
@@ -325,9 +351,7 @@ class SimulationResult:
     @property
     def num_finished(self) -> int:
         """Number of completed requests."""
-        if self.arrays is not None:
-            return int(np.count_nonzero(self.arrays.finished))
-        return len(self.finished)
+        return int(np.count_nonzero(self.arrays.finished))
 
     @property
     def completion_rate(self) -> float:
@@ -340,17 +364,9 @@ class SimulationResult:
     def outcome_counts(self) -> Dict[str, int]:
         """Request count per :class:`~repro.core.types.RequestOutcome` name.
 
-        Works on both backings.  List-backed results resolve the legacy
-        ``finished``-only encoding through
-        :meth:`~repro.core.types.RequestMetrics.resolved_outcome`; the sum of
-        the counts always equals :attr:`num_requests`.
+        The counts always sum to :attr:`num_requests`.
         """
-        if self.arrays is not None:
-            return self.arrays.outcome_counts()
-        counts = {name: 0 for name in OUTCOME_NAMES}
-        for m in self.metrics:
-            counts[m.resolved_outcome().name.lower()] += 1
-        return counts
+        return self.arrays.outcome_counts()
 
     def assert_outcome_conservation(self, require_terminal: bool = False) -> Dict[str, int]:
         """Check that every arrival maps to exactly one coherent outcome.
@@ -368,97 +384,70 @@ class SimulationResult:
             raise SimulationError(
                 f"outcome counts sum to {total}, expected {self.num_requests}"
             )
-        completed = counts["finished"] + counts["retried_then_finished"]
-        if completed != self.num_finished:
-            raise SimulationError(
-                f"{completed} completed outcomes vs {self.num_finished} finished flags"
-            )
         if require_terminal and counts["pending"]:
             raise SimulationError(
                 f"{counts['pending']} requests left pending on a fully drained run"
             )
-        if self.arrays is not None:
-            assert self.arrays.outcome is not None
-            completed_mask = (
-                self.arrays.outcome == int(RequestOutcome.FINISHED)
-            ) | (self.arrays.outcome == int(RequestOutcome.RETRIED_THEN_FINISHED))
-            if bool(np.any(completed_mask != self.arrays.finished)):
-                raise SimulationError(
-                    "per-request outcome/finished flags disagree in the array backing"
-                )
+        a = self.arrays
+        completed = (a.outcome == int(RequestOutcome.FINISHED)) | (
+            a.outcome == int(RequestOutcome.RETRIED_THEN_FINISHED)
+        )
+        if bool(np.any(completed != a.finished)):
+            raise SimulationError("per-request outcome and finished flags disagree")
         return counts
 
     # ------------------------------------------------------------------ latency
-    def _finished_values(self, slo_type: SLOType) -> Optional[np.ndarray]:
-        """Latency column of ``slo_type`` over finished requests (array path)."""
-        if self.arrays is None:
-            return None
+    def _finished_values(self, slo_type: SLOType) -> np.ndarray:
+        """Latency column of ``slo_type`` over finished requests."""
         return self.arrays.value_for(slo_type)[self.arrays.finished]
 
     def mean(self, slo_type: SLOType) -> float:
         """Mean latency of the given type over finished requests."""
         values = self._finished_values(slo_type)
-        if values is not None:
-            if not values.size:
-                return float("nan")
-            return float(np.mean(values))
-        finished = self.finished
-        if not finished:
+        if not values.size:
             return float("nan")
-        return float(np.mean([m.value_for(slo_type) for m in finished]))
+        return float(np.mean(values))
 
     def percentile(self, slo_type: SLOType, q: float) -> float:
         """Latency percentile (``q`` in [0, 100]) of the given type."""
         values = self._finished_values(slo_type)
-        if values is not None:
-            if not values.size:
-                return float("nan")
-            return float(np.percentile(values, q))
-        finished = self.finished
-        if not finished:
+        if not values.size:
             return float("nan")
-        return float(np.percentile([m.value_for(slo_type) for m in finished], q))
+        return float(np.percentile(values, q))
 
     def summary(self) -> Dict[str, float]:
-        """Mean latency component breakdown (see :func:`summarize_requests`)."""
-        if self.arrays is None:
-            return summarize_requests(self.metrics)
+        """Mean latency components over the finished requests of the run.
+
+        Keys: ``num_finished`` and ``mean_{ttft,tpot,e2e,queue,prefill,
+        kv_transfer,decode}`` (NaN when nothing finished).
+        """
         a = self.arrays
         fin = a.finished
         count = int(np.count_nonzero(fin))
         if not count:
-            return summarize_requests([])
-        queue = a.prefill_start[fin] - a.arrival_time[fin]
-        prefill = a.first_token_time[fin] - a.prefill_start[fin]
-        kv = np.maximum(0.0, a.kv_transfer_done[fin] - a.first_token_time[fin])
-        decode = np.maximum(0.0, a.completion_time[fin] - a.kv_transfer_done[fin])
+            return {"num_finished": 0.0, **dict.fromkeys(_SUMMARY_MEANS, float("nan"))}
+
+        def mean(values: np.ndarray) -> float:
+            return float(np.mean(values[fin]))
+
         return {
             "num_finished": float(count),
-            "mean_ttft": float(np.mean(a.ttft()[fin])),
-            "mean_tpot": float(np.mean(a.tpot()[fin])),
-            "mean_e2e": float(np.mean(a.e2e_latency()[fin])),
-            "mean_queue": float(np.mean(queue)),
-            "mean_prefill": float(np.mean(prefill)),
-            "mean_kv_transfer": float(np.mean(kv)),
-            "mean_decode": float(np.mean(decode)),
+            "mean_ttft": mean(a.ttft()),
+            "mean_tpot": mean(a.tpot()),
+            "mean_e2e": mean(a.e2e_latency()),
+            "mean_queue": mean(a.queue_time()),
+            "mean_prefill": mean(a.first_token_time - a.prefill_start),
+            "mean_kv_transfer": mean(np.maximum(0.0, a.kv_transfer_done - a.first_token_time)),
+            "mean_decode": mean(np.maximum(0.0, a.completion_time - a.kv_transfer_done)),
         }
 
     # ------------------------------------------------------------------ SLO
     def slo_attainment(self, slo: SLOSpec, slo_type: SLOType = SLOType.E2E) -> float:
         """Fraction of *all* requests meeting the SLO (unfinished requests miss)."""
-        if self.arrays is not None:
-            n = len(self.arrays)
-            if not n:
-                return 0.0
-            values = self.arrays.value_for(slo_type)
-            hits = np.count_nonzero(
-                self.arrays.finished & (values <= slo.deadline_for(slo_type))
-            )
-            return int(hits) / n
-        if not self.metrics:
+        n = len(self.arrays)
+        if not n:
             return 0.0
-        hits = sum(1 for m in self.metrics if slo.is_met(m, slo_type))
-        return hits / len(self.metrics)
+        return int(np.count_nonzero(self.arrays.meets(slo, slo_type))) / n
 
     def attainment_curve(
         self,
@@ -498,10 +487,7 @@ class SimulationResult:
         """Generated tokens per second over the run (the paper's token throughput)."""
         if self.makespan <= 0 or not self.num_finished:
             return 0.0
-        if self.arrays is not None:
-            tokens = int(self.arrays.output_length[self.arrays.finished].sum())
-        else:
-            tokens = sum(m.request.output_length for m in self.finished)
+        tokens = int(self.arrays.output_length[self.arrays.finished].sum())
         return tokens / self.makespan
 
     @property
@@ -509,13 +495,8 @@ class SimulationResult:
         """Prompt + generated tokens per second over the run."""
         if self.makespan <= 0 or not self.num_finished:
             return 0.0
-        if self.arrays is not None:
-            fin = self.arrays.finished
-            tokens = int(
-                self.arrays.input_length[fin].sum() + self.arrays.output_length[fin].sum()
-            )
-        else:
-            tokens = sum(m.request.total_tokens for m in self.finished)
+        fin = self.arrays.finished
+        tokens = int(self.arrays.input_length[fin].sum() + self.arrays.output_length[fin].sum())
         return tokens / self.makespan
 
     @property
@@ -531,28 +512,35 @@ def merge_results(
 ) -> SimulationResult:
     """Combine sequential window runs of one trace into a single result.
 
-    Event times are absolute within a trace, so the merged makespan is the latest
-    clock reached by any window and the merged trace duration spans from the
-    first window's start to the last window's end.  Used by the scenario sweep to
-    aggregate failure-injection runs served window-by-window.
+    The columns and request backings are concatenated, then stable-sorted by
+    request id.  Event times are absolute within a trace, so the merged
+    makespan is the latest clock reached by any window and the merged trace
+    duration spans the earliest to the latest arrival.  Used by the scenario
+    sweep and the live loop to aggregate window-by-window serving.
     """
     if not results:
-        return SimulationResult(metrics=[], makespan=0.0, trace_duration=0.0, label=label)
-    metrics = [m for r in results for m in r.metrics]
-    metrics.sort(key=lambda m: m.request.request_id)
-    arrivals = [m.request.arrival_time for m in metrics]
-    duration = (max(arrivals) - min(arrivals)) if len(arrivals) >= 2 else 0.0
+        return SimulationResult(MetricArrays.from_metrics([]), 0.0, 0.0, label=label)
+    order = np.argsort(
+        np.concatenate([r.arrays.request_id for r in results]), kind="stable"
+    )
+    arrays = MetricArrays(
+        **{
+            f.name: np.concatenate([getattr(r.arrays, f.name) for r in results])[order]
+            for f in fields(MetricArrays)
+        }
+    )
+    requests = [request for r in results for request in r.requests]
     return SimulationResult(
-        metrics=metrics,
+        arrays,
         makespan=max(r.makespan for r in results),
-        trace_duration=duration,
+        trace_duration=_arrival_span(arrays.arrival_time),
         label=label,
+        requests=[requests[i] for i in order.tolist()],
     )
 
 
 __all__ = [
     "MetricArrays",
     "SimulationResult",
-    "summarize_requests",
     "merge_results",
 ]

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.types import Phase, Request, RequestMetrics, SLOSpec, SLOType, iter_finished
+from repro.core.types import Phase, Request, RequestMetrics, SLOSpec, SLOType
 
 
 class TestPhase:
@@ -144,10 +144,3 @@ class TestSLOSpec:
     def test_is_met_false_when_over_deadline(self):
         spec = SLOSpec(ttft=0.1, tpot=0.001, e2e=0.1)
         assert not spec.is_met(_make_metrics(), SLOType.TTFT)
-
-
-class TestIterFinished:
-    def test_filters_unfinished(self):
-        done = _make_metrics()
-        pending = _make_metrics(finished=False)
-        assert list(iter_finished([done, pending])) == [done]

@@ -1,13 +1,16 @@
 """Property-based tests for simulator conservation laws and workload generation."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.types import SLOType
+from repro.core.types import OUTCOME_NAMES, Request, RequestMetrics, RequestOutcome, SLOSpec, SLOType
 from repro.hardware.cluster import make_two_datacenter_cluster
 from repro.model.architecture import get_model_config
 from repro.simulation.engine import ServingSimulator, SimulatorConfig
+from repro.simulation.metrics import MetricArrays, SimulationResult, merge_results
 from repro.workload.generator import generate_requests
 from repro.workload.spec import WorkloadSpec
 
@@ -179,3 +182,131 @@ def test_epoch_mean_context_is_floor_plus_step(sums):
     """
     n, s, t = sums
     assert int((s + n * t) / n) == s // n + t
+
+
+# ---------------------------------------------------------------- result columns
+_STAMPS = st.floats(0.0, 1e6, allow_nan=False, allow_infinity=False)
+_REPLICAS = st.one_of(st.none(), st.integers(0, 64))
+
+
+@st.composite
+def _metric_lists(draw, unique_ids=True):
+    """RequestMetrics lists with random stamps, flags, outcomes and replica ids."""
+    n = draw(st.integers(0, 30))
+    ids = draw(st.lists(st.integers(0, 10**9), min_size=n, max_size=n, unique=unique_ids))
+    metrics = []
+    for rid in ids:
+        request = Request(
+            request_id=rid,
+            arrival_time=draw(_STAMPS),
+            input_length=draw(st.integers(1, 4096)),
+            output_length=draw(st.one_of(st.just(1), st.integers(1, 512))),
+            workload=draw(st.sampled_from(["generic", "coding", "tenant:a", "tenant:b"])),
+        )
+        metrics.append(
+            RequestMetrics(
+                request=request,
+                enqueue_time=draw(_STAMPS),
+                prefill_start=draw(_STAMPS),
+                first_token_time=draw(_STAMPS),
+                kv_transfer_done=draw(_STAMPS),
+                completion_time=draw(_STAMPS),
+                prefill_replica=draw(_REPLICAS),
+                decode_replica=draw(_REPLICAS),
+                finished=draw(st.booleans()),
+                outcome=draw(st.sampled_from(list(RequestOutcome))),
+                attempts=draw(st.integers(0, 5)),
+            )
+        )
+    return metrics
+
+
+def _result(metrics, makespan=1.0):
+    return SimulationResult(
+        MetricArrays.from_metrics(metrics),
+        makespan=makespan,
+        trace_duration=0.0,
+        requests=[m.request for m in metrics],
+    )
+
+
+def _same(a: float, b: float) -> bool:
+    return (math.isnan(a) and math.isnan(b)) or a == b
+
+
+@given(_metric_lists())
+@settings(max_examples=100, deadline=None)
+def test_from_metrics_round_trips_field_for_field(metrics):
+    """from_metrics -> columns -> object view gives back the same records."""
+    assert _result(metrics).metrics == metrics
+
+
+@given(
+    _metric_lists(),
+    st.floats(-1.0, 1e6, allow_nan=False),
+    st.floats(0.0, 100.0),
+)
+@settings(max_examples=100, deadline=None)
+def test_column_aggregates_match_per_object_computation(metrics, makespan, q):
+    """Every aggregate equals its naive per-object computation, bitwise."""
+    result = _result(metrics, makespan)
+    finished = [m for m in metrics if m.finished]
+    for slo_type in SLOType:
+        values = [m.value_for(slo_type) for m in finished]
+        assert _same(result.mean(slo_type), float(np.mean(values)) if values else math.nan)
+        assert _same(
+            result.percentile(slo_type, q),
+            float(np.percentile(values, q)) if values else math.nan,
+        )
+    for scale in (1e-3, 0.1, 1.0, 10.0, 1e3, 1e5, 1e7):
+        slo = SLOSpec(ttft=scale, tpot=scale / 100, e2e=2 * scale)
+        for slo_type in SLOType:
+            hits = sum(1 for m in metrics if slo.is_met(m, slo_type))
+            expected = hits / len(metrics) if metrics else 0.0
+            assert result.slo_attainment(slo, slo_type) == expected
+
+    summary = result.summary()
+    assert summary["num_finished"] == float(len(finished))
+    naive = {
+        "mean_ttft": [m.ttft for m in finished],
+        "mean_tpot": [m.tpot for m in finished],
+        "mean_e2e": [m.e2e_latency for m in finished],
+        "mean_queue": [m.queue_time for m in finished],
+        "mean_prefill": [m.prefill_time for m in finished],
+        "mean_kv_transfer": [m.kv_transfer_time for m in finished],
+        "mean_decode": [m.decode_time for m in finished],
+    }
+    assert set(summary) == {"num_finished", *naive}
+    for key, values in naive.items():
+        assert _same(summary[key], float(np.mean(values)) if values else math.nan), key
+
+    busy = makespan > 0 and finished
+    out_tokens = sum(m.request.output_length for m in finished)
+    all_tokens = sum(m.request.total_tokens for m in finished)
+    assert result.output_token_throughput == (out_tokens / makespan if busy else 0.0)
+    assert result.total_token_throughput == (all_tokens / makespan if busy else 0.0)
+    assert result.request_throughput == (len(finished) / makespan if makespan > 0 else 0.0)
+
+    counts = {name: 0 for name in OUTCOME_NAMES}
+    for m in metrics:
+        counts[m.outcome.name.lower()] += 1
+    assert result.outcome_counts() == counts
+
+
+@given(_metric_lists(unique_ids=False), st.data())
+@settings(max_examples=100, deadline=None)
+def test_merge_results_orders_interleaved_windows_by_request_id(metrics, data):
+    """Windows with interleaved ids merge into one id-ordered, tag-preserving result."""
+    k = data.draw(st.integers(1, 4))
+    owners = data.draw(st.lists(st.integers(0, k - 1), min_size=len(metrics), max_size=len(metrics)))
+    windows = [[m for m, w in zip(metrics, owners) if w == i] for i in range(k)]
+    makespans = data.draw(st.lists(_STAMPS, min_size=k, max_size=k))
+    merged = merge_results([_result(w, t) for w, t in zip(windows, makespans)], label="m")
+    expected = sorted([m for w in windows for m in w], key=lambda m: m.request.request_id)
+    assert merged.metrics == expected
+    assert [r.workload for r in merged.requests] == [m.request.workload for m in expected]
+    assert merged.makespan == max(makespans)
+    arrivals = [m.request.arrival_time for m in expected]
+    span = max(arrivals) - min(arrivals) if len(arrivals) >= 2 else 0.0
+    assert merged.trace_duration == span
+    assert merged.label == "m"

@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 
 from repro.core.exceptions import SimulationError
-from repro.core.types import Phase, SLOType
+from repro.core.types import Phase, Request, RequestOutcome, SLOType
 from repro.costmodel.reference import a100_reference_latency
 from repro.parallelism.enumeration import deduce_parallel_plan
 from repro.simulation.colocated import ColocatedSimulator
 from repro.simulation.engine import ServingSimulator, SimulatorConfig
 from repro.simulation.events import Event, EventKind, EventQueue
-from repro.simulation.metrics import SimulationResult, summarize_requests
+from repro.simulation.metrics import MetricArrays, SimulationResult
 from repro.workload.generator import generate_requests
+from repro.workload.trace import Trace
 
 
 class TestEventQueue:
@@ -149,6 +150,21 @@ class TestColocatedSimulator:
         for metrics in result.metrics:
             assert metrics.prefill_replica == metrics.decode_replica
 
+    def test_every_request_ends_finished(self, colocated, small_trace):
+        # Covers both completion sites: the last decode step and, for a
+        # single-token output, the prefill itself.
+        single = Request(
+            request_id=10**6,
+            arrival_time=small_trace[-1].arrival_time,
+            input_length=64,
+            output_length=1,
+        )
+        trace = Trace(requests=list(small_trace) + [single])
+        result = colocated.run(trace)
+        assert all(m.outcome is RequestOutcome.FINISHED for m in result.metrics)
+        counts = result.assert_outcome_conservation(require_terminal=True)
+        assert counts["finished"] == len(trace)
+
     def test_causality(self, colocated, small_trace):
         result = colocated.run(small_trace)
         for metrics in result.finished:
@@ -260,7 +276,9 @@ class TestSimulationResult:
         assert result.request_throughput > 0
 
     def test_summary_on_empty_metrics(self):
-        assert summarize_requests([])["num_finished"] == 0.0
+        summary = SimulationResult(MetricArrays.from_metrics([]), 0.0, 0.0).summary()
+        assert summary["num_finished"] == 0.0
+        assert all(np.isnan(v) for k, v in summary.items() if k != "num_finished")
 
     def test_percentiles_ordered(self, small_hetero_cluster, small_plan, model_30b, small_trace):
         result = ServingSimulator(small_hetero_cluster, small_plan, model_30b).run(small_trace)
