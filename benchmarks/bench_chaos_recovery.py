@@ -40,9 +40,10 @@ from dataclasses import dataclass
 from typing import ClassVar, Tuple
 
 from repro.experiments import chaos_recovery
-from repro.hardware.cluster import make_two_datacenter_cluster
+from repro.faults.taxonomy import FaultEvent, FaultKind, FaultSchedule
+from repro.hardware.cluster import Cluster, make_two_datacenter_cluster
 from repro.model.architecture import get_model_config
-from repro.scenarios.base import FailureEvent, Scenario
+from repro.scenarios.base import Scenario
 from repro.scenarios.sweep import ScenarioSweep
 from repro.scheduling.robust import scenario_slo
 from repro.scheduling.scheduler import SchedulerConfig
@@ -84,13 +85,16 @@ class _TotalLossScenario(Scenario):
     def planning_workload(self) -> WorkloadSpec:
         return self.workload
 
-    def failure_schedule(self) -> Tuple[FailureEvent, ...]:
-        return (
-            FailureEvent(
-                time=self.loss_fraction * self.duration,
-                gpu_ids=self.gpu_ids,
-                description="provider reclaims every GPU",
-            ),
+    def fault_schedule(self, cluster: Cluster, seed=None) -> FaultSchedule:
+        return FaultSchedule.from_events(
+            [
+                FaultEvent(
+                    time=self.loss_fraction * self.duration,
+                    kind=FaultKind.GPU_PREEMPTION,
+                    gpu_ids=self.gpu_ids,
+                    description="provider reclaims every GPU",
+                )
+            ]
         )
 
     def rescheduling_mode(self) -> str:

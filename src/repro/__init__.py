@@ -23,8 +23,9 @@ simulated substrate:
   lightweight rescheduler.
 * :mod:`repro.simulation` — discrete-event serving simulator used both inside the
   scheduler and as the evaluation testbed.
-* :mod:`repro.serving` — the ThunderServe runtime facade (coordinator, dispatcher,
-  monitor, rescheduling loop).
+* :mod:`repro.serving` — the ThunderServe runtime facade (monitor, rescheduling,
+  the live serving loop); the engine routes each request by sampling the plan's
+  ``X`` / ``Y`` orchestration.
 * :mod:`repro.scenarios` — named workload scenarios (diurnal, bursty, RAG,
   agentic mix, multi-tenant SLO tiers, spot preemption) and the concurrent
   cross-scenario sweep runner.

@@ -17,7 +17,7 @@ Quick use::
     trace = rag.build_trace(seed=0)
 """
 
-from repro.scenarios.base import FailureEvent, Scenario, thinned_poisson_trace
+from repro.scenarios.base import Scenario, thinned_poisson_trace
 from repro.scenarios.library import (
     DEFAULT_TIERS,
     LONG_PROMPT_RAG_WORKLOAD,
@@ -41,7 +41,6 @@ from repro.scenarios.sweep import ScenarioOutcome, ScenarioSweep
 
 __all__ = [
     "Scenario",
-    "FailureEvent",
     "thinned_poisson_trace",
     "RAG_WORKLOAD",
     "LONG_PROMPT_RAG_WORKLOAD",

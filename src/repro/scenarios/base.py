@@ -4,8 +4,9 @@ A :class:`Scenario` bundles everything needed to exercise a deployment plan unde
 one operating condition: how requests arrive over time (:meth:`Scenario.build_trace`),
 which workload shape the scheduler should plan for
 (:meth:`Scenario.planning_workload`), how tight the SLO tier is
-(:meth:`Scenario.slo_scale`) and, for failure-injection scenarios, when GPUs are
-preempted (:meth:`Scenario.failure_schedule`).
+(:meth:`Scenario.slo_scale`) and, for failure-injection scenarios, which GPUs are
+preempted when (:meth:`Scenario.fault_schedule`, a
+:class:`~repro.faults.FaultSchedule` of pinned ``GPU_PREEMPTION`` events).
 
 Scenarios are deterministic under a fixed seed: the same seed always yields the
 same trace, which is what lets the scenario test-suite assert golden invariants
@@ -16,35 +17,14 @@ comparisons.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass
-from typing import Callable, ClassVar, List, Optional, Tuple
+from typing import Callable, ClassVar, List, Optional
 
 from repro.core.rng import RNGLike, ensure_rng
 from repro.core.types import Request
+from repro.faults.taxonomy import FaultSchedule
+from repro.hardware.cluster import Cluster
 from repro.workload.spec import WorkloadSpec
 from repro.workload.trace import Trace
-
-
-@dataclass(frozen=True)
-class FailureEvent:
-    """One GPU-preemption event inside a scenario.
-
-    ``gpu_ids`` pins the exact GPUs to fail; when ``None`` the sweep picks
-    ``num_gpus`` deterministic victims from the cluster alive at that time (spot
-    preemptions strike whatever instances the provider reclaims, not GPUs the
-    scenario author could name up front).
-    """
-
-    time: float
-    num_gpus: int = 1
-    gpu_ids: Optional[Tuple[int, ...]] = None
-    description: str = ""
-
-    def __post_init__(self) -> None:
-        if self.time < 0:
-            raise ValueError("failure time must be >= 0")
-        if self.gpu_ids is None and self.num_gpus < 1:
-            raise ValueError("num_gpus must be >= 1 when gpu_ids is not pinned")
 
 
 class Scenario(abc.ABC):
@@ -72,9 +52,14 @@ class Scenario(abc.ABC):
         """SLO tier of the scenario as a multiple of the A100 reference latency."""
         return 5.0
 
-    def failure_schedule(self) -> Tuple[FailureEvent, ...]:
-        """GPU preemption events injected while the trace is being served."""
-        return ()
+    def fault_schedule(self, cluster: Cluster, seed: RNGLike = None) -> FaultSchedule:
+        """GPU preemptions injected while the trace is being served.
+
+        Every event is a ``GPU_PREEMPTION`` with pinned victims from
+        ``cluster``; ``seed`` drives any victim draw, so the same seed always
+        yields the same schedule.  Defaults to no faults.
+        """
+        return FaultSchedule()
 
     def rescheduling_mode(self) -> str:
         """Capacity-replan strategy applied after each failure event.
@@ -148,4 +133,4 @@ def thinned_poisson_trace(
     return Trace(requests=requests, name=name or spec.name)
 
 
-__all__ = ["Scenario", "FailureEvent", "thinned_poisson_trace"]
+__all__ = ["Scenario", "thinned_poisson_trace"]

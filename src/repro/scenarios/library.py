@@ -28,8 +28,11 @@ import math
 from dataclasses import dataclass
 from typing import ClassVar, Dict, Tuple
 
+from repro.core.exceptions import ConfigurationError
 from repro.core.rng import RNGLike, ensure_rng, spawn_rng
-from repro.scenarios.base import FailureEvent, Scenario, thinned_poisson_trace
+from repro.faults.taxonomy import FaultEvent, FaultKind, FaultSchedule
+from repro.hardware.cluster import Cluster
+from repro.scenarios.base import Scenario, thinned_poisson_trace
 from repro.workload.generator import PoissonArrivalGenerator
 from repro.workload.spec import CODING_WORKLOAD, CONVERSATION_WORKLOAD, WorkloadSpec
 from repro.workload.trace import Trace, merge_traces
@@ -338,8 +341,9 @@ class SpotPreemptionScenario(Scenario):
     windows (Figure 11) with the strategy named by ``reschedule_mode`` —
     ``"lightweight"`` (§3.4 flip-only, the default), ``"full"`` (re-run the
     scheduler, parameters reload) or ``"none"`` (drop dead groups).  Victims
-    are chosen by the sweep at event time from whatever is still alive,
-    mirroring how providers reclaim spot capacity.
+    are drawn at random from whatever the earlier preemptions left alive,
+    mirroring how providers reclaim spot capacity; :meth:`fault_schedule` pins
+    them up front so the schedule replays deterministically.
     """
 
     name: ClassVar[str] = "spot-preemption"
@@ -377,16 +381,41 @@ class SpotPreemptionScenario(Scenario):
         """The workload the scheduler plans for (traffic itself is steady)."""
         return self.workload
 
-    def failure_schedule(self) -> Tuple[FailureEvent, ...]:
-        """One :class:`FailureEvent` per preemption fraction, in time order."""
-        return tuple(
-            FailureEvent(
-                time=f * self.duration,
-                num_gpus=self.gpus_per_preemption,
-                description=f"spot preemption at {f:.0%} of the trace",
+    def fault_schedule(self, cluster: Cluster, seed: RNGLike = None) -> FaultSchedule:
+        """One pinned ``GPU_PREEMPTION`` per preemption fraction, in time order.
+
+        Each event draws ``gpus_per_preemption`` victims (fewer once the
+        cluster runs short) from the roster minus earlier victims.  An event
+        that finds no GPU left is omitted.
+
+        Raises
+        ------
+        ConfigurationError
+            If ``gpus_per_preemption`` exceeds the cluster's GPU count.
+        """
+        if self.gpus_per_preemption > cluster.num_gpus:
+            raise ConfigurationError(
+                f"scenario {self.name!r} preempts {self.gpus_per_preemption} GPUs "
+                f"per event but the cluster only has {cluster.num_gpus}"
             )
-            for f in sorted(self.preemption_fractions)
-        )
+        rng = ensure_rng(seed)
+        alive = sorted(cluster.gpu_ids)
+        events = []
+        for f in sorted(self.preemption_fractions):
+            if not alive:
+                break
+            count = min(self.gpus_per_preemption, len(alive))
+            victims = tuple(int(g) for g in rng.choice(alive, size=count, replace=False))
+            events.append(
+                FaultEvent(
+                    time=f * self.duration,
+                    kind=FaultKind.GPU_PREEMPTION,
+                    gpu_ids=victims,
+                    description=f"spot preemption at {f:.0%} of the trace",
+                )
+            )
+            alive = [g for g in alive if g not in victims]
+        return FaultSchedule.from_events(events)
 
     def rescheduling_mode(self) -> str:
         """The configured per-scenario replan strategy (``reschedule_mode``)."""

@@ -8,12 +8,12 @@ parallelism are safe.  ``executor="process"`` runs each scenario in its own
 interpreter (plans, clusters and scenarios are picklable value objects), letting
 long multi-scenario sweeps escape the GIL — the simulators are pure Python, so
 threads serialise on long traces.  Failure-injection scenarios are served
-segment-by-segment: each :class:`~repro.scenarios.base.FailureEvent` is compiled
-into a replica-level fault timeline the engine applies *inside* the segment's
-run (preempting in-flight work at the exact fault instant, retried under the
-sweep's :class:`~repro.faults.RetryPolicy`), lightweight rescheduling runs
-between segments, and the per-segment results are merged into one scenario
-outcome.
+segment-by-segment: each pinned ``GPU_PREEMPTION`` event of the scenario's
+:class:`~repro.faults.FaultSchedule` is compiled into a replica-level fault
+timeline the engine applies *inside* the segment's run (preempting in-flight
+work at the exact fault instant, retried under the sweep's
+:class:`~repro.faults.RetryPolicy`), lightweight rescheduling runs between
+segments, and the per-segment results are merged into one scenario outcome.
 """
 
 from __future__ import annotations
@@ -25,12 +25,11 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.exceptions import ConfigurationError, SchedulingError
-from repro.core.rng import ensure_rng
 from repro.core.types import SLOType
 from repro.costmodel.latency import CostModelParams, DEFAULT_PARAMS
 from repro.costmodel.reference import a100_reference_latency
 from repro.faults.retry import RetryPolicy
-from repro.faults.taxonomy import FaultEvent, FaultKind, FaultSchedule
+from repro.faults.taxonomy import CAPACITY_LOSS_KINDS, FaultEvent, FaultSchedule
 from repro.faults.timeline import compile_fault_timeline
 from repro.hardware.cluster import Cluster
 from repro.model.architecture import ModelConfig
@@ -129,9 +128,12 @@ class ScenarioSweep:
         ``LiveServeConfig()``.  Ignored unless ``adaptive`` is true.
     retry_policy:
         :class:`~repro.faults.RetryPolicy` governing the in-engine disposition
-        of work preempted by a :class:`~repro.scenarios.base.FailureEvent`.
-        ``None`` (default) is drop-only: preempted requests are recorded as
-        ``dropped_outage``.
+        of work preempted by an event of the scenario's fault schedule.
+        ``None`` (default) inherits the engine default — a bounded-retry
+        :class:`~repro.faults.RetryPolicy` with exponential backoff, so
+        preempted requests can end ``retried_then_finished``; pass
+        :meth:`~repro.faults.RetryPolicy.drop_only` to record them as
+        ``dropped_outage`` instead.
     """
 
     EXECUTORS = ("thread", "process")
@@ -267,14 +269,15 @@ class ScenarioSweep:
         # system serving without a prior install can never go negative.
         installs_at_adoption = sum(1 for e in system.events if e.kind == "plan_installed")
 
-        events = sorted(scenario.failure_schedule(), key=lambda e: e.time)
+        schedule = scenario.fault_schedule(
+            cluster, seed=self._derive_seed(scenario.name, "failures")
+        ).validate(scenario.duration, cluster)
         windows: List[WindowTelemetry] = []
         reschedule_overhead_s = 0.0
         num_outage_windows = 0
-        if events:
-            self._validate_failure_schedule(scenario, events, cluster)
+        if len(schedule):
             result, reschedule_overhead_s, num_outage_windows = self._serve_with_failures(
-                system, trace, events, scenario.name, mode=scenario.rescheduling_mode()
+                system, trace, schedule, scenario.name, mode=scenario.rescheduling_mode()
             )
         elif self.adaptive:
             live = LiveServer(system, config=self.live_config)
@@ -311,53 +314,18 @@ class ScenarioSweep:
             outcome_counts={k: int(v) for k, v in result.outcome_counts().items()},
         )
 
-    def _validate_failure_schedule(
-        self, scenario: Scenario, events, cluster: Cluster
-    ) -> None:
-        """Reject malformed failure schedules before any window is served.
-
-        Raises
-        ------
-        ConfigurationError
-            When an event fires at/after the trace duration (it would never
-            take effect), pins GPU ids the cluster does not have, or asks for
-            more victims than the cluster holds.
-        """
-        available = set(cluster.gpu_ids)
-        for event in events:
-            if event.time >= scenario.duration:
-                raise ConfigurationError(
-                    f"scenario {scenario.name!r}: failure event at t={event.time:g}s "
-                    f"is at/after the trace duration ({scenario.duration:g}s) "
-                    "and would never fire"
-                )
-            if event.gpu_ids is not None:
-                unknown = sorted(set(event.gpu_ids) - available)
-                if unknown:
-                    raise ConfigurationError(
-                        f"scenario {scenario.name!r}: failure event at "
-                        f"t={event.time:g}s pins GPU ids {unknown} that are not "
-                        f"in the cluster (available: {sorted(available)})"
-                    )
-            elif event.num_gpus > cluster.num_gpus:
-                raise ConfigurationError(
-                    f"scenario {scenario.name!r}: failure event at t={event.time:g}s "
-                    f"asks for {event.num_gpus} victims but the cluster only has "
-                    f"{cluster.num_gpus} GPUs"
-                )
-
     def _serve_with_failures(
         self,
         system: ThunderServe,
         trace: Trace,
-        events,
+        schedule: FaultSchedule,
         label: str,
         mode: str = "lightweight",
     ) -> Tuple[SimulationResult, float, int]:
         """Serve a trace segment-by-segment with in-engine fault application.
 
-        Each :class:`~repro.scenarios.base.FailureEvent` is resolved to victim
-        GPUs, compiled into a replica-level fault timeline against the plan
+        Each capacity-loss event's pinned victims that are still alive are
+        compiled into a replica-level fault timeline against the plan
         currently serving, and handed to the engine together with the segment
         of arrivals preceding it — so work still in flight at the fault
         instant is preempted *inside* the run and disposed under the sweep's
@@ -367,25 +335,35 @@ class ScenarioSweep:
         each successful replan is priced with the Table 4
         :class:`~repro.scheduling.rescheduling.ReschedulingOverheadModel`.  A
         strategy that cannot produce a servable plan falls back to dropping
-        dead groups, and a total capacity loss — reachable by count-based
-        events asking for every surviving GPU — degrades gracefully: the
-        remaining segments are recorded as zero-attainment outages (every
-        arrival a ``dropped_outage`` miss) instead of aborting the sweep.
+        dead groups, and a total capacity loss — events reclaiming every
+        surviving GPU — degrades gracefully: the remaining segments are
+        recorded as zero-attainment outages (every arrival a
+        ``dropped_outage`` miss) instead of aborting the sweep.
 
         Returns
         -------
         Tuple[SimulationResult, float, int]
             The merged result, the total priced rescheduling overhead in
             seconds, and the number of outage windows.
+
+        Raises
+        ------
+        ConfigurationError
+            If the schedule holds an event that is not a capacity loss.
         """
-        rng = ensure_rng(self._derive_seed(label, "failures"))
+        for event in schedule:
+            if event.kind not in CAPACITY_LOSS_KINDS:
+                raise ConfigurationError(
+                    f"scenario {label!r}: the sweep serves capacity-loss events "
+                    f"only, got {event.describe()}"
+                )
         overhead_model = ReschedulingOverheadModel()
         results: List[SimulationResult] = []
         overhead_s = 0.0
         outage_windows = 0
         dead = False
         window_start = float("-inf")
-        for k, event in enumerate(events):
+        for k, event in enumerate(schedule):
             window = trace.window(window_start, event.time)
             window_start = event.time
             if dead:
@@ -398,25 +376,16 @@ class ScenarioSweep:
                     outage_windows += 1
                 continue
             alive = sorted(system.cluster.gpu_ids)
-            if event.gpu_ids is not None:
-                victims = [g for g in event.gpu_ids if g in alive]
-            else:
-                count = min(event.num_gpus, len(alive))
-                victims = [int(g) for g in rng.choice(alive, size=count, replace=False)]
+            victims = [g for g in event.gpu_ids if g in alive]
             if not window.is_empty:
                 faults = None
                 if victims:
-                    schedule = FaultSchedule.from_events(
-                        [
-                            FaultEvent(
-                                time=event.time,
-                                kind=FaultKind.GPU_PREEMPTION,
-                                gpu_ids=tuple(victims),
-                            )
-                        ]
-                    )
+                    loss = FaultEvent(time=event.time, kind=event.kind, gpu_ids=tuple(victims))
                     faults = (
-                        compile_fault_timeline(schedule, system.require_plan()) or None
+                        compile_fault_timeline(
+                            FaultSchedule.from_events([loss]), system.require_plan()
+                        )
+                        or None
                     )
                 results.append(
                     system.serve(

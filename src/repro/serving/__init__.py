@@ -1,17 +1,19 @@
 """The ThunderServe serving runtime.
 
-This package is the control plane of the reproduction: the request coordinator
-(dispatching requests according to the scheduler's routing policy), the heartbeat
-monitor (detecting GPU failures), the :class:`ThunderServe` facade that ties
-scheduling, serving (simulated execution), workload profiling and lightweight
-rescheduling together — the overall routine described in §4 and Appendix E — and
-the live adaptive serving layer: declarative SLO objectives
+This package is the control plane of the reproduction: the heartbeat monitor
+(detecting GPU failures), the :class:`ThunderServe` facade that ties scheduling,
+serving (simulated execution), workload profiling and lightweight rescheduling
+together — the overall routine described in §4 and Appendix E — and the live
+adaptive serving layer: declarative SLO objectives
 (:mod:`repro.serving.slo_objectives`), edge-triggered breach tracking
 (:class:`SLOBreachTracker`) and the windowed :class:`LiveServer` loop with
 streaming per-window telemetry (:mod:`repro.serving.live`).
+
+There is no separate dispatcher: the engine routes every request itself, by
+sampling its (prefill, decode) pair from the installed plan's ``X`` / ``Y``
+orchestration, and :class:`LiveServeReport` is the run's request ledger.
 """
 
-from repro.serving.coordinator import RequestCoordinator
 from repro.serving.live import (
     LiveServeConfig,
     LiveServeReport,
@@ -39,7 +41,6 @@ from repro.serving.slo_objectives import (
 from repro.serving.system import ServeEvent, ThunderServe
 
 __all__ = [
-    "RequestCoordinator",
     "HeartbeatMonitor",
     "GPUFailure",
     "GPURecovery",

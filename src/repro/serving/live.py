@@ -78,6 +78,19 @@ from repro.serving.system import ThunderServe
 from repro.simulation.metrics import SimulationResult, merge_results
 from repro.workload.trace import Trace
 
+#: Replan strategy after a capacity recovery: the §3.4 flip-only rescheduler
+#: cannot place new groups on revived GPUs, so re-expansion needs the whole
+#: scheduler.
+RECOVERY_MODE = "full"
+#: Consecutive failed replan attempts tolerated before the loop backs off.
+#: While backed off (and whenever every strategy fails), affected windows are
+#: served by the surviving plan — or recorded as zero-attainment outage
+#: windows when no servable plan exists.
+REPLAN_MAX_RETRIES = 2
+#: Window boundaries to skip replan attempts for after
+#: :data:`REPLAN_MAX_RETRIES` consecutive failures.
+REPLAN_BACKOFF_WINDOWS = 1
+
 
 def plan_signature(plan: DeploymentPlan) -> str:
     """Stable short identifier of a deployment plan's structure.
@@ -313,25 +326,13 @@ class LiveServeConfig:
         the surviving replicas keep serving, but nothing re-optimises — the
         static arm of a chaos comparison.
     reschedule_on_recovery:
-        React to capacity recovery (GPU rejoin) with a ``recovery_mode``
+        React to capacity recovery (GPU rejoin) with a :data:`RECOVERY_MODE`
         replan that re-expands onto the revived GPUs.  When off, revived
         capacity stays idle.
     failure_mode_order:
         Replan strategies tried in order after a capacity loss; the first one
         that yields a servable plan wins.  Strategies are the Figure 11 modes
         accepted by :meth:`~repro.serving.system.ThunderServe.replan_capacity`.
-    recovery_mode:
-        Replan strategy after a capacity recovery.  Defaults to ``"full"``:
-        the §3.4 flip-only rescheduler cannot place new groups on revived
-        GPUs, so re-expansion needs the whole scheduler.
-    replan_max_retries:
-        Consecutive failed replan attempts tolerated before the loop backs
-        off.  While backed off (and whenever every strategy fails), affected
-        windows are served by the surviving plan — or recorded as
-        zero-attainment outage windows when no servable plan exists.
-    replan_backoff_windows:
-        Windows to skip replan attempts for after ``replan_max_retries``
-        consecutive failures.
     degraded_admission_max_rho:
         Tighter admission ceiling applied while any injected fault is active
         (graceful degradation sheds load instead of missing every deadline).
@@ -341,8 +342,7 @@ class LiveServeConfig:
     ------
     ValueError
         If ``window_s`` is not positive, an admission ceiling is not in
-        ``(0, 1]``, a replan mode is unknown, or a retry/backoff knob is
-        negative.
+        ``(0, 1]``, or a failure replan mode is unknown.
     """
 
     window_s: float = 30.0
@@ -356,9 +356,6 @@ class LiveServeConfig:
     reschedule_on_failure: bool = True
     reschedule_on_recovery: bool = True
     failure_mode_order: Tuple[str, ...] = ("lightweight", "none")
-    recovery_mode: str = "full"
-    replan_max_retries: int = 2
-    replan_backoff_windows: int = 1
     degraded_admission_max_rho: Optional[float] = None
 
     def __post_init__(self) -> None:
@@ -372,19 +369,11 @@ class LiveServeConfig:
         self.failure_mode_order = tuple(self.failure_mode_order)
         if not self.failure_mode_order:
             raise ValueError("failure_mode_order must name at least one mode")
-        for field_name, field_modes in (
-            ("failure_mode_order", self.failure_mode_order),
-            ("recovery_mode", (self.recovery_mode,)),
-        ):
-            for mode in field_modes:
-                if mode not in modes:
-                    raise ValueError(
-                        f"{field_name} entries must be one of {modes}, got {mode!r}"
-                    )
-        if self.replan_max_retries < 1:
-            raise ValueError("replan_max_retries must be at least 1")
-        if self.replan_backoff_windows < 0:
-            raise ValueError("replan_backoff_windows must not be negative")
+        for mode in self.failure_mode_order:
+            if mode not in modes:
+                raise ValueError(
+                    f"failure_mode_order entries must be one of {modes}, got {mode!r}"
+                )
 
 
 @dataclass
@@ -665,11 +654,11 @@ class LiveServer:
 
         When the estimated utilisation exceeds ``admission_max_rho``, requests
         are shed with a deterministic deficit counter so the admitted fraction
-        tracks ``admission_max_rho / rho`` exactly (no sampling noise), and the
-        shed requests are recorded on the coordinator.  While an injected
-        fault is active and ``degraded_admission_max_rho`` is configured, the
-        tighter of the two ceilings applies (graceful degradation).  Returns
-        the admitted sub-trace and the number of shed requests.
+        tracks ``admission_max_rho / rho`` exactly (no sampling noise).  While
+        an injected fault is active and ``degraded_admission_max_rho`` is
+        configured, the tighter of the two ceilings applies (graceful
+        degradation).  Returns the admitted sub-trace and the number of shed
+        requests.
         """
         max_rho = self.config.admission_max_rho
         degraded_rho = self.config.degraded_admission_max_rho
@@ -681,7 +670,6 @@ class LiveServer:
         admitted = []
         shed = 0
         acc = 0.0
-        coordinator = self.system.coordinator
         for request in window:
             acc += keep_fraction
             if acc >= 1.0:
@@ -689,8 +677,6 @@ class LiveServer:
                 admitted.append(request)
             else:
                 shed += 1
-                if coordinator is not None:
-                    coordinator.record_shed(request)
         return Trace(requests=admitted, name=f"{window.name}-admitted"), shed
 
     # ------------------------------------------------------------------ telemetry
@@ -795,9 +781,6 @@ class LiveServer:
                     rho=0.0, attainment=0.0, request_rate=len(window) / (window_end - w_start)
                 )
                 num_shed = 0
-                if system.coordinator is not None:
-                    for request in window:
-                        system.coordinator.record_outage_drop(request)
                 result = SimulationResult.dropped(
                     window, makespan=window_end, label=f"{label}[{index}]"
                 )
@@ -815,8 +798,6 @@ class LiveServer:
                     retry=config.retry_policy,
                 )
                 system.monitor.heartbeat_all(window_end)
-                if system.coordinator is not None:
-                    system.coordinator.record_outcomes(result.outcome_counts())
             telemetry = self._measure(
                 index, w_start, window_end, result, health,
                 num_shed, served_plan_id,
@@ -929,7 +910,7 @@ class LiveServer:
         elif gained and config.reschedule_on_recovery:
             validate_window = self._last_window if config.validate_reschedule else None
             reason = f"capacity recovery ({'; '.join(descriptions)})"
-            if self._attempt_replan((config.recovery_mode,), reason, validate_window):
+            if self._attempt_replan((RECOVERY_MODE,), reason, validate_window):
                 trigger = "recovery"
         plan = system.require_plan()
         alive = set(system.cluster.gpu_ids)
@@ -990,11 +971,12 @@ class LiveServer:
         """Try capacity-replan strategies in order, with bounded retry/backoff.
 
         Returns ``True`` when a new plan was installed.  A strategy that
-        raises :class:`~repro.core.exceptions.SchedulingError` (or yields an
-        unservable plan, :class:`~repro.core.exceptions.InvalidPlanError`)
-        falls through to the next; when every strategy fails, the consecutive-failure
-        counter advances and — after ``replan_max_retries`` failures — replan
-        attempts are suppressed for ``replan_backoff_windows`` boundaries.
+        raises :class:`~repro.core.exceptions.SchedulingError` (or yields a
+        plan missing a phase, which the install rejects with
+        :class:`~repro.core.exceptions.InvalidPlanError`) falls through to the
+        next; when every strategy fails, the consecutive-failure counter
+        advances and — after :data:`REPLAN_MAX_RETRIES` failures — replan
+        attempts are suppressed for :data:`REPLAN_BACKOFF_WINDOWS` boundaries.
         """
         if self._replan_cooldown > 0:
             self._replan_cooldown -= 1
@@ -1010,8 +992,8 @@ class LiveServer:
             self._replan_failures = 0
             return installed is not None
         self._replan_failures += 1
-        if self._replan_failures >= self.config.replan_max_retries:
-            self._replan_cooldown = self.config.replan_backoff_windows
+        if self._replan_failures >= REPLAN_MAX_RETRIES:
+            self._replan_cooldown = REPLAN_BACKOFF_WINDOWS
             self._replan_failures = 0
         return False
 

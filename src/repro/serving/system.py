@@ -18,7 +18,7 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.core.exceptions import SchedulingError
+from repro.core.exceptions import InvalidPlanError, SchedulingError
 from repro.core.types import SLOSpec, SLOType
 from repro.costmodel.latency import CostModelParams, DEFAULT_PARAMS
 from repro.costmodel.reference import ReferenceLatency, a100_reference_latency
@@ -27,10 +27,9 @@ from repro.faults.timeline import FaultTimeline
 from repro.hardware.cluster import Cluster
 from repro.model.architecture import ModelConfig
 from repro.scheduling.deployment import DeploymentPlan
-from repro.scheduling.rescheduling import LightweightRescheduler, ReschedulingOverheadModel
+from repro.scheduling.rescheduling import LightweightRescheduler
 from repro.scheduling.robust import RobustObjective, RobustScheduleResult
 from repro.scheduling.scheduler import ScheduleResult, Scheduler, SchedulerConfig
-from repro.serving.coordinator import RequestCoordinator
 from repro.serving.monitor import GPUFailure, GPURecovery, HeartbeatMonitor
 from repro.simulation.engine import ServingSimulator, SimulatorConfig
 from repro.simulation.metrics import SimulationResult
@@ -95,11 +94,9 @@ class ThunderServe:
         self.rescheduler = LightweightRescheduler(
             kv_transport_bits=self.scheduler.config.kv_transport_bits, params=params
         )
-        self.overhead_model = ReschedulingOverheadModel()
         self.profiler = WorkloadProfiler()
         self.monitor = HeartbeatMonitor(cluster.gpu_ids)
         self.plan: Optional[DeploymentPlan] = None
-        self.coordinator: Optional[RequestCoordinator] = None
         self.schedule_result: Optional[ScheduleResult] = None
         self.robust_result: Optional[RobustScheduleResult] = None
         self.events: List[ServeEvent] = []
@@ -151,15 +148,20 @@ class ThunderServe:
 
         The scenario sweep schedules once and replays the same plan across many
         scenarios, each on its own :class:`ThunderServe` instance; this is the
-        public entry point for installing that shared plan.
+        public entry point for installing that shared plan.  Raises
+        :class:`~repro.core.exceptions.InvalidPlanError` when the plan lacks a
+        prefill or a decode replica.
         """
         self._install_plan(plan, reason=reason)
         self.profiler.set_reference_from_spec(self.workload, self.request_rate)
         return plan
 
     def _install_plan(self, plan: DeploymentPlan, reason: str) -> None:
+        # The engine routes every request to a (prefill, decode) pair, so a
+        # plan missing either phase is rejected here, before it can be served.
+        if not plan.prefill_groups or not plan.decode_groups:
+            raise InvalidPlanError("the plan must expose prefill and decode replicas")
         self.plan = plan
-        self.coordinator = RequestCoordinator(plan)
         self._simulator = None
         self.events.append(ServeEvent(time=time.time(), kind="plan_installed", detail=reason))
 

@@ -337,14 +337,6 @@ class TestLiveFaultConfigValidation:
         with pytest.raises(ValueError, match="failure_mode_order"):
             LiveServeConfig(window_s=10.0, failure_mode_order=("sideways",))
 
-    def test_bad_recovery_mode_rejected(self):
-        with pytest.raises(ValueError, match="recovery_mode"):
-            LiveServeConfig(window_s=10.0, recovery_mode="sideways")
-
-    def test_bad_retry_budget_rejected(self):
-        with pytest.raises(ValueError, match="replan_max_retries"):
-            LiveServeConfig(window_s=10.0, replan_max_retries=0)
-
     def test_bad_degraded_admission_ceiling_rejected(self):
         with pytest.raises(ValueError, match="degraded_admission_max_rho"):
             LiveServeConfig(window_s=10.0, degraded_admission_max_rho=0.0)

@@ -169,12 +169,12 @@ class TestAdmissionControl:
             report = LiveServer(system, config=config).run(live_trace, label="shed")
             return system, report
 
-        system_a, report_a = run()
+        _, report_a = run()
         _, report_b = run()
         shed_a = [w.num_shed for w in report_a.windows]
         assert sum(shed_a) > 0
         assert shed_a == [w.num_shed for w in report_b.windows]
-        assert system_a.coordinator.num_shed == sum(shed_a)
+        assert report_a.fault_stats()["requests_shed"] == sum(shed_a)
         for window in report_a.windows:
             snapshot = window.snapshot()
             total = window.num_requests + window.num_shed
@@ -356,6 +356,45 @@ class TestInEngineFaults:
         )
         assert retry_finished > drop_finished
 
+    def test_single_phase_replan_falls_through_to_none(
+        self, multi_system_factory, fault_trace, monkeypatch
+    ):
+        """A failure replan whose first mode yields a prefill-only plan is
+        rejected at install time, and the loop falls through to ``"none"``."""
+        from types import SimpleNamespace
+
+        from repro.scheduling.deployment import DeploymentPlan
+
+        system = multi_system_factory()
+        victims = system.require_plan().prefill_groups[0].gpu_ids
+
+        def prefill_only(plan, *args, **kwargs):
+            return SimpleNamespace(
+                plan=DeploymentPlan(
+                    groups=tuple(plan.prefill_groups),
+                    model_name=plan.model_name,
+                    kv_transport_bits=plan.kv_transport_bits,
+                )
+            )
+
+        monkeypatch.setattr(system.rescheduler, "reschedule", prefill_only)
+        config = LiveServeConfig(
+            window_s=WINDOW_S,
+            reschedule_on_breach=False,
+            reschedule_on_shift=False,
+            faults=FaultSchedule.from_events(
+                [FaultEvent(time=6.0, kind=FaultKind.GPU_PREEMPTION, gpu_ids=tuple(victims))]
+            ),
+        )
+        report = LiveServer(system, config=config).run(fault_trace, label="fallthrough")
+        assert [w.replan_trigger for w in report.windows].count("failure") == 1
+        assert not any(w.outage for w in report.windows)
+        plan = system.require_plan()
+        assert plan.prefill_groups and plan.decode_groups
+        assert not set(victims) & {g for group in plan.groups for g in group.gpu_ids}
+        assert system.events[-1].detail.endswith("mode=none")
+        assert report.fault_log[0]["replan_ok"] is True
+
     def test_fault_stats_deterministic_replay(self, multi_system_factory, fault_trace):
         _, first = self._run(multi_system_factory, fault_trace, self.RETRY)
         _, second = self._run(multi_system_factory, fault_trace, self.RETRY)
@@ -365,7 +404,7 @@ class TestInEngineFaults:
     def test_window_telemetry_and_ledger_consistent(
         self, multi_system_factory, fault_trace
     ):
-        system, report = self._run(multi_system_factory, fault_trace, self.RETRY)
+        _, report = self._run(multi_system_factory, fault_trace, self.RETRY)
         # The fault window is flagged degraded and carries the in-engine note.
         noted = [
             w
@@ -380,31 +419,12 @@ class TestInEngineFaults:
             assert sum(window.outcome_counts.values()) == (
                 window.num_requests + window.num_shed
             )
-        # Run-level: the requests_* totals cover the whole trace.
+        # Run-level: the requests_* totals cover the whole trace, across the
+        # post-fault plan change.
         stats = report.fault_stats()
         total = sum(v for k, v in stats.items() if k.startswith("requests_"))
         assert total == len(fault_trace)
-        # The coordinator's ledger agrees with the windows it actually saw:
-        # adopting the post-fault plan rebuilds the coordinator (like every
-        # other per-plan counter), so compare from the last plan change on.
-        from collections import Counter
-
-        start = max(
-            (
-                w.index
-                for w in report.windows
-                if w.plan_changed or w.replan_trigger in ("failure", "recovery")
-            ),
-            default=0,
-        )
-        expected = Counter()
-        for window in report.windows:
-            if window.index >= start:
-                expected.update(window.outcome_counts)
-        ledger = system.coordinator.outcome_totals
-        assert {k: v for k, v in ledger.items() if v} == {
-            k: int(v) for k, v in expected.items() if v
-        }
+        assert report.num_plan_changes > 0
         # outcome_counts survive the JSON round trip.
         restored = [
             WindowTelemetry.from_dict(d) for d in json.loads(json.dumps(report.to_dicts()))

@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.exceptions import ConfigurationError
+from repro.core.types import RequestOutcome
+from repro.faults import FaultEvent, FaultKind, FaultSchedule, RetryPolicy
 from repro.scenarios import (
-    FailureEvent,
     ScenarioSweep,
     SpotPreemptionScenario,
     default_scenarios,
@@ -113,11 +115,46 @@ def test_multi_tenant_rejects_bad_shares():
         )
 
 
-def test_spot_preemption_failure_schedule_sorted_and_bounded():
+def test_spot_preemption_failure_schedule_sorted_and_bounded(cloud_cluster):
     scenario = SpotPreemptionScenario(duration=100.0, preemption_fractions=(0.7, 0.3))
-    events = scenario.failure_schedule()
-    assert [e.time for e in events] == [30.0, 70.0]
-    assert all(isinstance(e, FailureEvent) and 0 < e.time < 100.0 for e in events)
+    schedule = scenario.fault_schedule(cloud_cluster, seed=3)
+    assert [e.time for e in schedule] == [30.0, 70.0]
+    assert all(0 < e.time < 100.0 for e in schedule)
+    assert all(e.kind is FaultKind.GPU_PREEMPTION for e in schedule)
+    schedule.validate(scenario.duration, cloud_cluster)
+
+
+def test_spot_preemption_pins_distinct_victims_deterministically(cloud_cluster):
+    """Victims are drawn up front, in event order, never reusing a GPU."""
+    scenario = SpotPreemptionScenario(
+        duration=60.0, preemption_fractions=(0.2, 0.5, 0.8), gpus_per_preemption=5
+    )
+    schedule = scenario.fault_schedule(cloud_cluster, seed=11)
+    assert schedule == scenario.fault_schedule(cloud_cluster, seed=11)
+    victims = [g for event in schedule for g in event.gpu_ids]
+    assert [len(e.gpu_ids) for e in schedule] == [5, 5, 5]
+    assert len(set(victims)) == len(victims)
+    assert set(victims) <= set(cloud_cluster.gpu_ids)
+
+
+def test_spot_preemption_total_loss_omits_later_events(cloud_cluster):
+    """The event that empties the cluster takes what is left; later ones vanish."""
+    scenario = SpotPreemptionScenario(
+        duration=60.0, preemption_fractions=(0.2, 0.5, 0.8), gpus_per_preemption=20
+    )
+    schedule = scenario.fault_schedule(cloud_cluster, seed=0)
+    assert [len(e.gpu_ids) for e in schedule] == [20, cloud_cluster.num_gpus - 20]
+    assert {g for e in schedule for g in e.gpu_ids} == set(cloud_cluster.gpu_ids)
+
+
+def test_spot_preemption_count_above_cluster_rejected(cloud_cluster, model_30b, cloud_plan):
+    scenario = SpotPreemptionScenario(
+        duration=SMOKE_DURATION, gpus_per_preemption=cloud_cluster.num_gpus + 1
+    )
+    with pytest.raises(ConfigurationError, match="only has"):
+        scenario.fault_schedule(cloud_cluster, seed=0)
+    with pytest.raises(ConfigurationError, match="only has"):
+        ScenarioSweep([scenario], seed=0).evaluate(cloud_cluster, model_30b, cloud_plan)
 
 
 # ------------------------------------------------------------------- e2e smokes
@@ -314,8 +351,6 @@ def test_plan_change_counter_never_negative_without_install_event(monkeypatch):
     (the old code subtracted a hard-coded 1 and went to -1 here) must report
     zero plan changes.
     """
-    from repro.serving.coordinator import RequestCoordinator
-
     cluster, model, plan = _tiny_serving_context()
 
     def quiet_adopt(self, plan, reason="quiet"):
@@ -323,7 +358,6 @@ def test_plan_change_counter_never_negative_without_install_event(monkeypatch):
         # emulating a pre-provisioned system that never went through
         # ``adopt_plan``/``deploy``.
         self.plan = plan
-        self.coordinator = RequestCoordinator(plan)
         self._simulator = None
         self.profiler.set_reference_from_spec(self.workload, self.request_rate)
         return plan
@@ -358,31 +392,38 @@ def _boundary_trace(times):
 
 
 @pytest.mark.parametrize("num_events", [1, 2])
-def test_request_at_failure_time_served_exactly_once(num_events):
-    """A request arriving exactly at ``FailureEvent.time`` is served once.
+def test_request_at_failure_time_served_exactly_once(
+    num_events, cloud_cluster, model_30b, cloud_plan
+):
+    """A request arriving exactly at a fault event's time is served once.
 
     ``Trace.window`` is half-open ``[start, end)``: the pre-failure window
     excludes the boundary arrival and the post-failure window includes it.
     With two *coincident* failure events the middle window is empty and the
-    request must still be served exactly once, after both events.
+    request must still be served exactly once, after both events.  Each event
+    preempts one GPU of a different prefill group, so the plan stays
+    servable throughout.
     """
-    cluster, model, plan = _tiny_serving_context()
     boundary = 6.0
     trace = _boundary_trace([1.0, boundary - 0.5, boundary, boundary + 0.5, 10.0])
-    system = ThunderServe(cluster, model, CONVERSATION_WORKLOAD, request_rate=1.0)
-    system.adopt_plan(plan)
-    # ``gpu_ids=()`` keeps the windowing machinery (and any rescheduling hooks)
-    # exercised without actually killing GPUs, so the serve stays deterministic.
-    events = [FailureEvent(time=boundary, gpu_ids=()) for _ in range(num_events)]
+    system = ThunderServe(cloud_cluster, model_30b, CONVERSATION_WORKLOAD, request_rate=1.0)
+    system.adopt_plan(cloud_plan)
+    prefill_groups = cloud_plan.prefill_groups
+    assert len(prefill_groups) > num_events, "the plan must keep a prefill group"
+    victims = [group.gpu_ids[0] for group in prefill_groups[:num_events]]
+    schedule = FaultSchedule.from_events(
+        [FaultEvent(time=boundary, kind=FaultKind.GPU_PREEMPTION, gpu_ids=(g,)) for g in victims]
+    )
     sweep = ScenarioSweep([get_scenario("diurnal", duration=SMOKE_DURATION)], seed=0)
-    result, overhead_s, num_outages = sweep._serve_with_failures(
-        system, trace, events, label="boundary"
+    result, _, num_outages = sweep._serve_with_failures(
+        system, trace, schedule, label="boundary"
     )
     assert result.num_requests == len(trace)
-    assert overhead_s == 0.0, "no GPUs died, so no replan was priced"
     assert num_outages == 0
+    assert not set(victims) & {g for group in system.plan.groups for g in group.gpu_ids}
     served_ids = sorted(m.request.request_id for m in result.metrics)
     assert served_ids == [0, 1, 2, 3, 4], "every request served exactly once"
+    assert all(m.finished for m in result.metrics)
     boundary_metrics = [m for m in result.metrics if m.request.arrival_time == boundary]
     assert len(boundary_metrics) == 1
     # The boundary request belongs to the *post*-failure window: it cannot have
@@ -391,24 +432,28 @@ def test_request_at_failure_time_served_exactly_once(num_events):
 
 
 def test_count_based_event_can_reach_total_loss():
-    """``num_gpus >= cluster size`` kills every GPU; nothing is clamped alive.
+    """A count equal to the cluster size kills every GPU; nothing is clamped alive.
 
     Regression test: the random-victim path used to draw
-    ``min(event.num_gpus, len(alive) - 1)`` victims, silently keeping one GPU
-    alive and making total capacity loss unreachable from count-based events.
-    A count asking for at least the whole cluster must now take it down —
-    every arrival after the event is a zero-attainment ``dropped_outage``.
+    ``min(count, len(alive) - 1)`` victims, silently keeping one GPU alive
+    and making total capacity loss unreachable from count-based events.  A
+    count asking for the whole cluster must now take it down — every arrival
+    after the event is a zero-attainment ``dropped_outage``.
     """
-    from repro.core.types import RequestOutcome
-
     cluster, model, plan = _tiny_serving_context()
     trace = _boundary_trace([1.0, 2.0, 6.5, 7.0])
     system = ThunderServe(cluster, model, CONVERSATION_WORKLOAD, request_rate=1.0)
     system.adopt_plan(plan)
-    events = [FailureEvent(time=6.0, num_gpus=cluster.num_gpus + 5)]
-    sweep = ScenarioSweep([get_scenario("diurnal", duration=SMOKE_DURATION)], seed=0)
+    scenario = SpotPreemptionScenario(
+        duration=SMOKE_DURATION,
+        preemption_fractions=(0.5,),
+        gpus_per_preemption=cluster.num_gpus,
+    )
+    schedule = scenario.fault_schedule(cluster, seed=0)
+    assert sorted(schedule.events[0].gpu_ids) == sorted(cluster.gpu_ids)
+    sweep = ScenarioSweep([scenario], seed=0)
     result, overhead_s, num_outages = sweep._serve_with_failures(
-        system, trace, events, label="total-loss"
+        system, trace, schedule, label="total-loss"
     )
     assert num_outages == 1
     assert overhead_s == 0.0, "nothing survived, so no replan was priced"
@@ -421,3 +466,32 @@ def test_count_based_event_can_reach_total_loss():
     assert dropped == [2, 3], "both post-outage arrivals are dropped"
     finished = sorted(m.request.request_id for m in result.metrics if m.finished)
     assert finished == [0, 1], "pre-outage arrivals still complete"
+
+
+def test_sweep_retry_policy_none_inherits_engine_retries(
+    cloud_cluster, model_30b, cloud_plan
+):
+    """``retry_policy=None`` keeps the engine's default retries; drop-only has none."""
+    scenario = get_scenario("spot-preemption", duration=SMOKE_DURATION)
+    counts = {
+        name: ScenarioSweep([scenario], seed=3, retry_policy=retry)
+        .evaluate(cloud_cluster, model_30b, cloud_plan)[scenario.name]
+        .outcome_counts
+        for name, retry in (("default", None), ("drop", RetryPolicy.drop_only()))
+    }
+    assert counts["default"]["retried_then_finished"] > 0
+    assert counts["drop"]["retried_then_finished"] == 0
+    assert counts["drop"]["dropped_outage"] > counts["default"]["dropped_outage"]
+
+
+def test_sweep_rejects_non_capacity_fault_events():
+    """The sweep's failure path serves capacity loss only; anything else is refused."""
+    cluster, model, plan = _tiny_serving_context()
+    system = ThunderServe(cluster, model, CONVERSATION_WORKLOAD, request_rate=1.0)
+    system.adopt_plan(plan)
+    schedule = FaultSchedule.from_events(
+        [FaultEvent(time=6.0, kind=FaultKind.LINK_DEGRADATION, bandwidth_scale=0.5)]
+    )
+    sweep = ScenarioSweep([get_scenario("diurnal", duration=SMOKE_DURATION)], seed=0)
+    with pytest.raises(ConfigurationError, match="capacity-loss"):
+        sweep._serve_with_failures(system, _boundary_trace([1.0, 7.0]), schedule, label="link")

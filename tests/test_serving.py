@@ -1,58 +1,15 @@
-"""Tests for the serving runtime: coordinator, heartbeat monitor and the ThunderServe facade."""
+"""Tests for the serving runtime: heartbeat monitor and the ThunderServe facade."""
 
-import numpy as np
 import pytest
 
-from repro.core.types import Request
+from repro.core.exceptions import InvalidPlanError
+from repro.scheduling.deployment import DeploymentPlan
 from repro.scheduling.scheduler import SchedulerConfig
 from repro.scheduling.tabu import TabuSearchConfig
-from repro.serving.coordinator import RequestCoordinator
 from repro.serving.monitor import HeartbeatMonitor
 from repro.serving.system import ThunderServe
 from repro.workload.generator import generate_requests
 from repro.workload.spec import CONVERSATION_WORKLOAD
-
-
-def _request(i):
-    return Request(request_id=i, arrival_time=float(i), input_length=100, output_length=10)
-
-
-class TestCoordinator:
-    def test_realised_shares_follow_routing(self, small_plan):
-        coordinator = RequestCoordinator(small_plan)
-        counts = {}
-        for i in range(200):
-            prefill_id, _ = coordinator.assign(_request(i))
-            counts[prefill_id] = counts.get(prefill_id, 0) + 1
-        routing = small_plan.routing
-        for gid, planned in zip(routing.prefill_group_ids, routing.x):
-            realised = counts.get(gid, 0) / 200
-            assert realised == pytest.approx(planned, abs=0.05)
-
-    def test_decode_targets_valid(self, small_plan):
-        coordinator = RequestCoordinator(small_plan)
-        decode_ids = {g.group_id for g in small_plan.decode_groups}
-        for i in range(20):
-            _, decode_id = coordinator.assign(_request(i))
-            assert decode_id in decode_ids
-
-    def test_complete_releases_outstanding(self, small_plan):
-        coordinator = RequestCoordinator(small_plan)
-        prefill_id, _ = coordinator.assign(_request(0))
-        assert coordinator.outstanding(prefill_id) == 1
-        coordinator.complete(0)
-        assert coordinator.outstanding(prefill_id) == 0
-
-    def test_complete_unknown_raises(self, small_plan):
-        with pytest.raises(KeyError):
-            RequestCoordinator(small_plan).complete(123)
-
-    def test_update_routing_resets_deficits(self, small_plan):
-        coordinator = RequestCoordinator(small_plan)
-        for i in range(10):
-            coordinator.assign(_request(i))
-        coordinator.update_routing(small_plan.routing)
-        assert coordinator.num_dispatched == 10
 
 
 class TestHeartbeatMonitor:
@@ -130,39 +87,6 @@ class TestHeartbeatRecoveryCycle:
         assert monitor.failed_gpu_ids == [0]
 
 
-class TestCoordinatorOutcomeLedger:
-    def test_engine_outcomes_fold_into_totals(self, small_plan):
-        coordinator = RequestCoordinator(small_plan)
-        coordinator.record_outcomes(
-            {"finished": 5, "retried_then_finished": 2, "timed_out": 1}
-        )
-        totals = coordinator.outcome_totals
-        assert totals["finished"] == 5
-        assert totals["retried_then_finished"] == 2
-        assert totals["timed_out"] == 1
-        assert totals["shed"] == 0
-        coordinator.record_outcomes({"finished": 3})
-        assert coordinator.outcome_totals["finished"] == 8
-
-    def test_shed_and_outage_drops_enter_ledger_once(self, small_plan):
-        coordinator = RequestCoordinator(small_plan)
-        coordinator.record_shed(_request(0))
-        coordinator.record_outage_drop(_request(1))
-        totals = coordinator.outcome_totals
-        assert totals["shed"] == 1
-        assert totals["dropped_outage"] == 1
-
-    def test_unknown_outcome_name_rejected(self, small_plan):
-        with pytest.raises(KeyError):
-            RequestCoordinator(small_plan).record_outcomes({"exploded": 1})
-
-    def test_totals_copy_is_isolated(self, small_plan):
-        coordinator = RequestCoordinator(small_plan)
-        totals = coordinator.outcome_totals
-        totals["finished"] = 99
-        assert coordinator.outcome_totals["finished"] == 0
-
-
 @pytest.fixture(scope="module")
 def deployed_system():
     from repro.hardware.cluster import make_two_datacenter_cluster
@@ -189,7 +113,19 @@ def deployed_system():
 class TestThunderServeFacade:
     def test_deploy_installs_plan(self, deployed_system):
         assert deployed_system.plan is not None
-        assert deployed_system.coordinator is not None
+
+    def test_adopt_single_phase_plan_rejected(self, deployed_system):
+        incumbent = deployed_system.plan
+        prefill_only = DeploymentPlan(
+            groups=tuple(incumbent.prefill_groups),
+            model_name=incumbent.model_name,
+            kv_transport_bits=incumbent.kv_transport_bits,
+        )
+        installs = len(deployed_system.events)
+        with pytest.raises(InvalidPlanError, match="prefill and decode"):
+            deployed_system.adopt_plan(prefill_only)
+        assert deployed_system.plan is incumbent
+        assert len(deployed_system.events) == installs
 
     def test_serve_before_deploy_raises(self):
         from repro.hardware.cluster import make_two_datacenter_cluster
