@@ -178,6 +178,9 @@ class _StageView:
     mem_rate: float
     #: ``num_layers * per_layer_overhead_s + per_stage_overhead_s``
     overhead_s: float
+    #: the stage's tensor-parallel link, built from ``intra_latency_s`` and
+    #: ``intra_bandwidth_bytes``
+    tp_link: AlphaBetaModel
 
 
 class ReplicaCostModel:
@@ -262,6 +265,7 @@ class ReplicaCostModel:
                     decode_flops=tp_flops * params.decode_mfu,
                     mem_rate=sum_bandwidth * params.memory_efficiency,
                     overhead_s=layers * params.per_layer_overhead_s + params.per_stage_overhead_s,
+                    tp_link=AlphaBetaModel(alpha_s=intra_lat, beta_bytes_per_s=intra_bw_bytes),
                 )
             )
 
@@ -291,10 +295,9 @@ class ReplicaCostModel:
         """Tensor-parallel all-reduce time across one stage for a forward pass."""
         if stage.tp <= 1:
             return 0.0
-        link = AlphaBetaModel(alpha_s=stage.intra_latency_s, beta_bytes_per_s=stage.intra_bandwidth_bytes)
         activation_bytes = tokens * batch_size * self.model.hidden_size * self.model.dtype_bytes
         # Two all-reduces per transformer block (after attention and after the MLP).
-        per_layer = 2.0 * link.allreduce_seconds(activation_bytes, stage.tp)
+        per_layer = 2.0 * stage.tp_link.allreduce_seconds(activation_bytes, stage.tp)
         return per_layer * stage.num_layers
 
     def _pp_comm_time(self, tokens: int, batch_size: int) -> float:

@@ -122,6 +122,18 @@ class Cluster:
         """All available GPUs on a given node."""
         return [g for g in self.gpus if g.node_id == node_id]
 
+    def state_key(self) -> tuple:
+        """Hashable key over everything the scheduler reads from this cluster.
+
+        That is the available GPUs in list order (each a frozen :class:`GPU`:
+        id, spec, node and data center) and the network's matrices
+        (:meth:`NetworkModel.state_key`).  Two separately built views of the
+        same state give equal keys; removing a GPU or scaling the network
+        changes the key.  The name and the removed part of the roster are not
+        part of it: no plan depends on them.
+        """
+        return tuple(self.gpus), self.network.state_key()
+
     # ------------------------------------------------------------------ mutation
     def without_gpus(self, gpu_ids: Iterable[int], name: Optional[str] = None) -> "Cluster":
         """Return a new cluster with ``gpu_ids`` removed (models failures/preemption).

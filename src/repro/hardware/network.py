@@ -111,6 +111,7 @@ class NetworkModel:
         self._bandwidth_gbps = bandwidth_gbps
         self._latency_s = latency_s
         self._link_class = np.asarray(link_class, dtype=object)
+        self._state_key: tuple | None = None
 
     # ------------------------------------------------------------------ builders
     @classmethod
@@ -205,6 +206,20 @@ class NetworkModel:
         return NetworkModel(bandwidth, latency, self._link_class)
 
     # ------------------------------------------------------------------ accessors
+    def state_key(self) -> tuple:
+        """Hashable key over the bandwidth, latency and link-class matrices.
+
+        Two models with bitwise-equal matrices give equal keys.  The model is
+        immutable, so the key is computed once per instance.
+        """
+        if self._state_key is None:
+            self._state_key = (
+                self._bandwidth_gbps.tobytes(),
+                self._latency_s.tobytes(),
+                tuple(self._link_class.ravel()),
+            )
+        return self._state_key
+
     @property
     def num_gpus(self) -> int:
         """Number of GPUs covered by the matrices."""

@@ -102,6 +102,8 @@ class ThunderServe:
         self.events: List[ServeEvent] = []
         #: simulator reused across serve() calls; rebuilt when the plan changes
         self._simulator: Optional[ServingSimulator] = None
+        #: full-replan plans keyed by ``Cluster.state_key()``; see replan_capacity
+        self._full_plans: Dict[tuple, DeploymentPlan] = {}
 
     # ------------------------------------------------------------------ deployment
     def deploy(self, seed: Optional[int] = None) -> DeploymentPlan:
@@ -184,7 +186,8 @@ class ThunderServe:
         The :class:`ServingSimulator` is cached between calls (``run`` resets all
         simulator state, including the routing RNG, so reuse is exact): windowed
         serving — adaptive rescheduling, failure scenarios — skips rebuilding the
-        replica cost models and keeps their memoized decode-step grids warm.
+        replica cost models and keeps their per-batch decode-step latency rows
+        and prefill latency memo warm.
 
         ``faults`` / ``retry`` are forwarded to
         :meth:`~repro.simulation.engine.ServingSimulator.run`: a compiled
@@ -235,7 +238,9 @@ class ThunderServe:
             attainment on this trace strictly beats the incumbent plan's.  The
             estimator that guides the flip-only search can mis-rank plans near
             saturation; the shadow replay keeps a mis-ranked candidate from
-            ever being installed.  ``None`` (default) trusts the estimator.
+            ever being installed.  A candidate equal to the incumbent would
+            replay identically, so it is rejected without replaying.  ``None``
+            (default) trusts the estimator.
 
         Returns
         -------
@@ -259,7 +264,11 @@ class ThunderServe:
             template=self.workload,
         )
         if validate_on is not None and not validate_on.is_empty:
-            incumbent = self._shadow_attainment(self.require_plan(), validate_on)
+            plan = self.require_plan()
+            # An equal candidate replays identically, so it cannot strictly win.
+            if result.plan == plan:
+                return False
+            incumbent = self._shadow_attainment(plan, validate_on)
             candidate = self._shadow_attainment(result.plan, validate_on)
             if candidate <= incumbent:
                 return False
@@ -371,16 +380,31 @@ class ThunderServe:
         breach path, is non-strict: re-expanding onto recovered capacity must
         not be vetoed by a tie on a quiet window.  A candidate that replays
         strictly worse is rejected — ``None`` is returned and the incumbent
-        plan stays installed.
+        plan stays installed.  A candidate equal to the incumbent ties by
+        construction, so it is installed without replaying.
+
+        ``"full"`` replans are memoized per system, keyed on
+        :meth:`~repro.hardware.cluster.Cluster.state_key`: a cluster state
+        seen before reuses the plan its first search returned.  This is exact
+        because everything else the search reads is fixed for the system's
+        lifetime — the model, workload, ``request_rate``, ``slo`` and the
+        scheduler config with its integer seed have no setter — and the search
+        is deterministic for a given seed (a nonzero tabu ``time_limit_s``
+        makes it wall-clock dependent; a hit then reuses the first search's
+        plan).  A search that raises stores nothing.  Shadow validation, the
+        install and its event run the same on a hit as on a miss.
         """
         if mode not in self.RESCHEDULE_MODES:
             raise ValueError(f"mode must be one of {self.RESCHEDULE_MODES}, got {mode!r}")
         plan = self.require_plan()
         if mode == "full":
-            result = self.scheduler.schedule(
-                self.cluster, self.model, self.workload, self.request_rate, self.slo
-            )
-            new_plan = result.plan
+            key = self.cluster.state_key()
+            new_plan = self._full_plans.get(key)
+            if new_plan is None:
+                new_plan = self.scheduler.schedule(
+                    self.cluster, self.model, self.workload, self.request_rate, self.slo
+                ).plan
+                self._full_plans[key] = new_plan
         elif mode == "lightweight":
             result = self.rescheduler.reschedule(
                 plan, self.cluster, self.model, self.workload, self.request_rate, self.slo
@@ -403,7 +427,7 @@ class ThunderServe:
                 model_name=plan.model_name,
                 kv_transport_bits=plan.kv_transport_bits,
             )
-        if validate_on is not None and not validate_on.is_empty:
+        if validate_on is not None and not validate_on.is_empty and new_plan != plan:
             available = set(self.cluster.gpu_ids)
             if all(set(g.gpu_ids) <= available for g in plan.groups):
                 incumbent = self._shadow_attainment(plan, validate_on)

@@ -155,3 +155,50 @@ class TestClusterMutation:
         description = cloud_cluster.describe()
         for gpu_type in ("A40", "A6000", "A5000", "3090Ti"):
             assert gpu_type in description
+
+
+class TestStateKey:
+    """``Cluster.state_key`` tells apart the cluster states the scheduler can see."""
+
+    def _state(self, removed=(), bandwidth_scale=1.0):
+        from repro.faults import ClusterFaultState, FaultEvent, FaultKind
+
+        state = ClusterFaultState(make_two_datacenter_cluster(inter_dc_gbps=5.0, seed=0))
+        if removed:
+            state.apply(FaultEvent(time=1.0, kind=FaultKind.NODE_CRASH, gpu_ids=tuple(removed)))
+        if bandwidth_scale != 1.0:
+            state.apply(
+                FaultEvent(
+                    time=2.0, kind=FaultKind.LINK_DEGRADATION, bandwidth_scale=bandwidth_scale
+                )
+            )
+        return state
+
+    def test_separately_built_views_match(self):
+        for removed, scale in (((), 1.0), ((4, 6, 7), 1.0), ((), 0.5), ((1,), 0.5)):
+            a = self._state(removed, scale).current_cluster()
+            b = self._state(removed, scale).current_cluster()
+            assert a is not b
+            assert a.state_key() == b.state_key()
+            assert hash(a.state_key()) == hash(b.state_key())
+
+    def test_removed_gpu_changes_the_key(self):
+        pristine = self._state().current_cluster()
+        assert pristine.without_gpus([4]).state_key() != pristine.state_key()
+        # Reviving the GPU restores the pristine key.
+        revived = pristine.without_gpus([4]).with_gpus([4])
+        assert revived.state_key() == pristine.state_key()
+
+    def test_brownout_changes_the_key(self):
+        pristine = self._state().current_cluster()
+        brownout = self._state(bandwidth_scale=0.5).current_cluster()
+        assert brownout.gpu_ids == pristine.gpu_ids
+        assert brownout.state_key() != pristine.state_key()
+        # Two brownout networks scaled separately from the pristine one agree.
+        again = pristine.network.scaled(bandwidth_scale=0.5)
+        assert again is not brownout.network
+        assert again.state_key() == brownout.network.state_key()
+
+    def test_network_key_is_computed_once(self):
+        network = make_two_datacenter_cluster(seed=0).network
+        assert network.state_key() is network.state_key()

@@ -1,11 +1,17 @@
 """Tests for the serving runtime: heartbeat monitor and the ThunderServe facade."""
 
+import json
+from dataclasses import fields, replace
+from types import SimpleNamespace
+
 import pytest
 
-from repro.core.exceptions import InvalidPlanError
+from repro.core.exceptions import InvalidPlanError, SchedulingError
+from repro.faults import FaultEvent, FaultKind, FaultSchedule
 from repro.scheduling.deployment import DeploymentPlan
-from repro.scheduling.scheduler import SchedulerConfig
+from repro.scheduling.scheduler import Scheduler, SchedulerConfig
 from repro.scheduling.tabu import TabuSearchConfig
+from repro.serving.live import LiveServeConfig, LiveServer
 from repro.serving.monitor import HeartbeatMonitor
 from repro.serving.system import ThunderServe
 from repro.workload.generator import generate_requests
@@ -224,3 +230,211 @@ class TestProcessHeartbeats:
         assert failure3 is not None
         assert set(victims) <= set(failure3.gpu_ids)
         assert all(v not in system.require_plan().used_gpu_ids for v in victims)
+
+
+# --------------------------------------------------------------------------- full-replan memo
+MEMO_SCHEDULER = SchedulerConfig(
+    tabu=TabuSearchConfig(num_steps=6, num_neighbors=4, patience=4), seed=2
+)
+
+#: Crash and rejoin the 3090Ti node twice, then preempt and revive one A40
+#: under a WAN brownout.  The crash and the rejoin states each recur, so the
+#: second cycle's replans repeat cluster states the memo has already seen.
+STORM = FaultSchedule.from_events(
+    [
+        FaultEvent(time=5.0, kind=FaultKind.NODE_CRASH, gpu_ids=(4, 5, 6, 7)),
+        FaultEvent(time=15.0, kind=FaultKind.RECOVERY, gpu_ids=(4, 5, 6, 7)),
+        FaultEvent(time=25.0, kind=FaultKind.NODE_CRASH, gpu_ids=(4, 5, 6, 7)),
+        FaultEvent(time=35.0, kind=FaultKind.RECOVERY, gpu_ids=(4, 5, 6, 7)),
+        FaultEvent(time=42.0, kind=FaultKind.LINK_DEGRADATION, bandwidth_scale=0.5),
+        FaultEvent(time=47.0, kind=FaultKind.GPU_PREEMPTION, gpu_ids=(0,)),
+        FaultEvent(time=55.0, kind=FaultKind.RECOVERY, gpu_ids=(0,)),
+        FaultEvent(time=65.0, kind=FaultKind.LINK_RECOVERY),
+    ]
+)
+
+
+@pytest.fixture()
+def memo_system_factory(
+    small_hetero_cluster, model_30b, conversation_workload, relaxed_slo, small_plan
+):
+    """Fresh systems that adopt a pre-built plan, so only replans search."""
+
+    def build():
+        system = ThunderServe(
+            small_hetero_cluster,
+            model_30b,
+            conversation_workload,
+            3.0,
+            slo=relaxed_slo,
+            scheduler_config=MEMO_SCHEDULER,
+        )
+        system.adopt_plan(small_plan, reason="memo test")
+        return system
+
+    return build
+
+
+@pytest.fixture()
+def search_calls(monkeypatch):
+    """Count the full searches ``Scheduler.schedule`` runs."""
+    calls = []
+    original = Scheduler.schedule
+
+    def counted(self, *args, **kwargs):
+        calls.append(args[0].state_key())
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Scheduler, "schedule", counted)
+    return calls
+
+
+@pytest.fixture()
+def shadow_calls(monkeypatch):
+    """Count the shadow replays ``ThunderServe._shadow_attainment`` runs."""
+    calls = []
+    original = ThunderServe._shadow_attainment
+
+    def counted(self, plan, trace):
+        calls.append(plan)
+        return original(self, plan, trace)
+
+    monkeypatch.setattr(ThunderServe, "_shadow_attainment", counted)
+    return calls
+
+
+def _report_signature(report):
+    """Telemetry, fault log and every per-request column of a live run, as bytes."""
+    columns = [
+        tuple(getattr(r.arrays, f.name).tobytes() for f in fields(r.arrays))
+        for r in report.results
+    ]
+    return json.dumps([report.to_dicts(), report.fault_log], sort_keys=True), columns
+
+
+class TestFullReplanMemo:
+    """``replan_capacity(mode="full")`` searches once per cluster state per system."""
+
+    def test_hit_equals_a_fresh_search(self, memo_system_factory, search_calls):
+        system = memo_system_factory()
+        first = system.replan_capacity(mode="full")
+        second = system.replan_capacity(mode="full")
+        assert len(search_calls) == 1
+        assert second == first
+        # A hit still installs, exactly like a miss.
+        assert system.num_plan_changes == 2
+        fresh = Scheduler(MEMO_SCHEDULER).schedule(
+            system.cluster, system.model, system.workload, system.request_rate, system.slo
+        )
+        assert second == fresh.plan
+
+    def test_each_cluster_state_searches_once(self, memo_system_factory, search_calls):
+        system = memo_system_factory()
+        pristine = system.cluster
+        brownout = pristine.with_network(pristine.network.scaled(bandwidth_scale=0.5))
+        for cluster in (pristine, brownout, pristine, brownout):
+            system.set_cluster(cluster)
+            system.replan_capacity(mode="full")
+        assert search_calls == [pristine.state_key(), brownout.state_key()]
+
+    def test_systems_do_not_share_entries(self, memo_system_factory, search_calls):
+        a, b = memo_system_factory(), memo_system_factory()
+        assert a.replan_capacity(mode="full") == b.replan_capacity(mode="full")
+        assert len(search_calls) == 2
+
+    def test_failed_search_stores_nothing(self, memo_system_factory, monkeypatch):
+        system = memo_system_factory()
+        original = Scheduler.schedule
+
+        def failing(self, *args, **kwargs):
+            raise SchedulingError("no feasible plan")
+
+        monkeypatch.setattr(Scheduler, "schedule", failing)
+        with pytest.raises(SchedulingError):
+            system.replan_capacity(mode="full")
+        monkeypatch.setattr(Scheduler, "schedule", original)
+        plan = system.replan_capacity(mode="full")
+        assert plan == Scheduler(MEMO_SCHEDULER).schedule(
+            system.cluster, system.model, system.workload, system.request_rate, system.slo
+        ).plan
+
+    @pytest.mark.parametrize("validate", [True, False])
+    def test_storm_report_is_bitwise_equal_without_the_memo(
+        self, memo_system_factory, search_calls, monkeypatch, validate
+    ):
+        trace = generate_requests(CONVERSATION_WORKLOAD, request_rate=3.0, duration=70.0, seed=3)
+        config = LiveServeConfig(
+            window_s=10.0,
+            faults=STORM,
+            validate_reschedule=validate,
+            failure_mode_order=("lightweight", "full", "none"),
+        )
+
+        def run():
+            system = memo_system_factory()
+            report = LiveServer(system, config=config).run(trace, label="storm")
+            return system, _report_signature(report)
+
+        memo_system, memoized = run()
+        memo_searches = len(search_calls)
+        # No cluster state is searched twice ...
+        assert 0 < memo_searches == len(set(search_calls))
+        search_calls.clear()
+
+        original = ThunderServe.replan_capacity
+
+        def forgetful(self, *args, **kwargs):
+            self._full_plans.clear()
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(ThunderServe, "replan_capacity", forgetful)
+        plain_system, plain = run()
+        # ... although some recur: without the memo they are searched again.
+        assert len(search_calls) > memo_searches
+        assert plain == memoized
+        assert plain_system.num_plan_changes == memo_system.num_plan_changes
+        assert plain_system.require_plan() == memo_system.require_plan()
+
+
+class TestShadowShortCircuit:
+    """A candidate equal to the incumbent is decided without a shadow replay."""
+
+    @pytest.fixture()
+    def window(self):
+        return generate_requests(CONVERSATION_WORKLOAD, 3.0, num_requests=30, seed=9)
+
+    def test_breach_path_rejects_an_equal_candidate_unreplayed(
+        self, memo_system_factory, shadow_calls, monkeypatch, window
+    ):
+        system = memo_system_factory()
+        incumbent = system.require_plan()
+        system.serve(window)
+        copy = replace(incumbent)
+        assert copy == incumbent and copy is not incumbent
+        monkeypatch.setattr(
+            system.rescheduler,
+            "reschedule_from_stats",
+            lambda *args, **kwargs: SimpleNamespace(plan=copy),
+        )
+        assert system.reschedule_online(validate_on=window) is False
+        assert shadow_calls == []
+        assert system.plan is incumbent
+        assert system.num_plan_changes == 0
+        # Replaying would have tied, and a tie is rejected on this path.
+        assert system._shadow_attainment(copy, window) == system._shadow_attainment(
+            incumbent, window
+        )
+        # Without a validation window the estimator is trusted, as before.
+        assert system.reschedule_online() is True
+        assert system.num_plan_changes == 1
+
+    def test_capacity_path_installs_an_equal_candidate_unreplayed(
+        self, memo_system_factory, shadow_calls, window
+    ):
+        system = memo_system_factory()
+        first = system.replan_capacity(mode="full")
+        again = system.replan_capacity(mode="full", validate_on=window)
+        assert again == first
+        assert system.plan is again
+        assert shadow_calls == []
+        assert system.num_plan_changes == 2
