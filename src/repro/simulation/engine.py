@@ -18,13 +18,19 @@ The per-request metrics collected here are what the end-to-end experiments
 Two engines implement the same semantics:
 
 * ``engine="fast"`` (the default) keeps the whole request lifecycle in
-  **struct-of-arrays form**: requests are integer rows into preallocated numpy
-  columns (ids, arrival times, lengths, routing targets, and the metric
-  timestamps), so no per-request Python object is created on the fast path.
-  Traces are ingested chunk by chunk — :meth:`ServingSimulator.run_stream`
-  accepts any iterator of :class:`~repro.workload.trace.RequestArrays` blocks,
-  bounding memory by the chunk size — and arrivals are driven by a cursor over
-  the ingested columns instead of one heap event per request.
+  **struct-of-arrays form**: requests are integer rows into plain
+  :class:`array.array` columns (ids, arrival times, lengths, routing targets,
+  and the metric timestamps) that grow by one ``frombytes`` per ingested
+  chunk, so no per-request Python object is created on the fast path and
+  every scalar read is a plain Python int or float.  The columns are copied
+  into numpy once, when the run is finalized.  Traces are ingested chunk by
+  chunk — :meth:`ServingSimulator.run_stream` accepts any iterator of
+  :class:`~repro.workload.trace.RequestArrays` blocks, bounding memory by the
+  chunk size — and arrivals are driven by a cursor over the ingested columns
+  instead of one heap event per request.  The event heap is a plain
+  ``heapq`` list of ``(time, seq, kind, replica_id, payload)`` tuples with
+  ``seq`` drawn from one push counter, so exact-time ties resolve in push
+  order, as in the reference engine's :class:`~repro.simulation.events.EventQueue`.
 
   On the decode side each replica keeps its running batch as a step counter,
   a min-heap of ``(finish_step, row)`` and a running context sum, and
@@ -69,11 +75,12 @@ Two engines implement the same semantics:
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
-from itertools import accumulate
+from itertools import accumulate, count
 from operator import itemgetter
 from typing import Deque, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -113,6 +120,10 @@ _OUT_FINISHED = int(RequestOutcome.FINISHED)
 _OUT_RETRIED = int(RequestOutcome.RETRIED_THEN_FINISHED)
 _OUT_TIMED_OUT = int(RequestOutcome.TIMED_OUT)
 _OUT_DROPPED = int(RequestOutcome.DROPPED_OUTAGE)
+
+# Event kinds of the fast engine's tuple heap: decode epoch wake, prefill
+# batch completion, coalesced KV-arrival cursor, fault-retry re-dispatch.
+_DECODE_WAKE, _PREFILL_BATCH, _KV_BATCH, _RETRY = range(4)
 
 
 @dataclass(frozen=True)
@@ -186,7 +197,7 @@ class _PrefillReplica:
     epoch_dones: Optional[List[float]] = None
     #: per batch: coalesced KV handoffs as (decode group, rows sorted by
     #: arrival, arrival times) — precomputed at plan time
-    epoch_kv: List[List[Tuple[int, List[int], List[float]]]] = field(default_factory=list)
+    epoch_kv: List[List[Tuple[int, Sequence[int], Sequence[float]]]] = field(default_factory=list)
     #: per batch: single-token rows, which finish at prefill with no handoff
     epoch_single: List[List[int]] = field(default_factory=list)
     #: number of leading batches still valid (arrival truncation shortens this)
@@ -206,15 +217,15 @@ class _KVBatch:
     """Cursor over a coalesced array of KV arrivals for one decode replica.
 
     Replaces one ``KV_ARRIVED`` heap event per request with a single ``KV_BATCH``
-    event whose handler drains arrivals in order, yielding back to the heap
-    (via :meth:`EventQueue.repush` under its original sequence number, so
-    exact-time ties keep their per-event ordering) whenever another event — or
-    a not-yet-ingested trace arrival — is due first.
+    heap entry whose handler drains arrivals in order, yielding back to the
+    heap (re-pushed under its original sequence number, so exact-time ties
+    keep their per-event ordering) whenever another event — or a
+    not-yet-ingested trace arrival — is due first.
     """
 
     decode_id: int
-    rows: List[int]
-    times: List[float]
+    rows: Sequence[int]
+    times: Sequence[float]
     #: index of the next undelivered arrival
     pos: int = 0
     #: heap sequence number assigned at the first push; reused on every repush
@@ -222,14 +233,6 @@ class _KVBatch:
     #: death-incarnation of the target decode replica at creation; a mismatch
     #: at pop time means the replica died (the rows were already disposed)
     incarnation: int = 0
-
-
-def _empty_ids() -> np.ndarray:
-    return np.empty(0, dtype=np.int64)
-
-
-def _empty_times() -> np.ndarray:
-    return np.empty(0, dtype=np.float64)
 
 
 @dataclass
@@ -286,11 +289,13 @@ class _DecodeReplica:
     inflight: Dict[int, object] = field(default_factory=dict)
 
 
-#: int64 request columns grown together by :meth:`ServingSimulator._ensure_capacity`
-#: (``_att`` counts fault dispositions, ``_m_out`` holds the RequestOutcome code)
+#: int64 request columns, ``array('q')`` (``_att`` counts fault dispositions,
+#: ``_m_out`` holds the RequestOutcome code); ``_m_fin`` is an ``array('B')``
 _INT_COLUMNS = ("_req_id", "_inlen", "_outlen", "_pre_rep", "_dec_rep", "_att", "_m_out")
-#: float64 request columns grown together (arrival plus metric timestamps)
+#: float64 request columns, ``array('d')`` (arrival plus metric timestamps)
 _FLOAT_COLUMNS = ("_arr", "_m_pstart", "_m_first", "_m_kvdone", "_m_comp")
+#: the 8-byte metric columns, zero for every newly ingested row
+_ZERO_COLUMNS = ("_att", "_m_out", "_m_pstart", "_m_first", "_m_kvdone", "_m_comp")
 
 
 class ServingSimulator:
@@ -454,41 +459,26 @@ class ServingSimulator:
             self._retry = retry
 
     def _reset_fast_state(self) -> None:
-        """Reset the struct-of-arrays request store for a fresh fast run."""
+        """Reset the struct-of-arrays request store and the event heap."""
         self._reset_replicas()
-        self._cap = 0
         self._n = 0
         self._cursor = 0
         for name in _INT_COLUMNS:
-            setattr(self, name, _empty_ids())
+            setattr(self, name, array("q"))
         for name in _FLOAT_COLUMNS:
-            setattr(self, name, _empty_times())
-        self._m_fin = np.empty(0, dtype=bool)
+            setattr(self, name, array("d"))
+        self._m_fin = array("B")
+        self._heap: List[tuple] = []
+        self._heap_seq = count()
         self._workload_spans: List[Tuple[int, str]] = []
         self._chunk_iter: Optional[Iterator[RequestArrays]] = None
         self._chunks_done = True
 
-    def _ensure_capacity(self, extra: int) -> None:
-        """Grow the request columns to hold ``extra`` more rows (doubling)."""
-        need = self._n + extra
-        if need <= self._cap:
-            return
-        cap = max(1024, self._cap or 1)
-        while cap < need:
-            cap *= 2
-        n = self._n
-        for name in _INT_COLUMNS:
-            new = np.zeros(cap, dtype=np.int64)
-            new[:n] = getattr(self, name)[:n]
-            setattr(self, name, new)
-        for name in _FLOAT_COLUMNS:
-            new = np.zeros(cap, dtype=np.float64)
-            new[:n] = getattr(self, name)[:n]
-            setattr(self, name, new)
-        new_fin = np.zeros(cap, dtype=bool)
-        new_fin[:n] = self._m_fin[:n]
-        self._m_fin = new_fin
-        self._cap = cap
+    def _push(self, time: float, kind: int, replica_id: int, payload) -> int:
+        """Push one fast-engine heap entry; return its tie-breaking sequence."""
+        seq = next(self._heap_seq)
+        heappush(self._heap, (time, seq, kind, replica_id, payload))
+        return seq
 
     # ------------------------------------------------------------------ dispatch
     def _choose_pair(self) -> Tuple[int, int]:
@@ -536,7 +526,6 @@ class ServingSimulator:
             return self._run_reference(trace, label, faults=faults, retry=retry)
         self._reset_fast_state()
         self._begin_fault_run(faults, retry)
-        self._ensure_capacity(len(trace))
         return self._run_fast(
             iter((trace.arrays(),)),
             requests=trace.requests,
@@ -582,10 +571,11 @@ class ServingSimulator:
     def _load_chunk(self) -> None:
         """Ingest the next non-empty chunk into the request columns.
 
-        Copies the four request columns, then assigns routing targets for the
-        whole chunk in one vectorized pass consuming exactly the scalar draws
-        :meth:`_choose_pair` would: two uniforms per request, interleaved in
-        ingestion order.
+        Appends the four request columns, then assigns routing targets for
+        the whole chunk in one vectorized pass consuming exactly the scalar
+        draws :meth:`_choose_pair` would: two uniforms per request,
+        interleaved in ingestion order.  Every column grows by one
+        ``frombytes``; the metric columns start at zero.
         """
         assert self._chunk_iter is not None
         while True:
@@ -598,20 +588,23 @@ class ServingSimulator:
                 break
         c = len(chunk)
         n = self._n
-        if n and float(chunk.arrival_time[0]) < float(self._arr[n - 1]):
+        if n and float(chunk.arrival_time[0]) < self._arr[n - 1]:
             raise SimulationError("streamed chunks must be time-ordered end to end")
-        self._ensure_capacity(c)
-        self._req_id[n : n + c] = chunk.request_id
-        self._arr[n : n + c] = chunk.arrival_time
-        self._inlen[n : n + c] = chunk.input_length
-        self._outlen[n : n + c] = chunk.output_length
+        self._req_id.frombytes(chunk.request_id.tobytes())
+        self._arr.frombytes(chunk.arrival_time.tobytes())
+        self._inlen.frombytes(chunk.input_length.tobytes())
+        self._outlen.frombytes(chunk.output_length.tobytes())
         draws = self._rng.random(2 * c)
         xi = np.searchsorted(self._x_cdf, draws[0::2], side="right")
         np.minimum(xi, self._x_cdf.size - 1, out=xi)
         yj = np.sum(self._y_cdf[xi] <= draws[1::2, None], axis=1)
         np.minimum(yj, self._y_cdf.shape[1] - 1, out=yj)
-        self._pre_rep[n : n + c] = self._pgid_arr[xi]
-        self._dec_rep[n : n + c] = self._dgid_arr[yj]
+        self._pre_rep.frombytes(self._pgid_arr[xi].tobytes())
+        self._dec_rep.frombytes(self._dgid_arr[yj].tobytes())
+        zeros = bytes(8 * c)
+        for name in _ZERO_COLUMNS:
+            getattr(self, name).frombytes(zeros)
+        self._m_fin.frombytes(bytes(c))
         if not self._workload_spans or self._workload_spans[-1][1] != chunk.workload:
             self._workload_spans.append((n, chunk.workload))
         self._n = n + c
@@ -626,7 +619,11 @@ class ServingSimulator:
         """Drive the struct-of-arrays engine over a chunk stream."""
         self._chunk_iter = chunks
         self._chunks_done = False
-        events = self._events
+        heap = self._heap
+        arr = self._arr
+        pre_rep = self._pre_rep
+        prefills = self.prefills
+        decodes = self.decodes
         horizon = self.config.max_sim_time
         fault_events = self._fault_events
         num_faults = len(fault_events)
@@ -639,76 +636,68 @@ class ServingSimulator:
             while self._cursor >= self._n and not self._chunks_done:
                 self._load_chunk()
             have_arrival = self._cursor < self._n
-            top = events.peek_key()
-            if not have_arrival and top is None:
+            if not have_arrival and not heap:
                 break
             if self._fault_pos < num_faults:
                 # Fault entries win exact-time ties against simulation work:
                 # they apply the moment the next candidate event is not
                 # strictly earlier (the per-event engine uses the same rule).
-                next_t = float(self._arr[self._cursor]) if have_arrival else None
-                if top is not None:
-                    next_t = top[0] if next_t is None else min(next_t, top[0])
+                next_t = arr[self._cursor] if have_arrival else heap[0][0]
+                if have_arrival and heap:
+                    next_t = min(next_t, heap[0][0])
                 entry = fault_events[self._fault_pos]
-                if next_t is not None and entry.time <= next_t:
+                if entry.time <= next_t:
                     if horizon is not None and entry.time > horizon:
                         self._fault_pos = num_faults
                     else:
                         self._fault_pos += 1
                         self._apply_fault_fast(entry)
                     continue
-            if have_arrival and (top is None or float(self._arr[self._cursor]) <= top[0]):
+            if have_arrival and (not heap or arr[self._cursor] <= heap[0][0]):
                 # Arrivals win exact-time ties: the per-event engine pushes all
                 # ARRIVAL events at setup, giving them the lowest heap seqs.
-                at = float(self._arr[self._cursor])
+                row = self._cursor
+                at = arr[row]
                 if horizon is not None and at > horizon:
                     truncated = True
                     break
-                row = self._cursor
-                self._cursor += 1
+                self._cursor = row + 1
                 self._clock = max(self._clock, at)
-                pre = int(self._pre_rep[row])
+                pre = pre_rep[row]
                 if self._faults_active and pre in self._dead_prefills:
                     self._dispose_fast(row, at)
                 else:
-                    self._on_prefill_arrival_fast(self.prefills[pre], row, at)
+                    self._on_prefill_arrival_fast(prefills[pre], row, at)
                 continue
-            event = events.pop()
-            if horizon is not None and event.time > horizon:
+            t, _, kind, replica_id, payload = heappop(heap)
+            if horizon is not None and t > horizon:
                 truncated = True
                 break
-            if event.kind is EventKind.DECODE_WAKE:
-                replica = self.decodes[event.replica_id]
-                if event.payload != replica.epoch_seq:
+            if kind == _DECODE_WAKE:
+                replica = decodes[replica_id]
+                if payload != replica.epoch_seq:
                     continue  # stale wake from a truncated epoch; no clock update
-                self._clock = max(self._clock, event.time)
-                self._on_decode_wake(replica, event.time)
-            elif event.kind is EventKind.PREFILL_BATCH:
-                replica = self.prefills[event.replica_id]
-                seq, idx = event.payload
+                self._clock = max(self._clock, t)
+                self._on_decode_wake(replica, t)
+            elif kind == _PREFILL_BATCH:
+                replica = prefills[replica_id]
+                seq, idx = payload
                 if seq != replica.epoch_seq or idx >= replica.epoch_cut:
                     continue  # cancelled batch / superseded epoch; no clock update
-                self._clock = max(self._clock, event.time)
-                self._on_prefill_batch(replica, idx, event.time)
-            elif event.kind is EventKind.KV_BATCH:
-                holder = event.payload
-                if (
-                    self._faults_active
-                    and holder.incarnation != self.decodes[holder.decode_id].incarnation
-                ):
+                self._clock = max(self._clock, t)
+                self._on_prefill_batch(replica, idx, t)
+            elif kind == _KV_BATCH:
+                if self._faults_active and payload.incarnation != decodes[replica_id].incarnation:
                     continue  # target replica died; the rows were disposed
-                self._clock = max(self._clock, event.time)
-                self._on_kv_batch(holder, horizon)
-            elif event.kind is EventKind.RETRY:
-                self._clock = max(self._clock, event.time)
-                row = event.payload
-                pre = int(self._pre_rep[row])
+                self._clock = max(self._clock, t)
+                self._on_kv_batch(payload, horizon)
+            else:  # _RETRY: the payload is the request row
+                self._clock = max(self._clock, t)
+                pre = pre_rep[payload]
                 if pre in self._dead_prefills:
-                    self._dispose_fast(row, event.time)
+                    self._dispose_fast(payload, t)
                 else:
-                    self._on_prefill_arrival_fast(self.prefills[pre], row, event.time)
-            else:  # pragma: no cover - defensive
-                raise SimulationError(f"unexpected event kind {event.kind}")
+                    self._on_prefill_arrival_fast(prefills[pre], payload, t)
         if truncated and horizon is not None:
             self._flush_epochs(horizon)
         return self._finalize_fast(requests, trace_duration, label)
@@ -725,44 +714,50 @@ class ServingSimulator:
         run drops later arrivals entirely, like the per-event engine).  Columns
         are reordered by request id when the ingested ids are not already
         strictly increasing, matching the reference engine's sorted output.
+        Every column is copied out of its ``array`` buffer, so the result owns
+        its memory and holds no buffer export on the engine's columns.  Each
+        engine column is released as soon as it is copied, so the request
+        store is never held twice in full (this bounds peak memory).
         """
         n = self._cursor
-        ids = self._req_id[:n]
+        ids = np.frombuffer(self._req_id, dtype=np.int64, count=n)
         order: Optional[np.ndarray] = None
         if n and not bool(np.all(ids[1:] > ids[:-1])):
             order = np.argsort(ids, kind="stable")
+        del ids  # a live view would keep ``_req_id`` from being released
+        if trace_duration is None:
+            trace_duration = self._arr[self._n - 1] - self._arr[0] if self._n >= 2 else 0.0
 
-        def col(a: np.ndarray) -> np.ndarray:
-            return a[:n].copy() if order is None else a[:n][order]
+        def take(name: str, dtype=np.int64) -> np.ndarray:
+            column = getattr(self, name)
+            setattr(self, name, array(column.typecode))
+            view = np.frombuffer(column, dtype=dtype, count=n)
+            return view.copy() if order is None else view[order]
 
-        arr_col = col(self._arr)
+        arr_col = take("_arr", np.float64)
         arrays = MetricArrays(
-            request_id=col(self._req_id),
+            request_id=take("_req_id"),
             arrival_time=arr_col,
-            input_length=col(self._inlen),
-            output_length=col(self._outlen),
+            input_length=take("_inlen"),
+            output_length=take("_outlen"),
             # The per-event engine sets enqueue_time to the arrival-event time,
             # which is exactly the arrival column: share it.
             enqueue_time=arr_col,
-            prefill_start=col(self._m_pstart),
-            first_token_time=col(self._m_first),
-            kv_transfer_done=col(self._m_kvdone),
-            completion_time=col(self._m_comp),
-            finished=col(self._m_fin),
-            prefill_replica=col(self._pre_rep),
-            decode_replica=col(self._dec_rep),
-            outcome=col(self._m_out),
-            attempts=col(self._att),
+            prefill_start=take("_m_pstart", np.float64),
+            first_token_time=take("_m_first", np.float64),
+            kv_transfer_done=take("_m_kvdone", np.float64),
+            completion_time=take("_m_comp", np.float64),
+            finished=take("_m_fin", np.bool_),
+            prefill_replica=take("_pre_rep"),
+            decode_replica=take("_dec_rep"),
+            outcome=take("_m_out"),
+            attempts=take("_att"),
         )
         backing: Optional[List[Request]] = None
         if requests is not None:
             backing = list(requests[:n])
             if order is not None:
                 backing = [backing[i] for i in order.tolist()]
-        if trace_duration is None:
-            trace_duration = (
-                float(self._arr[self._n - 1] - self._arr[0]) if self._n >= 2 else 0.0
-            )
         return SimulationResult(
             arrays,
             makespan=self._clock,
@@ -841,9 +836,9 @@ class ServingSimulator:
         rows = list(replica.queue)
         replica.queue.clear()
         nq = len(rows)
-        inlen = self._inlen[rows].tolist()
-        outlen = self._outlen[rows].tolist()
-        dec = self._dec_rep[rows].tolist()
+        inlen = self._inlen
+        outlen = self._outlen
+        dec_rep = self._dec_rep
         cap = self.config.max_prefill_batch_requests
         price = replica.cost.prefill_latency_memo
         kv_bytes = self._kv_bytes_per_token
@@ -852,28 +847,29 @@ class ServingSimulator:
         offsets.append(nq)
         starts: List[float] = []
         dones: List[float] = []
-        plan: List[List[Tuple[int, List[int], List[float]]]] = []
+        plan: List[List[Tuple[int, Sequence[int], Sequence[float]]]] = []
         singles: List[List[int]] = []
         t = now
         for lo, hi in zip(offsets, offsets[1:]):
+            batch = rows[lo:hi]
             starts.append(t)
-            t = t + price(max(inlen[lo:hi]), hi - lo)
+            t = t + price(max(map(inlen.__getitem__, batch)), hi - lo)
             dones.append(t)
             groups: Dict[int, List[Tuple[float, int]]] = {}
             single: List[int] = []
-            for p in range(lo, hi):
-                if outlen[p] <= 1:
-                    single.append(rows[p])
+            for r in batch:
+                if outlen[r] <= 1:
+                    single.append(r)
                     continue
-                alpha, beta = self._kv_link(prefill_id, dec[p])
-                arrival = t + (alpha + (kv_bytes * (inlen[p] + 1)) / beta)
-                groups.setdefault(dec[p], []).append((arrival, rows[p]))
-            per_batch: List[Tuple[int, List[int], List[float]]] = []
+                decode_id = dec_rep[r]
+                alpha, beta = self._kv_link(prefill_id, decode_id)
+                arrival = t + (alpha + (kv_bytes * (inlen[r] + 1)) / beta)
+                groups.setdefault(decode_id, []).append((arrival, r))
+            per_batch: List[Tuple[int, Sequence[int], Sequence[float]]] = []
             for decode_id, handoffs in groups.items():
                 handoffs.sort(key=itemgetter(0))  # stable: ties keep queue order
-                per_batch.append(
-                    (decode_id, [r for _, r in handoffs], [a for a, _ in handoffs])
-                )
+                arrivals, kv_rows = zip(*handoffs)
+                per_batch.append((decode_id, kv_rows, arrivals))
             plan.append(per_batch)
             singles.append(single)
         replica.epoch_rows = rows
@@ -885,14 +881,7 @@ class ServingSimulator:
         replica.epoch_cut = len(dones)
         replica.epoch_seq += 1
         for k, done in enumerate(dones):
-            self._events.push(
-                Event(
-                    time=done,
-                    kind=EventKind.PREFILL_BATCH,
-                    replica_id=prefill_id,
-                    payload=(replica.epoch_seq, k),
-                )
-            )
+            self._push(done, _PREFILL_BATCH, prefill_id, (replica.epoch_seq, k))
 
     def _kv_link(self, prefill_id: int, decode_id: int) -> Tuple[float, float]:
         """(alpha, beta) of the best link between a prefill and a decode group.
@@ -933,26 +922,16 @@ class ServingSimulator:
         for r in replica.epoch_rows[offsets[idx] : offsets[idx + 1]]:
             m_pstart[r] = start
             m_first[r] = now
-        if replica.epoch_single[idx]:
-            # Single-token responses finish at prefill; no KV transfer needed.
-            single = np.asarray(replica.epoch_single[idx], dtype=np.int64)
-            self._m_kvdone[single] = now
-            self._m_comp[single] = now
-            self._m_fin[single] = True
-            self._m_out[single] = np.where(
-                self._att[single] > 0, _OUT_RETRIED, _OUT_FINISHED
-            )
+        # Single-token responses finish at prefill; no KV transfer needed.
+        for r in replica.epoch_single[idx]:
+            self._m_kvdone[r] = now
+            self._m_comp[r] = now
+            self._m_fin[r] = True
+            self._m_out[r] = _OUT_RETRIED if self._att[r] > 0 else _OUT_FINISHED
         if not self._faults_active:
             for decode_id, kv_rows, times in replica.epoch_kv[idx]:
                 holder = _KVBatch(decode_id=decode_id, rows=kv_rows, times=times)
-                holder.heap_seq = self._events.push(
-                    Event(
-                        time=times[0],
-                        kind=EventKind.KV_BATCH,
-                        replica_id=decode_id,
-                        payload=holder,
-                    )
-                )
+                holder.heap_seq = self._push(times[0], _KV_BATCH, decode_id, holder)
         else:
             dead_rows: List[int] = []
             for decode_id, kv_rows, times in replica.epoch_kv[idx]:
@@ -968,16 +947,9 @@ class ServingSimulator:
                     times=times,
                     incarnation=target.incarnation,
                 )
-                holder.heap_seq = self._events.push(
-                    Event(
-                        time=times[0],
-                        kind=EventKind.KV_BATCH,
-                        replica_id=decode_id,
-                        payload=holder,
-                    )
-                )
+                holder.heap_seq = self._push(times[0], _KV_BATCH, decode_id, holder)
             if dead_rows:
-                dead_rows.sort(key=lambda r: int(self._req_id[r]))
+                dead_rows.sort(key=self._req_id.__getitem__)
                 for r in dead_rows:
                     self._dispose_fast(r, now)
         if idx == replica.epoch_cut - 1:
@@ -997,60 +969,24 @@ class ServingSimulator:
         times = holder.times
         rows = holder.rows
         n = len(rows)
-        events = self._events
+        seq = holder.heap_seq
+        heap = self._heap
+        fault_events = self._fault_events
         while holder.pos < n:
             t = times[holder.pos]
             if (
-                self._fault_pos < len(self._fault_events)
-                and self._fault_events[self._fault_pos].time <= t
+                # A fault entry is due first: the main loop applies it (it may
+                # dispose this very cursor's remaining rows).
+                (self._fault_pos < len(fault_events) and fault_events[self._fault_pos].time <= t)
+                # Beyond the horizon: the main loop observes (and truncates
+                # at) the remainder like the per-event engine.
+                or (horizon is not None and t > horizon)
+                or (self._cursor < self._n and self._arr[self._cursor] <= t)
+                # Sequence numbers are unique, so this tuple comparison is
+                # decided by (time, seq) alone.
+                or (heap and heap[0] < (t, seq))
             ):
-                # A fault entry is due first: yield so the main loop applies it
-                # (the entry may dispose this very cursor's remaining rows).
-                events.repush(
-                    Event(
-                        time=t,
-                        kind=EventKind.KV_BATCH,
-                        replica_id=holder.decode_id,
-                        payload=holder,
-                    ),
-                    holder.heap_seq,
-                )
-                return
-            if horizon is not None and t > horizon:
-                # Beyond the horizon: hand the remainder back so the main loop
-                # observes (and truncates at) it like the per-event engine.
-                events.repush(
-                    Event(
-                        time=t,
-                        kind=EventKind.KV_BATCH,
-                        replica_id=holder.decode_id,
-                        payload=holder,
-                    ),
-                    holder.heap_seq,
-                )
-                return
-            if self._cursor < self._n and float(self._arr[self._cursor]) <= t:
-                events.repush(
-                    Event(
-                        time=t,
-                        kind=EventKind.KV_BATCH,
-                        replica_id=holder.decode_id,
-                        payload=holder,
-                    ),
-                    holder.heap_seq,
-                )
-                return
-            top = events.peek_key()
-            if top is not None and top < (t, holder.heap_seq):
-                events.repush(
-                    Event(
-                        time=t,
-                        kind=EventKind.KV_BATCH,
-                        replica_id=holder.decode_id,
-                        payload=holder,
-                    ),
-                    holder.heap_seq,
-                )
+                heappush(heap, (t, seq, _KV_BATCH, holder.decode_id, holder))
                 return
             holder.pos += 1
             self._clock = max(self._clock, t)
@@ -1079,8 +1015,8 @@ class ServingSimulator:
         admitted = 0
         while pending and len(heap) < max_batch:
             row = pending[0]
-            i = int(inlen[row])
-            o = int(outlen[row])
+            i = inlen[row]
+            o = outlen[row]
             if not kv.can_allocate(i + o):
                 break
             pending.popleft()
@@ -1129,14 +1065,7 @@ class ServingSimulator:
         replica.epoch_len = k
         replica.epoch_cut = k
         replica.epoch_seq += 1
-        self._events.push(
-            Event(
-                time=times[-1],
-                kind=EventKind.DECODE_WAKE,
-                replica_id=replica.group_id,
-                payload=replica.epoch_seq,
-            )
-        )
+        self._push(times[-1], _DECODE_WAKE, replica.group_id, replica.epoch_seq)
 
     def _on_decode_wake(self, replica: _DecodeReplica, now: float) -> None:
         """Apply an epoch's steps at its wake and extend or replan.
@@ -1165,14 +1094,7 @@ class ServingSimulator:
                     replica.epoch_len = len(times)
                     replica.epoch_cut = len(times)
                     replica.epoch_seq += 1
-                    self._events.push(
-                        Event(
-                            time=times[-1],
-                            kind=EventKind.DECODE_WAKE,
-                            replica_id=replica.group_id,
-                            payload=replica.epoch_seq,
-                        )
-                    )
+                    self._push(times[-1], _DECODE_WAKE, replica.group_id, replica.epoch_seq)
                     return
                 self._plan_epoch(replica, now, admit=False)
                 return
@@ -1209,7 +1131,7 @@ class ServingSimulator:
         finished = 0
         while heap and heap[0][0] == now_step:
             row = heappop(heap)[1]
-            ctx_sum -= int(inlen[row]) + int(outlen[row])
+            ctx_sum -= inlen[row] + outlen[row]
             self._m_comp[row] = done
             self._m_fin[row] = True
             self._m_out[row] = _OUT_RETRIED if att[row] > 0 else _OUT_FINISHED
@@ -1242,14 +1164,7 @@ class ServingSimulator:
         if steps < replica.epoch_cut:
             replica.epoch_cut = steps
             replica.epoch_seq += 1
-            self._events.push(
-                Event(
-                    time=times[idx],
-                    kind=EventKind.DECODE_WAKE,
-                    replica_id=replica.group_id,
-                    payload=replica.epoch_seq,
-                )
-            )
+            self._push(times[idx], _DECODE_WAKE, replica.group_id, replica.epoch_seq)
 
     # ------------------------------------------------------- faults (fast engine)
     def _dispose_fast(self, row: int, now: float) -> None:
@@ -1263,7 +1178,7 @@ class ServingSimulator:
         the retry would land past the per-request deadline.  Terminal outcomes
         keep the partial stamps of the failed attempt.
         """
-        att = int(self._att[row]) + 1
+        att = self._att[row] + 1
         self._att[row] = att
         policy = self._retry
         alive_p = self._alive_prefill_ids
@@ -1271,12 +1186,12 @@ class ServingSimulator:
         if not alive_p or not alive_d or att > policy.max_retries:
             self._m_out[row] = _OUT_DROPPED
             return
-        rid = int(self._req_id[row])
+        rid = self._req_id[row]
         seed = self.config.seed
         retry_time = now + policy.backoff_delay(seed, rid, att)
         if (
             policy.deadline_s is not None
-            and retry_time - float(self._arr[row]) > policy.deadline_s
+            and retry_time - self._arr[row] > policy.deadline_s
         ):
             self._m_out[row] = _OUT_TIMED_OUT
             return
@@ -1290,7 +1205,7 @@ class ServingSimulator:
         self._m_comp[row] = 0.0
         self._m_fin[row] = False
         self._m_out[row] = 0
-        self._events.push(Event(time=retry_time, kind=EventKind.RETRY, payload=row))
+        self._push(retry_time, _RETRY, -1, row)
 
     def _apply_fault_fast(self, entry: ReplicaFaultEvent) -> None:
         """Apply one fault-timeline entry at its instant (fast engine).
@@ -1308,7 +1223,7 @@ class ServingSimulator:
                 continue
             self._dead_prefills.add(gid)
             replica = self.prefills[gid]
-            victims.extend(int(r) for r in replica.queue)
+            victims.extend(replica.queue)
             if replica.busy and replica.epoch_rows is not None:
                 # Batches whose completion fired strictly before ``t`` already
                 # delivered; everything later (ties included — fault entries
@@ -1343,7 +1258,7 @@ class ServingSimulator:
                 if fired > 0:
                     self._clock = max(self._clock, times[fired - 1])
             victims.extend(row for _, row in replica.heap)
-            victims.extend(int(r) for r in replica.pending)
+            victims.extend(replica.pending)
             victims.extend(replica.inflight.keys())
             replica.heap = []
             replica.steps_done = 0
@@ -1368,7 +1283,7 @@ class ServingSimulator:
         self._alive_decode_ids = sorted(
             g for g in self.decodes if g not in self._dead_decodes
         )
-        victims.sort(key=lambda r: int(self._req_id[r]))
+        victims.sort(key=self._req_id.__getitem__)
         for row in victims:
             self._dispose_fast(row, t)
 

@@ -18,19 +18,8 @@ class EventKind(str, enum.Enum):
     PREFILL_DONE = "prefill_done"
     KV_ARRIVED = "kv_arrived"
     DECODE_STEP = "decode_step"
-    #: end of a coalesced multi-step decode epoch (fast engine); the payload is
-    #: the epoch sequence number so truncated epochs can invalidate stale wakes
-    DECODE_WAKE = "decode_wake"
-    #: completion of one batch inside a coalesced prefill epoch (fast engine);
-    #: the payload is (epoch sequence number, batch index) so arrival-truncated
-    #: epochs can invalidate the events of their cancelled batches
-    PREFILL_BATCH = "prefill_batch"
-    #: a coalesced array of KV-cache arrivals for one decode replica (fast
-    #: engine); the payload is a mutable batch cursor drained in arrival order
-    KV_BATCH = "kv_batch"
     #: re-dispatch of a request after a fault-triggered backoff delay; the
-    #: payload identifies the request (row index in the fast engine, the
-    #: :class:`~repro.core.types.Request` in the reference engine)
+    #: payload is the :class:`~repro.core.types.Request`
     RETRY = "retry"
     REPLICA_STEP = "replica_step"  # co-located replicas (vLLM/HexGen baselines)
 
@@ -70,19 +59,6 @@ class EventQueue:
         seq = next(self._counter)
         heapq.heappush(self._heap, (event.time, seq, event))
         return seq
-
-    def repush(self, event: Event, seq: int) -> None:
-        """Re-insert an event under a previously assigned sequence number.
-
-        Coalesced batch events (``KV_BATCH``) drain several logical arrivals;
-        when a later arrival must yield to another heap entry, the batch is
-        re-inserted at that arrival's time *keeping its original sequence
-        number*, so exact-time ties keep resolving exactly as they would for
-        the per-arrival events the batch replaces.
-        """
-        if event.time < 0:
-            raise SimulationError(f"event time must be >= 0, got {event.time}")
-        heapq.heappush(self._heap, (event.time, seq, event))
 
     def pop(self) -> Event:
         """Remove and return the earliest event."""

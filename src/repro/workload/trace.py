@@ -41,7 +41,8 @@ class RequestArrays:
     request_id:
         Unique integer ids, ``int64``.
     arrival_time:
-        Absolute arrival times in seconds, ``float64``, non-decreasing.
+        Absolute arrival times in seconds, ``float64``, non-negative and
+        non-decreasing.
     input_length:
         Prompt lengths in tokens, ``int64``, all >= 1.
     output_length:
@@ -75,6 +76,11 @@ class RequestArrays:
                 raise ValueError("input_length and output_length must be >= 1")
             if np.any(np.diff(self.arrival_time) < 0):
                 raise ValueError("arrival_time must be non-decreasing")
+            # Request's own check; the column is non-decreasing, so the first
+            # arrival is the earliest.
+            first = float(self.arrival_time[0])
+            if first < 0:
+                raise ValueError(f"arrival_time must be >= 0, got {first}")
 
     # ------------------------------------------------------------------ container
     def __len__(self) -> int:

@@ -9,11 +9,15 @@ which in turn is bitwise-identical to the per-event reference oracle.
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from repro.core.exceptions import SimulationError
-from repro.simulation.engine import ServingSimulator, SimulatorConfig
+from repro.core.types import Request
+from repro.simulation.engine import ENGINES, ServingSimulator, SimulatorConfig
+from repro.simulation.metrics import MetricArrays
 from repro.workload.generator import DiurnalTimeWarp, PoissonArrivalGenerator
 from repro.workload.spec import CODING_WORKLOAD, CONVERSATION_WORKLOAD
 from repro.workload.trace import RequestArrays
@@ -194,7 +198,74 @@ class TestValidation:
         _assert_identical(fast, reference)
 
 
+class TestNegativeArrivals:
+    """A negative arrival is refused alike by both engines and both entry points."""
+
+    @staticmethod
+    def _negative_block() -> RequestArrays:
+        return RequestArrays(
+            request_id=np.arange(3),
+            arrival_time=np.array([-0.1, 0.5, 1.0]),
+            input_length=np.full(3, 64),
+            output_length=np.full(3, 8),
+        )
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_run_and_run_stream_raise_requests_error(
+        self, small_hetero_cluster, small_plan, model_30b, engine
+    ):
+        with pytest.raises(ValueError) as from_request:
+            Request(request_id=0, arrival_time=-0.1, input_length=64, output_length=8)
+        sim = _simulator(small_hetero_cluster, small_plan, model_30b, engine=engine)
+
+        def chunks():
+            yield self._negative_block()
+
+        with pytest.raises(ValueError) as via_stream:
+            sim.run_stream(chunks())
+        with pytest.raises(ValueError) as via_run:
+            sim.run(self._negative_block().to_trace())
+        assert str(via_stream.value) == str(from_request.value)
+        assert str(via_run.value) == str(from_request.value)
+
+
 class TestResultArrays:
+    @staticmethod
+    def _assert_owned_columns(result) -> None:
+        for column in fields(MetricArrays):
+            values = getattr(result.arrays, column.name)
+            assert values.base is None and values.flags.owndata, column.name
+            assert values.flags.c_contiguous, column.name
+            assert values.dtype in (np.int64, np.float64, np.bool_), column.name
+
+    @pytest.mark.parametrize("shuffle_ids", [False, True])
+    def test_columns_owned_and_simulator_reusable(
+        self, small_hetero_cluster, small_plan, model_30b, arrays, shuffle_ids
+    ):
+        """run, run_stream, run on one simulator agree bitwise on owned columns.
+
+        The second and third runs also prove the request columns reset and
+        that no result holds a buffer the next run's ingest would resize.
+        """
+        if shuffle_ids:
+            ids = np.random.default_rng(0).permutation(arrays.request_id)
+            arrays = RequestArrays(
+                ids, arrays.arrival_time, arrays.input_length, arrays.output_length
+            )
+        sim = _simulator(small_hetero_cluster, small_plan, model_30b)
+        chunks = [arrays.slice(lo, min(lo + 17, N)) for lo in range(0, N, 17)]
+        results = [
+            sim.run(arrays.to_trace()),
+            sim.run_stream(chunks),
+            sim.run(arrays.to_trace()),
+        ]
+        for result in results:
+            self._assert_owned_columns(result)
+            assert result.makespan == results[0].makespan
+            for column in fields(MetricArrays):
+                first = getattr(results[0].arrays, column.name)
+                assert getattr(result.arrays, column.name).tobytes() == first.tobytes()
+
     def test_streamed_result_metrics_sorted_by_request_id(
         self, small_hetero_cluster, small_plan, model_30b, arrays
     ):
