@@ -19,6 +19,11 @@ class BlockAllocationError(ReproError):
     """Raised when a sequence requests more KV blocks than are available."""
 
 
+def blocks_for(num_tokens: int, block_size: int) -> int:
+    """Blocks of ``block_size`` tokens that store ``num_tokens`` tokens."""
+    return -(-num_tokens // block_size)  # ceil division
+
+
 @dataclass
 class _SequenceState:
     """Bookkeeping for one active sequence."""
@@ -81,7 +86,7 @@ class PagedKVCache:
         """Blocks required to store ``num_tokens`` tokens."""
         if num_tokens < 0:
             raise ValueError("num_tokens must be >= 0")
-        return -(-num_tokens // self.block_size)  # ceil division
+        return blocks_for(num_tokens, self.block_size)
 
     def can_allocate(self, num_tokens: int) -> bool:
         """Whether a new sequence of ``num_tokens`` tokens fits right now."""
@@ -141,4 +146,4 @@ class PagedKVCache:
         self._used_blocks = 0
 
 
-__all__ = ["PagedKVCache", "BlockAllocationError"]
+__all__ = ["PagedKVCache", "BlockAllocationError", "blocks_for"]

@@ -13,9 +13,7 @@ pipeline communication cost) and breaks ties by the larger sum of hop bandwidths
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
-
-import numpy as np
+from typing import List, Sequence
 
 from repro.hardware.network import NetworkModel
 
@@ -76,45 +74,55 @@ def optimal_stage_order(
         # appear as transient tabu-search candidates, never in final plans).
         return _greedy_stage_order(network, stages)
 
-    # Pairwise stage bandwidths.
-    bw = np.zeros((n, n), dtype=float)
+    # Pairwise stage bandwidths as plain float rows.
+    bw = [[0.0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            b = stage_link_bandwidth(network, stages[i], stages[j])
-            bw[i, j] = bw[j, i] = b
+            b = float(stage_link_bandwidth(network, stages[i], stages[j]))
+            bw[i][j] = bw[j][i] = b
 
-    # dp[(mask, last)] = (bottleneck, total) of the best path visiting `mask`,
-    # ending at `last`.  We maximise bottleneck first, then total bandwidth.
-    NEG = (-1.0, -1.0)
+    # State (mask, last) lives at index ``mask * n + last``: the best path
+    # visiting ``mask`` and ending at ``last`` has bottleneck ``neck[k]`` and
+    # hop sum ``total[k]``.  We maximise bottleneck first, then total
+    # bandwidth; -1 marks an unreached state (bandwidths are non-negative).
     size = 1 << n
-    best: dict[tuple[int, int], tuple[float, float]] = {}
-    parent: dict[tuple[int, int], int] = {}
+    neck = [-1.0] * (size * n)
+    total = [-1.0] * (size * n)
+    parent = [-1] * (size * n)
     for i in range(n):
-        best[(1 << i, i)] = (float("inf"), 0.0)
+        neck[(1 << i) * n + i] = float("inf")
+        total[(1 << i) * n + i] = 0.0
 
+    bits = [1 << i for i in range(n)]
     for mask in range(size):
+        base = mask * n
+        # (next stage, index of the state it extends to) for every unvisited stage
+        free = [
+            (nxt, (mask | bits[nxt]) * n + nxt) for nxt in range(n) if not mask & bits[nxt]
+        ]
         for last in range(n):
-            key = (mask, last)
-            if key not in best:
+            bottleneck = neck[base + last]
+            if bottleneck < 0.0:
                 continue
-            bottleneck, total = best[key]
-            for nxt in range(n):
-                if mask & (1 << nxt):
-                    continue
-                hop = bw[last, nxt]
-                new_val = (min(bottleneck, hop), total + hop)
-                new_key = (mask | (1 << nxt), nxt)
-                if new_val > best.get(new_key, NEG):
-                    best[new_key] = new_val
-                    parent[new_key] = last
+            path_sum = total[base + last]
+            hops = bw[last]
+            for nxt, key in free:
+                hop = hops[nxt]
+                new_neck = hop if hop < bottleneck else bottleneck
+                new_total = path_sum + hop
+                old_neck = neck[key]
+                if new_neck > old_neck or (new_neck == old_neck and new_total > total[key]):
+                    neck[key] = new_neck
+                    total[key] = new_total
+                    parent[key] = last
 
-    full = size - 1
-    end = max(range(n), key=lambda i: best.get((full, i), NEG))
+    full = (size - 1) * n
+    end = max(range(n), key=lambda i: (neck[full + i], total[full + i]))
     # Reconstruct the path.
     order = [end]
-    mask = full
+    mask = size - 1
     while len(order) < n:
-        prev = parent[(mask, order[-1])]
+        prev = parent[mask * n + order[-1]]
         mask ^= 1 << order[-1]
         order.append(prev)
     order.reverse()

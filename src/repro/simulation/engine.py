@@ -18,12 +18,13 @@ The per-request metrics collected here are what the end-to-end experiments
 Two engines implement the same semantics:
 
 * ``engine="fast"`` (the default) keeps the whole request lifecycle in
-  **struct-of-arrays form**: requests are integer rows into plain
-  :class:`array.array` columns (ids, arrival times, lengths, routing targets,
-  and the metric timestamps) that grow by one ``frombytes`` per ingested
-  chunk, so no per-request Python object is created on the fast path and
-  every scalar read is a plain Python int or float.  The columns are copied
-  into numpy once, when the run is finalized.  Traces are ingested chunk by
+  **struct-of-arrays form**: requests are integer rows into owned numpy
+  columns (ids, arrival times, lengths, routing targets, and the metric
+  timestamps) that grow in place by one ``resize`` per ingested chunk and are
+  read and written through memoryviews, so no per-request Python object
+  is created on the fast path and every scalar read is a plain Python int or
+  float.  The columns become the result's columns when the run is finalized,
+  without a copy.  Traces are ingested chunk by
   chunk — :meth:`ServingSimulator.run_stream` accepts any iterator of
   :class:`~repro.workload.trace.RequestArrays` blocks, bounding memory by the
   chunk size — and arrivals are driven by a cursor over the ingested columns
@@ -42,13 +43,13 @@ Two engines implement the same semantics:
   (:meth:`~repro.costmodel.latency.ReplicaCostModel.decode_step_row`), turned
   into boundary times by ``itertools.accumulate`` — the reference's
   sequential ``now + latency`` float adds — and a single wake event replaces
-  thousands of per-token heap events.  A KV arrival mid-epoch truncates the
-  epoch at the first step boundary after the arrival, exactly where the
-  per-event engine would admit the request — and when nothing was admitted at
-  a truncated boundary, the **surviving suffix of the old plan is reused**
-  verbatim instead of re-pricing it (the remaining step times are a pure
-  function of unchanged batch state).  The per-epoch step budget adapts to the
-  interruption rate, doubling on quiet replicas and shrinking on busy ones.
+  thousands of per-token heap events.  Every epoch runs to the batch's first
+  completion.  A KV arrival mid-epoch truncates the epoch at the first step
+  boundary after the arrival, exactly where the per-event engine would admit
+  the request — and when nothing was admitted at a truncated boundary, the
+  **surviving suffix of the old plan is reused** verbatim instead of
+  re-pricing it (the remaining step times are a pure function of unchanged
+  batch state).  KV memory is one plain int of free blocks per replica.
 
   On the prefill side it **coalesces queued batches into epochs**: when a
   replica picks up work, the whole queue is chunked into multi-request batches
@@ -56,9 +57,10 @@ Two engines implement the same semantics:
   pass prices every batch through the memoized
   :meth:`~repro.costmodel.latency.ReplicaCostModel.prefill_latency_memo` and
   precomputes the per-batch completion times plus every KV-transfer handoff up
-  front.  A new arrival on the replica truncates the
-  epoch at the first batch that has not yet started (re-queueing its rows),
-  exactly where the per-event engine would re-form batches.  The resulting KV
+  front.  Each completion pushes the next batch's event, where the per-event
+  engine pushes its own.  A new arrival on the replica cancels the trailing
+  batch if it is underfull and not yet started (re-queueing its rows), exactly
+  where the per-event engine would re-form batches.  The resulting KV
   transfers are emitted as **coalesced arrival batches** (one ``KV_BATCH``
   cursor per (prefill batch, decode replica) instead of one heap event per
   request) that feed the decode epochs in exact per-request arrival order.
@@ -75,7 +77,6 @@ Two engines implement the same semantics:
 
 from __future__ import annotations
 
-from array import array
 from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass, field
@@ -100,20 +101,15 @@ from repro.costmodel.latency import (
 )
 from repro.model.memory import kv_cache_bytes_per_token
 from repro.hardware.cluster import Cluster
-from repro.kvcache.paged import PagedKVCache
+from repro.kvcache.paged import PagedKVCache, blocks_for
 from repro.model.architecture import ModelConfig
 from repro.scheduling.deployment import DeploymentPlan, RoutingPolicy
 from repro.simulation.events import Event, EventKind, EventQueue
-from repro.simulation.metrics import MetricArrays, SimulationResult
+from repro.simulation.metrics import COLUMN_DTYPES, MetricArrays, SimulationResult
 from repro.workload.trace import RequestArrays, Trace
 
 #: valid decode-engine selectors of :class:`SimulatorConfig`
 ENGINES = ("fast", "reference")
-
-#: decode epoch budget floor: epochs shrink to this many steps under pressure
-_MIN_EPOCH_BUDGET = 16
-#: decode epoch budget ceiling: quiet replicas coalesce up to this many steps
-_MAX_EPOCH_BUDGET = 4096
 
 # RequestOutcome values as plain ints for the fast engine's outcome column.
 _OUT_FINISHED = int(RequestOutcome.FINISHED)
@@ -124,6 +120,9 @@ _OUT_DROPPED = int(RequestOutcome.DROPPED_OUTAGE)
 # Event kinds of the fast engine's tuple heap: decode epoch wake, prefill
 # batch completion, coalesced KV-arrival cursor, fault-retry re-dispatch.
 _DECODE_WAKE, _PREFILL_BATCH, _KV_BATCH, _RETRY = range(4)
+
+#: the longest prompt or response the length columns hold
+_MAX_LENGTH = int(np.iinfo(COLUMN_DTYPES["input_length"]).max)
 
 
 @dataclass(frozen=True)
@@ -167,17 +166,18 @@ class SimulatorConfig:
         return max((table.get(g, 1.0) for g in gpu_ids), default=1.0)
 
 
-@dataclass
+@dataclass(slots=True)
 class _PrefillReplica:
     """Run-time state of one prefill replica.
 
     The reference engine only uses ``queue`` / ``busy`` (the queue holds
     :class:`Request` objects and batches are re-formed at every
     ``PREFILL_DONE``); the fast engine queues integer request rows and
-    additionally carries the state of the current coalesced prefill epoch (as
-    plain lists): the planned batch rows and their offsets, precomputed
-    start/completion times, the precomputed KV-transfer handoffs and
-    single-token rows of every batch, and the truncation bookkeeping.
+    additionally carries the plan of the current coalesced prefill epoch: one
+    ``(rows, start, done, handoffs, singles)`` tuple per batch, holding the
+    batch's rows, its precomputed start and completion times, its KV-transfer
+    handoffs as ``(decode group, rows sorted by arrival, arrival times)`` and
+    its single-token rows.  An idle fast replica has an empty queue.
     """
 
     group_id: int
@@ -186,33 +186,18 @@ class _PrefillReplica:
     #: (reference engine)
     queue: Deque = field(default_factory=deque)
     busy: bool = False
-    # ---- fast engine coalesced-epoch state ----
-    #: rows of every batch of the current epoch, concatenated in execution order
-    epoch_rows: Optional[List[int]] = None
-    #: batch ``k`` spans ``epoch_rows[epoch_offsets[k]:epoch_offsets[k + 1]]``
-    epoch_offsets: Optional[List[int]] = None
-    #: absolute start time of every planned batch
-    epoch_starts: Optional[List[float]] = None
-    #: absolute completion time of every planned batch
-    epoch_dones: Optional[List[float]] = None
-    #: per batch: coalesced KV handoffs as (decode group, rows sorted by
-    #: arrival, arrival times) — precomputed at plan time
-    epoch_kv: List[List[Tuple[int, Sequence[int], Sequence[float]]]] = field(default_factory=list)
-    #: per batch: single-token rows, which finish at prefill with no handoff
-    epoch_single: List[List[int]] = field(default_factory=list)
-    #: number of leading batches still valid (arrival truncation shortens this)
-    epoch_cut: int = 0
-    #: epoch generation counter; batch events carrying an older value are stale
-    #: (bumped by arrival truncation, superseding epochs, and replica death —
-    #: the reference engine uses it purely as a death-incarnation stamp on its
-    #: in-flight ``PREFILL_DONE`` event)
+    #: batches of the current epoch not yet completed, in execution order:
+    #: ``epoch[0]`` is running, and arrival truncation drops the trailing one
+    epoch: List[tuple] = field(default_factory=list)
+    #: death-incarnation counter; batch events carrying an older value are
+    #: stale (both engines stamp their in-flight batch event with it)
     epoch_seq: int = 0
     #: requests of the in-flight batch (reference engine only) — the rows a
     #: capacity-loss fault must dispose alongside the queue
     inflight_batch: Optional[List] = None
 
 
-@dataclass
+@dataclass(slots=True)
 class _KVBatch:
     """Cursor over a coalesced array of KV arrivals for one decode replica.
 
@@ -223,24 +208,24 @@ class _KVBatch:
     not-yet-ingested trace arrival — is due first.
     """
 
-    decode_id: int
     rows: Sequence[int]
     times: Sequence[float]
-    #: index of the next undelivered arrival
-    pos: int = 0
     #: heap sequence number assigned at the first push; reused on every repush
-    heap_seq: int = -1
+    heap_seq: int
     #: death-incarnation of the target decode replica at creation; a mismatch
     #: at pop time means the replica died (the rows were already disposed)
     incarnation: int = 0
+    #: index of the next undelivered arrival
+    pos: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class _DecodeReplica:
     """Run-time state of one decode replica.
 
     The reference engine tracks the running batch in ``active`` (request_id ->
-    [context, remaining]) and queues :class:`Request` objects in ``pending``.
+    [context, remaining]), queues :class:`Request` objects in ``pending`` and
+    accounts KV memory in the :class:`PagedKVCache` ``kv``.
     The fast engine queues request rows and keeps the batch as a step counter
     ``steps_done``, a min-heap ``heap`` of ``(finish_step, row)`` and the
     running context sum ``ctx_sum``.  A row admitted at step ``s`` with ``o``
@@ -248,13 +233,19 @@ class _DecodeReplica:
     first token) and finishes at step ``s + o - 1`` with context
     ``in_len + o``.  Applying a span of steps is O(1), retiring a finisher is
     one heap pop, and the earliest completion is ``heap[0][0] - steps_done``
-    steps away.  Beside the batch it holds the precomputed step boundary
-    times of the current coalesced epoch.
+    steps away.  KV memory is the plain int ``kv_free`` out of ``kv_blocks``:
+    a row holds ``blocks_for(in_len + out_len, block_size)`` blocks from
+    admission to completion, exactly what ``kv`` would allocate.  Beside the
+    batch it holds the precomputed step boundary times of the current
+    coalesced epoch.
     """
 
     group_id: int
     cost: ReplicaCostModel
     kv: PagedKVCache
+    #: KV capacity in blocks (the size of ``kv``; the fast engine's ``kv_free``
+    #: starts here)
+    kv_blocks: int
     max_batch: int
     #: request_id -> [current context length, remaining tokens] (reference engine)
     active: Dict[int, List[int]] = field(default_factory=dict)
@@ -269,17 +260,15 @@ class _DecodeReplica:
     steps_done: int = 0
     #: sum of the running rows' current context lengths
     ctx_sum: int = 0
-    #: absolute times of the current epoch's step boundaries (b_1 .. b_K)
+    #: free KV blocks (fast engine; the reference engine asks ``kv``)
+    kv_free: int = 0
+    #: absolute times of the current epoch's step boundaries (b_1 .. b_K); the
+    #: last one is the earliest completion
     epoch_times: Optional[List[float]] = None
-    #: number of steps the epoch was planned with
-    epoch_len: int = 0
     #: number of steps the scheduled wake will apply (truncation shortens this)
     epoch_cut: int = 0
     #: epoch generation counter; wake events carrying an older value are stale
     epoch_seq: int = 0
-    #: adaptive per-epoch step cap (doubles on quiet replicas, shrinks when
-    #: arrivals keep truncating epochs)
-    epoch_budget: int = _MIN_EPOCH_BUDGET
     #: death-incarnation counter; KV transfers in flight toward an older
     #: incarnation are stale (their requests were disposed at the death instant)
     incarnation: int = 0
@@ -289,13 +278,25 @@ class _DecodeReplica:
     inflight: Dict[int, object] = field(default_factory=dict)
 
 
-#: int64 request columns, ``array('q')`` (``_att`` counts fault dispositions,
-#: ``_m_out`` holds the RequestOutcome code); ``_m_fin`` is an ``array('B')``
-_INT_COLUMNS = ("_req_id", "_inlen", "_outlen", "_pre_rep", "_dec_rep", "_att", "_m_out")
-#: float64 request columns, ``array('d')`` (arrival plus metric timestamps)
-_FLOAT_COLUMNS = ("_arr", "_m_pstart", "_m_first", "_m_kvdone", "_m_comp")
-#: the 8-byte metric columns, zero for every newly ingested row
-_ZERO_COLUMNS = ("_att", "_m_out", "_m_pstart", "_m_first", "_m_kvdone", "_m_comp")
+#: the fast engine's request columns: the request attributes, the routing
+#: targets, the fault-disposition count ``_att`` and the metric columns
+#: (``_m_out`` holds the RequestOutcome code), each with the dtype of the
+#: result column it becomes
+_COLUMNS = {
+    "_req_id": "request_id",
+    "_arr": "arrival_time",
+    "_inlen": "input_length",
+    "_outlen": "output_length",
+    "_pre_rep": "prefill_replica",
+    "_dec_rep": "decode_replica",
+    "_att": "attempts",
+    "_m_pstart": "prefill_start",
+    "_m_first": "first_token_time",
+    "_m_kvdone": "kv_transfer_done",
+    "_m_comp": "completion_time",
+    "_m_fin": "finished",
+    "_m_out": "outcome",
+}
 
 
 class ServingSimulator:
@@ -336,15 +337,12 @@ class ServingSimulator:
                 cluster, group.plan, model, params,
                 slowdown=config.group_slowdown(group.gpu_ids),
             )
-            capacity_tokens = cost.kv_token_capacity()
-            kv = PagedKVCache(
-                num_blocks=max(0, capacity_tokens // config.kv_block_size),
-                block_size=config.kv_block_size,
-            )
+            kv_blocks = max(0, cost.kv_token_capacity() // config.kv_block_size)
             self.decodes[group.group_id] = _DecodeReplica(
                 group_id=group.group_id,
                 cost=cost,
-                kv=kv,
+                kv=PagedKVCache(num_blocks=kv_blocks, block_size=config.kv_block_size),
+                kv_blocks=kv_blocks,
                 max_batch=params.max_decode_batch,
             )
 
@@ -370,8 +368,12 @@ class ServingSimulator:
             )
         self._y_norm = y / np.where(row_sums > 0, row_sums, 1.0)
         self._y_cdf = np.cumsum(self._y_norm, axis=1)
-        self._pgid_arr = np.asarray(self.routing.prefill_group_ids, dtype=np.int64)
-        self._dgid_arr = np.asarray(self.routing.decode_group_ids, dtype=np.int64)
+        self._pgid_arr = np.asarray(
+            self.routing.prefill_group_ids, dtype=COLUMN_DTYPES["prefill_replica"]
+        )
+        self._dgid_arr = np.asarray(
+            self.routing.decode_group_ids, dtype=COLUMN_DTYPES["decode_replica"]
+        )
 
         self._fast = config.engine == "fast"
         #: KV-transport bytes per prompt token at the plan's precision — the
@@ -404,13 +406,7 @@ class ServingSimulator:
         for replica in self.prefills.values():
             replica.queue.clear()
             replica.busy = False
-            replica.epoch_rows = None
-            replica.epoch_offsets = None
-            replica.epoch_starts = None
-            replica.epoch_dones = None
-            replica.epoch_kv = []
-            replica.epoch_single = []
-            replica.epoch_cut = 0
+            replica.epoch = []
             replica.epoch_seq = 0
             replica.inflight_batch = None
         for replica in self.decodes.values():
@@ -421,11 +417,10 @@ class ServingSimulator:
             replica.heap = []
             replica.steps_done = 0
             replica.ctx_sum = 0
+            replica.kv_free = replica.kv_blocks
             replica.epoch_times = None
-            replica.epoch_len = 0
             replica.epoch_cut = 0
             replica.epoch_seq = 0
-            replica.epoch_budget = _MIN_EPOCH_BUDGET
             replica.incarnation = 0
             replica.inflight.clear()
 
@@ -463,16 +458,33 @@ class ServingSimulator:
         self._reset_replicas()
         self._n = 0
         self._cursor = 0
-        for name in _INT_COLUMNS:
-            setattr(self, name, array("q"))
-        for name in _FLOAT_COLUMNS:
-            setattr(self, name, array("d"))
-        self._m_fin = array("B")
+        self._new_store()
         self._heap: List[tuple] = []
         self._heap_seq = count()
         self._workload_spans: List[Tuple[int, str]] = []
         self._chunk_iter: Optional[Iterator[RequestArrays]] = None
         self._chunks_done = True
+
+    def _new_store(self) -> None:
+        """Start an empty request store and bind its column views."""
+        self._store = {
+            name: np.zeros(0, dtype=COLUMN_DTYPES[field]) for name, field in _COLUMNS.items()
+        }
+        self._bind_views()
+
+    def _bind_views(self) -> None:
+        """Expose every store column as a ``memoryview`` attribute (``self._arr``, ...).
+
+        Scalar reads and writes through a memoryview take and give plain
+        Python ints, floats and bools, as fast as ``array.array`` indexing.
+        """
+        for name, column in self._store.items():
+            setattr(self, name, memoryview(column))
+
+    def _release_views(self) -> None:
+        """Release the column views: a store column may only be resized after this."""
+        for name in self._store:
+            getattr(self, name).release()
 
     def _push(self, time: float, kind: int, replica_id: int, payload) -> int:
         """Push one fast-engine heap entry; return its tie-breaking sequence."""
@@ -574,8 +586,10 @@ class ServingSimulator:
         Appends the four request columns, then assigns routing targets for
         the whole chunk in one vectorized pass consuming exactly the scalar
         draws :meth:`_choose_pair` would: two uniforms per request,
-        interleaved in ingestion order.  Every column grows by one
-        ``frombytes``; the metric columns start at zero.
+        interleaved in ingestion order.  Every store column grows in place by
+        one ``ndarray.resize`` (a ``realloc``; the new rows are zero, which is
+        where the metric columns start) after its view is released, and the
+        views are bound again over the grown columns.
         """
         assert self._chunk_iter is not None
         while True:
@@ -590,21 +604,28 @@ class ServingSimulator:
         n = self._n
         if n and float(chunk.arrival_time[0]) < self._arr[n - 1]:
             raise SimulationError("streamed chunks must be time-ordered end to end")
-        self._req_id.frombytes(chunk.request_id.tobytes())
-        self._arr.frombytes(chunk.arrival_time.tobytes())
-        self._inlen.frombytes(chunk.input_length.tobytes())
-        self._outlen.frombytes(chunk.output_length.tobytes())
+        # A numpy copy into the narrower length columns would wrap silently.
+        if max(int(chunk.input_length.max()), int(chunk.output_length.max())) > _MAX_LENGTH:
+            raise SimulationError(f"request lengths must be at most {_MAX_LENGTH} tokens")
         draws = self._rng.random(2 * c)
         xi = np.searchsorted(self._x_cdf, draws[0::2], side="right")
         np.minimum(xi, self._x_cdf.size - 1, out=xi)
         yj = np.sum(self._y_cdf[xi] <= draws[1::2, None], axis=1)
         np.minimum(yj, self._y_cdf.shape[1] - 1, out=yj)
-        self._pre_rep.frombytes(self._pgid_arr[xi].tobytes())
-        self._dec_rep.frombytes(self._dgid_arr[yj].tobytes())
-        zeros = bytes(8 * c)
-        for name in _ZERO_COLUMNS:
-            getattr(self, name).frombytes(zeros)
-        self._m_fin.frombytes(bytes(c))
+        self._release_views()
+        store = self._store
+        for column in store.values():
+            # No reference check: under a tracer or profiler CPython binds a
+            # temporary method object holding the array for the call event,
+            # so numpy's count would reject every resize.
+            column.resize(n + c, refcheck=False)
+        store["_req_id"][n:] = chunk.request_id
+        store["_arr"][n:] = chunk.arrival_time
+        store["_inlen"][n:] = chunk.input_length
+        store["_outlen"][n:] = chunk.output_length
+        store["_pre_rep"][n:] = self._pgid_arr[xi]
+        store["_dec_rep"][n:] = self._dgid_arr[yj]
+        self._bind_views()
         if not self._workload_spans or self._workload_spans[-1][1] != chunk.workload:
             self._workload_spans.append((n, chunk.workload))
         self._n = n + c
@@ -620,29 +641,33 @@ class ServingSimulator:
         self._chunk_iter = chunks
         self._chunks_done = False
         heap = self._heap
-        arr = self._arr
-        pre_rep = self._pre_rep
         prefills = self.prefills
         decodes = self.decodes
         horizon = self.config.max_sim_time
         fault_events = self._fault_events
         num_faults = len(fault_events)
+        cursor = n = 0
         truncated = False
         while True:
             # Keep the arrival cursor ahead of the heap: whenever the ingested
             # rows are exhausted, pull chunks before deciding what runs next.
-            # KV_BATCH drains never advance the cursor, so "cursor < _n or
+            # KV_BATCH drains never advance the cursor, so "cursor < n or
             # stream done" holds inside every handler as well.
-            while self._cursor >= self._n and not self._chunks_done:
-                self._load_chunk()
-            have_arrival = self._cursor < self._n
+            if cursor == n:
+                while self._n == cursor and not self._chunks_done:
+                    self._load_chunk()
+                n = self._n
+                # A load re-binds the column views; refresh the local ones.
+                arr = self._arr
+                pre_rep = self._pre_rep
+            have_arrival = cursor < n
             if not have_arrival and not heap:
                 break
-            if self._fault_pos < num_faults:
+            if num_faults and self._fault_pos < num_faults:
                 # Fault entries win exact-time ties against simulation work:
                 # they apply the moment the next candidate event is not
                 # strictly earlier (the per-event engine uses the same rule).
-                next_t = arr[self._cursor] if have_arrival else heap[0][0]
+                next_t = arr[cursor] if have_arrival else heap[0][0]
                 if have_arrival and heap:
                     next_t = min(next_t, heap[0][0])
                 entry = fault_events[self._fault_pos]
@@ -653,16 +678,17 @@ class ServingSimulator:
                         self._fault_pos += 1
                         self._apply_fault_fast(entry)
                     continue
-            if have_arrival and (not heap or arr[self._cursor] <= heap[0][0]):
+            if have_arrival and (not heap or arr[cursor] <= heap[0][0]):
                 # Arrivals win exact-time ties: the per-event engine pushes all
                 # ARRIVAL events at setup, giving them the lowest heap seqs.
-                row = self._cursor
+                row = cursor
                 at = arr[row]
                 if horizon is not None and at > horizon:
                     truncated = True
                     break
-                self._cursor = row + 1
-                self._clock = max(self._clock, at)
+                cursor = row + 1
+                if at > self._clock:
+                    self._clock = at
                 pre = pre_rep[row]
                 if self._faults_active and pre in self._dead_prefills:
                     self._dispose_fast(row, at)
@@ -673,31 +699,38 @@ class ServingSimulator:
             if horizon is not None and t > horizon:
                 truncated = True
                 break
+            # Stale entries (a truncated or superseded decode epoch, work on
+            # or toward a replica that died) advance no clock.
             if kind == _DECODE_WAKE:
                 replica = decodes[replica_id]
                 if payload != replica.epoch_seq:
-                    continue  # stale wake from a truncated epoch; no clock update
-                self._clock = max(self._clock, t)
-                self._on_decode_wake(replica, t)
+                    continue
+                if t > self._clock:
+                    self._clock = t
+                self._advance_decode(replica, t)
             elif kind == _PREFILL_BATCH:
                 replica = prefills[replica_id]
-                seq, idx = payload
-                if seq != replica.epoch_seq or idx >= replica.epoch_cut:
-                    continue  # cancelled batch / superseded epoch; no clock update
-                self._clock = max(self._clock, t)
-                self._on_prefill_batch(replica, idx, t)
+                if payload != replica.epoch_seq:
+                    continue
+                if t > self._clock:
+                    self._clock = t
+                self._on_prefill_batch(replica, t)
             elif kind == _KV_BATCH:
-                if self._faults_active and payload.incarnation != decodes[replica_id].incarnation:
-                    continue  # target replica died; the rows were disposed
-                self._clock = max(self._clock, t)
-                self._on_kv_batch(payload, horizon)
+                replica = decodes[replica_id]
+                if payload.incarnation != replica.incarnation:
+                    continue
+                self._on_kv_batch(
+                    payload, replica, t, horizon, arr[cursor] if have_arrival else None
+                )
             else:  # _RETRY: the payload is the request row
-                self._clock = max(self._clock, t)
+                if t > self._clock:
+                    self._clock = t
                 pre = pre_rep[payload]
                 if pre in self._dead_prefills:
                     self._dispose_fast(payload, t)
                 else:
                     self._on_prefill_arrival_fast(prefills[pre], payload, t)
+        self._cursor = cursor
         if truncated and horizon is not None:
             self._flush_epochs(horizon)
         return self._finalize_fast(requests, trace_duration, label)
@@ -714,45 +747,34 @@ class ServingSimulator:
         run drops later arrivals entirely, like the per-event engine).  Columns
         are reordered by request id when the ingested ids are not already
         strictly increasing, matching the reference engine's sorted output.
-        Every column is copied out of its ``array`` buffer, so the result owns
-        its memory and holds no buffer export on the engine's columns.  Each
-        engine column is released as soon as it is copied, so the request
-        store is never held twice in full (this bounds peak memory).
+        The store columns are owned numpy arrays, so in id order they become
+        the result's columns as they are, with no copy (a shorter run is cut
+        to length in place); the engine starts a new empty store.
         """
         n = self._cursor
-        ids = np.frombuffer(self._req_id, dtype=np.int64, count=n)
+        self._release_views()
+        store = self._store
+        self._new_store()
+        ids = store["_req_id"][:n]
         order: Optional[np.ndarray] = None
         if n and not bool(np.all(ids[1:] > ids[:-1])):
             order = np.argsort(ids, kind="stable")
-        del ids  # a live view would keep ``_req_id`` from being released
+        del ids  # no view may outlive the in-place cut below
         if trace_duration is None:
-            trace_duration = self._arr[self._n - 1] - self._arr[0] if self._n >= 2 else 0.0
+            arrivals = store["_arr"]
+            trace_duration = float(arrivals[-1] - arrivals[0]) if arrivals.size >= 2 else 0.0
 
-        def take(name: str, dtype=np.int64) -> np.ndarray:
-            column = getattr(self, name)
-            setattr(self, name, array(column.typecode))
-            view = np.frombuffer(column, dtype=dtype, count=n)
-            return view.copy() if order is None else view[order]
+        def take(name: str) -> np.ndarray:
+            column = store.pop(name)
+            if order is not None:
+                return column[order]
+            column.resize(n, refcheck=False)
+            return column
 
-        arr_col = take("_arr", np.float64)
-        arrays = MetricArrays(
-            request_id=take("_req_id"),
-            arrival_time=arr_col,
-            input_length=take("_inlen"),
-            output_length=take("_outlen"),
-            # The per-event engine sets enqueue_time to the arrival-event time,
-            # which is exactly the arrival column: share it.
-            enqueue_time=arr_col,
-            prefill_start=take("_m_pstart", np.float64),
-            first_token_time=take("_m_first", np.float64),
-            kv_transfer_done=take("_m_kvdone", np.float64),
-            completion_time=take("_m_comp", np.float64),
-            finished=take("_m_fin", np.bool_),
-            prefill_replica=take("_pre_rep"),
-            decode_replica=take("_dec_rep"),
-            outcome=take("_m_out"),
-            attempts=take("_att"),
-        )
+        columns = {field: take(name) for name, field in _COLUMNS.items()}
+        # The per-event engine sets enqueue_time to the arrival-event time,
+        # which is exactly the arrival column: share it.
+        arrays = MetricArrays(enqueue_time=columns["arrival_time"], **columns)
         backing: Optional[List[Request]] = None
         if requests is not None:
             backing = list(requests[:n])
@@ -772,116 +794,110 @@ class ServingSimulator:
     def _on_prefill_arrival_fast(
         self, replica: _PrefillReplica, row: int, now: float
     ) -> None:
-        """Queue an arrival, truncating the replica's in-flight prefill epoch.
+        """Start an epoch on an idle replica, or queue behind the running one.
 
         The per-event engine re-forms batches from the live queue at every batch
         boundary, but FIFO order makes almost every planned batch immune to a
         later arrival: the arrival joins the *back* of the queue, so a planned
         batch that is already full keeps exactly its composition.  Only the
         trailing **underfull** batch (greedy chunking leaves at most one) could
-        absorb the newcomer when it is eventually formed — so if that batch has
-        not started yet, it alone is cancelled and re-queued ahead of the
-        arrival; the replan at the last surviving batch boundary re-forms it
-        exactly like the per-event engine would.  Batches already running
-        complete as planned.
+        absorb the newcomer when it is eventually formed — so unless it is the
+        running batch, it is cancelled and re-queued ahead of the arrival; the
+        replan at the last surviving batch boundary re-forms it exactly like
+        the per-event engine would.  Every batch behind the running one is
+        still unstarted: it starts at or after the running batch's completion,
+        and an arrival at that very instant runs first (see :meth:`_run_fast`),
+        as in the per-event engine.
         """
-        replica.queue.append(row)
         if not replica.busy:
-            self._plan_prefill_epoch(replica, now)
+            self._plan_prefill_epoch(replica, now, [row])
             return
-        assert replica.epoch_starts is not None and replica.epoch_offsets is not None
-        offsets = replica.epoch_offsets
-        last = replica.epoch_cut - 1
-        if offsets[last + 1] - offsets[last] >= self.config.max_prefill_batch_requests:
-            return  # every pending batch is full; composition cannot change
-        # The trailing batch is underfull: cancel it unless it already started.
-        # Arrivals run before equal-time batch boundaries (see _run_fast), so a
-        # batch starting exactly at ``now`` is formed *after* this request
-        # joined the queue in the per-event engine — start >= now means "not
-        # started".  The leading batch always survives: the epoch was planned
-        # strictly before ``now`` (an arrival at the plan instant would have
-        # been processed first).
-        if last >= 1 and replica.epoch_starts[last] >= now:
-            assert replica.epoch_rows is not None
-            cancelled = replica.epoch_rows[offsets[last] : offsets[last + 1]]
-            replica.queue.extendleft(cancelled[::-1])
-            replica.epoch_cut = last
+        replica.queue.append(row)
+        epoch = replica.epoch
+        if len(epoch) >= 2 and len(epoch[-1][0]) < self.config.max_prefill_batch_requests:
+            replica.queue.extendleft(reversed(epoch.pop()[0]))
 
-    def _plan_prefill_epoch(self, replica: _PrefillReplica, now: float) -> None:
-        """Start a coalesced prefill epoch at ``now``.
+    def _plan_prefill_epoch(
+        self, replica: _PrefillReplica, now: float, rows: List[int]
+    ) -> None:
+        """Start a coalesced prefill epoch at ``now`` over the queued ``rows``.
 
-        Drains the replica's queue into greedy FIFO batches (up to
+        Chunks ``rows`` into greedy FIFO batches (up to
         ``max_prefill_batch_requests`` rows each) and walks them in order:
         each batch is priced by the memoized scalar
         :meth:`~repro.costmodel.latency.ReplicaCostModel.prefill_latency_memo`
         at its longest prompt, its completion time accumulates ``t = t +
         latency`` (the reference engine's per-batch ``now + latency`` chain),
-        and every multi-token row's KV arrival is ``done + (alpha + bytes /
-        beta)`` over the cached link — the operation order of
-        :func:`~repro.costmodel.kv_transfer.kv_transfer_seconds`.  Arrivals are
-        grouped per decode replica in first-appearance order (the order the
-        per-event engine pushes their heap events) and stably sorted by time,
-        so one :class:`_KVBatch` cursor per group drains them in exact heap
-        order.  One cheap ``PREFILL_BATCH`` event per batch replays the plan;
-        an arrival mid-epoch truncates the not-yet-started tail (see
+        and its KV handoffs are precomputed (:meth:`_kv_handoffs`).  One
+        planner serves every queue size: a queue that fits one batch is one
+        loop iteration.  Only the first batch's
+        ``PREFILL_BATCH`` event is pushed now; each completion pushes the
+        next one, at the point where the per-event engine pushes its
+        ``PREFILL_DONE``, so exact-time ties between replicas resolve alike.
+        An arrival mid-epoch truncates the not-yet-started tail (see
         :meth:`_on_prefill_arrival_fast`).
         """
-        if not replica.queue:
-            replica.busy = False
-            replica.epoch_rows = None
-            replica.epoch_offsets = None
-            replica.epoch_cut = 0
-            return
         replica.busy = True
-        rows = list(replica.queue)
-        replica.queue.clear()
-        nq = len(rows)
+        inlen = self._inlen
+        price = replica.cost.prefill_latency_memo
+        prefill_id = replica.group_id
+        cap = self.config.max_prefill_batch_requests
+        epoch = []
+        t = now
+        for lo in range(0, len(rows), cap):
+            batch = rows[lo : lo + cap]
+            start = t
+            t = t + price(max(map(inlen.__getitem__, batch)), len(batch))
+            epoch.append((batch, start, t, *self._kv_handoffs(prefill_id, batch, t)))
+        replica.epoch = epoch
+        heappush(
+            self._heap,
+            (epoch[0][2], next(self._heap_seq), _PREFILL_BATCH, prefill_id, replica.epoch_seq),
+        )
+
+    def _kv_handoffs(
+        self, prefill_id: int, batch: List[int], done: float
+    ) -> Tuple[Sequence[Tuple[int, Sequence[int], Sequence[float]]], Sequence[int]]:
+        """The KV handoffs and single-token rows of a batch completing at ``done``.
+
+        Every multi-token row's KV arrival is ``done + (alpha + bytes /
+        beta)`` over the cached link — the operation order of
+        :func:`~repro.costmodel.kv_transfer.kv_transfer_seconds`.  Arrivals
+        are grouped per decode replica in first-appearance order (the order
+        the per-event engine pushes their heap events) and stably sorted by
+        time, so one :class:`_KVBatch` cursor per group drains them in exact
+        heap order.  Single-token rows finish at prefill with no handoff.
+        """
         inlen = self._inlen
         outlen = self._outlen
         dec_rep = self._dec_rep
-        cap = self.config.max_prefill_batch_requests
-        price = replica.cost.prefill_latency_memo
         kv_bytes = self._kv_bytes_per_token
-        prefill_id = replica.group_id
-        offsets = list(range(0, nq, cap))
-        offsets.append(nq)
-        starts: List[float] = []
-        dones: List[float] = []
-        plan: List[List[Tuple[int, Sequence[int], Sequence[float]]]] = []
-        singles: List[List[int]] = []
-        t = now
-        for lo, hi in zip(offsets, offsets[1:]):
-            batch = rows[lo:hi]
-            starts.append(t)
-            t = t + price(max(map(inlen.__getitem__, batch)), hi - lo)
-            dones.append(t)
-            groups: Dict[int, List[Tuple[float, int]]] = {}
-            single: List[int] = []
-            for r in batch:
-                if outlen[r] <= 1:
-                    single.append(r)
-                    continue
-                decode_id = dec_rep[r]
-                alpha, beta = self._kv_link(prefill_id, decode_id)
-                arrival = t + (alpha + (kv_bytes * (inlen[r] + 1)) / beta)
-                groups.setdefault(decode_id, []).append((arrival, r))
-            per_batch: List[Tuple[int, Sequence[int], Sequence[float]]] = []
-            for decode_id, handoffs in groups.items():
-                handoffs.sort(key=itemgetter(0))  # stable: ties keep queue order
-                arrivals, kv_rows = zip(*handoffs)
-                per_batch.append((decode_id, kv_rows, arrivals))
-            plan.append(per_batch)
-            singles.append(single)
-        replica.epoch_rows = rows
-        replica.epoch_offsets = offsets
-        replica.epoch_starts = starts
-        replica.epoch_dones = dones
-        replica.epoch_kv = plan
-        replica.epoch_single = singles
-        replica.epoch_cut = len(dones)
-        replica.epoch_seq += 1
-        for k, done in enumerate(dones):
-            self._push(done, _PREFILL_BATCH, prefill_id, (replica.epoch_seq, k))
+        if len(batch) == 1:
+            # The commonest batch below saturation: one row, one handoff at
+            # most, so no per-replica dict, zip or sort.
+            r = batch[0]
+            if outlen[r] <= 1:
+                return (), batch
+            decode_id = dec_rep[r]
+            alpha, beta = self._kv_link(prefill_id, decode_id)
+            return ((decode_id, batch, (done + (alpha + (kv_bytes * (inlen[r] + 1)) / beta),)),), ()
+        groups: Dict[int, List[Tuple[float, int]]] = {}
+        singles: List[int] = []
+        for r in batch:
+            if outlen[r] <= 1:
+                singles.append(r)
+                continue
+            decode_id = dec_rep[r]
+            alpha, beta = self._kv_link(prefill_id, decode_id)
+            arrival = done + (alpha + (kv_bytes * (inlen[r] + 1)) / beta)
+            groups.setdefault(decode_id, []).append((arrival, r))
+        handoffs = []
+        for decode_id, pairs in groups.items():
+            if len(pairs) > 1:
+                pairs.sort(key=itemgetter(0))  # stable: ties keep queue order
+            arrivals, kv_rows = zip(*pairs)
+            handoffs.append((decode_id, kv_rows, arrivals))
+        return handoffs, singles
 
     def _kv_link(self, prefill_id: int, decode_id: int) -> Tuple[float, float]:
         """(alpha, beta) of the best link between a prefill and a decode group.
@@ -901,270 +917,242 @@ class ServingSimulator:
             self._kv_links[key] = link
         return link
 
-    def _on_prefill_batch(self, replica: _PrefillReplica, idx: int, now: float) -> None:
-        """Apply one precomputed prefill-batch completion (fast engine).
+    def _on_prefill_batch(self, replica: _PrefillReplica, now: float) -> None:
+        """Complete the running batch of the replica's epoch (fast engine).
 
-        Staleness (cancelled batches, superseded epochs, replica death) is
-        checked by the main loop before the clock advances.  Under an active
-        fault timeline, rows whose decode target is dead at the handoff
-        instant are disposed here instead of emitting a doomed KV transfer —
-        exactly where the per-event engine makes the same call.
+        Staleness (replica death) is checked by the main loop before the
+        clock advances.  Under an active fault timeline, rows whose decode
+        target is dead at the handoff instant are disposed here instead of
+        emitting a doomed KV transfer — exactly where the per-event engine
+        makes the same call.  Then the next batch's completion is pushed; the
+        last batch instead starts the next epoch over whatever queued
+        meanwhile, or retires the replica to idle in place.
         """
-        assert (
-            replica.epoch_rows is not None
-            and replica.epoch_offsets is not None
-            and replica.epoch_starts is not None
-        )
-        offsets = replica.epoch_offsets
-        start = replica.epoch_starts[idx]
+        epoch = replica.epoch
+        rows, start, _, handoffs, singles = epoch.pop(0)
         m_pstart = self._m_pstart
         m_first = self._m_first
-        for r in replica.epoch_rows[offsets[idx] : offsets[idx + 1]]:
+        for r in rows:
             m_pstart[r] = start
             m_first[r] = now
         # Single-token responses finish at prefill; no KV transfer needed.
-        for r in replica.epoch_single[idx]:
+        for r in singles:
             self._m_kvdone[r] = now
             self._m_comp[r] = now
             self._m_fin[r] = True
             self._m_out[r] = _OUT_RETRIED if self._att[r] > 0 else _OUT_FINISHED
-        if not self._faults_active:
-            for decode_id, kv_rows, times in replica.epoch_kv[idx]:
-                holder = _KVBatch(decode_id=decode_id, rows=kv_rows, times=times)
-                holder.heap_seq = self._push(times[0], _KV_BATCH, decode_id, holder)
-        else:
+        heap = self._heap
+        seqs = self._heap_seq
+        if handoffs:
+            faults = self._faults_active
             dead_rows: List[int] = []
-            for decode_id, kv_rows, times in replica.epoch_kv[idx]:
-                if decode_id in self._dead_decodes:
-                    dead_rows.extend(kv_rows)
-                    continue
-                target = self.decodes[decode_id]
-                for r in kv_rows:
-                    target.inflight[r] = True
-                holder = _KVBatch(
-                    decode_id=decode_id,
-                    rows=kv_rows,
-                    times=times,
-                    incarnation=target.incarnation,
-                )
-                holder.heap_seq = self._push(times[0], _KV_BATCH, decode_id, holder)
+            for decode_id, kv_rows, times in handoffs:
+                incarnation = 0
+                if faults:
+                    if decode_id in self._dead_decodes:
+                        dead_rows.extend(kv_rows)
+                        continue
+                    target = self.decodes[decode_id]
+                    target.inflight.update(dict.fromkeys(kv_rows, True))
+                    incarnation = target.incarnation
+                seq = next(seqs)
+                holder = _KVBatch(kv_rows, times, seq, incarnation)
+                heappush(heap, (times[0], seq, _KV_BATCH, decode_id, holder))
             if dead_rows:
                 dead_rows.sort(key=self._req_id.__getitem__)
                 for r in dead_rows:
                     self._dispose_fast(r, now)
-        if idx == replica.epoch_cut - 1:
-            # Last valid batch: pick up whatever queued (or was re-queued by a
-            # truncation) while the epoch ran.
-            self._plan_prefill_epoch(replica, now)
+        if epoch:
+            heappush(
+                heap, (epoch[0][2], next(seqs), _PREFILL_BATCH, replica.group_id, replica.epoch_seq)
+            )
+        elif replica.queue:
+            rows = list(replica.queue)
+            replica.queue.clear()
+            self._plan_prefill_epoch(replica, now, rows)
+        else:
+            replica.busy = False
 
-    def _on_kv_batch(self, holder: _KVBatch, horizon: Optional[float]) -> None:
+    def _on_kv_batch(
+        self,
+        holder: _KVBatch,
+        replica: _DecodeReplica,
+        t: float,
+        horizon: Optional[float],
+        next_arrival: Optional[float],
+    ) -> None:
         """Drain a coalesced KV-arrival cursor in exact per-event order.
 
-        Arrivals are delivered while they remain the earliest pending work;
-        whenever another heap entry — or a not-yet-processed trace arrival,
-        which the per-event engine would hold as an earlier-seq heap event —
-        is due first, the cursor is re-inserted at the next arrival under its
-        original sequence number so exact-time ties keep per-event ordering.
+        The arrival at ``t`` was the earliest pending work when the cursor
+        was popped, so it is delivered at once.  Later arrivals are delivered
+        while they remain the earliest; whenever another heap entry — or a
+        fault entry, the horizon, or the not-yet-processed trace arrival at
+        ``next_arrival`` (which the per-event engine would hold as an
+        earlier-seq heap event) — is due first, the cursor is re-inserted at
+        its next arrival under its original sequence number so exact-time
+        ties keep per-event ordering.
+
+        Each delivery stamps the row's KV arrival and queues it for
+        admission.  An idle replica starts an epoch at once.  A running one
+        truncates its epoch at the first step boundary at or after the
+        arrival — exactly where the per-event engine's per-step admission
+        would pick the request up — unless a FIFO head is already waiting:
+        then admission is blocked on capacity that only a completion can
+        free, and the epoch end already covers it.
         """
-        times = holder.times
         rows = holder.rows
-        n = len(rows)
-        seq = holder.heap_seq
+        times = holder.times
+        pos = holder.pos
+        last = len(rows) - 1
         heap = self._heap
-        fault_events = self._fault_events
-        while holder.pos < n:
-            t = times[holder.pos]
+        seqs = self._heap_seq
+        decode_id = replica.group_id
+        pending = replica.pending
+        m_kvdone = self._m_kvdone
+        inflight = replica.inflight if self._faults_active else None
+        # Fault entries and trace arrivals cannot move during the drain: the
+        # earliest of them bounds every later delivery (ties yield).
+        stop = next_arrival
+        if self._fault_pos < len(self._fault_events):
+            fault_t = self._fault_events[self._fault_pos].time
+            stop = fault_t if stop is None else min(stop, fault_t)
+        while True:
+            row = rows[pos]
+            if t > self._clock:
+                self._clock = t
+            m_kvdone[row] = t
+            if inflight is not None:
+                inflight.pop(row, None)
+            head_was_blocked = bool(pending)
+            pending.append(row)
+            if not replica.stepping:
+                self._advance_decode(replica, t)
+            elif not head_was_blocked:
+                cut = replica.epoch_cut
+                epoch_times = replica.epoch_times
+                idx = bisect_left(epoch_times, t, 0, cut)
+                if idx + 1 < cut:
+                    replica.epoch_cut = idx + 1
+                    seq = replica.epoch_seq = replica.epoch_seq + 1
+                    heappush(heap, (epoch_times[idx], next(seqs), _DECODE_WAKE, decode_id, seq))
+            if pos == last:
+                return
+            pos += 1
+            t = times[pos]
             if (
-                # A fault entry is due first: the main loop applies it (it may
-                # dispose this very cursor's remaining rows).
-                (self._fault_pos < len(fault_events) and fault_events[self._fault_pos].time <= t)
-                # Beyond the horizon: the main loop observes (and truncates
-                # at) the remainder like the per-event engine.
+                (stop is not None and stop <= t)
                 or (horizon is not None and t > horizon)
-                or (self._cursor < self._n and self._arr[self._cursor] <= t)
                 # Sequence numbers are unique, so this tuple comparison is
                 # decided by (time, seq) alone.
-                or (heap and heap[0] < (t, seq))
+                or (heap and heap[0] < (t, holder.heap_seq))
             ):
-                heappush(heap, (t, seq, _KV_BATCH, holder.decode_id, holder))
+                holder.pos = pos
+                heappush(heap, (t, holder.heap_seq, _KV_BATCH, decode_id, holder))
                 return
-            holder.pos += 1
-            self._clock = max(self._clock, t)
-            self._on_kv_arrived_fast(holder.decode_id, rows[holder.pos - 1], t)
 
     # ------------------------------------------------------ decode (fast engine)
-    def _admit_pending_fast(self, replica: _DecodeReplica) -> int:
-        """Admit pending rows while capacity allows; return the admitted count.
+    def _advance_decode(self, replica: _DecodeReplica, now: float) -> None:
+        """Run a decode replica to ``now`` and start its next epoch.
 
-        Replays the reference's FIFO ``kv.can_allocate``-guarded loop, pushing
-        each newcomer's finish step onto the batch heap and its context onto
-        ``ctx_sum``.
+        Applies the ``epoch_cut`` steps of the current epoch (none on an idle
+        replica), admits pending rows while capacity allows, and plans the
+        next epoch from ``now``.
+
+        * **Completion wake.**  An epoch runs to the earliest completion, so
+          a full-length wake retires every row whose finish step is now, each
+          at the last boundary and taking its final context ``in_len +
+          out_len`` out of ``ctx_sum`` and its blocks back into ``kv_free``.
+        * **Truncated wake.**  A KV arrival cut the epoch short, so nothing
+          finishes here.  When nothing can be admitted either (capacity), the
+          **surviving suffix** of the old plan is reinstated as the next
+          epoch without re-pricing: the remaining boundary times are a pure
+          function of batch state the truncation did not change.
+        * **Admission** replays the reference's FIFO ``kv.can_allocate``
+          guarded loop over plain ints, pushing each newcomer's finish step
+          onto the batch heap and its context onto ``ctx_sum``.
+        * **Pricing.**  The batch composition cannot change before the
+          earliest completion (``heap[0][0] - steps_done`` steps away), so
+          the epoch spans that many steps with a **constant batch** of ``n``.
+          The reference prices step ``t`` at mean context ``int((ctx_sum +
+          n*t) / n)``, which for integers below 2**53 equals ``ctx_sum // n +
+          t``: the epoch's step latencies are the contiguous slice ``row[m0 :
+          m0 + k]`` of the batch size's latency row
+          (:meth:`~repro.costmodel.latency.ReplicaCostModel.decode_step_row`),
+          and ``accumulate`` turns it into boundary times by the reference's
+          left-to-right ``now + latency`` chain.  One DECODE_WAKE event stands
+          in for the whole jump.
         """
         heap = replica.heap
         pending = replica.pending
-        max_batch = replica.max_batch
-        if not pending or len(heap) >= max_batch:
-            return 0
+        steps = replica.epoch_cut
+        ctx_sum = replica.ctx_sum
+        kv_free = replica.kv_free
+        block = self.config.kv_block_size
         inlen = self._inlen
         outlen = self._outlen
-        kv = replica.kv
-        # The prefill already produced the first output token: a row enters
-        # with context ``i + 1`` and ``o - 1`` steps to go.
-        finish_base = replica.steps_done - 1
-        ctx_sum = replica.ctx_sum
-        admitted = 0
-        while pending and len(heap) < max_batch:
-            row = pending[0]
-            i = inlen[row]
-            o = outlen[row]
-            if not kv.can_allocate(i + o):
-                break
-            pending.popleft()
-            kv.allocate(row, i + o)
-            ctx_sum += i + 1
-            heappush(heap, (finish_base + o, row))
-            admitted += 1
-        replica.ctx_sum = ctx_sum
-        return admitted
-
-    def _plan_epoch(self, replica: _DecodeReplica, now: float, admit: bool = True) -> None:
-        """Start a coalesced decode epoch at ``now``.
-
-        The batch composition cannot change before the earliest completion
-        (``heap[0][0] - steps_done`` steps away), so the epoch spans that many
-        steps, capped at ``epoch_budget``, with a **constant batch** of ``n``.
-        The reference prices step ``t`` at mean context
-        ``int((ctx_sum + n*t) / n)``, which for integers below 2**53 equals
-        ``ctx_sum // n + t``: the epoch's step latencies are the contiguous
-        slice ``row[m0 : m0 + k]`` of the batch size's latency row
-        (:meth:`~repro.costmodel.latency.ReplicaCostModel.decode_step_row`),
-        and ``accumulate`` turns it into boundary times by the reference's
-        left-to-right ``now + latency`` chain.  One DECODE_WAKE event stands
-        in for the whole jump; a KV arrival mid-epoch truncates it at the
-        first boundary after the arrival, and an epoch ending at the budget
-        (no completion, no admission) simply replans from unchanged state — a
-        pure scheduling horizon, invisible in the metrics.
-        """
-        if admit:
-            self._admit_pending_fast(replica)
-        heap = replica.heap
+        truncated = False
+        if steps:
+            now_step = replica.steps_done + steps
+            replica.steps_done = now_step
+            ctx_sum += len(heap) * steps
+            if steps < len(replica.epoch_times):
+                truncated = True
+            else:
+                att = self._att
+                m_comp = self._m_comp
+                m_fin = self._m_fin
+                m_out = self._m_out
+                while heap and heap[0][0] == now_step:
+                    row = heappop(heap)[1]
+                    total = inlen[row] + outlen[row]
+                    ctx_sum -= total
+                    kv_free += blocks_for(total, block)
+                    m_comp[row] = now
+                    m_fin[row] = True
+                    m_out[row] = _OUT_RETRIED if att[row] > 0 else _OUT_FINISHED
+        admitted = False
         n = len(heap)
+        max_batch = replica.max_batch
+        if pending and n < max_batch:
+            # The prefill already produced the first output token: a row
+            # enters with context ``i + 1`` and ``o - 1`` steps to go.
+            finish_base = replica.steps_done - 1
+            while pending and n < max_batch:
+                row = pending[0]
+                i = inlen[row]
+                o = outlen[row]
+                need = blocks_for(i + o, block)
+                if need > kv_free:
+                    break
+                pending.popleft()
+                kv_free -= need
+                ctx_sum += i + 1
+                heappush(heap, (finish_base + o, row))
+                n += 1
+                admitted = True
+        replica.ctx_sum = ctx_sum
+        replica.kv_free = kv_free
         if n == 0:
             replica.stepping = False
             replica.epoch_times = None
-            replica.epoch_len = 0
             replica.epoch_cut = 0
             return
-        replica.stepping = True
-        k = min(heap[0][0] - replica.steps_done, replica.epoch_budget)
-        m0 = replica.ctx_sum // n
-        row = replica.cost.decode_step_row(n, m0 + k)
-        times = list(accumulate(row[m0 : m0 + k], initial=now))
-        del times[0]
+        if truncated and not admitted:
+            times = replica.epoch_times[steps:]
+        else:
+            k = heap[0][0] - replica.steps_done
+            m0 = ctx_sum // n
+            latencies = replica.cost.decode_step_row(n, m0 + k)
+            times = list(accumulate(latencies[m0 : m0 + k], initial=now))
+            del times[0]
+            replica.stepping = True
         replica.epoch_times = times
-        replica.epoch_len = k
-        replica.epoch_cut = k
+        replica.epoch_cut = len(times)
         replica.epoch_seq += 1
-        self._push(times[-1], _DECODE_WAKE, replica.group_id, replica.epoch_seq)
-
-    def _on_decode_wake(self, replica: _DecodeReplica, now: float) -> None:
-        """Apply an epoch's steps at its wake and extend or replan.
-
-        A full-length wake (no truncation) replans from the completion
-        boundary, doubling the budget when the epoch consumed it whole.  A
-        truncated wake admits the arrival that caused the truncation; when
-        nothing could be admitted (capacity), the **surviving suffix** of the
-        old plan is reinstated as the next epoch without re-pricing — the
-        remaining boundary times are a pure function of batch state the
-        truncation did not change.
-        """
-        applied = replica.epoch_cut
-        planned = replica.epoch_len
-        completed = self._apply_steps(replica, applied)
-        if applied < planned:
-            # Interrupted by a KV arrival: shrink the budget toward the
-            # observed interruption distance.
-            replica.epoch_budget = max(_MIN_EPOCH_BUDGET, 2 * applied)
-            if completed == 0:
-                admitted = self._admit_pending_fast(replica)
-                if admitted == 0 and replica.heap:
-                    assert replica.epoch_times is not None
-                    times = replica.epoch_times[applied:planned]
-                    replica.epoch_times = times
-                    replica.epoch_len = len(times)
-                    replica.epoch_cut = len(times)
-                    replica.epoch_seq += 1
-                    self._push(times[-1], _DECODE_WAKE, replica.group_id, replica.epoch_seq)
-                    return
-                self._plan_epoch(replica, now, admit=False)
-                return
-            self._plan_epoch(replica, now)
-            return
-        if planned == replica.epoch_budget:
-            # The epoch ran its whole budget undisturbed: coalesce harder.
-            replica.epoch_budget = min(_MAX_EPOCH_BUDGET, 2 * replica.epoch_budget)
-        self._plan_epoch(replica, now)
-
-    def _apply_steps(self, replica: _DecodeReplica, steps: int) -> int:
-        """Advance the batch by ``steps`` tokens; return the completion count.
-
-        Epochs never extend past the earliest completion, so every finisher
-        sits at the heap top with finish step ``steps_done`` exactly and
-        completes at the final applied boundary ``epoch_times[steps - 1]``;
-        each takes its final context ``in_len + out_len`` out of ``ctx_sum``.
-        """
-        if steps <= 0:
-            return 0
-        heap = replica.heap
-        replica.ctx_sum += len(heap) * steps
-        replica.steps_done += steps
-        now_step = replica.steps_done
-        if heap[0][0] > now_step:
-            return 0
-        assert replica.epoch_times is not None
-        done = replica.epoch_times[steps - 1]
-        inlen = self._inlen
-        outlen = self._outlen
-        att = self._att
-        kv = replica.kv
-        ctx_sum = replica.ctx_sum
-        finished = 0
-        while heap and heap[0][0] == now_step:
-            row = heappop(heap)[1]
-            ctx_sum -= inlen[row] + outlen[row]
-            self._m_comp[row] = done
-            self._m_fin[row] = True
-            self._m_out[row] = _OUT_RETRIED if att[row] > 0 else _OUT_FINISHED
-            kv.free(row)
-            finished += 1
-        replica.ctx_sum = ctx_sum
-        return finished
-
-    def _on_kv_arrived_fast(self, replica_id: int, row: int, now: float) -> None:
-        """Record a KV arrival and truncate the replica's epoch if admissible."""
-        self._m_kvdone[row] = now
-        replica = self.decodes[replica_id]
-        if self._faults_active:
-            replica.inflight.pop(row, None)
-        head_was_blocked = bool(replica.pending)
-        replica.pending.append(row)
-        if not replica.stepping:
-            self._plan_epoch(replica, now)
-            return
-        if head_was_blocked:
-            # A FIFO head already waiting means admission is blocked on capacity
-            # that only a completion can free — the epoch end already covers it.
-            return
-        times = replica.epoch_times
-        assert times is not None
-        # First step boundary at or after the arrival: that is where the
-        # reference engine's per-step admission would pick the request up.
-        idx = bisect_left(times, now, 0, replica.epoch_cut)
-        steps = idx + 1
-        if steps < replica.epoch_cut:
-            replica.epoch_cut = steps
-            replica.epoch_seq += 1
-            self._push(times[idx], _DECODE_WAKE, replica.group_id, replica.epoch_seq)
+        heappush(
+            self._heap,
+            (times[-1], next(self._heap_seq), _DECODE_WAKE, replica.group_id, replica.epoch_seq),
+        )
 
     # ------------------------------------------------------- faults (fast engine)
     def _dispose_fast(self, row: int, now: float) -> None:
@@ -1224,24 +1212,14 @@ class ServingSimulator:
             self._dead_prefills.add(gid)
             replica = self.prefills[gid]
             victims.extend(replica.queue)
-            if replica.busy and replica.epoch_rows is not None:
-                # Batches whose completion fired strictly before ``t`` already
-                # delivered; everything later (ties included — fault entries
-                # win) is lost with the replica.
-                cut = replica.epoch_cut
-                assert replica.epoch_dones is not None and replica.epoch_offsets is not None
-                fired = bisect_left(replica.epoch_dones, t, 0, cut)
-                offsets = replica.epoch_offsets
-                victims.extend(replica.epoch_rows[offsets[fired] : offsets[cut]])
+            # The epoch holds the batches not yet completed (a completion at
+            # ``t`` loses the tie: fault entries win); they are lost with the
+            # replica.
+            for batch in replica.epoch:
+                victims.extend(batch[0])
             replica.queue.clear()
             replica.busy = False
-            replica.epoch_rows = None
-            replica.epoch_offsets = None
-            replica.epoch_starts = None
-            replica.epoch_dones = None
-            replica.epoch_kv = []
-            replica.epoch_single = []
-            replica.epoch_cut = 0
+            replica.epoch = []
             replica.epoch_seq += 1
         for gid in entry.dead_decode:
             if gid in self._dead_decodes:
@@ -1263,15 +1241,13 @@ class ServingSimulator:
             replica.heap = []
             replica.steps_done = 0
             replica.ctx_sum = 0
+            replica.kv_free = replica.kv_blocks
             replica.pending.clear()
             replica.inflight.clear()
-            replica.kv.reset()
             replica.stepping = False
             replica.epoch_times = None
-            replica.epoch_len = 0
             replica.epoch_cut = 0
             replica.epoch_seq += 1
-            replica.epoch_budget = _MIN_EPOCH_BUDGET
             replica.incarnation += 1
         for gid in entry.revived_prefill:
             self._dead_prefills.discard(gid)
@@ -1288,20 +1264,21 @@ class ServingSimulator:
             self._dispose_fast(row, t)
 
     def _flush_epochs(self, horizon: float) -> None:
-        """Complete in-flight epoch steps up to ``horizon`` after a truncated run.
+        """Advance the clock through the epoch steps at or before ``horizon``.
 
-        The reference engine processes every per-step event with time <= horizon
-        before stopping; coalesced epochs must replay the same boundaries so
-        horizon-bounded runs record identical completions.
+        The reference engine processes every per-step event with time <=
+        horizon before stopping, so a horizon-truncated run's makespan is the
+        last such step boundary.  No flushed step completes a request: every
+        running epoch's wake lies beyond the horizon (the run stopped at the
+        first event past it), and an epoch ends at its earliest completion.
         """
         for replica in self.decodes.values():
-            if not replica.stepping or replica.epoch_times is None:
+            if not replica.stepping:
                 continue
             times = replica.epoch_times
             steps = bisect_right(times, horizon, 0, replica.epoch_cut)
-            if steps > 0:
-                self._apply_steps(replica, steps)
-                self._clock = max(self._clock, times[steps - 1])
+            if steps > 0 and times[steps - 1] > self._clock:
+                self._clock = times[steps - 1]
 
     # ------------------------------------------------------------------ reference
     def _run_reference(

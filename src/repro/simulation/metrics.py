@@ -41,6 +41,26 @@ from repro.core.types import (
 #: (``None`` in the object view)
 _NO_REPLICA = -1
 
+#: dtype of every :class:`MetricArrays` column: 64-bit ids and times, 32-bit
+#: token lengths, and 16/8-bit integers for the small codes (serving-group
+#: ids, attempt counts, outcomes), which keeps a long run's result small
+COLUMN_DTYPES: Dict[str, type] = {
+    "request_id": np.int64,
+    "arrival_time": np.float64,
+    "input_length": np.int32,
+    "output_length": np.int32,
+    "enqueue_time": np.float64,
+    "prefill_start": np.float64,
+    "first_token_time": np.float64,
+    "kv_transfer_done": np.float64,
+    "completion_time": np.float64,
+    "finished": np.bool_,
+    "prefill_replica": np.int16,
+    "decode_replica": np.int16,
+    "outcome": np.int8,
+    "attempts": np.int16,
+}
+
 #: the latency means of :meth:`SimulationResult.summary`
 _SUMMARY_MEANS = (
     "mean_ttft",
@@ -58,7 +78,8 @@ class MetricArrays:
     """Per-request metrics of one simulation run in struct-of-arrays form.
 
     One numpy column per :class:`~repro.core.types.RequestMetrics` field (plus
-    the request attributes the aggregates need), ordered by request id.
+    the request attributes the aggregates need), ordered by request id, with
+    the dtypes of :data:`COLUMN_DTYPES`.
     Derived latencies (TTFT / TPOT / E2E and the component breakdown) are
     computed vectorized with exactly the float64 operations of the scalar
     :class:`~repro.core.types.RequestMetrics` properties, so every aggregate
@@ -67,7 +88,7 @@ class MetricArrays:
     Parameters
     ----------
     request_id, arrival_time, input_length, output_length:
-        The request columns (``int64`` / ``float64`` / ``int64`` / ``int64``).
+        The request columns (``int64`` / ``float64`` / ``int32`` / ``int32``).
     enqueue_time, prefill_start, first_token_time, kv_transfer_done, \
 completion_time:
         Absolute event timestamps per request (``float64``; zero where the
@@ -75,13 +96,13 @@ completion_time:
     finished:
         Completion flags (``bool``).
     prefill_replica, decode_replica:
-        Serving-group ids the request was routed to (``int64``; ``-1`` when
+        Serving-group ids the request was routed to (``int16``; ``-1`` when
         it never was).
     outcome:
-        Typed terminal disposition per request (``int64``,
+        Typed terminal disposition per request (``int8``,
         :class:`~repro.core.types.RequestOutcome` values).
     attempts:
-        Number of fault dispositions per request (``int64``; zero when the
+        Number of fault dispositions per request (``int16``; zero when the
         run saw no faults).
     """
 
@@ -107,27 +128,29 @@ completion_time:
     def from_metrics(cls, metrics: Sequence[RequestMetrics]) -> "MetricArrays":
         """Columns of a :class:`RequestMetrics` list, in list order."""
 
-        def column(values: Iterable, dtype) -> np.ndarray:
-            return np.array(list(values), dtype=dtype)
+        def column(name: str, values: Iterable) -> np.ndarray:
+            return np.array(list(values), dtype=COLUMN_DTYPES[name])
 
         def replica(rid: Optional[int]) -> int:
             return _NO_REPLICA if rid is None else rid
 
         return cls(
-            request_id=column((m.request.request_id for m in metrics), np.int64),
-            arrival_time=column((m.request.arrival_time for m in metrics), np.float64),
-            input_length=column((m.request.input_length for m in metrics), np.int64),
-            output_length=column((m.request.output_length for m in metrics), np.int64),
-            enqueue_time=column((m.enqueue_time for m in metrics), np.float64),
-            prefill_start=column((m.prefill_start for m in metrics), np.float64),
-            first_token_time=column((m.first_token_time for m in metrics), np.float64),
-            kv_transfer_done=column((m.kv_transfer_done for m in metrics), np.float64),
-            completion_time=column((m.completion_time for m in metrics), np.float64),
-            finished=column((m.finished for m in metrics), bool),
-            prefill_replica=column((replica(m.prefill_replica) for m in metrics), np.int64),
-            decode_replica=column((replica(m.decode_replica) for m in metrics), np.int64),
-            outcome=column((int(m.outcome) for m in metrics), np.int64),
-            attempts=column((m.attempts for m in metrics), np.int64),
+            request_id=column("request_id", (m.request.request_id for m in metrics)),
+            arrival_time=column("arrival_time", (m.request.arrival_time for m in metrics)),
+            input_length=column("input_length", (m.request.input_length for m in metrics)),
+            output_length=column("output_length", (m.request.output_length for m in metrics)),
+            enqueue_time=column("enqueue_time", (m.enqueue_time for m in metrics)),
+            prefill_start=column("prefill_start", (m.prefill_start for m in metrics)),
+            first_token_time=column("first_token_time", (m.first_token_time for m in metrics)),
+            kv_transfer_done=column("kv_transfer_done", (m.kv_transfer_done for m in metrics)),
+            completion_time=column("completion_time", (m.completion_time for m in metrics)),
+            finished=column("finished", (m.finished for m in metrics)),
+            prefill_replica=column(
+                "prefill_replica", (replica(m.prefill_replica) for m in metrics)
+            ),
+            decode_replica=column("decode_replica", (replica(m.decode_replica) for m in metrics)),
+            outcome=column("outcome", (int(m.outcome) for m in metrics)),
+            attempts=column("attempts", (m.attempts for m in metrics)),
         )
 
     def outcome_counts(self) -> Dict[str, int]:
@@ -540,6 +563,7 @@ def merge_results(
 
 
 __all__ = [
+    "COLUMN_DTYPES",
     "MetricArrays",
     "SimulationResult",
     "merge_results",

@@ -18,6 +18,12 @@ these properties generate traces full of exact-time ties:
 Each trace is streamed through the fast engine in random chunk splits (1-row
 chunks included) and must agree bitwise with the reference engine on every
 metric column and on the makespan.
+
+The same check covers the fast engine's epoch boundaries: pinned cases for
+one-batch prefill epochs (single-token rows, a batch handing off to both
+decode replicas, an arrival or a death at the exact completion instant), and
+a property over long outputs under KV pressure, whose decode epochs run for
+thousands of steps and are cut short by arrivals that do and do not fit.
 """
 
 from dataclasses import fields
@@ -47,17 +53,15 @@ RETRY = RetryPolicy(max_retries=3, backoff_base_s=0.25, jitter=0.0)
 STAMP = 0.25
 
 
-def _plan() -> DeploymentPlan:
-    """Two prefill and two decode replicas with uniform routing."""
+def _plan(split_prefill: bool = True) -> DeploymentPlan:
+    """Two decode replicas, and two prefill replicas (or one), uniform routing."""
     a40 = [g.gpu_id for g in CLUSTER.gpus_of_type("A40")]
     ti = [g.gpu_id for g in CLUSTER.gpus_of_type("3090Ti")]
+    prefill = [(a40[:2], Phase.PREFILL), (a40[2:], Phase.PREFILL)]
+    if not split_prefill:
+        prefill = [(a40, Phase.PREFILL)]
     solution = UpperLevelSolution.from_lists(
-        [
-            (a40[:2], Phase.PREFILL),
-            (a40[2:], Phase.PREFILL),
-            (ti[:2], Phase.DECODE),
-            (ti[2:], Phase.DECODE),
-        ]
+        [*prefill, (ti[:2], Phase.DECODE), (ti[2:], Phase.DECODE)]
     )
     plan = LowerLevelSolver(
         cluster=CLUSTER,
@@ -75,6 +79,8 @@ def _plan() -> DeploymentPlan:
 
 
 PLAN = _plan()
+#: one prefill replica, so every arrival queues on the same batch chain
+SOLO_PLAN = _plan(split_prefill=False)
 PREFILLS = tuple(g.group_id for g in PLAN.prefill_groups)
 DECODES = tuple(g.group_id for g in PLAN.decode_groups)
 
@@ -101,6 +107,14 @@ def _timelines(draw, last_tick: int):
     return FaultTimeline(events=events) if events else None
 
 
+def _chunk_split(draw, arrays: RequestArrays):
+    """``arrays`` cut into a random sequence of chunks (1-row chunks included)."""
+    n = len(arrays)
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1)))) if n > 1 else []
+    bounds = [0, *cuts, n]
+    return [arrays.slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+
+
 @st.composite
 def tie_cases(draw):
     """A tie-heavy trace, its chunk split, an optional timeline and a config."""
@@ -116,9 +130,7 @@ def tie_cases(draw):
         output_length=draw(st.lists(st.sampled_from((1, 2, 24)), min_size=n, max_size=n)),
         workload="ties",
     )
-    cuts = sorted(draw(st.sets(st.integers(1, n - 1)))) if n > 1 else []
-    bounds = [0, *cuts, n]
-    chunks = [arrays.slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    chunks = _chunk_split(draw, arrays)
     timeline = draw(st.none() | _timelines(int(ticks[-1])))
     config = dict(
         seed=draw(st.integers(0, 50)),
@@ -130,21 +142,23 @@ def tie_cases(draw):
     return arrays, chunks, timeline, config
 
 
-def _assert_fast_equals_reference(case) -> None:
+def _simulator(engine: str, config: dict, plan: DeploymentPlan = PLAN) -> ServingSimulator:
+    return ServingSimulator(CLUSTER, plan, MODEL, config=SimulatorConfig(engine=engine, **config))
+
+
+def _assert_fast_equals_reference(case, plan: DeploymentPlan = PLAN) -> MetricArrays:
+    """Run ``case`` through both engines, assert bitwise equality, return the columns."""
     arrays, chunks, timeline, config = case
-
-    def simulator(engine: str) -> ServingSimulator:
-        return ServingSimulator(
-            CLUSTER, PLAN, MODEL, config=SimulatorConfig(engine=engine, **config)
-        )
-
-    fast = simulator("fast").run_stream(chunks, faults=timeline, retry=RETRY)
-    reference = simulator("reference").run(arrays.to_trace(), faults=timeline, retry=RETRY)
+    fast = _simulator("fast", config, plan).run_stream(chunks, faults=timeline, retry=RETRY)
+    reference = _simulator("reference", config, plan).run(
+        arrays.to_trace(), faults=timeline, retry=RETRY
+    )
     for column in fields(MetricArrays):
         a = getattr(fast.arrays, column.name)
         b = getattr(reference.arrays, column.name)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), column.name
     assert fast.makespan == reference.makespan
+    return fast.arrays
 
 
 def test_same_instant_kv_handoffs_keep_push_order():
@@ -181,5 +195,190 @@ def test_tie_heavy_streams_match_reference(case):
 @given(case=tie_cases())
 @settings(max_examples=300, deadline=None)
 def test_tie_heavy_streams_match_reference_exhaustive(case):
+    """The same property over many more generated traces."""
+    _assert_fast_equals_reference(case)
+
+
+# ------------------------------------------------------------- prefill epochs
+
+
+def _requests(arrival_time, output_length, input_length=16) -> RequestArrays:
+    n = len(arrival_time)
+    return RequestArrays(
+        request_id=np.arange(n),
+        arrival_time=np.asarray(arrival_time, dtype=np.float64),
+        input_length=np.broadcast_to(np.asarray(input_length, dtype=np.int64), (n,)),
+        output_length=output_length,
+        workload="ties",
+    )
+
+
+def _fast_columns(arrays: RequestArrays, config: dict, plan: DeploymentPlan = PLAN) -> MetricArrays:
+    return _simulator("fast", config, plan).run_stream([arrays]).arrays
+
+
+def test_one_batch_epochs_with_single_token_rows():
+    """One-batch epochs finish single-token rows at prefill, beside handoffs.
+
+    Request 0 finds the replica idle and runs alone; requests 1-3 queue
+    behind it and form one mixed batch; request 4 finds the replica idle
+    again.
+    """
+    arrays = _requests([0.0, 0.0, 0.0, 0.0, 2.0], [1, 24, 1, 2, 1])
+    config = dict(seed=3, max_prefill_batch_requests=16, kv_block_size=16)
+    a = _assert_fast_equals_reference((arrays, [arrays], None, config), SOLO_PLAN)
+    assert a.prefill_start[0] < a.prefill_start[1] == a.prefill_start[2] == a.prefill_start[3]
+    single = a.output_length == 1
+    assert np.array_equal(a.completion_time[single], a.first_token_time[single])
+    assert a.finished.all()
+
+
+def test_one_batch_hands_off_to_both_decode_replicas():
+    """One prefill batch whose KV caches go to both decode replicas."""
+    arrays = _requests([0.0] * 9, [24] * 9, input_length=[16, 512, 16, 512, 16, 512, 16, 512, 16])
+    config = dict(seed=0, max_prefill_batch_requests=16, kv_block_size=16)
+    a = _assert_fast_equals_reference((arrays, [arrays], None, config), SOLO_PLAN)
+    assert len(set(a.prefill_start[1:].tolist())) == 1  # requests 1-8 share one batch
+    assert set(a.decode_replica[1:].tolist()) == {g.group_id for g in SOLO_PLAN.decode_groups}
+
+
+@pytest.mark.parametrize("boundary", ["one-batch completion", "next batch start"])
+def test_arrival_exactly_at_batch_completion(boundary):
+    """An arrival at the exact instant a batch completes joins the next batch.
+
+    Request 0 runs alone and completes at ``d0``; requests 1-3 queued behind
+    it form ``[1, 2]`` and the underfull ``[3]``, which starts at ``d1``.
+    Request 4 arrives at exactly ``d0`` or exactly ``d1``: arrivals win
+    exact-time ties, so it is queued before the completion is processed and
+    the per-event engine batches it with request 3.
+    """
+    config = dict(seed=1, max_prefill_batch_requests=2, kv_block_size=16)
+    probe = _fast_columns(_requests([0.0] * 4, [24] * 4), config, SOLO_PLAN)
+    d0, d1 = float(probe.first_token_time[0]), float(probe.first_token_time[1])
+    late = d0 if boundary == "one-batch completion" else d1
+    arrays = _requests([0.0] * 4 + [late], [24] * 5)
+    a = _assert_fast_equals_reference((arrays, [arrays], None, config), SOLO_PLAN)
+    assert a.first_token_time[0] == d0 and a.prefill_start[3] == a.prefill_start[4] == d1
+
+
+@pytest.mark.parametrize("phase", ["prefill", "decode"])
+def test_replica_death_at_batch_completion(phase):
+    """A death at a one-batch epoch's completion instant wins the tie.
+
+    A dead prefill replica loses the batch; a dead decode target leaves the
+    KV cache nowhere to land.  Either way request 0 is disposed at that
+    instant and retried elsewhere.
+    """
+    config = dict(seed=2, max_prefill_batch_requests=16, kv_block_size=16)
+    arrays = _requests([0.0, 0.5], [24, 24])
+    probe = _fast_columns(arrays, config)
+    done = float(probe.first_token_time[0])
+    group = int(probe.prefill_replica[0] if phase == "prefill" else probe.decode_replica[0])
+    dead = dict(dead_prefill=(group,)) if phase == "prefill" else dict(dead_decode=(group,))
+    back = dict(revived_prefill=(group,)) if phase == "prefill" else dict(revived_decode=(group,))
+    timeline = FaultTimeline(
+        events=[
+            ReplicaFaultEvent(time=done, **dead),
+            ReplicaFaultEvent(time=done + 4.0, **back),
+        ]
+    )
+    a = _assert_fast_equals_reference((arrays, [arrays], timeline, config))
+    assert a.attempts[0] == 1 and a.finished[0]
+
+
+def test_equal_time_completions_on_two_replicas_hand_off_in_push_order():
+    """Batches completing at one instant on two replicas keep per-event order.
+
+    The two identical prefill replicas run chains of one-request batches
+    that drift into step: requests 32 and 36 complete their prefills on
+    different replicas at the same instant and hand off to the same decode
+    replica at the same instant.  The per-event engine pushes each
+    ``PREFILL_DONE`` when the replica's previous batch completes, so
+    whichever chain completed first there hands off first; a fast engine
+    pushing every batch of an epoch at plan time would order them by plan
+    time instead, and admit the other request first.
+    """
+    input_length = [16] * 37
+    input_length[30] = input_length[31] = 128
+    output_length = [1] * 37
+    output_length[32] = output_length[36] = 2
+    arrays = _requests([0.0] * 27 + [1.0] * 10, output_length, input_length)
+    config = dict(seed=19, max_prefill_batch_requests=1, kv_block_size=16)
+    a = _assert_fast_equals_reference((arrays, [arrays], None, config))
+    assert a.first_token_time[32] == a.first_token_time[36]
+    assert a.kv_transfer_done[32] == a.kv_transfer_done[36]
+    assert a.decode_replica[32] == a.decode_replica[36]
+    assert a.prefill_replica[32] != a.prefill_replica[36]
+
+
+# ------------------------------------------------------ long decode epochs
+
+#: output lengths up to well past 4096, the longest decode epoch the fast
+#: engine once planned, beside short and single-token ones
+LONG_OUTPUTS = (1, 2, 24, 300, 4500, 8200)
+
+
+@st.composite
+def long_output_cases(draw):
+    """Long outputs under KV pressure, arrivals landing mid-epoch."""
+    n = draw(st.integers(1, 8))
+    ticks = np.cumsum(draw(st.lists(st.sampled_from((0, 1, 12, 80)), min_size=n, max_size=n)))
+    arrays = RequestArrays(
+        request_id=np.arange(n),
+        arrival_time=ticks * STAMP,
+        input_length=draw(st.lists(st.sampled_from((16, 512, 2048)), min_size=n, max_size=n)),
+        output_length=draw(st.lists(st.sampled_from(LONG_OUTPUTS), min_size=n, max_size=n)),
+        workload="long",
+    )
+    chunks = _chunk_split(draw, arrays)
+    timeline = draw(st.none() | _timelines(int(ticks[-1])))
+    config = dict(
+        seed=draw(st.integers(0, 50)),
+        max_prefill_batch_requests=draw(st.sampled_from((1, 4, 16))),
+        # 16 K-token blocks leave three admission slots per decode replica;
+        # 16-token blocks fit five of the longest requests.
+        kv_block_size=draw(st.sampled_from((16, 16384))),
+    )
+    return arrays, chunks, timeline, config
+
+
+def test_truncated_wakes_with_and_without_admission(monkeypatch):
+    """Epochs past 4096 steps, truncated by arrivals that do and do not fit.
+
+    Eight 5000-token answers arrive one second apart onto decode replicas
+    with three admission slots.  An arrival truncates the running epoch at
+    the next step boundary; while a slot is free it is admitted there and
+    the epoch is re-priced, and once the slots are taken it is not, and the
+    rest of the old epoch is kept as it was.
+    """
+    wakes = []
+    advance = ServingSimulator._advance_decode
+
+    def spy(self, replica, now):
+        truncated = 0 < replica.epoch_cut < len(replica.epoch_times or ())
+        running = len(replica.heap)
+        advance(self, replica, now)
+        longest = len(replica.epoch_times or ())
+        wakes.append((truncated, len(replica.heap) > running, longest))
+
+    monkeypatch.setattr(ServingSimulator, "_advance_decode", spy)
+    arrays = _requests([4 * STAMP * k for k in range(8)], [5000] * 8, input_length=512)
+    config = dict(seed=4, max_prefill_batch_requests=16, kv_block_size=16384)
+    _assert_fast_equals_reference((arrays, [arrays], None, config))
+    assert {(t, a) for t, a, _ in wakes} >= {(True, True), (True, False)}
+    assert max(longest for _, _, longest in wakes) > 4096
+
+
+@given(case=long_output_cases())
+@settings(max_examples=6, deadline=None)
+def test_long_outputs_match_reference(case):
+    """Property: long outputs under KV pressure stream through bitwise."""
+    _assert_fast_equals_reference(case)
+
+
+@pytest.mark.slow
+@given(case=long_output_cases())
+@settings(max_examples=60, deadline=None)
+def test_long_outputs_match_reference_exhaustive(case):
     """The same property over many more generated traces."""
     _assert_fast_equals_reference(case)

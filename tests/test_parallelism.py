@@ -1,6 +1,8 @@
 """Unit tests for parallel configuration, pipeline partitioning, routing and Algorithm 2."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.exceptions import ConfigurationError, InsufficientMemoryError, InvalidPlanError
 from repro.core.types import Phase
@@ -11,7 +13,11 @@ from repro.parallelism.enumeration import (
     enumerate_parallel_plans,
 )
 from repro.parallelism.partition import group_can_hold_model, partition_layers, stage_max_layers
-from repro.parallelism.routing import bottleneck_bandwidth, optimal_stage_order
+from repro.parallelism.routing import (
+    bottleneck_bandwidth,
+    optimal_stage_order,
+    stage_link_bandwidth,
+)
 from repro.workload.spec import CODING_WORKLOAD, CONVERSATION_WORKLOAD
 
 
@@ -111,6 +117,92 @@ class TestRouting:
         stages = [[g] for g in cloud_cluster.gpu_ids[:16]]
         order = optimal_stage_order(cloud_cluster.network, stages)
         assert sorted(order) == list(range(16))
+
+
+def _dict_stage_order(network, stages):
+    """The stage-order DP over ``(mask, last)`` dict keys: the test oracle.
+
+    ``optimal_stage_order`` runs the same DP over flat lists; both must visit
+    states in the same order and keep the same strict-greater updates, so
+    they return the same permutation, ties included.
+    """
+    n = len(stages)
+    bw = np.zeros((n, n), dtype=float)
+    for i in range(n):
+        for j in range(i + 1, n):
+            b = stage_link_bandwidth(network, stages[i], stages[j])
+            bw[i, j] = bw[j, i] = b
+    NEG = (-1.0, -1.0)
+    size = 1 << n
+    best = {}
+    parent = {}
+    for i in range(n):
+        best[(1 << i, i)] = (float("inf"), 0.0)
+    for mask in range(size):
+        for last in range(n):
+            key = (mask, last)
+            if key not in best:
+                continue
+            bottleneck, total = best[key]
+            for nxt in range(n):
+                if mask & (1 << nxt):
+                    continue
+                hop = bw[last, nxt]
+                new_val = (min(bottleneck, hop), total + hop)
+                new_key = (mask | (1 << nxt), nxt)
+                if new_val > best.get(new_key, NEG):
+                    best[new_key] = new_val
+                    parent[new_key] = last
+    full = size - 1
+    end = max(range(n), key=lambda i: best.get((full, i), NEG))
+    order = [end]
+    mask = full
+    while len(order) < n:
+        prev = parent[(mask, order[-1])]
+        mask ^= 1 << order[-1]
+        order.append(prev)
+    order.reverse()
+    return order
+
+
+class _MatrixNetwork:
+    """A network whose stage bandwidths come from one drawn matrix."""
+
+    def __init__(self, matrix):
+        self.matrix = matrix
+
+    def mean_bandwidth_between(self, a, b):
+        return self.matrix[a[0]][b[0]]
+
+
+@st.composite
+def _tie_heavy_networks(draw):
+    """Up to 8 single-GPU stages whose bandwidths repeat a few values."""
+    n = draw(st.integers(2, 8))
+    levels = st.sampled_from((0.0, 1.5, 1.5, 10.0, 25.0, 100.0))
+    matrix = [[0.0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            matrix[i][j] = matrix[j][i] = draw(levels)
+    return _MatrixNetwork(matrix), [[i] for i in range(n)]
+
+
+class TestStageOrderOracle:
+    @given(case=_tie_heavy_networks())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_dict_dp_on_tied_bandwidths(self, case):
+        network, stages = case
+        assert optimal_stage_order(network, stages) == _dict_stage_order(network, stages)
+
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_matches_dict_dp_on_cloud_stages(self, cloud_cluster, data):
+        gpus = data.draw(st.permutations(cloud_cluster.gpu_ids))
+        tp = data.draw(st.sampled_from((1, 2)))
+        n = data.draw(st.integers(2, 8))
+        stages = [list(gpus[k * tp : (k + 1) * tp]) for k in range(n)]
+        network = cloud_cluster.network
+        assert optimal_stage_order(network, stages) == _dict_stage_order(network, stages)
 
 
 class TestStageGroups:

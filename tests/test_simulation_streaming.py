@@ -9,6 +9,7 @@ which in turn is bitwise-identical to the per-event reference oracle.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import fields
 
 import numpy as np
@@ -17,7 +18,7 @@ import pytest
 from repro.core.exceptions import SimulationError
 from repro.core.types import Request
 from repro.simulation.engine import ENGINES, ServingSimulator, SimulatorConfig
-from repro.simulation.metrics import MetricArrays
+from repro.simulation.metrics import COLUMN_DTYPES, MetricArrays
 from repro.workload.generator import DiurnalTimeWarp, PoissonArrivalGenerator
 from repro.workload.spec import CODING_WORKLOAD, CONVERSATION_WORKLOAD
 from repro.workload.trace import RequestArrays
@@ -229,6 +230,22 @@ class TestNegativeArrivals:
         assert str(via_run.value) == str(from_request.value)
 
 
+class TestLengthBound:
+    """A length the int32 length columns cannot hold is refused, not wrapped."""
+
+    @pytest.mark.parametrize("column", ["input_length", "output_length"])
+    def test_oversized_length_raises(self, small_hetero_cluster, small_plan, model_30b, column):
+        too_long = int(np.iinfo(COLUMN_DTYPES[column]).max) + 1
+        lengths = {"input_length": np.full(2, 64), "output_length": np.full(2, 8)}
+        lengths[column] = np.array([64, too_long])
+        block = RequestArrays(
+            request_id=np.arange(2), arrival_time=np.array([0.0, 0.5]), **lengths
+        )
+        sim = _simulator(small_hetero_cluster, small_plan, model_30b)
+        with pytest.raises(SimulationError, match="request lengths must be at most"):
+            sim.run_stream(iter([block]))
+
+
 class TestResultArrays:
     @staticmethod
     def _assert_owned_columns(result) -> None:
@@ -236,7 +253,7 @@ class TestResultArrays:
             values = getattr(result.arrays, column.name)
             assert values.base is None and values.flags.owndata, column.name
             assert values.flags.c_contiguous, column.name
-            assert values.dtype in (np.int64, np.float64, np.bool_), column.name
+            assert values.dtype == COLUMN_DTYPES[column.name], column.name
 
     @pytest.mark.parametrize("shuffle_ids", [False, True])
     def test_columns_owned_and_simulator_reusable(
@@ -265,6 +282,41 @@ class TestResultArrays:
             for column in fields(MetricArrays):
                 first = getattr(results[0].arrays, column.name)
                 assert getattr(result.arrays, column.name).tobytes() == first.tobytes()
+
+    @pytest.mark.parametrize("shuffle_ids", [False, True])
+    def test_run_under_a_tracer_matches(
+        self, small_hetero_cluster, small_plan, model_30b, arrays, shuffle_ids
+    ):
+        """A tracer (coverage, pdb, cProfile) changes nothing and breaks nothing.
+
+        Under one, CPython binds a temporary method object holding the array
+        for each C method call, so a reference-checked ``ndarray.resize`` of
+        the request store would raise.  Ids in order take the in-place cut.
+        """
+        if shuffle_ids:
+            ids = np.random.default_rng(0).permutation(arrays.request_id)
+            arrays = RequestArrays(
+                ids, arrays.arrival_time, arrays.input_length, arrays.output_length
+            )
+        chunks = [arrays.slice(lo, min(lo + 17, N)) for lo in range(0, N, 17)]
+        plain = _simulator(small_hetero_cluster, small_plan, model_30b).run_stream(chunks)
+
+        def tracer(frame, event, arg):
+            return tracer
+
+        previous = sys.gettrace()
+        sys.settrace(tracer)
+        try:
+            traced = _simulator(small_hetero_cluster, small_plan, model_30b).run_stream(chunks)
+        finally:
+            sys.settrace(previous)
+        self._assert_owned_columns(traced)
+        assert traced.makespan == plain.makespan
+        for column in fields(MetricArrays):
+            assert (
+                getattr(traced.arrays, column.name).tobytes()
+                == getattr(plain.arrays, column.name).tobytes()
+            )
 
     def test_streamed_result_metrics_sorted_by_request_id(
         self, small_hetero_cluster, small_plan, model_30b, arrays
