@@ -3,8 +3,11 @@
 Every module exposes a ``run(...)`` function returning an
 :class:`~repro.experiments.common.ExperimentResult` whose rows are the same
 rows/series the paper reports (SLO-attainment curves, throughput bars, deployment
-breakdowns, ...).  The ``benchmarks/`` directory wires each of these into a
-pytest-benchmark target; ``EXPERIMENTS.md`` records paper-vs-measured values.
+breakdowns, ...).  :mod:`repro.experiments.claims` holds one row per paper claim:
+the module, its kwargs, the snapshot metrics read from its result, the
+objectives they must meet, and the paper's number.
+``benchmarks/bench_paper_claims.py`` runs each row as one test, and
+``tools/experiments_table.py`` renders the rows into ``EXPERIMENTS.md``.
 
 Absolute numbers differ from the paper (our substrate is a simulator, not the
 authors' Vast.ai testbed) — the quantities to compare are the *shapes*: which

@@ -146,19 +146,6 @@ class ReplicaPerformance:
         return best
 
 
-@dataclass(frozen=True)
-class PairEstimate:
-    """Per-(prefill, decode) pair latency breakdown at the workload's mean shape."""
-
-    ttft: float
-    kv_transfer: float
-    tpot: float
-    e2e: float
-    attainment_e2e: float
-    attainment_ttft: float
-    attainment_tpot: float
-
-
 class SLOEstimator:
     """Analytic estimator of per-pair and system-level SLO attainment.
 
@@ -454,62 +441,6 @@ class SLOEstimator:
             )
         return hit
 
-    # ------------------------------------------------------------------ pairs
-    def pair_estimate(
-        self,
-        prefill: ReplicaPerformance,
-        decode: ReplicaPerformance,
-        prefill_utilization: float = 0.5,
-        decode_batch: Optional[int] = None,
-    ) -> PairEstimate:
-        """Latency breakdown and attainment of one (prefill, decode) pair.
-
-        ``prefill_utilization`` adds the M/G/1 queueing-delay term on the
-        prefill side (divergent at ``rho >= 1``); ``decode_batch`` is the
-        decode replica's operating batch size (defaults to the batch needed for
-        its fair share of the token demand).  A KV-infeasible decode replica
-        (``decode_max_batch == 0``, or an explicit ``decode_batch`` of 0) gets
-        an overload-sized TPOT, so every attainment figure of the pair is zero.
-        """
-        if decode_batch is None:
-            decode_batch = min(decode.decode_max_batch, 8)
-
-        wait = self._queue_wait(prefill, prefill_utilization)
-        ttft_base = self._prefill_grid(prefill)
-        kv = self._kv_grid(prefill, decode)
-        if decode.decode_max_batch < 1 or decode_batch < 1:
-            tpot = np.full(len(self._grid), OVERLOAD_QUEUE_WAIT_S)
-        else:
-            tpot = self._decode_grid(decode, int(decode_batch))
-        e2e_base = ttft_base + kv + tpot * self._out_factor
-
-        w = self._weights
-        total_w = self._weight_sum
-        means = np.array(
-            [float(np.sum(w * v)) for v in (ttft_base, kv, tpot, e2e_base)]
-        ) / max(total_w, 1e-12)
-        # A pair that cannot serve — overloaded prefill or KV-infeasible decode —
-        # attains nothing, whatever the SLO type measures.
-        serving = 1.0 if (
-            prefill_utilization < 1.0 and decode.decode_max_batch >= 1 and decode_batch >= 1
-        ) else 0.0
-        rho = min(max(prefill_utilization, 0.0), 1.0)
-        att_e2e = float(
-            np.sum(w * self._wait_hit_prob(self.slo.e2e - e2e_base, wait, rho)) / total_w
-        )
-        att_ttft = float(
-            np.sum(w * self._wait_hit_prob(self.slo.ttft - ttft_base, wait, rho)) / total_w
-        )
-        return PairEstimate(
-            ttft=float(means[0]) + wait,
-            kv_transfer=float(means[1]),
-            tpot=float(means[2]),
-            e2e=float(means[3]) + wait,
-            attainment_e2e=serving * att_e2e,
-            attainment_ttft=serving * att_ttft,
-            attainment_tpot=serving * float(np.sum(w * (tpot <= self.slo.tpot)) / total_w),
-        )
-
     def attainment_matrix(
         self,
         prefills: Sequence[ReplicaPerformance],
@@ -728,6 +659,5 @@ class SLOEstimator:
 __all__ = [
     "OVERLOAD_QUEUE_WAIT_S",
     "ReplicaPerformance",
-    "PairEstimate",
     "SLOEstimator",
 ]

@@ -60,7 +60,7 @@ from typing import (
 import numpy as np
 
 from repro.core.exceptions import InvalidPlanError, SchedulingError
-from repro.core.types import OUTCOME_NAMES, SLOType
+from repro.core.types import OUTCOME_NAMES, RequestOutcome, SLOType
 from repro.faults.retry import RetryPolicy
 from repro.faults.state import ClusterFaultState
 from repro.faults.taxonomy import CAPACITY_LOSS_KINDS, FaultKind, FaultSchedule
@@ -181,6 +181,10 @@ class WindowTelemetry:
     def snapshot(self) -> Dict[str, float]:
         """Return the metric mapping SLO objectives are evaluated against."""
         total = self.num_requests + self.num_shed
+        failed = sum(
+            self.outcome_counts.get(outcome.name.lower(), 0)
+            for outcome in (RequestOutcome.TIMED_OUT, RequestOutcome.DROPPED_OUTAGE)
+        )
         return {
             "attainment_e2e": self.attainment_e2e,
             "attainment_ttft": self.attainment_ttft,
@@ -192,15 +196,7 @@ class WindowTelemetry:
             "request_rate": self.request_rate,
             "num_requests": float(self.num_requests),
             "shed_fraction": self.num_shed / total if total else 0.0,
-            "failed_fraction": (
-                (
-                    self.outcome_counts.get("timed_out", 0)
-                    + self.outcome_counts.get("dropped_outage", 0)
-                )
-                / total
-                if total
-                else 0.0
-            ),
+            "failed_fraction": failed / total if total else 0.0,
         }
 
     def to_dict(self) -> Dict[str, object]:
@@ -460,10 +456,10 @@ class LiveServeReport:
             for e in self.fault_log
             if e.get("replan_ok") and "replanned_at" in e
         ]
-        loss_kinds = {"gpu_preemption", "node_crash"}
+        loss_kinds = {kind.value for kind in CAPACITY_LOSS_KINDS}
         mttr: List[float] = []
         for i, entry in enumerate(self.fault_log):
-            if entry["kind"] != "recovery":
+            if entry["kind"] != FaultKind.RECOVERY.value:
                 continue
             revived = set(entry["gpu_ids"])  # type: ignore[arg-type]
             for prior in reversed(self.fault_log[:i]):

@@ -184,9 +184,17 @@ class TestSLOEstimator:
         cluster, model, workload, estimator = estimator_setup
         prefill = estimator.replica_performance(_group(cluster, model, workload, "A40", Phase.PREFILL, 0))
         decode = estimator.replica_performance(_group(cluster, model, workload, "3090Ti", Phase.DECODE, 1))
-        low = estimator.pair_estimate(prefill, decode, prefill_utilization=0.1)
-        high = estimator.pair_estimate(prefill, decode, prefill_utilization=0.9)
-        assert high.ttft > low.ttft
+        # The congestion term grows with utilisation, and the pair's attainment
+        # falls with it (for the E2E and the TTFT SLO alike).
+        assert estimator._queue_wait(prefill, 0.9) > estimator._queue_wait(prefill, 0.1)
+        for slo_type in (SLOType.E2E, SLOType.TTFT):
+            low, high = (
+                estimator.attainment_matrix(
+                    [prefill], [decode], prefill_utilizations=[rho], slo_type=slo_type
+                )[0, 0]
+                for rho in (0.1, 0.9)
+            )
+            assert high < low
 
     def test_decode_operating_batch_monotone_in_rate(self, estimator_setup):
         cluster, model, workload, estimator = estimator_setup
