@@ -227,6 +227,10 @@ class ReplicaCostModel:
         #: ``self._decode_rows[n][c]`` is the step latency at batch ``n`` and
         #: mean context ``max(1, c)``; see :meth:`decode_step_row`
         self._decode_rows: Dict[int, array] = {}
+        #: decode-step latency columns, one per context length:
+        #: ``self._decode_columns[c][n - 1]`` is the step latency at batch ``n``
+        #: and context ``c``; see :meth:`decode_step_column`
+        self._decode_columns: Dict[int, List[float]] = {}
         #: memoized prefill latencies keyed by (input_length, batch_size);
         #: filled by :meth:`prefill_latency_memo` / :meth:`prefill_latency_grid`
         #: and shared across prefill epochs
@@ -620,6 +624,29 @@ class ReplicaCostModel:
             row = rows[batch_size] = array("d")
         row.frombytes(values.tobytes())
         return row
+
+    def decode_step_column(self, context_length: int, max_batch: int) -> List[float]:
+        """Decode-step latencies at ``context_length`` for batches ``1..max_batch``.
+
+        Entry ``n - 1`` is ``decode_step_latency(n, context_length)``; the
+        column may be longer than asked.  It is the transpose of
+        :meth:`decode_step_row`, read by the estimator's search for a decode
+        replica's operating batch.  Columns are filled by
+        :meth:`decode_step_latency_array`, which is bitwise equal to the scalar
+        method, and live as long as this cost model.  When they would hold more
+        than ``DECODE_STEP_MEMO_MAX`` entries, all of them are dropped first.
+        """
+        columns = self._decode_columns
+        column = columns.get(context_length)
+        if column is not None and len(column) >= max_batch:
+            return column
+        if sum(len(c) for c in columns.values()) + max_batch > DECODE_STEP_MEMO_MAX:
+            columns.clear()
+        batches = np.arange(1, max_batch + 1, dtype=np.int64)
+        column = columns[context_length] = self.decode_step_latency_array(
+            batches, np.full_like(batches, context_length)
+        ).tolist()
+        return column
 
     def decode_step_memo(self, batch_size: int, context_length: int) -> float:
         """Scalar decode-step latency read from :meth:`decode_step_row`.

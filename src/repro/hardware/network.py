@@ -258,6 +258,15 @@ class NetworkModel:
         return self._latency_s.copy()
 
     # ------------------------------------------------------- set-level aggregates
+    def _bandwidth_block(self, rows: List[int], cols: List[int]) -> np.ndarray:
+        """The bandwidth submatrix ``rows x cols`` (GB/s).
+
+        The same fancy index as ``np.ix_(rows, cols)``, built directly: the
+        scheduler reads thousands of these blocks per search, and ``np.ix_``'s
+        argument checks cost more than the indexing itself.
+        """
+        return self._bandwidth_gbps[np.asarray(rows)[:, None], np.asarray(cols)]
+
     def min_bandwidth_within(self, gpu_ids: Iterable[int]) -> float:
         """Minimum pairwise bandwidth (GB/s) among a set of GPUs.
 
@@ -268,7 +277,7 @@ class NetworkModel:
         ids = list(gpu_ids)
         if len(ids) <= 1:
             return float("inf")
-        sub = self._bandwidth_gbps[np.ix_(ids, ids)]
+        sub = self._bandwidth_block(ids, ids)
         off_diag = sub[~np.eye(len(ids), dtype=bool)]
         return float(off_diag.min())
 
@@ -278,8 +287,7 @@ class NetworkModel:
         b = list(group_b)
         if not a or not b:
             raise ValueError("both GPU sets must be non-empty")
-        sub = self._bandwidth_gbps[np.ix_(a, b)]
-        return float(sub.mean())
+        return float(self._bandwidth_block(a, b).mean())
 
     def best_link_between(self, group_a: Iterable[int], group_b: Iterable[int]) -> tuple[int, int, float]:
         """Return ``(i, j, bandwidth_gbps)`` of the fastest link between two GPU sets.
@@ -291,7 +299,7 @@ class NetworkModel:
         b = list(group_b)
         if not a or not b:
             raise ValueError("both GPU sets must be non-empty")
-        sub = self._bandwidth_gbps[np.ix_(a, b)]
+        sub = self._bandwidth_block(a, b)
         flat_idx = int(np.argmax(sub))
         ai, bj = np.unravel_index(flat_idx, sub.shape)
         return a[ai], b[bj], float(sub[ai, bj])

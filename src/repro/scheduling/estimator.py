@@ -25,10 +25,11 @@ infeasible, not "95%-utilised".  The Figure-19 agreement harness and the gated
 ``bench_estimator_saturation`` benchmark pin the estimator against the
 discrete-event simulator across a utilisation ramp up to rho ~ 0.95.
 
-The grid evaluation is fully vectorized: the roofline cost model is invoked only
-once per *distinct* grid length per replica (those per-replica latency vectors are
-cached across calls, keyed by the replica's structural identity), and the
-(m, n, grid) latency tensor is assembled and thresholded with numpy.  The
+The grid evaluation is fully vectorized: each replica's *distinct* grid lengths
+are priced once, in one call to the roofline cost model's array path (the
+per-replica latency vectors, expanded to the grid, are cached across calls,
+keyed by the replica's structural identity), and the (m, n, grid) latency
+tensor is assembled and thresholded with numpy.  The
 pre-vectorization scalar implementation is retained as
 :meth:`SLOEstimator.attainment_matrix_reference` — it is the ground truth the
 property tests and the ``bench_scenario_sweep`` micro-benchmark compare against.
@@ -122,9 +123,12 @@ class ReplicaPerformance:
     def decode_operating_batch(self, token_rate: float, context_length: int) -> int:
         """Smallest batch size able to sustain ``token_rate`` generated tokens/s.
 
-        Found by scanning batch sizes (decode throughput is monotone in the batch
-        size for a memory-bound replica); returns the max batch when even it
-        cannot keep up, and 0 when the replica is KV-infeasible
+        Found by a binary search over batch sizes (decode throughput is
+        monotone in the batch size for a memory-bound replica), reading the
+        step latencies from the cost model's memoized column at
+        ``context_length`` (:meth:`ReplicaCostModel.decode_step_column`, bitwise
+        equal to scalar ``decode_step_latency`` calls).  Returns the max batch
+        when even it cannot keep up, and 0 when the replica is KV-infeasible
         (``decode_max_batch == 0``) — no batch at all fits, so callers must
         treat the replica as unable to serve rather than silently running it
         at batch 1.
@@ -134,10 +138,11 @@ class ReplicaPerformance:
         if token_rate <= 0:
             return 1
         lo, hi = 1, max(1, self.decode_max_batch)
+        latency = self.cost.decode_step_column(context_length, hi)
         best = hi
         while lo <= hi:
             mid = (lo + hi) // 2
-            throughput = mid / self.cost.decode_step_latency(mid, context_length)
+            throughput = mid / latency[mid - 1]
             if throughput >= token_rate:
                 best = mid
                 hi = mid - 1
@@ -205,12 +210,12 @@ class SLOEstimator:
         # Caches keyed by a replica's structural identity (PerfKey).  The tabu
         # search revisits the same serving groups in many candidate solutions, so
         # the expensive cost-model evaluations are shared across iterations.
+        # The grid caches hold per-grid-point vectors, already expanded from the
+        # distinct lengths, so attainment_matrix only copies them in.
         self._perf_cache: Dict[PerfKey, ReplicaPerformance] = {}
         self._prefill_grid_cache: Dict[PerfKey, np.ndarray] = {}
         self._decode_grid_cache: Dict[Tuple[PerfKey, int], np.ndarray] = {}
-        self._link_cache: Dict[
-            Tuple[Tuple[int, ...], Tuple[int, ...]], Optional[Tuple[float, float]]
-        ] = {}
+        self._kv_grid_cache: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], np.ndarray] = {}
 
     # ------------------------------------------------------------------ grid
     def _build_grid(self, num_quantiles: int) -> List[Tuple[float, int, int]]:
@@ -331,50 +336,54 @@ class SLOEstimator:
 
     # ------------------------------------------------------------------ cached grids
     def _prefill_grid(self, perf: ReplicaPerformance) -> np.ndarray:
-        """Prefill latency per grid point (no queueing term), cached per replica."""
+        """Prefill latency per grid point (no queueing term), cached per replica.
+
+        Priced once per distinct prompt length through the cost model's array
+        path, which is bitwise equal to the scalar :meth:`prefill_latency`.
+        """
         key = _perf_key(perf.group)
-        per_distinct = self._prefill_grid_cache.get(key)
-        if per_distinct is None:
-            per_distinct = np.array(
-                [perf.cost.prefill_latency(s, batch_size=1) for s in self._distinct_inputs]
-            )
-            self._prefill_grid_cache[key] = per_distinct
-        return per_distinct[self._input_idx]
+        grid = self._prefill_grid_cache.get(key)
+        if grid is None:
+            inputs = self._distinct_inputs
+            per_distinct = perf.cost.prefill_latency_grid(inputs, np.ones(len(inputs), np.int64))
+            grid = self._prefill_grid_cache[key] = per_distinct[self._input_idx]
+        return grid
 
     def _decode_grid(self, perf: ReplicaPerformance, batch: int) -> np.ndarray:
-        """Decode step latency per grid point at ``batch``, cached per replica."""
-        key = (_perf_key(perf.group), int(batch))
-        per_distinct = self._decode_grid_cache.get(key)
-        if per_distinct is None:
-            per_distinct = np.array(
-                [perf.cost.decode_step_latency(batch, c) for c in self._distinct_ctxs]
-            )
-            self._decode_grid_cache[key] = per_distinct
-        return per_distinct[self._ctx_idx]
+        """Decode step latency per grid point at ``batch``, cached per replica.
 
-    def _pair_link(
-        self, src_gpu_ids: Tuple[int, ...], dst_gpu_ids: Tuple[int, ...]
-    ) -> Optional[Tuple[float, float]]:
-        """(alpha, beta) of the best link between two replicas; ``None`` if co-located."""
-        key = (tuple(src_gpu_ids), tuple(dst_gpu_ids))
-        if key in self._link_cache:
-            return self._link_cache[key]
-        if set(src_gpu_ids) & set(dst_gpu_ids):
-            link = None
-        else:
-            network = self.cluster.network
-            i, j, _bw = network.best_link_between(list(src_gpu_ids), list(dst_gpu_ids))
-            link = (network.latency_s(i, j), network.bandwidth_bytes(i, j))
-        self._link_cache[key] = link
-        return link
+        Priced once per distinct context through the cost model's array path,
+        which is bitwise equal to the scalar :meth:`decode_step_latency`.
+        """
+        key = (_perf_key(perf.group), int(batch))
+        grid = self._decode_grid_cache.get(key)
+        if grid is None:
+            ctxs = self._distinct_ctxs
+            per_distinct = perf.cost.decode_step_latency_array(
+                np.full(len(ctxs), int(batch), np.int64), ctxs
+            )
+            grid = self._decode_grid_cache[key] = per_distinct[self._ctx_idx]
+        return grid
 
     def _kv_grid(self, prefill: ReplicaPerformance, decode: ReplicaPerformance) -> np.ndarray:
-        """KV transfer time per grid point for one (prefill, decode) pair."""
-        link = self._pair_link(prefill.group.gpu_ids, decode.group.gpu_ids)
-        if link is None:
-            return np.zeros(len(self._grid))
-        alpha, beta = link
-        return (alpha + self._kv_volume / beta)[self._input_idx]
+        """KV transfer time per grid point for one (prefill, decode) pair.
+
+        Uses the best link between the two replicas' GPU sets (zero when they
+        share a GPU), cached per pair of GPU sets.
+        """
+        src, dst = prefill.group.gpu_ids, decode.group.gpu_ids
+        key = (tuple(src), tuple(dst))
+        grid = self._kv_grid_cache.get(key)
+        if grid is None:
+            if set(src) & set(dst):
+                grid = np.zeros(len(self._grid))
+            else:
+                network = self.cluster.network
+                i, j, _bw = network.best_link_between(list(src), list(dst))
+                alpha, beta = network.latency_s(i, j), network.bandwidth_bytes(i, j)
+                grid = (alpha + self._kv_volume / beta)[self._input_idx]
+            self._kv_grid_cache[key] = grid
+        return grid
 
     def _queue_wait(self, prefill: ReplicaPerformance, utilization: float) -> float:
         """Congestion delay (queueing + batch co-service) of one prefill replica.

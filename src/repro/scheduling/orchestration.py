@@ -6,7 +6,12 @@ replica and the fraction ``Y_ij`` of replica *i*'s requests forwarded to decode
 replica *j*, maximising the routed SLO attainment ``sum_ij X_i Y_ij D_ij``.
 
 We solve the equivalent linear program over the joint fractions ``Z_ij = X_i Y_ij``
-with scipy's ``linprog``.  The paper's formulation as written admits the degenerate
+with HiGHS, called through :func:`scipy.optimize.milp` with no integer variables.
+HiGHS gets the same model ``linprog(method="highs")`` would build (the same
+constraint matrix, row bounds and variable bounds), without the per-call option
+validation that dominates ``linprog``'s cost on an LP this small.  ``linprog``
+is kept only as the test oracle: a property test asserts that both return
+bitwise-equal routings.  The paper's formulation as written admits the degenerate
 optimum of routing everything through the single best pair, so — consistent with
 how a transportation problem is normally posed — we add the natural capacity
 constraints (a prefill replica cannot absorb more requests than its service rate
@@ -23,7 +28,8 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize import Bounds, LinearConstraint, milp
+from scipy.sparse import csc_array
 
 from repro.core.exceptions import SchedulingError
 
@@ -82,38 +88,42 @@ def solve_orchestration(
     # Objective: maximise sum Z_ij D_ij  <=>  minimise -D . Z
     c = -d.reshape(-1)
 
-    a_ub = []
-    b_ub = []
-    # Total routed mass cannot exceed 1.
-    a_ub.append(np.ones(num_vars))
-    b_ub.append(1.0)
-    # Prefill capacity: sum_j Z_ij <= cap_i
+    # Constraint rows: total routed mass <= 1, then sum_j Z_ij <= cap_i per
+    # prefill replica, then sum_i Z_ij <= cap_j per decode replica.  With Z
+    # flattened row-major, column i * n + j of A holds a 1 in the mass row, in
+    # prefill row i and in decode row j, so A is built column-wise (CSC, the
+    # layout HiGHS takes) from those row indices.
+    rows = [np.zeros(num_vars, dtype=np.int32)]
+    b_ub = [np.ones(1)]
+    num_rows = 1
     if prefill_capacity is not None:
         caps = np.asarray(list(prefill_capacity), dtype=float)
         if caps.shape != (m,):
             raise SchedulingError("prefill_capacity must have one entry per prefill replica")
-        for i in range(m):
-            row = np.zeros(num_vars)
-            row[i * n : (i + 1) * n] = 1.0
-            a_ub.append(row)
-            b_ub.append(max(0.0, float(caps[i])))
-    # Decode capacity: sum_i Z_ij <= cap_j
+        rows.append(num_rows + np.repeat(np.arange(m, dtype=np.int32), n))
+        b_ub.append(np.maximum(caps, 0.0))
+        num_rows += m
     if decode_capacity is not None:
         caps = np.asarray(list(decode_capacity), dtype=float)
         if caps.shape != (n,):
             raise SchedulingError("decode_capacity must have one entry per decode replica")
-        for j in range(n):
-            row = np.zeros(num_vars)
-            row[j::n] = 1.0
-            a_ub.append(row)
-            b_ub.append(max(0.0, float(caps[j])))
+        rows.append(num_rows + np.tile(np.arange(n, dtype=np.int32), m))
+        b_ub.append(np.maximum(caps, 0.0))
+        num_rows += n
+    per_col = len(rows)
+    a_ub = csc_array(
+        (
+            np.ones(per_col * num_vars),
+            np.stack(rows, axis=1).ravel(),
+            np.arange(0, per_col * num_vars + 1, per_col, dtype=np.int32),
+        ),
+        shape=(num_rows, num_vars),
+    )
 
-    result = linprog(
+    result = milp(
         c,
-        A_ub=np.vstack(a_ub),
-        b_ub=np.asarray(b_ub),
-        bounds=[(0.0, None)] * num_vars,
-        method="highs",
+        constraints=LinearConstraint(a_ub, -np.inf, np.concatenate(b_ub)),
+        bounds=Bounds(0.0, np.inf),
     )
     if not result.success:  # pragma: no cover - highs is robust for this LP class
         raise SchedulingError(f"orchestration LP failed: {result.message}")

@@ -102,8 +102,10 @@ class ThunderServe:
         self.events: List[ServeEvent] = []
         #: simulator reused across serve() calls; rebuilt when the plan changes
         self._simulator: Optional[ServingSimulator] = None
-        #: full-replan plans keyed by ``Cluster.state_key()``; see replan_capacity
-        self._full_plans: Dict[tuple, DeploymentPlan] = {}
+        #: full and lightweight replan plans keyed by mode and
+        #: ``Cluster.state_key()`` (plus the incumbent plan for lightweight
+        #: replans); see replan_capacity
+        self._replans: Dict[tuple, DeploymentPlan] = {}
 
     # ------------------------------------------------------------------ deployment
     def deploy(self, seed: Optional[int] = None) -> DeploymentPlan:
@@ -383,33 +385,37 @@ class ThunderServe:
         plan stays installed.  A candidate equal to the incumbent ties by
         construction, so it is installed without replaying.
 
-        ``"full"`` replans are memoized per system, keyed on
-        :meth:`~repro.hardware.cluster.Cluster.state_key`: a cluster state
-        seen before reuses the plan its first search returned.  This is exact
-        because everything else the search reads is fixed for the system's
-        lifetime — the model, workload, ``request_rate``, ``slo`` and the
-        scheduler config with its integer seed have no setter — and the search
-        is deterministic for a given seed (a nonzero tabu ``time_limit_s``
-        makes it wall-clock dependent; a hit then reuses the first search's
-        plan).  A search that raises stores nothing.  Shadow validation, the
-        install and its event run the same on a hit as on a miss.
+        ``"full"`` and ``"lightweight"`` replans are memoized per system.  A
+        full replan is keyed on
+        :meth:`~repro.hardware.cluster.Cluster.state_key`, a lightweight one on
+        that key and the incumbent plan (it keeps the incumbent's groups and
+        parallel plans): a state seen before reuses the plan its first search
+        returned.  This is exact because everything else the searches read is
+        fixed for the system's lifetime — the model, workload,
+        ``request_rate``, ``slo`` and the scheduler and rescheduler configs
+        with their integer seeds have no setter — and both searches are
+        deterministic for a given seed (a nonzero tabu ``time_limit_s`` makes
+        them wall-clock dependent; a hit then reuses the first search's plan).
+        A search that raises stores nothing.  Shadow validation, the install
+        and its event run the same on a hit as on a miss.
         """
         if mode not in self.RESCHEDULE_MODES:
             raise ValueError(f"mode must be one of {self.RESCHEDULE_MODES}, got {mode!r}")
         plan = self.require_plan()
-        if mode == "full":
-            key = self.cluster.state_key()
-            new_plan = self._full_plans.get(key)
+        if mode != "none":
+            key = (mode, self.cluster.state_key(), plan if mode == "lightweight" else None)
+            new_plan = self._replans.get(key)
             if new_plan is None:
-                new_plan = self.scheduler.schedule(
-                    self.cluster, self.model, self.workload, self.request_rate, self.slo
-                ).plan
-                self._full_plans[key] = new_plan
-        elif mode == "lightweight":
-            result = self.rescheduler.reschedule(
-                plan, self.cluster, self.model, self.workload, self.request_rate, self.slo
-            )
-            new_plan = result.plan
+                if mode == "full":
+                    new_plan = self.scheduler.schedule(
+                        self.cluster, self.model, self.workload, self.request_rate, self.slo
+                    ).plan
+                else:
+                    new_plan = self.rescheduler.reschedule(
+                        plan, self.cluster, self.model, self.workload, self.request_rate,
+                        self.slo,
+                    ).plan
+                self._replans[key] = new_plan
         else:
             available = set(self.cluster.gpu_ids)
             surviving = [g for g in plan.groups if set(g.gpu_ids) <= available]

@@ -7,8 +7,11 @@ from types import SimpleNamespace
 import pytest
 
 from repro.core.exceptions import InvalidPlanError, SchedulingError
+from repro.core.types import Phase
 from repro.faults import FaultEvent, FaultKind, FaultSchedule
+from repro.scheduling import lower_level
 from repro.scheduling.deployment import DeploymentPlan
+from repro.scheduling.rescheduling import LightweightRescheduler
 from repro.scheduling.scheduler import Scheduler, SchedulerConfig
 from repro.scheduling.tabu import TabuSearchConfig
 from repro.serving.live import LiveServeConfig, LiveServer
@@ -313,7 +316,11 @@ def _report_signature(report):
 
 
 class TestFullReplanMemo:
-    """``replan_capacity(mode="full")`` searches once per cluster state per system."""
+    """``replan_capacity`` searches once per cluster state (and incumbent) per system.
+
+    The storm test runs ``lightweight`` before ``full``, so its memo-free
+    replay also checks that lightweight hits leave the report unchanged.
+    """
 
     def test_hit_equals_a_fresh_search(self, memo_system_factory, search_calls):
         system = memo_system_factory()
@@ -384,7 +391,7 @@ class TestFullReplanMemo:
         original = ThunderServe.replan_capacity
 
         def forgetful(self, *args, **kwargs):
-            self._full_plans.clear()
+            self._replans.clear()
             return original(self, *args, **kwargs)
 
         monkeypatch.setattr(ThunderServe, "replan_capacity", forgetful)
@@ -394,6 +401,115 @@ class TestFullReplanMemo:
         assert plain == memoized
         assert plain_system.num_plan_changes == memo_system.num_plan_changes
         assert plain_system.require_plan() == memo_system.require_plan()
+
+
+@pytest.fixture()
+def lightweight_calls(monkeypatch):
+    """Record (cluster state, incumbent) of each flip-only search ``reschedule`` runs."""
+    calls = []
+    original = LightweightRescheduler.reschedule
+
+    def counted(self, plan, cluster, *args, **kwargs):
+        calls.append((cluster.state_key(), plan))
+        return original(self, plan, cluster, *args, **kwargs)
+
+    monkeypatch.setattr(LightweightRescheduler, "reschedule", counted)
+    return calls
+
+
+def _flipped(plan):
+    """``plan`` with every group's phase flipped and no routing."""
+    flip = {Phase.PREFILL: Phase.DECODE, Phase.DECODE: Phase.PREFILL}
+    return DeploymentPlan(
+        groups=tuple(g.with_phase(flip[g.phase]) for g in plan.groups),
+        model_name=plan.model_name,
+        kv_transport_bits=plan.kv_transport_bits,
+    )
+
+
+class TestLightweightReplanMemo:
+    """``replan_capacity(mode="lightweight")`` searches once per (cluster state, incumbent)."""
+
+    def test_hit_equals_a_fresh_search(self, memo_system_factory, lightweight_calls):
+        system = memo_system_factory()
+        incumbent = system.require_plan()
+        first = system.replan_capacity(mode="lightweight")
+        system.adopt_plan(incumbent)
+        second = system.replan_capacity(mode="lightweight")
+        assert len(lightweight_calls) == 1
+        assert second == first
+        # A hit still installs, exactly like a miss (the adopt installs too).
+        assert system.num_plan_changes == 3
+        fresh = system.rescheduler.reschedule(
+            incumbent, system.cluster, system.model, system.workload,
+            system.request_rate, system.slo,
+        )
+        assert second == fresh.plan
+
+    def test_key_is_the_cluster_state_and_the_incumbent(
+        self, memo_system_factory, lightweight_calls
+    ):
+        system = memo_system_factory()
+        incumbent = system.require_plan()
+        flipped = _flipped(incumbent)
+        pristine = system.cluster
+        brownout = pristine.with_network(pristine.network.scaled(bandwidth_scale=0.5))
+        visits = [(pristine, incumbent), (pristine, flipped), (brownout, incumbent)]
+        for cluster, plan in visits + visits:
+            system.set_cluster(cluster)
+            system.adopt_plan(plan)
+            system.replan_capacity(mode="lightweight")
+        assert lightweight_calls == [(c.state_key(), p) for c, p in visits]
+
+    def test_modes_do_not_share_entries(
+        self, memo_system_factory, lightweight_calls, search_calls
+    ):
+        system = memo_system_factory()
+        incumbent = system.require_plan()
+        system.replan_capacity(mode="lightweight")
+        system.adopt_plan(incumbent)
+        system.replan_capacity(mode="full")
+        assert len(lightweight_calls) == 1 and len(search_calls) == 1
+
+    def test_failed_search_stores_nothing(self, memo_system_factory, monkeypatch):
+        system = memo_system_factory()
+        original = LightweightRescheduler.reschedule
+
+        def failing(self, *args, **kwargs):
+            raise SchedulingError("no feasible plan")
+
+        monkeypatch.setattr(LightweightRescheduler, "reschedule", failing)
+        with pytest.raises(SchedulingError):
+            system.replan_capacity(mode="lightweight")
+        assert system._replans == {}
+        monkeypatch.setattr(LightweightRescheduler, "reschedule", original)
+        assert system.replan_capacity(mode="lightweight") is not None
+
+
+def test_deploys_share_no_scheduler_cache(
+    small_hetero_cluster, model_30b, conversation_workload, relaxed_slo, monkeypatch
+):
+    """Two deploys over one cluster do the same lower-level work: no memo outlives a search."""
+    names = ("solve_orchestration", "deduce_parallel_plan")
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(lower_level, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(lower_level, name, counted)
+    per_deploy = []
+    for _ in range(2):
+        before = dict(calls)
+        ThunderServe(
+            small_hetero_cluster, model_30b, conversation_workload, 3.0,
+            slo=relaxed_slo, scheduler_config=MEMO_SCHEDULER,
+        ).deploy()
+        per_deploy.append({name: calls[name] - before[name] for name in names})
+    assert per_deploy[0] == per_deploy[1]
+    assert all(count > 0 for count in per_deploy[0].values())
 
 
 class TestShadowShortCircuit:
