@@ -118,11 +118,10 @@ class LightweightRescheduler:
             )
 
         search = TabuSearch(
-            objective=solver.evaluate,
+            objective=solver.evaluate_batch,
             neighbor_fn=neighbor_fn,
             key_fn=lambda s: s.key(),
             config=self.tabu,
-            batch_objective=solver.evaluate_batch,
         )
         result = search.run(initial)
         lower = solver.solve(result.best_solution)

@@ -147,8 +147,7 @@ class Scheduler:
         cluster: Cluster,
         model: ModelConfig,
         rng,
-        objective: Optional[Callable[[UpperLevelSolution], float]],
-        batch_objective: Callable[[Sequence[UpperLevelSolution]], Sequence[float]],
+        objective: Callable[[Sequence[UpperLevelSolution]], Sequence[float]],
         initial_solution: Optional[UpperLevelSolution] = None,
     ) -> TabuSearchResult[UpperLevelSolution]:
         """Run the upper-level tabu search over a given objective.
@@ -181,7 +180,6 @@ class Scheduler:
             neighbor_fn=neighbor_fn,
             key_fn=lambda s: s.key(),
             config=cfg.tabu,
-            batch_objective=batch_objective,
             pass_tabu_keys=True,
         )
         return search.run(initial)
@@ -209,7 +207,7 @@ class Scheduler:
 
         solver = self.build_solver(cluster, model, workload, request_rate, slo)
         result = self._run_search(
-            cluster, model, rng, solver.evaluate, solver.evaluate_batch, initial_solution
+            cluster, model, rng, solver.evaluate_batch, initial_solution
         )
         lower = solver.solve(result.best_solution)
         if not lower.feasible or lower.plan is None:
@@ -274,7 +272,7 @@ class Scheduler:
         # weight count vs. scenario count.
         evaluator = RobustEvaluator(solvers, robust)
         result = self._run_search(
-            cluster, model, rng, None, evaluator.evaluate_batch, initial_solution
+            cluster, model, rng, evaluator.evaluate_batch, initial_solution
         )
 
         per_scenario = {name: solver.solve(result.best_solution) for name, solver in solvers}

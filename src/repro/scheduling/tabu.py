@@ -1,10 +1,11 @@
 """Generic tabu search (Algorithm 1 of the paper).
 
 The search starts from an initial solution, repeatedly constructs a set of
-neighbours, evaluates them with the (expensive) objective ``f``, moves to the best
-non-tabu neighbour and remembers recently visited solutions in a bounded tabu list.
-It returns the best solution seen and a trace of (wall-clock time, best objective)
-pairs, which regenerates the convergence curves of Figure 10.
+neighbours, evaluates them with the (expensive) objective ``f`` — one call per
+neighbourhood batch — moves to the best non-tabu neighbour and remembers
+recently visited solutions in a bounded tabu list.  It returns the best
+solution seen and a trace of (wall-clock time, best objective) pairs, which
+regenerates the convergence curves of Figure 10.
 """
 
 from __future__ import annotations
@@ -71,10 +72,11 @@ class TabuSearch(Generic[S]):
     Parameters
     ----------
     objective:
-        Callable returning the scalar objective to *maximise* for a solution.
-        May be ``None`` when ``batch_objective`` is provided — single solutions
-        (the initial one included) are then scored through a batch of one, so
-        evaluators only need to implement one scoring path.
+        Callable scoring a whole batch of candidates at once, returning the
+        objective to *maximise* for each one, in order.  Each search step
+        scores its neighbourhood with a single call — evaluators with shared
+        caches (e.g. the lower-level solver) can then deduplicate work across
+        the batch — and the initial solution is scored as a batch of one.
     neighbor_fn:
         Callable producing a list of candidate neighbours for a solution.  With
         ``pass_tabu_keys=True`` it must accept a third argument — the current
@@ -85,12 +87,6 @@ class TabuSearch(Generic[S]):
         Defaults to the identity, which requires hashable solutions.
     config:
         Search hyper-parameters.
-    batch_objective:
-        Optional callable scoring a whole batch of candidates at once, returning
-        one objective per candidate in order.  When provided, each search step
-        scores its neighbourhood with a single call — evaluators with shared
-        caches (e.g. the lower-level solver) can then deduplicate work across
-        the batch instead of rescoring one candidate at a time.
     pass_tabu_keys:
         Explicit opt-in: pass the current tabu keys as a third positional
         argument to ``neighbor_fn`` so candidates can be filtered during
@@ -99,34 +95,26 @@ class TabuSearch(Generic[S]):
 
     def __init__(
         self,
-        objective: Optional[Callable[[S], float]],
+        objective: Callable[[Sequence[S]], Sequence[float]],
         neighbor_fn: Callable[[S, int], Sequence[S]],
         key_fn: Optional[Callable[[S], Hashable]] = None,
         config: TabuSearchConfig = TabuSearchConfig(),
-        batch_objective: Optional[Callable[[Sequence[S]], Sequence[float]]] = None,
         pass_tabu_keys: bool = False,
     ) -> None:
-        if objective is None and batch_objective is None:
-            raise ValueError("either objective or batch_objective is required")
         self.objective = objective
         self.neighbor_fn = neighbor_fn
         self.key_fn = key_fn or (lambda s: s)  # type: ignore[assignment]
         self.config = config
-        self.batch_objective = batch_objective
         self.pass_tabu_keys = pass_tabu_keys
 
     def _score(self, candidates: Sequence[S]) -> List[float]:
-        """Score candidates, batched when a batch objective is available."""
-        if self.batch_objective is not None:
-            scores = list(self.batch_objective(candidates))
-            if len(scores) != len(candidates):
-                raise ValueError(
-                    f"batch_objective returned {len(scores)} scores "
-                    f"for {len(candidates)} candidates"
-                )
-            return [float(s) for s in scores]
-        assert self.objective is not None  # enforced in __init__
-        return [self.objective(c) for c in candidates]
+        """Score a batch of candidates with one objective call."""
+        scores = list(self.objective(candidates))
+        if len(scores) != len(candidates):
+            raise ValueError(
+                f"objective returned {len(scores)} scores for {len(candidates)} candidates"
+            )
+        return [float(s) for s in scores]
 
     def run(self, initial_solution: S) -> TabuSearchResult[S]:
         """Execute Algorithm 1 starting from ``initial_solution``."""
@@ -135,11 +123,7 @@ class TabuSearch(Generic[S]):
         trace = SearchTrace()
 
         current = initial_solution
-        current_obj = (
-            self.objective(current)
-            if self.objective is not None
-            else self._score([current])[0]
-        )
+        current_obj = self._score([current])[0]
         trace.num_evaluations += 1
         best, best_obj = current, current_obj
         # The ordered list is the bounded memory; the set gives O(1) membership

@@ -1,10 +1,10 @@
 """The ThunderServe serving runtime.
 
-This package is the control plane of the reproduction: the heartbeat monitor
-(detecting GPU failures), the :class:`ThunderServe` facade that ties scheduling,
-serving (simulated execution), workload profiling and lightweight rescheduling
-together — the overall routine described in §4 and Appendix E — and the live
-adaptive serving layer: declarative SLO objectives
+This package is the control plane of the reproduction: the
+:class:`ThunderServe` facade that ties scheduling, serving (simulated
+execution), workload profiling and lightweight rescheduling together — the
+overall routine described in §4 and Appendix E — and the live adaptive
+serving layer: declarative SLO objectives
 (:mod:`repro.serving.slo_objectives`), edge-triggered breach tracking
 (:class:`SLOBreachTracker`) and the windowed :class:`LiveServer` loop with
 streaming per-window telemetry (:mod:`repro.serving.live`).
@@ -22,12 +22,7 @@ from repro.serving.live import (
     WindowTelemetry,
     plan_signature,
 )
-from repro.serving.monitor import (
-    GPUFailure,
-    GPURecovery,
-    HeartbeatMonitor,
-    SLOBreachTracker,
-)
+from repro.serving.monitor import SLOBreachTracker
 from repro.serving.slo_objectives import (
     BreachEvent,
     ObjectiveOutcome,
@@ -41,9 +36,6 @@ from repro.serving.slo_objectives import (
 from repro.serving.system import ServeEvent, ThunderServe
 
 __all__ = [
-    "HeartbeatMonitor",
-    "GPUFailure",
-    "GPURecovery",
     "SLOBreachTracker",
     "ThunderServe",
     "ServeEvent",

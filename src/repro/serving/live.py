@@ -46,7 +46,7 @@ wall-clock time.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import (
     Callable,
     Dict,
@@ -168,12 +168,14 @@ class WindowTelemetry:
     outage: bool = False
     #: whether any injected fault was active while the window was served
     degraded: bool = False
-    #: human-readable fault events applied at this window's start
+    #: human-readable fault events folded at the boundaries since the previous
+    #: served window, then the capacity events the engine applies mid-window
     faults: Tuple[str, ...] = ()
     #: GPUs alive when the window was served (``-1`` when fault injection is off)
     num_gpus_alive: int = -1
-    #: capacity replan installed at this window's start (``""``/``failure``/``recovery``)
-    replan_trigger: str = ""
+    #: capacity replans (``failure`` / ``recovery``) installed at the window
+    #: boundaries since the previous served window, in order
+    replan_triggers: Tuple[str, ...] = ()
     #: request count per :class:`~repro.core.types.RequestOutcome` name,
     #: including admission sheds (sums to ``num_requests + num_shed``)
     outcome_counts: Dict[str, int] = field(default_factory=dict)
@@ -200,70 +202,44 @@ class WindowTelemetry:
         }
 
     def to_dict(self) -> Dict[str, object]:
-        """Return the JSON-serialisable dict form of the record."""
-        return {
-            "index": self.index,
-            "start": self.start,
-            "end": self.end,
-            "plan_id": self.plan_id,
-            "profile": self.profile,
-            "num_requests": self.num_requests,
-            "num_shed": self.num_shed,
-            "num_finished": self.num_finished,
-            "request_rate": self.request_rate,
-            "attainment_e2e": self.attainment_e2e,
-            "attainment_ttft": self.attainment_ttft,
-            "attainment_tpot": self.attainment_tpot,
-            "mean_queue_wait": self.mean_queue_wait,
-            "completion_rate": self.completion_rate,
-            "estimated_rho": self.estimated_rho,
-            "estimated_attainment": self.estimated_attainment,
-            "plan_changed": self.plan_changed,
-            "breaches": [b.to_dict() for b in self.breaches],
-            "per_tenant_attainment": dict(self.per_tenant_attainment),
-            "outage": self.outage,
-            "degraded": self.degraded,
-            "faults": list(self.faults),
-            "num_gpus_alive": self.num_gpus_alive,
-            "replan_trigger": self.replan_trigger,
-            "outcome_counts": dict(self.outcome_counts),
-        }
+        """Return the JSON-serialisable dict form of the record (fields in order)."""
+        out: Dict[str, object] = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name == "breaches":
+                value = [b.to_dict() for b in value]
+            elif isinstance(value, tuple):
+                value = list(value)
+            elif isinstance(value, dict):
+                value = dict(value)
+            out[f.name] = value
+        return out
 
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "WindowTelemetry":
-        """Rebuild a record from its dict form (inverse of :meth:`to_dict`)."""
-        return cls(
-            index=int(data["index"]),  # type: ignore[arg-type]
-            start=float(data["start"]),  # type: ignore[arg-type]
-            end=float(data["end"]),  # type: ignore[arg-type]
-            plan_id=str(data["plan_id"]),
-            profile=str(data["profile"]),
-            num_requests=int(data["num_requests"]),  # type: ignore[arg-type]
-            num_shed=int(data["num_shed"]),  # type: ignore[arg-type]
-            num_finished=int(data["num_finished"]),  # type: ignore[arg-type]
-            request_rate=float(data["request_rate"]),  # type: ignore[arg-type]
-            attainment_e2e=float(data["attainment_e2e"]),  # type: ignore[arg-type]
-            attainment_ttft=float(data["attainment_ttft"]),  # type: ignore[arg-type]
-            attainment_tpot=float(data["attainment_tpot"]),  # type: ignore[arg-type]
-            mean_queue_wait=float(data["mean_queue_wait"]),  # type: ignore[arg-type]
-            completion_rate=float(data["completion_rate"]),  # type: ignore[arg-type]
-            estimated_rho=float(data["estimated_rho"]),  # type: ignore[arg-type]
-            estimated_attainment=float(data["estimated_attainment"]),  # type: ignore[arg-type]
-            plan_changed=bool(data["plan_changed"]),
-            breaches=tuple(
-                BreachEvent.from_dict(b) for b in data.get("breaches", ())  # type: ignore[union-attr]
-            ),
-            per_tenant_attainment=dict(data.get("per_tenant_attainment", {})),  # type: ignore[arg-type]
-            outage=bool(data.get("outage", False)),
-            degraded=bool(data.get("degraded", False)),
-            faults=tuple(str(f) for f in data.get("faults", ())),  # type: ignore[union-attr]
-            num_gpus_alive=int(data.get("num_gpus_alive", -1)),  # type: ignore[arg-type]
-            replan_trigger=str(data.get("replan_trigger", "")),
-            outcome_counts={
-                str(k): int(v)  # type: ignore[call-overload]
-                for k, v in dict(data.get("outcome_counts", {})).items()  # type: ignore[call-overload]
-            },
-        )
+        """Rebuild a record from its dict form (inverse of :meth:`to_dict`).
+
+        A key missing from ``data`` falls back to the field's default.
+        """
+        return cls(**{
+            f.name: _FROM_JSON[f.type](data[f.name])
+            for f in fields(cls)
+            if f.name in data
+        })
+
+
+#: How :meth:`WindowTelemetry.from_dict` rebuilds a field from its JSON form,
+#: keyed by the field's annotation.
+_FROM_JSON: Dict[str, Callable] = {
+    "int": int,
+    "float": float,
+    "str": str,
+    "bool": bool,
+    "Tuple[str, ...]": lambda v: tuple(str(x) for x in v),
+    "Tuple[BreachEvent, ...]": lambda v: tuple(BreachEvent.from_dict(b) for b in v),
+    "Dict[str, float]": lambda v: {str(k): float(x) for k, x in v.items()},
+    "Dict[str, int]": lambda v: {str(k): int(x) for k, x in v.items()},
+}
 
 
 @dataclass
@@ -301,14 +277,16 @@ class LiveServeConfig:
         :meth:`~repro.serving.system.ThunderServe.replan_capacity`).
     faults:
         Optional :class:`~repro.faults.FaultSchedule` to replay against the
-        loop.  Capacity events (preemption, crash, recovery) inside a window
-        are compiled into a replica-level timeline and applied *by the engine*
-        at the exact fault instant — in-flight work on a dead replica is
-        preempted and retried under ``retry_policy``; at the next window
-        boundary the same events fold into the cluster state and drive
-        replanning.  Non-capacity events (links, stragglers) still take effect
-        at the boundary of the window containing their timestamp, keeping the
-        piecewise-static contract: within a window the *plan* never changes.
+        loop.  Every event folds into the cluster state at the first window
+        boundary after its timestamp (the end of the window that contains
+        it), where it reprices the engine and drives replanning.  Capacity
+        events (preemption, crash, recovery) also act inside their own
+        window: they are compiled into a replica-level timeline and applied
+        *by the engine* at the exact fault instant — in-flight work on a dead
+        replica is preempted and retried under ``retry_policy``.
+        Non-capacity events (links, stragglers) act only from that boundary
+        on, keeping the piecewise-static contract: within a window the *plan*
+        never changes.
     retry_policy:
         :class:`~repro.faults.RetryPolicy` governing the disposition of work
         preempted by mid-window capacity loss (attempt budget, backoff,
@@ -393,14 +371,11 @@ class LiveServeReport:
     def num_plan_changes(self) -> int:
         """Number of plan installations during the run.
 
-        Counts end-of-window adaptations (``plan_changed``) plus the
-        failure/recovery replans installed at window starts by fault handling.
+        Counts end-of-window adaptations (``plan_changed``) plus every
+        failure/recovery replan installed at a window boundary by fault
+        handling (``replan_triggers``).
         """
-        return sum(
-            1
-            for w in self.windows
-            if w.plan_changed or w.replan_trigger in ("failure", "recovery")
-        )
+        return sum(int(w.plan_changed) + len(w.replan_triggers) for w in self.windows)
 
     @property
     def plan_ids(self) -> List[str]:
@@ -430,8 +405,8 @@ class LiveServeReport:
             ``attainment_healthy`` — same over fault-free windows;
             ``post_recovery_attainment`` — mean attainment from the last
             recovery-triggered replan onwards (1.0 when none happened);
-            ``num_failure_replans`` / ``num_recovery_replans`` — windows whose
-            start installed a fault-triggered plan; ``mean_time_to_replan_s``
+            ``num_failure_replans`` / ``num_recovery_replans`` — fault-triggered
+            replans installed at window boundaries; ``mean_time_to_replan_s``
             — mean *simulated* seconds from a capacity loss taking effect to
             the window boundary of the next successful replan (0 when
             replanned at the same boundary).  It is not the replan's wall
@@ -445,7 +420,7 @@ class LiveServeReport:
         windows = self.windows
         degraded = [w.attainment_e2e for w in windows if w.degraded]
         healthy = [w.attainment_e2e for w in windows if not w.degraded]
-        recovery_indices = [w.index for w in windows if w.replan_trigger == "recovery"]
+        recovery_indices = [w.index for w in windows if "recovery" in w.replan_triggers]
         post = [
             w.attainment_e2e
             for w in windows
@@ -482,10 +457,10 @@ class LiveServeReport:
             "attainment_healthy": _mean(healthy, 1.0),
             "post_recovery_attainment": _mean(post, 1.0),
             "num_failure_replans": float(
-                sum(1 for w in windows if w.replan_trigger == "failure")
+                sum(w.replan_triggers.count("failure") for w in windows)
             ),
             "num_recovery_replans": float(
-                sum(1 for w in windows if w.replan_trigger == "recovery")
+                sum(w.replan_triggers.count("recovery") for w in windows)
             ),
             "mean_time_to_replan_s": _mean(time_to_replan, 0.0),
             "mean_mttr_s": _mean(mttr, 0.0),
@@ -494,36 +469,6 @@ class LiveServeReport:
     def to_dicts(self) -> List[Dict[str, object]]:
         """Return the windowed telemetry stream as JSON-serialisable dicts."""
         return [w.to_dict() for w in self.windows]
-
-
-@dataclass
-class _FaultSync:
-    """Outcome of syncing one window boundary's fault events into the system."""
-
-    #: human-readable descriptions of the events applied at this boundary
-    descriptions: Tuple[str, ...] = ()
-    #: replan installed at this boundary ("" / "failure" / "recovery")
-    trigger: str = ""
-    #: True when no servable plan exists (outage, or every replan failed)
-    unservable: bool = False
-    #: True when any fault is currently active
-    degraded: bool = False
-    #: GPUs alive after applying the boundary's events
-    num_alive: int = -1
-    #: True when every GPU is removed (total capacity loss)
-    outage: bool = False
-
-
-def _merge_sync(carried: "_FaultSync", current: "_FaultSync") -> "_FaultSync":
-    """Fold a fault sync carried over empty windows into the current one."""
-    return _FaultSync(
-        descriptions=carried.descriptions + current.descriptions,
-        trigger=current.trigger or carried.trigger,
-        unservable=current.unservable,
-        degraded=current.degraded,
-        num_alive=current.num_alive,
-        outage=current.outage,
-    )
 
 
 class LiveServer:
@@ -560,13 +505,15 @@ class LiveServer:
         self._pending_faults: List = []
         self._fault_log: List[Dict[str, object]] = []
         self._awaiting_replan: List[Dict[str, object]] = []
-        self._carry_sync: Optional[_FaultSync] = None
+        #: events folded and replans installed at boundaries since the last
+        #: served window; that window's telemetry takes both
+        self._fault_notes: List[str] = []
+        self._replan_triggers: List[str] = []
         self._last_window: Optional[Trace] = None
         self._replan_failures = 0
         self._replan_cooldown = 0
         self._unservable = False
         self._system_stale = False
-        self._degraded_now = False
 
     # ------------------------------------------------------------------ estimation
     def _routing(self, plan: DeploymentPlan) -> RoutingPolicy:
@@ -645,20 +592,20 @@ class LiveServer:
             request_rate=rate,
         )
 
-    def _admit(self, window: Trace, health: PlanHealth) -> Tuple[Trace, int]:
+    def _admit(self, window: Trace, health: PlanHealth, degraded: bool) -> Tuple[Trace, int]:
         """Apply the admission front-end to one window.
 
         When the estimated utilisation exceeds ``admission_max_rho``, requests
         are shed with a deterministic deficit counter so the admitted fraction
         tracks ``admission_max_rho / rho`` exactly (no sampling noise).  While
-        an injected fault is active and ``degraded_admission_max_rho`` is
-        configured, the tighter of the two ceilings applies (graceful
-        degradation).  Returns the admitted sub-trace and the number of shed
-        requests.
+        ``degraded`` (an injected fault is active) and
+        ``degraded_admission_max_rho`` is configured, the tighter of the two
+        ceilings applies (graceful degradation).  Returns the admitted
+        sub-trace and the number of shed requests.
         """
         max_rho = self.config.admission_max_rho
         degraded_rho = self.config.degraded_admission_max_rho
-        if self._degraded_now and degraded_rho is not None:
+        if degraded and degraded_rho is not None:
             max_rho = degraded_rho if max_rho is None else min(max_rho, degraded_rho)
         if max_rho is None or health.rho <= max_rho or health.rho <= 0:
             return window, 0
@@ -735,13 +682,13 @@ class LiveServer:
         self._pending_faults = []
         self._fault_log = []
         self._awaiting_replan = []
-        self._carry_sync = None
+        self._fault_notes = []
+        self._replan_triggers = []
         self._last_window = None
         self._replan_failures = 0
         self._replan_cooldown = 0
         self._unservable = False
         self._system_stale = False
-        self._degraded_now = False
         if config.faults is not None and len(config.faults) > 0:
             # Times are checked per window; validate ids/counts up front.
             config.faults.validate(float("inf"), system.cluster)
@@ -758,16 +705,13 @@ class LiveServer:
             window_end = w_start + config.window_s
             window = trace.window(w_start, window_end)
             window_start = window_end
-            sync = self._apply_due_faults(w_start, label)
-            if sync is not None and self._carry_sync is not None:
-                sync = _merge_sync(self._carry_sync, sync)
-                self._carry_sync = None
+            self._apply_due_faults(w_start)
             if window.is_empty:
-                self._carry_sync = sync
                 continue
-            self._degraded_now = bool(sync is not None and sync.degraded)
+            state = self._fault_state
+            degraded = state is not None and state.degraded
             served_plan = system.require_plan()
-            outage = sync is not None and sync.unservable
+            outage = self._unservable
             if outage:
                 # No servable capacity: every arrival is an outage drop (an SLO
                 # miss), so the window reports attainment 0 and the run goes on.
@@ -783,27 +727,27 @@ class LiveServer:
             else:
                 served_plan_id = plan_signature(served_plan)
                 faults, fault_notes = self._intra_window_faults(w_start, window_end)
-                if faults is not None:
-                    self._degraded_now = True
+                degraded = degraded or faults is not None
                 health = self.plan_health(window)
-                admitted, num_shed = self._admit(window, health)
+                admitted, num_shed = self._admit(window, health, degraded)
                 result = system.serve(
                     admitted,
                     label=f"{label}[{index}]",
                     faults=faults,
                     retry=config.retry_policy,
                 )
-                system.monitor.heartbeat_all(window_end)
             telemetry = self._measure(
                 index, w_start, window_end, result, health,
                 num_shed, served_plan_id,
             )
             telemetry.outage = outage
-            if sync is not None:
-                telemetry.faults = sync.descriptions + fault_notes
-                telemetry.degraded = sync.degraded or faults is not None
-                telemetry.num_gpus_alive = sync.num_alive
-                telemetry.replan_trigger = sync.trigger
+            if state is not None:
+                telemetry.faults = tuple(self._fault_notes) + fault_notes
+                telemetry.degraded = degraded
+                telemetry.num_gpus_alive = len(state.alive_gpu_ids)
+                telemetry.replan_triggers = tuple(self._replan_triggers)
+                self._fault_notes = []
+                self._replan_triggers = []
             profile, objectives = resolve_slo_objectives(slo_config, telemetry.snapshot())
             telemetry.profile = profile
             report = evaluate_slo_objectives(telemetry.snapshot(), objectives, profile=profile)
@@ -823,10 +767,10 @@ class LiveServer:
             index += 1
         # Fold the final window's events so the fault log covers the whole run
         # (the loop exits before their boundary would otherwise come due).
-        self._apply_due_faults(window_start, label)
+        self._apply_due_faults(window_start)
 
     # ------------------------------------------------------------------ faults
-    def _apply_due_faults(self, boundary: float, label: str) -> Optional[_FaultSync]:
+    def _apply_due_faults(self, boundary: float) -> None:
         """Fold fault events due before the ``boundary`` into the serving system.
 
         ``boundary`` is the start of the window about to be served: events
@@ -834,13 +778,15 @@ class LiveServer:
         applied in-run) are folded through the :class:`ClusterFaultState`
         (idempotent against overlapping fail/recover sequences), the system's
         cluster, network and straggler view is re-synced, and capacity changes
-        trigger the failure/recovery replan chain.  Events inside the upcoming
-        window stay pending — :meth:`_intra_window_faults` compiles them for
-        the engine.  Returns ``None`` when fault injection is off.
+        trigger the failure/recovery replan chain.  The folded events'
+        descriptions and the installed replan's trigger are queued for the
+        next served window's telemetry.  Events inside the upcoming window
+        stay pending — :meth:`_intra_window_faults` compiles them for the
+        engine.  A no-op when fault injection is off.
         """
         state = self._fault_state
         if state is None:
-            return None
+            return
         system = self.system
         config = self.config
         descriptions: List[str] = []
@@ -867,18 +813,13 @@ class LiveServer:
             self._fault_log.append(entry)
             if event.kind in CAPACITY_LOSS_KINDS and delta.removed:
                 self._awaiting_replan.append(entry)
+        self._fault_notes.extend(descriptions)
         if state.outage:
             # Total loss: nothing to sync the system against; windows are
             # recorded as zero-attainment outages until capacity recovers.
             self._unservable = True
             self._system_stale = True
-            return _FaultSync(
-                descriptions=tuple(descriptions),
-                unservable=True,
-                degraded=True,
-                num_alive=0,
-                outage=True,
-            )
+            return
         was_unservable = self._unservable
         if lost or gained or network_changed or self._system_stale:
             cluster = state.current_cluster()
@@ -908,6 +849,8 @@ class LiveServer:
             reason = f"capacity recovery ({'; '.join(descriptions)})"
             if self._attempt_replan((RECOVERY_MODE,), reason, validate_window):
                 trigger = "recovery"
+        if trigger:
+            self._replan_triggers.append(trigger)
         plan = system.require_plan()
         alive = set(system.cluster.gpu_ids)
         self._unservable = not all(set(g.gpu_ids) <= alive for g in plan.groups)
@@ -917,14 +860,6 @@ class LiveServer:
                 entry["replan_ok"] = True
                 entry["replanned_at"] = boundary
             self._awaiting_replan = []
-        return _FaultSync(
-            descriptions=tuple(descriptions),
-            trigger=trigger,
-            unservable=self._unservable,
-            degraded=state.degraded,
-            num_alive=len(alive),
-            outage=False,
-        )
 
     def _intra_window_faults(
         self, start: float, end: float

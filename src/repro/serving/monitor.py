@@ -1,141 +1,18 @@
-"""Heartbeat monitoring, failure detection and SLO-breach tracking.
+"""Edge-triggered SLO-breach tracking for the live serving loop.
 
-Cloud GPUs disappear: instances get pre-empted, nodes crash, networks partition.
-ThunderServe's scheduler reacts to a "GPU heartbeat timeout" by triggering the
-lightweight rescheduling path.  This module provides the heartbeat bookkeeping the
-runtime uses to decide that GPUs are gone, plus :class:`SLOBreachTracker` — the
-edge-triggered bookkeeping the live serving loop uses to turn per-window
-:class:`~repro.serving.slo_objectives.SLOReport` evaluations into breach events
-that fire exactly once per objective crossing.
+:class:`SLOBreachTracker` turns per-window
+:class:`~repro.serving.slo_objectives.SLOReport` evaluations into breach
+events that fire exactly once per objective crossing.  GPU failures and
+recoveries are not detected here: they arrive as typed
+:class:`~repro.faults.FaultSchedule` events, which the live loop folds through
+:class:`~repro.faults.state.ClusterFaultState` at window boundaries.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Set
+from typing import List, Set
 
 from repro.serving.slo_objectives import BreachEvent, SLOReport
-
-
-@dataclass(frozen=True)
-class GPUFailure:
-    """A detected GPU failure event."""
-
-    gpu_ids: frozenset
-    detected_at: float
-
-    def describe(self) -> str:
-        """Human-readable summary."""
-        return f"{len(self.gpu_ids)} GPU(s) failed at t={self.detected_at:.1f}s: {sorted(self.gpu_ids)}"
-
-
-@dataclass(frozen=True)
-class GPURecovery:
-    """A detected GPU recovery event: failed GPUs whose heartbeats resumed."""
-
-    gpu_ids: frozenset
-    detected_at: float
-
-    def describe(self) -> str:
-        """Human-readable summary."""
-        return (
-            f"{len(self.gpu_ids)} GPU(s) recovered at t={self.detected_at:.1f}s: "
-            f"{sorted(self.gpu_ids)}"
-        )
-
-
-class HeartbeatMonitor:
-    """Tracks per-GPU heartbeats and reports GPUs whose heartbeat timed out.
-
-    Parameters
-    ----------
-    gpu_ids:
-        GPUs to monitor.
-    timeout_s:
-        A GPU is considered failed when no heartbeat arrived for this long.
-    """
-
-    def __init__(self, gpu_ids: Iterable[int], timeout_s: float = 30.0) -> None:
-        if timeout_s <= 0:
-            raise ValueError("timeout_s must be positive")
-        self.timeout_s = timeout_s
-        self._last_seen: Dict[int, float] = {gpu_id: 0.0 for gpu_id in gpu_ids}
-        self._failed: Set[int] = set()
-        self._recovered: Set[int] = set()
-
-    # ------------------------------------------------------------------ heartbeats
-    def heartbeat(self, gpu_id: int, now: float) -> None:
-        """Record a heartbeat from one GPU.
-
-        A heartbeat from a GPU currently considered failed re-arms it as
-        healthy and queues it on the pending-recovery set surfaced by
-        :meth:`check_recovered`, so the comeback is an explicit signal rather
-        than a silent state flip.
-        """
-        if gpu_id not in self._last_seen:
-            raise KeyError(f"GPU {gpu_id} is not monitored")
-        if gpu_id in self._failed:
-            self._failed.discard(gpu_id)
-            self._recovered.add(gpu_id)
-        self._last_seen[gpu_id] = max(self._last_seen[gpu_id], now)
-
-    def heartbeat_all(self, now: float, except_ids: Iterable[int] = ()) -> None:
-        """Record heartbeats from every monitored GPU except ``except_ids``."""
-        excluded = set(except_ids)
-        for gpu_id in self._last_seen:
-            if gpu_id not in excluded:
-                self.heartbeat(gpu_id, now)
-
-    # ------------------------------------------------------------------ detection
-    def check(self, now: float) -> Optional[GPUFailure]:
-        """Return a failure event covering newly timed-out GPUs, if any."""
-        newly_failed = {
-            gpu_id
-            for gpu_id, last in self._last_seen.items()
-            if gpu_id not in self._failed and now - last > self.timeout_s
-        }
-        if not newly_failed:
-            return None
-        self._failed.update(newly_failed)
-        self._recovered -= newly_failed
-        return GPUFailure(gpu_ids=frozenset(newly_failed), detected_at=now)
-
-    def check_recovered(self, now: float) -> Optional[GPURecovery]:
-        """Return-and-clear the recovery event covering GPUs that came back.
-
-        Covers every failed GPU whose heartbeat resumed since the last call;
-        draining is explicit so each comeback is observed exactly once.
-        Returns ``None`` while nothing recovered.
-        """
-        if not self._recovered:
-            return None
-        recovered = frozenset(self._recovered)
-        self._recovered.clear()
-        return GPURecovery(gpu_ids=recovered, detected_at=now)
-
-    def mark_failed(self, gpu_ids: Iterable[int], now: float = 0.0) -> None:
-        """Register GPUs as failed from an external detection path.
-
-        GPUs not yet monitored (e.g. removed from the serving cluster, which
-        rebuilds the monitor over the survivors) are added to the watch set,
-        so a later heartbeat from them surfaces through
-        :meth:`check_recovered` — this is what makes fail → recover → fail
-        cycles observable across cluster rebuilds.
-        """
-        for gpu_id in gpu_ids:
-            self._last_seen[gpu_id] = max(self._last_seen.get(gpu_id, now), now)
-            self._failed.add(gpu_id)
-            self._recovered.discard(gpu_id)
-
-    @property
-    def failed_gpu_ids(self) -> List[int]:
-        """All GPUs currently considered failed."""
-        return sorted(self._failed)
-
-    @property
-    def healthy_gpu_ids(self) -> List[int]:
-        """All GPUs currently considered healthy."""
-        return sorted(set(self._last_seen) - self._failed)
 
 
 class SLOBreachTracker:
@@ -212,4 +89,4 @@ class SLOBreachTracker:
         self._breached.clear()
 
 
-__all__ = ["HeartbeatMonitor", "GPUFailure", "GPURecovery", "SLOBreachTracker"]
+__all__ = ["SLOBreachTracker"]

@@ -8,15 +8,16 @@ routine:
    take the place of real GPU processes);
 2. ``serve()`` replays a request trace against the current deployment plan;
 3. the workload profiler continuously monitors the observed request mix;
-4. on a detected workload shift or a GPU failure, the lightweight rescheduler
-   adjusts phase designations and the orchestration without reloading parameters.
+4. on a detected workload shift, or a GPU failure delivered as a typed
+   :class:`~repro.faults.FaultEvent`, the lightweight rescheduler adjusts phase
+   designations and the orchestration without reloading parameters.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence
 
 from repro.core.exceptions import InvalidPlanError, SchedulingError
 from repro.core.types import SLOSpec, SLOType
@@ -30,7 +31,6 @@ from repro.scheduling.deployment import DeploymentPlan
 from repro.scheduling.rescheduling import LightweightRescheduler
 from repro.scheduling.robust import RobustObjective, RobustScheduleResult
 from repro.scheduling.scheduler import ScheduleResult, Scheduler, SchedulerConfig
-from repro.serving.monitor import GPUFailure, GPURecovery, HeartbeatMonitor
 from repro.simulation.engine import ServingSimulator, SimulatorConfig
 from repro.simulation.metrics import SimulationResult
 from repro.workload.profiler import WorkloadProfiler
@@ -95,7 +95,6 @@ class ThunderServe:
             kv_transport_bits=self.scheduler.config.kv_transport_bits, params=params
         )
         self.profiler = WorkloadProfiler()
-        self.monitor = HeartbeatMonitor(cluster.gpu_ids)
         self.plan: Optional[DeploymentPlan] = None
         self.schedule_result: Optional[ScheduleResult] = None
         self.robust_result: Optional[RobustScheduleResult] = None
@@ -326,13 +325,12 @@ class ThunderServe:
 
         Invalidates the cached simulator so the next ``serve()`` — and every
         shadow validation — prices KV transfers and replica latencies against
-        the new cluster's matrices, and rebuilds the heartbeat monitor over
-        the new GPU set.  The installed plan is left untouched: callers that
-        changed capacity must follow up with :meth:`replan_capacity` (or one
-        of the ``handle_gpu_*`` wrappers, which do both).
+        the new cluster's matrices.  The installed plan is left untouched:
+        callers that changed capacity must follow up with
+        :meth:`replan_capacity` (or :meth:`handle_gpu_failure`, which does
+        both).
         """
         self.cluster = cluster
-        self.monitor = HeartbeatMonitor(cluster.gpu_ids)
         self._simulator = None
         self.events.append(ServeEvent(time=time.time(), kind="cluster_changed", detail=reason))
 
@@ -459,68 +457,6 @@ class ThunderServe:
             self.cluster.without_gpus(failed), reason=f"gpu failure ({failed})"
         )
         return self.replan_capacity(mode=mode, reason=f"gpu failure ({failed})")
-
-    def handle_gpu_recovery(
-        self, recovered_gpu_ids: Sequence[int], mode: str = "full"
-    ) -> DeploymentPlan:
-        """React to capacity recovery: revive removed GPUs, then re-plan.
-
-        The inverse of :meth:`handle_gpu_failure` — previously removed GPUs
-        rejoin by global id (:meth:`~repro.hardware.cluster.Cluster.with_gpus`)
-        and the deployment re-expands onto them.  The default mode is
-        ``"full"``: the §3.4 flip-only rescheduler can re-designate phases of
-        *existing* groups but cannot place new groups on revived GPUs, so
-        recovering capacity without a full scheduler run would leave the
-        rejoined GPUs idle.
-        """
-        if mode not in self.RESCHEDULE_MODES:
-            raise ValueError(f"mode must be one of {self.RESCHEDULE_MODES}, got {mode!r}")
-        recovered = sorted(set(recovered_gpu_ids))
-        self.set_cluster(
-            self.cluster.with_gpus(recovered), reason=f"gpu recovery ({recovered})"
-        )
-        return self.replan_capacity(mode=mode, reason=f"gpu recovery ({recovered})")
-
-    def process_heartbeats(
-        self,
-        now: float,
-        failure_mode: str = "lightweight",
-        recovery_mode: str = "full",
-    ) -> Tuple[Optional[GPUFailure], Optional[GPURecovery]]:
-        """Poll the heartbeat monitor and fold detected transitions into the system.
-
-        Drains both detection paths of the monitor — recoveries
-        (:meth:`~repro.serving.monitor.HeartbeatMonitor.check_recovered`,
-        fed by heartbeats resuming on a failed GPU) before new failures
-        (:meth:`~repro.serving.monitor.HeartbeatMonitor.check`) — and reacts
-        through :meth:`handle_gpu_recovery` / :meth:`handle_gpu_failure`.
-        After a failure is handled, the removed GPUs stay on the rebuilt
-        monitor's watch list as failed
-        (:meth:`~repro.serving.monitor.HeartbeatMonitor.mark_failed`), so a
-        comeback heartbeat surfaces as an explicit recovery on a later call —
-        fail → recover → fail cycles round-trip without external bookkeeping.
-        Replan failures (:class:`~repro.core.exceptions.SchedulingError`)
-        propagate to the caller.
-
-        Returns
-        -------
-        Tuple[Optional[GPUFailure], Optional[GPURecovery]]
-            The failure and recovery events detected at ``now`` (either may
-            be ``None``).
-        """
-        recovery = self.monitor.check_recovered(now)
-        failure = self.monitor.check(now)
-        if recovery is not None:
-            revived = sorted(set(recovery.gpu_ids) - set(self.cluster.gpu_ids))
-            if revived:
-                self.handle_gpu_recovery(revived, mode=recovery_mode)
-                self.monitor.heartbeat_all(now)
-        if failure is not None:
-            dead = sorted(failure.gpu_ids)
-            self.handle_gpu_failure(dead, mode=failure_mode)
-            self.monitor.heartbeat_all(now)
-            self.monitor.mark_failed(dead, now)
-        return failure, recovery
 
     # ------------------------------------------------------------------ reporting
     def attainment_curve(

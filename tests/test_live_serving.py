@@ -8,6 +8,7 @@ this file for that guarantee.
 """
 
 import asyncio
+import dataclasses
 import json
 
 import numpy as np
@@ -204,6 +205,53 @@ class TestTelemetry:
         restored = WindowTelemetry.from_dict(json.loads(json.dumps(record.to_dict())))
         assert restored == record
 
+    def test_window_telemetry_round_trip_covers_every_field(self):
+        breach = BreachEvent(
+            time=8.0, window_index=1, profile="degraded", objective="availability",
+            metric="attainment_e2e", op=">=", target=0.9, value=0.4, context="t",
+        )
+        record = WindowTelemetry(
+            index=1, start=4.0, end=8.0, plan_id="deadbeef", profile="degraded",
+            num_requests=17, num_shed=3, num_finished=16, request_rate=4.25,
+            attainment_e2e=0.4, attainment_ttft=0.6, attainment_tpot=0.9,
+            mean_queue_wait=0.12, completion_rate=0.94, estimated_rho=0.7,
+            estimated_attainment=0.55, plan_changed=True, breaches=(breach,),
+            per_tenant_attainment={"gold": 0.5, "silver": 1.0}, outage=True,
+            degraded=True, faults=("node_crash@5s gpus=[4]", "in-engine: x"),
+            num_gpus_alive=7, replan_triggers=("failure", "recovery"),
+            outcome_counts={"finished": 14, "shed": 3},
+        )
+        defaults = WindowTelemetry(
+            index=0, start=0.0, end=0.0, plan_id="", profile="", num_requests=0,
+            num_shed=0, num_finished=0, request_rate=0.0, attainment_e2e=0.0,
+            attainment_ttft=0.0, attainment_tpot=0.0, mean_queue_wait=0.0,
+            completion_rate=0.0, estimated_rho=0.0, estimated_attainment=0.0,
+        )
+        names = [f.name for f in dataclasses.fields(WindowTelemetry)]
+        # Every field is set away from its default, so each one is exercised.
+        assert all(getattr(record, n) != getattr(defaults, n) for n in names)
+        data = record.to_dict()
+        assert list(data) == names
+        assert data["breaches"] == [breach.to_dict()]
+        assert data["replan_triggers"] == ["failure", "recovery"]
+        text = json.dumps(data)
+        assert json.loads(text) == data
+        assert WindowTelemetry.from_dict(json.loads(text)) == record
+
+    def test_window_telemetry_missing_keys_take_field_defaults(self):
+        required = {
+            "index": 2, "start": 8.0, "end": 12.0, "plan_id": "p", "profile": "realtime",
+            "num_requests": 1, "num_shed": 0, "num_finished": 1, "request_rate": 0.25,
+            "attainment_e2e": 1.0, "attainment_ttft": 1.0, "attainment_tpot": 1.0,
+            "mean_queue_wait": 0.0, "completion_rate": 1.0, "estimated_rho": 0.1,
+            "estimated_attainment": 1.0,
+        }
+        record = WindowTelemetry.from_dict(required)
+        assert record == WindowTelemetry(**required)
+        assert record.replan_triggers == () and record.num_gpus_alive == -1
+        with pytest.raises(TypeError):
+            WindowTelemetry.from_dict({k: v for k, v in required.items() if k != "index"})
+
     def test_report_round_trip_through_to_dicts(self, adaptive_run):
         _, report = adaptive_run
         restored = [WindowTelemetry.from_dict(d) for d in json.loads(json.dumps(report.to_dicts()))]
@@ -387,7 +435,7 @@ class TestInEngineFaults:
             ),
         )
         report = LiveServer(system, config=config).run(fault_trace, label="fallthrough")
-        assert [w.replan_trigger for w in report.windows].count("failure") == 1
+        assert sum(w.replan_triggers.count("failure") for w in report.windows) == 1
         assert not any(w.outage for w in report.windows)
         plan = system.require_plan()
         assert plan.prefill_groups and plan.decode_groups

@@ -13,6 +13,11 @@ from repro.scheduling.solution import UpperLevelSolution
 from repro.scheduling.tabu import TabuSearch, TabuSearchConfig
 
 
+def batched(objective):
+    """Lift a scalar objective to the batch objective ``TabuSearch`` takes."""
+    return lambda candidates: [objective(c) for c in candidates]
+
+
 class TestTabuSearch:
     def test_finds_maximum_of_simple_function(self):
         # Solutions are integers; objective peaks at 42.
@@ -22,7 +27,9 @@ class TestTabuSearch:
         def neighbors(x, count):
             return [x - 2, x - 1, x + 1, x + 2][:count]
 
-        search = TabuSearch(objective, neighbors, config=TabuSearchConfig(num_steps=60, num_neighbors=4))
+        search = TabuSearch(
+            batched(objective), neighbors, config=TabuSearchConfig(num_steps=60, num_neighbors=4)
+        )
         result = search.run(0)
         assert result.best_solution == 42
         assert result.best_objective == 0
@@ -34,7 +41,8 @@ class TestTabuSearch:
         def neighbors(x, count):
             return [x - 1, x + 1]
 
-        result = TabuSearch(objective, neighbors, config=TabuSearchConfig(num_steps=20, num_neighbors=2)).run(0)
+        config = TabuSearchConfig(num_steps=20, num_neighbors=2)
+        result = TabuSearch(batched(objective), neighbors, config=config).run(0)
         bests = [b for _, b in result.trace.history]
         assert all(b2 >= b1 for b1, b2 in zip(bests, bests[1:]))
 
@@ -49,7 +57,7 @@ class TestTabuSearch:
             return [x + 1, x + 2]
 
         config = TabuSearchConfig(num_steps=15, num_neighbors=2, memory_size=3)
-        TabuSearch(objective, neighbors, config=config).run(0)
+        TabuSearch(batched(objective), neighbors, config=config).run(0)
         assert len(seen) > 0
 
     def test_patience_stops_early(self):
@@ -63,7 +71,7 @@ class TestTabuSearch:
             return [x + 1]
 
         config = TabuSearchConfig(num_steps=100, num_neighbors=1, patience=3)
-        TabuSearch(objective, neighbors, config=config).run(0)
+        TabuSearch(batched(objective), neighbors, config=config).run(0)
         assert calls["count"] < 20
 
     def test_invalid_config_rejected(self):

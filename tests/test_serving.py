@@ -1,4 +1,4 @@
-"""Tests for the serving runtime: heartbeat monitor and the ThunderServe facade."""
+"""Tests for the serving runtime: the ThunderServe facade and its replan memos."""
 
 import json
 from dataclasses import fields, replace
@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import pytest
 
 from repro.core.exceptions import InvalidPlanError, SchedulingError
-from repro.core.types import Phase
+from repro.core.types import Phase, Request
 from repro.faults import FaultEvent, FaultKind, FaultSchedule
 from repro.scheduling import lower_level
 from repro.scheduling.deployment import DeploymentPlan
@@ -15,85 +15,10 @@ from repro.scheduling.rescheduling import LightweightRescheduler
 from repro.scheduling.scheduler import Scheduler, SchedulerConfig
 from repro.scheduling.tabu import TabuSearchConfig
 from repro.serving.live import LiveServeConfig, LiveServer
-from repro.serving.monitor import HeartbeatMonitor
 from repro.serving.system import ThunderServe
 from repro.workload.generator import generate_requests
 from repro.workload.spec import CONVERSATION_WORKLOAD
-
-
-class TestHeartbeatMonitor:
-    def test_no_failure_when_heartbeats_flow(self):
-        monitor = HeartbeatMonitor([0, 1, 2], timeout_s=10.0)
-        monitor.heartbeat_all(5.0)
-        assert monitor.check(12.0) is None
-
-    def test_failure_detected_after_timeout(self):
-        monitor = HeartbeatMonitor([0, 1, 2], timeout_s=10.0)
-        monitor.heartbeat_all(5.0, except_ids=[2])
-        failure = monitor.check(12.0)
-        assert failure is not None
-        assert failure.gpu_ids == frozenset({2})
-        assert monitor.failed_gpu_ids == [2]
-
-    def test_failure_reported_once(self):
-        monitor = HeartbeatMonitor([0, 1], timeout_s=1.0)
-        assert monitor.check(5.0) is not None
-        assert monitor.check(6.0) is None
-
-    def test_recovery_on_new_heartbeat(self):
-        monitor = HeartbeatMonitor([0], timeout_s=1.0)
-        assert monitor.check(5.0) is not None
-        monitor.heartbeat(0, 6.0)
-        assert monitor.failed_gpu_ids == []
-
-    def test_unknown_gpu_rejected(self):
-        with pytest.raises(KeyError):
-            HeartbeatMonitor([0]).heartbeat(5, 1.0)
-
-
-class TestHeartbeatRecoveryCycle:
-    def test_heartbeat_from_failed_gpu_queues_recovery(self):
-        monitor = HeartbeatMonitor([0, 1], timeout_s=1.0)
-        assert monitor.check(5.0) is not None
-        monitor.heartbeat(0, 6.0)
-        recovery = monitor.check_recovered(6.0)
-        assert recovery is not None
-        assert recovery.gpu_ids == frozenset({0})
-        assert recovery.detected_at == 6.0
-        # The signal drains exactly once.
-        assert monitor.check_recovered(7.0) is None
-
-    def test_mark_failed_registers_unmonitored_gpu(self):
-        monitor = HeartbeatMonitor([0], timeout_s=1.0)
-        monitor.mark_failed([7], now=3.0)
-        assert monitor.failed_gpu_ids == [7]
-        # mark_failed added GPU 7 to the watch set, so its comeback heartbeat
-        # is accepted and surfaces as an explicit recovery.
-        monitor.heartbeat(7, 4.0)
-        recovery = monitor.check_recovered(4.0)
-        assert recovery is not None
-        assert recovery.gpu_ids == frozenset({7})
-
-    def test_fail_recover_fail_cycle(self):
-        monitor = HeartbeatMonitor([0], timeout_s=1.0)
-        assert monitor.check(5.0).gpu_ids == frozenset({0})
-        monitor.heartbeat(0, 6.0)
-        assert monitor.check_recovered(6.0).gpu_ids == frozenset({0})
-        # The second outage fires a fresh failure event for the same GPU.
-        failure = monitor.check(20.0)
-        assert failure is not None
-        assert failure.gpu_ids == frozenset({0})
-        assert monitor.failed_gpu_ids == [0]
-
-    def test_refail_before_drain_cancels_pending_recovery(self):
-        monitor = HeartbeatMonitor([0], timeout_s=1.0)
-        assert monitor.check(5.0) is not None
-        monitor.heartbeat(0, 6.0)
-        # The GPU dies again before anyone drained the recovery signal: the
-        # stale comeback must not be reported.
-        monitor.mark_failed([0], now=7.0)
-        assert monitor.check_recovered(8.0) is None
-        assert monitor.failed_gpu_ids == [0]
+from repro.workload.trace import Trace
 
 
 @pytest.fixture(scope="module")
@@ -173,66 +98,6 @@ class TestThunderServeFacade:
     def test_invalid_failure_mode_rejected(self, deployed_system):
         with pytest.raises(ValueError):
             deployed_system.handle_gpu_failure([0], mode="teleport")
-
-
-@pytest.fixture()
-def cycle_system():
-    """A fresh deployment per test: the cycle below degrades and restores it."""
-    from repro.hardware.cluster import make_two_datacenter_cluster
-    from repro.model.architecture import get_model_config
-
-    system = ThunderServe(
-        make_two_datacenter_cluster(inter_dc_gbps=5.0, seed=0),
-        get_model_config("llama-30b"),
-        CONVERSATION_WORKLOAD,
-        request_rate=3.0,
-        scheduler_config=SchedulerConfig(
-            tabu=TabuSearchConfig(num_steps=12, num_neighbors=4, patience=8), seed=2
-        ),
-    )
-    system.deploy()
-    return system
-
-
-class TestProcessHeartbeats:
-    """The monitor-driven fail -> recover -> fail loop through the facade."""
-
-    def test_fail_recover_fail_cycle_through_facade(self, cycle_system):
-        system = cycle_system
-        timeout = system.monitor.timeout_s
-        victims = sorted(system.require_plan().groups[-1].gpu_ids)[:1]
-
-        # --- first failure: the victims stop heartbeating (their last-seen
-        # stays at the monitor's epoch) while everyone else stays fresh.
-        t1 = 10.0 * timeout
-        system.monitor.heartbeat_all(t1, except_ids=victims)
-        failure, recovery = system.process_heartbeats(t1 + 1.0)
-        assert recovery is None
-        assert failure is not None
-        assert set(victims) <= set(failure.gpu_ids)
-        assert all(v not in system.require_plan().used_gpu_ids for v in victims)
-        # The rebuilt monitor keeps watching the dead GPUs as failed, so
-        # their comeback can be observed without external bookkeeping.
-        assert set(victims) <= set(system.monitor.failed_gpu_ids)
-
-        # --- recovery: heartbeats resume on the failed GPUs.
-        t2 = t1 + 10.0
-        system.monitor.heartbeat_all(t2)
-        failure2, recovery2 = system.process_heartbeats(t2 + 1.0)
-        assert failure2 is None
-        assert recovery2 is not None
-        assert set(recovery2.gpu_ids) == set(victims)
-        assert set(victims) <= set(system.cluster.gpu_ids)
-
-        # --- second failure of the same GPUs: the cycle round-trips.  The
-        # poll lands past the victims' timeout but inside everyone else's.
-        t3 = t2 + 10.0
-        system.monitor.heartbeat_all(t3, except_ids=victims)
-        failure3, recovery3 = system.process_heartbeats(t2 + 1.0 + timeout + 1.0)
-        assert recovery3 is None
-        assert failure3 is not None
-        assert set(victims) <= set(failure3.gpu_ids)
-        assert all(v not in system.require_plan().used_gpu_ids for v in victims)
 
 
 # --------------------------------------------------------------------------- full-replan memo
@@ -401,6 +266,45 @@ class TestFullReplanMemo:
         assert plain == memoized
         assert plain_system.num_plan_changes == memo_system.num_plan_changes
         assert plain_system.require_plan() == memo_system.require_plan()
+
+
+def test_boundary_replans_over_empty_windows_are_all_counted(
+    small_hetero_cluster, model_30b, conversation_workload
+):
+    """A crash and a rejoin folded while no request arrives both reach the next window.
+
+    Both events fall in empty windows, so the failure replan (at 6.5 s) and
+    the recovery replan (at 16.5 s) are installed at boundaries no window
+    reports; the window served at 28.5 s carries both triggers, and both
+    event notes, in order.
+    """
+    system = ThunderServe(
+        small_hetero_cluster, model_30b, conversation_workload, 3.0,
+        scheduler_config=MEMO_SCHEDULER,
+    )
+    system.deploy()
+    crash = FaultEvent(time=5.0, kind=FaultKind.NODE_CRASH, gpu_ids=(4, 5, 6, 7))
+    rejoin = FaultEvent(time=15.0, kind=FaultKind.RECOVERY, gpu_ids=(4, 5, 6, 7))
+    trace = Trace(requests=[
+        Request(request_id=i, arrival_time=t, input_length=512, output_length=64)
+        for i, t in enumerate((0.5, 1.0, 30.0, 31.0))
+    ])
+    config = LiveServeConfig(
+        window_s=2.0,
+        faults=FaultSchedule.from_events([crash, rejoin]),
+        reschedule_on_breach=False,
+        reschedule_on_shift=False,
+    )
+    report = LiveServer(system, config=config).run(trace, label="quiet-storm")
+
+    installs = [e for e in system.events if e.kind == "plan_installed"]
+    assert len(installs) == 3  # the deployment, then the two boundary replans
+    assert [w.replan_triggers for w in report.windows] == [(), ("failure", "recovery"), ()]
+    assert report.windows[1].faults == (crash.describe(), rejoin.describe())
+    assert report.num_plan_changes == system.num_plan_changes == 2
+    stats = report.fault_stats()
+    assert stats["num_failure_replans"] == 1.0
+    assert stats["num_recovery_replans"] == 1.0
 
 
 @pytest.fixture()
