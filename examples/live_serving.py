@@ -21,7 +21,6 @@ import os
 from repro.hardware.cluster import make_cloud_cluster
 from repro.model.architecture import get_model_config
 from repro.scenarios.registry import get_scenario
-from repro.scheduling.robust import scenario_slo
 from repro.scheduling.scheduler import SchedulerConfig
 from repro.scheduling.tabu import TabuSearchConfig
 from repro.serving.live import LiveServeConfig, LiveServer
@@ -51,7 +50,7 @@ def main() -> None:
         model,
         CONVERSATION_WORKLOAD,
         request_rate=3.0,
-        slo=scenario_slo(scenario, model),
+        slo=scenario.slo(model),
         scheduler_config=SchedulerConfig(
             tabu=TabuSearchConfig(
                 num_steps=6 if FAST else 12, num_neighbors=5, patience=8

@@ -34,7 +34,6 @@ from typing import Dict, List, Optional, Sequence
 from repro.experiments.common import ExperimentResult, default_model
 from repro.hardware.cluster import make_cloud_cluster, make_two_datacenter_cluster
 from repro.scenarios.registry import get_scenario
-from repro.scheduling.robust import scenario_slo
 from repro.scheduling.scheduler import SchedulerConfig
 from repro.scheduling.tabu import TabuSearchConfig
 from repro.serving.live import LiveServeConfig, LiveServeReport, LiveServer
@@ -139,7 +138,7 @@ def run(
     for name in scenario_names:
         scenario = get_scenario(name, duration=duration, **overrides.get(name, {}))
         trace = scenario.build_trace(seed=seed)
-        slo = scenario_slo(scenario, model)
+        slo = scenario.slo(model)
 
         def build_system() -> ThunderServe:
             # The scenario's SLO tier governs serving and any online

@@ -25,9 +25,18 @@ from repro.experiments.endtoend import make_trace
 from repro.scheduling.deployment import DeploymentPlan
 from repro.scheduling.rescheduling import LightweightRescheduler
 from repro.simulation.engine import ServingSimulator, SimulatorConfig
+from repro.simulation.metrics import SimulationResult
 
 
-def _simulate(cluster, plan, model, trace, seed):
+def _simulate(cluster, plan, model, trace, seed) -> SimulationResult:
+    """Serve ``trace`` on ``plan``; a plan missing a phase serves nothing.
+
+    Dropping the failed node can take a workload's only decode (or prefill)
+    groups with it.  That strategy then serves no request, which is scored
+    as every request dropped, not as an error that ends the experiment.
+    """
+    if not plan.prefill_groups or not plan.decode_groups:
+        return SimulationResult.dropped(trace, makespan=trace.duration)
     simulator = ServingSimulator(cluster, plan, model, config=SimulatorConfig(seed=seed))
     return simulator.run(trace)
 

@@ -4,9 +4,10 @@ A :class:`Scenario` bundles everything needed to exercise a deployment plan unde
 one operating condition: how requests arrive over time (:meth:`Scenario.build_trace`),
 which workload shape the scheduler should plan for
 (:meth:`Scenario.planning_workload`), how tight the SLO tier is
-(:meth:`Scenario.slo_scale`) and, for failure-injection scenarios, which GPUs are
-preempted when (:meth:`Scenario.fault_schedule`, a
-:class:`~repro.faults.FaultSchedule` of pinned ``GPU_PREEMPTION`` events).
+(:meth:`Scenario.slo_scale`, and :meth:`Scenario.slo` for the deadlines it
+sets) and, for failure-injection scenarios, which GPUs are preempted when
+(:meth:`Scenario.fault_schedule`, a :class:`~repro.faults.FaultSchedule` of
+pinned ``GPU_PREEMPTION`` events).
 
 Scenarios are deterministic under a fixed seed: the same seed always yields the
 same trace, which is what lets the scenario test-suite assert golden invariants
@@ -20,9 +21,12 @@ import abc
 from typing import Callable, ClassVar, List, Optional
 
 from repro.core.rng import RNGLike, ensure_rng
-from repro.core.types import Request
+from repro.core.types import Request, SLOSpec
+from repro.costmodel.latency import CostModelParams, DEFAULT_PARAMS
+from repro.costmodel.reference import a100_reference_latency
 from repro.faults.taxonomy import FaultSchedule
 from repro.hardware.cluster import Cluster
+from repro.model.architecture import ModelConfig
 from repro.workload.spec import WorkloadSpec
 from repro.workload.trace import Trace
 
@@ -51,6 +55,17 @@ class Scenario(abc.ABC):
     def slo_scale(self) -> float:
         """SLO tier of the scenario as a multiple of the A100 reference latency."""
         return 5.0
+
+    def slo(self, model: ModelConfig, params: CostModelParams = DEFAULT_PARAMS) -> SLOSpec:
+        """The SLO deadlines the scenario holds a deployment of ``model`` to.
+
+        They are :meth:`slo_scale` times the A100 reference latency of
+        :meth:`planning_workload`: the contract the sweep serves against and
+        that any mid-run rescheduling plans for.
+        """
+        return a100_reference_latency(model, self.planning_workload(), params=params).slo_spec(
+            self.slo_scale()
+        )
 
     def fault_schedule(self, cluster: Cluster, seed: RNGLike = None) -> FaultSchedule:
         """GPU preemptions injected while the trace is being served.

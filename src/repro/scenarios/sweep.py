@@ -38,7 +38,6 @@ from repro.scenarios.library import MultiTenantSLOTiersScenario
 from repro.scenarios.registry import default_scenarios
 from repro.scheduling.deployment import DeploymentPlan
 from repro.scheduling.rescheduling import ReschedulingOverheadModel
-from repro.scheduling.robust import scenario_slo
 from repro.scheduling.scheduler import SchedulerConfig
 from repro.serving.live import LiveServeConfig, LiveServer, WindowTelemetry
 from repro.serving.system import ThunderServe
@@ -68,8 +67,6 @@ class ScenarioOutcome:
     per_tenant_attainment: Dict[str, float] = field(default_factory=dict)
     #: the merged simulation result, for downstream analysis
     result: Optional[SimulationResult] = None
-    #: serving failure captured under ``on_error="zero"`` (None on success)
-    error: Optional[str] = None
     #: per-window telemetry stream (adaptive sweeps only; empty otherwise).
     #: Workload-shift scenarios surface their per-window plan changes here:
     #: each record carries the ``plan_id`` the window was served with and
@@ -82,7 +79,7 @@ class ScenarioOutcome:
     #: requests are recorded as zero-attainment misses, not dropped silently)
     num_outage_windows: int = 0
     #: request count per :class:`~repro.core.types.RequestOutcome` name over
-    #: the merged result (empty only for ``on_error="zero"`` failures)
+    #: the merged result
     outcome_counts: Dict[str, int] = field(default_factory=dict)
 
 
@@ -105,15 +102,6 @@ class ScenarioSweep:
         each scenario's seeds derive only from the sweep seed and its name.
     scheduler_config, simulator_config, params:
         Forwarded to the per-scenario serving systems.
-    on_error:
-        ``"raise"`` (default) propagates a scenario's serving failure and aborts
-        the sweep; ``"zero"`` records a :class:`SchedulingError` as a
-        zero-attainment :class:`ScenarioOutcome` (``error`` carries the
-        message) and keeps the other scenarios.  Robust-mode comparisons use
-        ``"zero"``: a plan that cannot survive a scenario — e.g. rescheduling
-        is infeasible after a preemption — has operationally failed it, which
-        is signal, not an abort-worthy exception.  Non-scheduling exceptions
-        (worker crashes, pickling problems) propagate under both policies.
     adaptive:
         When ``True``, scenarios without a failure schedule are served through
         the live adaptive loop (:class:`~repro.serving.live.LiveServer`)
@@ -137,7 +125,6 @@ class ScenarioSweep:
     """
 
     EXECUTORS = ("thread", "process")
-    ON_ERROR = ("raise", "zero")
 
     def __init__(
         self,
@@ -148,7 +135,6 @@ class ScenarioSweep:
         scheduler_config: Optional[SchedulerConfig] = None,
         simulator_config: Optional[SimulatorConfig] = None,
         params: CostModelParams = DEFAULT_PARAMS,
-        on_error: str = "raise",
         adaptive: bool = False,
         live_config: Optional[LiveServeConfig] = None,
         retry_policy: Optional[RetryPolicy] = None,
@@ -163,9 +149,6 @@ class ScenarioSweep:
             raise ValueError(f"scenario names must be unique, got {names}")
         if executor not in self.EXECUTORS:
             raise ValueError(f"executor must be one of {self.EXECUTORS}, got {executor!r}")
-        if on_error not in self.ON_ERROR:
-            raise ValueError(f"on_error must be one of {self.ON_ERROR}, got {on_error!r}")
-        self.on_error = on_error
         self.seed = seed
         self.max_workers = max_workers
         self.executor = executor
@@ -201,47 +184,15 @@ class ScenarioSweep:
                 scenario: pool.submit(_run_scenario, self, scenario, cluster, model, plan)
                 for scenario in self.scenarios
             }
-            outcomes: Dict[str, ScenarioOutcome] = {}
-            for scenario, fut in futures.items():
-                try:
-                    outcomes[scenario.name] = fut.result()
-                except SchedulingError as exc:
-                    # Only the documented serving-failure class is demoted to a
-                    # zero outcome; infrastructure errors (broken pools, pickle
-                    # failures) always propagate — a scenario that never ran is
-                    # not a scenario the plan failed.
-                    if self.on_error == "raise":
-                        raise
-                    outcomes[scenario.name] = self._failed_outcome(scenario, exc)
-            return outcomes
-
-    def _failed_outcome(self, scenario: Scenario, exc: Exception) -> ScenarioOutcome:
-        """Zero-attainment outcome for a scenario the plan could not survive."""
-        return ScenarioOutcome(
-            scenario=scenario.name,
-            description=scenario.description,
-            num_requests=0,
-            num_finished=0,
-            slo_scale=scenario.slo_scale(),
-            attainment_e2e=0.0,
-            attainment_ttft=0.0,
-            attainment_tpot=0.0,
-            output_token_throughput=0.0,
-            mean_e2e=float("inf"),
-            num_plan_changes=0,
-            elapsed_s=0.0,
-            error=f"{type(exc).__name__}: {exc}",
-        )
+            return {scenario.name: fut.result() for scenario, fut in futures.items()}
 
     def _build_system(
         self, scenario: Scenario, cluster: Cluster, model: ModelConfig
     ) -> ThunderServe:
         workload = scenario.planning_workload()
         # The scenario's own SLO tier must govern any mid-run rescheduling, not
-        # ThunderServe's default 5x reference scale.  The derivation is shared
-        # with robust scheduling so the optimised objective and the served
-        # attainment measure the same contract.
-        slo = scenario_slo(scenario, model, params=self.params)
+        # ThunderServe's default 5x reference scale.
+        slo = scenario.slo(model, params=self.params)
         return ThunderServe(
             cluster,
             model,
@@ -457,10 +408,6 @@ class ScenarioSweep:
     @staticmethod
     def summarize(outcomes: Dict[str, ScenarioOutcome]) -> Dict[str, object]:
         """Cross-scenario aggregate of a sweep.
-
-        This is the served-side counterpart of the robust objective — the
-        ``robust_vs_static`` experiment reports both so the estimator-optimised
-        worst case can be checked against the simulated one.
 
         Returns
         -------

@@ -29,12 +29,6 @@ from repro.scheduling.tabu import TabuSearch, TabuSearchConfig, SearchTrace
 from repro.scheduling.estimator import SLOEstimator, ReplicaPerformance
 from repro.scheduling.orchestration import solve_orchestration, OrchestrationResult
 from repro.scheduling.lower_level import LowerLevelSolver, LowerLevelResult
-from repro.scheduling.robust import (
-    RobustEvaluator,
-    RobustObjective,
-    RobustScheduleResult,
-    scenario_slo,
-)
 from repro.scheduling.scheduler import Scheduler, SchedulerConfig, ScheduleResult
 from repro.scheduling.rescheduling import (
     LightweightRescheduler,
@@ -62,10 +56,6 @@ __all__ = [
     "OrchestrationResult",
     "LowerLevelSolver",
     "LowerLevelResult",
-    "RobustObjective",
-    "RobustEvaluator",
-    "RobustScheduleResult",
-    "scenario_slo",
     "Scheduler",
     "SchedulerConfig",
     "ScheduleResult",

@@ -99,8 +99,8 @@ class UpperLevelSolution:
         """Hashable canonical key used by the tabu list.
 
         Cached on first use: the key is consulted by neighbourhood dedup, the
-        tabu list and every per-scenario objective memo, so robust scheduling
-        asks for it many times per candidate.  The ``(sorted ids, phase)``
+        tabu list and the lower-level objective memo, so one search asks for
+        it several times per candidate.  The ``(sorted ids, phase)``
         pairs are ordered by ``(min id, phase)`` directly — the order
         :meth:`canonical` would give — without building the canonical copy.
         """

@@ -264,13 +264,8 @@ def test_sweep_rejects_unknown_executor():
         ScenarioSweep(executor="fiber")
 
 
-def test_sweep_rejects_unknown_on_error_policy():
-    with pytest.raises(ValueError):
-        ScenarioSweep(on_error="ignore")
-
-
-def test_sweep_on_error_zero_records_failure_as_zero_attainment(monkeypatch):
-    """A scenario the plan cannot survive scores 0 instead of aborting the sweep."""
+def test_sweep_propagates_scheduling_error(monkeypatch):
+    """A scenario the plan cannot survive aborts the sweep with its error."""
     from repro.core.exceptions import SchedulingError
     from repro.scenarios import sweep as sweep_module
 
@@ -287,29 +282,16 @@ def test_sweep_on_error_zero_records_failure_as_zero_attainment(monkeypatch):
 
     monkeypatch.setattr(sweep_module, "_run_scenario", failing_run)
 
-    strict = ScenarioSweep(scenarios, seed=2)
-    with pytest.raises(SchedulingError):
-        # Dummy cluster/model/plan are fine: the failure fires before serving.
-        strict.evaluate(*_tiny_serving_context())
-
-    lenient = ScenarioSweep(scenarios, seed=2, on_error="zero")
-    outcomes = lenient.evaluate(*_tiny_serving_context())
-    assert outcomes["bursty"].attainment_e2e == 0.0
-    assert outcomes["bursty"].error is not None
-    assert "injected" in outcomes["bursty"].error
-    assert outcomes["diurnal"].error is None
-    assert outcomes["diurnal"].num_requests > 0
-
-    summary = ScenarioSweep.summarize(outcomes)
-    assert summary["worst_scenario"] == "bursty"
-    assert summary["worst_attainment"] == 0.0
+    sweep = ScenarioSweep(scenarios, seed=2)
+    with pytest.raises(SchedulingError, match="injected"):
+        sweep.evaluate(*_tiny_serving_context())
 
 
 _TINY_CONTEXT = {}
 
 
 def _tiny_serving_context():
-    """One shared (cluster, model, plan) for the on_error tests (built once)."""
+    """One shared (cluster, model, plan) for the sweep tests (built once)."""
     if not _TINY_CONTEXT:
         from repro.hardware.cluster import make_two_datacenter_cluster
         from repro.model.architecture import get_model_config

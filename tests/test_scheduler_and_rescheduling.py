@@ -72,6 +72,18 @@ class TestScheduler:
         assert len(result.trace.history) >= 1
         assert result.elapsed_s > 0
 
+    def test_same_seed_runs_are_bitwise_equal(self, small_schedule):
+        cluster, model, _, first = small_schedule
+        second = tiny_scheduler(seed=1).schedule(
+            cluster, model, CONVERSATION_WORKLOAD, request_rate=3.0
+        )
+        assert second.solution.key() == first.solution.key()
+        assert second.objective == first.objective
+        assert [v for _, v in second.trace.history] == [v for _, v in first.trace.history]
+        assert second.trace.num_evaluations == first.trace.num_evaluations
+        assert second.plan.routing.x.tobytes() == first.plan.routing.x.tobytes()
+        assert second.plan.routing.y.tobytes() == first.plan.routing.y.tobytes()
+
     def test_default_slo_positive(self, small_schedule):
         _, model, scheduler, _ = small_schedule
         slo = scheduler.default_slo(model, CODING_WORKLOAD, scale=3.0)

@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.experiments import fig1_phase_prices, fig2_batching, fig13_bandwidth, table1_gpus, table2_kv_quality
+from repro.experiments import (
+    fig1_phase_prices,
+    fig2_batching,
+    fig11_rescheduling,
+    fig13_bandwidth,
+    table1_gpus,
+    table2_kv_quality,
+)
 from repro.experiments.common import ExperimentResult, fixed_ratio_plan
 from repro.utils.tables import format_table, format_value
 
@@ -77,6 +84,28 @@ class TestLightExperiments:
             assert 0.0 <= agreement <= 1.0
             if bits == 8:
                 assert agreement > 0.9
+
+
+class TestFig11Rescheduling:
+    def test_plan_without_decode_groups_serves_nothing(
+        self, small_hetero_cluster, small_plan, model_30b, small_trace, relaxed_slo
+    ):
+        # Dropping a failed node can take a plan's only decode group with it.
+        from repro.core.types import SLOType
+        from repro.scheduling.deployment import DeploymentPlan
+
+        prefill_only = DeploymentPlan(
+            groups=tuple(small_plan.prefill_groups),
+            routing=None,
+            model_name=small_plan.model_name,
+            kv_transport_bits=small_plan.kv_transport_bits,
+        )
+        result = fig11_rescheduling._simulate(
+            small_hetero_cluster, prefill_only, model_30b, small_trace, seed=0
+        )
+        assert len(result.metrics) == len(small_trace)
+        assert not any(m.finished for m in result.metrics)
+        assert result.slo_attainment(relaxed_slo, SLOType.E2E) == 0.0
 
 
 class TestFixedRatioPlan:
