@@ -1,15 +1,16 @@
 """Micro-benchmark: vectorized scheduler hot path + scenario sweep throughput.
 
-Unlike the other benchmarks (which regenerate one paper figure each), this one
-measures the two performance claims of the scenario-engine PR:
+Unlike the paper harness (which regenerates the paper's figures), this one
+measures two things:
 
 1. **Candidate scoring speedup** — the vectorized
    :meth:`~repro.scheduling.estimator.SLOEstimator.attainment_matrix` versus the
-   retained pre-refactor scalar reference, over repeated tabu-style rescoring of
-   a fixture fleet (the acceptance bar is >= 3x; in practice the cached
-   vectorized path lands far above it).
-2. **Sweep wall-clock** — the full six-scenario :class:`ScenarioSweep` against a
-   scheduled plan on the paper's 32-GPU cloud cluster.
+   retained scalar reference, over repeated tabu-style rescoring of a fixture
+   fleet.  The bar is >= 3x, a ratio of two timings taken in the same run; in
+   practice the cached vectorized path lands far above it.
+2. **Sweep wall-clock** — the full :class:`ScenarioSweep` over every registered
+   scenario against a scheduled plan on the paper's 32-GPU cloud cluster
+   (printed, not asserted).
 
 Run with:  pytest benchmarks/bench_scenario_sweep.py -s --benchmark-only
 (or plainly ``PYTHONPATH=src python -m pytest benchmarks/bench_scenario_sweep.py -s``).
@@ -17,7 +18,6 @@ Run with:  pytest benchmarks/bench_scenario_sweep.py -s --benchmark-only
 
 from __future__ import annotations
 
-import os
 import time
 
 import numpy as np
@@ -110,51 +110,3 @@ def test_scenario_sweep_wall_clock():
     assert len(outcomes) >= 6
     assert all(o.num_finished > 0 for o in outcomes.values())
 
-
-def test_scenario_sweep_process_pool():
-    """Process-pool sweep: identical outcomes, faster wall-clock on >= 2 cores.
-
-    The simulator is pure Python, so the thread-mode sweep serialises on the GIL
-    for long traces; ``executor="process"`` runs every scenario in its own
-    interpreter.  On single-core runners the speedup assert is skipped (process
-    start-up cannot be amortised without parallel hardware), but outcome
-    equality is always enforced.
-    """
-    reduced = bool(int(os.environ.get("REPRO_BENCH_REDUCED", "0")))
-    duration = 60.0 if reduced else 300.0
-    cluster = make_cloud_cluster(seed=0)
-    model = get_model_config("llama-30b")
-    scheduler = Scheduler(
-        SchedulerConfig(
-            tabu=TabuSearchConfig(num_steps=8, num_neighbors=5, memory_size=5, patience=5),
-            seed=0,
-        )
-    )
-    plan = scheduler.schedule(cluster, model, CONVERSATION_WORKLOAD, request_rate=5.0).plan
-    scenarios = default_scenarios(duration=duration)
-
-    t0 = time.perf_counter()
-    thread = ScenarioSweep(scenarios, seed=0, executor="thread").evaluate(cluster, model, plan)
-    t_thread = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    process = ScenarioSweep(scenarios, seed=0, executor="process").evaluate(cluster, model, plan)
-    t_process = time.perf_counter() - t0
-
-    cores = os.cpu_count() or 1
-    print(
-        f"\nsweep over {len(scenarios)} scenarios x {duration:.0f}s traces on {cores} cores: "
-        f"thread {t_thread:.2f}s, process {t_process:.2f}s "
-        f"({t_thread / t_process:.2f}x)"
-    )
-    for name in thread:
-        a, b = thread[name], process[name]
-        assert a.num_requests == b.num_requests, name
-        assert a.num_finished == b.num_finished, name
-        assert a.attainment_e2e == b.attainment_e2e, name
-        assert a.output_token_throughput == b.output_token_throughput, name
-        assert a.per_tenant_attainment == b.per_tenant_attainment, name
-    if cores >= 2:
-        assert t_process < t_thread, (
-            f"process sweep ({t_process:.2f}s) not faster than threads "
-            f"({t_thread:.2f}s) on {cores} cores"
-        )

@@ -76,10 +76,14 @@ def main() -> None:
         },
     }
 
+    def print_breaches(window):
+        for event in window.breaches:
+            print(f"  !! {event.describe()}")
+
     server = LiveServer(
         system,
         config=LiveServeConfig(window_s=30.0, slo_config=slo_config),
-        on_breach=lambda event: print(f"  !! {event.describe()}"),
+        on_window=print_breaches,
     )
     report = server.run(trace, label="diurnal-live")
 

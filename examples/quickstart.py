@@ -10,7 +10,7 @@ This walks through the whole ThunderServe pipeline in one script:
 4. report throughput, latency breakdown and SLO attainment, and
 5. stress the same plan across the whole ``repro.scenarios`` library (diurnal
    cycles, bursts, long-context RAG, agentic mixes, multi-tenant SLO tiers and
-   spot preemptions) with a concurrent :class:`ScenarioSweep`.
+   spot preemptions) with a :class:`ScenarioSweep`.
 
 Run with:  python examples/quickstart.py
 """
@@ -86,11 +86,8 @@ def main() -> None:
 
     # ------------------------------------------------------------- scenario sweep
     # The same plan, stressed across every named scenario in repro.scenarios.
-    # Scenarios run concurrently (each on its own ThunderServe instance); the
+    # Each scenario is served on its own ThunderServe instance; the
     # spot-preemption scenario additionally exercises lightweight rescheduling.
-    # For long traces, pass executor="process" to escape the GIL (outcomes are
-    # identical); the simulator itself defaults to the vectorized fast engine —
-    # SimulatorConfig(engine="reference") selects the per-event implementation.
     sweep = ScenarioSweep(default_scenarios(duration=30.0), seed=0)
     outcomes = sweep.evaluate(cluster, model, plan)
     print("\n" + ScenarioSweep.to_table(outcomes))

@@ -27,7 +27,7 @@ simulated substrate:
   the live serving loop); the engine routes each request by sampling the plan's
   ``X`` / ``Y`` orchestration.
 * :mod:`repro.scenarios` — named workload scenarios (diurnal, bursty, RAG,
-  agentic mix, multi-tenant SLO tiers, spot preemption) and the concurrent
+  agentic mix, multi-tenant SLO tiers, spot preemption) and the
   cross-scenario sweep runner.
 * :mod:`repro.baselines` — HexGen-like, DistServe-like and vLLM-like baselines.
 * :mod:`repro.quality` — tiny NumPy transformer used to evaluate KV transport

@@ -57,9 +57,5 @@ class AlphaBetaModel:
         # A ring all-reduce performs 2*(p-1) latency-bound steps.
         return 2.0 * (world_size - 1) * self.alpha_s + volume / self.beta_bytes_per_s
 
-    def effective_bandwidth_gbps(self) -> float:
-        """Bandwidth expressed in GB/s (for reporting)."""
-        return self.beta_bytes_per_s / 1e9
-
 
 __all__ = ["AlphaBetaModel", "transfer_seconds"]

@@ -81,11 +81,6 @@ class Cluster:
         """Sorted list of available GPU ids."""
         return sorted(self._gpu_by_id)
 
-    @property
-    def removed_gpu_ids(self) -> List[int]:
-        """Sorted ids of roster GPUs that are currently removed (revivable)."""
-        return sorted(set(self._roster_by_id) - set(self._gpu_by_id))
-
     def gpu(self, gpu_id: int) -> GPU:
         """Look up a GPU by id."""
         try:
@@ -105,18 +100,9 @@ class Cluster:
         return counts
 
     @property
-    def gpu_types(self) -> List[str]:
-        """Sorted list of distinct GPU type names present."""
-        return sorted(self.type_counts())
-
-    @property
     def price_per_hour(self) -> float:
         """Total rental price of the available GPUs in USD/hour."""
         return sum(g.spec.price_per_hour for g in self.gpus)
-
-    def node_of(self, gpu_id: int) -> int:
-        """Node id hosting ``gpu_id``."""
-        return self.gpu(gpu_id).node_id
 
     def gpus_on_node(self, node_id: int) -> List[GPU]:
         """All available GPUs on a given node."""

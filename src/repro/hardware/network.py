@@ -253,10 +253,6 @@ class NetworkModel:
         """Return a copy of the full bandwidth matrix (GB/s) — the Figure 13 data."""
         return self._bandwidth_gbps.copy()
 
-    def latency_matrix_s(self) -> np.ndarray:
-        """Return a copy of the full latency matrix (seconds)."""
-        return self._latency_s.copy()
-
     # ------------------------------------------------------- set-level aggregates
     def _bandwidth_block(self, rows: List[int], cols: List[int]) -> np.ndarray:
         """The bandwidth submatrix ``rows x cols`` (GB/s).

@@ -3,7 +3,7 @@
 This package is the repo's answer to "as many scenarios as you can imagine": a
 library of named, parameterized workload situations built on the workload
 generators, plus :class:`ScenarioSweep`, which evaluates one deployment plan
-across the whole library concurrently.
+across the whole library.
 
 Quick use::
 

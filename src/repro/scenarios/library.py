@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import ClassVar, Dict, Tuple
+from typing import ClassVar, Tuple
 
 from repro.core.exceptions import ConfigurationError
 from repro.core.rng import RNGLike, ensure_rng, spawn_rng
@@ -301,10 +301,6 @@ class MultiTenantSLOTiersScenario(Scenario):
             raise ValueError(f"tenant shares must sum to 1, got {total:g}")
         if len({t.tenant for t in self.tiers}) != len(self.tiers):
             raise ValueError("tenant names must be unique")
-
-    def tier_slo_scales(self) -> Dict[str, float]:
-        """Per-tenant SLO scale keyed by tenant name."""
-        return {t.tenant: t.slo_scale for t in self.tiers}
 
     def build_trace(self, seed: RNGLike = None) -> Trace:
         """Merge one tagged Poisson stream per tenant tier."""

@@ -1,17 +1,15 @@
 """ScenarioSweep: evaluate one deployment plan across the whole scenario library.
 
 The sweep schedules once (or adopts a caller-provided plan) and then serves every
-scenario concurrently on its own :class:`~repro.serving.system.ThunderServe`
-instance via ``concurrent.futures`` — scenarios are independent simulations over
-immutable shared inputs (cluster, model, plan), so both thread- and process-level
-parallelism are safe.  ``executor="process"`` runs each scenario in its own
-interpreter (plans, clusters and scenarios are picklable value objects), letting
-long multi-scenario sweeps escape the GIL — the simulators are pure Python, so
-threads serialise on long traces.  Failure-injection scenarios are served
-segment-by-segment: each pinned ``GPU_PREEMPTION`` event of the scenario's
+scenario in turn on its own :class:`~repro.serving.system.ThunderServe`
+instance.  Scenarios are independent simulations over immutable shared inputs
+(cluster, model, plan), and each one's seeds derive only from the sweep seed and
+its name, so an outcome does not depend on which other scenarios the sweep runs.
+Failure-injection scenarios are served segment-by-segment: each pinned
+``GPU_PREEMPTION`` event of the scenario's
 :class:`~repro.faults.FaultSchedule` is compiled into a replica-level fault
 timeline the engine applies *inside* the segment's run (preempting in-flight
-work at the exact fault instant, retried under the sweep's
+work at the exact fault instant, retried under the engine's default
 :class:`~repro.faults.RetryPolicy`), lightweight rescheduling runs between
 segments, and the per-segment results are merged into one scenario outcome.
 """
@@ -20,15 +18,12 @@ from __future__ import annotations
 
 import time
 import zlib
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.exceptions import ConfigurationError, SchedulingError
 from repro.core.types import SLOType
-from repro.costmodel.latency import CostModelParams, DEFAULT_PARAMS
 from repro.costmodel.reference import a100_reference_latency
-from repro.faults.retry import RetryPolicy
 from repro.faults.taxonomy import CAPACITY_LOSS_KINDS, FaultEvent, FaultSchedule
 from repro.faults.timeline import compile_fault_timeline
 from repro.hardware.cluster import Cluster
@@ -39,9 +34,7 @@ from repro.scenarios.registry import default_scenarios
 from repro.scheduling.deployment import DeploymentPlan
 from repro.scheduling.rescheduling import ReschedulingOverheadModel
 from repro.scheduling.scheduler import SchedulerConfig
-from repro.serving.live import LiveServeConfig, LiveServer, WindowTelemetry
 from repro.serving.system import ThunderServe
-from repro.simulation.engine import SimulatorConfig
 from repro.simulation.metrics import SimulationResult, merge_results
 from repro.utils.tables import format_table
 from repro.workload.trace import Trace
@@ -67,11 +60,6 @@ class ScenarioOutcome:
     per_tenant_attainment: Dict[str, float] = field(default_factory=dict)
     #: the merged simulation result, for downstream analysis
     result: Optional[SimulationResult] = None
-    #: per-window telemetry stream (adaptive sweeps only; empty otherwise).
-    #: Workload-shift scenarios surface their per-window plan changes here:
-    #: each record carries the ``plan_id`` the window was served with and
-    #: whether a new plan was installed after it.
-    windows: List[WindowTelemetry] = field(default_factory=list)
     #: total service interruption priced onto the scenario's replans by the
     #: Table 4 :class:`~repro.scheduling.rescheduling.ReschedulingOverheadModel`
     reschedule_overhead_s: float = 0.0
@@ -84,7 +72,7 @@ class ScenarioOutcome:
 
 
 class ScenarioSweep:
-    """Run a library of scenarios against one deployment plan, concurrently.
+    """Run a library of scenarios against one deployment plan, one after another.
 
     Parameters
     ----------
@@ -93,51 +81,16 @@ class ScenarioSweep:
         scenario (:func:`~repro.scenarios.registry.default_scenarios`).
     seed:
         Base seed; each scenario derives its own deterministic stream from it.
-    max_workers:
-        Pool width (defaults to one worker per scenario).
-    executor:
-        ``"thread"`` (default) or ``"process"``.  Process mode serves every
-        scenario in its own interpreter via :class:`ProcessPoolExecutor`,
-        sidestepping the GIL for long traces; outcomes are identical because
-        each scenario's seeds derive only from the sweep seed and its name.
-    scheduler_config, simulator_config, params:
-        Forwarded to the per-scenario serving systems.
-    adaptive:
-        When ``True``, scenarios without a failure schedule are served through
-        the live adaptive loop (:class:`~repro.serving.live.LiveServer`)
-        instead of one batch ``serve()`` call: SLO breaches and workload
-        shifts trigger lightweight rescheduling between windows, and each
-        outcome's ``windows`` field carries the per-window telemetry stream
-        (plan id, attainment, estimated rho, breaches).  Failure-injection
-        scenarios keep their event-driven windowed path.
-    live_config:
-        :class:`~repro.serving.live.LiveServeConfig` for adaptive serving
-        (window length, SLO-objective config, admission ceiling); defaults to
-        ``LiveServeConfig()``.  Ignored unless ``adaptive`` is true.
-    retry_policy:
-        :class:`~repro.faults.RetryPolicy` governing the in-engine disposition
-        of work preempted by an event of the scenario's fault schedule.
-        ``None`` (default) inherits the engine default — a bounded-retry
-        :class:`~repro.faults.RetryPolicy` with exponential backoff, so
-        preempted requests can end ``retried_then_finished``; pass
-        :meth:`~repro.faults.RetryPolicy.drop_only` to record them as
-        ``dropped_outage`` instead.
+    scheduler_config:
+        Forwarded to the per-scenario serving systems (it drives any mid-run
+        rescheduling).
     """
-
-    EXECUTORS = ("thread", "process")
 
     def __init__(
         self,
         scenarios: Optional[Sequence[Scenario]] = None,
         seed: int = 0,
-        max_workers: Optional[int] = None,
-        executor: str = "thread",
         scheduler_config: Optional[SchedulerConfig] = None,
-        simulator_config: Optional[SimulatorConfig] = None,
-        params: CostModelParams = DEFAULT_PARAMS,
-        adaptive: bool = False,
-        live_config: Optional[LiveServeConfig] = None,
-        retry_policy: Optional[RetryPolicy] = None,
     ) -> None:
         self.scenarios: Tuple[Scenario, ...] = (
             tuple(scenarios) if scenarios is not None else default_scenarios()
@@ -147,17 +100,8 @@ class ScenarioSweep:
         names = [s.name for s in self.scenarios]
         if len(set(names)) != len(names):
             raise ValueError(f"scenario names must be unique, got {names}")
-        if executor not in self.EXECUTORS:
-            raise ValueError(f"executor must be one of {self.EXECUTORS}, got {executor!r}")
         self.seed = seed
-        self.max_workers = max_workers
-        self.executor = executor
         self.scheduler_config = scheduler_config
-        self.simulator_config = simulator_config
-        self.params = params
-        self.adaptive = adaptive
-        self.live_config = live_config
-        self.retry_policy = retry_policy
 
     # ------------------------------------------------------------------ seeds
     def _derive_seed(self, text: str, salt: str) -> int:
@@ -177,14 +121,7 @@ class ScenarioSweep:
         plan: DeploymentPlan,
     ) -> Dict[str, ScenarioOutcome]:
         """Serve every scenario with ``plan`` and return outcomes keyed by name."""
-        workers = max(1, self.max_workers or len(self.scenarios))
-        pool_cls = ProcessPoolExecutor if self.executor == "process" else ThreadPoolExecutor
-        with pool_cls(max_workers=workers) as pool:
-            futures = {
-                scenario: pool.submit(_run_scenario, self, scenario, cluster, model, plan)
-                for scenario in self.scenarios
-            }
-            return {scenario.name: fut.result() for scenario, fut in futures.items()}
+        return {s.name: self._run_one(s, cluster, model, plan) for s in self.scenarios}
 
     def _build_system(
         self, scenario: Scenario, cluster: Cluster, model: ModelConfig
@@ -192,7 +129,7 @@ class ScenarioSweep:
         workload = scenario.planning_workload()
         # The scenario's own SLO tier must govern any mid-run rescheduling, not
         # ThunderServe's default 5x reference scale.
-        slo = scenario.slo(model, params=self.params)
+        slo = scenario.slo(model)
         return ThunderServe(
             cluster,
             model,
@@ -200,8 +137,6 @@ class ScenarioSweep:
             scenario.request_rate,
             slo=slo,
             scheduler_config=self.scheduler_config,
-            simulator_config=self.simulator_config,
-            params=self.params,
         )
 
     def _run_one(
@@ -223,18 +158,12 @@ class ScenarioSweep:
         schedule = scenario.fault_schedule(
             cluster, seed=self._derive_seed(scenario.name, "failures")
         ).validate(scenario.duration, cluster)
-        windows: List[WindowTelemetry] = []
         reschedule_overhead_s = 0.0
         num_outage_windows = 0
         if len(schedule):
             result, reschedule_overhead_s, num_outage_windows = self._serve_with_failures(
                 system, trace, schedule, scenario.name, mode=scenario.rescheduling_mode()
             )
-        elif self.adaptive:
-            live = LiveServer(system, config=self.live_config)
-            live_report = live.run(trace, label=scenario.name)
-            result = live_report.merged
-            windows = live_report.windows
         else:
             result = system.serve(trace, label=scenario.name)
 
@@ -259,7 +188,6 @@ class ScenarioSweep:
             elapsed_s=time.perf_counter() - start,
             per_tenant_attainment=per_tenant,
             result=result,
-            windows=windows,
             reschedule_overhead_s=reschedule_overhead_s,
             num_outage_windows=num_outage_windows,
             outcome_counts={k: int(v) for k, v in result.outcome_counts().items()},
@@ -279,8 +207,8 @@ class ScenarioSweep:
         compiled into a replica-level fault timeline against the plan
         currently serving, and handed to the engine together with the segment
         of arrivals preceding it — so work still in flight at the fault
-        instant is preempted *inside* the run and disposed under the sweep's
-        :class:`~repro.faults.RetryPolicy` instead of finishing on hardware
+        instant is preempted *inside* the run and disposed under the engine's
+        default :class:`~repro.faults.RetryPolicy` instead of finishing on hardware
         that no longer exists.  Between segments ``mode`` selects the replan
         strategy (see :meth:`~repro.serving.system.ThunderServe.replan_capacity`);
         each successful replan is priced with the Table 4
@@ -338,14 +266,7 @@ class ScenarioSweep:
                         )
                         or None
                     )
-                results.append(
-                    system.serve(
-                        window,
-                        label=f"{label}[{k}]",
-                        faults=faults,
-                        retry=self.retry_policy,
-                    )
-                )
+                results.append(system.serve(window, label=f"{label}[{k}]", faults=faults))
             if not victims:
                 continue
             if len(victims) >= len(alive):
@@ -398,7 +319,7 @@ class ScenarioSweep:
             if not metrics:
                 per_tenant[tier.tenant] = 0.0
                 continue
-            reference = a100_reference_latency(model, tier.workload, params=self.params)
+            reference = a100_reference_latency(model, tier.workload)
             slo = reference.slo_spec(tier.slo_scale)
             hits = sum(1 for m in metrics if slo.is_met(m, SLOType.E2E))
             per_tenant[tier.tenant] = hits / len(metrics)
@@ -448,17 +369,6 @@ class ScenarioSweep:
             for _, o in sorted(outcomes.items())
         ]
         return format_table(headers, rows, precision=precision, title="Scenario sweep")
-
-
-def _run_scenario(
-    sweep: ScenarioSweep,
-    scenario: Scenario,
-    cluster: Cluster,
-    model: ModelConfig,
-    plan: DeploymentPlan,
-) -> ScenarioOutcome:
-    """Module-level worker so process pools can pickle tasks under any start method."""
-    return sweep._run_one(scenario, cluster, model, plan)
 
 
 __all__ = ["ScenarioSweep", "ScenarioOutcome"]

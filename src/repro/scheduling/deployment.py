@@ -51,10 +51,6 @@ class ServingGroup:
         """Return a copy of this group with a different phase designation."""
         return replace(self, phase=phase)
 
-    def with_plan(self, plan: ReplicaPlan) -> "ServingGroup":
-        """Return a copy of this group with a concrete parallel plan attached."""
-        return replace(self, plan=plan)
-
     def describe(self, gpu_names: Optional[Dict[int, str]] = None) -> str:
         """Human-readable description, optionally naming the GPU types."""
         if gpu_names:
@@ -213,14 +209,6 @@ class DeploymentPlan:
             if g.group_id == group_id:
                 return g
         raise KeyError(f"no group with id {group_id}")
-
-    def with_routing(self, routing: RoutingPolicy) -> "DeploymentPlan":
-        """Return a copy of the plan with a new routing policy."""
-        return replace(self, routing=routing)
-
-    def with_groups(self, groups: Sequence[ServingGroup]) -> "DeploymentPlan":
-        """Return a copy of the plan with a new group list (routing is dropped)."""
-        return replace(self, groups=tuple(groups), routing=None)
 
     def describe(self, gpu_names: Optional[Dict[int, str]] = None) -> str:
         """Multi-line human-readable description (the Table 3 style breakdown)."""

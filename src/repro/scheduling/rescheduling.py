@@ -17,12 +17,12 @@ lightweight rescheduling overhead (search time + parameter-reloading time).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from repro.core.exceptions import SchedulingError
 from repro.core.rng import RNGLike, ensure_rng
-from repro.core.types import Phase, SLOSpec, SLOType
+from repro.core.types import SLOSpec
 from repro.costmodel.latency import CostModelParams, DEFAULT_PARAMS
 from repro.hardware.cluster import Cluster
 from repro.model.architecture import ModelConfig
@@ -34,6 +34,10 @@ from repro.scheduling.neighbors import construct_neighbors
 from repro.scheduling.solution import UpperLevelSolution
 from repro.scheduling.tabu import SearchTrace, TabuSearch, TabuSearchConfig
 from repro.workload.spec import WorkloadSpec, WorkloadStats
+
+#: Tabu budget of the flip-only search: flip-only neighbourhoods are tiny, so
+#: far fewer steps are needed than in the full search.
+FLIP_SEARCH = TabuSearchConfig(num_steps=30, num_neighbors=6, memory_size=5, patience=10)
 
 
 @dataclass
@@ -52,18 +56,12 @@ class LightweightRescheduler:
 
     def __init__(
         self,
-        tabu: TabuSearchConfig | None = None,
         kv_transport_bits: int = 4,
         params: CostModelParams = DEFAULT_PARAMS,
-        slo_type: SLOType = SLOType.E2E,
         seed: int = 0,
     ) -> None:
-        # Flip-only neighbourhoods are tiny, so far fewer steps are needed than in
-        # the full search.
-        self.tabu = tabu or TabuSearchConfig(num_steps=30, num_neighbors=6, memory_size=5, patience=10)
         self.kv_transport_bits = kv_transport_bits
         self.params = params
-        self.slo_type = slo_type
         self.seed = seed
 
     def reschedule(
@@ -102,7 +100,6 @@ class LightweightRescheduler:
             request_rate=request_rate,
             kv_transport_bits=self.kv_transport_bits,
             params=self.params,
-            slo_type=self.slo_type,
             fixed_plans=fixed_plans,
             seed=int(rng.integers(0, 2**31 - 1)),
         )
@@ -121,7 +118,7 @@ class LightweightRescheduler:
             objective=solver.evaluate_batch,
             neighbor_fn=neighbor_fn,
             key_fn=lambda s: s.key(),
-            config=self.tabu,
+            config=FLIP_SEARCH,
         )
         result = search.run(initial)
         lower = solver.solve(result.best_solution)

@@ -10,12 +10,12 @@ deployment plan together with the search trace (the Figure 10 convergence data).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.core.exceptions import SchedulingError
 from repro.core.rng import RNGLike, ensure_rng
-from repro.core.types import SLOSpec, SLOType
+from repro.core.types import SLOSpec
 from repro.costmodel.latency import CostModelParams, DEFAULT_PARAMS
 from repro.costmodel.reference import a100_reference_latency
 from repro.hardware.cluster import Cluster
@@ -43,14 +43,9 @@ class SchedulerConfig:
         default_factory=lambda: TabuSearchConfig(num_steps=100, num_neighbors=10, memory_size=5, patience=20)
     )
     kv_transport_bits: int = 4
-    slo_type: SLOType = SLOType.E2E
     orchestration_mode: str = "lp"
     cost_params: CostModelParams = field(default_factory=lambda: DEFAULT_PARAMS)
     seed: int = 0
-
-    def with_tabu(self, **kwargs) -> "SchedulerConfig":
-        """Return a copy with modified tabu-search parameters."""
-        return replace(self, tabu=replace(self.tabu, **kwargs))
 
 
 @dataclass
@@ -112,7 +107,6 @@ class Scheduler:
             request_rate=request_rate,
             kv_transport_bits=cfg.kv_transport_bits,
             params=cfg.cost_params,
-            slo_type=cfg.slo_type,
             orchestration_mode=cfg.orchestration_mode,
             seed=cfg.seed,
         )

@@ -24,21 +24,19 @@ class TabuSearchConfig:
     ``num_steps`` is :math:`N_{step}`, ``num_neighbors`` is :math:`N_{nghb}` and
     ``memory_size`` is :math:`N_{mem}` in the paper's notation.  ``patience``
     optionally stops the search early after that many consecutive steps without
-    improvement (0 disables early stopping); ``time_limit_s`` bounds wall-clock
-    time.
+    improvement (0 disables early stopping).
     """
 
     num_steps: int = 100
     num_neighbors: int = 10
     memory_size: int = 5
     patience: int = 0
-    time_limit_s: float = 0.0
 
     def __post_init__(self) -> None:
         if self.num_steps < 1 or self.num_neighbors < 1 or self.memory_size < 1:
             raise ValueError("num_steps, num_neighbors and memory_size must be >= 1")
-        if self.patience < 0 or self.time_limit_s < 0:
-            raise ValueError("patience and time_limit_s must be >= 0")
+        if self.patience < 0:
+            raise ValueError("patience must be >= 0")
 
 
 @dataclass
@@ -134,8 +132,6 @@ class TabuSearch(Generic[S]):
 
         stale_steps = 0
         for _ in range(cfg.num_steps):
-            if cfg.time_limit_s and time.perf_counter() - start > cfg.time_limit_s:
-                break
             if self.pass_tabu_keys:
                 neighbors = list(self.neighbor_fn(current, cfg.num_neighbors, tuple(tabu)))
                 if not neighbors:

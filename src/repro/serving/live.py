@@ -37,25 +37,13 @@ replaying each window's sub-trace against its recorded plan — and, for windows
 with mid-window faults, the same compiled fault timeline — in independent
 batch simulations reproduces the live run's metrics exactly (the
 piecewise-static equivalence contract, enforced by the test suite).
-
-For integration into an asyncio application, :meth:`LiveServer.stream` wraps
-the same loop as an async generator and can optionally pace windows in scaled
-wall-clock time.
 """
 
 from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field, fields
-from typing import (
-    Callable,
-    Dict,
-    Iterator,
-    List,
-    Mapping,
-    Optional,
-    Tuple,
-)
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -141,11 +129,11 @@ class WindowTelemetry:
     plan_id: str
     #: SLO profile the window was judged under (``realtime`` / ``degraded`` / ...)
     profile: str
-    #: requests that arrived / were shed at admission / finished in the window
+    #: requests admitted / shed at admission / finished in the window
     num_requests: int
     num_shed: int
     num_finished: int
-    #: observed arrival rate over the window (requests/s)
+    #: observed arrival rate over the window, admitted and shed (requests/s)
     request_rate: float
     #: served SLO attainment at the system deadline, per SLO type
     attainment_e2e: float
@@ -307,15 +295,11 @@ class LiveServeConfig:
         Replan strategies tried in order after a capacity loss; the first one
         that yields a servable plan wins.  Strategies are the Figure 11 modes
         accepted by :meth:`~repro.serving.system.ThunderServe.replan_capacity`.
-    degraded_admission_max_rho:
-        Tighter admission ceiling applied while any injected fault is active
-        (graceful degradation sheds load instead of missing every deadline).
-        ``None`` (default) keeps ``admission_max_rho`` in all conditions.
 
     Raises
     ------
     ValueError
-        If ``window_s`` is not positive, an admission ceiling is not in
+        If ``window_s`` is not positive, ``admission_max_rho`` is not in
         ``(0, 1]``, or a failure replan mode is unknown.
     """
 
@@ -330,15 +314,12 @@ class LiveServeConfig:
     reschedule_on_failure: bool = True
     reschedule_on_recovery: bool = True
     failure_mode_order: Tuple[str, ...] = ("lightweight", "none")
-    degraded_admission_max_rho: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.window_s <= 0:
             raise ValueError("window_s must be positive")
-        for name in ("admission_max_rho", "degraded_admission_max_rho"):
-            ceiling = getattr(self, name)
-            if ceiling is not None and not 0 < ceiling <= 1:
-                raise ValueError(f"{name} must be in (0, 1]")
+        if self.admission_max_rho is not None and not 0 < self.admission_max_rho <= 1:
+            raise ValueError("admission_max_rho must be in (0, 1]")
         modes = ThunderServe.RESCHEDULE_MODES
         self.failure_mode_order = tuple(self.failure_mode_order)
         if not self.failure_mode_order:
@@ -483,9 +464,7 @@ class LiveServer:
         Loop configuration; defaults to :class:`LiveServeConfig`.
     on_window:
         Optional callback invoked with each :class:`WindowTelemetry` as it is
-        measured (the streaming telemetry hook).
-    on_breach:
-        Optional callback invoked with each :class:`BreachEvent` as it fires.
+        measured, breach events included (the streaming telemetry hook).
     """
 
     def __init__(
@@ -493,12 +472,10 @@ class LiveServer:
         system: ThunderServe,
         config: Optional[LiveServeConfig] = None,
         on_window: Optional[Callable[[WindowTelemetry], None]] = None,
-        on_breach: Optional[Callable[[BreachEvent], None]] = None,
     ) -> None:
         self.system = system
         self.config = config or LiveServeConfig()
         self.on_window = on_window
-        self.on_breach = on_breach
         self.tracker = SLOBreachTracker()
         # Fault-injection loop state (reset at the start of every run).
         self._fault_state: Optional[ClusterFaultState] = None
@@ -592,21 +569,15 @@ class LiveServer:
             request_rate=rate,
         )
 
-    def _admit(self, window: Trace, health: PlanHealth, degraded: bool) -> Tuple[Trace, int]:
+    def _admit(self, window: Trace, health: PlanHealth) -> Tuple[Trace, int]:
         """Apply the admission front-end to one window.
 
         When the estimated utilisation exceeds ``admission_max_rho``, requests
         are shed with a deterministic deficit counter so the admitted fraction
-        tracks ``admission_max_rho / rho`` exactly (no sampling noise).  While
-        ``degraded`` (an injected fault is active) and
-        ``degraded_admission_max_rho`` is configured, the tighter of the two
-        ceilings applies (graceful degradation).  Returns the admitted
-        sub-trace and the number of shed requests.
+        tracks ``admission_max_rho / rho`` exactly (no sampling noise).
+        Returns the admitted sub-trace and the number of shed requests.
         """
         max_rho = self.config.admission_max_rho
-        degraded_rho = self.config.degraded_admission_max_rho
-        if degraded and degraded_rho is not None:
-            max_rho = degraded_rho if max_rho is None else min(max_rho, degraded_rho)
         if max_rho is None or health.rho <= max_rho or health.rho <= 0:
             return window, 0
         keep_fraction = max_rho / health.rho
@@ -657,7 +628,7 @@ class LiveServer:
             num_requests=result.num_requests,
             num_shed=num_shed,
             num_finished=result.num_finished,
-            request_rate=result.num_requests / (end - start) if end > start else 0.0,
+            request_rate=(result.num_requests + num_shed) / (end - start) if end > start else 0.0,
             attainment_e2e=result.slo_attainment(slo, SLOType.E2E),
             attainment_ttft=result.slo_attainment(slo, SLOType.TTFT),
             attainment_tpot=result.slo_attainment(slo, SLOType.TPOT),
@@ -670,10 +641,22 @@ class LiveServer:
         )
 
     # ------------------------------------------------------------------ loop
-    def _serve_windows(
-        self, trace: Trace, label: str
-    ) -> Iterator[Tuple[WindowTelemetry, SimulationResult, DeploymentPlan]]:
-        """Serve ``trace`` window by window, yielding telemetry as it is measured."""
+    def run(self, trace: Trace, label: str = "live") -> LiveServeReport:
+        """Serve a whole trace adaptively and return the run report.
+
+        Parameters
+        ----------
+        trace:
+            The request trace to replay on the time-warped serving clock.
+        label:
+            Run label stamped onto window results and breach events.
+
+        Returns
+        -------
+        LiveServeReport
+            Windowed telemetry, per-window simulation results, the plan each
+            window was served with, and every breach event fired.
+        """
         system = self.system
         config = self.config
         slo_config = config.slo_config or auto_slo_config()
@@ -694,8 +677,11 @@ class LiveServer:
             config.faults.validate(float("inf"), system.cluster)
             self._fault_state = ClusterFaultState(system.cluster)
             self._pending_faults = list(config.faults)
+        windows: List[WindowTelemetry] = []
+        results: List[SimulationResult] = []
+        plans: List[DeploymentPlan] = []
         if trace.is_empty:
-            return
+            return LiveServeReport(windows, results, plans, breaches=[], label=label)
         start = trace[0].arrival_time
         end = trace[-1].arrival_time
         window_start = start
@@ -729,7 +715,7 @@ class LiveServer:
                 faults, fault_notes = self._intra_window_faults(w_start, window_end)
                 degraded = degraded or faults is not None
                 health = self.plan_health(window)
-                admitted, num_shed = self._admit(window, health, degraded)
+                admitted, num_shed = self._admit(window, health)
                 result = system.serve(
                     admitted,
                     label=f"{label}[{index}]",
@@ -755,19 +741,27 @@ class LiveServer:
                 report, time=window_end, window_index=index, context=label
             )
             telemetry.breaches = tuple(events)
-            for event in events:
-                if self.on_breach is not None:
-                    self.on_breach(event)
             if not outage:
                 telemetry.plan_changed = self._adapt(events, admitted, label)
                 self._last_window = admitted
             if self.on_window is not None:
                 self.on_window(telemetry)
-            yield telemetry, result, served_plan
+            windows.append(telemetry)
+            results.append(result)
+            plans.append(served_plan)
             index += 1
         # Fold the final window's events so the fault log covers the whole run
         # (the loop exits before their boundary would otherwise come due).
         self._apply_due_faults(window_start)
+        return LiveServeReport(
+            windows=windows,
+            results=results,
+            served_plans=plans,
+            breaches=[event for w in windows for event in w.breaches],
+            label=label,
+            fault_log=list(self._fault_log),
+        )
+
 
     # ------------------------------------------------------------------ faults
     def _apply_due_faults(self, boundary: float) -> None:
@@ -947,65 +941,6 @@ class LiveServer:
                     validate_on=validate_on,
                 )
         return False
-
-    def run(self, trace: Trace, label: str = "live") -> LiveServeReport:
-        """Serve a whole trace adaptively and return the run report.
-
-        Parameters
-        ----------
-        trace:
-            The request trace to replay on the time-warped serving clock.
-        label:
-            Run label stamped onto window results and breach events.
-
-        Returns
-        -------
-        LiveServeReport
-            Windowed telemetry, per-window simulation results, the plan each
-            window was served with, and every breach event fired.
-        """
-        windows: List[WindowTelemetry] = []
-        results: List[SimulationResult] = []
-        plans: List[DeploymentPlan] = []
-        breaches: List[BreachEvent] = []
-        for telemetry, result, plan in self._serve_windows(trace, label):
-            windows.append(telemetry)
-            results.append(result)
-            plans.append(plan)
-            breaches.extend(telemetry.breaches)
-        return LiveServeReport(
-            windows=windows,
-            results=results,
-            served_plans=plans,
-            breaches=breaches,
-            label=label,
-            fault_log=list(self._fault_log),
-        )
-
-    async def stream(self, trace: Trace, label: str = "live", time_warp: float = 0.0):
-        """Serve a trace as an async generator of :class:`WindowTelemetry`.
-
-        Parameters
-        ----------
-        trace:
-            The request trace to replay.
-        label:
-            Run label stamped onto window results and breach events.
-        time_warp:
-            Real seconds to sleep per simulated window second.  ``0`` (default)
-            only yields control to the event loop between windows; ``1.0``
-            paces the replay in real time.
-
-        Yields
-        ------
-        WindowTelemetry
-            One record per served window, as soon as it is measured.
-        """
-        import asyncio
-
-        for telemetry, _result, _plan in self._serve_windows(trace, label):
-            yield telemetry
-            await asyncio.sleep(self.config.window_s * time_warp)
 
 
 __all__ = [

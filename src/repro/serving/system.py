@@ -250,33 +250,6 @@ class ThunderServe:
         )
         return simulator.run(trace, label="shadow").slo_attainment(self.slo)
 
-    def serve_live(self, trace: Trace, config=None, label: str = "live"):
-        """Serve a trace through the adaptive live loop with SLO observability.
-
-        Convenience facade over :class:`~repro.serving.live.LiveServer`: the
-        trace is replayed in bounded windows on a time-warped serving clock,
-        each window streams a telemetry record (attainment, queue wait,
-        estimated rho, plan id), SLO objectives are evaluated per window, and
-        breaches / workload shifts trigger :meth:`reschedule_online`.
-
-        Parameters
-        ----------
-        trace:
-            The request trace to replay.
-        config:
-            Optional :class:`~repro.serving.live.LiveServeConfig`.
-        label:
-            Run label stamped onto window results and breach events.
-
-        Returns
-        -------
-        repro.serving.live.LiveServeReport
-            Windowed telemetry, per-window results and breach events.
-        """
-        from repro.serving.live import LiveServer  # local import: live.py imports this module
-
-        return LiveServer(self, config=config).run(trace, label=label)
-
     @property
     def num_plan_changes(self) -> int:
         """Number of plan installations *after* the initial one (re-schedulings)."""
@@ -358,10 +331,9 @@ class ThunderServe:
         fixed for the system's lifetime — the model, workload,
         ``request_rate``, ``slo`` and the scheduler and rescheduler configs
         with their integer seeds have no setter — and both searches are
-        deterministic for a given seed (a nonzero tabu ``time_limit_s`` makes
-        them wall-clock dependent; a hit then reuses the first search's plan).
-        A search that raises stores nothing.  Shadow validation, the install
-        and its event run the same on a hit as on a miss.
+        deterministic for a given seed.  A search that raises stores nothing.
+        Shadow validation, the install and its event run the same on a hit as
+        on a miss.
         """
         if mode not in self.RESCHEDULE_MODES:
             raise ValueError(f"mode must be one of {self.RESCHEDULE_MODES}, got {mode!r}")

@@ -66,10 +66,6 @@ class EventQueue:
             raise SimulationError("pop from an empty event queue")
         return heapq.heappop(self._heap)[2]
 
-    def peek_time(self) -> Optional[float]:
-        """Time of the earliest event, or ``None`` when empty."""
-        return self._heap[0][0] if self._heap else None
-
     def peek_key(self) -> Optional[tuple[float, int]]:
         """(time, sequence number) of the earliest event, or ``None`` when empty."""
         return self._heap[0][:2] if self._heap else None

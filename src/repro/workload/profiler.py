@@ -77,23 +77,16 @@ class WorkloadProfiler:
         self.min_requests = min_requests
         self._window: Deque[Request] = deque(maxlen=window_size)
         self._reference: Optional[WorkloadStats] = None
-        self._total_observed = 0
 
     # ------------------------------------------------------------------ recording
     def observe(self, request: Request) -> None:
         """Record one arriving request."""
         self._window.append(request)
-        self._total_observed += 1
 
     def observe_many(self, requests) -> None:
         """Record a batch of arriving requests."""
         for request in requests:
             self.observe(request)
-
-    @property
-    def total_observed(self) -> int:
-        """Total number of requests observed since construction."""
-        return self._total_observed
 
     # ------------------------------------------------------------------ statistics
     def current_stats(self) -> WorkloadStats:

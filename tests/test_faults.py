@@ -336,7 +336,3 @@ class TestLiveFaultConfigValidation:
     def test_bad_failure_mode_rejected(self):
         with pytest.raises(ValueError, match="failure_mode_order"):
             LiveServeConfig(window_s=10.0, failure_mode_order=("sideways",))
-
-    def test_bad_degraded_admission_ceiling_rejected(self):
-        with pytest.raises(ValueError, match="degraded_admission_max_rho"):
-            LiveServeConfig(window_s=10.0, degraded_admission_max_rho=0.0)

@@ -13,7 +13,7 @@ from repro.baselines.hexgen import HexGenBaseline
 from repro.core.types import Phase, SLOType
 from repro.scheduling.scheduler import Scheduler, SchedulerConfig
 from repro.scheduling.tabu import TabuSearchConfig
-from repro.serving.live import LiveServeConfig
+from repro.serving.live import LiveServeConfig, LiveServer
 from repro.serving.system import ThunderServe
 from repro.simulation.engine import ServingSimulator, SimulatorConfig
 from repro.workload.generator import generate_requests
@@ -102,15 +102,13 @@ class TestEndToEnd:
         coding = generate_requests(CODING_WORKLOAD, rate, duration=30.0, seed=45)
         conversation = generate_requests(CONVERSATION_WORKLOAD, rate, duration=30.0, seed=46).shifted(30.0)
         trace = merge_traces([coding, conversation])
-        report = system.serve_live(
-            trace,
-            LiveServeConfig(
-                window_s=15.0,
-                reschedule_on_breach=False,
-                reschedule_on_shift=True,
-                validate_reschedule=False,
-            ),
+        config = LiveServeConfig(
+            window_s=15.0,
+            reschedule_on_breach=False,
+            reschedule_on_shift=True,
+            validate_reschedule=False,
         )
+        report = LiveServer(system, config).run(trace)
         assert len(report.results) >= 3
         assert sum(r.num_finished for r in report.results) == len(trace)
         # At least one plan re-installation beyond the initial deployment happened.

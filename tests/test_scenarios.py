@@ -12,7 +12,7 @@ import pytest
 
 from repro.core.exceptions import ConfigurationError
 from repro.core.types import RequestOutcome
-from repro.faults import FaultEvent, FaultKind, FaultSchedule, RetryPolicy
+from repro.faults import FaultEvent, FaultKind, FaultSchedule
 from repro.scenarios import (
     ScenarioSweep,
     SpotPreemptionScenario,
@@ -178,7 +178,7 @@ def test_serve_smoke_per_scenario(scenario, cloud_cluster, model_30b, cloud_plan
 
 @pytest.mark.integration
 def test_scenario_sweep_end_to_end(cloud_cluster, model_30b, cloud_plan):
-    """The concurrent sweep covers all scenarios, including failure injection."""
+    """The sweep covers all scenarios, including failure injection."""
     sweep = ScenarioSweep(smoke_scenarios(), seed=0)
     outcomes = sweep.evaluate(cloud_cluster, model_30b, cloud_plan)
     assert set(outcomes) == set(list_scenarios())
@@ -191,6 +191,9 @@ def test_scenario_sweep_end_to_end(cloud_cluster, model_30b, cloud_plan):
             assert 0.0 <= value <= 1.0, name
     spot = outcomes["spot-preemption"]
     assert spot.num_plan_changes == len(SpotPreemptionScenario().preemption_fractions)
+    summary = ScenarioSweep.summarize(outcomes)
+    assert summary["plan_changes"]["spot-preemption"] == spot.num_plan_changes
+    assert summary["total_plan_changes"] == sum(o.num_plan_changes for o in outcomes.values())
     tenants = outcomes["multi-tenant"].per_tenant_attainment
     assert set(tenants) == {"gold", "silver", "bronze"}
     table = ScenarioSweep.to_table(outcomes)
@@ -208,79 +211,92 @@ def test_sweep_is_deterministic(cloud_cluster, model_30b, cloud_plan):
     assert a.output_token_throughput == b.output_token_throughput
 
 
-def _outcomes_semantically_equal(a, b) -> bool:
-    """Outcome equality up to wall-clock (elapsed_s legitimately differs)."""
-    return (
-        a.num_requests == b.num_requests
-        and a.num_finished == b.num_finished
-        and a.attainment_e2e == b.attainment_e2e
-        and a.attainment_ttft == b.attainment_ttft
-        and a.attainment_tpot == b.attainment_tpot
-        and a.output_token_throughput == b.output_token_throughput
-        and a.num_plan_changes == b.num_plan_changes
-        and a.per_tenant_attainment == b.per_tenant_attainment
+def _serve_like_sweep(sweep, scenario, cluster, model, plan, engine):
+    """Serve ``scenario`` the way ``sweep`` does, on a system using ``engine``."""
+    system = ThunderServe(
+        cluster,
+        model,
+        scenario.planning_workload(),
+        scenario.request_rate,
+        slo=scenario.slo(model),
+        simulator_config=SimulatorConfig(engine=engine),
     )
+    system.adopt_plan(plan)
+    trace = scenario.build_trace(seed=sweep._scenario_seed(scenario))
+    schedule = scenario.fault_schedule(
+        cluster, seed=sweep._derive_seed(scenario.name, "failures")
+    ).validate(scenario.duration, cluster)
+    if not len(schedule):
+        return system.serve(trace, label=scenario.name), system, schedule
+    result, _, _ = sweep._serve_with_failures(
+        system, trace, schedule, scenario.name, mode=scenario.rescheduling_mode()
+    )
+    return result, system, schedule
 
 
 def test_sweep_engines_agree_through_failure_windows(cloud_cluster, model_30b, cloud_plan):
-    """Fast and reference simulator engines match across the sweep, including the
-    windowed failure-injection path (spot preemption reschedules between windows)."""
+    """Fast and reference simulator engines match on the sweep's serving paths,
+    including the windowed failure-injection path (spot preemption reschedules
+    between windows)."""
     scenarios = [
         get_scenario("spot-preemption", duration=SMOKE_DURATION),
         get_scenario("bursty", duration=SMOKE_DURATION),
     ]
-    outcomes = {}
-    for engine in ("fast", "reference"):
-        sweep = ScenarioSweep(
-            scenarios, seed=4, simulator_config=SimulatorConfig(engine=engine)
-        )
-        outcomes[engine] = sweep.evaluate(cloud_cluster, model_30b, cloud_plan)
-    for name in outcomes["fast"]:
-        a, b = outcomes["fast"][name], outcomes["reference"][name]
-        assert _outcomes_semantically_equal(a, b), name
-        assert a.result is not None and b.result is not None
-        for ma, mb in zip(a.result.metrics, b.result.metrics):
+    sweep = ScenarioSweep(scenarios, seed=4)
+    for scenario in scenarios:
+        runs = {
+            engine: _serve_like_sweep(sweep, scenario, cloud_cluster, model_30b, cloud_plan, engine)
+            for engine in ("fast", "reference")
+        }
+        (fast, fast_system, schedule), (ref, ref_system, _) = runs["fast"], runs["reference"]
+        if scenario.name == "spot-preemption":
+            assert len(schedule) > 0, "the failure path must be exercised"
+            assert fast_system.plan == ref_system.plan
+        assert fast.num_requests == ref.num_requests > 0, scenario.name
+        assert fast.outcome_counts() == ref.outcome_counts(), scenario.name
+        for ma, mb in zip(fast.metrics, ref.metrics):
             assert ma.completion_time == mb.completion_time
             assert ma.first_token_time == mb.first_token_time
 
 
-def test_sweep_process_executor_matches_threads(cloud_cluster, model_30b, cloud_plan):
-    """executor="process" returns outcomes equal to thread mode."""
-    scenarios = [
-        get_scenario("diurnal", duration=SMOKE_DURATION),
-        get_scenario("agentic-mix", duration=SMOKE_DURATION),
-    ]
-    thread = ScenarioSweep(scenarios, seed=1).evaluate(cloud_cluster, model_30b, cloud_plan)
-    process = ScenarioSweep(scenarios, seed=1, executor="process", max_workers=2).evaluate(
-        cloud_cluster, model_30b, cloud_plan
-    )
-    assert set(thread) == set(process)
-    for name in thread:
-        assert _outcomes_semantically_equal(thread[name], process[name]), name
+def test_sweep_outcomes_independent_of_composition(cloud_cluster, model_30b, cloud_plan):
+    """A scenario's outcome does not depend on the other scenarios in the sweep."""
 
+    def key(outcome):
+        fields = {k: v for k, v in vars(outcome).items() if k not in ("elapsed_s", "result")}
+        rows = [
+            (m.request.request_id, m.completion_time, m.first_token_time, m.outcome)
+            for m in outcome.result.metrics
+        ]
+        return fields, rows
 
-def test_sweep_rejects_unknown_executor():
-    with pytest.raises(ValueError):
-        ScenarioSweep(executor="fiber")
+    spot = get_scenario("spot-preemption", duration=SMOKE_DURATION)
+    diurnal = get_scenario("diurnal", duration=SMOKE_DURATION)
+    alone = {}
+    for s in (spot, diurnal):
+        outcome = ScenarioSweep([s], seed=5).evaluate(cloud_cluster, model_30b, cloud_plan)
+        alone[s.name] = key(outcome[s.name])
+    for order in ([spot, diurnal], [diurnal, spot]):
+        together = ScenarioSweep(order, seed=5).evaluate(cloud_cluster, model_30b, cloud_plan)
+        assert {name: key(o) for name, o in together.items()} == alone
 
 
 def test_sweep_propagates_scheduling_error(monkeypatch):
     """A scenario the plan cannot survive aborts the sweep with its error."""
     from repro.core.exceptions import SchedulingError
-    from repro.scenarios import sweep as sweep_module
 
     scenarios = [
         get_scenario("diurnal", duration=SMOKE_DURATION),
         get_scenario("bursty", duration=SMOKE_DURATION),
     ]
-    real_run = sweep_module._run_scenario
+    real_run = ScenarioSweep._run_one
 
-    def failing_run(sweep, scenario, cluster, model, plan):
+    def failing_run(self, scenario, cluster, model, plan):
         if scenario.name == "bursty":
             raise SchedulingError("injected: rescheduling infeasible")
-        return real_run(sweep, scenario, cluster, model, plan)
+        return real_run(self, scenario, cluster, model, plan)
 
-    monkeypatch.setattr(sweep_module, "_run_scenario", failing_run)
+    monkeypatch.setattr(ScenarioSweep, "_run_one", failing_run)
 
     sweep = ScenarioSweep(scenarios, seed=2)
     with pytest.raises(SchedulingError, match="injected"):
@@ -453,17 +469,14 @@ def test_count_based_event_can_reach_total_loss():
 def test_sweep_retry_policy_none_inherits_engine_retries(
     cloud_cluster, model_30b, cloud_plan
 ):
-    """``retry_policy=None`` keeps the engine's default retries; drop-only has none."""
+    """The sweep sets no retry policy: preempted work gets the engine's default retries."""
     scenario = get_scenario("spot-preemption", duration=SMOKE_DURATION)
-    counts = {
-        name: ScenarioSweep([scenario], seed=3, retry_policy=retry)
+    counts = (
+        ScenarioSweep([scenario], seed=3)
         .evaluate(cloud_cluster, model_30b, cloud_plan)[scenario.name]
         .outcome_counts
-        for name, retry in (("default", None), ("drop", RetryPolicy.drop_only()))
-    }
-    assert counts["default"]["retried_then_finished"] > 0
-    assert counts["drop"]["retried_then_finished"] == 0
-    assert counts["drop"]["dropped_outage"] > counts["default"]["dropped_outage"]
+    )
+    assert counts["retried_then_finished"] > 0
 
 
 def test_sweep_rejects_non_capacity_fault_events():
