@@ -19,7 +19,7 @@ from repro.core.types import SLOType
 from repro.hardware.cluster import make_cloud_cluster
 from repro.model.architecture import get_model_config
 from repro.scenarios import ScenarioSweep, default_scenarios
-from repro.scheduling.scheduler import Scheduler, SchedulerConfig
+from repro.scheduling.scheduler import SchedulerConfig
 from repro.scheduling.tabu import TabuSearchConfig
 from repro.serving.system import ThunderServe
 from repro.utils.tables import format_table

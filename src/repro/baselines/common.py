@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from repro.core.exceptions import InsufficientMemoryError, SchedulingError

@@ -15,13 +15,13 @@ GPU groups and relies on fast intra-node links for KV transfer.  Our baseline:
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.baselines.common import BaselineSystem
 from repro.core.exceptions import SchedulingError
 from repro.core.types import Phase, SLOSpec
 from repro.costmodel.reference import a100_reference_latency
-from repro.scheduling.deployment import DeploymentPlan, ServingGroup
+from repro.scheduling.deployment import DeploymentPlan
 from repro.scheduling.lower_level import LowerLevelSolver
 from repro.scheduling.solution import UpperLevelSolution
 from repro.simulation.engine import ServingSimulator, SimulatorConfig

@@ -9,7 +9,7 @@ single seed through the top-level entry points.
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 

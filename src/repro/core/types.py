@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 

@@ -9,7 +9,7 @@ between the two replicas' GPU sets, modelled with the alpha-beta formula.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Optional, Sequence, Tuple
 
 from repro.costmodel.alpha_beta import transfer_seconds
 from repro.hardware.network import NetworkModel
@@ -17,16 +17,29 @@ from repro.model.architecture import ModelConfig
 from repro.model.memory import kv_cache_bytes_per_token
 
 
-def kv_transfer_bytes(
-    model: ModelConfig,
-    num_tokens: int,
-    batch_size: int = 1,
-    bits: int = 16,
-) -> float:
-    """Bytes of KV cache transferred for ``batch_size`` sequences of ``num_tokens``."""
-    if num_tokens < 0 or batch_size < 0:
-        raise ValueError("num_tokens and batch_size must be >= 0")
-    return kv_cache_bytes_per_token(model, bits=bits) * num_tokens * batch_size
+def kv_transfer_bytes(model: ModelConfig, num_tokens: int, bits: int = 16) -> float:
+    """Bytes of KV cache transferred for one sequence of ``num_tokens`` tokens."""
+    if num_tokens < 0:
+        raise ValueError("num_tokens must be >= 0")
+    return kv_cache_bytes_per_token(model, bits=bits) * num_tokens
+
+
+def kv_link(
+    network: NetworkModel, src_gpu_ids: Sequence[int], dst_gpu_ids: Sequence[int]
+) -> Optional[Tuple[float, float]]:
+    """``(alpha, beta)`` of the link a KV handoff between two GPU sets takes.
+
+    The handoff runs over the fastest single link between the sets
+    (:meth:`NetworkModel.best_link_between`); ``alpha`` is its latency in
+    seconds and ``beta`` its bandwidth in bytes/s.  Sets that share a GPU
+    need no link and give ``None``.
+    """
+    src = list(src_gpu_ids)
+    dst = list(dst_gpu_ids)
+    if set(src) & set(dst):
+        return None
+    i, j, _bw = network.best_link_between(src, dst)
+    return network.latency_s(i, j), network.bandwidth_bytes(i, j)
 
 
 def kv_transfer_seconds(
@@ -35,28 +48,18 @@ def kv_transfer_seconds(
     dst_gpu_ids: Sequence[int],
     model: ModelConfig,
     num_tokens: int,
-    batch_size: int = 1,
     bits: int = 16,
-    quantization_overhead_s: float = 0.0,
 ) -> float:
-    """Time to ship a request batch's KV cache from a prefill to a decode replica.
+    """Time to ship one request's KV cache from a prefill to a decode replica.
 
-    ``bits`` is the transport precision (4 with compression enabled, 16 without);
-    ``quantization_overhead_s`` adds the pack/unpack kernel time, which is tiny
-    compared with the bandwidth saving on cloud links.
-    Co-located replicas (sharing a GPU) transfer for free.
+    ``bits`` is the transport precision (4 with compression enabled, 16
+    without).  Co-located replicas (sharing a GPU) transfer for free.
     """
-    src = list(src_gpu_ids)
-    dst = list(dst_gpu_ids)
-    if not src or not dst:
-        raise ValueError("source and destination GPU sets must be non-empty")
-    if set(src) & set(dst):
+    link = kv_link(network, src_gpu_ids, dst_gpu_ids)
+    if link is None:
         return 0.0
-    volume = kv_transfer_bytes(model, num_tokens, batch_size, bits)
-    i, j, _bw = network.best_link_between(src, dst)
-    alpha = network.latency_s(i, j)
-    beta = network.bandwidth_bytes(i, j)
-    return transfer_seconds(alpha, beta, volume) + quantization_overhead_s
+    alpha, beta = link
+    return transfer_seconds(alpha, beta, kv_transfer_bytes(model, num_tokens, bits))
 
 
 def kv_transfer_fraction(
@@ -75,4 +78,4 @@ def kv_transfer_fraction(
     return transfer_seconds_value / total
 
 
-__all__ = ["kv_transfer_bytes", "kv_transfer_seconds", "kv_transfer_fraction"]
+__all__ = ["kv_transfer_bytes", "kv_link", "kv_transfer_seconds", "kv_transfer_fraction"]

@@ -15,6 +15,12 @@ Two phase-specific regimes emerge directly from the arithmetic intensity:
   the weights and the growing KV cache — the phase is *memory-bandwidth bound*,
   high-bandwidth GPUs (3090Ti) are fast and batching is essential (Figure 2,
   right).
+
+Each phase has one roofline formula (``_prefill_seconds`` and
+``_decode_step_seconds``), written over per-stage views and evaluated on Python
+ints or int64 arrays alike.  :class:`ReplicaCostModel`'s scalar and array
+methods and :func:`single_gpu_phase_latency` (a one-stage TP 1 view) all price
+through it, so their values agree bitwise by construction.
 """
 
 from __future__ import annotations
@@ -28,18 +34,10 @@ import numpy as np
 
 from repro.core.exceptions import ConfigurationError
 from repro.core.types import Phase
-from repro.costmodel.alpha_beta import AlphaBetaModel
 from repro.hardware.cluster import Cluster
 from repro.hardware.gpu import GPUSpec
 from repro.model.architecture import ModelConfig
-from repro.model.flops import (
-    attention_flops,
-    decode_flops_per_token,
-    decode_memory_bytes_per_token,
-    mlp_flops,
-    prefill_flops,
-    prefill_memory_bytes,
-)
+from repro.model.flops import mlp_flops
 from repro.model.memory import (
     kv_cache_bytes_per_token,
     parameter_bytes,
@@ -109,6 +107,169 @@ PREFILL_LATENCY_MEMO_MAX = 65_536
 DEFAULT_MAX_PREFILL_BATCH_REQUESTS = 8
 
 
+@dataclass
+class _StageView:
+    """Cached per-stage quantities read by the roofline.
+
+    The model-accounting terms (``mlp_flops_1`` onward) are fixed per stage,
+    so :func:`_stage_view` computes them once, by the same functions and
+    operation order as the per-call formulas in :mod:`repro.model.flops`.
+    """
+
+    gpu_ids: tuple
+    num_layers: int
+    tp: int
+    #: slowest link inside the stage, in bytes/s (``1e15`` for one GPU)
+    intra_bandwidth_bytes: float
+    #: largest latency between two GPUs of the stage (``0.0`` for one GPU)
+    intra_latency_s: float
+    #: ``mlp_flops(model, 1, num_layers)``: projection + FFN FLOPs of one token
+    mlp_flops_1: float
+    #: ``parameter_bytes(model) * (num_layers / model.num_layers)``
+    weight_bytes: float
+    #: ``kv_cache_bytes_per_token(model, num_layers=num_layers)``
+    kv_bytes_per_token: float
+    #: device memory left for the KV cache: the stage's memory minus the
+    #: ``kv_reserve_fraction`` headroom and its layer weights
+    kv_memory_bytes: float
+    #: summed peak FLOPS times ``tp_efficiency(tp)``: the prefill compute
+    #: denominator before the batch-dependent MFU factor
+    tp_flops: float
+    #: ``tp_flops * decode_mfu``: the decode compute denominator
+    decode_flops: float
+    #: summed memory bandwidth times ``memory_efficiency``: the memory-time
+    #: denominator
+    mem_rate: float
+    #: ``num_layers * per_layer_overhead_s + per_stage_overhead_s``
+    overhead_s: float
+
+
+def _stage_view(
+    model: ModelConfig,
+    params: CostModelParams,
+    specs: Sequence[GPUSpec],
+    gpu_ids: Sequence[int],
+    num_layers: int,
+    tp: int,
+    intra_bandwidth_bytes: float,
+    intra_latency_s: float,
+) -> _StageView:
+    """The :class:`_StageView` of ``num_layers`` layers on GPUs of ``specs``."""
+    tp_flops = sum(s.peak_fp16_flops for s in specs) * params.tp_efficiency(tp)
+    memory = sum(s.memory_bytes for s in specs)
+    return _StageView(
+        gpu_ids=tuple(gpu_ids),
+        num_layers=num_layers,
+        tp=tp,
+        intra_bandwidth_bytes=intra_bandwidth_bytes,
+        intra_latency_s=intra_latency_s,
+        mlp_flops_1=mlp_flops(model, 1, num_layers),
+        weight_bytes=parameter_bytes(model) * (num_layers / model.num_layers),
+        kv_bytes_per_token=kv_cache_bytes_per_token(model, num_layers=num_layers),
+        kv_memory_bytes=(
+            memory * (1.0 - params.kv_reserve_fraction)
+            - weight_bytes_per_layer(model) * num_layers
+        ),
+        tp_flops=tp_flops,
+        decode_flops=tp_flops * params.decode_mfu,
+        mem_rate=sum(s.memory_bandwidth_bytes for s in specs) * params.memory_efficiency,
+        overhead_s=num_layers * params.per_layer_overhead_s + params.per_stage_overhead_s,
+    )
+
+
+# ------------------------------------------------------------------ roofline
+# One formula per phase, shared by the scalar, array and single-GPU prices.
+# Token counts ``s``, ``b`` and ``c`` are Python ints or int64 arrays; every
+# element takes the same sequence of float64 operations either way (integer
+# intermediates stay below 2**53, so int-to-float conversions round alike),
+# which is what keeps scalar and array prices bitwise equal.
+
+
+def _comm_seconds(stage: _StageView, num_bytes):
+    """Tensor-parallel all-reduce time of one forward pass through a stage.
+
+    Two ring all-reduces of ``num_bytes`` per rank run in every transformer
+    block (after attention and after the MLP); each takes ``2 (p - 1)``
+    latency-bound steps and moves ``2 (p - 1) / p`` of the bytes.  A TP 1
+    stage costs nothing.
+    """
+    p = stage.tp
+    if p <= 1:
+        return 0.0
+    volume = 2.0 * (p - 1) / p * num_bytes
+    allreduce = 2.0 * (p - 1) * stage.intra_latency_s + volume / stage.intra_bandwidth_bytes
+    return (2.0 * allreduce) * stage.num_layers
+
+
+def _replica_seconds(stages, links, model, slowdown, stage_seconds, tokens):
+    """Sum the stages' roofline times, TP all-reduces and PP transfers, times ``slowdown``.
+
+    ``stage_seconds`` holds each stage's ``max(compute, memory)`` time and
+    ``tokens`` the activations' token count; ``links`` are the ``(alpha,
+    beta)`` pairs between consecutive stages.
+    """
+    num_bytes = tokens * model.hidden_size * model.dtype_bytes
+    total = 0.0
+    for stage, seconds in zip(stages, stage_seconds):
+        total = total + ((seconds + stage.overhead_s) + _comm_seconds(stage, num_bytes))
+    if links:
+        pp = 0.0
+        for alpha, beta in links:
+            pp = pp + (alpha + num_bytes / beta)
+        total = total + pp
+    return total * slowdown
+
+
+def _prefill_seconds(stages, links, model, slowdown, s, b, mfu, maximum):
+    """Prefill time of ``b`` prompts of ``s`` tokens at utilisation ``mfu``.
+
+    ``maximum`` is ``max`` for scalars and ``np.maximum`` for arrays.
+    """
+    h = model.hidden_size
+    roofline = []
+    for stage in stages:
+        layers = stage.num_layers
+        # (mlp_flops + attention_flops) * b; mlp_flops is linear in the
+        # token count, so the one-token value scales exactly.
+        flops = (stage.mlp_flops_1 * s + layers * 4.0 * s * s * h) * b
+        compute_t = flops / (stage.tp_flops * mfu)
+        # prefill_memory_bytes: weights once, plus the KV cache and
+        # activations written for the batch
+        kv_written = stage.kv_bytes_per_token * s * b
+        activations = 2.0 * h * model.dtype_bytes * s * b * layers
+        mem_t = (stage.weight_bytes + kv_written + activations) / stage.mem_rate
+        roofline.append(maximum(compute_t, mem_t))
+    return _replica_seconds(stages, links, model, slowdown, roofline, s * b)
+
+
+def _decode_step_seconds(stages, links, model, slowdown, b, c, maximum):
+    """Time of one decode step of ``b`` sequences at context ``c``.
+
+    ``maximum`` is ``max`` for scalars and ``np.maximum`` for arrays.
+    """
+    h = model.hidden_size
+    roofline = []
+    for stage in stages:
+        # decode_flops_per_token * b
+        flops = (stage.mlp_flops_1 + stage.num_layers * 4.0 * 1 * c * h) * b
+        compute_t = flops / stage.decode_flops
+        # decode_memory_bytes_per_token: the weights plus every sequence's KV
+        mem_t = (stage.weight_bytes + stage.kv_bytes_per_token * c * b) / stage.mem_rate
+        roofline.append(maximum(compute_t, mem_t))
+    return _replica_seconds(stages, links, model, slowdown, roofline, b)
+
+
+def _positive_int_arrays(a, b, names: str) -> Tuple[np.ndarray, np.ndarray]:
+    """``a`` and ``b`` as int64 arrays of one shape, every entry >= 1."""
+    a = np.asarray(a, dtype=np.int64)
+    b = np.asarray(b, dtype=np.int64)
+    if a.shape != b.shape:
+        raise ValueError(f"{names} must have the same shape")
+    if a.size and (int(a.min()) < 1 or int(b.min()) < 1):
+        raise ValueError(f"{names} must be >= 1")
+    return a, b
+
+
 def single_gpu_phase_latency(
     spec: GPUSpec,
     model: ModelConfig,
@@ -122,65 +283,20 @@ def single_gpu_phase_latency(
 
     For prefill this is the time to process ``batch_size`` prompts of
     ``input_length`` tokens; for decode it is the time to generate
-    ``output_length`` tokens per sequence.  Used by the Figure 1 price analysis and
-    by the A100 reference latencies that anchor SLO scales.
+    ``output_length`` tokens per sequence, priced as that many steps at the
+    mid-generation context.  It is the one-stage roofline of
+    :class:`ReplicaCostModel`, used by the Figure 1 price analysis and by the
+    A100 reference latencies that anchor SLO scales.
     """
     if input_length < 1 or output_length < 1 or batch_size < 1:
         raise ValueError("input_length, output_length and batch_size must be >= 1")
-    eff_flops = spec.peak_fp16_flops
-    eff_bw = spec.memory_bandwidth_bytes * params.memory_efficiency
-    layer_overhead = model.num_layers * params.per_layer_overhead_s + params.per_stage_overhead_s
+    stages = [_stage_view(model, params, [spec], (), model.num_layers, 1, 1e15, 0.0)]
     if phase is Phase.PREFILL:
-        total_tokens = input_length * batch_size
-        flops = prefill_flops(model, input_length) * batch_size
-        compute_t = flops / (eff_flops * params.prefill_mfu(total_tokens))
-        mem_t = prefill_memory_bytes(model, input_length, batch_size) / eff_bw
-        return max(compute_t, mem_t) + layer_overhead
-    # Decode: one step per generated token; use the mid-generation context length.
-    context = input_length + output_length / 2.0
-    flops = decode_flops_per_token(model, int(context)) * batch_size
-    compute_t = flops / (eff_flops * params.decode_mfu)
-    mem_t = decode_memory_bytes_per_token(model, int(context), batch_size) / eff_bw
-    step_t = max(compute_t, mem_t) + layer_overhead
-    return step_t * output_length
-
-
-@dataclass
-class _StageView:
-    """Cached per-stage quantities used by the replica cost model.
-
-    The model-accounting terms (``mlp_flops_1`` onward) are fixed per stage,
-    so they are computed once here by the same functions and operation order
-    the per-call formulas used; every latency path reads them, which keeps
-    scalar and array pricing bitwise equal.
-    """
-
-    gpu_ids: tuple
-    num_layers: int
-    tp: int
-    sum_flops: float
-    sum_bandwidth: float
-    intra_bandwidth_bytes: float
-    intra_latency_s: float
-    total_memory_bytes: float
-    #: ``mlp_flops(model, 1, num_layers)``: projection + FFN FLOPs of one token
-    mlp_flops_1: float
-    #: ``parameter_bytes(model) * (num_layers / model.num_layers)``
-    weight_bytes: float
-    #: ``kv_cache_bytes_per_token(model, num_layers=num_layers)``
-    kv_bytes_per_token: float
-    #: ``sum_flops * tp_efficiency(tp)``: the prefill compute denominator
-    #: before the batch-dependent MFU factor
-    tp_flops: float
-    #: ``tp_flops * decode_mfu``: the decode compute denominator
-    decode_flops: float
-    #: ``sum_bandwidth * memory_efficiency``: the memory-time denominator
-    mem_rate: float
-    #: ``num_layers * per_layer_overhead_s + per_stage_overhead_s``
-    overhead_s: float
-    #: the stage's tensor-parallel link, built from ``intra_latency_s`` and
-    #: ``intra_bandwidth_bytes``
-    tp_link: AlphaBetaModel
+        mfu = params.prefill_mfu(input_length * batch_size)
+        return _prefill_seconds(stages, (), model, 1.0, input_length, batch_size, mfu, max)
+    context = int(input_length + output_length / 2.0)
+    step = _decode_step_seconds(stages, (), model, 1.0, batch_size, context, max)
+    return step * output_length
 
 
 class ReplicaCostModel:
@@ -235,184 +351,73 @@ class ReplicaCostModel:
         #: filled by :meth:`prefill_latency_memo` / :meth:`prefill_latency_grid`
         #: and shared across prefill epochs
         self._prefill_memo: Dict[Tuple[int, int], float] = {}
-        self._pp_links: List[AlphaBetaModel] | None = None
+        self._pp_links: List[Tuple[float, float]] | None = None
         self._stages: List[_StageView] = []
         network = cluster.network
-        param_bytes = parameter_bytes(model)
         for stage in plan.stages:
-            gpus = [cluster.gpu(g) for g in stage.gpu_ids]
-            layers = stage.num_layers
-            sum_flops = sum(g.spec.peak_fp16_flops for g in gpus)
-            sum_bandwidth = sum(g.spec.memory_bandwidth_bytes for g in gpus)
-            tp_flops = sum_flops * params.tp_efficiency(stage.tp)
-            intra_bw = network.min_bandwidth_within(stage.gpu_ids)
-            if math.isinf(intra_bw):
-                intra_bw_bytes = 1e15
-                intra_lat = 0.0
+            ids = stage.gpu_ids
+            intra_bw = network.min_bandwidth_within(ids)
+            if math.isinf(intra_bw):  # one GPU: no tensor-parallel link
+                intra = (1e15, 0.0)
             else:
-                intra_bw_bytes = intra_bw * 1e9
-                intra_lat = max(network.latency_s(i, j) for i in stage.gpu_ids for j in stage.gpu_ids)
+                intra = (intra_bw * 1e9, max(network.latency_s(i, j) for i in ids for j in ids))
+            specs = [cluster.gpu(g).spec for g in ids]
             self._stages.append(
-                _StageView(
-                    gpu_ids=tuple(stage.gpu_ids),
-                    num_layers=layers,
-                    tp=stage.tp,
-                    sum_flops=sum_flops,
-                    sum_bandwidth=sum_bandwidth,
-                    intra_bandwidth_bytes=intra_bw_bytes,
-                    intra_latency_s=intra_lat,
-                    total_memory_bytes=sum(g.spec.memory_bytes for g in gpus),
-                    mlp_flops_1=mlp_flops(model, 1, layers),
-                    weight_bytes=param_bytes * (layers / model.num_layers),
-                    kv_bytes_per_token=kv_cache_bytes_per_token(model, num_layers=layers),
-                    tp_flops=tp_flops,
-                    decode_flops=tp_flops * params.decode_mfu,
-                    mem_rate=sum_bandwidth * params.memory_efficiency,
-                    overhead_s=layers * params.per_layer_overhead_s + params.per_stage_overhead_s,
-                    tp_link=AlphaBetaModel(alpha_s=intra_lat, beta_bytes_per_s=intra_bw_bytes),
-                )
+                _stage_view(model, params, specs, ids, stage.num_layers, stage.tp, *intra)
             )
 
     # ------------------------------------------------------------------ helpers
-    def _stage_link(self, a: _StageView, b: _StageView) -> AlphaBetaModel:
-        network = self.cluster.network
-        bw = network.mean_bandwidth_between(a.gpu_ids, b.gpu_ids) * 1e9
-        lat = max(
-            network.latency_s(i, j) for i in a.gpu_ids for j in b.gpu_ids
-        )
-        return AlphaBetaModel(alpha_s=lat, beta_bytes_per_s=bw)
+    def _stage_links(self) -> List[Tuple[float, float]]:
+        """``(alpha, beta)`` of the links between consecutive stages, built on first use.
 
-    def _stage_links(self) -> List[AlphaBetaModel]:
-        """Links between consecutive pipeline stages, built on first use.
-
-        Caching is exact: the cluster's network model is never mutated
-        (degraded views are copies), so every pricing path — scalar, array
-        and memo — reads the same links a fresh build would return.
+        A link's latency is the largest between the two stages' GPUs and its
+        bandwidth their mean pairwise bandwidth.  Caching is exact: the
+        cluster's network model is never mutated (degraded views are copies),
+        so every pricing path — scalar, array and memo — reads the same links
+        a fresh build would return.
         """
         if self._pp_links is None:
+            network = self.cluster.network
             self._pp_links = [
-                self._stage_link(a, b) for a, b in zip(self._stages[:-1], self._stages[1:])
+                (
+                    max(network.latency_s(i, j) for i in a.gpu_ids for j in b.gpu_ids),
+                    network.mean_bandwidth_between(a.gpu_ids, b.gpu_ids) * 1e9,
+                )
+                for a, b in zip(self._stages[:-1], self._stages[1:])
             ]
         return self._pp_links
-
-    def _tp_comm_time(self, stage: _StageView, tokens: int, batch_size: int) -> float:
-        """Tensor-parallel all-reduce time across one stage for a forward pass."""
-        if stage.tp <= 1:
-            return 0.0
-        activation_bytes = tokens * batch_size * self.model.hidden_size * self.model.dtype_bytes
-        # Two all-reduces per transformer block (after attention and after the MLP).
-        per_layer = 2.0 * stage.tp_link.allreduce_seconds(activation_bytes, stage.tp)
-        return per_layer * stage.num_layers
-
-    def _pp_comm_time(self, tokens: int, batch_size: int) -> float:
-        """Total pipeline activation-transfer time across stage boundaries."""
-        if len(self._stages) <= 1:
-            return 0.0
-        activation_bytes = tokens * batch_size * self.model.hidden_size * self.model.dtype_bytes
-        total = 0.0
-        for link in self._stage_links():
-            total += link.transfer_seconds(activation_bytes)
-        return total
 
     # ------------------------------------------------------------------ prefill
     def prefill_latency(self, input_length: int, batch_size: int = 1) -> float:
         """Time to run the prefill phase for ``batch_size`` prompts of ``input_length`` tokens."""
         if input_length < 1 or batch_size < 1:
             raise ValueError("input_length and batch_size must be >= 1")
-        total_tokens = input_length * batch_size
-        mfu = self.params.prefill_mfu(total_tokens)
-        model = self.model
-        total = 0.0
-        for stage in self._stages:
-            layers = stage.num_layers
-            # mlp_flops is linear in seq_len, so the one-token value scales
-            # exactly (see model.flops).
-            flops = (
-                stage.mlp_flops_1 * input_length
-                + attention_flops(model, input_length, input_length, layers)
-            ) * batch_size
-            compute_t = flops / (stage.tp_flops * mfu)
-            # mem_bytes = prefill_memory_bytes(model, input_length, batch_size, layers)
-            kv_written = stage.kv_bytes_per_token * input_length * batch_size
-            activations = (
-                2.0 * model.hidden_size * model.dtype_bytes * input_length * batch_size * layers
-            )
-            mem_bytes = float(stage.weight_bytes + kv_written + activations)
-            mem_t = mem_bytes / stage.mem_rate
-            total += (
-                max(compute_t, mem_t)
-                + stage.overhead_s
-                + self._tp_comm_time(stage, input_length, batch_size)
-            )
-        total += self._pp_comm_time(input_length, batch_size)
-        return total * self.slowdown
-
-    def prefill_throughput(self, input_length: int, batch_size: int = 1) -> float:
-        """Prefill throughput in prompt tokens per second."""
-        latency = self.prefill_latency(input_length, batch_size)
-        return input_length * batch_size / latency
+        mfu = self.params.prefill_mfu(input_length * batch_size)
+        return _prefill_seconds(
+            self._stages, self._stage_links(), self.model, self.slowdown,
+            input_length, batch_size, mfu, max,
+        )
 
     def prefill_latency_array(
         self, input_lengths: Sequence[int] | np.ndarray, batch_sizes: Sequence[int] | np.ndarray
     ) -> np.ndarray:
         """Vectorized :meth:`prefill_latency` over parallel (input, batch) arrays.
 
-        Bitwise-identical to the scalar method: every element goes through the
-        same sequence of float64 operations.  The saturating-MFU factor is the
-        one place the scalar path calls a libm transcendental (``math.exp``),
-        whose numpy counterpart is not guaranteed ULP-identical — so that factor
-        alone is computed through the scalar helper, which costs O(n) cheap
-        python calls while all per-stage roofline math stays vectorized.  It
-        fills :meth:`prefill_latency_grid`'s memo misses.
+        Bitwise-identical to the scalar method: both price through the same
+        roofline formula.  The saturating-MFU factor is the one place the
+        formula calls a libm transcendental (``math.exp``), whose numpy
+        counterpart is not guaranteed ULP-identical — so that factor alone is
+        computed element by element through the scalar helper.  It fills
+        :meth:`prefill_latency_grid`'s memo misses.
         """
-        s = np.asarray(input_lengths, dtype=np.int64)
-        b = np.asarray(batch_sizes, dtype=np.int64)
-        if s.shape != b.shape:
-            raise ValueError("input_lengths and batch_sizes must have the same shape")
+        s, b = _positive_int_arrays(input_lengths, batch_sizes, "input lengths and batch sizes")
         if s.size == 0:
             return np.zeros(0, dtype=np.float64)
-        if int(s.min()) < 1 or int(b.min()) < 1:
-            raise ValueError("input_length and batch_size must be >= 1")
-        model = self.model
-        params = self.params
-        # params.prefill_mfu(input_length * batch_size), element for element.
-        mfu = np.array(
-            [params.prefill_mfu(t) for t in (s * b).tolist()], dtype=np.float64
+        prefill_mfu = self.params.prefill_mfu
+        mfu = np.array([prefill_mfu(t) for t in (s * b).tolist()], dtype=np.float64)
+        return _prefill_seconds(
+            self._stages, self._stage_links(), self.model, self.slowdown, s, b, mfu, np.maximum
         )
-        h = model.hidden_size
-        total = np.zeros(s.shape, dtype=np.float64)
-        for stage in self._stages:
-            layers = stage.num_layers
-            # flops = (mlp_flops(model, s, layers)
-            #          + attention_flops(model, s, s, layers)) * batch, with the
-            # scalar path's exact multiplication order.
-            mlp = stage.mlp_flops_1 * s
-            att = layers * 4.0 * s * s * h
-            flops = (mlp + att) * b
-            compute_t = flops / (stage.tp_flops * mfu)
-            # mem_bytes = prefill_memory_bytes(model, s, batch, layers)
-            kv_written = stage.kv_bytes_per_token * s * b
-            activations = 2.0 * model.hidden_size * model.dtype_bytes * s * b * layers
-            mem_t = (stage.weight_bytes + kv_written + activations) / stage.mem_rate
-            overhead = stage.overhead_s
-            if stage.tp <= 1:
-                tp_comm: np.ndarray | float = 0.0
-            else:
-                activation_bytes = s * b * model.hidden_size * model.dtype_bytes
-                volume = 2.0 * (stage.tp - 1) / stage.tp * activation_bytes
-                allreduce = (
-                    2.0 * (stage.tp - 1) * stage.intra_latency_s
-                    + volume / stage.intra_bandwidth_bytes
-                )
-                tp_comm = (2.0 * allreduce) * stage.num_layers
-            total = total + ((np.maximum(compute_t, mem_t) + overhead) + tp_comm)
-        if len(self._stages) > 1:
-            activation_bytes = s * b * model.hidden_size * model.dtype_bytes
-            pp = 0.0
-            for link in self._stage_links():
-                pp = pp + (link.alpha_s + activation_bytes / link.beta_bytes_per_s)
-            total = total + pp
-        return total * self.slowdown
 
     def prefill_latency_memo(self, input_length: int, batch_size: int) -> float:
         """Memoized scalar prefill latency, sharing :meth:`prefill_latency_grid`'s memo.
@@ -522,73 +527,26 @@ class ReplicaCostModel:
         """Time of one decode step (one token per sequence) for a batch."""
         if batch_size < 1 or context_length < 1:
             raise ValueError("batch_size and context_length must be >= 1")
-        h = self.model.hidden_size
-        total = 0.0
-        for stage in self._stages:
-            # decode_flops_per_token(model, context_length, layers) * batch
-            flops = (
-                stage.mlp_flops_1 + stage.num_layers * 4.0 * 1 * context_length * h
-            ) * batch_size
-            compute_t = flops / stage.decode_flops
-            # decode_memory_bytes_per_token(model, context_length, batch, layers)
-            mem_bytes = float(
-                stage.weight_bytes + stage.kv_bytes_per_token * context_length * batch_size
-            )
-            mem_t = mem_bytes / stage.mem_rate
-            total += (
-                max(compute_t, mem_t) + stage.overhead_s + self._tp_comm_time(stage, 1, batch_size)
-            )
-        total += self._pp_comm_time(1, batch_size)
-        return total * self.slowdown
+        return _decode_step_seconds(
+            self._stages, self._stage_links(), self.model, self.slowdown,
+            batch_size, context_length, max,
+        )
 
     def decode_step_latency_array(
         self, batch_sizes: Sequence[int] | np.ndarray, context_lengths: Sequence[int] | np.ndarray
     ) -> np.ndarray:
         """Vectorized :meth:`decode_step_latency` over parallel (batch, context) arrays.
 
-        Bitwise-identical to the scalar method: every element goes through the
-        same sequence of float64 operations (all integer intermediates stay below
-        2**53, so the int-to-float conversion points round identically).  It
-        fills the latency rows of :meth:`decode_step_row`.
+        Bitwise-identical to the scalar method: both price through the same
+        roofline formula.  It fills the latency rows of
+        :meth:`decode_step_row` and the columns of :meth:`decode_step_column`.
         """
-        b = np.asarray(batch_sizes, dtype=np.int64)
-        c = np.asarray(context_lengths, dtype=np.int64)
-        if b.shape != c.shape:
-            raise ValueError("batch_sizes and context_lengths must have the same shape")
+        b, c = _positive_int_arrays(batch_sizes, context_lengths, "batch sizes and contexts")
         if b.size == 0:
             return np.zeros(0, dtype=np.float64)
-        if int(b.min()) < 1 or int(c.min()) < 1:
-            raise ValueError("batch_size and context_length must be >= 1")
-        model = self.model
-        total = np.zeros(b.shape, dtype=np.float64)
-        for stage in self._stages:
-            # flops = decode_flops_per_token(model, ctx, layers) * batch, with the
-            # scalar path's exact multiplication order (see model.flops).
-            att = stage.num_layers * 4.0 * 1 * c * model.hidden_size
-            flops = (stage.mlp_flops_1 + att) * b
-            compute_t = flops / stage.decode_flops
-            # mem_bytes = decode_memory_bytes_per_token(model, ctx, batch, layers)
-            kv_read = stage.kv_bytes_per_token * c * b
-            mem_t = (stage.weight_bytes + kv_read) / stage.mem_rate
-            overhead = stage.overhead_s
-            if stage.tp <= 1:
-                tp_comm: np.ndarray | float = 0.0
-            else:
-                activation_bytes = 1 * b * model.hidden_size * model.dtype_bytes
-                volume = 2.0 * (stage.tp - 1) / stage.tp * activation_bytes
-                allreduce = (
-                    2.0 * (stage.tp - 1) * stage.intra_latency_s
-                    + volume / stage.intra_bandwidth_bytes
-                )
-                tp_comm = (2.0 * allreduce) * stage.num_layers
-            total = total + ((np.maximum(compute_t, mem_t) + overhead) + tp_comm)
-        if len(self._stages) > 1:
-            activation_bytes = 1 * b * model.hidden_size * model.dtype_bytes
-            pp = 0.0
-            for link in self._stage_links():
-                pp = pp + (link.alpha_s + activation_bytes / link.beta_bytes_per_s)
-            total = total + pp
-        return total * self.slowdown
+        return _decode_step_seconds(
+            self._stages, self._stage_links(), self.model, self.slowdown, b, c, np.maximum
+        )
 
     def decode_step_row(self, batch_size: int, length: int) -> array:
         """The decode-step latency row of ``batch_size``, at least ``length`` long.
@@ -662,10 +620,7 @@ class ReplicaCostModel:
         self, batch_sizes: np.ndarray, context_lengths: np.ndarray
     ) -> np.ndarray:
         """Elementwise :meth:`decode_step_memo` over parallel (batch, context) arrays."""
-        b = np.asarray(batch_sizes, dtype=np.int64)
-        c = np.asarray(context_lengths, dtype=np.int64)
-        if b.shape != c.shape:
-            raise ValueError("batch_sizes and context_lengths must have the same shape")
+        b, c = _positive_int_arrays(batch_sizes, context_lengths, "batch sizes and contexts")
         pairs = zip(b.ravel().tolist(), c.ravel().tolist())
         values = [self.decode_step_memo(n, m) for n, m in pairs]
         return np.array(values, dtype=np.float64).reshape(b.shape)
@@ -687,12 +642,10 @@ class ReplicaCostModel:
             raise ValueError("context_length must be >= 1")
         limit = self.params.max_decode_batch
         for stage in self._stages:
-            weights = weight_bytes_per_layer(self.model) * stage.num_layers
-            usable = stage.total_memory_bytes * (1.0 - self.params.kv_reserve_fraction) - weights
-            if usable <= 0:
+            if stage.kv_memory_bytes <= 0:
                 return 0
-            per_seq = kv_cache_bytes_per_token(self.model, num_layers=stage.num_layers) * context_length
-            limit = min(limit, int(usable // per_seq))
+            per_seq = stage.kv_bytes_per_token * context_length
+            limit = min(limit, int(stage.kv_memory_bytes // per_seq))
         return max(0, limit)
 
     def decode_throughput(self, context_length: int, batch_size: int | None = None) -> float:
@@ -712,12 +665,9 @@ class ReplicaCostModel:
         """Total number of KV-cache tokens the replica can hold (bottleneck stage)."""
         capacity = math.inf
         for stage in self._stages:
-            weights = weight_bytes_per_layer(self.model) * stage.num_layers
-            usable = stage.total_memory_bytes * (1.0 - self.params.kv_reserve_fraction) - weights
-            if usable <= 0:
+            if stage.kv_memory_bytes <= 0:
                 return 0
-            per_token = kv_cache_bytes_per_token(self.model, num_layers=stage.num_layers)
-            capacity = min(capacity, usable / per_token)
+            capacity = min(capacity, stage.kv_memory_bytes / stage.kv_bytes_per_token)
         return int(capacity)
 
     def fits_in_memory(self) -> bool:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List
 
 from repro.costmodel.reference import ReferenceLatency, a100_reference_latency
 from repro.hardware.cluster import Cluster, make_cloud_cluster, make_inhouse_cluster
@@ -11,7 +11,7 @@ from repro.model.architecture import ModelConfig, get_model_config
 from repro.scheduling.scheduler import Scheduler, SchedulerConfig
 from repro.scheduling.tabu import TabuSearchConfig
 from repro.utils.tables import format_table
-from repro.workload.spec import CODING_WORKLOAD, CONVERSATION_WORKLOAD, WorkloadSpec, get_workload
+from repro.workload.spec import CODING_WORKLOAD, CONVERSATION_WORKLOAD, WorkloadSpec
 
 
 @dataclass

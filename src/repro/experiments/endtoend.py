@@ -7,7 +7,7 @@ results into attainment curves or throughput bars.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from repro.baselines.distserve import DistServeBaseline
 from repro.baselines.hexgen import HexGenBaseline

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import List, Sequence
 
-from repro.experiments.common import ExperimentResult, cloud_cluster, default_model, quick_scheduler
+from repro.experiments.common import ExperimentResult, cloud_cluster, default_model
 from repro.scheduling.scheduler import SchedulerConfig, Scheduler
 from repro.scheduling.tabu import TabuSearchConfig
 from repro.workload.spec import CONVERSATION_WORKLOAD

@@ -29,7 +29,7 @@ from repro.experiments.endtoend import make_trace
 from repro.scheduling.lower_level import LowerLevelSolver
 from repro.scheduling.solution import UpperLevelSolution
 from repro.simulation.engine import ServingSimulator, SimulatorConfig
-from repro.workload.spec import CONVERSATION_WORKLOAD, WorkloadSpec
+from repro.workload.spec import CONVERSATION_WORKLOAD
 
 
 def run(
@@ -79,7 +79,7 @@ def run(
     for tokens in batched_token_sizes:
         estimated = kv_transfer_seconds(
             cluster.network, prefill_group.gpu_ids, decode_group.gpu_ids, model,
-            num_tokens=tokens, batch_size=1, bits=plan.kv_transport_bits,
+            num_tokens=tokens, bits=plan.kv_transport_bits,
         )
         # "Measured": the per-request KV transfer latencies of the simulation,
         # rescaled from the trace's mean prompt length to this token count (the

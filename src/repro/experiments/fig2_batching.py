@@ -14,9 +14,7 @@ from typing import Sequence
 from repro.costmodel.latency import DEFAULT_PARAMS, ReplicaCostModel
 from repro.experiments.common import ExperimentResult, default_model
 from repro.hardware.cluster import make_homogeneous_cluster
-from repro.core.types import Phase
 from repro.parallelism.config import ReplicaPlan
-from repro.workload.spec import WorkloadSpec
 
 
 def run(
@@ -35,10 +33,10 @@ def run(
     rows = []
     for batch in batch_sizes:
         prefill_latency = cost.prefill_latency(sequence_length, batch_size=batch)
-        prefill_throughput = sequence_length * batch / prefill_latency
+        prefill_tokens_per_s = sequence_length * batch / prefill_latency
         decode_step = cost.decode_step_latency(batch, sequence_length)
-        decode_throughput = batch / decode_step
-        rows.append([batch, prefill_throughput, decode_throughput])
+        decode_tokens_per_s = batch / decode_step
+        rows.append([batch, prefill_tokens_per_s, decode_tokens_per_s])
 
     prefill_gain = rows[-1][1] / rows[0][1]
     decode_gain = rows[-1][2] / rows[0][2]

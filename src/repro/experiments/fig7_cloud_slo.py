@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from repro.core.types import SLOType
 from repro.experiments.common import (
     DEFAULT_SLO_SCALES,
     ExperimentResult,

@@ -76,7 +76,7 @@ def run(
         for bits in (4, 8, 16):
             kv_time = kv_transfer_seconds(
                 pair_cluster.network, [src], [dst], small_model,
-                num_tokens=tokens, batch_size=1, bits=bits,
+                num_tokens=tokens, bits=bits,
             )
             prefill = cost_src.prefill_latency(tokens)
             decode = cost_dst.decode_latency(1, tokens, 16)

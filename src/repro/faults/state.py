@@ -21,7 +21,7 @@ returns ``None``) and leaves it when capacity recovers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.hardware.cluster import Cluster

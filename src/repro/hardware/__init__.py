@@ -23,7 +23,7 @@ from repro.hardware.cluster import (
     make_homogeneous_cluster,
     make_two_datacenter_cluster,
 )
-from repro.hardware.pricing import cluster_price_per_hour, price_per_request_phase
+from repro.hardware.pricing import cluster_price_per_hour
 
 __all__ = [
     "GPU",
@@ -39,5 +39,4 @@ __all__ = [
     "make_homogeneous_cluster",
     "make_two_datacenter_cluster",
     "cluster_price_per_hour",
-    "price_per_request_phase",
 ]

@@ -16,14 +16,12 @@ model.  Factory functions reconstruct the exact hardware environments of §5.1:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence
-
-import numpy as np
 
 from repro.core.exceptions import ConfigurationError
 from repro.core.rng import RNGLike, ensure_rng
-from repro.hardware.gpu import GPU, GPUSpec, get_gpu_spec
+from repro.hardware.gpu import GPU, get_gpu_spec
 from repro.hardware.network import NetworkConfig, NetworkModel
 from repro.hardware.node import Node
 

@@ -8,8 +8,8 @@ the roofline cost model consume nothing about a GPU beyond this specification.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional
+from dataclasses import dataclass
+from typing import Dict
 
 from repro.core.exceptions import ConfigurationError
 

@@ -20,7 +20,6 @@ import numpy as np
 
 from repro.core.exceptions import ConfigurationError
 from repro.core.rng import RNGLike, ensure_rng
-from repro.hardware.gpu import GPU
 from repro.hardware.node import Node
 
 
@@ -240,14 +239,6 @@ class NetworkModel:
     def link_class(self, i: int, j: int) -> LinkClass:
         """Coarse link classification between GPUs ``i`` and ``j``."""
         return self._link_class[i, j]
-
-    def transfer_time(self, i: int, j: int, num_bytes: float) -> float:
-        """Alpha-beta transfer time of ``num_bytes`` bytes between GPUs ``i`` and ``j``."""
-        if i == j:
-            return 0.0
-        if num_bytes < 0:
-            raise ValueError("num_bytes must be non-negative")
-        return self.latency_s(i, j) + num_bytes / self.bandwidth_bytes(i, j)
 
     def bandwidth_matrix_gbps(self) -> np.ndarray:
         """Return a copy of the full bandwidth matrix (GB/s) — the Figure 13 data."""

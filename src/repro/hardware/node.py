@@ -8,7 +8,7 @@ nodes communicate over Ethernet (cloud) or InfiniBand (in-house).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List
 
 from repro.core.exceptions import ConfigurationError

@@ -3,19 +3,17 @@
 The paper's headline claim is *cost efficiency*: given the same hourly budget,
 renting many heterogeneous cloud GPUs and scheduling them well beats a smaller
 number of top-end homogeneous GPUs.  This module provides the price accounting used
-by those comparisons — cluster price per hour, price parity checks between the cloud
-and in-house environments, and the per-request phase prices behind Figure 1.
+by those comparisons — cluster price per hour and price parity checks between the
+cloud and in-house environments.  The per-request phase prices behind Figure 1
+live in :mod:`repro.costmodel.price`.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.hardware.gpu import GPUSpec, get_gpu_spec
-
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.hardware.cluster import Cluster
-    from repro.model.architecture import ModelConfig
 
 
 def cluster_price_per_hour(cluster: "Cluster") -> float:
@@ -32,50 +30,7 @@ def price_parity_ratio(cluster_a: "Cluster", cluster_b: "Cluster") -> float:
     return cluster_a.price_per_hour / cluster_b.price_per_hour
 
 
-def price_per_request_phase(
-    gpu: str | GPUSpec,
-    model: "ModelConfig",
-    phase: str,
-    input_length: int = 512,
-    output_length: int = 16,
-) -> float:
-    """Dollar cost of running one request's prefill or decode phase on one GPU type.
-
-    This reproduces the quantity plotted in Figure 1: the time a single GPU of the
-    given type needs for the phase (from the roofline model, TP=1/PP=1), multiplied
-    by the GPU's rental price.  A40 (compute-rich) is cheaper for prefill; 3090Ti
-    (bandwidth-rich) is cheaper for decode.
-
-    Parameters
-    ----------
-    gpu:
-        GPU type name or :class:`GPUSpec`.
-    model:
-        Model architecture to serve.
-    phase:
-        ``"prefill"`` or ``"decode"``.
-    input_length, output_length:
-        Request shape; Figure 1 uses 512 input and 16 output tokens.
-    """
-    # Imported lazily to avoid a hardware <-> costmodel import cycle.
-    from repro.core.types import Phase
-    from repro.costmodel.latency import single_gpu_phase_latency
-
-    spec = gpu if isinstance(gpu, GPUSpec) else get_gpu_spec(gpu)
-    phase_enum = Phase(phase) if not isinstance(phase, Phase) else phase
-    seconds = single_gpu_phase_latency(
-        spec,
-        model,
-        phase_enum,
-        input_length=input_length,
-        output_length=output_length,
-    )
-    dollars_per_second = spec.price_per_hour / 3600.0
-    return seconds * dollars_per_second
-
-
 __all__ = [
     "cluster_price_per_hour",
     "price_parity_ratio",
-    "price_per_request_phase",
 ]

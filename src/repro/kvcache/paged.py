@@ -9,8 +9,8 @@ pressure forces it to wait.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Set
+from dataclasses import dataclass
+from typing import Dict
 
 from repro.core.exceptions import ReproError
 

@@ -14,7 +14,7 @@ provides the two numerators:
 from __future__ import annotations
 
 from repro.model.architecture import ModelConfig
-from repro.model.memory import kv_cache_bytes_per_token, parameter_bytes, parameter_count
+from repro.model.memory import kv_cache_bytes_per_token, parameter_bytes
 
 
 def attention_flops(model: ModelConfig, seq_len: int, context_len: int, num_layers: int | None = None) -> float:

@@ -8,7 +8,7 @@ many transformer layers each stage hosts; that is a :class:`ReplicaPlan`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Sequence
 
 from repro.core.exceptions import ConfigurationError, InvalidPlanError

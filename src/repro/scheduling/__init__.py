@@ -18,13 +18,7 @@ kept and no parameters are reloaded.
 from repro.scheduling.deployment import DeploymentPlan, ServingGroup, RoutingPolicy
 from repro.scheduling.solution import UpperLevelSolution, GroupAssignment
 from repro.scheduling.clustering import initial_groups_by_clustering
-from repro.scheduling.neighbors import (
-    flip_phase,
-    split_group,
-    merge_groups,
-    move_gpus,
-    construct_neighbors,
-)
+from repro.scheduling.neighbors import construct_neighbors
 from repro.scheduling.tabu import TabuSearch, TabuSearchConfig, SearchTrace
 from repro.scheduling.estimator import SLOEstimator, ReplicaPerformance
 from repro.scheduling.orchestration import solve_orchestration, OrchestrationResult
@@ -42,10 +36,6 @@ __all__ = [
     "UpperLevelSolution",
     "GroupAssignment",
     "initial_groups_by_clustering",
-    "flip_phase",
-    "split_group",
-    "merge_groups",
-    "move_gpus",
     "construct_neighbors",
     "TabuSearch",
     "TabuSearchConfig",

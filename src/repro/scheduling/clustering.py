@@ -22,7 +22,7 @@ from repro.hardware.cluster import Cluster
 from repro.model.architecture import ModelConfig
 from repro.model.memory import parameter_bytes
 from repro.parallelism.partition import group_can_hold_model
-from repro.scheduling.solution import GroupAssignment, UpperLevelSolution
+from repro.scheduling.solution import UpperLevelSolution
 
 
 def minimum_group_size(cluster: Cluster, model: ModelConfig, kv_reserve_fraction: float = 0.3) -> int:

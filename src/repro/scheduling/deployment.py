@@ -11,7 +11,7 @@ A *deployment plan* is the full output of the scheduling algorithm (§3.1):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np

@@ -43,7 +43,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.types import Phase, SLOSpec, SLOType
-from repro.costmodel.kv_transfer import kv_transfer_seconds
+from repro.costmodel.kv_transfer import kv_link, kv_transfer_seconds
 from repro.costmodel.latency import (
     CostModelParams,
     DEFAULT_MAX_PREFILL_BATCH_REQUESTS,
@@ -375,12 +375,13 @@ class SLOEstimator:
         key = (tuple(src), tuple(dst))
         grid = self._kv_grid_cache.get(key)
         if grid is None:
-            if set(src) & set(dst):
+            link = kv_link(self.cluster.network, src, dst)
+            if link is None:
                 grid = np.zeros(len(self._grid))
             else:
-                network = self.cluster.network
-                i, j, _bw = network.best_link_between(list(src), list(dst))
-                alpha, beta = network.latency_s(i, j), network.bandwidth_bytes(i, j)
+                # kv_transfer_seconds' alpha + bytes / beta, over every
+                # distinct prompt length in one array expression
+                alpha, beta = link
                 grid = (alpha + self._kv_volume / beta)[self._input_idx]
             self._kv_grid_cache[key] = grid
         return grid
@@ -630,7 +631,6 @@ class SLOEstimator:
                         q.group.gpu_ids,
                         self.model,
                         num_tokens=s,
-                        batch_size=1,
                         bits=self.kv_transport_bits,
                     )
             for j in range(n):

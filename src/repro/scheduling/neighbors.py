@@ -26,10 +26,6 @@ from repro.parallelism.partition import group_can_hold_model
 from repro.scheduling.solution import GroupAssignment, UpperLevelSolution
 
 
-def _random_phase(rng: np.random.Generator) -> Phase:
-    return Phase.PREFILL if rng.random() < 0.5 else Phase.DECODE
-
-
 def _feasible(
     cluster: Cluster,
     model: ModelConfig,
@@ -54,10 +50,8 @@ def _feasible(
 
 
 # ------------------------------------------------------------------- appliers
-# Deterministic move semantics, shared by the standalone movers (which sample
-# their parameters one draw at a time) and the batched :class:`_MovePlan`
-# (which pre-draws every parameter vectorized).  Keeping a single copy of each
-# move's mechanics means the two sampling paths cannot drift apart.
+# Deterministic move semantics: :class:`_MovePlan` pre-draws every move's
+# parameters, and these functions build the candidate a drawn move names.
 
 
 def _apply_flip(solution: UpperLevelSolution, idx: int) -> UpperLevelSolution:
@@ -104,70 +98,6 @@ def _apply_move(
 
 
 _APPLIERS = {"flip": _apply_flip, "split": _apply_split, "merge": _apply_merge, "move": _apply_move}
-
-
-# --------------------------------------------------------------------------- moves
-def flip_phase(
-    solution: UpperLevelSolution, rng: RNGLike = None, group_index: Optional[int] = None
-) -> Optional[UpperLevelSolution]:
-    """Flip the phase of one (randomly chosen) group."""
-    gen = ensure_rng(rng)
-    idx = int(gen.integers(0, solution.num_groups)) if group_index is None else group_index
-    return _apply_flip(solution, idx)
-
-
-def split_group(
-    solution: UpperLevelSolution, rng: RNGLike = None
-) -> Optional[UpperLevelSolution]:
-    """Split a randomly chosen group into two along a random ratio."""
-    gen = ensure_rng(rng)
-    splittable = [i for i, g in enumerate(solution.groups) if g.num_gpus >= 2]
-    if not splittable:
-        return None
-    idx = int(gen.choice(splittable))
-    cut = _split_cut(solution.groups[idx].num_gpus, float(gen.uniform(0.25, 0.75)))
-    return _apply_split(solution, idx, cut, _random_phase(gen), _random_phase(gen))
-
-
-def merge_groups(
-    solution: UpperLevelSolution, rng: RNGLike = None
-) -> Optional[UpperLevelSolution]:
-    """Merge two randomly chosen groups into one."""
-    gen = ensure_rng(rng)
-    if solution.num_groups < 2:
-        return None
-    i, j = gen.choice(solution.num_groups, size=2, replace=False)
-    return _apply_merge(solution, int(i), int(j), _random_phase(gen))
-
-
-def move_gpus(
-    solution: UpperLevelSolution, cluster: Cluster, rng: RNGLike = None
-) -> Optional[UpperLevelSolution]:
-    """Move one or more GPUs of a single type from one group to another."""
-    gen = ensure_rng(rng)
-    if solution.num_groups < 2:
-        return None
-    donors = [i for i, g in enumerate(solution.groups) if g.num_gpus >= 2]
-    if not donors:
-        return None
-    src_idx = int(gen.choice(donors))
-    dst_idx = int(gen.choice([i for i in range(solution.num_groups) if i != src_idx]))
-    src = solution.groups[src_idx]
-
-    # Pick a GPU type present in the source group and move 1..(count-1) of them.
-    by_type: dict[str, List[int]] = {}
-    for g in src.gpu_ids:
-        by_type.setdefault(cluster.gpu(g).type_name, []).append(g)
-    type_name = str(gen.choice(sorted(by_type)))
-    candidates = sorted(by_type[type_name])
-    max_move = min(len(candidates), src.num_gpus - 1)
-    if max_move < 1:
-        return None
-    count = int(gen.integers(1, max_move + 1))
-    # Sample the moved subset — a sorted prefix would confine the move to a
-    # deterministic sliver of the neighbourhood.
-    moved = frozenset(int(g) for g in gen.choice(candidates, size=count, replace=False))
-    return _apply_move(solution, src_idx, dst_idx, moved)
 
 
 # --------------------------------------------------------------------------- batch
@@ -302,11 +232,7 @@ class _MovePlan:
         return ("move", src_idx, dst_idx, frozenset(candidates[c] for c in chosen))
 
     def build(self, move: Tuple) -> UpperLevelSolution:
-        """Materialise a move resolved by :meth:`resolve`.
-
-        The move mechanics are the shared ``_apply_*`` functions, so batch and
-        standalone sampling cannot diverge semantically.
-        """
+        """Materialise a move resolved by :meth:`resolve` with its ``_apply_*`` function."""
         kind, *params = move
         return _APPLIERS[kind](self.solution, *params)
 
@@ -384,10 +310,4 @@ def construct_neighbors(
     return neighbors
 
 
-__all__ = [
-    "flip_phase",
-    "split_group",
-    "merge_groups",
-    "move_gpus",
-    "construct_neighbors",
-]
+__all__ = ["construct_neighbors"]

@@ -16,7 +16,7 @@ routine:
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro.core.exceptions import InvalidPlanError, SchedulingError

@@ -92,7 +92,7 @@ from repro.core.rng import ensure_rng
 from repro.core.types import Request, RequestMetrics, RequestOutcome
 from repro.faults.retry import RetryPolicy, fault_uniform
 from repro.faults.timeline import FaultTimeline, ReplicaFaultEvent
-from repro.costmodel.kv_transfer import kv_transfer_seconds
+from repro.costmodel.kv_transfer import kv_link, kv_transfer_seconds
 from repro.costmodel.latency import (
     CostModelParams,
     DEFAULT_MAX_PREFILL_BATCH_REQUESTS,
@@ -872,6 +872,9 @@ class ServingSimulator:
         outlen = self._outlen
         dec_rep = self._dec_rep
         kv_bytes = self._kv_bytes_per_token
+        # The alpha-beta arithmetic is inlined: this runs once per request,
+        # where a kv_transfer_seconds call would redo its validation and
+        # link lookup.
         if len(batch) == 1:
             # The commonest batch below saturation: one row, one handoff at
             # most, so no per-replica dict, zip or sort.
@@ -900,7 +903,7 @@ class ServingSimulator:
         return handoffs, singles
 
     def _kv_link(self, prefill_id: int, decode_id: int) -> Tuple[float, float]:
-        """(alpha, beta) of the best link between a prefill and a decode group.
+        """:func:`~repro.costmodel.kv_transfer.kv_link` of a prefill and a decode group.
 
         Groups never share GPUs (:class:`DeploymentPlan` rejects it), so every
         pair has a real link; results are cached per pair.
@@ -908,13 +911,11 @@ class ServingSimulator:
         key = (prefill_id, decode_id)
         link = self._kv_links.get(key)
         if link is None:
-            network = self.cluster.network
-            i, j, _bw = network.best_link_between(
-                list(self.plan.group(prefill_id).gpu_ids),
-                list(self.plan.group(decode_id).gpu_ids),
+            link = self._kv_links[key] = kv_link(
+                self.cluster.network,
+                self.plan.group(prefill_id).gpu_ids,
+                self.plan.group(decode_id).gpu_ids,
             )
-            link = (network.latency_s(i, j), network.bandwidth_bytes(i, j))
-            self._kv_links[key] = link
         return link
 
     def _on_prefill_batch(self, replica: _PrefillReplica, now: float) -> None:
@@ -1432,7 +1433,6 @@ class ServingSimulator:
                 decode_group.gpu_ids,
                 self.model,
                 num_tokens=request.input_length + 1,
-                batch_size=1,
                 bits=self.plan.kv_transport_bits,
             )
             target = self.decodes[decode_id]

@@ -5,7 +5,7 @@ from __future__ import annotations
 import enum
 import heapq
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional
 
 from repro.core.exceptions import SimulationError

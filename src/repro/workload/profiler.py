@@ -10,7 +10,7 @@ rescheduling* of §3.4 (re-designate phases + re-orchestrate, nothing else).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Deque, Optional
 
 from repro.core.types import Request

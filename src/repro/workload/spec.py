@@ -15,7 +15,7 @@ workloads deliberately sit on opposite sides of that balance:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict
 
 import numpy as np

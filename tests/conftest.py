@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.types import Phase, SLOSpec
+from repro.core.types import Phase
 from repro.hardware.cluster import (
     make_cloud_cluster,
     make_homogeneous_cluster,

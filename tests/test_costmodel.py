@@ -1,18 +1,27 @@
 """Unit tests for the roofline cost model, alpha-beta model, KV transfer and prices."""
 
-import math
-
 import numpy as np
 import pytest
 
 from repro.core.types import Phase
-from repro.costmodel.alpha_beta import AlphaBetaModel, transfer_seconds
-from repro.costmodel.kv_transfer import kv_transfer_bytes, kv_transfer_fraction, kv_transfer_seconds
-from repro.costmodel.latency import CostModelParams, ReplicaCostModel, single_gpu_phase_latency
+from repro.costmodel.alpha_beta import transfer_seconds
+from repro.costmodel.kv_transfer import (
+    kv_link,
+    kv_transfer_bytes,
+    kv_transfer_fraction,
+    kv_transfer_seconds,
+)
+from repro.costmodel.latency import (
+    DEFAULT_PARAMS,
+    CostModelParams,
+    ReplicaCostModel,
+    _comm_seconds,
+    _stage_view,
+    single_gpu_phase_latency,
+)
 from repro.costmodel.price import cheapest_gpu_for_phase, phase_price_per_request, phase_price_table
 from repro.costmodel.reference import a100_reference_latency
 from repro.hardware.gpu import get_gpu_spec
-from repro.model.memory import kv_cache_bytes_per_token
 from repro.parallelism.config import ReplicaPlan
 
 
@@ -26,14 +35,23 @@ class TestAlphaBeta:
     def test_invalid_beta_rejected(self):
         with pytest.raises(ValueError):
             transfer_seconds(0.0, 0.0, 10)
+        with pytest.raises(ValueError):
+            transfer_seconds(0.0, 1e9, -1.0)
 
-    def test_allreduce_degenerate_world(self):
-        link = AlphaBetaModel(alpha_s=1e-5, beta_bytes_per_s=1e10)
-        assert link.allreduce_seconds(1e6, 1) == 0.0
+    @staticmethod
+    def _tp_stage(model, tp):
+        spec = get_gpu_spec("A100")
+        return _stage_view(model, DEFAULT_PARAMS, [spec] * tp, range(tp), 10, tp, 1e10, 1e-5)
 
-    def test_allreduce_grows_with_world_size(self):
-        link = AlphaBetaModel(alpha_s=1e-5, beta_bytes_per_s=1e10)
-        assert link.allreduce_seconds(1e6, 4) > link.allreduce_seconds(1e6, 2)
+    def test_allreduce_degenerate_world(self, model_30b):
+        """A TP 1 stage adds no tensor-parallel all-reduce."""
+        assert _comm_seconds(self._tp_stage(model_30b, 1), 1e6) == 0.0
+
+    def test_allreduce_grows_with_world_size(self, model_30b):
+        """At equal layers, a TP 4 stage's all-reduces cost more than a TP 2 stage's."""
+        tp2 = _comm_seconds(self._tp_stage(model_30b, 2), 1e6)
+        tp4 = _comm_seconds(self._tp_stage(model_30b, 4), 1e6)
+        assert 0.0 < tp2 < tp4
 
 
 class TestSingleGPULatency:
@@ -67,6 +85,31 @@ class TestSingleGPULatency:
         # LLaMA-7B prefill of 1024 tokens on an A100 should be tens of milliseconds.
         latency = single_gpu_phase_latency(get_gpu_spec("A100"), model_7b, Phase.PREFILL, 1024)
         assert 0.01 < latency < 1.0
+
+
+class TestSingleGPURoofline:
+    """``single_gpu_phase_latency`` is the one-stage roofline of ``ReplicaCostModel``.
+
+    The SLO anchor (``a100_reference_latency``) and the Figure 1 prices read
+    the single-GPU function, the scheduler and the simulator read the replica
+    model; both must price a lone GPU identically, bit for bit.
+    """
+
+    def test_equals_one_stage_replica_bitwise(self, cloud_cluster, model_7b):
+        by_type = {}
+        for gpu in cloud_cluster.gpus:
+            by_type.setdefault(gpu.type_name, gpu)
+        assert len(by_type) >= 2
+        for gpu in by_type.values():
+            plan = ReplicaPlan.from_stage_lists([[gpu.gpu_id]], [model_7b.num_layers])
+            cost = ReplicaCostModel(cloud_cluster, plan, model_7b)
+            for s in (1, 17, 512, 2048):
+                for b in (1, 3, 8):
+                    prefill = single_gpu_phase_latency(gpu.spec, model_7b, Phase.PREFILL, s, 1, b)
+                    assert prefill == cost.prefill_latency(s, b)
+                    for o in (1, 16, 129):
+                        decode = single_gpu_phase_latency(gpu.spec, model_7b, Phase.DECODE, s, o, b)
+                        assert decode == cost.decode_step_latency(b, int(s + o / 2.0)) * o
 
 
 class TestCostModelParams:
@@ -314,6 +357,20 @@ class TestKVTransfer:
         cluster = small_hetero_cluster_module
         a40 = [g.gpu_id for g in cluster.gpus_of_type("A40")]
         assert kv_transfer_seconds(cluster.network, a40, a40, model_30b, 1024) == 0.0
+
+    def test_kv_link_none_for_shared_gpu(self, small_hetero_cluster_module):
+        cluster = small_hetero_cluster_module
+        a40 = [g.gpu_id for g in cluster.gpus_of_type("A40")]
+        ti = [g.gpu_id for g in cluster.gpus_of_type("3090Ti")]
+        assert kv_link(cluster.network, a40, a40) is None
+        assert kv_link(cluster.network, a40, ti + a40[:1]) is None
+
+    def test_kv_link_is_best_link(self, small_hetero_cluster_module):
+        network = small_hetero_cluster_module.network
+        a40 = [g.gpu_id for g in small_hetero_cluster_module.gpus_of_type("A40")]
+        ti = [g.gpu_id for g in small_hetero_cluster_module.gpus_of_type("3090Ti")]
+        i, j, _bw = network.best_link_between(a40, ti)
+        assert kv_link(network, a40, ti) == (network.latency_s(i, j), network.bandwidth_bytes(i, j))
 
     def test_fraction(self):
         assert kv_transfer_fraction(1.0, 2.0, 7.0) == pytest.approx(0.1)

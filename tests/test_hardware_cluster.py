@@ -7,7 +7,6 @@ from repro.hardware.cluster import (
     Cluster,
     make_cloud_cluster,
     make_homogeneous_cluster,
-    make_inhouse_cluster,
     make_two_datacenter_cluster,
 )
 from repro.hardware.pricing import cluster_price_per_hour, price_parity_ratio

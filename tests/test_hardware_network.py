@@ -57,26 +57,6 @@ class TestNetworkConstruction:
             NetworkModel(bandwidth, latency, link)
 
 
-class TestTransfer:
-    def test_transfer_time_alpha_beta(self, two_node_network):
-        network, _ = two_node_network
-        expected = network.latency_s(0, 2) + 1e9 / network.bandwidth_bytes(0, 2)
-        assert network.transfer_time(0, 2, 1e9) == pytest.approx(expected)
-
-    def test_transfer_to_self_is_free(self, two_node_network):
-        network, _ = two_node_network
-        assert network.transfer_time(1, 1, 1e12) == 0.0
-
-    def test_transfer_negative_bytes_rejected(self, two_node_network):
-        network, _ = two_node_network
-        with pytest.raises(ValueError):
-            network.transfer_time(0, 1, -1.0)
-
-    def test_more_bytes_take_longer(self, two_node_network):
-        network, _ = two_node_network
-        assert network.transfer_time(0, 2, 2e9) > network.transfer_time(0, 2, 1e9)
-
-
 class TestAggregates:
     def test_min_bandwidth_within_single_gpu_is_infinite(self, two_node_network):
         network, _ = two_node_network

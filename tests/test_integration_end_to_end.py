@@ -10,7 +10,7 @@ failures.
 import pytest
 
 from repro.baselines.hexgen import HexGenBaseline
-from repro.core.types import Phase, SLOType
+from repro.core.types import SLOType
 from repro.scheduling.scheduler import Scheduler, SchedulerConfig
 from repro.scheduling.tabu import TabuSearchConfig
 from repro.serving.live import LiveServeConfig, LiveServer

@@ -13,9 +13,9 @@ from repro.core.rng import ensure_rng
 from repro.scheduling.neighbors import (
     _KNOWN_MOVES,
     _MovePlan,
+    _apply_flip,
     _feasible,
     construct_neighbors,
-    flip_phase,
 )
 from repro.scheduling.orchestration import solve_orchestration
 from repro.scheduling.solution import UpperLevelSolution
@@ -131,7 +131,7 @@ def test_neighbors_match_build_every_attempt_reference(case, seed, count, moves,
     """Skipping repeated moves unbuilt returns exactly the reference candidates, in order."""
     cluster, model, solution = case
     exclude = [
-        flip_phase(solution, group_index=i % solution.num_groups).key() for i in excluded_flips
+        _apply_flip(solution, i % solution.num_groups).key() for i in excluded_flips
     ]
     fast = construct_neighbors(
         solution, cluster, model, num_neighbors=count, rng=seed, moves=moves, exclude_keys=exclude

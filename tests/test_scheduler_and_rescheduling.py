@@ -7,7 +7,6 @@ absolute numbers.
 
 import pytest
 
-from repro.core.types import Phase
 from repro.scheduling.rescheduling import (
     LightweightRescheduler,
     ReschedulingOverheadModel,

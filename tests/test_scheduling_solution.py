@@ -5,13 +5,7 @@ import pytest
 from repro.core.exceptions import InvalidPlanError
 from repro.core.types import Phase
 from repro.scheduling.clustering import initial_groups_by_clustering, minimum_group_size
-from repro.scheduling.neighbors import (
-    construct_neighbors,
-    flip_phase,
-    merge_groups,
-    move_gpus,
-    split_group,
-)
+from repro.scheduling.neighbors import construct_neighbors
 from repro.scheduling.solution import GroupAssignment, UpperLevelSolution
 
 
@@ -109,41 +103,52 @@ class TestClusteringInit:
         assert a.key() == b.key()
 
 
+def _neighbors(solution, cluster, model, kind, rng=0, count=4):
+    """Neighbours built by one kind of move, through the scheduler's sampler."""
+    return construct_neighbors(solution, cluster, model, count, rng=rng, moves=[kind])
+
+
 class TestNeighborMoves:
-    def test_flip_changes_exactly_one_phase(self, simple_solution):
-        flipped = flip_phase(simple_solution, rng=0)
-        differences = 0
-        for a, b in zip(simple_solution.canonical().groups, flipped.canonical().groups):
-            assert a.gpu_ids == b.gpu_ids
-            if a.phase is not b.phase:
-                differences += 1
-        assert differences == 1
+    def test_flip_changes_exactly_one_phase(self, simple_solution, cloud_cluster, tiny_model):
+        flipped = _neighbors(simple_solution, cloud_cluster, tiny_model, "flip")
+        assert flipped
+        for neighbor in flipped:
+            differences = 0
+            for a, b in zip(simple_solution.canonical().groups, neighbor.canonical().groups):
+                assert a.gpu_ids == b.gpu_ids
+                if a.phase is not b.phase:
+                    differences += 1
+            assert differences == 1
 
-    def test_split_increases_group_count(self, simple_solution):
-        split = split_group(simple_solution, rng=0)
-        assert split is not None
-        assert split.num_groups == simple_solution.num_groups + 1
-        assert split.all_gpu_ids == simple_solution.all_gpu_ids
+    def test_split_increases_group_count(self, simple_solution, cloud_cluster, tiny_model):
+        split = _neighbors(simple_solution, cloud_cluster, tiny_model, "split")
+        assert split
+        for neighbor in split:
+            assert neighbor.num_groups == simple_solution.num_groups + 1
+            assert neighbor.all_gpu_ids == simple_solution.all_gpu_ids
 
-    def test_merge_decreases_group_count(self, simple_solution):
-        merged = merge_groups(simple_solution, rng=0)
-        assert merged is not None
-        assert merged.num_groups == simple_solution.num_groups - 1
-        assert merged.all_gpu_ids == simple_solution.all_gpu_ids
+    def test_merge_decreases_group_count(self, simple_solution, cloud_cluster, tiny_model):
+        merged = _neighbors(simple_solution, cloud_cluster, tiny_model, "merge")
+        assert merged
+        for neighbor in merged:
+            assert neighbor.num_groups == simple_solution.num_groups - 1
+            assert neighbor.all_gpu_ids == simple_solution.all_gpu_ids
 
-    def test_move_preserves_gpu_set(self, simple_solution, cloud_cluster):
-        moved = move_gpus(simple_solution, cloud_cluster, rng=0)
-        assert moved is not None
-        assert moved.all_gpu_ids == simple_solution.all_gpu_ids
-        assert moved.num_groups == simple_solution.num_groups
+    def test_move_preserves_gpu_set(self, simple_solution, cloud_cluster, tiny_model):
+        moved = _neighbors(simple_solution, cloud_cluster, tiny_model, "move")
+        assert moved
+        for neighbor in moved:
+            assert neighbor.all_gpu_ids == simple_solution.all_gpu_ids
+            assert neighbor.num_groups == simple_solution.num_groups
 
-    def test_move_samples_the_moved_subset(self, cloud_cluster):
+    def test_move_samples_the_moved_subset(self, cloud_cluster, tiny_model):
         """The moved GPU set varies across seeds for a fixed move shape.
 
         With one donor group of a single GPU type and a one-GPU destination, the
         only degrees of freedom are the move count and *which* GPUs move; a
         sorted-prefix implementation pins the subset per count, so every count
-        must show at least two distinct subsets across seeds.
+        drawn more than once must show at least two distinct subsets across
+        seeds.
         """
         type_name = cloud_cluster.gpus[0].type_name
         donor = [g.gpu_id for g in cloud_cluster.gpus_of_type(type_name)][:8]
@@ -152,25 +157,28 @@ class TestNeighborMoves:
             [(donor, Phase.DECODE), (other, Phase.PREFILL)]
         )
         subsets_by_count: dict = {}
+        draws_by_count: dict = {}
         for seed in range(60):
-            moved = move_gpus(solution, cloud_cluster, rng=seed)
-            if moved is None:
-                continue
-            dst = next(g for g in moved.groups if set(other) <= set(g.gpu_ids))
-            subset = frozenset(dst.gpu_ids) - frozenset(other)
-            subsets_by_count.setdefault(len(subset), set()).add(subset)
-        assert any(len(subsets) > 1 for subsets in subsets_by_count.values()), (
-            "every move count always produced the same GPU subset: "
-            "the moved set is not being sampled"
-        )
+            for moved in _neighbors(solution, cloud_cluster, tiny_model, "move", rng=seed, count=1):
+                dst = next(g for g in moved.groups if set(other) <= set(g.gpu_ids))
+                subset = frozenset(dst.gpu_ids) - frozenset(other)
+                subsets_by_count.setdefault(len(subset), set()).add(subset)
+                draws_by_count[len(subset)] = draws_by_count.get(len(subset), 0) + 1
+        assert subsets_by_count, "no move was ever drawn"
+        for count, subsets in subsets_by_count.items():
+            if draws_by_count[count] > 1:
+                assert len(subsets) > 1, (
+                    f"moving {count} GPUs always picked the same subset: "
+                    "the moved set is not being sampled"
+                )
 
-    def test_split_none_for_singleton_groups(self):
+    def test_split_none_for_singleton_groups(self, cloud_cluster, tiny_model):
         solution = UpperLevelSolution.from_lists([([0], Phase.PREFILL), ([1], Phase.DECODE)])
-        assert split_group(solution, rng=0) is None
+        assert _neighbors(solution, cloud_cluster, tiny_model, "split") == []
 
-    def test_merge_none_for_single_group(self):
+    def test_merge_none_for_single_group(self, cloud_cluster, tiny_model):
         solution = UpperLevelSolution.from_lists([([0, 1], Phase.PREFILL)])
-        assert merge_groups(solution, rng=0) is None
+        assert _neighbors(solution, cloud_cluster, tiny_model, "merge") == []
 
 
 class TestConstructNeighbors:

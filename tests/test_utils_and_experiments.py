@@ -1,6 +1,5 @@
 """Tests for table formatting and the lightweight experiment modules."""
 
-import numpy as np
 import pytest
 
 from repro.experiments import (
