@@ -6,14 +6,21 @@ replica and the fraction ``Y_ij`` of replica *i*'s requests forwarded to decode
 replica *j*, maximising the routed SLO attainment ``sum_ij X_i Y_ij D_ij``.
 
 We solve the equivalent linear program over the joint fractions ``Z_ij = X_i Y_ij``
-with HiGHS, called through :func:`scipy.optimize.milp` with no integer variables.
-HiGHS gets the same model ``linprog(method="highs")`` would build (the same
-constraint matrix, row bounds and variable bounds), without the per-call option
-validation that dominates ``linprog``'s cost on an LP this small.  ``linprog``
-is kept only as the test oracle: a property test asserts that both return
-bitwise-equal routings.  The paper's formulation as written admits the degenerate
-optimum of routing everything through the single best pair, so — consistent with
-how a transportation problem is normally posed — we add the natural capacity
+with HiGHS, called directly through scipy's binding
+(``scipy.optimize._highspy._core``, the one :func:`scipy.optimize.milp` and
+``linprog(method="highs")`` call themselves) on one reused solver handle.  On an
+LP this small (at most a few dozen variables) HiGHS's own solve is a fraction of
+a millisecond, while ``milp``'s input checks and its wrapper's fresh solver,
+option managers and dual read-back cost several times that.  HiGHS receives the
+model ``linprog`` would build (the same CSC constraint matrix, row bounds and
+variable bounds, and ``log_to_console=False`` as its only option), so it picks
+the same optimum among ties.  ``linprog`` is kept only as the test oracle: a
+property test in ``tests/test_lower_level_oracle.py`` asserts that both return
+bitwise-equal routings, also when several LPs run back to back on the handle.
+
+The paper's formulation as written admits the degenerate optimum of routing
+everything through the single best pair, so — consistent with how a
+transportation problem is normally posed — we add the natural capacity
 constraints (a prefill replica cannot absorb more requests than its service rate
 allows; a decode replica cannot generate more tokens than its bandwidth allows).
 The resulting routing both maximises attainment and respects replica capacities.
@@ -24,14 +31,30 @@ search should see.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import Bounds, LinearConstraint, milp
-from scipy.sparse import csc_array
+import scipy.optimize._highspy._core as _highs
 
 from repro.core.exceptions import SchedulingError
+
+
+@functools.cache
+def _highs_solver() -> _highs._Highs:
+    """The module's HiGHS handle, created on first use with its one option set.
+
+    Every solve starts with ``clearModel()``, which drops the previous model,
+    basis and solution, so no search state carries from one LP to the next and
+    nothing is warm across deploys.  The handle is not thread-safe: LPs must be
+    solved one at a time in a process.
+    """
+    options = _highs.HighsOptions()
+    options.log_to_console = False
+    solver = _highs._Highs()
+    solver.passOptions(options)
+    return solver
 
 
 @dataclass
@@ -82,53 +105,61 @@ def solve_orchestration(
     d = np.asarray(attainment, dtype=float)
     if d.ndim != 2 or d.size == 0:
         raise SchedulingError("attainment matrix must be a non-empty 2-D array")
+    if not np.isfinite(d).all():
+        raise SchedulingError("attainment matrix must hold finite values")
     m, n = d.shape
     num_vars = m * n
-
-    # Objective: maximise sum Z_ij D_ij  <=>  minimise -D . Z
-    c = -d.reshape(-1)
 
     # Constraint rows: total routed mass <= 1, then sum_j Z_ij <= cap_i per
     # prefill replica, then sum_i Z_ij <= cap_j per decode replica.  With Z
     # flattened row-major, column i * n + j of A holds a 1 in the mass row, in
     # prefill row i and in decode row j, so A is built column-wise (CSC, the
-    # layout HiGHS takes) from those row indices.
+    # layout HiGHS takes) from those row indices.  An infinite cap leaves its
+    # row unbounded.
     rows = [np.zeros(num_vars, dtype=np.int32)]
     b_ub = [np.ones(1)]
     num_rows = 1
-    if prefill_capacity is not None:
-        caps = np.asarray(list(prefill_capacity), dtype=float)
-        if caps.shape != (m,):
-            raise SchedulingError("prefill_capacity must have one entry per prefill replica")
-        rows.append(num_rows + np.repeat(np.arange(m, dtype=np.int32), n))
+    for caps, size, phase, index in (
+        (prefill_capacity, m, "prefill", np.repeat(np.arange(m, dtype=np.int32), n)),
+        (decode_capacity, n, "decode", np.tile(np.arange(n, dtype=np.int32), m)),
+    ):
+        if caps is None:
+            continue
+        caps = np.asarray(list(caps), dtype=float)
+        if caps.shape != (size,):
+            raise SchedulingError(f"{phase}_capacity must have one entry per {phase} replica")
+        if np.isnan(caps).any():
+            raise SchedulingError(f"{phase}_capacity must not hold NaN")
+        rows.append(num_rows + index)
         b_ub.append(np.maximum(caps, 0.0))
-        num_rows += m
-    if decode_capacity is not None:
-        caps = np.asarray(list(decode_capacity), dtype=float)
-        if caps.shape != (n,):
-            raise SchedulingError("decode_capacity must have one entry per decode replica")
-        rows.append(num_rows + np.tile(np.arange(n, dtype=np.int32), m))
-        b_ub.append(np.maximum(caps, 0.0))
-        num_rows += n
+        num_rows += size
     per_col = len(rows)
-    a_ub = csc_array(
-        (
-            np.ones(per_col * num_vars),
-            np.stack(rows, axis=1).ravel(),
-            np.arange(0, per_col * num_vars + 1, per_col, dtype=np.int32),
-        ),
-        shape=(num_rows, num_vars),
-    )
 
-    result = milp(
-        c,
-        constraints=LinearConstraint(a_ub, -np.inf, np.concatenate(b_ub)),
-        bounds=Bounds(0.0, np.inf),
-    )
-    if not result.success:  # pragma: no cover - highs is robust for this LP class
-        raise SchedulingError(f"orchestration LP failed: {result.message}")
+    # Objective: maximise sum Z_ij D_ij  <=>  minimise -D . Z, over Z >= 0.
+    lp = _highs.HighsLp()
+    lp.num_col_ = num_vars
+    lp.num_row_ = num_rows
+    lp.col_cost_ = -d.reshape(-1)
+    lp.col_lower_ = np.zeros(num_vars)
+    lp.col_upper_ = np.full(num_vars, np.inf)
+    lp.row_lower_ = np.full(num_rows, -np.inf)
+    lp.row_upper_ = np.concatenate(b_ub)
+    lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
+    lp.a_matrix_.num_col_ = num_vars
+    lp.a_matrix_.num_row_ = num_rows
+    lp.a_matrix_.start_ = np.arange(0, per_col * num_vars + 1, per_col, dtype=np.int32)
+    lp.a_matrix_.index_ = np.stack(rows, axis=1).ravel()
+    lp.a_matrix_.value_ = np.ones(per_col * num_vars)
 
-    z = np.clip(result.x.reshape(m, n), 0.0, None)
+    solver = _highs_solver()
+    solver.clearModel()
+    solver.passModel(lp)
+    solver.run()
+    status = solver.getModelStatus()
+    if status != _highs.HighsModelStatus.kOptimal:
+        raise SchedulingError(f"orchestration LP failed: {solver.modelStatusToString(status)}")
+
+    z = np.clip(np.array(solver.getSolution().col_value).reshape(m, n), 0.0, None)
     served = float(z.sum())
     objective = float((z * d).sum())
 

@@ -1,7 +1,8 @@
 """The lower-level solve against its scalar and ``linprog`` references, bitwise.
 
 The scheduler's lower level prices every tabu neighbour through three fast
-paths: the orchestration LP handed to HiGHS through ``milp``, estimator grids
+paths: the orchestration LP handed straight to HiGHS on one reused solver
+handle, estimator grids
 priced by the cost model's array methods, and operating batches searched over
 a memoized latency column.  Each must return exactly the floats of the
 straightforward implementation it replaced, which lives here as the oracle:
@@ -12,7 +13,7 @@ straightforward implementation it replaced, which lives here as the oracle:
   call per distinct length, rebuild every KV vector from the network, and run
   the operating-batch binary search on scalar ``decode_step_latency`` calls.
 
-If the ``milp`` property ever fails, the LP goes back to ``linprog``.
+If the orchestration property ever fails, the LP goes back to ``linprog``.
 """
 
 from __future__ import annotations
@@ -179,24 +180,25 @@ def orchestration_instances(draw):
     return d, prefill, decode
 
 
-def _check_against_linprog(instance) -> None:
-    d, prefill, decode = instance
-    assert_same_orchestration(
-        solve_orchestration(d, prefill, decode), reference_orchestration(d, prefill, decode)
-    )
+def _check_against_linprog(*instances) -> None:
+    """Solve ``instances`` back to back on the shared handle; each must match ``linprog``."""
+    for d, prefill, decode in instances:
+        assert_same_orchestration(
+            solve_orchestration(d, prefill, decode), reference_orchestration(d, prefill, decode)
+        )
 
 
 @settings(max_examples=100, deadline=None)
-@given(instance=orchestration_instances())
-def test_milp_orchestration_equals_linprog_bitwise(instance):
-    _check_against_linprog(instance)
+@given(instances=st.lists(orchestration_instances(), min_size=1, max_size=4))
+def test_orchestration_equals_linprog_bitwise(instances):
+    _check_against_linprog(*instances)
 
 
 @pytest.mark.slow
 @settings(max_examples=2000, deadline=None)
-@given(instance=orchestration_instances())
-def test_milp_orchestration_equals_linprog_bitwise_many(instance):
-    _check_against_linprog(instance)
+@given(instances=st.lists(orchestration_instances(), min_size=1, max_size=4))
+def test_orchestration_equals_linprog_bitwise_many(instances):
+    _check_against_linprog(*instances)
 
 
 @pytest.mark.parametrize(
@@ -208,7 +210,7 @@ def test_milp_orchestration_equals_linprog_bitwise_many(instance):
         (np.array([[0.7]]), None, None),
     ],
 )
-def test_milp_orchestration_equals_linprog_on_degenerate_lps(d, prefill, decode):
+def test_orchestration_equals_linprog_on_degenerate_lps(d, prefill, decode):
     _check_against_linprog((d, prefill, decode))
 
 

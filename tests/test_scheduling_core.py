@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.exceptions import SchedulingError
 from repro.core.types import Phase, SLOType
 from repro.costmodel.reference import a100_reference_latency
 from repro.scheduling.deployment import DeploymentPlan, RoutingPolicy, ServingGroup
@@ -120,6 +121,24 @@ class TestOrchestration:
     def test_empty_matrix_rejected(self):
         with pytest.raises(Exception):
             solve_orchestration(np.zeros((0, 0)))
+
+    @pytest.mark.parametrize(
+        "d, prefill",
+        [
+            ([[np.nan, 0.5]], None),
+            ([[np.inf, 0.5]], None),
+            ([[0.9, 0.5]], [np.nan]),
+        ],
+        ids=["nan-attainment", "inf-attainment", "nan-capacity"],
+    )
+    def test_non_finite_inputs_rejected(self, d, prefill):
+        with pytest.raises(SchedulingError):
+            solve_orchestration(np.array(d), prefill_capacity=prefill)
+
+    def test_infinite_capacity_is_uncapacitated(self):
+        d = np.array([[0.2, 0.9], [0.5, 0.4]])
+        capped = solve_orchestration(d, prefill_capacity=[np.inf, np.inf])
+        assert capped.z.tobytes() == solve_orchestration(d).z.tobytes()
 
 
 @pytest.fixture(scope="module")
