@@ -164,19 +164,17 @@ def solve_orchestration(
     objective = float((z * d).sum())
 
     # Recover X (normalised) and Y (row-normalised) for the routing policy.
+    row_sums = z.sum(axis=1)
     if served > 1e-12:
-        x = z.sum(axis=1) / served
+        x = row_sums / served
     else:
         x = np.full(m, 1.0 / m)
-    y = np.zeros_like(z)
-    for i in range(m):
-        row_sum = z[i].sum()
-        if row_sum > 1e-12:
-            y[i] = z[i] / row_sum
-        else:
-            # Inactive prefill replica: give it a sane fallback dispatch row.
-            best_j = int(np.argmax(d[i]))
-            y[i, best_j] = 1.0
+    active = row_sums > 1e-12
+    y = np.divide(z, row_sums[:, None], out=np.zeros_like(z), where=active[:, None])
+    if not active.all():
+        # Inactive prefill replicas get a sane fallback dispatch row.
+        inactive = np.flatnonzero(~active)
+        y[inactive, np.argmax(d[inactive], axis=1)] = 1.0
     return OrchestrationResult(x=x, y=y, z=z, objective=objective, served_fraction=served)
 
 

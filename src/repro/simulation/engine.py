@@ -33,37 +33,41 @@ Two engines implement the same semantics:
   ``seq`` drawn from one push counter, so exact-time ties resolve in push
   order, as in the reference engine's :class:`~repro.simulation.events.EventQueue`.
 
-  On the decode side each replica keeps its running batch as a step counter,
-  a min-heap of ``(finish_step, row)`` and a running context sum, and
-  **coalesces decode steps into epochs**: the batch composition is constant
-  until the earliest completion, and with a constant batch of ``n`` the mean
-  context of step ``t`` is ``ctx_sum // n + t`` (the reference's truncated
-  float64 mean, exactly, below 2**53).  So an epoch's step latencies are one
-  contiguous slice of the batch size's dense latency row
-  (:meth:`~repro.costmodel.latency.ReplicaCostModel.decode_step_row`), turned
-  into boundary times by ``itertools.accumulate`` — the reference's
-  sequential ``now + latency`` float adds — and a single wake event replaces
-  thousands of per-token heap events.  Every epoch runs to the batch's first
-  completion.  A KV arrival mid-epoch truncates the epoch at the first step
-  boundary after the arrival, exactly where the per-event engine would admit
-  the request — and when nothing was admitted at a truncated boundary, the
-  **surviving suffix of the old plan is reused** verbatim instead of
-  re-pricing it (the remaining step times are a pure function of unchanged
-  batch state).  KV memory is one plain int of free blocks per replica.
-
   On the prefill side it **coalesces queued batches into epochs**: when a
   replica picks up work, the whole queue is chunked into multi-request batches
   (greedy FIFO, up to ``max_prefill_batch_requests`` per batch), and one scalar
   pass prices every batch through the memoized
   :meth:`~repro.costmodel.latency.ReplicaCostModel.prefill_latency_memo` and
-  precomputes the per-batch completion times plus every KV-transfer handoff up
-  front.  Each completion pushes the next batch's event, where the per-event
-  engine pushes its own.  A new arrival on the replica cancels the trailing
-  batch if it is underfull and not yet started (re-queueing its rows), exactly
-  where the per-event engine would re-form batches.  The resulting KV
-  transfers are emitted as **coalesced arrival batches** (one ``KV_BATCH``
-  cursor per (prefill batch, decode replica) instead of one heap event per
-  request) that feed the decode epochs in exact per-request arrival order.
+  precomputes the per-batch completion times.  Each completion pushes the
+  next batch's event, where the per-event engine pushes its own.  A new
+  arrival on the replica cancels the trailing batch if it is underfull and
+  not yet started (re-queueing its rows), exactly where the per-event engine
+  would re-form batches.  The heap holds nothing but these batch completions
+  and fault retries.
+
+  **Decode replicas are sinks**: nothing upstream reads their state
+  (routing is drawn at ingest, prefill has no back-pressure), so they stay
+  off the heap.  A batch completion appends each KV handoff to its decode
+  replica's **log** of pending deliveries, and the replica replays its own
+  timeline from that log (:meth:`ServingSimulator._decode_until`) only when
+  something needs it: a fault that kills it, the horizon or the end of the
+  run, a chunk ingest, or a log grown to ``_LOG_BOUND`` entries.  Each
+  replica keeps its running batch as a step counter, a min-heap of
+  ``(finish_step, row)`` and a running context sum, and **coalesces decode
+  steps into epochs**: the batch composition is constant until the earliest
+  completion, and with a constant batch of ``n`` the mean context of step
+  ``t`` is ``ctx_sum // n + t`` (the reference's truncated float64 mean,
+  exactly, below 2**53).  So an epoch's step latencies are one contiguous
+  slice of the batch size's dense latency row
+  (:meth:`~repro.costmodel.latency.ReplicaCostModel.decode_step_row`), turned
+  into boundary times by ``itertools.accumulate`` — the reference's
+  sequential ``now + latency`` float adds.  A delivery mid-epoch truncates
+  the epoch at the first step boundary at or after it, exactly where the
+  per-event engine would admit the request; when nothing is admitted there,
+  the epoch runs on unchanged (its remaining step times are a pure function
+  of unchanged batch state).  Boundaries are priced lazily, only as far as
+  the next logged delivery needs.  KV memory is one plain int of free blocks
+  per replica.
 
 * ``engine="reference"`` retains the original per-event implementation: one
   ``ARRIVAL`` heap event per request, one ``PREFILL_DONE`` event per prefill
@@ -77,11 +81,12 @@ Two engines implement the same semantics:
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from itertools import accumulate, count
+from math import nextafter
 from operator import itemgetter
 from typing import Deque, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -117,9 +122,15 @@ _OUT_RETRIED = int(RequestOutcome.RETRIED_THEN_FINISHED)
 _OUT_TIMED_OUT = int(RequestOutcome.TIMED_OUT)
 _OUT_DROPPED = int(RequestOutcome.DROPPED_OUTAGE)
 
-# Event kinds of the fast engine's tuple heap: decode epoch wake, prefill
-# batch completion, coalesced KV-arrival cursor, fault-retry re-dispatch.
-_DECODE_WAKE, _PREFILL_BATCH, _KV_BATCH, _RETRY = range(4)
+# Event kinds of the fast engine's tuple heap: prefill batch completion,
+# fault-retry re-dispatch.
+_PREFILL_BATCH, _RETRY = range(2)
+
+#: a decode replica whose log of pending KV deliveries reaches this many
+#: entries replays it at once, so a one-chunk ``run`` keeps every log short
+_LOG_BOUND = 1024
+
+_INF = float("inf")
 
 #: the longest prompt or response the length columns hold
 _MAX_LENGTH = int(np.iinfo(COLUMN_DTYPES["input_length"]).max)
@@ -174,10 +185,9 @@ class _PrefillReplica:
     :class:`Request` objects and batches are re-formed at every
     ``PREFILL_DONE``); the fast engine queues integer request rows and
     additionally carries the plan of the current coalesced prefill epoch: one
-    ``(rows, start, done, handoffs, singles)`` tuple per batch, holding the
-    batch's rows, its precomputed start and completion times, its KV-transfer
-    handoffs as ``(decode group, rows sorted by arrival, arrival times)`` and
-    its single-token rows.  An idle fast replica has an empty queue.
+    ``(rows, start, done)`` tuple per batch, holding the batch's rows and its
+    precomputed start and completion times.  An idle fast replica has an
+    empty queue.
     """
 
     group_id: int
@@ -198,28 +208,6 @@ class _PrefillReplica:
 
 
 @dataclass(slots=True)
-class _KVBatch:
-    """Cursor over a coalesced array of KV arrivals for one decode replica.
-
-    Replaces one ``KV_ARRIVED`` heap event per request with a single ``KV_BATCH``
-    heap entry whose handler drains arrivals in order, yielding back to the
-    heap (re-pushed under its original sequence number, so exact-time ties
-    keep their per-event ordering) whenever another event — or a
-    not-yet-ingested trace arrival — is due first.
-    """
-
-    rows: Sequence[int]
-    times: Sequence[float]
-    #: heap sequence number assigned at the first push; reused on every repush
-    heap_seq: int
-    #: death-incarnation of the target decode replica at creation; a mismatch
-    #: at pop time means the replica died (the rows were already disposed)
-    incarnation: int = 0
-    #: index of the next undelivered arrival
-    pos: int = 0
-
-
-@dataclass(slots=True)
 class _DecodeReplica:
     """Run-time state of one decode replica.
 
@@ -235,9 +223,15 @@ class _DecodeReplica:
     one heap pop, and the earliest completion is ``heap[0][0] - steps_done``
     steps away.  KV memory is the plain int ``kv_free`` out of ``kv_blocks``:
     a row holds ``blocks_for(in_len + out_len, block_size)`` blocks from
-    admission to completion, exactly what ``kv`` would allocate.  Beside the
-    batch it holds the precomputed step boundary times of the current
-    coalesced epoch.
+    admission to completion, exactly what ``kv`` would allocate.
+
+    A fast replica is never on the event heap.  Its ``log`` holds the KV
+    deliveries handed off to it and not yet replayed, as ``(arrival,
+    handoff instant, row)`` in handoff order; it is the replica's in-flight
+    set.  Its current epoch runs ``epoch_len`` steps from ``epoch_start`` to
+    the earliest completion, priced lazily into ``epoch_times``, and its next
+    wake is ``epoch_cut`` steps in: the epoch end, or the boundary where a
+    delivery waits for admission.
     """
 
     group_id: int
@@ -253,29 +247,42 @@ class _DecodeReplica:
     #: (reference engine)
     pending: Deque = field(default_factory=deque)
     stepping: bool = False
-    # ---- fast engine batch ----
+    # ---- reference engine ----
+    #: epoch generation counter; step events carrying an older value are stale
+    epoch_seq: int = 0
+    #: death-incarnation counter; KV transfers in flight toward an older
+    #: incarnation are stale (their requests were disposed at the death instant)
+    incarnation: int = 0
+    #: in-flight KV transfers toward this replica: request id -> request; a
+    #: capacity-loss fault disposes every entry because the destination KV
+    #: memory is gone
+    inflight: Dict[int, Request] = field(default_factory=dict)
+    # ---- fast engine ----
     #: min-heap of (finish step, request row) over the running batch
     heap: List[Tuple[int, int]] = field(default_factory=list)
     #: decode steps run so far; finish steps are counted on this clock
     steps_done: int = 0
     #: sum of the running rows' current context lengths
     ctx_sum: int = 0
-    #: free KV blocks (fast engine; the reference engine asks ``kv``)
+    #: free KV blocks (the reference engine asks ``kv``)
     kv_free: int = 0
-    #: absolute times of the current epoch's step boundaries (b_1 .. b_K); the
-    #: last one is the earliest completion
-    epoch_times: Optional[List[float]] = None
-    #: number of steps the scheduled wake will apply (truncation shortens this)
+    #: pending KV deliveries ``(arrival, handoff instant, row)``, in handoff
+    #: order; sorted stably by arrival when replayed
+    log: List[Tuple[float, float, int]] = field(default_factory=list)
+    #: the instant the current epoch's step boundaries count from
+    epoch_start: float = 0.0
+    #: steps from ``epoch_start`` to the earliest completion
+    epoch_len: int = 0
+    #: steps from ``epoch_start`` to the next wake (at most ``epoch_len``)
     epoch_cut: int = 0
-    #: epoch generation counter; wake events carrying an older value are stale
-    epoch_seq: int = 0
-    #: death-incarnation counter; KV transfers in flight toward an older
-    #: incarnation are stale (their requests were disposed at the death instant)
-    incarnation: int = 0
-    #: in-flight KV transfers toward this replica: request row (fast engine) or
-    #: request id (reference engine) -> payload; a capacity-loss fault disposes
-    #: every entry because the destination KV memory is gone
-    inflight: Dict[int, object] = field(default_factory=dict)
+    #: the step boundaries priced so far, ``epoch_start`` excluded
+    epoch_times: List[float] = field(default_factory=list)
+    #: the batch size's latency row and the row index of the epoch's first step
+    epoch_row: Optional[Sequence[float]] = None
+    epoch_m0: int = 0
+    #: the instant the next wake was set: a delivery handed off before it
+    #: goes first at an exact tie with the wake, as a push-ordered heap would
+    wake_set: float = 0.0
 
 
 #: the fast engine's request columns: the request attributes, the routing
@@ -411,18 +418,26 @@ class ServingSimulator:
             replica.inflight_batch = None
         for replica in self.decodes.values():
             replica.active.clear()
-            replica.pending.clear()
             replica.kv.reset()
-            replica.stepping = False
-            replica.heap = []
-            replica.steps_done = 0
-            replica.ctx_sum = 0
-            replica.kv_free = replica.kv_blocks
-            replica.epoch_times = None
-            replica.epoch_cut = 0
             replica.epoch_seq = 0
             replica.incarnation = 0
             replica.inflight.clear()
+            self._reset_decode(replica)
+
+    @staticmethod
+    def _reset_decode(replica: _DecodeReplica) -> None:
+        """Empty a decode replica's fast-engine state (run start, or its death)."""
+        replica.pending.clear()
+        replica.stepping = False
+        replica.heap = []
+        replica.steps_done = 0
+        replica.ctx_sum = 0
+        replica.kv_free = replica.kv_blocks
+        replica.log = []
+        replica.epoch_len = 0
+        replica.epoch_cut = 0
+        replica.epoch_times = []
+        replica.epoch_row = None
 
     def _begin_fault_run(
         self, faults: Optional[FaultTimeline], retry: Optional[RetryPolicy]
@@ -637,54 +652,76 @@ class ServingSimulator:
         trace_duration: Optional[float],
         label: str,
     ) -> SimulationResult:
-        """Drive the struct-of-arrays engine over a chunk stream."""
+        """Drive the struct-of-arrays engine over a chunk stream.
+
+        The heap holds prefill batch completions and retries; decode replicas
+        replay their own logs (:meth:`_decode_until`) when something needs
+        them, and all of them finish at the horizon, or at the end of the run.
+        """
         self._chunk_iter = chunks
         self._chunks_done = False
         heap = self._heap
         prefills = self.prefills
-        decodes = self.decodes
+        decodes = self.decodes.values()
         horizon = self.config.max_sim_time
         fault_events = self._fault_events
         num_faults = len(fault_events)
         cursor = n = 0
-        truncated = False
         while True:
             # Keep the arrival cursor ahead of the heap: whenever the ingested
             # rows are exhausted, pull chunks before deciding what runs next.
-            # KV_BATCH drains never advance the cursor, so "cursor < n or
-            # stream done" holds inside every handler as well.
             if cursor == n:
                 while self._n == cursor and not self._chunks_done:
                     self._load_chunk()
-                n = self._n
                 # A load re-binds the column views; refresh the local ones.
                 arr = self._arr
                 pre_rep = self._pre_rep
+                if self._n > n:
+                    n = self._n
+                    # Nothing processed from here on is earlier than the next
+                    # arrival, heap entry, fault or the horizon: the decode
+                    # replicas can safely replay up to there.
+                    bound = arr[cursor]
+                    if heap:
+                        bound = min(bound, heap[0][0])
+                    if self._fault_pos < num_faults:
+                        bound = min(bound, fault_events[self._fault_pos].time)
+                    if horizon is not None:
+                        bound = min(bound, horizon)
+                    for replica in decodes:
+                        self._decode_until(replica, bound)
             have_arrival = cursor < n
-            if not have_arrival and not heap:
-                break
-            if num_faults and self._fault_pos < num_faults:
-                # Fault entries win exact-time ties against simulation work:
-                # they apply the moment the next candidate event is not
-                # strictly earlier (the per-event engine uses the same rule).
-                next_t = arr[cursor] if have_arrival else heap[0][0]
-                if have_arrival and heap:
-                    next_t = min(next_t, heap[0][0])
+            if self._fault_pos < num_faults:
                 entry = fault_events[self._fault_pos]
-                if entry.time <= next_t:
-                    if horizon is not None and entry.time > horizon:
-                        self._fault_pos = num_faults
+                at = entry.time
+                if horizon is not None and at > horizon:
+                    self._fault_pos = num_faults  # past the horizon: never applied
+                else:
+                    # Fault entries win exact-time ties against simulation
+                    # work: they apply the moment the next candidate event is
+                    # not strictly earlier (the per-event engine's rule).
+                    # With no arrival or heap entry left, the candidates are
+                    # the decode replicas' own events.
+                    if have_arrival or heap:
+                        due = (not have_arrival or at <= arr[cursor]) and (
+                            not heap or at <= heap[0][0]
+                        )
                     else:
+                        for replica in decodes:
+                            self._decode_until(replica, at)
+                        due = any(r.stepping or r.log for r in decodes)
+                    if due:
                         self._fault_pos += 1
                         self._apply_fault_fast(entry)
-                    continue
+                        continue
+            if not have_arrival and not heap:
+                break
             if have_arrival and (not heap or arr[cursor] <= heap[0][0]):
                 # Arrivals win exact-time ties: the per-event engine pushes all
                 # ARRIVAL events at setup, giving them the lowest heap seqs.
                 row = cursor
                 at = arr[row]
                 if horizon is not None and at > horizon:
-                    truncated = True
                     break
                 cursor = row + 1
                 if at > self._clock:
@@ -697,31 +734,14 @@ class ServingSimulator:
                 continue
             t, _, kind, replica_id, payload = heappop(heap)
             if horizon is not None and t > horizon:
-                truncated = True
                 break
-            # Stale entries (a truncated or superseded decode epoch, work on
-            # or toward a replica that died) advance no clock.
-            if kind == _DECODE_WAKE:
-                replica = decodes[replica_id]
-                if payload != replica.epoch_seq:
-                    continue
-                if t > self._clock:
-                    self._clock = t
-                self._advance_decode(replica, t)
-            elif kind == _PREFILL_BATCH:
+            if kind == _PREFILL_BATCH:
                 replica = prefills[replica_id]
                 if payload != replica.epoch_seq:
-                    continue
+                    continue  # the replica died; no clock update
                 if t > self._clock:
                     self._clock = t
                 self._on_prefill_batch(replica, t)
-            elif kind == _KV_BATCH:
-                replica = decodes[replica_id]
-                if payload.incarnation != replica.incarnation:
-                    continue
-                self._on_kv_batch(
-                    payload, replica, t, horizon, arr[cursor] if have_arrival else None
-                )
             else:  # _RETRY: the payload is the request row
                 if t > self._clock:
                     self._clock = t
@@ -731,8 +751,10 @@ class ServingSimulator:
                 else:
                     self._on_prefill_arrival_fast(prefills[pre], payload, t)
         self._cursor = cursor
-        if truncated and horizon is not None:
-            self._flush_epochs(horizon)
+        # The per-event engine processes every event at or before the horizon.
+        stop = _INF if horizon is None else nextafter(horizon, _INF)
+        for replica in decodes:
+            self._decode_until(replica, stop)
         return self._finalize_fast(requests, trace_duration, label)
 
     def _finalize_fast(
@@ -826,11 +848,10 @@ class ServingSimulator:
         ``max_prefill_batch_requests`` rows each) and walks them in order:
         each batch is priced by the memoized scalar
         :meth:`~repro.costmodel.latency.ReplicaCostModel.prefill_latency_memo`
-        at its longest prompt, its completion time accumulates ``t = t +
-        latency`` (the reference engine's per-batch ``now + latency`` chain),
-        and its KV handoffs are precomputed (:meth:`_kv_handoffs`).  One
-        planner serves every queue size: a queue that fits one batch is one
-        loop iteration.  Only the first batch's
+        at its longest prompt, and its completion time accumulates ``t = t +
+        latency`` (the reference engine's per-batch ``now + latency`` chain).
+        One planner serves every queue size: a queue that fits one batch is
+        one loop iteration.  Only the first batch's
         ``PREFILL_BATCH`` event is pushed now; each completion pushes the
         next one, at the point where the per-event engine pushes its
         ``PREFILL_DONE``, so exact-time ties between replicas resolve alike.
@@ -840,7 +861,6 @@ class ServingSimulator:
         replica.busy = True
         inlen = self._inlen
         price = replica.cost.prefill_latency_memo
-        prefill_id = replica.group_id
         cap = self.config.max_prefill_batch_requests
         epoch = []
         t = now
@@ -848,59 +868,12 @@ class ServingSimulator:
             batch = rows[lo : lo + cap]
             start = t
             t = t + price(max(map(inlen.__getitem__, batch)), len(batch))
-            epoch.append((batch, start, t, *self._kv_handoffs(prefill_id, batch, t)))
+            epoch.append((batch, start, t))
         replica.epoch = epoch
         heappush(
             self._heap,
-            (epoch[0][2], next(self._heap_seq), _PREFILL_BATCH, prefill_id, replica.epoch_seq),
+            (epoch[0][2], next(self._heap_seq), _PREFILL_BATCH, replica.group_id, replica.epoch_seq),
         )
-
-    def _kv_handoffs(
-        self, prefill_id: int, batch: List[int], done: float
-    ) -> Tuple[Sequence[Tuple[int, Sequence[int], Sequence[float]]], Sequence[int]]:
-        """The KV handoffs and single-token rows of a batch completing at ``done``.
-
-        Every multi-token row's KV arrival is ``done + (alpha + bytes /
-        beta)`` over the cached link — the operation order of
-        :func:`~repro.costmodel.kv_transfer.kv_transfer_seconds`.  Arrivals
-        are grouped per decode replica in first-appearance order (the order
-        the per-event engine pushes their heap events) and stably sorted by
-        time, so one :class:`_KVBatch` cursor per group drains them in exact
-        heap order.  Single-token rows finish at prefill with no handoff.
-        """
-        inlen = self._inlen
-        outlen = self._outlen
-        dec_rep = self._dec_rep
-        kv_bytes = self._kv_bytes_per_token
-        # The alpha-beta arithmetic is inlined: this runs once per request,
-        # where a kv_transfer_seconds call would redo its validation and
-        # link lookup.
-        if len(batch) == 1:
-            # The commonest batch below saturation: one row, one handoff at
-            # most, so no per-replica dict, zip or sort.
-            r = batch[0]
-            if outlen[r] <= 1:
-                return (), batch
-            decode_id = dec_rep[r]
-            alpha, beta = self._kv_link(prefill_id, decode_id)
-            return ((decode_id, batch, (done + (alpha + (kv_bytes * (inlen[r] + 1)) / beta),)),), ()
-        groups: Dict[int, List[Tuple[float, int]]] = {}
-        singles: List[int] = []
-        for r in batch:
-            if outlen[r] <= 1:
-                singles.append(r)
-                continue
-            decode_id = dec_rep[r]
-            alpha, beta = self._kv_link(prefill_id, decode_id)
-            arrival = done + (alpha + (kv_bytes * (inlen[r] + 1)) / beta)
-            groups.setdefault(decode_id, []).append((arrival, r))
-        handoffs = []
-        for decode_id, pairs in groups.items():
-            if len(pairs) > 1:
-                pairs.sort(key=itemgetter(0))  # stable: ties keep queue order
-            arrivals, kv_rows = zip(*pairs)
-            handoffs.append((decode_id, kv_rows, arrivals))
-        return handoffs, singles
 
     def _kv_link(self, prefill_id: int, decode_id: int) -> Tuple[float, float]:
         """:func:`~repro.costmodel.kv_transfer.kv_link` of a prefill and a decode group.
@@ -922,50 +895,61 @@ class ServingSimulator:
         """Complete the running batch of the replica's epoch (fast engine).
 
         Staleness (replica death) is checked by the main loop before the
-        clock advances.  Under an active fault timeline, rows whose decode
-        target is dead at the handoff instant are disposed here instead of
-        emitting a doomed KV transfer — exactly where the per-event engine
-        makes the same call.  Then the next batch's completion is pushed; the
-        last batch instead starts the next epoch over whatever queued
-        meanwhile, or retires the replica to idle in place.
+        clock advances.  Single-token rows finish here.  Every other row's
+        KV transfer lands at ``now + (alpha + bytes / beta)`` over the cached
+        link — the operation order of
+        :func:`~repro.costmodel.kv_transfer.kv_transfer_seconds` — and is
+        appended to its decode replica's log; under an active fault
+        timeline, rows whose decode target is dead at the handoff instant are
+        disposed here instead, exactly where the per-event engine makes the
+        same call.  Then the next batch's completion is pushed; the last
+        batch instead starts the next epoch over whatever queued meanwhile,
+        or retires the replica to idle in place.
         """
         epoch = replica.epoch
-        rows, start, _, handoffs, singles = epoch.pop(0)
+        rows, start, _ = epoch.pop(0)
+        inlen = self._inlen
+        outlen = self._outlen
+        dec_rep = self._dec_rep
         m_pstart = self._m_pstart
         m_first = self._m_first
+        decodes = self.decodes
+        prefill_id = replica.group_id
+        kv_bytes = self._kv_bytes_per_token
+        dead_decodes = self._dead_decodes if self._faults_active else ()
+        dead_rows: List[int] = []
         for r in rows:
             m_pstart[r] = start
             m_first[r] = now
-        # Single-token responses finish at prefill; no KV transfer needed.
-        for r in singles:
-            self._m_kvdone[r] = now
-            self._m_comp[r] = now
-            self._m_fin[r] = True
-            self._m_out[r] = _OUT_RETRIED if self._att[r] > 0 else _OUT_FINISHED
-        heap = self._heap
-        seqs = self._heap_seq
-        if handoffs:
-            faults = self._faults_active
-            dead_rows: List[int] = []
-            for decode_id, kv_rows, times in handoffs:
-                incarnation = 0
-                if faults:
-                    if decode_id in self._dead_decodes:
-                        dead_rows.extend(kv_rows)
-                        continue
-                    target = self.decodes[decode_id]
-                    target.inflight.update(dict.fromkeys(kv_rows, True))
-                    incarnation = target.incarnation
-                seq = next(seqs)
-                holder = _KVBatch(kv_rows, times, seq, incarnation)
-                heappush(heap, (times[0], seq, _KV_BATCH, decode_id, holder))
-            if dead_rows:
-                dead_rows.sort(key=self._req_id.__getitem__)
-                for r in dead_rows:
-                    self._dispose_fast(r, now)
+            if outlen[r] <= 1:
+                # Single-token responses finish at prefill; no KV transfer needed.
+                self._m_kvdone[r] = now
+                self._m_comp[r] = now
+                self._m_fin[r] = True
+                self._m_out[r] = _OUT_RETRIED if self._att[r] > 0 else _OUT_FINISHED
+                continue
+            decode_id = dec_rep[r]
+            if decode_id in dead_decodes:
+                dead_rows.append(r)
+                continue
+            # The alpha-beta arithmetic is inlined: this runs once per
+            # request, where a kv_transfer_seconds call would redo its
+            # validation and link lookup.
+            alpha, beta = self._kv_link(prefill_id, decode_id)
+            target = decodes[decode_id]
+            log = target.log
+            log.append((now + (alpha + (kv_bytes * (inlen[r] + 1)) / beta), now, r))
+            if len(log) >= _LOG_BOUND:
+                # Every later handoff lands after ``now``.
+                self._decode_until(target, now)
+        if dead_rows:
+            dead_rows.sort(key=self._req_id.__getitem__)
+            for r in dead_rows:
+                self._dispose_fast(r, now)
         if epoch:
             heappush(
-                heap, (epoch[0][2], next(seqs), _PREFILL_BATCH, replica.group_id, replica.epoch_seq)
+                self._heap,
+                (epoch[0][2], next(self._heap_seq), _PREFILL_BATCH, prefill_id, replica.epoch_seq),
             )
         elif replica.queue:
             rows = list(replica.queue)
@@ -974,86 +958,122 @@ class ServingSimulator:
         else:
             replica.busy = False
 
-    def _on_kv_batch(
-        self,
-        holder: _KVBatch,
-        replica: _DecodeReplica,
-        t: float,
-        horizon: Optional[float],
-        next_arrival: Optional[float],
-    ) -> None:
-        """Drain a coalesced KV-arrival cursor in exact per-event order.
+    # ------------------------------------------------------ decode (fast engine)
+    def _decode_until(self, replica: _DecodeReplica, stop: float) -> None:
+        """Replay a decode replica's own timeline strictly before ``stop``.
 
-        The arrival at ``t`` was the earliest pending work when the cursor
-        was popped, so it is delivered at once.  Later arrivals are delivered
-        while they remain the earliest; whenever another heap entry — or a
-        fault entry, the horizon, or the not-yet-processed trace arrival at
-        ``next_arrival`` (which the per-event engine would hold as an
-        earlier-seq heap event) — is due first, the cursor is re-inserted at
-        its next arrival under its original sequence number so exact-time
-        ties keep per-event ordering.
+        The events are the logged KV deliveries and the replica's wakes, in
+        time order; the caller guarantees that no delivery earlier than
+        ``stop`` is still to be logged, and that no fault kills the replica
+        before ``stop``.  The log is sorted stably by arrival, so same-time
+        deliveries keep their handoff order (the per-event engine's push
+        order).
 
-        Each delivery stamps the row's KV arrival and queues it for
-        admission.  An idle replica starts an epoch at once.  A running one
-        truncates its epoch at the first step boundary at or after the
-        arrival — exactly where the per-event engine's per-step admission
-        would pick the request up — unless a FIFO head is already waiting:
-        then admission is blocked on capacity that only a completion can
-        free, and the epoch end already covers it.
+        * **Delivery.**  Stamps the row's KV arrival and queues it for
+          admission.  An idle replica starts an epoch at once.  A running
+          one moves its wake to the first step boundary at or after the
+          arrival (``bisect_left``) — exactly where the per-event engine's
+          per-step admission would pick the request up — unless a FIFO head
+          is already waiting: then admission is blocked on capacity that only
+          a completion can free, and the epoch end already covers it.
+        * **Wake** (:meth:`_decode_wake`): applies the steps, retires
+          finishers, admits and plans the next epoch.
+
+        At an exact tie between a delivery and the wake, the delivery goes
+        first when it was handed off before the wake was set — the order a
+        heap of push-ordered events would pop them in.  Step boundaries are
+        priced only as far as the next delivery or ``stop`` needs.  The clock
+        takes every replayed time, including the running epoch's boundaries
+        before ``stop``.
         """
-        rows = holder.rows
-        times = holder.times
-        pos = holder.pos
-        last = len(rows) - 1
-        heap = self._heap
-        seqs = self._heap_seq
-        decode_id = replica.group_id
+        log = replica.log
+        stepping = replica.stepping
+        if not stepping and not log:
+            return
+        if len(log) > 1:
+            log.sort(key=itemgetter(0))  # stable: ties keep handoff order
         pending = replica.pending
         m_kvdone = self._m_kvdone
-        inflight = replica.inflight if self._faults_active else None
-        # Fault entries and trace arrivals cannot move during the drain: the
-        # earliest of them bounds every later delivery (ties yield).
-        stop = next_arrival
-        if self._fault_pos < len(self._fault_events):
-            fault_t = self._fault_events[self._fault_pos].time
-            stop = fault_t if stop is None else min(stop, fault_t)
+        clock = self._clock
+        nlog = len(log)
+        i = 0
+        a = log[0][0] if nlog else _INF
+        # The epoch state lives in locals between wakes.
+        times = replica.epoch_times
+        cut = replica.epoch_cut
         while True:
-            row = rows[pos]
-            if t > self._clock:
-                self._clock = t
-            m_kvdone[row] = t
-            if inflight is not None:
-                inflight.pop(row, None)
-            head_was_blocked = bool(pending)
-            pending.append(row)
-            if not replica.stepping:
-                self._advance_decode(replica, t)
-            elif not head_was_blocked:
+            if stepping:
+                p = len(times)
+                if cut > p:
+                    # The wake is the epoch end, not priced this far yet:
+                    # price past the next delivery or ``stop``.  The chain
+                    # continues from the last priced boundary, so pricing in
+                    # pieces gives the same floats as pricing at once; step
+                    # latencies grow with the context, so the current one
+                    # bounds how many steps reach the limit.
+                    limit = a if a < stop else stop
+                    t = times[-1] if p else replica.epoch_start
+                    if t <= limit:
+                        k = replica.epoch_len
+                        lat = replica.epoch_row
+                        m0 = replica.epoch_m0
+                        while p < k and t <= limit:
+                            q = k
+                            if limit < _INF:
+                                q = min(k, p + int((limit - t) / lat[m0 + p]) + 2)
+                            steps = accumulate(lat[m0 + p : m0 + q], initial=t)
+                            next(steps)
+                            times.extend(steps)
+                            p = q
+                            t = times[-1]
+                    w = times[cut - 1] if cut <= p else _INF
+                else:
+                    w = times[cut - 1]
+            else:
+                w = _INF
+            if a < w or (a == w < _INF and log[i][1] < replica.wake_set):
+                if a >= stop:
+                    break
+                row = log[i][2]
+                i += 1
+                if a > clock:
+                    clock = a
+                m_kvdone[row] = a
+                if not stepping:
+                    pending.append(row)
+                    self._decode_wake(replica, a)
+                    stepping = replica.stepping
+                    times = replica.epoch_times
+                    cut = replica.epoch_cut
+                elif pending:
+                    pending.append(row)
+                else:
+                    pending.append(row)
+                    idx = bisect_left(times, a, 0, cut if cut < p else p)
+                    if idx + 1 < cut:
+                        cut = replica.epoch_cut = idx + 1
+                        replica.wake_set = a
+                a = log[i][0] if i < nlog else _INF
+            else:
+                if w >= stop:
+                    break
+                if w > clock:
+                    clock = w
+                self._decode_wake(replica, w)
+                stepping = replica.stepping
+                times = replica.epoch_times
                 cut = replica.epoch_cut
-                epoch_times = replica.epoch_times
-                idx = bisect_left(epoch_times, t, 0, cut)
-                if idx + 1 < cut:
-                    replica.epoch_cut = idx + 1
-                    seq = replica.epoch_seq = replica.epoch_seq + 1
-                    heappush(heap, (epoch_times[idx], next(seqs), _DECODE_WAKE, decode_id, seq))
-            if pos == last:
-                return
-            pos += 1
-            t = times[pos]
-            if (
-                (stop is not None and stop <= t)
-                or (horizon is not None and t > horizon)
-                # Sequence numbers are unique, so this tuple comparison is
-                # decided by (time, seq) alone.
-                or (heap and heap[0] < (t, holder.heap_seq))
-            ):
-                holder.pos = pos
-                heappush(heap, (t, holder.heap_seq, _KV_BATCH, decode_id, holder))
-                return
+        del log[:i]
+        if stepping:
+            # Steps strictly before ``stop`` fired: the per-event engine
+            # advanced its clock through each of them.
+            fired = bisect_left(times, stop, 0, min(cut, len(times)))
+            if fired and times[fired - 1] > clock:
+                clock = times[fired - 1]
+        self._clock = clock
 
-    # ------------------------------------------------------ decode (fast engine)
-    def _advance_decode(self, replica: _DecodeReplica, now: float) -> None:
-        """Run a decode replica to ``now`` and start its next epoch.
+    def _decode_wake(self, replica: _DecodeReplica, now: float) -> None:
+        """Run a decode replica to its wake at ``now`` and start its next epoch.
 
         Applies the ``epoch_cut`` steps of the current epoch (none on an idle
         replica), admits pending rows while capacity allows, and plans the
@@ -1063,15 +1083,14 @@ class ServingSimulator:
           a full-length wake retires every row whose finish step is now, each
           at the last boundary and taking its final context ``in_len +
           out_len`` out of ``ctx_sum`` and its blocks back into ``kv_free``.
-        * **Truncated wake.**  A KV arrival cut the epoch short, so nothing
+        * **Truncated wake.**  A delivery cut the epoch short, so nothing
           finishes here.  When nothing can be admitted either (capacity), the
-          **surviving suffix** of the old plan is reinstated as the next
-          epoch without re-pricing: the remaining boundary times are a pure
-          function of batch state the truncation did not change.
+          epoch runs on from here to its end: the remaining boundary times
+          are a pure function of batch state the truncation did not change.
         * **Admission** replays the reference's FIFO ``kv.can_allocate``
           guarded loop over plain ints, pushing each newcomer's finish step
           onto the batch heap and its context onto ``ctx_sum``.
-        * **Pricing.**  The batch composition cannot change before the
+        * **Planning.**  The batch composition cannot change before the
           earliest completion (``heap[0][0] - steps_done`` steps away), so
           the epoch spans that many steps with a **constant batch** of ``n``.
           The reference prices step ``t`` at mean context ``int((ctx_sum +
@@ -1079,9 +1098,8 @@ class ServingSimulator:
           t``: the epoch's step latencies are the contiguous slice ``row[m0 :
           m0 + k]`` of the batch size's latency row
           (:meth:`~repro.costmodel.latency.ReplicaCostModel.decode_step_row`),
-          and ``accumulate`` turns it into boundary times by the reference's
-          left-to-right ``now + latency`` chain.  One DECODE_WAKE event stands
-          in for the whole jump.
+          and :meth:`_decode_until` turns it into boundary times by the
+          reference's left-to-right ``now + latency`` chain.
         """
         heap = replica.heap
         pending = replica.pending
@@ -1096,7 +1114,7 @@ class ServingSimulator:
             now_step = replica.steps_done + steps
             replica.steps_done = now_step
             ctx_sum += len(heap) * steps
-            if steps < len(replica.epoch_times):
+            if steps < replica.epoch_len:
                 truncated = True
             else:
                 att = self._att
@@ -1133,27 +1151,27 @@ class ServingSimulator:
                 admitted = True
         replica.ctx_sum = ctx_sum
         replica.kv_free = kv_free
+        replica.wake_set = now
         if n == 0:
             replica.stepping = False
-            replica.epoch_times = None
             replica.epoch_cut = 0
+            replica.epoch_row = None
             return
         if truncated and not admitted:
-            times = replica.epoch_times[steps:]
+            # Run on: the epoch restarts here with its own remaining steps.
+            del replica.epoch_times[:steps]
+            replica.epoch_m0 += steps
+            replica.epoch_len -= steps
         else:
             k = heap[0][0] - replica.steps_done
             m0 = ctx_sum // n
-            latencies = replica.cost.decode_step_row(n, m0 + k)
-            times = list(accumulate(latencies[m0 : m0 + k], initial=now))
-            del times[0]
+            replica.epoch_row = replica.cost.decode_step_row(n, m0 + k)
+            replica.epoch_m0 = m0
+            replica.epoch_len = k
+            replica.epoch_times = []
             replica.stepping = True
-        replica.epoch_times = times
-        replica.epoch_cut = len(times)
-        replica.epoch_seq += 1
-        heappush(
-            self._heap,
-            (times[-1], next(self._heap_seq), _DECODE_WAKE, replica.group_id, replica.epoch_seq),
-        )
+        replica.epoch_start = now
+        replica.epoch_cut = replica.epoch_len
 
     # ------------------------------------------------------- faults (fast engine)
     def _dispose_fast(self, row: int, now: float) -> None:
@@ -1199,8 +1217,10 @@ class ServingSimulator:
     def _apply_fault_fast(self, entry: ReplicaFaultEvent) -> None:
         """Apply one fault-timeline entry at its instant (fast engine).
 
-        Deaths first: every dead replica is wiped (queues, epoch state, KV
-        cache, in-flight transfers toward it) and its victims — collected
+        Deaths first: a dying decode replica replays its timeline strictly
+        before the fault instant, then every dead replica is wiped (queues,
+        epoch state, KV cache, the in-flight transfers in its log) and its
+        victims — collected
         across all replicas dying at this instant — are disposed in request-id
         order, so retry scheduling is deterministic and engine-independent.
         Revivals simply mark the (already clean) replica routable again.
@@ -1227,29 +1247,13 @@ class ServingSimulator:
                 continue
             self._dead_decodes.add(gid)
             replica = self.decodes[gid]
-            if replica.stepping and replica.epoch_times is not None:
-                # Steps that fired strictly before ``t`` (ties lose — fault
-                # entries win) delivered their tokens; the reference engine
-                # advanced its clock through each of them, so replay the last
-                # fired boundary here to keep makespans bitwise-identical.
-                times = replica.epoch_times
-                fired = bisect_left(times, t, 0, replica.epoch_cut)
-                if fired > 0:
-                    self._clock = max(self._clock, times[fired - 1])
+            # Everything strictly before ``t`` happened (ties lose — fault
+            # entries win); what is left in the log is in flight.
+            self._decode_until(replica, t)
             victims.extend(row for _, row in replica.heap)
             victims.extend(replica.pending)
-            victims.extend(replica.inflight.keys())
-            replica.heap = []
-            replica.steps_done = 0
-            replica.ctx_sum = 0
-            replica.kv_free = replica.kv_blocks
-            replica.pending.clear()
-            replica.inflight.clear()
-            replica.stepping = False
-            replica.epoch_times = None
-            replica.epoch_cut = 0
-            replica.epoch_seq += 1
-            replica.incarnation += 1
+            victims.extend(row for _, _, row in replica.log)
+            self._reset_decode(replica)
         for gid in entry.revived_prefill:
             self._dead_prefills.discard(gid)
         for gid in entry.revived_decode:
@@ -1263,23 +1267,6 @@ class ServingSimulator:
         victims.sort(key=self._req_id.__getitem__)
         for row in victims:
             self._dispose_fast(row, t)
-
-    def _flush_epochs(self, horizon: float) -> None:
-        """Advance the clock through the epoch steps at or before ``horizon``.
-
-        The reference engine processes every per-step event with time <=
-        horizon before stopping, so a horizon-truncated run's makespan is the
-        last such step boundary.  No flushed step completes a request: every
-        running epoch's wake lies beyond the horizon (the run stopped at the
-        first event past it), and an epoch ends at its earliest completion.
-        """
-        for replica in self.decodes.values():
-            if not replica.stepping:
-                continue
-            times = replica.epoch_times
-            steps = bisect_right(times, horizon, 0, replica.epoch_cut)
-            if steps > 0 and times[steps - 1] > self._clock:
-                self._clock = times[steps - 1]
 
     # ------------------------------------------------------------------ reference
     def _run_reference(

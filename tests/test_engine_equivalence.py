@@ -514,20 +514,28 @@ def _shared_output_trace(num_requests=96, output_length=24):
 @pytest.mark.parametrize("horizon", [None, 3.0])
 def test_shared_output_length_ties_identical(horizon, monkeypatch):
     """Heap ties, a decode death mid-epoch and the horizon flush stay aligned."""
-    # Record the dying replica's epoch at the fault instant: (steps fired,
-    # steps planned), to prove the death really lands inside an epoch.
+    # Record the dying replica's epoch once the fault has replayed it to the
+    # fault instant: (steps fired, steps to its wake), to prove the death
+    # really lands inside an epoch.
     at_death = []
+    faulting = []
     apply_fault = ServingSimulator._apply_fault_fast
+    replay = ServingSimulator._decode_until
 
-    def spy(self, entry):
-        for gid in entry.dead_decode:
-            replica = self.decodes[gid]
-            if replica.stepping:
-                fired = bisect_left(replica.epoch_times, entry.time, 0, replica.epoch_cut)
-                at_death.append((fired, replica.epoch_cut))
+    def fault_spy(self, entry):
+        faulting.append(entry)
         apply_fault(self, entry)
+        faulting.pop()
 
-    monkeypatch.setattr(ServingSimulator, "_apply_fault_fast", spy)
+    def replay_spy(self, replica, stop):
+        replay(self, replica, stop)
+        if faulting and replica.stepping:
+            times = replica.epoch_times
+            cut = replica.epoch_cut
+            at_death.append((bisect_left(times, stop, 0, min(cut, len(times))), cut))
+
+    monkeypatch.setattr(ServingSimulator, "_apply_fault_fast", fault_spy)
+    monkeypatch.setattr(ServingSimulator, "_decode_until", replay_spy)
     timeline = FaultTimeline(
         events=[ReplicaFaultEvent(time=1.7, dead_decode=(MULTI_DECODES[0],))]
     )

@@ -2,9 +2,10 @@
 
 The fast engine orders its heap entries by ``(time, seq)`` with ``seq`` drawn
 from one push counter, as the reference engine's ``EventQueue`` does, and a
-coalesced KV-arrival cursor that yields goes back on the heap under its
-original ``seq``.  Those rules only matter when two entries share a time, so
-these properties generate traces full of exact-time ties:
+decode replica replays its log of KV deliveries sorted stably by arrival, so
+same-time deliveries keep their handoff order.  Those rules only matter when
+two events share a time, so these properties generate traces full of
+exact-time ties:
 
 * repeated arrival stamps (zero gaps on a 0.25 s grid);
 * shared output lengths, so finishers share a decode step;
@@ -24,6 +25,9 @@ one-batch prefill epochs (single-token rows, a batch handing off to both
 decode replicas, an arrival or a death at the exact completion instant), and
 a property over long outputs under KV pressure, whose decode epochs run for
 thousands of steps and are cut short by arrivals that do and do not fit.
+Pinned cases also cover the edges of the decode replay: a death at the
+instant of a logged delivery, a fault after the last heap event, a horizon
+between a delivery and its admission, and a log that reaches its bound.
 """
 
 from dataclasses import fields
@@ -41,6 +45,7 @@ from repro.model.architecture import get_model_config
 from repro.scheduling.deployment import DeploymentPlan
 from repro.scheduling.lower_level import LowerLevelSolver
 from repro.scheduling.solution import UpperLevelSolution
+from repro.simulation import engine
 from repro.simulation.engine import ServingSimulator, SimulatorConfig
 from repro.simulation.metrics import MetricArrays
 from repro.workload.spec import CONVERSATION_WORKLOAD
@@ -146,29 +151,36 @@ def _simulator(engine: str, config: dict, plan: DeploymentPlan = PLAN) -> Servin
     return ServingSimulator(CLUSTER, plan, MODEL, config=SimulatorConfig(engine=engine, **config))
 
 
-def _assert_fast_equals_reference(case, plan: DeploymentPlan = PLAN) -> MetricArrays:
-    """Run ``case`` through both engines, assert bitwise equality, return the columns."""
-    arrays, chunks, timeline, config = case
-    fast = _simulator("fast", config, plan).run_stream(chunks, faults=timeline, retry=RETRY)
-    reference = _simulator("reference", config, plan).run(
-        arrays.to_trace(), faults=timeline, retry=RETRY
-    )
+def _assert_same(fast, reference) -> None:
+    """Assert two results agree bitwise on every metric column and the makespan."""
     for column in fields(MetricArrays):
         a = getattr(fast.arrays, column.name)
         b = getattr(reference.arrays, column.name)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), column.name
     assert fast.makespan == reference.makespan
+
+
+def _assert_fast_equals_reference(
+    case, plan: DeploymentPlan = PLAN, retry: RetryPolicy = RETRY
+) -> MetricArrays:
+    """Run ``case`` through both engines, assert bitwise equality, return the columns."""
+    arrays, chunks, timeline, config = case
+    fast = _simulator("fast", config, plan).run_stream(chunks, faults=timeline, retry=retry)
+    reference = _simulator("reference", config, plan).run(
+        arrays.to_trace(), faults=timeline, retry=retry
+    )
+    _assert_same(fast, reference)
     return fast.arrays
 
 
 def test_same_instant_kv_handoffs_keep_push_order():
-    """A yielding KV cursor goes back on the heap under its first ``seq``.
+    """Same-instant KV deliveries replay in handoff order.
 
     27 requests arrive at t = 0 and split over the two identical prefill
     replicas, so their batches finish, and hand KV caches off, at the same
     instants.  With three admission slots per decode replica, the pending
-    queue's order decides who runs first: a cursor re-pushed under a fresh
-    ``seq`` would queue its later arrivals behind the other cursor's.
+    queue's order decides who runs first: a log sorted by anything but a
+    stable sort on arrival would queue one batch's rows behind the other's.
     """
     n = 27
     input_length = np.full(n, 16)
@@ -349,24 +361,25 @@ def test_truncated_wakes_with_and_without_admission(monkeypatch):
     with three admission slots.  An arrival truncates the running epoch at
     the next step boundary; while a slot is free it is admitted there and
     the epoch is re-priced, and once the slots are taken it is not, and the
-    rest of the old epoch is kept as it was.
+    old epoch runs on as it was.  Both kinds of truncated wake must land on
+    an epoch longer than 4096 steps.
     """
     wakes = []
-    advance = ServingSimulator._advance_decode
+    wake = ServingSimulator._decode_wake
 
     def spy(self, replica, now):
-        truncated = 0 < replica.epoch_cut < len(replica.epoch_times or ())
+        truncated = replica.stepping and replica.epoch_cut < replica.epoch_len
+        length = replica.epoch_len
         running = len(replica.heap)
-        advance(self, replica, now)
-        longest = len(replica.epoch_times or ())
-        wakes.append((truncated, len(replica.heap) > running, longest))
+        wake(self, replica, now)
+        wakes.append((truncated, len(replica.heap) > running, length))
 
-    monkeypatch.setattr(ServingSimulator, "_advance_decode", spy)
+    monkeypatch.setattr(ServingSimulator, "_decode_wake", spy)
     arrays = _requests([4 * STAMP * k for k in range(8)], [5000] * 8, input_length=512)
     config = dict(seed=4, max_prefill_batch_requests=16, kv_block_size=16384)
     _assert_fast_equals_reference((arrays, [arrays], None, config))
-    assert {(t, a) for t, a, _ in wakes} >= {(True, True), (True, False)}
-    assert max(longest for _, _, longest in wakes) > 4096
+    long_truncations = {(t, a) for t, a, length in wakes if t and length > 4096}
+    assert long_truncations == {(True, True), (True, False)}
 
 
 @given(case=long_output_cases())
@@ -382,3 +395,134 @@ def test_long_outputs_match_reference(case):
 def test_long_outputs_match_reference_exhaustive(case):
     """The same property over many more generated traces."""
     _assert_fast_equals_reference(case)
+
+
+# ------------------------------------------------------------ decode replay
+
+
+def _same_decode_seed(arrays: RequestArrays, config: dict, rows=(0, 1)) -> dict:
+    """``config`` with the first routing seed that sends ``rows`` to one decode replica."""
+    for seed in range(64):
+        probe = _fast_columns(arrays, dict(config, seed=seed))
+        if len(set(probe.decode_replica[list(rows)].tolist())) == 1:
+            return dict(config, seed=seed)
+    raise AssertionError("no seed routes the rows to one decode replica")
+
+
+def test_decode_death_at_a_logged_delivery_instant():
+    """A death at the exact arrival instant of a KV delivery: the fault wins.
+
+    The delivery is still in flight, so the request is disposed with no KV
+    arrival stamped; under the drop-only policy it keeps that partial stamp.
+    """
+    config = dict(seed=2, max_prefill_batch_requests=16, kv_block_size=16)
+    arrays = _requests([0.0, 0.5], [24, 24])
+    probe = _fast_columns(arrays, config)
+    arrival = float(probe.kv_transfer_done[0])
+    assert probe.first_token_time[0] < arrival
+    timeline = FaultTimeline(
+        events=[ReplicaFaultEvent(time=arrival, dead_decode=(int(probe.decode_replica[0]),))]
+    )
+    a = _assert_fast_equals_reference(
+        (arrays, [arrays], timeline, config), retry=RetryPolicy.drop_only()
+    )
+    assert not a.finished[0] and a.first_token_time[0] > 0.0
+    assert a.kv_transfer_done[0] == 0.0
+
+
+def _long_answer_death(config: dict):
+    """One 300-token answer, and a death of its decode replica mid-decode."""
+    arrays = _requests([0.0], [300])
+    probe = _fast_columns(arrays, config)
+    arrival, done = float(probe.kv_transfer_done[0]), float(probe.completion_time[0])
+    death = (arrival + done) / 2
+    timeline = FaultTimeline(
+        events=[ReplicaFaultEvent(time=death, dead_decode=(int(probe.decode_replica[0]),))]
+    )
+    return arrays, probe, arrival, death, timeline
+
+
+def test_fault_after_the_last_heap_event_kills_a_decoding_replica():
+    """A death while only a decode replica is still working is applied.
+
+    Once the answer's KV cache has landed, no arrival, batch or retry is left
+    on the heap, and the replica dies mid-decode.  The request is retried on
+    the surviving decode replica and finishes there.
+    """
+    config = dict(seed=1, max_prefill_batch_requests=16, kv_block_size=16)
+    arrays, probe, _, _, timeline = _long_answer_death(config)
+    a = _assert_fast_equals_reference((arrays, [arrays], timeline, config))
+    assert a.attempts[0] == 1 and a.finished[0]
+    assert a.decode_replica[0] != probe.decode_replica[0]
+
+
+def test_decode_death_advances_the_clock_through_fired_steps():
+    """The steps that fired before a death can be the run's last events.
+
+    The answer is dropped at the death, a second request would arrive after
+    the horizon, and the horizon falls just after the death: the makespan is
+    the last step boundary before the death, which only the death's replay
+    reaches.
+    """
+    config = dict(seed=1, max_prefill_batch_requests=16, kv_block_size=16)
+    _, _, arrival, death, timeline = _long_answer_death(config)
+    horizon = death + 0.01
+    arrays = _requests([0.0, horizon + 1.0], [300, 24])
+    config = dict(config, max_sim_time=horizon)
+    drop = RetryPolicy.drop_only()
+    fast = _simulator("fast", config).run_stream([arrays], faults=timeline, retry=drop)
+    reference = _simulator("reference", config).run(arrays.to_trace(), faults=timeline, retry=drop)
+    _assert_same(fast, reference)
+    assert len(fast.arrays.request_id) == 1 and not fast.arrays.finished[0]
+    assert arrival < fast.makespan < death
+
+
+@pytest.mark.parametrize("at", ["arrival", "just after"])
+def test_horizon_between_a_delivery_and_its_admission(at):
+    """A horizon after a delivery but before the boundary that admits it.
+
+    Request 1's KV cache lands while request 0 decodes on the same replica,
+    so it waits for the next step boundary.  A horizon at (or just after)
+    the delivery keeps the delivery and cuts the admission.
+    """
+    arrays = _requests([0.0, 1.0], [300, 24])
+    config = _same_decode_seed(arrays, dict(max_prefill_batch_requests=16, kv_block_size=16))
+    probe = _fast_columns(arrays, config)
+    arrival = float(probe.kv_transfer_done[1])
+    assert probe.kv_transfer_done[0] < arrival < probe.completion_time[0]
+    horizon = arrival if at == "arrival" else float(np.nextafter(arrival, np.inf))
+    a = _assert_fast_equals_reference(
+        (arrays, [arrays], None, dict(config, max_sim_time=horizon))
+    )
+    assert a.kv_transfer_done[1] == arrival and not a.finished.any()
+
+
+def test_single_chunk_run_crosses_the_log_bound(monkeypatch):
+    """A one-chunk ``run`` long enough that a decode log reaches its bound.
+
+    Nothing is ingested after the first chunk, so only the bound makes a
+    replica replay before the end of the run; every log stays within it.
+    """
+    sizes = []
+    replay = ServingSimulator._decode_until
+
+    def spy(self, replica, stop):
+        sizes.append(len(replica.log))
+        replay(self, replica, stop)
+
+    monkeypatch.setattr(ServingSimulator, "_decode_until", spy)
+    n = 2 * engine._LOG_BOUND + 400
+    rng = np.random.default_rng(7)
+    arrays = RequestArrays(
+        request_id=np.arange(n),
+        arrival_time=np.cumsum(rng.choice([0.0, 0.05, 0.1], size=n)),
+        input_length=rng.choice([16, 128, 512], size=n),
+        output_length=rng.choice([2, 8, 24], size=n),
+        workload="ties",
+    )
+    config = dict(seed=5, max_prefill_batch_requests=4, kv_block_size=16)
+    _assert_same(
+        _simulator("fast", config).run(arrays.to_trace()),
+        _simulator("reference", config).run(arrays.to_trace()),
+    )
+    assert max(sizes) == engine._LOG_BOUND
