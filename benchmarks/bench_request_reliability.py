@@ -135,8 +135,7 @@ def _live_storm(cluster, model, plan, slo, retry):
     )
     config = LiveServeConfig(
         window_s=WINDOW_S,
-        reschedule_on_breach=False,
-        reschedule_on_shift=False,
+        adapt_to_workload=False,
         faults=schedule,
         retry_policy=retry,
     )

@@ -3,8 +3,8 @@
 A deployment planned for a steady conversation workload meets a day/night cycle
 of prefill-heavy coding traffic.  The live serving loop replays the trace in
 30-second windows on a time-warped clock, streams a telemetry record per window
-(attainment, estimated rho, plan id), evaluates declarative SLO objectives with
-auto-inferred realtime/degraded profiles, and — when an objective breaches or
+(attainment, estimated rho, plan id), judges each window under a realtime or a
+degraded SLO profile, and — when an objective breaches or
 the workload profiler detects a shift — triggers the §3.4 lightweight
 rescheduler online.  Every candidate plan is shadow-validated on the window
 just served before adoption, so the loop never installs a plan that
@@ -60,29 +60,16 @@ def main() -> None:
     )
     system.deploy(seed=0)
 
-    # Declarative SLO objectives: a realtime profile holding 90% availability
-    # and a degraded fallback holding 50%, selected per window from the
-    # telemetry snapshot (see repro/serving/slo_objectives.py for the schema).
-    slo_config = {
-        "auto": {"realtime_attainment_min": 0.75, "default_profile": "degraded"},
-        "profiles": {
-            "realtime": [
-                {"name": "availability", "metric": "attainment_e2e", "op": ">=", "target": 0.9},
-                {"name": "headroom", "metric": "estimated_rho", "op": "<=", "target": 0.95},
-            ],
-            "degraded": [
-                {"name": "availability", "metric": "attainment_e2e", "op": ">=", "target": 0.5},
-            ],
-        },
-    }
-
+    # Each window is judged realtime (90% availability plus utilisation
+    # headroom) or, once attainment or headroom slips, degraded (50%
+    # availability): see repro/serving/slo_objectives.py.
     def print_breaches(window):
         for event in window.breaches:
             print(f"  !! {event.describe()}")
 
     server = LiveServer(
         system,
-        config=LiveServeConfig(window_s=30.0, slo_config=slo_config),
+        config=LiveServeConfig(window_s=30.0),
         on_window=print_breaches,
     )
     report = server.run(trace, label="diurnal-live")

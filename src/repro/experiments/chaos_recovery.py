@@ -86,10 +86,8 @@ def _live_config(window_s: float, adaptive: bool, faults: FaultSchedule) -> Live
     return LiveServeConfig(
         window_s=window_s,
         faults=faults,
-        reschedule_on_breach=adaptive,
-        reschedule_on_shift=adaptive,
-        reschedule_on_failure=adaptive,
-        reschedule_on_recovery=adaptive,
+        adapt_to_workload=adaptive,
+        adapt_to_capacity=adaptive,
     )
 
 

@@ -17,9 +17,12 @@ production phase-splitting deployment actually meets:
 * :class:`SpotPreemptionScenario` — steady traffic with spot-instance
   preemptions injected mid-run (the Figure 11 failure situation).
 
-All scenarios are frozen dataclasses: parameterize by constructing with different
-field values, and rely on :meth:`~repro.scenarios.base.Scenario.build_trace`
-being deterministic under a fixed seed.
+The two RAG scenarios and the spot-preemption one draw steady Poisson traffic
+of one workload and share :class:`SteadyPoissonScenario`'s trace and planning
+workload.  All scenarios are frozen dataclasses: parameterize by constructing
+with different field values, and rely on
+:meth:`~repro.scenarios.base.Scenario.build_trace` being deterministic under a
+fixed seed.
 """
 
 from __future__ import annotations
@@ -49,6 +52,28 @@ RAG_WORKLOAD = WorkloadSpec(
     output_sigma=0.5,
     max_input_length=8192,
 )
+
+
+class SteadyPoissonScenario(Scenario):
+    """A scenario whose traffic is steady Poisson arrivals of its ``workload``.
+
+    Subclasses are frozen dataclasses declaring ``request_rate``, ``duration``
+    and ``workload``; what sets them apart is the workload shape or, for
+    :class:`SpotPreemptionScenario`, the faults injected on top.
+    """
+
+    #: the one workload the scenario's traffic is drawn from
+    workload: WorkloadSpec
+
+    def build_trace(self, seed: RNGLike = None) -> Trace:
+        """Sample steady Poisson arrivals of :attr:`workload`."""
+        gen = PoissonArrivalGenerator(self.workload, self.request_rate, seed=seed)
+        trace = gen.generate(duration=self.duration)
+        return Trace(requests=trace.requests, name=self.name)
+
+    def planning_workload(self) -> WorkloadSpec:
+        """The workload the scheduler plans for (the steady traffic's own spec)."""
+        return self.workload
 
 
 @dataclass(frozen=True)
@@ -138,7 +163,7 @@ class BurstySpikesScenario(Scenario):
 
 
 @dataclass(frozen=True)
-class LongContextRAGScenario(Scenario):
+class LongContextRAGScenario(SteadyPoissonScenario):
     """Retrieval-augmented generation: very long prompts, moderate outputs."""
 
     name: ClassVar[str] = "long-context-rag"
@@ -147,16 +172,6 @@ class LongContextRAGScenario(Scenario):
     request_rate: float = 2.0
     duration: float = 120.0
     workload: WorkloadSpec = RAG_WORKLOAD
-
-    def build_trace(self, seed: RNGLike = None) -> Trace:
-        """Sample steady Poisson arrivals of the RAG workload."""
-        gen = PoissonArrivalGenerator(self.workload, self.request_rate, seed=seed)
-        trace = gen.generate(duration=self.duration)
-        return Trace(requests=trace.requests, name=self.name)
-
-    def planning_workload(self) -> WorkloadSpec:
-        """The workload the scheduler plans for (the RAG spec itself)."""
-        return self.workload
 
 
 #: Retrieval *lookups*: the prompt carries a whole document bundle but the
@@ -174,7 +189,7 @@ LONG_PROMPT_RAG_WORKLOAD = WorkloadSpec(
 
 
 @dataclass(frozen=True)
-class LongPromptRAGScenario(Scenario):
+class LongPromptRAGScenario(SteadyPoissonScenario):
     """Retrieval lookups: very heavy prompts with terse answers.
 
     The prefill-dominated extreme of the library — arrival bursts queue whole
@@ -189,16 +204,6 @@ class LongPromptRAGScenario(Scenario):
     request_rate: float = 2.5
     duration: float = 120.0
     workload: WorkloadSpec = LONG_PROMPT_RAG_WORKLOAD
-
-    def build_trace(self, seed: RNGLike = None) -> Trace:
-        """Sample steady Poisson arrivals of the long-prompt lookup workload."""
-        gen = PoissonArrivalGenerator(self.workload, self.request_rate, seed=seed)
-        trace = gen.generate(duration=self.duration)
-        return Trace(requests=trace.requests, name=self.name)
-
-    def planning_workload(self) -> WorkloadSpec:
-        """The workload the scheduler plans for (the lookup spec itself)."""
-        return self.workload
 
 
 @dataclass(frozen=True)
@@ -329,7 +334,7 @@ class MultiTenantSLOTiersScenario(Scenario):
 
 
 @dataclass(frozen=True)
-class SpotPreemptionScenario(Scenario):
+class SpotPreemptionScenario(SteadyPoissonScenario):
     """Steady traffic with spot-instance preemptions injected mid-run.
 
     At each preemption fraction of the trace, ``gpus_per_preemption`` GPUs are
@@ -366,16 +371,6 @@ class SpotPreemptionScenario(Scenario):
                 f"reschedule_mode must be one of {self.RESCHEDULE_MODES}, "
                 f"got {self.reschedule_mode!r}"
             )
-
-    def build_trace(self, seed: RNGLike = None) -> Trace:
-        """Sample steady Poisson arrivals (the disruption is the preemptions)."""
-        gen = PoissonArrivalGenerator(self.workload, self.request_rate, seed=seed)
-        trace = gen.generate(duration=self.duration)
-        return Trace(requests=trace.requests, name=self.name)
-
-    def planning_workload(self) -> WorkloadSpec:
-        """The workload the scheduler plans for (traffic itself is steady)."""
-        return self.workload
 
     def fault_schedule(self, cluster: Cluster, seed: RNGLike = None) -> FaultSchedule:
         """One pinned ``GPU_PREEMPTION`` per preemption fraction, in time order.

@@ -4,10 +4,12 @@ This package is the control plane of the reproduction: the
 :class:`ThunderServe` facade that ties scheduling, serving (simulated
 execution), workload profiling and lightweight rescheduling together — the
 overall routine described in §4 and Appendix E — and the live adaptive
-serving layer: declarative SLO objectives
-(:mod:`repro.serving.slo_objectives`), edge-triggered breach tracking
-(:class:`SLOBreachTracker`) and the windowed :class:`LiveServer` loop with
-streaming per-window telemetry (:mod:`repro.serving.live`).
+serving layer: SLO objectives and the one serving policy that picks them per
+window (:func:`slo_policy`, :mod:`repro.serving.slo_objectives`),
+edge-triggered breach tracking (:class:`SLOBreachTracker`) and the windowed
+:class:`LiveServer` loop with streaming per-window telemetry
+(:mod:`repro.serving.live`), which adapts to the two triggers of §3.4:
+workload change and capacity change.
 
 There is no separate dispatcher: the engine routes every request itself, by
 sampling its (prefill, decode) pair from the installed plan's ``X`` / ``Y``
@@ -28,10 +30,8 @@ from repro.serving.slo_objectives import (
     ObjectiveOutcome,
     SLOObjective,
     SLOReport,
-    auto_slo_config,
     evaluate_slo_objectives,
-    infer_slo_profile,
-    resolve_slo_objectives,
+    slo_policy,
 )
 from repro.serving.system import ServeEvent, ThunderServe
 
@@ -49,8 +49,6 @@ __all__ = [
     "ObjectiveOutcome",
     "SLOReport",
     "BreachEvent",
-    "auto_slo_config",
     "evaluate_slo_objectives",
-    "infer_slo_profile",
-    "resolve_slo_objectives",
+    "slo_policy",
 ]

@@ -15,12 +15,14 @@ window it
 3. serves the admitted window through the engine and measures a telemetry
    snapshot (:class:`WindowTelemetry` — attainment, queue wait, per-tenant
    breakdown, plan id);
-4. resolves the declarative SLO-objective config to a profile
-   (realtime/degraded, see :mod:`repro.serving.slo_objectives`), evaluates the
-   objectives, and emits edge-triggered breach events; and
+4. judges the snapshot under the fixed SLO policy
+   (:func:`~repro.serving.slo_objectives.slo_policy`: a realtime or degraded
+   profile and its objectives), evaluates the objectives, and emits
+   edge-triggered breach events; and
 5. on a breach — or a profiler-detected workload shift — triggers the §3.4
    lightweight rescheduler online, so the next window is served by a plan
-   re-designated for the observed workload; and
+   re-designated for the observed workload, once shadow validation shows it
+   serves the window just served strictly better; and
 6. optionally replays a :class:`~repro.faults.FaultSchedule` against the loop:
    capacity events inside the window are compiled into a replica-level
    :class:`~repro.faults.FaultTimeline` and handed to the engine, which
@@ -43,7 +45,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field, fields
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -56,12 +58,7 @@ from repro.faults.timeline import FaultTimeline, compile_fault_timeline
 from repro.scheduling.deployment import DeploymentPlan, RoutingPolicy
 from repro.scheduling.estimator import SLOEstimator
 from repro.serving.monitor import SLOBreachTracker
-from repro.serving.slo_objectives import (
-    BreachEvent,
-    auto_slo_config,
-    evaluate_slo_objectives,
-    resolve_slo_objectives,
-)
+from repro.serving.slo_objectives import BreachEvent, evaluate_slo_objectives, slo_policy
 from repro.serving.system import ThunderServe
 from repro.simulation.metrics import SimulationResult, merge_results
 from repro.workload.trace import Trace
@@ -203,32 +200,6 @@ class WindowTelemetry:
             out[f.name] = value
         return out
 
-    @classmethod
-    def from_dict(cls, data: Mapping[str, object]) -> "WindowTelemetry":
-        """Rebuild a record from its dict form (inverse of :meth:`to_dict`).
-
-        A key missing from ``data`` falls back to the field's default.
-        """
-        return cls(**{
-            f.name: _FROM_JSON[f.type](data[f.name])
-            for f in fields(cls)
-            if f.name in data
-        })
-
-
-#: How :meth:`WindowTelemetry.from_dict` rebuilds a field from its JSON form,
-#: keyed by the field's annotation.
-_FROM_JSON: Dict[str, Callable] = {
-    "int": int,
-    "float": float,
-    "str": str,
-    "bool": bool,
-    "Tuple[str, ...]": lambda v: tuple(str(x) for x in v),
-    "Tuple[BreachEvent, ...]": lambda v: tuple(BreachEvent.from_dict(b) for b in v),
-    "Dict[str, float]": lambda v: {str(k): float(x) for k, x in v.items()},
-    "Dict[str, int]": lambda v: {str(k): int(x) for k, x in v.items()},
-}
-
 
 @dataclass
 class LiveServeConfig:
@@ -238,31 +209,22 @@ class LiveServeConfig:
     ----------
     window_s:
         Serving window length on the time-warped clock (seconds of trace time).
-    slo_config:
-        Declarative SLO-objective config (flat or profile form, see
-        :mod:`repro.serving.slo_objectives`); defaults to
-        :func:`~repro.serving.slo_objectives.auto_slo_config`.
     admission_max_rho:
         Utilisation ceiling for the admission front-end: when the estimator
         reports a window would run the hottest prefill replica beyond this,
         excess arrivals are shed deterministically to bring it back under.
         ``None`` (default) disables shedding — every request is admitted.
-    reschedule_on_breach:
-        Trigger the §3.4 lightweight rescheduler when a window emits breach
-        events.
-    reschedule_on_shift:
-        Fall back to the workload profiler's shift detector in windows without
-        breaches.
-    validate_reschedule:
-        Shadow-validate every rescheduling candidate by replaying the window
-        just served under it: the candidate is adopted only when it strictly
-        beats the incumbent plan's simulated attainment on that window (see
-        :meth:`~repro.serving.system.ThunderServe.reschedule_online`).  On by
-        default — the estimator can mis-rank flip candidates near saturation,
-        and an online loop must never adopt a plan that demonstrably serves
-        the observed workload worse.  Recovery replans reuse the same guard
-        non-strictly (ties keep the candidate, see
-        :meth:`~repro.serving.system.ThunderServe.replan_capacity`).
+    adapt_to_workload:
+        React to workload change (§3.4's first trigger): after a window that
+        emits breach events — or, without breaches, one where the workload
+        profiler detects a shift — run the lightweight rescheduler.  Every
+        candidate is shadow-validated by replaying the window just served
+        under it and adopted only when it strictly beats the incumbent's
+        simulated attainment there (see
+        :meth:`~repro.serving.system.ThunderServe.reschedule_online`): the
+        estimator can mis-rank flip candidates near saturation, and an online
+        loop must never adopt a plan that demonstrably serves the observed
+        workload worse.
     faults:
         Optional :class:`~repro.faults.FaultSchedule` to replay against the
         loop.  Every event folds into the cluster state at the first window
@@ -282,15 +244,16 @@ class LiveServeConfig:
         bounded-retry :class:`~repro.faults.RetryPolicy` with exponential
         backoff; pass :meth:`~repro.faults.RetryPolicy.drop_only` to cancel
         preempted work instead.
-    reschedule_on_failure:
-        React to capacity loss by replanning through ``failure_mode_order``.
-        When off, dead serving groups are still dropped (mode ``"none"``) so
-        the surviving replicas keep serving, but nothing re-optimises — the
-        static arm of a chaos comparison.
-    reschedule_on_recovery:
-        React to capacity recovery (GPU rejoin) with a :data:`RECOVERY_MODE`
-        replan that re-expands onto the revived GPUs.  When off, revived
-        capacity stays idle.
+    adapt_to_capacity:
+        React to capacity change (§3.4's second trigger): replan through
+        ``failure_mode_order`` after a capacity loss, and re-expand onto
+        revived GPUs with a :data:`RECOVERY_MODE` replan after a recovery —
+        shadow-validated like workload adaptation, but non-strictly (ties keep
+        the candidate, see
+        :meth:`~repro.serving.system.ThunderServe.replan_capacity`).  When
+        off, dead serving groups are still dropped (mode ``"none"``) so the
+        surviving replicas keep serving, but nothing re-optimises and revived
+        capacity stays idle — the static arm of a chaos comparison.
     failure_mode_order:
         Replan strategies tried in order after a capacity loss; the first one
         that yields a servable plan wins.  Strategies are the Figure 11 modes
@@ -304,15 +267,11 @@ class LiveServeConfig:
     """
 
     window_s: float = 30.0
-    slo_config: Optional[Mapping[str, object]] = None
     admission_max_rho: Optional[float] = None
-    reschedule_on_breach: bool = True
-    reschedule_on_shift: bool = True
-    validate_reschedule: bool = True
+    adapt_to_workload: bool = True
     faults: Optional[FaultSchedule] = None
     retry_policy: Optional[RetryPolicy] = None
-    reschedule_on_failure: bool = True
-    reschedule_on_recovery: bool = True
+    adapt_to_capacity: bool = True
     failure_mode_order: Tuple[str, ...] = ("lightweight", "none")
 
     def __post_init__(self) -> None:
@@ -357,11 +316,6 @@ class LiveServeReport:
         handling (``replan_triggers``).
         """
         return sum(int(w.plan_changed) + len(w.replan_triggers) for w in self.windows)
-
-    @property
-    def plan_ids(self) -> List[str]:
-        """Plan id of every served window, in order."""
-        return [w.plan_id for w in self.windows]
 
     @property
     def merged(self) -> SimulationResult:
@@ -476,8 +430,11 @@ class LiveServer:
         self.system = system
         self.config = config or LiveServeConfig()
         self.on_window = on_window
+        self._reset_run_state()
+
+    def _reset_run_state(self) -> None:
+        """Forget everything a previous :meth:`run` left behind."""
         self.tracker = SLOBreachTracker()
-        # Fault-injection loop state (reset at the start of every run).
         self._fault_state: Optional[ClusterFaultState] = None
         self._pending_faults: List = []
         self._fault_log: List[Dict[str, object]] = []
@@ -624,7 +581,7 @@ class LiveServer:
             start=start,
             end=end,
             plan_id=served_plan_id,
-            profile="",  # resolved by the caller against the SLO config
+            profile="",  # set by the caller from the SLO policy
             num_requests=result.num_requests,
             num_shed=num_shed,
             num_finished=result.num_finished,
@@ -659,19 +616,8 @@ class LiveServer:
         """
         system = self.system
         config = self.config
-        slo_config = config.slo_config or auto_slo_config()
         system.require_plan()
-        self._fault_state = None
-        self._pending_faults = []
-        self._fault_log = []
-        self._awaiting_replan = []
-        self._fault_notes = []
-        self._replan_triggers = []
-        self._last_window = None
-        self._replan_failures = 0
-        self._replan_cooldown = 0
-        self._unservable = False
-        self._system_stale = False
+        self._reset_run_state()
         if config.faults is not None and len(config.faults) > 0:
             # Times are checked per window; validate ids/counts up front.
             config.faults.validate(float("inf"), system.cluster)
@@ -734,9 +680,10 @@ class LiveServer:
                 telemetry.replan_triggers = tuple(self._replan_triggers)
                 self._fault_notes = []
                 self._replan_triggers = []
-            profile, objectives = resolve_slo_objectives(slo_config, telemetry.snapshot())
+            snapshot = telemetry.snapshot()
+            profile, objectives = slo_policy(snapshot)
             telemetry.profile = profile
-            report = evaluate_slo_objectives(telemetry.snapshot(), objectives, profile=profile)
+            report = evaluate_slo_objectives(snapshot, objectives, profile=profile)
             events = self.tracker.update(
                 report, time=window_end, window_index=index, context=label
             )
@@ -828,9 +775,7 @@ class LiveServer:
         self._system_stale = False
         trigger = ""
         if lost or was_unservable:
-            modes = (
-                config.failure_mode_order if config.reschedule_on_failure else ("none",)
-            )
+            modes = config.failure_mode_order if config.adapt_to_capacity else ("none",)
             reason = (
                 f"fault injection ({'; '.join(descriptions)})"
                 if descriptions
@@ -838,10 +783,9 @@ class LiveServer:
             )
             if self._attempt_replan(modes, reason, validate_window=None):
                 trigger = "failure"
-        elif gained and config.reschedule_on_recovery:
-            validate_window = self._last_window if config.validate_reschedule else None
+        elif gained and config.adapt_to_capacity:
             reason = f"capacity recovery ({'; '.join(descriptions)})"
-            if self._attempt_replan((RECOVERY_MODE,), reason, validate_window):
+            if self._attempt_replan((RECOVERY_MODE,), reason, self._last_window):
                 trigger = "recovery"
         if trigger:
             self._replan_triggers.append(trigger)
@@ -924,23 +868,22 @@ class LiveServer:
 
     def _adapt(self, events: List[BreachEvent], window: Trace, label: str) -> bool:
         """Run the online rescheduling policy after one window; return whether the plan changed."""
+        if not self.config.adapt_to_workload:
+            return False
         system = self.system
-        config = self.config
-        validate_on = window if config.validate_reschedule else None
-        if events and config.reschedule_on_breach:
+        if events:
             names = ",".join(e.objective for e in events)
             return system.reschedule_online(
-                reason=f"slo breach ({names}) during {label}", validate_on=validate_on
+                reason=f"slo breach ({names}) during {label}", validate_on=window
             )
-        if config.reschedule_on_shift:
-            shift = system.profiler.detect_shift()
-            if shift is not None:
-                return system.reschedule_online(
-                    stats=shift.current,
-                    reason=f"lightweight rescheduling ({shift.describe()})",
-                    validate_on=validate_on,
-                )
-        return False
+        shift = system.profiler.detect_shift()
+        if shift is None:
+            return False
+        return system.reschedule_online(
+            stats=shift.current,
+            reason=f"lightweight rescheduling ({shift.describe()})",
+            validate_on=window,
+        )
 
 
 __all__ = [

@@ -79,11 +79,6 @@ class SLOBreachTracker:
             )
         return events
 
-    @property
-    def breached_objectives(self) -> List[str]:
-        """Names of the objectives currently in a breached state, sorted."""
-        return sorted(self._breached)
-
     def reset(self) -> None:
         """Forget all breach state (every objective is re-armed)."""
         self._breached.clear()

@@ -1,38 +1,21 @@
-"""Declarative SLO objectives, serving profiles and breach events.
+"""SLO objectives, the live loop's serving profiles and breach events.
 
 The live serving loop (:mod:`repro.serving.live`) measures a telemetry
 *snapshot* per serving window — attainment, queue wait, estimated utilisation —
-and checks it against a declarative *SLO-objective config*.  The config either
-lists one flat set of objectives or, in profile form, maps *profiles* (e.g.
-``"realtime"`` / ``"degraded"``) to objective lists plus an ``auto`` block
-telling :func:`infer_slo_profile` how to pick the profile from the live
-snapshot.  Objectives that fail produce :class:`BreachEvent` records, which the
-live loop feeds to the §3.4 lightweight rescheduler.
+and judges it under one fixed policy, :func:`slo_policy`: a window is
+``"realtime"`` while its E2E attainment stays at or above
+:data:`REALTIME_ATTAINMENT_MIN` and the estimated utilisation stays below
+:data:`OVERLOAD_RHO`, and ``"degraded"`` otherwise.  Each profile holds the
+objectives of :data:`SLO_PROFILES`:
 
-Config schema (the profile form)::
+- ``realtime``: availability (``attainment_e2e >= 0.9``) and headroom
+  (``estimated_rho <= 0.95``);
+- ``degraded``: availability (``attainment_e2e >= 0.5``).
 
-    {
-        "auto": {
-            "realtime_attainment_min": 0.75,   # snapshot attainment at or above
-                                               # which the realtime profile applies
-            "overload_rho": 0.95,              # estimated utilisation beyond which
-                                               # the service is considered degraded
-            "default_profile": "degraded",     # deterministic fallback profile
-        },
-        "profiles": {
-            "realtime": [
-                {"name": "availability", "metric": "attainment_e2e", "op": ">=", "target": 0.9},
-                {"name": "headroom", "metric": "estimated_rho", "op": "<=", "target": 0.95},
-            ],
-            "degraded": [
-                {"name": "availability", "metric": "attainment_e2e", "op": ">=", "target": 0.5},
-            ],
-        },
-    }
-
-The flat form is simply ``{"objectives": [...]}`` and always evaluates under
-the ``"default"`` profile.  :func:`auto_slo_config` builds a ready-to-use
-profile-form config from two attainment floors.
+Objectives that fail produce :class:`BreachEvent` records, which the live loop
+feeds to the §3.4 lightweight rescheduler.  :func:`evaluate_slo_objectives`
+also evaluates any other objective list, in :class:`SLOObjective` or dict form
+(the paper-claims registry passes dicts).
 """
 
 from __future__ import annotations
@@ -44,8 +27,14 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 #: Comparison operators an objective may use.
 SLO_OPS: Tuple[str, ...] = (">=", "<=")
 
-#: Profile name used when a config has no profiles (flat ``objectives`` form).
+#: Profile label :func:`evaluate_slo_objectives` records when given none.
 DEFAULT_PROFILE = "default"
+
+#: Windowed E2E attainment at or above which a window is judged ``realtime``.
+REALTIME_ATTAINMENT_MIN = 0.75
+#: Estimated utilisation at or beyond which a window is judged ``degraded``;
+#: also the ``realtime`` profile's headroom target.
+OVERLOAD_RHO = 0.95
 
 
 @dataclass(frozen=True)
@@ -90,13 +79,9 @@ class SLOObjective:
             return False
         return value >= self.target if self.op == ">=" else value <= self.target
 
-    def to_dict(self) -> Dict[str, object]:
-        """Return the JSON-serialisable dict form of the objective."""
-        return {"name": self.name, "metric": self.metric, "op": self.op, "target": self.target}
-
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "SLOObjective":
-        """Build an objective from its dict form (the config-file syntax)."""
+        """Build an objective from its dict form (``name``/``metric``/``op``/``target``)."""
         return cls(
             name=str(data["name"]),
             metric=str(data["metric"]),
@@ -132,18 +117,6 @@ class SLOReport:
     def failed(self) -> List[str]:
         """Names of the objectives that failed, in config order."""
         return [o.objective.name for o in self.outcomes if not o.passed]
-
-    def to_dict(self) -> Dict[str, object]:
-        """Return the JSON-serialisable dict form of the report."""
-        return {
-            "profile": self.profile,
-            "passed": self.passed,
-            "failed": list(self.failed),
-            "outcomes": [
-                {**o.objective.to_dict(), "value": o.value, "objective_passed": o.passed}
-                for o in self.outcomes
-            ],
-        }
 
 
 @dataclass(frozen=True)
@@ -197,24 +170,9 @@ class BreachEvent:
             "context": self.context,
         }
 
-    @classmethod
-    def from_dict(cls, data: Mapping[str, object]) -> "BreachEvent":
-        """Rebuild an event from its dict form (inverse of :meth:`to_dict`)."""
-        return cls(
-            time=float(data["time"]),  # type: ignore[arg-type]
-            window_index=int(data["window_index"]),  # type: ignore[arg-type]
-            profile=str(data["profile"]),
-            objective=str(data["objective"]),
-            metric=str(data["metric"]),
-            op=str(data["op"]),
-            target=float(data["target"]),  # type: ignore[arg-type]
-            value=None if data.get("value") is None else float(data["value"]),  # type: ignore[arg-type]
-            context=str(data.get("context", "")),
-        )
-
 
 def _as_objectives(items: Sequence[object]) -> List[SLOObjective]:
-    """Normalise a config objective list to :class:`SLOObjective` instances."""
+    """Normalise an objective list, instances or dict form, to :class:`SLOObjective` instances."""
     objectives: List[SLOObjective] = []
     for item in items:
         if isinstance(item, SLOObjective):
@@ -261,127 +219,35 @@ def evaluate_slo_objectives(
     return SLOReport(profile=profile, outcomes=tuple(outcomes))
 
 
-def infer_slo_profile(
-    snapshot: Mapping[str, float],
-    realtime_attainment_min: float = 0.75,
-    overload_rho: float = 0.95,
-    default_profile: str = "degraded",
-) -> str:
-    """Infer the serving profile a snapshot should be judged under.
+#: The objectives each serving profile holds, in evaluation order.
+SLO_PROFILES: Dict[str, Tuple[SLOObjective, ...]] = {
+    "realtime": (
+        SLOObjective(name="availability", metric="attainment_e2e", op=">=", target=0.9),
+        SLOObjective(name="headroom", metric="estimated_rho", op="<=", target=OVERLOAD_RHO),
+    ),
+    "degraded": (
+        SLOObjective(name="availability", metric="attainment_e2e", op=">=", target=0.5),
+    ),
+}
 
-    The service is ``"realtime"`` while E2E attainment stays at or above
-    ``realtime_attainment_min`` and the estimated prefill utilisation stays
-    below ``overload_rho``; otherwise it is judged under ``default_profile``
-    (the degraded tier).  A snapshot missing ``attainment_e2e`` resolves to
-    ``default_profile`` — inference is deterministic on partial telemetry.
+
+def slo_policy(snapshot: Mapping[str, float]) -> Tuple[str, List[SLOObjective]]:
+    """Return the profile a snapshot is judged under and that profile's objectives.
+
+    The service is ``"realtime"`` while ``attainment_e2e`` stays at or above
+    :data:`REALTIME_ATTAINMENT_MIN` and ``estimated_rho`` stays below
+    :data:`OVERLOAD_RHO` (a missing or NaN utilisation counts as 0); otherwise
+    it is ``"degraded"``.  A snapshot whose attainment is missing or NaN is
+    ``"degraded"``, so the choice is deterministic on partial telemetry.
     """
+    profile = "degraded"
     attainment = snapshot.get("attainment_e2e")
-    if attainment is None or math.isnan(float(attainment)):
-        return default_profile
-    rho = snapshot.get("estimated_rho", 0.0)
-    rho = 0.0 if rho is None or math.isnan(float(rho)) else float(rho)
-    if float(attainment) >= realtime_attainment_min and rho < overload_rho:
-        return "realtime"
-    return default_profile
-
-
-def resolve_slo_objectives(
-    config: Mapping[str, object],
-    snapshot: Mapping[str, float],
-) -> Tuple[str, List[SLOObjective]]:
-    """Resolve which profile and objective list apply to a snapshot.
-
-    Parameters
-    ----------
-    config:
-        An SLO-objective config in flat form (``{"objectives": [...]}``) or
-        profile form (``{"auto": {...}, "profiles": {...}}`` — see the module
-        docstring for the schema).
-    snapshot:
-        The telemetry snapshot used by profile auto-inference.
-
-    Returns
-    -------
-    tuple
-        ``(profile_name, objectives)``.  The flat form always resolves to
-        ``("default", ...)``; the profile form resolves via
-        :func:`infer_slo_profile` and falls back deterministically to the
-        ``auto.default_profile`` entry when the inferred profile is not
-        configured.
-
-    Raises
-    ------
-    ValueError
-        If the config has neither ``objectives`` nor ``profiles``, or the
-        fallback profile is missing from ``profiles``.
-    """
-    if "objectives" in config:
-        return DEFAULT_PROFILE, _as_objectives(config["objectives"])  # type: ignore[arg-type]
-    profiles = config.get("profiles")
-    if not isinstance(profiles, Mapping) or not profiles:
-        raise ValueError("SLO config must define 'objectives' or a non-empty 'profiles' mapping")
-    auto = config.get("auto") or {}
-    if not isinstance(auto, Mapping):
-        raise ValueError("'auto' must be a mapping when present")
-    default_profile = str(auto.get("default_profile", "degraded"))
-    profile = infer_slo_profile(
-        snapshot,
-        realtime_attainment_min=float(auto.get("realtime_attainment_min", 0.75)),  # type: ignore[arg-type]
-        overload_rho=float(auto.get("overload_rho", 0.95)),  # type: ignore[arg-type]
-        default_profile=default_profile,
-    )
-    if profile not in profiles:
-        profile = default_profile
-    if profile not in profiles:
-        raise ValueError(
-            f"fallback profile {profile!r} is not configured; profiles: {sorted(profiles)}"
-        )
-    return profile, _as_objectives(profiles[profile])  # type: ignore[arg-type]
-
-
-def auto_slo_config(
-    realtime_attainment: float = 0.9,
-    degraded_attainment: float = 0.5,
-    overload_rho: float = 0.95,
-    realtime_inference_min: float = 0.75,
-) -> Dict[str, object]:
-    """Build a profile-form SLO config from two attainment floors.
-
-    The realtime profile demands ``attainment_e2e >= realtime_attainment`` and
-    utilisation headroom (``estimated_rho <= overload_rho``); the degraded
-    profile only demands ``attainment_e2e >= degraded_attainment``.  Profile
-    inference switches to degraded once windowed attainment drops below
-    ``realtime_inference_min`` or the estimator reports utilisation at or
-    beyond ``overload_rho``.
-    """
-    if not 0 <= degraded_attainment <= realtime_attainment <= 1:
-        raise ValueError("need 0 <= degraded_attainment <= realtime_attainment <= 1")
-    return {
-        "auto": {
-            "realtime_attainment_min": realtime_inference_min,
-            "overload_rho": overload_rho,
-            "default_profile": "degraded",
-        },
-        "profiles": {
-            "realtime": [
-                {
-                    "name": "availability",
-                    "metric": "attainment_e2e",
-                    "op": ">=",
-                    "target": realtime_attainment,
-                },
-                {"name": "headroom", "metric": "estimated_rho", "op": "<=", "target": overload_rho},
-            ],
-            "degraded": [
-                {
-                    "name": "availability",
-                    "metric": "attainment_e2e",
-                    "op": ">=",
-                    "target": degraded_attainment,
-                },
-            ],
-        },
-    }
+    if attainment is not None and not math.isnan(float(attainment)):
+        rho = snapshot.get("estimated_rho", 0.0)
+        rho = 0.0 if rho is None or math.isnan(float(rho)) else float(rho)
+        if float(attainment) >= REALTIME_ATTAINMENT_MIN and rho < OVERLOAD_RHO:
+            profile = "realtime"
+    return profile, list(SLO_PROFILES[profile])
 
 
 __all__ = [
@@ -391,8 +257,9 @@ __all__ = [
     "ObjectiveOutcome",
     "SLOReport",
     "BreachEvent",
+    "REALTIME_ATTAINMENT_MIN",
+    "OVERLOAD_RHO",
+    "SLO_PROFILES",
     "evaluate_slo_objectives",
-    "infer_slo_profile",
-    "resolve_slo_objectives",
-    "auto_slo_config",
+    "slo_policy",
 ]

@@ -1,4 +1,4 @@
-"""Tests for the documentation gate: the link checker and the docstring mirror."""
+"""Tests for the offline gates: the link checker and the docstring and import mirrors."""
 
 import importlib.util
 from pathlib import Path
@@ -23,6 +23,11 @@ def check_links():
 @pytest.fixture(scope="module")
 def check_docstrings():
     return _load("check_docstrings")
+
+
+@pytest.fixture(scope="module")
+def check_imports():
+    return _load("check_imports")
 
 
 class TestCheckLinks:
@@ -93,3 +98,44 @@ class TestCheckDocstrings:
         check_docstrings.check_file(bad, problems)
         assert any("capitalised" in p for p in problems)
         assert any("period" in p for p in problems)
+
+
+class TestCheckImports:
+    def _unused(self, check_imports, tmp_path, source, name="mod.py"):
+        path = tmp_path / name
+        path.write_text(source)
+        return check_imports.check_file(path)
+
+    def test_used_import_passes(self, check_imports, tmp_path):
+        assert self._unused(check_imports, tmp_path, "import os\n\nprint(os.sep)\n") == []
+
+    def test_unused_import_flagged(self, check_imports, tmp_path):
+        problems = self._unused(
+            check_imports, tmp_path, "import os\nfrom typing import List, Tuple\n\nx: List = []\n"
+        )
+        assert len(problems) == 2
+        assert "'os'" in problems[0] and "F401" in problems[0]
+        assert "'Tuple'" in problems[1]
+
+    def test_type_checking_import_in_string_annotation_is_used(self, check_imports, tmp_path):
+        source = (
+            "from __future__ import annotations\n"
+            "from typing import TYPE_CHECKING, Optional\n"
+            "if TYPE_CHECKING:\n"
+            "    from repro.hardware.cluster import Cluster, GPU\n\n"
+            'def price(cluster: "Cluster", spare: Optional["Cluster"] = None) -> float:\n'
+            "    return 0.0\n"
+        )
+        problems = self._unused(check_imports, tmp_path, source)
+        assert len(problems) == 1 and "'GPU'" in problems[0]
+
+    def test_all_reexport_and_package_init_are_used(self, check_imports, tmp_path):
+        source = 'from os import sep\nfrom os import linesep\n\n__all__ = ["sep"]\n'
+        problems = self._unused(check_imports, tmp_path, source)
+        assert len(problems) == 1 and "'linesep'" in problems[0]
+        assert self._unused(check_imports, tmp_path, source, name="__init__.py") == []
+
+    def test_repository_has_no_unused_imports(self, check_imports, capsys):
+        # The gate CI runs: no module-level import of the repository is unused.
+        assert check_imports.main([]) == 0
+        assert "OK" in capsys.readouterr().out

@@ -15,27 +15,40 @@ import pytest
 
 from repro.core.types import SLOType
 from repro.faults import FaultEvent, FaultKind, FaultSchedule, RetryPolicy
+from repro.serving import live
 from repro.serving.live import (
     LiveServeConfig,
     LiveServer,
     WindowTelemetry,
     plan_signature,
 )
-from repro.serving.slo_objectives import BreachEvent
+from repro.serving.slo_objectives import BreachEvent, SLOObjective
 from repro.serving.system import ThunderServe
 from repro.workload.generator import generate_requests
 from repro.workload.trace import Trace
 
 WINDOW_S = 4.0
 
-#: An objective no window can satisfy: forces a breach in window 0 (and, being
-#: edge-triggered, *only* window 0), which in turn forces one online
-#: rescheduling — so the equivalence run spans a real plan change.
-IMPOSSIBLE_SLO = {
-    "objectives": [
-        {"name": "availability", "metric": "attainment_e2e", "op": ">=", "target": 2.0}
+def impossible_slo(snapshot):
+    """An SLO policy no window can satisfy, patched over the live loop's own.
+
+    It forces a breach in window 0 (and, being edge-triggered, *only* window
+    0), which in turn forces one online rescheduling — so the equivalence run
+    spans a real plan change.
+    """
+    return "default", [
+        SLOObjective(name="availability", metric="attainment_e2e", op=">=", target=2.0)
     ]
-}
+
+
+def unvalidated(method):
+    """Wrap a ``ThunderServe`` replan method to skip its shadow validation."""
+
+    def wrapper(self, *args, **kwargs):
+        kwargs["validate_on"] = None
+        return method(self, *args, **kwargs)
+
+    return wrapper
 
 
 @pytest.fixture(scope="module")
@@ -61,17 +74,16 @@ def system_factory(small_hetero_cluster, model_30b, conversation_workload, relax
 def adaptive_run(system_factory, live_trace):
     """One adaptive run with a breach-forced plan change after window 0."""
     system = system_factory()
-    config = LiveServeConfig(
-        window_s=WINDOW_S,
-        slo_config=IMPOSSIBLE_SLO,
-        reschedule_on_breach=True,
-        reschedule_on_shift=False,
+    config = LiveServeConfig(window_s=WINDOW_S)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(live, "slo_policy", impossible_slo)
         # Validation would (correctly) reject a candidate that does not beat a
         # healthy incumbent; this test needs the plan change to happen so the
         # equivalence replay spans two plans.
-        validate_reschedule=False,
-    )
-    report = LiveServer(system, config=config).run(live_trace, label="equivalence")
+        patch.setattr(
+            ThunderServe, "reschedule_online", unvalidated(ThunderServe.reschedule_online)
+        )
+        report = LiveServer(system, config=config).run(live_trace, label="equivalence")
     return system, report
 
 
@@ -115,7 +127,9 @@ class TestPiecewiseStaticEquivalence:
 
     def test_plan_ids_track_served_plans(self, adaptive_run):
         _, report = adaptive_run
-        assert report.plan_ids == [plan_signature(p) for p in report.served_plans]
+        assert [w.plan_id for w in report.windows] == [
+            plan_signature(p) for p in report.served_plans
+        ]
 
 
 class TestBreachTriggeredRescheduling:
@@ -134,24 +148,33 @@ class TestBreachTriggeredRescheduling:
         assert system.num_plan_changes == 1
 
     def test_validated_rescheduling_never_adopts_non_improving_plan(
-        self, system_factory, live_trace
+        self, system_factory, live_trace, monkeypatch
     ):
         # Same breach pressure, but with shadow validation on: the incumbent
         # serves the healthy trace fine, so no candidate can strictly beat it
         # and the loop must stand still.
+        monkeypatch.setattr(live, "slo_policy", impossible_slo)
         system = system_factory()
-        config = LiveServeConfig(
-            window_s=WINDOW_S,
-            slo_config=IMPOSSIBLE_SLO,
-            reschedule_on_breach=True,
-            reschedule_on_shift=False,
-            validate_reschedule=True,
-        )
+        config = LiveServeConfig(window_s=WINDOW_S)
         before = system.require_plan()
         report = LiveServer(system, config=config).run(live_trace, label="validated")
         assert report.num_plan_changes == 0
         assert system.require_plan() is before
-        assert len(set(report.plan_ids)) == 1
+        assert len({w.plan_id for w in report.windows}) == 1
+
+    def test_second_run_of_one_server_matches_a_fresh_server(
+        self, system_factory, live_trace, monkeypatch
+    ):
+        # The impossible objective is still breached when the first run ends;
+        # a second run must re-arm it and fire its breach again.
+        monkeypatch.setattr(live, "slo_policy", impossible_slo)
+        config = LiveServeConfig(window_s=WINDOW_S, adapt_to_workload=False)
+        server = LiveServer(system_factory(), config=config)
+        server.run(live_trace, label="reuse")
+        again = server.run(live_trace, label="reuse")
+        fresh = LiveServer(system_factory(), config=config).run(live_trace, label="reuse")
+        assert len(fresh.breaches) == 1
+        assert again.to_dicts() == fresh.to_dicts()
 
 
 class TestAdmissionControl:
@@ -161,8 +184,7 @@ class TestAdmissionControl:
             config = LiveServeConfig(
                 window_s=WINDOW_S,
                 admission_max_rho=0.05,
-                reschedule_on_breach=False,
-                reschedule_on_shift=False,
+                adapt_to_workload=False,
             )
             report = LiveServer(system, config=config).run(live_trace, label="shed")
             return system, report
@@ -183,8 +205,7 @@ class TestAdmissionControl:
         config = LiveServeConfig(
             window_s=WINDOW_S,
             admission_max_rho=0.05,
-            reschedule_on_breach=False,
-            reschedule_on_shift=False,
+            adapt_to_workload=False,
         )
         report = LiveServer(system_factory(), config=config).run(live_trace, label="rate")
         assert sum(w.num_shed for w in report.windows) > 0
@@ -200,23 +221,6 @@ class TestAdmissionControl:
 
 
 class TestTelemetry:
-    def test_window_telemetry_json_round_trip(self):
-        breach = BreachEvent(
-            time=8.0, window_index=1, profile="realtime", objective="availability",
-            metric="attainment_e2e", op=">=", target=0.9, value=0.4, context="t",
-        )
-        record = WindowTelemetry(
-            index=1, start=4.0, end=8.0, plan_id="deadbeef", profile="realtime",
-            num_requests=17, num_shed=3, num_finished=16, request_rate=4.25,
-            attainment_e2e=0.4, attainment_ttft=0.6, attainment_tpot=0.9,
-            mean_queue_wait=0.12, completion_rate=0.94, estimated_rho=0.7,
-            estimated_attainment=0.55, plan_changed=True, breaches=(breach,),
-            per_tenant_attainment={"gold": 0.5},
-            outcome_counts={"finished": 14, "retried_then_finished": 2, "timed_out": 1, "shed": 3},
-        )
-        restored = WindowTelemetry.from_dict(json.loads(json.dumps(record.to_dict())))
-        assert restored == record
-
     def test_window_telemetry_round_trip_covers_every_field(self):
         breach = BreachEvent(
             time=8.0, window_index=1, profile="degraded", objective="availability",
@@ -246,9 +250,7 @@ class TestTelemetry:
         assert list(data) == names
         assert data["breaches"] == [breach.to_dict()]
         assert data["replan_triggers"] == ["failure", "recovery"]
-        text = json.dumps(data)
-        assert json.loads(text) == data
-        assert WindowTelemetry.from_dict(json.loads(text)) == record
+        assert json.loads(json.dumps(data)) == data
 
     def test_window_telemetry_missing_keys_take_field_defaults(self):
         required = {
@@ -258,16 +260,17 @@ class TestTelemetry:
             "mean_queue_wait": 0.0, "completion_rate": 1.0, "estimated_rho": 0.1,
             "estimated_attainment": 1.0,
         }
-        record = WindowTelemetry.from_dict(required)
-        assert record == WindowTelemetry(**required)
+        record = WindowTelemetry(**required)
         assert record.replan_triggers == () and record.num_gpus_alive == -1
+        assert record.to_dict()["breaches"] == [] and record.to_dict()["outcome_counts"] == {}
         with pytest.raises(TypeError):
-            WindowTelemetry.from_dict({k: v for k, v in required.items() if k != "index"})
+            WindowTelemetry(**{k: v for k, v in required.items() if k != "index"})
 
     def test_report_round_trip_through_to_dicts(self, adaptive_run):
         _, report = adaptive_run
-        restored = [WindowTelemetry.from_dict(d) for d in json.loads(json.dumps(report.to_dicts()))]
-        assert restored == report.windows
+        dicts = report.to_dicts()
+        assert dicts == [w.to_dict() for w in report.windows]
+        assert json.loads(json.dumps(dicts)) == dicts
 
     def test_streaming_callbacks_and_worst_window(self, adaptive_run):
         _, report = adaptive_run
@@ -366,8 +369,7 @@ class TestInEngineFaults:
         )
         config = LiveServeConfig(
             window_s=WINDOW_S,
-            reschedule_on_breach=False,
-            reschedule_on_shift=False,
+            adapt_to_workload=False,
             faults=schedule,
             retry_policy=retry,
         )
@@ -422,8 +424,7 @@ class TestInEngineFaults:
         monkeypatch.setattr(system.rescheduler, "reschedule", prefill_only)
         config = LiveServeConfig(
             window_s=WINDOW_S,
-            reschedule_on_breach=False,
-            reschedule_on_shift=False,
+            adapt_to_workload=False,
             faults=FaultSchedule.from_events(
                 [FaultEvent(time=6.0, kind=FaultKind.GPU_PREEMPTION, gpu_ids=tuple(victims))]
             ),
@@ -468,7 +469,6 @@ class TestInEngineFaults:
         assert total == len(fault_trace)
         assert report.num_plan_changes > 0
         # outcome_counts survive the JSON round trip.
-        restored = [
-            WindowTelemetry.from_dict(d) for d in json.loads(json.dumps(report.to_dicts()))
-        ]
-        assert restored == report.windows
+        dicts = report.to_dicts()
+        assert json.loads(json.dumps(dicts)) == dicts
+        assert [d["outcome_counts"] for d in dicts] == [w.outcome_counts for w in report.windows]

@@ -171,6 +171,16 @@ def shadow_calls(monkeypatch):
     return calls
 
 
+def _unvalidated(method):
+    """Wrap a ``ThunderServe`` replan method to skip its shadow validation."""
+
+    def wrapper(self, *args, **kwargs):
+        kwargs["validate_on"] = None
+        return method(self, *args, **kwargs)
+
+    return wrapper
+
+
 def _report_signature(report):
     """Telemetry, fault log and every per-request column of a live run, as bytes."""
     columns = [
@@ -238,9 +248,13 @@ class TestFullReplanMemo:
         config = LiveServeConfig(
             window_s=10.0,
             faults=STORM,
-            validate_reschedule=validate,
             failure_mode_order=("lightweight", "full", "none"),
         )
+        if not validate:
+            for name in ("reschedule_online", "replan_capacity"):
+                monkeypatch.setattr(
+                    ThunderServe, name, _unvalidated(getattr(ThunderServe, name))
+                )
 
         def run():
             system = memo_system_factory()
@@ -292,8 +306,7 @@ def test_boundary_replans_over_empty_windows_are_all_counted(
     config = LiveServeConfig(
         window_s=2.0,
         faults=FaultSchedule.from_events([crash, rejoin]),
-        reschedule_on_breach=False,
-        reschedule_on_shift=False,
+        adapt_to_workload=False,
     )
     report = LiveServer(system, config=config).run(trace, label="quiet-storm")
 

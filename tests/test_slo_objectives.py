@@ -1,4 +1,4 @@
-"""Tests for declarative SLO objectives, profile inference and breach tracking."""
+"""Tests for SLO objectives, the serving SLO policy and breach tracking."""
 
 import json
 
@@ -9,10 +9,8 @@ from repro.serving.slo_objectives import (
     DEFAULT_PROFILE,
     BreachEvent,
     SLOObjective,
-    auto_slo_config,
     evaluate_slo_objectives,
-    infer_slo_profile,
-    resolve_slo_objectives,
+    slo_policy,
 )
 
 
@@ -43,8 +41,8 @@ class TestSLOObjective:
             _objective(name="")
 
     def test_dict_round_trip(self):
-        obj = _objective()
-        assert SLOObjective.from_dict(obj.to_dict()) == obj
+        data = {"name": "availability", "metric": "attainment_e2e", "op": ">=", "target": 0.9}
+        assert SLOObjective.from_dict(data) == _objective()
 
 
 class TestEvaluate:
@@ -78,74 +76,86 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="unique"):
             evaluate_slo_objectives({}, [_objective(), _objective()])
 
-    def test_report_to_dict_is_json_serialisable(self):
-        report = evaluate_slo_objectives({"attainment_e2e": 0.5}, [_objective()])
-        data = json.loads(json.dumps(report.to_dict()))
-        assert data["passed"] is False
-        assert data["failed"] == ["availability"]
-
 
 class TestProfileInference:
     def test_realtime_when_healthy(self):
         snapshot = {"attainment_e2e": 0.9, "estimated_rho": 0.5}
-        assert infer_slo_profile(snapshot) == "realtime"
+        assert slo_policy(snapshot)[0] == "realtime"
 
     def test_degraded_on_low_attainment(self):
-        assert infer_slo_profile({"attainment_e2e": 0.4, "estimated_rho": 0.5}) == "degraded"
+        assert slo_policy({"attainment_e2e": 0.4, "estimated_rho": 0.5})[0] == "degraded"
 
     def test_degraded_on_overload(self):
-        assert infer_slo_profile({"attainment_e2e": 0.95, "estimated_rho": 0.99}) == "degraded"
+        assert slo_policy({"attainment_e2e": 0.95, "estimated_rho": 0.99})[0] == "degraded"
 
     def test_missing_attainment_falls_back_deterministically(self):
         # Partial telemetry must resolve the same profile every time.
         snapshots = [{}, {"estimated_rho": 0.1}, {"attainment_e2e": float("nan")}]
         for snapshot in snapshots:
-            assert infer_slo_profile(snapshot) == "degraded"
-            assert infer_slo_profile(snapshot, default_profile="fallback") == "fallback"
+            assert slo_policy(snapshot)[0] == "degraded"
+
+
+REALTIME = [
+    SLOObjective(name="availability", metric="attainment_e2e", op=">=", target=0.9),
+    SLOObjective(name="headroom", metric="estimated_rho", op="<=", target=0.95),
+]
+DEGRADED = [SLOObjective(name="availability", metric="attainment_e2e", op=">=", target=0.5)]
+_MISSING = object()
+_NAN = float("nan")
+
+
+def _snapshot(attainment, rho):
+    snapshot = {}
+    if attainment is not _MISSING:
+        snapshot["attainment_e2e"] = attainment
+    if rho is not _MISSING:
+        snapshot["estimated_rho"] = rho
+    return snapshot
 
 
 class TestResolve:
-    def test_flat_form_resolves_to_default_profile(self):
-        profile, objectives = resolve_slo_objectives(
-            {"objectives": [_objective().to_dict()]}, {"attainment_e2e": 1.0}
-        )
-        assert profile == DEFAULT_PROFILE
-        assert [o.name for o in objectives] == ["availability"]
-
     def test_profile_form_switches_on_snapshot(self):
-        config = auto_slo_config()
-        healthy, _ = resolve_slo_objectives(
-            config, {"attainment_e2e": 0.9, "estimated_rho": 0.5}
-        )
-        degraded, objectives = resolve_slo_objectives(
-            config, {"attainment_e2e": 0.2, "estimated_rho": 0.5}
-        )
+        healthy, _ = slo_policy({"attainment_e2e": 0.9, "estimated_rho": 0.5})
+        degraded, objectives = slo_policy({"attainment_e2e": 0.2, "estimated_rho": 0.5})
         assert healthy == "realtime"
         assert degraded == "degraded"
         assert [o.name for o in objectives] == ["availability"]
 
-    def test_unconfigured_inferred_profile_falls_back(self):
-        config = {
-            "auto": {"default_profile": "degraded"},
-            # No realtime profile configured: a healthy snapshot must still
-            # resolve deterministically to the fallback.
-            "profiles": {"degraded": [_objective(target=0.5).to_dict()]},
-        }
-        profile, _ = resolve_slo_objectives(config, {"attainment_e2e": 1.0})
-        assert profile == "degraded"
+    # One row per grid point: attainment missing, NaN, just below the realtime
+    # floor, at it and above it, crossed with rho missing, NaN, just below the
+    # overload bound and at it.
+    @pytest.mark.parametrize(
+        "attainment, rho, profile, objectives",
+        [
+            (_MISSING, _MISSING, "degraded", DEGRADED),
+            (_MISSING, _NAN, "degraded", DEGRADED),
+            (_MISSING, 0.94, "degraded", DEGRADED),
+            (_MISSING, 0.95, "degraded", DEGRADED),
+            (_NAN, _MISSING, "degraded", DEGRADED),
+            (_NAN, _NAN, "degraded", DEGRADED),
+            (_NAN, 0.94, "degraded", DEGRADED),
+            (_NAN, 0.95, "degraded", DEGRADED),
+            (0.74, _MISSING, "degraded", DEGRADED),
+            (0.74, _NAN, "degraded", DEGRADED),
+            (0.74, 0.94, "degraded", DEGRADED),
+            (0.74, 0.95, "degraded", DEGRADED),
+            (0.75, _MISSING, "realtime", REALTIME),
+            (0.75, _NAN, "realtime", REALTIME),
+            (0.75, 0.94, "realtime", REALTIME),
+            (0.75, 0.95, "degraded", DEGRADED),
+            (0.9, _MISSING, "realtime", REALTIME),
+            (0.9, _NAN, "realtime", REALTIME),
+            (0.9, 0.94, "realtime", REALTIME),
+            (0.9, 0.95, "degraded", DEGRADED),
+        ],
+    )
+    def test_policy_grid_pinned(self, attainment, rho, profile, objectives):
+        assert slo_policy(_snapshot(attainment, rho)) == (profile, objectives)
 
-    def test_missing_fallback_profile_rejected(self):
-        config = {"auto": {"default_profile": "absent"}, "profiles": {"realtime": []}}
-        with pytest.raises(ValueError, match="absent"):
-            resolve_slo_objectives(config, {})
-
-    def test_config_without_objectives_or_profiles_rejected(self):
-        with pytest.raises(ValueError, match="objectives"):
-            resolve_slo_objectives({}, {})
-
-    def test_auto_config_floor_ordering_validated(self):
-        with pytest.raises(ValueError):
-            auto_slo_config(realtime_attainment=0.4, degraded_attainment=0.6)
+    def test_policy_returns_a_fresh_objective_list(self):
+        _, objectives = slo_policy({"attainment_e2e": 1.0})
+        objectives.clear()
+        assert slo_policy({"attainment_e2e": 1.0})[1] == REALTIME
 
 
 class TestBreachTracker:
@@ -162,10 +172,8 @@ class TestBreachTracker:
         assert len(first) == 1
         assert tracker.update(self._report(0.4), time=3.0, window_index=2) == []
         assert tracker.update(self._report(0.3), time=4.0, window_index=3) == []
-        assert tracker.breached_objectives == ["availability"]
         # Recovery re-arms; the next crossing fires a fresh event.
         assert tracker.update(self._report(0.95), time=5.0) == []
-        assert tracker.breached_objectives == []
         second = tracker.update(self._report(0.2), time=6.0, window_index=5)
         assert len(second) == 1
         assert second[0].window_index == 5
@@ -184,7 +192,6 @@ class TestBreachTracker:
         tracker = SLOBreachTracker()
         tracker.update(self._report(0.0), time=0.0)
         tracker.reset()
-        assert tracker.breached_objectives == []
         assert len(tracker.update(self._report(0.0), time=1.0)) == 1
 
 
@@ -201,14 +208,16 @@ class TestBreachEventSerialisation:
             value=0.55,
             context="diurnal",
         )
-        restored = BreachEvent.from_dict(json.loads(json.dumps(event.to_dict())))
-        assert restored == event
+        data = event.to_dict()
+        assert json.loads(json.dumps(data)) == data
+        assert BreachEvent(**data) == event
 
     def test_round_trip_preserves_missing_value(self):
         event = BreachEvent(
             time=1.0, window_index=0, profile="degraded", objective="availability",
             metric="attainment_e2e", op=">=", target=0.5, value=None,
         )
-        restored = BreachEvent.from_dict(json.loads(json.dumps(event.to_dict())))
-        assert restored == event
-        assert "n/a" in restored.describe()
+        data = json.loads(json.dumps(event.to_dict()))
+        assert data["value"] is None
+        assert BreachEvent(**data) == event
+        assert "n/a" in event.describe()
