@@ -3,7 +3,8 @@
 Measures the headline claim of the simulator-core PR: on a long-decode trace the
 fast engine (struct-of-arrays decode state, coalesced epochs, memoized latency
 grid) beats the retained per-event reference engine by >= 5x wall-clock while
-producing **bitwise-identical** per-request metrics.
+producing a **bitwise-identical** result: every metric column and the makespan,
+compared through :meth:`~repro.simulation.metrics.SimulationResult.digest`.
 
 The default ("full") configuration replays >= 2k requests with >= 512 output
 tokens each; set ``REPRO_BENCH_REDUCED=1`` for the CI smoke configuration (same
@@ -44,17 +45,6 @@ SPEEDUP_BAR = 2.0 if REDUCED else 5.0
 #: fastest run kept: a single reduced fast run takes ~10 ms, too short to time once
 TIMED_RUNS = 5 if REDUCED else 3
 
-METRIC_FIELDS = (
-    "enqueue_time",
-    "prefill_start",
-    "first_token_time",
-    "kv_transfer_done",
-    "completion_time",
-    "prefill_replica",
-    "decode_replica",
-    "finished",
-)
-
 
 def _fixture():
     cluster = make_two_datacenter_cluster(inter_dc_gbps=5.0, seed=0)
@@ -91,16 +81,6 @@ def _long_decode_trace(num_requests: int, seed: int = 0) -> Trace:
     return Trace(requests=requests, name="long-decode")
 
 
-def _metrics_identical(fast, reference) -> bool:
-    if len(fast.metrics) != len(reference.metrics):
-        return False
-    for a, b in zip(fast.metrics, reference.metrics):
-        for name in METRIC_FIELDS:
-            if getattr(a, name) != getattr(b, name):
-                return False
-    return True
-
-
 def test_simulator_core_speedup():
     cluster, model, plan = _fixture()
     trace = _long_decode_trace(NUM_REQUESTS)
@@ -125,7 +105,7 @@ def test_simulator_core_speedup():
     fast, reference = results["fast"], results["reference"]
     t_fast, t_reference = min(times["fast"]), min(times["reference"])
 
-    identical = _metrics_identical(fast, reference)
+    identical = fast.digest() == reference.digest()
     speedup = t_reference / t_fast
     decode_tokens = sum(r.output_length for r in trace)
     mode = "reduced" if REDUCED else "full"

@@ -79,8 +79,7 @@ class LowerLevelSolver:
     kv_transport_bits:
         KV transport precision used in the KV-communication term (4 = compressed).
     orchestration_mode:
-        ``"lp"`` (the paper's TSTP), ``"uniform"`` or ``"random"`` (Figure 12
-        ablation).
+        ``"lp"`` (the paper's TSTP) or ``"random"`` (Figure 12 ablation).
     fixed_plans:
         Optional mapping from (sorted GPU tuple) to an existing
         :class:`ReplicaPlan`; when provided those plans are reused instead of
@@ -107,8 +106,8 @@ class LowerLevelSolver:
         seed: int = 0,
         prefill_batch_requests: int = DEFAULT_MAX_PREFILL_BATCH_REQUESTS,
     ) -> None:
-        if orchestration_mode not in ("lp", "uniform", "random"):
-            raise ValueError("orchestration_mode must be 'lp', 'uniform' or 'random'")
+        if orchestration_mode not in ("lp", "random"):
+            raise ValueError("orchestration_mode must be 'lp' or 'random'")
         self.cluster = cluster
         self.model = model
         self.workload = workload
@@ -346,12 +345,6 @@ class LowerLevelSolver:
                 self._orchestration_cache[key] = result
             # Fresh arrays on every call: callers own what they get back.
             return replace(result, x=result.x.copy(), y=result.y.copy(), z=result.z.copy())
-        if self.orchestration_mode == "uniform":
-            m, n = d.shape
-            x = np.full(m, 1.0 / m)
-            y = np.full((m, n), 1.0 / n)
-            z = np.outer(x, y[0])
-            return OrchestrationResult(x=x, y=y, z=z, objective=float((z * d).sum()), served_fraction=1.0)
         return random_orchestration(d.shape[0], d.shape[1], self._rng)
 
 

@@ -79,9 +79,5 @@ class SLOBreachTracker:
             )
         return events
 
-    def reset(self) -> None:
-        """Forget all breach state (every objective is re-armed)."""
-        self._breached.clear()
-
 
 __all__ = ["SLOBreachTracker"]

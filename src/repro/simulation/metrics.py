@@ -21,6 +21,7 @@ ever building a million objects.
 
 from __future__ import annotations
 
+import hashlib
 from bisect import bisect_right
 from dataclasses import dataclass, fields
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -359,6 +360,22 @@ class SimulationResult:
         if self._metrics is None:
             self._metrics = self.arrays.materialize(self.requests)
         return self._metrics
+
+    def digest(self) -> str:
+        """SHA-256 hex digest of the run's bits.
+
+        Hashes the makespan's ``float64`` bytes, then each :class:`MetricArrays`
+        column's name, dtype and bytes, in field order.  Two results are
+        bitwise equal exactly when their digests agree; the label, the trace
+        duration and the object view are not hashed.
+        """
+        sha = hashlib.sha256(np.float64(self.makespan).tobytes())
+        for f in fields(MetricArrays):
+            column = getattr(self.arrays, f.name)
+            sha.update(f.name.encode())
+            sha.update(column.dtype.str.encode())
+            sha.update(column.tobytes())
+        return sha.hexdigest()
 
     # ------------------------------------------------------------------ basics
     @property

@@ -3,10 +3,17 @@
 Heavier objects (clusters, deployment plans) are session-scoped: they are
 immutable value objects in this codebase, so sharing them across tests is safe and
 keeps the suite fast.
+
+:func:`assert_same_result` is the suite's one bitwise comparison of two
+simulation results; test modules import it with ``from conftest import
+assert_same_result``.
 """
 
 from __future__ import annotations
 
+from dataclasses import fields
+
+import numpy as np
 import pytest
 
 from repro.core.types import Phase
@@ -19,8 +26,31 @@ from repro.hardware.cluster import (
 from repro.model.architecture import ModelConfig, get_model_config
 from repro.scheduling.lower_level import LowerLevelSolver
 from repro.scheduling.solution import UpperLevelSolution
+from repro.simulation.metrics import MetricArrays
 from repro.workload.generator import generate_requests
 from repro.workload.spec import CODING_WORKLOAD, CONVERSATION_WORKLOAD
+
+
+# --------------------------------------------------------------------------- results
+def assert_same_result(a, b) -> None:
+    """Assert two simulation results are bitwise equal: their digests agree.
+
+    On a mismatch the message names the makespan or the first metric column
+    that differs, and the first differing row.
+    """
+    if a.digest() == b.digest():
+        return
+    if a.makespan != b.makespan:
+        raise AssertionError(f"makespan {a.makespan!r} != {b.makespan!r}")
+    for f in fields(MetricArrays):
+        x, y = getattr(a.arrays, f.name), getattr(b.arrays, f.name)
+        if x.dtype != y.dtype or x.shape != y.shape:
+            raise AssertionError(f"{f.name}: {x.dtype}{x.shape} != {y.dtype}{y.shape}")
+        differ = np.flatnonzero(x != y)
+        if differ.size:
+            i = int(differ[0])
+            raise AssertionError(f"{f.name} first differs at row {i}: {x[i]!r} != {y[i]!r}")
+    raise AssertionError(f"digests differ: {a.digest()} != {b.digest()}")
 
 
 # --------------------------------------------------------------------------- models

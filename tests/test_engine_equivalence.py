@@ -9,7 +9,8 @@ windowed (failure-style) serving, single-token outputs, horizon-truncated runs,
 prompt-heavy traces on one and on two decode replicas, and every supported
 prefill batch size (1, 4, 16).  Any
 divergence here means the coalescing math drifted from the per-event semantics,
-so the assertions are exact equality on raw floats.
+so the assertions compare result digests: exact equality on every column's
+bytes and on the makespan.
 
 The fault-timeline section extends the contract to in-engine preemption: under
 a compiled :class:`~repro.faults.FaultTimeline` (replica deaths and revivals
@@ -25,6 +26,7 @@ from bisect import bisect_left
 
 import numpy as np
 import pytest
+from conftest import assert_same_result
 from hypothesis import given, settings, strategies as st
 
 from repro.core.types import Phase, Request
@@ -105,20 +107,6 @@ MULTI_PLAN = _multi_plan()
 MULTI_PREFILLS = tuple(g.group_id for g in MULTI_PLAN.prefill_groups)
 MULTI_DECODES = tuple(g.group_id for g in MULTI_PLAN.decode_groups)
 
-#: every timing / assignment field recorded per request
-METRIC_FIELDS = (
-    "enqueue_time",
-    "prefill_start",
-    "first_token_time",
-    "kv_transfer_done",
-    "completion_time",
-    "prefill_replica",
-    "decode_replica",
-    "finished",
-    "attempts",
-)
-
-
 #: prefill batch sizes the suite must hold at (single-request, moderate, burst)
 PREFILL_BATCH_SIZES = (1, 4, 16)
 
@@ -133,31 +121,6 @@ def _run(
         CLUSTER, plan if plan is not None else PLAN, model or MODEL, config=config
     )
     return simulator.run(trace, faults=faults, retry=retry)
-
-
-def _assert_identical(fast, reference, check_makespan=True):
-    assert len(fast.metrics) == len(reference.metrics)
-    for a, b in zip(fast.metrics, reference.metrics):
-        assert a.request.request_id == b.request.request_id
-        for name in METRIC_FIELDS:
-            assert getattr(a, name) == getattr(b, name), (
-                f"request {a.request.request_id}: {name} "
-                f"{getattr(a, name)!r} != {getattr(b, name)!r}"
-            )
-        assert a.resolved_outcome() == b.resolved_outcome(), (
-            f"request {a.request.request_id}: outcome "
-            f"{a.resolved_outcome()!r} != {b.resolved_outcome()!r}"
-        )
-    # Identical completion order, not just identical completion times.
-    order_a = sorted(
-        (m.completion_time, m.request.request_id) for m in fast.metrics if m.finished
-    )
-    order_b = sorted(
-        (m.completion_time, m.request.request_id) for m in reference.metrics if m.finished
-    )
-    assert order_a == order_b
-    if check_makespan:
-        assert fast.makespan == reference.makespan
 
 
 @given(
@@ -181,7 +144,7 @@ def test_engines_identical_on_random_traces(
         output_sigma=0.5,
     )
     trace = generate_requests(workload, rate, num_requests=num_requests, seed=seed)
-    _assert_identical(
+    assert_same_result(
         _run(trace, "fast", seed=seed, prefill_batch=prefill_batch),
         _run(trace, "reference", seed=seed, prefill_batch=prefill_batch),
     )
@@ -203,7 +166,7 @@ def test_engines_identical_with_single_token_outputs(seed, prefill_batch):
             )
         )
     trace = Trace(requests=requests, name="single-token-mix")
-    _assert_identical(
+    assert_same_result(
         _run(trace, "fast", seed=seed, prefill_batch=prefill_batch),
         _run(trace, "reference", seed=seed, prefill_batch=prefill_batch),
     )
@@ -216,7 +179,7 @@ def test_engines_identical_under_horizon(horizon, prefill_batch):
     trace = generate_requests(CONVERSATION_WORKLOAD, 6.0, num_requests=50, seed=11)
     fast = _run(trace, "fast", seed=1, horizon=horizon, prefill_batch=prefill_batch)
     reference = _run(trace, "reference", seed=1, horizon=horizon, prefill_batch=prefill_batch)
-    _assert_identical(fast, reference)
+    assert_same_result(fast, reference)
 
 
 #: prompt-heavy shape (RAG-like): inputs dominate, decodes are short
@@ -235,12 +198,12 @@ def test_engines_identical_on_prompt_heavy_traces(seed, prefill_batch):
     """Multi-request prefill batches produce bitwise-identical metrics.
 
     The prompt-heavy shape keeps the prefill replicas queued, so the fast
-    engine's coalesced prefill epochs span several batches and the KV handoffs
-    arrive as coalesced ``KV_BATCH`` cursors — all of which must be
-    indistinguishable from the per-event engine.
+    engine's coalesced prefill epochs span several batches and whole batches
+    of KV handoffs land in the decode replica's delivery log — all of which
+    must be indistinguishable from the per-event engine.
     """
     trace = generate_requests(PROMPT_HEAVY_WORKLOAD, 8.0, num_requests=60, seed=seed)
-    _assert_identical(
+    assert_same_result(
         _run(trace, "fast", seed=seed, prefill_batch=prefill_batch),
         _run(trace, "reference", seed=seed, prefill_batch=prefill_batch),
     )
@@ -257,13 +220,13 @@ def test_arrival_truncated_prefill_epochs_identical(prefill_batch, rate):
     horizon cuts layered on top must also agree.
     """
     trace = generate_requests(PROMPT_HEAVY_WORKLOAD, rate, num_requests=70, seed=21)
-    _assert_identical(
+    assert_same_result(
         _run(trace, "fast", seed=2, prefill_batch=prefill_batch),
         _run(trace, "reference", seed=2, prefill_batch=prefill_batch),
     )
     fast = _run(trace, "fast", seed=2, prefill_batch=prefill_batch, horizon=4.0)
     reference = _run(trace, "reference", seed=2, prefill_batch=prefill_batch, horizon=4.0)
-    _assert_identical(fast, reference)
+    assert_same_result(fast, reference)
 
 
 def _assert_batches_split_across_decodes(result):
@@ -293,7 +256,7 @@ def test_multi_decode_prompt_heavy_traces_identical(seed, prefill_batch):
     trace = generate_requests(PROMPT_HEAVY_WORKLOAD, 8.0, num_requests=60, seed=seed)
     kwargs = dict(seed=seed, prefill_batch=prefill_batch, plan=MULTI_PLAN, model=MULTI_MODEL)
     fast = _run(trace, "fast", **kwargs)
-    _assert_identical(fast, _run(trace, "reference", **kwargs))
+    assert_same_result(fast, _run(trace, "reference", **kwargs))
     if prefill_batch > 1:
         _assert_batches_split_across_decodes(fast)
 
@@ -305,9 +268,9 @@ def test_multi_decode_arrival_truncated_prefill_epochs_identical(prefill_batch, 
     trace = generate_requests(PROMPT_HEAVY_WORKLOAD, rate, num_requests=70, seed=21)
     kwargs = dict(seed=2, prefill_batch=prefill_batch, plan=MULTI_PLAN, model=MULTI_MODEL)
     fast = _run(trace, "fast", **kwargs)
-    _assert_identical(fast, _run(trace, "reference", **kwargs))
+    assert_same_result(fast, _run(trace, "reference", **kwargs))
     _assert_batches_split_across_decodes(fast)
-    _assert_identical(
+    assert_same_result(
         _run(trace, "fast", horizon=4.0, **kwargs),
         _run(trace, "reference", horizon=4.0, **kwargs),
     )
@@ -334,8 +297,8 @@ def test_engines_identical_across_windows():
         reused_fast = sims["fast"].run(window)
         reused_reference = sims["reference"].run(window)
         fresh_fast = _run(window, "fast")
-        _assert_identical(reused_fast, reused_reference)
-        _assert_identical(reused_fast, fresh_fast)
+        assert_same_result(reused_fast, reused_reference)
+        assert_same_result(reused_fast, fresh_fast)
 
 
 def test_engine_config_validated():
@@ -354,7 +317,7 @@ def test_heavy_load_blocked_admissions_identical():
         output_sigma=0.3,
     )
     trace = generate_requests(workload, 12.0, num_requests=60, seed=5)
-    _assert_identical(_run(trace, "fast", seed=2), _run(trace, "reference", seed=2))
+    assert_same_result(_run(trace, "fast", seed=2), _run(trace, "reference", seed=2))
 
 
 # --------------------------------------------------------------------------- faults
@@ -378,7 +341,7 @@ def _both(trace, faults, retry=RETRY, seed=0, horizon=None, require_terminal=Tru
         trace, "reference", seed=seed, horizon=horizon,
         plan=MULTI_PLAN, model=MULTI_MODEL, faults=faults, retry=retry,
     )
-    _assert_identical(fast, reference)
+    assert_same_result(fast, reference)
     fast.assert_outcome_conservation(require_terminal=require_terminal)
     reference.assert_outcome_conservation(require_terminal=require_terminal)
     return fast
@@ -559,7 +522,7 @@ def test_tiny_decode_row_bound_identical(monkeypatch):
     """
     monkeypatch.setattr(latency, "DECODE_STEP_MEMO_MAX", 64)
     trace = generate_requests(CONVERSATION_WORKLOAD, 6.0, num_requests=60, seed=4)
-    _assert_identical(_run(trace, "fast", seed=1), _run(trace, "reference", seed=1))
+    assert_same_result(_run(trace, "fast", seed=1), _run(trace, "reference", seed=1))
 
 
 def _random_timeline(rng):
@@ -604,15 +567,10 @@ def test_request_conservation_under_random_fault_timelines(
         CONVERSATION_WORKLOAD, rate, num_requests=num_requests, seed=seed
     )
     fast = _both(trace, timeline if timeline else None, seed=seed % 97)
-    # Same seed => bitwise-identical outcome arrays on an independent replay.
+    # Same seed => a bitwise-identical result on an independent replay.
     replay = _run(
         trace, "fast", seed=seed % 97,
         plan=MULTI_PLAN, model=MULTI_MODEL, faults=timeline if timeline else None,
         retry=RETRY,
     )
-    assert fast.arrays is not None and replay.arrays is not None
-    np.testing.assert_array_equal(fast.arrays.outcome, replay.arrays.outcome)
-    np.testing.assert_array_equal(fast.arrays.attempts, replay.arrays.attempts)
-    np.testing.assert_array_equal(
-        fast.arrays.completion_time, replay.arrays.completion_time
-    )
+    assert_same_result(fast, replay)

@@ -30,10 +30,9 @@ instant of a logged delivery, a fault after the last heap event, a horizon
 between a delivery and its admission, and a log that reaches its bound.
 """
 
-from dataclasses import fields
-
 import numpy as np
 import pytest
+from conftest import assert_same_result
 from hypothesis import given, settings, strategies as st
 
 from repro.core.types import Phase
@@ -151,15 +150,6 @@ def _simulator(engine: str, config: dict, plan: DeploymentPlan = PLAN) -> Servin
     return ServingSimulator(CLUSTER, plan, MODEL, config=SimulatorConfig(engine=engine, **config))
 
 
-def _assert_same(fast, reference) -> None:
-    """Assert two results agree bitwise on every metric column and the makespan."""
-    for column in fields(MetricArrays):
-        a = getattr(fast.arrays, column.name)
-        b = getattr(reference.arrays, column.name)
-        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), column.name
-    assert fast.makespan == reference.makespan
-
-
 def _assert_fast_equals_reference(
     case, plan: DeploymentPlan = PLAN, retry: RetryPolicy = RETRY
 ) -> MetricArrays:
@@ -169,7 +159,7 @@ def _assert_fast_equals_reference(
     reference = _simulator("reference", config, plan).run(
         arrays.to_trace(), faults=timeline, retry=retry
     )
-    _assert_same(fast, reference)
+    assert_same_result(fast, reference)
     return fast.arrays
 
 
@@ -472,7 +462,7 @@ def test_decode_death_advances_the_clock_through_fired_steps():
     drop = RetryPolicy.drop_only()
     fast = _simulator("fast", config).run_stream([arrays], faults=timeline, retry=drop)
     reference = _simulator("reference", config).run(arrays.to_trace(), faults=timeline, retry=drop)
-    _assert_same(fast, reference)
+    assert_same_result(fast, reference)
     assert len(fast.arrays.request_id) == 1 and not fast.arrays.finished[0]
     assert arrival < fast.makespan < death
 
@@ -521,7 +511,7 @@ def test_single_chunk_run_crosses_the_log_bound(monkeypatch):
         workload="ties",
     )
     config = dict(seed=5, max_prefill_batch_requests=4, kv_block_size=16)
-    _assert_same(
+    assert_same_result(
         _simulator("fast", config).run(arrays.to_trace()),
         _simulator("reference", config).run(arrays.to_trace()),
     )

@@ -1,7 +1,7 @@
 """Tests for the serving runtime: the ThunderServe facade and its replan memos."""
 
 import json
-from dataclasses import fields, replace
+from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
@@ -182,12 +182,9 @@ def _unvalidated(method):
 
 
 def _report_signature(report):
-    """Telemetry, fault log and every per-request column of a live run, as bytes."""
-    columns = [
-        tuple(getattr(r.arrays, f.name).tobytes() for f in fields(r.arrays))
-        for r in report.results
-    ]
-    return json.dumps([report.to_dicts(), report.fault_log], sort_keys=True), columns
+    """Telemetry, fault log and every window result's digest of a live run."""
+    digests = [r.digest() for r in report.results]
+    return json.dumps([report.to_dicts(), report.fault_log], sort_keys=True), digests
 
 
 class TestFullReplanMemo:

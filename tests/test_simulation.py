@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from conftest import assert_same_result
 
 from repro.core.exceptions import SimulationError
 from repro.core.types import Phase, Request, RequestOutcome, SLOType
@@ -76,7 +77,7 @@ class TestServingSimulator:
                              config=SimulatorConfig(seed=5, engine=engine)).run(small_trace)
         b = ServingSimulator(small_hetero_cluster, small_plan, model_30b,
                              config=SimulatorConfig(seed=5, engine=engine)).run(small_trace)
-        assert [m.completion_time for m in a.metrics] == [m.completion_time for m in b.metrics]
+        assert_same_result(a, b)
 
     def test_repeated_runs_on_one_instance_are_identical(self, small_hetero_cluster, small_plan, model_30b, small_trace):
         """run() resets all state (including the routing RNG), so a simulator can
@@ -85,8 +86,7 @@ class TestServingSimulator:
                                      config=SimulatorConfig(seed=5))
         a = simulator.run(small_trace)
         b = simulator.run(small_trace)
-        assert [m.completion_time for m in a.metrics] == [m.completion_time for m in b.metrics]
-        assert a.makespan == b.makespan
+        assert_same_result(a, b)
 
     def test_replica_assignment_matches_plan_groups(self, small_hetero_cluster, small_plan, model_30b, small_trace):
         result = ServingSimulator(small_hetero_cluster, small_plan, model_30b).run(small_trace)

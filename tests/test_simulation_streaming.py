@@ -14,6 +14,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from conftest import assert_same_result
 
 from repro.core.exceptions import SimulationError
 from repro.core.types import Request
@@ -27,17 +28,6 @@ N = 120
 RATE = 3.0
 CHUNK_SIZES = (1, 17, 64, 3 * N)
 
-METRIC_FIELDS = (
-    "enqueue_time",
-    "prefill_start",
-    "first_token_time",
-    "kv_transfer_done",
-    "completion_time",
-    "prefill_replica",
-    "decode_replica",
-    "finished",
-)
-
 
 def _generator(seed: int = 3) -> PoissonArrivalGenerator:
     return PoissonArrivalGenerator(
@@ -50,18 +40,8 @@ def _simulator(cluster, plan, model, engine="fast", horizon=None) -> ServingSimu
     return ServingSimulator(cluster, plan, model, config=config)
 
 
-def _assert_identical(a, b, check_workload=False):
-    assert len(a.metrics) == len(b.metrics)
-    for ma, mb in zip(a.metrics, b.metrics):
-        assert ma.request.request_id == mb.request.request_id
-        for name in METRIC_FIELDS:
-            assert getattr(ma, name) == getattr(mb, name), (
-                f"request {ma.request.request_id}: {name} "
-                f"{getattr(ma, name)!r} != {getattr(mb, name)!r}"
-            )
-        if check_workload:
-            assert ma.request.workload == mb.request.workload
-    assert a.makespan == b.makespan
+def _tags(result) -> list:
+    return [m.request.workload for m in result.metrics]
 
 
 @pytest.fixture(scope="module")
@@ -84,7 +64,8 @@ class TestStreamedEqualsEager:
         streamed = _simulator(small_hetero_cluster, small_plan, model_30b).run_stream(
             chunks
         )
-        _assert_identical(streamed, eager, check_workload=True)
+        assert_same_result(streamed, eager)
+        assert _tags(streamed) == _tags(eager)
         assert streamed.trace_duration == eager.trace_duration
 
     def test_generator_chunks_match_reference_oracle(
@@ -98,7 +79,7 @@ class TestStreamedEqualsEager:
         reference = _simulator(
             small_hetero_cluster, small_plan, model_30b, engine="reference"
         ).run(trace)
-        _assert_identical(streamed, reference)
+        assert_same_result(streamed, reference)
 
     def test_empty_chunks_are_skipped(
         self, small_hetero_cluster, small_plan, model_30b, arrays
@@ -116,7 +97,7 @@ class TestStreamedEqualsEager:
         streamed = _simulator(small_hetero_cluster, small_plan, model_30b).run_stream(
             chunks
         )
-        _assert_identical(streamed, eager)
+        assert_same_result(streamed, eager)
 
     def test_label_propagates(self, small_hetero_cluster, small_plan, model_30b, arrays):
         result = _simulator(small_hetero_cluster, small_plan, model_30b).run_stream(
@@ -148,8 +129,9 @@ class TestMultiWorkloadStream:
             name="mixed",
         )
         eager = _simulator(small_hetero_cluster, small_plan, model_30b).run(eager_trace)
-        _assert_identical(streamed, eager, check_workload=True)
-        tags = [m.request.workload for m in streamed.metrics]
+        assert_same_result(streamed, eager)
+        assert _tags(streamed) == _tags(eager)
+        tags = _tags(streamed)
         assert tags[: N // 2] == [CONVERSATION_WORKLOAD.name] * (N // 2)
         assert tags[N // 2 :] == [CODING_WORKLOAD.name] * (N // 2)
 
@@ -173,8 +155,8 @@ class TestHorizonTruncation:
             engine="reference",
             horizon=horizon,
         ).run(arrays.to_trace())
-        _assert_identical(streamed, eager)
-        _assert_identical(streamed, reference)
+        assert_same_result(streamed, eager)
+        assert_same_result(streamed, reference)
         assert len(streamed.metrics) < N
 
 
@@ -196,7 +178,7 @@ class TestValidation:
         fast = _simulator(small_hetero_cluster, small_plan, model_30b).run(
             arrays.to_trace()
         )
-        _assert_identical(fast, reference)
+        assert_same_result(fast, reference)
 
 
 class TestNegativeArrivals:
@@ -278,10 +260,7 @@ class TestResultArrays:
         ]
         for result in results:
             self._assert_owned_columns(result)
-            assert result.makespan == results[0].makespan
-            for column in fields(MetricArrays):
-                first = getattr(results[0].arrays, column.name)
-                assert getattr(result.arrays, column.name).tobytes() == first.tobytes()
+            assert_same_result(result, results[0])
 
     @pytest.mark.parametrize("shuffle_ids", [False, True])
     def test_run_under_a_tracer_matches(
@@ -311,12 +290,7 @@ class TestResultArrays:
         finally:
             sys.settrace(previous)
         self._assert_owned_columns(traced)
-        assert traced.makespan == plain.makespan
-        for column in fields(MetricArrays):
-            assert (
-                getattr(traced.arrays, column.name).tobytes()
-                == getattr(plain.arrays, column.name).tobytes()
-            )
+        assert_same_result(traced, plain)
 
     def test_streamed_result_metrics_sorted_by_request_id(
         self, small_hetero_cluster, small_plan, model_30b, arrays

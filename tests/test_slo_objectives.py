@@ -189,9 +189,11 @@ class TestBreachTracker:
         assert event.value == 0.0
 
     def test_reset_rearms_everything(self):
+        """A run's reset builds a fresh tracker, which re-arms every objective."""
         tracker = SLOBreachTracker()
         tracker.update(self._report(0.0), time=0.0)
-        tracker.reset()
+        assert tracker.update(self._report(0.0), time=1.0) == []
+        tracker = SLOBreachTracker()
         assert len(tracker.update(self._report(0.0), time=1.0)) == 1
 
 
