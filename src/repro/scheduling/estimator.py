@@ -41,6 +41,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
+from scipy.special import ndtri
 
 from repro.core.types import Phase, SLOSpec, SLOType
 from repro.costmodel.kv_transfer import kv_link, kv_transfer_seconds
@@ -221,13 +222,13 @@ class SLOEstimator:
     def _build_grid(self, num_quantiles: int) -> List[Tuple[float, int, int]]:
         """Deterministic (weight, input_len, output_len) grid from length quantiles."""
         qs = np.linspace(0.08, 0.92, num_quantiles)
-        # Inverse-CDF of the (log-normal) length distributions at the quantiles.
+        # Inverse-CDF of the (log-normal) length distributions at the quantiles:
+        # ``ndtri`` is the standard normal's inverse CDF, bitwise what
+        # ``scipy.stats.norm.ppf`` returns at loc 0 and scale 1.
         def lognormal_q(median: float, sigma: float, q: np.ndarray) -> np.ndarray:
             if sigma == 0:
                 return np.full_like(q, median, dtype=float)
-            from scipy.stats import norm
-
-            return median * np.exp(sigma * norm.ppf(q))
+            return median * np.exp(sigma * ndtri(q))
 
         inputs = np.clip(
             lognormal_q(self.workload.median_input_length, self.workload.input_sigma, qs),

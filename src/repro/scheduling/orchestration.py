@@ -14,7 +14,10 @@ a millisecond, while ``milp``'s input checks and its wrapper's fresh solver,
 option managers and dual read-back cost several times that.  HiGHS receives the
 model ``linprog`` would build (the same CSC constraint matrix, row bounds and
 variable bounds, and ``log_to_console=False`` as its only option), so it picks
-the same optimum among ties.  ``linprog`` is kept only as the test oracle: a
+the same optimum among ties.  The parts of that model fixed by the LP's shape
+(the constraint matrix, variable bounds and row lower bounds) are built once
+per shape and reused; a solve sets only its costs and row upper bounds.
+``linprog`` is kept only as the test oracle: a
 property test in ``tests/test_lower_level_oracle.py`` asserts that both return
 bitwise-equal routings, also when several LPs run back to back on the handle.
 
@@ -55,6 +58,47 @@ def _highs_solver() -> _highs._Highs:
     solver = _highs._Highs()
     solver.passOptions(options)
     return solver
+
+
+@functools.cache
+def _lp_of_shape(m: int, n: int, prefill_capped: bool, decode_capped: bool) -> _highs.HighsLp:
+    """The orchestration LP of one shape, without its costs and row upper bounds.
+
+    Constraint rows: total routed mass, then one row per prefill replica
+    (``sum_j Z_ij``) when prefill caps are given, then one per decode replica
+    (``sum_i Z_ij``) when decode caps are given.  With Z flattened row-major,
+    column ``i * n + j`` of A holds a 1 in the mass row, in prefill row i and
+    in decode row j, so A is built column-wise (CSC, the layout HiGHS takes)
+    from those row indices.  Every part here depends on the shape alone; a
+    solve sets ``col_cost_`` and ``row_upper_`` and passes the model, which
+    HiGHS copies, so one model per shape is reused across solves (one solve
+    at a time, like the handle).  Shapes are bounded by a cluster's replica
+    counts, so the cache stays small.
+    """
+    num_vars = m * n
+    rows = [np.zeros(num_vars, dtype=np.int32)]
+    num_rows = 1
+    for capped, size, index in (
+        (prefill_capped, m, np.repeat(np.arange(m, dtype=np.int32), n)),
+        (decode_capped, n, np.tile(np.arange(n, dtype=np.int32), m)),
+    ):
+        if capped:
+            rows.append(num_rows + index)
+            num_rows += size
+    per_col = len(rows)
+    lp = _highs.HighsLp()
+    lp.num_col_ = num_vars
+    lp.num_row_ = num_rows
+    lp.col_lower_ = np.zeros(num_vars)
+    lp.col_upper_ = np.full(num_vars, np.inf)
+    lp.row_lower_ = np.full(num_rows, -np.inf)
+    lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
+    lp.a_matrix_.num_col_ = num_vars
+    lp.a_matrix_.num_row_ = num_rows
+    lp.a_matrix_.start_ = np.arange(0, per_col * num_vars + 1, per_col, dtype=np.int32)
+    lp.a_matrix_.index_ = np.stack(rows, axis=1).ravel()
+    lp.a_matrix_.value_ = np.ones(per_col * num_vars)
+    return lp
 
 
 @dataclass
@@ -108,21 +152,13 @@ def solve_orchestration(
     if not np.isfinite(d).all():
         raise SchedulingError("attainment matrix must hold finite values")
     m, n = d.shape
-    num_vars = m * n
 
-    # Constraint rows: total routed mass <= 1, then sum_j Z_ij <= cap_i per
-    # prefill replica, then sum_i Z_ij <= cap_j per decode replica.  With Z
-    # flattened row-major, column i * n + j of A holds a 1 in the mass row, in
-    # prefill row i and in decode row j, so A is built column-wise (CSC, the
-    # layout HiGHS takes) from those row indices.  An infinite cap leaves its
-    # row unbounded.
-    rows = [np.zeros(num_vars, dtype=np.int32)]
+    # Upper bounds of the constraint rows: total routed mass <= 1, then the
+    # per-replica caps of each phase that has them (an infinite cap leaves its
+    # row unbounded).  The checks come first, so a rejected input never
+    # reaches the cached model.
     b_ub = [np.ones(1)]
-    num_rows = 1
-    for caps, size, phase, index in (
-        (prefill_capacity, m, "prefill", np.repeat(np.arange(m, dtype=np.int32), n)),
-        (decode_capacity, n, "decode", np.tile(np.arange(n, dtype=np.int32), m)),
-    ):
+    for caps, size, phase in ((prefill_capacity, m, "prefill"), (decode_capacity, n, "decode")):
         if caps is None:
             continue
         caps = np.asarray(list(caps), dtype=float)
@@ -130,26 +166,12 @@ def solve_orchestration(
             raise SchedulingError(f"{phase}_capacity must have one entry per {phase} replica")
         if np.isnan(caps).any():
             raise SchedulingError(f"{phase}_capacity must not hold NaN")
-        rows.append(num_rows + index)
         b_ub.append(np.maximum(caps, 0.0))
-        num_rows += size
-    per_col = len(rows)
 
     # Objective: maximise sum Z_ij D_ij  <=>  minimise -D . Z, over Z >= 0.
-    lp = _highs.HighsLp()
-    lp.num_col_ = num_vars
-    lp.num_row_ = num_rows
+    lp = _lp_of_shape(m, n, prefill_capacity is not None, decode_capacity is not None)
     lp.col_cost_ = -d.reshape(-1)
-    lp.col_lower_ = np.zeros(num_vars)
-    lp.col_upper_ = np.full(num_vars, np.inf)
-    lp.row_lower_ = np.full(num_rows, -np.inf)
     lp.row_upper_ = np.concatenate(b_ub)
-    lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
-    lp.a_matrix_.num_col_ = num_vars
-    lp.a_matrix_.num_row_ = num_rows
-    lp.a_matrix_.start_ = np.arange(0, per_col * num_vars + 1, per_col, dtype=np.int32)
-    lp.a_matrix_.index_ = np.stack(rows, axis=1).ravel()
-    lp.a_matrix_.value_ = np.ones(per_col * num_vars)
 
     solver = _highs_solver()
     solver.clearModel()

@@ -62,10 +62,11 @@ Two engines implement the same semantics:
   (:meth:`~repro.costmodel.latency.ReplicaCostModel.decode_step_row`), turned
   into boundary times by ``itertools.accumulate`` — the reference's
   sequential ``now + latency`` float adds.  A delivery mid-epoch truncates
-  the epoch at the first step boundary at or after it, exactly where the
-  per-event engine would admit the request; when nothing is admitted there,
-  the epoch runs on unchanged (its remaining step times are a pure function
-  of unchanged batch state).  Boundaries are priced lazily, only as far as
+  the epoch at the first step boundary after it (on a boundary, at that one
+  when the per-event engine pops the delivery before the step), exactly
+  where the per-event engine would admit the request; when nothing is
+  admitted there, the epoch runs on unchanged (its remaining step times are
+  a pure function of unchanged batch state).  Boundaries are priced lazily, only as far as
   the next logged delivery needs.  KV memory is one plain int of free blocks
   per replica.
 
@@ -280,9 +281,10 @@ class _DecodeReplica:
     #: the batch size's latency row and the row index of the epoch's first step
     epoch_row: Optional[Sequence[float]] = None
     epoch_m0: int = 0
-    #: the instant the next wake was set: a delivery handed off before it
-    #: goes first at an exact tie with the wake, as a push-ordered heap would
-    wake_set: float = 0.0
+    #: the instant the per-event engine pushed the event at ``epoch_start``
+    #: (the boundary before it, or the handoff of the delivery that started
+    #: an idle replica); :meth:`ServingSimulator._delivery_first` reads it
+    start_pushed: float = 0.0
 
 
 #: the fast engine's request columns: the request attributes, the routing
@@ -972,17 +974,19 @@ class ServingSimulator:
         * **Delivery.**  Stamps the row's KV arrival and queues it for
           admission.  An idle replica starts an epoch at once.  A running
           one moves its wake to the first step boundary at or after the
-          arrival (``bisect_left``) — exactly where the per-event engine's
-          per-step admission would pick the request up — unless a FIFO head
-          is already waiting: then admission is blocked on capacity that only
-          a completion can free, and the epoch end already covers it.
+          arrival (``bisect_left``; the one after, at a tie the step wins) —
+          exactly where the per-event engine's per-step admission would pick
+          the request up — unless a FIFO head is already waiting: then
+          admission is blocked on capacity that only a completion can free,
+          and the epoch end already covers it.
         * **Wake** (:meth:`_decode_wake`): applies the steps, retires
           finishers, admits and plans the next epoch.
 
-        At an exact tie between a delivery and the wake, the delivery goes
-        first when it was handed off before the wake was set — the order a
-        heap of push-ordered events would pop them in.  Step boundaries are
-        priced only as far as the next delivery or ``stop`` needs.  The clock
+        A delivery landing exactly on a step boundary, the wake or one
+        before it, is admitted there only when the per-event engine would pop
+        it before that step (:meth:`_delivery_first`); otherwise it waits for
+        the boundary after.  Step boundaries are priced only as far as the
+        next delivery or ``stop`` needs.  The clock
         takes every replayed time, including the running epoch's boundaries
         before ``stop``.
         """
@@ -1031,17 +1035,17 @@ class ServingSimulator:
                     w = times[cut - 1]
             else:
                 w = _INF
-            if a < w or (a == w < _INF and log[i][1] < replica.wake_set):
+            if a < w or (a == w < _INF and self._delivery_first(replica, log[i], cut)):
                 if a >= stop:
                     break
-                row = log[i][2]
+                _, handoff, row = log[i]
                 i += 1
                 if a > clock:
                     clock = a
                 m_kvdone[row] = a
                 if not stepping:
                     pending.append(row)
-                    self._decode_wake(replica, a)
+                    self._decode_wake(replica, a, handoff)
                     stepping = replica.stepping
                     times = replica.epoch_times
                     cut = replica.epoch_cut
@@ -1049,17 +1053,21 @@ class ServingSimulator:
                     pending.append(row)
                 else:
                     pending.append(row)
-                    idx = bisect_left(times, a, 0, cut if cut < p else p)
+                    hi = cut if cut < p else p
+                    idx = bisect_left(times, a, 0, hi)
+                    if idx < hi and times[idx] == a and not self._delivery_first(
+                        replica, log[i - 1], idx + 1
+                    ):
+                        idx += 1
                     if idx + 1 < cut:
                         cut = replica.epoch_cut = idx + 1
-                        replica.wake_set = a
                 a = log[i][0] if i < nlog else _INF
             else:
                 if w >= stop:
                     break
                 if w > clock:
                     clock = w
-                self._decode_wake(replica, w)
+                self._decode_wake(replica, w, times[cut - 2] if cut > 1 else replica.epoch_start)
                 stepping = replica.stepping
                 times = replica.epoch_times
                 cut = replica.epoch_cut
@@ -1072,12 +1080,42 @@ class ServingSimulator:
                 clock = times[fired - 1]
         self._clock = clock
 
-    def _decode_wake(self, replica: _DecodeReplica, now: float) -> None:
+    def _delivery_first(
+        self, replica: _DecodeReplica, entry: Tuple[float, float, int], k: int
+    ) -> bool:
+        """Whether a delivery landing exactly on boundary ``k`` precedes that step.
+
+        ``k`` counts the current epoch's boundaries from one.  The per-event
+        engine pops same-instant events in push order: the delivery's
+        ``KV_ARRIVED`` was pushed at its handoff, the step's ``DECODE_STEP``
+        at the boundary before (``epoch_start`` for ``k = 1``).  So the
+        delivery goes first, and is admitted at this boundary, when its
+        handoff came before that boundary.  When the two are the same
+        instant, the events processed there were themselves popped in push
+        order: the batch completion, pushed when its batch started, against
+        the event at the previous boundary, pushed at the boundary before it
+        (``start_pushed`` for ``k = 1``).  A tie at that level too lets the
+        step go first.
+        """
+        _, handoff, row = entry
+        times = replica.epoch_times
+        prev = times[k - 2] if k > 1 else replica.epoch_start
+        if handoff != prev:
+            return handoff < prev
+        if k > 2:
+            pushed = times[k - 3]
+        else:
+            pushed = replica.epoch_start if k == 2 else replica.start_pushed
+        return self._m_pstart[row] < pushed
+
+    def _decode_wake(self, replica: _DecodeReplica, now: float, pushed: float) -> None:
         """Run a decode replica to its wake at ``now`` and start its next epoch.
 
         Applies the ``epoch_cut`` steps of the current epoch (none on an idle
         replica), admits pending rows while capacity allows, and plans the
-        next epoch from ``now``.
+        next epoch from ``now``.  ``pushed`` is the instant the per-event
+        engine pushed its event at ``now``: the step boundary before the wake,
+        or the handoff of the delivery that wakes an idle replica.
 
         * **Completion wake.**  An epoch runs to the earliest completion, so
           a full-length wake retires every row whose finish step is now, each
@@ -1151,7 +1189,7 @@ class ServingSimulator:
                 admitted = True
         replica.ctx_sum = ctx_sum
         replica.kv_free = kv_free
-        replica.wake_set = now
+        replica.start_pushed = pushed
         if n == 0:
             replica.stepping = False
             replica.epoch_cut = 0

@@ -28,6 +28,10 @@ thousands of steps and are cut short by arrivals that do and do not fit.
 Pinned cases also cover the edges of the decode replay: a death at the
 instant of a logged delivery, a fault after the last heap event, a horizon
 between a delivery and its admission, and a log that reaches its bound.
+Last, KV deliveries that land exactly on a step boundary, mid-epoch and at
+the epoch end, handed off before, after and exactly at the boundary before:
+the per-event engine admits such a delivery at that boundary only when it
+pops the delivery before the step.
 """
 
 import numpy as np
@@ -357,11 +361,11 @@ def test_truncated_wakes_with_and_without_admission(monkeypatch):
     wakes = []
     wake = ServingSimulator._decode_wake
 
-    def spy(self, replica, now):
+    def spy(self, replica, now, pushed):
         truncated = replica.stepping and replica.epoch_cut < replica.epoch_len
         length = replica.epoch_len
         running = len(replica.heap)
-        wake(self, replica, now)
+        wake(self, replica, now, pushed)
         wakes.append((truncated, len(replica.heap) > running, length))
 
     monkeypatch.setattr(ServingSimulator, "_decode_wake", spy)
@@ -516,3 +520,106 @@ def test_single_chunk_run_crosses_the_log_bound(monkeypatch):
         _simulator("reference", config).run(arrays.to_trace()),
     )
     assert max(sizes) == engine._LOG_BOUND
+
+
+# ------------------------------------------------ deliveries on a step boundary
+
+
+def _landing(build, config: dict, column: str, targets) -> tuple:
+    """The first of ``targets`` that the probe's ``column`` stamp can hit exactly.
+
+    ``build(x)`` is the trace with the probe, its last row, arriving at
+    ``x``.  Shifting the arrival by the remaining gap a few times brings the
+    stamp within a few floats of the target, then ``nextafter`` closes the
+    gap one float at a time; a target that the stamp steps over is skipped.
+    Returns the trace and the target.
+    """
+    for target in targets:
+        x = target
+        for _ in range(8):
+            got = float(getattr(_fast_columns(build(x), config), column)[-1])
+            if got == target:
+                return build(x), target
+            x += target - got
+        for _ in range(64):
+            got = float(getattr(_fast_columns(build(x), config), column)[-1])
+            if got == target:
+                return build(x), target
+            x = float(np.nextafter(x, np.inf if got < target else -np.inf))
+    raise AssertionError("the probe hits none of the targets exactly")
+
+
+@pytest.mark.parametrize("handoff", ["after", "before"])
+@pytest.mark.parametrize("boundary", ["mid-epoch", "epoch end"])
+def test_delivery_exactly_on_a_step_boundary(boundary, handoff):
+    """A KV delivery landing exactly on a step boundary of a running batch.
+
+    Requests 0 (300 tokens) and 1 decode together on one replica, and the
+    probe's KV cache lands at the very instant of one of their steps: the
+    step where request 1 finishes (the epoch end) or three steps before it.
+    The per-event engine pushed that step's event at the boundary before, so
+    the delivery goes first, and is admitted at this boundary, only when its
+    handoff came before that boundary: a 2,048-token KV cache takes longer
+    to ship than a step takes, a 16-token one does not.
+    """
+    config = dict(max_prefill_batch_requests=16, kv_block_size=16)
+    probe_input = 16 if handoff == "after" else 2048
+
+    def build(x: float, out1: int = 60) -> RequestArrays:
+        return _requests([0.0, 0.0, x], [300, out1, 24], input_length=[16, 16, probe_input])
+
+    config = _same_decode_seed(build(0.5), config, rows=(0, 1, 2))
+    skip = 0 if boundary == "epoch end" else 3
+
+    def step_time(out1: int) -> float:
+        return float(_fast_columns(build(0.0, out1).slice(0, 2), config).completion_time[1])
+
+    arrays, target = _landing(build, config, "kv_transfer_done", [step_time(60 - skip)])
+    a = _assert_fast_equals_reference((arrays, [arrays], None, config))
+    previous = step_time(59 - skip)
+    assert a.kv_transfer_done[2] == target
+    assert (a.first_token_time[2] > previous) == (handoff == "after")
+    assert (a.completion_time[1] == target) == (boundary == "epoch end")
+    assert a.completion_time[0] > target
+
+
+@pytest.mark.parametrize("batch_start", ["earlier", "later"])
+def test_delivery_on_a_boundary_handed_off_at_the_one_before(monkeypatch, batch_start):
+    """A delivery on boundary k whose handoff is exactly boundary k - 1.
+
+    Every decode step takes exactly the probe's KV transfer time and every
+    prefill batch a fixed time, so the probe's batch can complete on
+    boundary k - 1 and its KV cache then lands on boundary k.  At k - 1 the
+    per-event engine pops the batch completion and the step in push order:
+    the completion goes first when its batch started before boundary k - 2,
+    where that step was pushed.  Only then was the delivery pushed before
+    step k, and is admitted there.
+    """
+    config = dict(max_prefill_batch_requests=16, kv_block_size=16)
+
+    def build(x: float) -> RequestArrays:
+        return _requests([0.0, x], [300, 24], input_length=[16, 2048])
+
+    config = _same_decode_seed(build(0.5), config)
+    simulator = _simulator("fast", config)
+    probe = simulator.run_stream([build(0.5)]).arrays
+    alpha, beta = simulator._kv_link(int(probe.prefill_replica[1]), int(probe.decode_replica[1]))
+    transfer = alpha + (simulator._kv_bytes_per_token * 2049) / beta
+    prefill = 2 * transfer if batch_start == "earlier" else transfer / 2
+    cost = type(simulator.decodes[int(probe.decode_replica[1])].cost)
+    monkeypatch.setattr(cost, "decode_step_latency", lambda self, batch, context: transfer)
+    monkeypatch.setattr(cost, "decode_step_row", lambda self, batch, length: [transfer] * length)
+    monkeypatch.setattr(cost, "prefill_latency", lambda self, length, batch_size=1: prefill)
+    monkeypatch.setattr(cost, "prefill_latency_memo", lambda self, length, batch: prefill)
+
+    # Boundary k of request 0's decode is where a twin with k + 1 tokens ends.
+    boundary = {
+        k: float(_fast_columns(_requests([0.0], [k + 1]), config).completion_time[0])
+        for k in range(9, 32)
+    }
+    targets = [boundary[k] for k in range(11, 31)]
+    arrays, handoff = _landing(build, config, "first_token_time", targets)
+    a = _assert_fast_equals_reference((arrays, [arrays], None, config))
+    k = next(k for k in boundary if boundary[k] == handoff) + 1
+    assert a.kv_transfer_done[1] == boundary[k]
+    assert (a.prefill_start[1] < boundary[k - 2]) == (batch_start == "earlier")

@@ -214,6 +214,19 @@ def test_orchestration_equals_linprog_on_degenerate_lps(d, prefill, decode):
     _check_against_linprog((d, prefill, decode))
 
 
+def test_orchestration_reuses_the_model_of_one_shape():
+    """One 3x2 shape solved with new costs and caps each time, uncapped in between.
+
+    The model of a shape is built once, and each solve sets only its costs and
+    row upper bounds, so nothing of an earlier solve may leak into a later one.
+    """
+    _check_against_linprog(
+        (np.array([[0.9, 0.2], [0.4, 0.8], [0.6, 0.6]]), [0.5, 0.25, 0.5], [0.4, 0.7]),
+        (np.array([[0.1, 0.3], [0.5, 0.2], [0.9, 0.0]]), None, None),
+        (np.array([[0.3, 0.7], [1.0, 0.1], [0.2, 0.5]]), [0.125, 0.0, 1.0], [1.0, 0.25]),
+    )
+
+
 # --------------------------------------------------------------------------- whole lower level
 CLUSTER = make_cloud_cluster(seed=0)
 MODEL = get_model_config("llama-30b")

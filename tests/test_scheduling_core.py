@@ -179,6 +179,37 @@ def _group(cluster, model, workload, gpu_type, phase, group_id):
 
 
 class TestSLOEstimator:
+    def test_ndtri_matches_norm_ppf_bitwise(self):
+        """``scipy.special.ndtri`` is bitwise ``scipy.stats.norm.ppf`` (the oracle).
+
+        The grid takes its normal quantiles from ``ndtri`` so that no process
+        imports ``scipy.stats``; every grid size up to 199 and random q agree.
+        """
+        from scipy.special import ndtri
+        from scipy.stats import norm
+
+        for k in range(1, 200):
+            q = np.linspace(0.08, 0.92, k)
+            assert ndtri(q).tobytes() == norm.ppf(q).tobytes(), k
+        q = np.random.default_rng(0).random(100_000)
+        assert ndtri(q).tobytes() == norm.ppf(q).tobytes()
+
+    def test_grid_equals_the_norm_ppf_grid(self, monkeypatch, estimator_setup):
+        """The estimator's grid is the one ``norm.ppf`` quantiles give, for every workload."""
+        from scipy.stats import norm
+
+        from repro.scheduling import estimator as estimator_module
+        from repro.workload.spec import CODING_WORKLOAD, CONVERSATION_WORKLOAD
+
+        cluster, model, _, estimator = estimator_setup
+        workloads = (CODING_WORKLOAD, CONVERSATION_WORKLOAD)
+        grids = [
+            SLOEstimator(cluster, model, w, estimator.slo, request_rate=3.0)._grid for w in workloads
+        ]
+        monkeypatch.setattr(estimator_module, "ndtri", norm.ppf)
+        for workload, grid in zip(workloads, grids):
+            assert grid == SLOEstimator(cluster, model, workload, estimator.slo, request_rate=3.0)._grid
+
     def test_replica_performance_fields(self, estimator_setup):
         cluster, model, workload, estimator = estimator_setup
         group = _group(cluster, model, workload, "A40", Phase.PREFILL, 0)
