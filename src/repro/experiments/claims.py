@@ -15,6 +15,7 @@ so every target is a constant; snapshot metrics without a bar are recorded only.
 
 from __future__ import annotations
 
+import fnmatch
 import importlib
 import math
 from dataclasses import dataclass
@@ -263,11 +264,19 @@ class Claim:
     extract: Callable[[ExperimentResult], Snapshot]
     #: ``{"name", "metric", "op", "target"}`` objectives the snapshot must meet
     objectives: Tuple[Dict[str, object], ...]
+    #: ``fnmatch`` patterns of the snapshot metrics that hold measured wall-clock
+    #: time: they differ from run to run and machine to machine, so
+    #: ``EXPERIMENTS.md`` marks their cells
+    wall_clock: Tuple[str, ...] = ()
 
     @property
     def bar(self) -> str:
         """The bar column: every objective's name."""
         return "; ".join(str(o["name"]) for o in self.objectives)
+
+    def is_wall_clock(self, metric: str) -> bool:
+        """Whether a snapshot metric is measured wall-clock time."""
+        return any(fnmatch.fnmatchcase(metric, pattern) for pattern in self.wall_clock)
 
     def run(self) -> ExperimentResult:
         """Run the experiment module once with the registry kwargs."""
@@ -327,6 +336,7 @@ CLAIMS: Tuple[Claim, ...] = (
         "Fig 10: scheduler convergence time", "21 s / 36 s / 54 s at 16 / 24 / 32 GPUs",
         "fig10_convergence", {"num_steps": 12, "num_neighbors": 5}, _fig10,
         _bars("max converge_s < 300", "min best-so-far step ≥ -1e-9"),
+        wall_clock=("converge_s@*", "max converge_s"),
     ),
     Claim(
         "Fig 11: rescheduling after losing 4 GPUs (attainment summed over SLO scales 3, 6, 12)",
@@ -397,6 +407,7 @@ CLAIMS: Tuple[Claim, ...] = (
         "Table 4: rescheduling overhead", "full 157 s vs lightweight 13 s (~12x)",
         "table4_overhead", {"scheduler_steps": 12}, _table4,
         _bars("lightweight.reload_s ≥ 0", "lightweight.reload_s ≤ 0", "full/lightweight > 3"),
+        wall_clock=("*.total_s", "full/lightweight"),
     ),
     Claim(
         "Table 5: phase splitting vs network bandwidth", "2.0x at 40 Gbps, 1.4x at 5 Gbps",

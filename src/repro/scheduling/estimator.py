@@ -8,7 +8,9 @@ the paper — the scheduler uses this fast analytic estimator, and the evaluatio
 experiments validate it against the discrete-event simulator (Figure 19).
 
 The estimator evaluates a small deterministic grid of request shapes (quantiles of
-the workload's prompt- and response-length distributions) and, for each
+the workload's prompt- and response-length distributions, through :func:`ndtri`,
+an in-tree port of cephes' normal inverse CDF that returns scipy's bits without
+importing ``scipy.special``) and, for each
 (prefill i, decode j) pair, computes TTFT, KV-transfer time, TPOT and E2E latency
 of every grid point.  The fraction of grid probability mass meeting the SLO
 deadline is the pair's estimated attainment ``D_ij``.
@@ -37,11 +39,11 @@ property tests and the ``bench_scenario_sweep`` micro-benchmark compare against.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.special import ndtri
 
 from repro.core.types import Phase, SLOSpec, SLOType
 from repro.costmodel.kv_transfer import kv_link, kv_transfer_seconds
@@ -63,6 +65,88 @@ from repro.workload.spec import WorkloadSpec
 #: value the estimator reports a wait far beyond any plausible SLO deadline or
 #: simulation horizon, which drives the pair's attainment to exactly zero.
 OVERLOAD_QUEUE_WAIT_S = 1.0e9
+
+# Rational approximations of cephes ``ndtri`` (Moshier), as scipy.special
+# evaluates them: P0/Q0 on the centre |y - 0.5| <= 1/2 - exp(-2), P1/Q1 on the
+# tail z = sqrt(-2 log y) in [2, 8), P2/Q2 on z >= 8.  The leading 1 of each Q
+# is implicit (``_p1evl``).
+_NDTRI_P0 = (
+    -5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
+    1.39312609387279679503e1, -1.23916583867381258016e0,
+)
+_NDTRI_Q0 = (
+    1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
+    -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
+    1.59056225126211695515e1, -1.18331621121330003142e0,
+)
+_NDTRI_P1 = (
+    4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
+    4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
+    -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4,
+)
+_NDTRI_Q1 = (
+    1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
+    1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
+    -3.80806407691578277194e-2, -9.33259480895457427372e-4,
+)
+_NDTRI_P2 = (
+    3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
+    1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
+    3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9,
+)
+_NDTRI_Q2 = (
+    6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
+    2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
+    2.89247864745380683936e-6, 6.79019408009981274425e-9,
+)
+_SQRT_2PI = 2.50662827463100050242e0
+_EXP_MINUS_2 = 0.13533528323661269189
+
+
+def _polevl(x: float, coef: Tuple[float, ...]) -> float:
+    acc = coef[0]
+    for c in coef[1:]:
+        acc = acc * x + c
+    return acc
+
+
+def _p1evl(x: float, coef: Tuple[float, ...]) -> float:
+    acc = x + coef[0]
+    for c in coef[1:]:
+        acc = acc * x + c
+    return acc
+
+
+def ndtri(y: float) -> float:
+    """Standard normal inverse CDF, bitwise what ``scipy.special.ndtri`` returns.
+
+    A scalar port of cephes ``ndtri``: the same coefficients, Horner order and
+    libm ``log``/``sqrt``, so every result carries the same bits (and so
+    equals ``scipy.stats.norm.ppf`` at loc 0, scale 1).  ``ndtri(0)`` is
+    ``-inf``, ``ndtri(1)`` is ``inf`` and q outside [0, 1] gives NaN.
+    """
+    if y == 0.0:
+        return -math.inf
+    if y == 1.0:
+        return math.inf
+    if not 0.0 < y < 1.0:
+        return math.nan
+    upper = y > 1.0 - _EXP_MINUS_2
+    if upper:
+        y = 1.0 - y
+    if y > _EXP_MINUS_2:
+        y = y - 0.5
+        y2 = y * y
+        return (y + y * (y2 * _polevl(y2, _NDTRI_P0) / _p1evl(y2, _NDTRI_Q0))) * _SQRT_2PI
+    x = math.sqrt(-2.0 * math.log(y))
+    x0 = x - math.log(x) / x
+    z = 1.0 / x
+    if x < 8.0:
+        x1 = z * _polevl(z, _NDTRI_P1) / _p1evl(z, _NDTRI_Q1)
+    else:
+        x1 = z * _polevl(z, _NDTRI_P2) / _p1evl(z, _NDTRI_Q2)
+    return x0 - x1 if upper else -(x0 - x1)
+
 
 #: Structural identity of a serving group: the GPU set, the phase and the parallel
 #: plan's stage layout.  Two groups with the same key have identical cost models
@@ -228,7 +312,7 @@ class SLOEstimator:
         def lognormal_q(median: float, sigma: float, q: np.ndarray) -> np.ndarray:
             if sigma == 0:
                 return np.full_like(q, median, dtype=float)
-            return median * np.exp(sigma * ndtri(q))
+            return median * np.exp(sigma * np.array([ndtri(v) for v in q.tolist()]))
 
         inputs = np.clip(
             lognormal_q(self.workload.median_input_length, self.workload.input_sigma, qs),

@@ -8,9 +8,13 @@ replica *j*, maximising the routed SLO attainment ``sum_ij X_i Y_ij D_ij``.
 We solve the equivalent linear program over the joint fractions ``Z_ij = X_i Y_ij``
 with HiGHS, called directly through scipy's binding
 (``scipy.optimize._highspy._core``, the one :func:`scipy.optimize.milp` and
-``linprog(method="highs")`` call themselves) on one reused solver handle.  On an
-LP this small (at most a few dozen variables) HiGHS's own solve is a fraction of
-a millisecond, while ``milp``'s input checks and its wrapper's fresh solver,
+``linprog(method="highs")`` call themselves) on one reused solver handle.  The
+binding is loaded straight from its extension file by :func:`_load_highs`,
+without running ``scipy/__init__`` or the eager ``scipy.optimize`` package
+init, which would cost the process ~0.45 s and ~50 MB at start-up for modules
+it never uses.  It is the same binary either way, so the LP bits are the same.
+On an LP this small (at most a few dozen variables) HiGHS's own solve is a
+fraction of a millisecond, while ``milp``'s input checks and its wrapper's fresh solver,
 option managers and dual read-back cost several times that.  HiGHS receives the
 model ``linprog`` would build (the same CSC constraint matrix, row bounds and
 variable bounds, and ``log_to_console=False`` as its only option), so it picks
@@ -35,13 +39,60 @@ search should see.
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
+import os
+import sys
+import sysconfig
 from dataclasses import dataclass
+from types import ModuleType
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.optimize._highspy._core as _highs
 
 from repro.core.exceptions import SchedulingError
+
+#: Canonical name of scipy's HiGHS binding, the one ``scipy.optimize`` imports.
+_HIGHS_MODULE = "scipy.optimize._highspy._core"
+
+
+def _load_highs() -> ModuleType:
+    """scipy's HiGHS extension module, loaded from its file without scipy's packages.
+
+    The module is registered in ``sys.modules`` under its canonical name, and
+    an already registered one is reused: a later ``import scipy.optimize``
+    (``linprog``, the test oracle) then binds this same module object, and the
+    extension's init never runs twice in one process.  ``find_spec("scipy")``
+    only locates the package directory; it does not execute ``scipy/__init__``.
+    """
+    module = sys.modules.get(_HIGHS_MODULE)
+    if module is not None:
+        return module
+    spec = importlib.util.find_spec("scipy")
+    if spec is None or not spec.submodule_search_locations:
+        raise ImportError(f"{_HIGHS_MODULE} needs scipy, which is not installed")
+    path = os.path.join(
+        spec.submodule_search_locations[0],
+        "optimize",
+        "_highspy",
+        "_core" + sysconfig.get_config_var("EXT_SUFFIX"),
+    )
+    if not os.path.isfile(path):
+        raise ImportError(f"scipy's HiGHS extension is missing: {path}", path=path)
+    loader = importlib.machinery.ExtensionFileLoader(_HIGHS_MODULE, path)
+    module = importlib.util.module_from_spec(
+        importlib.util.spec_from_file_location(_HIGHS_MODULE, path, loader=loader)
+    )
+    sys.modules[_HIGHS_MODULE] = module
+    try:
+        loader.exec_module(module)
+    except BaseException:
+        del sys.modules[_HIGHS_MODULE]
+        raise
+    return module
+
+
+_highs = _load_highs()
 
 
 @functools.cache

@@ -46,6 +46,25 @@ class TestExperimentsTable:
         committed = [(row[0], row[1], row[3]) for row in _table_rows(EXPERIMENTS.read_text())]
         assert committed == [(claim.title, claim.paper, claim.bar) for claim in CLAIMS]
 
+    def test_exactly_the_wall_clock_metrics_are_marked(self):
+        rows = _table_rows(EXPERIMENTS.read_text())
+        marked = set()
+        for claim, row in zip(CLAIMS, rows):
+            for cell in row[2].split(", "):
+                metric = cell.rsplit(" ", 1)[0]
+                assert cell.endswith("†") == claim.is_wall_clock(metric), cell
+                if cell.endswith("†"):
+                    marked.add((claim.module, metric))
+        assert marked == {
+            ("fig10_convergence", "converge_s@16"),
+            ("fig10_convergence", "converge_s@24"),
+            ("fig10_convergence", "converge_s@32"),
+            ("fig10_convergence", "max converge_s"),
+            ("table4_overhead", "full.total_s"),
+            ("table4_overhead", "lightweight.total_s"),
+            ("table4_overhead", "full/lightweight"),
+        }
+
     def test_status_line_counts_every_row(self):
         text = EXPERIMENTS.read_text()
         statuses = [row[4] for row in _table_rows(text)]

@@ -180,19 +180,28 @@ def _group(cluster, model, workload, gpu_type, phase, group_id):
 
 class TestSLOEstimator:
     def test_ndtri_matches_norm_ppf_bitwise(self):
-        """``scipy.special.ndtri`` is bitwise ``scipy.stats.norm.ppf`` (the oracle).
+        """The in-tree ``ndtri`` is bitwise ``scipy.special.ndtri`` and ``norm.ppf``.
 
-        The grid takes its normal quantiles from ``ndtri`` so that no process
-        imports ``scipy.stats``; every grid size up to 199 and random q agree.
+        Both scipy functions are the oracles.  Every grid size up to 199,
+        random q, both tails down to 1e-300 (each branch of the rational
+        approximation) and the ends ``q = 0, 1`` agree.
         """
-        from scipy.special import ndtri
+        from scipy.special import ndtri as scipy_ndtri
         from scipy.stats import norm
+
+        from repro.scheduling.estimator import ndtri
+
+        def port(q):
+            return np.array([ndtri(v) for v in q.tolist()])
 
         for k in range(1, 200):
             q = np.linspace(0.08, 0.92, k)
-            assert ndtri(q).tobytes() == norm.ppf(q).tobytes(), k
-        q = np.random.default_rng(0).random(100_000)
-        assert ndtri(q).tobytes() == norm.ppf(q).tobytes()
+            assert port(q).tobytes() == scipy_ndtri(q).tobytes() == norm.ppf(q).tobytes(), k
+        rng = np.random.default_rng(0)
+        tails = 10.0 ** rng.uniform(-300, 0, 20_000)
+        q = np.concatenate([rng.random(100_000), tails, 1.0 - tails, [0.0, 1.0, 5e-324]])
+        assert port(q).tobytes() == scipy_ndtri(q).tobytes() == norm.ppf(q).tobytes()
+        assert ndtri(0.0) == -np.inf and ndtri(1.0) == np.inf
 
     def test_grid_equals_the_norm_ppf_grid(self, monkeypatch, estimator_setup):
         """The estimator's grid is the one ``norm.ppf`` quantiles give, for every workload."""

@@ -3,7 +3,9 @@
 
 Runs every row of :data:`repro.experiments.claims.CLAIMS` once and rewrites
 the ``Status:`` line and the ``| claim |`` table in place: claim, paper and bar
-columns from the registry, the reproduced column from the run's snapshot.
+columns from the registry, the reproduced column from the run's snapshot.  A
+metric the registry declares wall-clock (:meth:`Claim.is_wall_clock`) is
+marked :data:`WALL_CLOCK_MARK`: only marked cells may change between two runs.
 Run from the repository root (~15 s on a 2-vCPU box):
 
     PYTHONPATH=src python tools/experiments_table.py
@@ -18,6 +20,8 @@ from repro.experiments.claims import CLAIMS
 
 EXPERIMENTS = Path(__file__).resolve().parents[1] / "EXPERIMENTS.md"
 HEADER = "| claim | paper | reproduced | bar | status |\n|---|---|---|---|---|\n"
+#: follows the value of every measured wall-clock metric
+WALL_CLOCK_MARK = "†"
 
 
 def main() -> None:
@@ -25,7 +29,10 @@ def main() -> None:
     rows, failed = [], []
     for claim in CLAIMS:
         snapshot, report = claim.evaluate(claim.run())
-        reproduced = ", ".join(f"{metric} {value:.4g}" for metric, value in snapshot.items())
+        reproduced = ", ".join(
+            f"{metric} {value:.4g}" + (WALL_CLOCK_MARK if claim.is_wall_clock(metric) else "")
+            for metric, value in snapshot.items()
+        )
         status = "pass"
         if not report.passed:
             failed.append(claim.title.split(":")[0])
