@@ -249,7 +249,9 @@ class ScenarioSweep:
                 if not window.is_empty:
                     results.append(
                         SimulationResult.dropped(
-                            window, makespan=window[-1].arrival_time, label=f"{label}[{k}]"
+                            window,
+                            makespan=float(window.arrays.arrival_time[-1]),
+                            label=f"{label}[{k}]",
                         )
                     )
                     outage_windows += 1
@@ -297,7 +299,9 @@ class ScenarioSweep:
             if dead:
                 results.append(
                     SimulationResult.dropped(
-                        tail, makespan=tail[-1].arrival_time, label=f"{label}[tail]"
+                        tail,
+                        makespan=float(tail.arrays.arrival_time[-1]),
+                        label=f"{label}[tail]",
                     )
                 )
                 outage_windows += 1

@@ -538,17 +538,15 @@ class LiveServer:
         if max_rho is None or health.rho <= max_rho or health.rho <= 0:
             return window, 0
         keep_fraction = max_rho / health.rho
-        admitted = []
-        shed = 0
+        kept = []
         acc = 0.0
-        for request in window:
+        for row in range(len(window)):
             acc += keep_fraction
             if acc >= 1.0:
                 acc -= 1.0
-                admitted.append(request)
-            else:
-                shed += 1
-        return Trace(requests=admitted, name=f"{window.name}-admitted"), shed
+                kept.append(row)
+        admitted = window.select(np.array(kept, dtype=np.int64), name=f"{window.name}-admitted")
+        return admitted, len(window) - len(kept)
 
     # ------------------------------------------------------------------ telemetry
     def _measure(
@@ -567,9 +565,8 @@ class LiveServer:
         queue_waits = a.queue_time()[a.finished]
         met = a.meets(slo, SLOType.E2E).tolist()
         tenant_hits: Dict[str, List[bool]] = {}
-        for request, hit in zip(result.requests, met):
-            tag = request.workload or ""
-            if tag.startswith("tenant:"):
+        for tag, hit in zip(result.workload_tags().tolist(), met):
+            if tag and tag.startswith("tenant:"):
                 tenant_hits.setdefault(tag.split(":", 1)[1], []).append(hit)
         per_tenant = {
             tenant: sum(hits) / len(hits) for tenant, hits in sorted(tenant_hits.items())
@@ -628,8 +625,9 @@ class LiveServer:
         plans: List[DeploymentPlan] = []
         if trace.is_empty:
             return LiveServeReport(windows, results, plans, breaches=[], label=label)
-        start = trace[0].arrival_time
-        end = trace[-1].arrival_time
+        arrival = trace.arrays.arrival_time
+        start = float(arrival[0])
+        end = float(arrival[-1])
         window_start = start
         index = 0
         while window_start <= end:

@@ -103,11 +103,20 @@ class ThunderServe:
 
     # ------------------------------------------------------------------ deployment
     def deploy(self, seed: Optional[int] = None) -> DeploymentPlan:
-        """Run the scheduling algorithm and install the resulting deployment plan."""
+        """Run the scheduling algorithm and install the resulting deployment plan.
+
+        With the scheduler's own seed (``seed`` ``None`` or equal to
+        ``SchedulerConfig.seed``) the search is exactly the one a ``"full"``
+        :meth:`replan_capacity` runs on this cluster state, so its plan also
+        seeds that replan's memo entry: a later recovery to this state reuses
+        it instead of searching again.
+        """
         result = self.scheduler.schedule(
             self.cluster, self.model, self.workload, self.request_rate, self.slo, seed=seed
         )
         self.schedule_result = result
+        if seed is None or seed == self.scheduler.config.seed:
+            self._replans[("full", self.cluster.state_key(), None)] = result.plan
         self._install_plan(result.plan, reason="initial deployment")
         self.profiler.set_reference_from_spec(self.workload, self.request_rate)
         return result.plan

@@ -112,7 +112,7 @@ from repro.model.architecture import ModelConfig
 from repro.scheduling.deployment import DeploymentPlan, RoutingPolicy
 from repro.simulation.events import Event, EventKind, EventQueue
 from repro.simulation.metrics import COLUMN_DTYPES, MetricArrays, SimulationResult
-from repro.workload.trace import RequestArrays, Trace
+from repro.workload.trace import RequestArrays, Spans, Trace
 
 #: valid decode-engine selectors of :class:`SimulatorConfig`
 ENGINES = ("fast", "reference")
@@ -556,10 +556,7 @@ class ServingSimulator:
         self._reset_fast_state()
         self._begin_fault_run(faults, retry)
         return self._run_fast(
-            iter((trace.arrays(),)),
-            requests=trace.requests,
-            trace_duration=trace.duration,
-            label=label,
+            iter((trace.arrays,)), spans=trace.spans, trace_duration=trace.duration, label=label
         )
 
     def run_stream(
@@ -581,20 +578,15 @@ class ServingSimulator:
         trace.
 
         The reference engine has no streaming path: it concatenates the chunks
-        into a full in-memory trace first (per-chunk workload tags may collapse
-        to ``"mixed"`` on heterogeneous streams), which defeats the memory
-        bound but preserves the oracle semantics for equivalence checks.
+        into a full in-memory trace first (each chunk's rows keep its workload
+        tag), which defeats the memory bound but preserves the oracle
+        semantics for equivalence checks.
         """
         if not self._fast:
-            return self._run_reference(
-                RequestArrays.concat(list(chunks)).to_trace(),
-                label,
-                faults=faults,
-                retry=retry,
-            )
+            return self._run_reference(Trace.concat(chunks), label, faults=faults, retry=retry)
         self._reset_fast_state()
         self._begin_fault_run(faults, retry)
-        return self._run_fast(iter(chunks), requests=None, trace_duration=None, label=label)
+        return self._run_fast(iter(chunks), spans=None, trace_duration=None, label=label)
 
     # ------------------------------------------------------------------ fast loop
     def _load_chunk(self) -> None:
@@ -650,11 +642,15 @@ class ServingSimulator:
     def _run_fast(
         self,
         chunks: Iterator[RequestArrays],
-        requests: Optional[Sequence[Request]],
+        spans: Optional[Spans],
         trace_duration: Optional[float],
         label: str,
     ) -> SimulationResult:
         """Drive the struct-of-arrays engine over a chunk stream.
+
+        ``spans`` gives the workload tags of the ingested rows (a whole
+        :class:`~repro.workload.trace.Trace`'s spans); ``None`` takes each
+        chunk's own tag.
 
         The heap holds prefill batch completions and retries; decode replicas
         replay their own logs (:meth:`_decode_until`) when something needs
@@ -757,11 +753,11 @@ class ServingSimulator:
         stop = _INF if horizon is None else nextafter(horizon, _INF)
         for replica in decodes:
             self._decode_until(replica, stop)
-        return self._finalize_fast(requests, trace_duration, label)
+        return self._finalize_fast(spans, trace_duration, label)
 
     def _finalize_fast(
         self,
-        requests: Optional[Sequence[Request]],
+        spans: Optional[Spans],
         trace_duration: Optional[float],
         label: str,
     ) -> SimulationResult:
@@ -799,18 +795,12 @@ class ServingSimulator:
         # The per-event engine sets enqueue_time to the arrival-event time,
         # which is exactly the arrival column: share it.
         arrays = MetricArrays(enqueue_time=columns["arrival_time"], **columns)
-        backing: Optional[List[Request]] = None
-        if requests is not None:
-            backing = list(requests[:n])
-            if order is not None:
-                backing = [backing[i] for i in order.tolist()]
         return SimulationResult(
             arrays,
             makespan=self._clock,
             trace_duration=trace_duration,
             label=label,
-            requests=backing,
-            workload_spans=list(self._workload_spans),
+            workload_spans=list(self._workload_spans if spans is None else spans),
             row_order=order,
         )
 

@@ -22,9 +22,8 @@ ever building a million objects.
 from __future__ import annotations
 
 import hashlib
-from bisect import bisect_right
 from dataclasses import dataclass, fields
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -37,6 +36,7 @@ from repro.core.types import (
     SLOSpec,
     SLOType,
 )
+from repro.workload.trace import Spans, Trace, span_tags, tag_spans
 
 #: replica-id column value of a request never routed to a replica
 #: (``None`` in the object view)
@@ -61,6 +61,9 @@ COLUMN_DTYPES: Dict[str, type] = {
     "outcome": np.int8,
     "attempts": np.int16,
 }
+
+#: the request attributes among the :class:`MetricArrays` columns
+_REQUEST_COLUMNS = ("request_id", "arrival_time", "input_length", "output_length")
 
 #: the latency means of :meth:`SimulationResult.summary`
 _SUMMARY_MEANS = (
@@ -193,32 +196,11 @@ completion_time:
         return self.finished & (self.value_for(slo_type) <= slo.deadline_for(slo_type))
 
     # ------------------------------------------------------------------ objects
-    def synthesize_requests(
-        self,
-        workload_spans: Optional[Sequence[Tuple[int, str]]] = None,
-        row_order: Optional[np.ndarray] = None,
-    ) -> List[Request]:
+    def synthesize_requests(self, tags: Sequence[str]) -> List[Request]:
         """Build the :class:`Request` behind each row from the request columns.
 
-        Parameters
-        ----------
-        workload_spans:
-            ``(first_row, tag)`` pairs describing the workload tag of
-            contiguous ingestion-row ranges; requests are tagged ``"generic"``
-            when omitted.
-        row_order:
-            When the columns were reordered from ingestion order (sorted by
-            request id), the ingestion row behind each column position — lets
-            ``workload_spans`` (which speak ingestion rows) resolve correctly.
+        ``tags`` holds each row's workload tag, in column order.
         """
-        n = len(self)
-        if workload_spans:
-            starts = [s for s, _ in workload_spans]
-            span_tags = [t for _, t in workload_spans]
-            rows = row_order.tolist() if row_order is not None else range(n)
-            tags = [span_tags[bisect_right(starts, r) - 1] for r in rows]
-        else:
-            tags = ["generic"] * n
         return [
             Request(
                 request_id=rid,
@@ -309,7 +291,7 @@ class SimulationResult:
         trace_duration: float,
         label: str = "",
         requests: Optional[Sequence[Request]] = None,
-        workload_spans: Optional[Sequence[Tuple[int, str]]] = None,
+        workload_spans: Optional[Spans] = None,
         row_order: Optional[np.ndarray] = None,
     ) -> None:
         #: per-request metric columns, ordered by request id
@@ -323,35 +305,52 @@ class SimulationResult:
         self.label = label
 
     @classmethod
-    def dropped(
-        cls, trace: Iterable[Request], makespan: float, label: str = ""
-    ) -> "SimulationResult":
+    def dropped(cls, trace: Trace, makespan: float, label: str = "") -> "SimulationResult":
         """Result of requests that arrived while no servable capacity existed.
 
         Every request becomes an unfinished ``dropped_outage`` row (an SLO
-        miss), so the window reports attainment 0 without losing its requests
-        from a merged result.
+        miss), in trace order, so the window reports attainment 0 without
+        losing its requests from a merged result.  Built from the trace's
+        columns and spans.
         """
-        metrics = [
-            RequestMetrics(request=request, outcome=RequestOutcome.DROPPED_OUTAGE)
-            for request in trace
-        ]
-        arrays = MetricArrays.from_metrics(metrics)
+        a = trace.arrays
+        n = len(a)
+        untouched = {
+            f.name: np.zeros(n, dtype=COLUMN_DTYPES[f.name])
+            for f in fields(MetricArrays)
+            if f.name not in _REQUEST_COLUMNS
+        }
+        untouched["prefill_replica"][:] = _NO_REPLICA
+        untouched["decode_replica"][:] = _NO_REPLICA
+        untouched["outcome"][:] = RequestOutcome.DROPPED_OUTAGE
+        arrays = MetricArrays(
+            **{name: getattr(a, name).astype(COLUMN_DTYPES[name]) for name in _REQUEST_COLUMNS},
+            **untouched,
+        )
         return cls(
             arrays,
             makespan=makespan,
             trace_duration=_arrival_span(arrays.arrival_time),
             label=label,
-            requests=[m.request for m in metrics],
+            workload_spans=trace.spans,
         )
+
+    def workload_tags(self) -> np.ndarray:
+        """The workload tag behind each row, ordered by request id (an object array).
+
+        Read from the workload spans, so no request object is built unless the
+        result was given request objects.
+        """
+        if self._requests is not None:
+            return np.array([r.workload for r in self._requests], dtype=object)
+        rows = self._row_order if self._row_order is not None else np.arange(len(self.arrays))
+        return span_tags(self._workload_spans or (), rows)
 
     @property
     def requests(self) -> Sequence[Request]:
         """The request behind each row, ordered by request id (built lazily)."""
         if self._requests is None:
-            self._requests = self.arrays.synthesize_requests(
-                self._workload_spans, self._row_order
-            )
+            self._requests = self.arrays.synthesize_requests(self.workload_tags().tolist())
         return self._requests
 
     @property
@@ -552,7 +551,7 @@ def merge_results(
 ) -> SimulationResult:
     """Combine sequential window runs of one trace into a single result.
 
-    The columns and request backings are concatenated, then stable-sorted by
+    The columns and workload tags are concatenated, then stable-sorted by
     request id.  Event times are absolute within a trace, so the merged
     makespan is the latest clock reached by any window and the merged trace
     duration spans the earliest to the latest arrival.  Used by the scenario
@@ -569,13 +568,13 @@ def merge_results(
             for f in fields(MetricArrays)
         }
     )
-    requests = [request for r in results for request in r.requests]
+    tags = np.concatenate([r.workload_tags() for r in results])[order]
     return SimulationResult(
         arrays,
         makespan=max(r.makespan for r in results),
         trace_duration=_arrival_span(arrays.arrival_time),
         label=label,
-        requests=[requests[i] for i in order.tolist()],
+        workload_spans=tag_spans(tags),
     )
 
 

@@ -7,7 +7,7 @@ distribution; prompt and response lengths are drawn from the workload spec.
 Two generation paths share one :class:`PoissonArrivalGenerator`:
 
 * :meth:`~PoissonArrivalGenerator.generate` — the legacy eager path, producing
-  a :class:`~repro.workload.trace.Trace` of request objects.  Its RNG stream
+  a whole :class:`~repro.workload.trace.Trace`.  Its RNG stream
   (interleaved gaps → inputs → outputs on a single generator) is frozen: every
   seed-pinned trace in the test suite and the committed benchmark baselines
   depend on it byte for byte.
@@ -33,7 +33,6 @@ from typing import Iterator, List, Optional
 import numpy as np
 
 from repro.core.rng import RNGLike, ensure_rng
-from repro.core.types import Request
 from repro.workload.spec import WorkloadSpec
 from repro.workload.trace import RequestArrays, Trace
 
@@ -170,17 +169,13 @@ class PoissonArrivalGenerator:
 
         inputs = self.spec.sample_input_lengths(n, self._rng)
         outputs = self.spec.sample_output_lengths(n, self._rng)
-        requests = [
-            Request(
-                request_id=first_request_id + i,
-                arrival_time=float(arrivals[i]),
-                input_length=int(inputs[i]),
-                output_length=int(outputs[i]),
-                workload=self.spec.name,
-            )
-            for i in range(n)
-        ]
-        return Trace(requests=requests, name=self.spec.name)
+        return RequestArrays(
+            request_id=np.arange(first_request_id, first_request_id + n, dtype=np.int64),
+            arrival_time=arrivals,
+            input_length=inputs,
+            output_length=outputs,
+            workload=self.spec.name,
+        ).to_trace()
 
     # ------------------------------------------------------------------ streaming
     def _stream_rngs(self) -> List[np.random.Generator]:

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Optional
+from typing import Deque, Iterable, Optional, Tuple, Union
 
 from repro.core.types import Request
 from repro.workload.spec import WorkloadSpec, WorkloadStats
+from repro.workload.trace import Trace
 
 
 @dataclass(frozen=True)
@@ -75,27 +76,42 @@ class WorkloadProfiler:
         self.window_size = window_size
         self.shift_threshold = shift_threshold
         self.min_requests = min_requests
-        self._window: Deque[Request] = deque(maxlen=window_size)
+        #: ``(arrival_time, input_length, output_length)`` of the most recent
+        #: requests, oldest first
+        self._window: Deque[Tuple[float, int, int]] = deque(maxlen=window_size)
         self._reference: Optional[WorkloadStats] = None
 
     # ------------------------------------------------------------------ recording
     def observe(self, request: Request) -> None:
         """Record one arriving request."""
-        self._window.append(request)
+        self._window.append((request.arrival_time, request.input_length, request.output_length))
 
-    def observe_many(self, requests) -> None:
-        """Record a batch of arriving requests."""
-        for request in requests:
-            self.observe(request)
+    def observe_many(self, requests: Union[Trace, Iterable[Request]]) -> None:
+        """Record a batch of arriving requests, in arrival order.
+
+        A :class:`~repro.workload.trace.Trace` is read from its columns, and
+        only its last ``window_size`` rows (the ones the window keeps).
+        """
+        if not isinstance(requests, Trace):
+            for request in requests:
+                self.observe(request)
+            return
+        a = requests.arrays
+        keep = slice(max(0, len(a) - self.window_size), None)
+        self._window.extend(
+            zip(
+                a.arrival_time[keep].tolist(),
+                a.input_length[keep].tolist(),
+                a.output_length[keep].tolist(),
+            )
+        )
 
     # ------------------------------------------------------------------ statistics
     def current_stats(self) -> WorkloadStats:
         """Statistics over the current window (zeros when the window is empty)."""
         if not self._window:
             return WorkloadStats(0.0, 0.0, 0.0, 0)
-        inputs = [r.input_length for r in self._window]
-        outputs = [r.output_length for r in self._window]
-        arrivals = [r.arrival_time for r in self._window]
+        arrivals, inputs, outputs = zip(*self._window)
         span = max(arrivals) - min(arrivals)
         rate = (len(self._window) - 1) / span if span > 0 and len(self._window) > 1 else 0.0
         return WorkloadStats(

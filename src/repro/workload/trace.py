@@ -1,40 +1,51 @@
-"""Request traces: ordered request collections plus their struct-of-arrays form.
+"""Request traces: one struct-of-arrays representation of a request sequence.
 
-Two representations of the same arrival-ordered request sequence live here:
+A request sequence is stored one way, as columns:
 
-* :class:`Trace` — a list of :class:`~repro.core.types.Request` objects.  This
-  is the ergonomic form every experiment and test manipulates, and it stays the
-  canonical input of :meth:`~repro.simulation.engine.ServingSimulator.run`.
-* :class:`RequestArrays` — the same columns (ids, arrival times, prompt and
-  response lengths) as contiguous numpy arrays.  This is the form the fast
-  simulation engine consumes end-to-end: a million-request trace is ~32 MB of
-  arrays instead of a few GB of Python objects, and the streaming generator
+* :class:`RequestArrays` — a block of arrival-ordered requests, one numpy
+  column per attribute (ids, arrival times, prompt and response lengths).  A
+  million-request block is ~32 MB of arrays instead of a few GB of Python
+  objects, and the streaming generator
   (:meth:`~repro.workload.generator.PoissonArrivalGenerator.iter_chunks`)
-  yields it chunk by chunk so full materialization is never required.
+  yields blocks chunk by chunk, so nothing needs the whole sequence at once.
+* :class:`Trace` — one block plus its workload spans, ``(first_row, tag)``
+  pairs that give the workload tag of each run of rows (the encoding the
+  simulation engine and :class:`~repro.simulation.metrics.SimulationResult`
+  use), and a name.  Windows, heads, shifts, renumbering, merges and the
+  summary statistics all work on the columns.
 
-``Trace.arrays()`` and ``RequestArrays.to_trace()`` convert between the two;
-the conversions are exact (ids, times and lengths round-trip bitwise).
+:class:`~repro.core.types.Request` objects are built only when a caller
+iterates or indexes a trace: :attr:`Trace.requests` is a read-only view built
+from the columns on first access and cached.  The per-event engines and tests
+use it; the serving path (the fast engine, ``ThunderServe.serve``, the live
+loop, shadow replays and the workload profiler) reads the columns only.
+``Trace(requests=[...])`` still takes request objects and stores their columns.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Iterator, List, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Iterator, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.core.types import Request
+
+#: ``(first_row, tag)`` pairs: the workload tag of each run of rows
+Spans = Tuple[Tuple[int, str], ...]
 
 
 @dataclass
 class RequestArrays:
     """A block of requests in struct-of-arrays form, ordered by arrival time.
 
-    The fast simulation engine's native request representation: one numpy
-    column per request attribute instead of one Python object per request.
-    Blocks are produced by :meth:`Trace.arrays` (whole-trace conversion) or by
-    the streaming generator (fixed-size chunks), and can be concatenated,
-    sliced and converted back to object form.
+    The native request representation: one numpy column per request
+    attribute instead of one Python object per request.  Blocks come from
+    the generator (whole traces or fixed-size chunks) and back every
+    :class:`Trace`; they can be concatenated and sliced.  A trace shares its
+    block's columns with its windows, heads, shifted and renumbered copies (a
+    window is a view), so the columns are read-only by convention: build a new
+    block instead of writing into one.
 
     Parameters
     ----------
@@ -49,8 +60,8 @@ class RequestArrays:
         Response lengths in tokens, ``int64``, all >= 1.
     workload:
         Workload tag shared by every request in the block (chunks produced by
-        one generator are homogeneous; whole-trace conversions of a mixed
-        trace use ``"mixed"``).
+        one generator are homogeneous; a block of several workloads is tagged
+        ``"mixed"``, and its :class:`Trace` keeps the tag of every row).
     """
 
     request_id: np.ndarray
@@ -81,6 +92,24 @@ class RequestArrays:
             first = float(self.arrival_time[0])
             if first < 0:
                 raise ValueError(f"arrival_time must be >= 0, got {first}")
+
+    @classmethod
+    def _trusted(
+        cls,
+        request_id: np.ndarray,
+        arrival_time: np.ndarray,
+        input_length: np.ndarray,
+        output_length: np.ndarray,
+        workload: str,
+    ) -> "RequestArrays":
+        """Wrap columns already known valid (rows of a valid block, in order): no check, no copy."""
+        block = cls.__new__(cls)
+        block.request_id = request_id
+        block.arrival_time = arrival_time
+        block.input_length = input_length
+        block.output_length = output_length
+        block.workload = workload
+        return block
 
     # ------------------------------------------------------------------ container
     def __len__(self) -> int:
@@ -113,38 +142,21 @@ class RequestArrays:
             workload=self.workload,
         )
 
-    # ------------------------------------------------------------------ conversion
-    @classmethod
-    def from_trace(cls, trace: "Trace") -> "RequestArrays":
-        """Convert a :class:`Trace` to struct-of-arrays form (exact columns)."""
-        requests = trace.requests
-        n = len(requests)
-        workloads = {r.workload for r in requests}
-        return cls(
-            request_id=np.fromiter((r.request_id for r in requests), np.int64, count=n),
-            arrival_time=np.fromiter((r.arrival_time for r in requests), np.float64, count=n),
-            input_length=np.fromiter((r.input_length for r in requests), np.int64, count=n),
-            output_length=np.fromiter((r.output_length for r in requests), np.int64, count=n),
-            workload=workloads.pop() if len(workloads) == 1 else "mixed",
+    def _rows(self, rows: Union[slice, np.ndarray], workload: str) -> "RequestArrays":
+        """Rows ``rows`` (a step-1 slice, viewed, or ascending indices, copied) as a block."""
+        return RequestArrays._trusted(
+            self.request_id[rows],
+            self.arrival_time[rows],
+            self.input_length[rows],
+            self.output_length[rows],
+            workload,
         )
 
-    def to_trace(self, name: str | None = None) -> "Trace":
-        """Materialize the block as a :class:`Trace` of request objects."""
-        ids = self.request_id.tolist()
-        arrivals = self.arrival_time.tolist()
-        inputs = self.input_length.tolist()
-        outputs = self.output_length.tolist()
-        requests = [
-            Request(
-                request_id=ids[i],
-                arrival_time=arrivals[i],
-                input_length=inputs[i],
-                output_length=outputs[i],
-                workload=self.workload,
-            )
-            for i in range(len(ids))
-        ]
-        return Trace(requests=requests, name=name if name is not None else self.workload)
+    # ------------------------------------------------------------------ conversion
+    def to_trace(self, name: Optional[str] = None) -> "Trace":
+        """Wrap the block as a :class:`Trace` (no copy; no request objects are built)."""
+        spans: Spans = ((0, self.workload),) if len(self) else ()
+        return Trace._of(self, spans, name if name is not None else self.workload)
 
     @staticmethod
     def concat(blocks: Sequence["RequestArrays"]) -> "RequestArrays":
@@ -173,95 +185,180 @@ class RequestArrays:
         )
 
 
-@dataclass
+# ---------------------------------------------------------------------- spans
+def span_tags(spans: Spans, rows: np.ndarray) -> np.ndarray:
+    """The workload tag of each of ``rows`` under ``spans`` (an object array).
+
+    Rows before the first span (or any row, when ``spans`` is empty) are
+    tagged ``"generic"``, as an untagged request is.
+    """
+    starts = np.fromiter((s for s, _ in spans), np.int64, count=len(spans))
+    names = np.array(["generic"] + [t for _, t in spans], dtype=object)
+    return names[np.searchsorted(starts, rows, side="right")]
+
+
+def tag_spans(tags: np.ndarray) -> Spans:
+    """The spans of a per-row tag sequence: one ``(first_row, tag)`` per run."""
+    if not tags.size:
+        return ()
+    first = np.flatnonzero(tags[1:] != tags[:-1]) + 1
+    return ((0, tags[0]),) + tuple(zip(first.tolist(), tags[first].tolist()))
+
+
+def _block_tag(spans: Spans, default: str) -> str:
+    """A block's shared tag: the one span's tag, ``"mixed"`` for several."""
+    if not spans:
+        return default
+    return spans[0][1] if len(spans) == 1 else "mixed"
+
+
 class Trace:
-    """An arrival-ordered sequence of requests plus summary statistics."""
+    """An arrival-ordered request sequence: a column block, its workload spans and a name.
 
-    requests: List[Request]
-    name: str = "trace"
+    Parameters
+    ----------
+    requests:
+        Request objects in any order.  They are stored as columns, sorted by
+        arrival time (stable: equal arrivals keep their given order), with
+        each request's workload tag kept in the spans.
+    name:
+        Display name of the trace.
 
-    def __post_init__(self) -> None:
-        self.requests = sorted(self.requests, key=lambda r: r.arrival_time)
-        self._arrays: RequestArrays | None = None
+    Attributes
+    ----------
+    arrays:
+        The request columns (:class:`RequestArrays`), arrival-ordered.
+    spans:
+        ``(first_row, tag)`` pairs: the workload tag of each run of rows.
+    name:
+        Display name of the trace.
+    """
+
+    def __init__(self, requests: Iterable[Request] = (), name: str = "trace") -> None:
+        ordered = sorted(requests, key=lambda r: r.arrival_time)
+        n = len(ordered)
+        spans = tag_spans(np.array([r.workload for r in ordered], dtype=object))
+        arrays = RequestArrays(
+            request_id=np.fromiter((r.request_id for r in ordered), np.int64, count=n),
+            arrival_time=np.fromiter((r.arrival_time for r in ordered), np.float64, count=n),
+            input_length=np.fromiter((r.input_length for r in ordered), np.int64, count=n),
+            output_length=np.fromiter((r.output_length for r in ordered), np.int64, count=n),
+            workload=_block_tag(spans, "generic"),
+        )
+        self._set(arrays, spans, name)
+
+    def _set(self, arrays: RequestArrays, spans: Spans, name: str) -> None:
+        self.arrays = arrays
+        self.spans = spans
+        self.name = name
+        self._requests: Optional[Tuple[Request, ...]] = None
+
+    @classmethod
+    def _of(cls, arrays: RequestArrays, spans: Spans, name: str) -> "Trace":
+        """A trace over an arrival-ordered block and its spans (no copy, no check)."""
+        trace = cls.__new__(cls)
+        trace._set(arrays, spans, name)
+        return trace
+
+    @classmethod
+    def concat(cls, blocks: Iterable[RequestArrays], name: Optional[str] = None) -> "Trace":
+        """Concatenate time-ordered blocks into one trace; each block's rows keep its tag."""
+        blocks = [b for b in blocks if len(b)]
+        spans, row = [], 0
+        for block in blocks:
+            if not spans or spans[-1][1] != block.workload:
+                spans.append((row, block.workload))
+            row += len(block)
+        arrays = RequestArrays.concat(blocks)
+        return cls._of(arrays, tuple(spans), arrays.workload if name is None else name)
+
+    def __repr__(self) -> str:
+        return f"Trace(name={self.name!r}, num_requests={len(self)}, spans={len(self.spans)})"
 
     # ------------------------------------------------------------------ container
     def __len__(self) -> int:
-        return len(self.requests)
+        return self.arrays.request_id.size
 
     def __iter__(self) -> Iterator[Request]:
         return iter(self.requests)
 
-    def __getitem__(self, idx: int) -> Request:
+    def __getitem__(self, idx):
         return self.requests[idx]
 
     @property
     def is_empty(self) -> bool:
         """Whether the trace contains no requests."""
-        return not self.requests
+        return not len(self)
 
-    def arrays(self) -> RequestArrays:
-        """Struct-of-arrays view of the trace (cached after the first call).
+    @property
+    def requests(self) -> Tuple[Request, ...]:
+        """The request objects, in arrival order (a read-only view, built on first access)."""
+        if self._requests is None:
+            a = self.arrays
+            self._requests = tuple(
+                Request(
+                    request_id=rid,
+                    arrival_time=arrival,
+                    input_length=inp,
+                    output_length=out,
+                    workload=tag,
+                )
+                for rid, arrival, inp, out, tag in zip(
+                    a.request_id.tolist(),
+                    a.arrival_time.tolist(),
+                    a.input_length.tolist(),
+                    a.output_length.tolist(),
+                    self.workload_tags().tolist(),
+                )
+            )
+        return self._requests
 
-        The conversion is exact: ids, arrival times and lengths carry over
-        bitwise.  The cache assumes the request list is not mutated after the
-        first call — build a new :class:`Trace` instead of editing in place.
-        """
-        if self._arrays is None or len(self._arrays) != len(self.requests):
-            self._arrays = RequestArrays.from_trace(self)
-        return self._arrays
+    def workload_tags(self) -> np.ndarray:
+        """The workload tag of every row (an object array)."""
+        return span_tags(self.spans, np.arange(len(self)))
 
     # ------------------------------------------------------------------ statistics
     @property
     def duration(self) -> float:
         """Span between the first and last arrival (seconds)."""
-        if len(self.requests) < 2:
-            return 0.0
-        return self.requests[-1].arrival_time - self.requests[0].arrival_time
+        return self.arrays.duration
 
     @property
     def request_rate(self) -> float:
         """Empirical mean arrival rate (requests per second)."""
-        if len(self.requests) < 2 or self.duration == 0:
+        if len(self) < 2 or self.duration == 0:
             return 0.0
-        return (len(self.requests) - 1) / self.duration
+        return (len(self) - 1) / self.duration
 
     @property
     def mean_input_length(self) -> float:
         """Mean prompt length across the trace."""
-        if not self.requests:
-            return 0.0
-        return float(np.mean([r.input_length for r in self.requests]))
+        return float(np.mean(self.arrays.input_length)) if len(self) else 0.0
 
     @property
     def mean_output_length(self) -> float:
         """Mean response length across the trace."""
-        if not self.requests:
-            return 0.0
-        return float(np.mean([r.output_length for r in self.requests]))
+        return float(np.mean(self.arrays.output_length)) if len(self) else 0.0
 
     @property
     def median_input_length(self) -> float:
         """Median prompt length across the trace."""
-        if not self.requests:
-            return 0.0
-        return float(np.median([r.input_length for r in self.requests]))
+        return float(np.median(self.arrays.input_length)) if len(self) else 0.0
 
     @property
     def median_output_length(self) -> float:
         """Median response length across the trace."""
-        if not self.requests:
-            return 0.0
-        return float(np.median([r.output_length for r in self.requests]))
+        return float(np.median(self.arrays.output_length)) if len(self) else 0.0
 
     @property
     def total_input_tokens(self) -> int:
         """Total prompt tokens in the trace."""
-        return int(sum(r.input_length for r in self.requests))
+        return int(self.arrays.input_length.sum())
 
     @property
     def total_output_tokens(self) -> int:
         """Total generated tokens in the trace."""
-        return int(sum(r.output_length for r in self.requests))
+        return int(self.arrays.output_length.sum())
 
     @property
     def total_tokens(self) -> int:
@@ -269,41 +366,75 @@ class Trace:
         return self.total_input_tokens + self.total_output_tokens
 
     # ------------------------------------------------------------------ transforms
+    def _take(self, rows: Union[slice, np.ndarray], name: str) -> "Trace":
+        """Rows ``rows`` (a step-1 slice, viewed, or ascending indices, copied) as a trace."""
+        block = self.arrays._rows(rows, self.arrays.workload)
+        if len(self.spans) > 1:
+            spans = tag_spans(span_tags(self.spans, np.arange(len(self))[rows]))
+        else:
+            spans = self.spans if len(block) else ()
+        block.workload = _block_tag(spans, block.workload)
+        return Trace._of(block, spans, name)
+
+    def select(self, rows: np.ndarray, name: Optional[str] = None) -> "Trace":
+        """Return the rows at ascending indices ``rows`` as a new trace (tags kept)."""
+        return self._take(np.asarray(rows, dtype=np.int64), self.name if name is None else name)
+
     def window(self, start: float, end: float) -> "Trace":
         """Return the sub-trace of requests arriving in ``[start, end)``."""
         if end < start:
             raise ValueError("end must be >= start")
-        selected = [r for r in self.requests if start <= r.arrival_time < end]
-        return Trace(requests=selected, name=f"{self.name}[{start:g},{end:g})")
+        lo, hi = np.searchsorted(self.arrays.arrival_time, (start, end), side="left").tolist()
+        return self._take(slice(lo, hi), f"{self.name}[{start:g},{end:g})")
 
     def head(self, n: int) -> "Trace":
         """Return the first ``n`` requests as a new trace."""
-        return Trace(requests=list(self.requests[:n]), name=f"{self.name}-head{n}")
+        return self._take(slice(None, n), f"{self.name}-head{n}")
 
     def renumbered(self, first_id: int = 0) -> "Trace":
         """Return a copy with request ids renumbered consecutively from ``first_id``."""
-        renumbered = [
-            replace(r, request_id=first_id + i) for i, r in enumerate(self.requests)
-        ]
-        return Trace(requests=renumbered, name=self.name)
+        a = self.arrays
+        ids = np.arange(first_id, first_id + len(self), dtype=np.int64)
+        block = RequestArrays._trusted(
+            ids, a.arrival_time, a.input_length, a.output_length, a.workload
+        )
+        return Trace._of(block, self.spans, self.name)
 
     def shifted(self, offset: float) -> "Trace":
         """Return a copy with every arrival time shifted by ``offset`` seconds."""
-        shifted = [r.with_arrival(r.arrival_time + offset) for r in self.requests]
-        return Trace(requests=shifted, name=self.name)
+        a = self.arrays
+        block = RequestArrays(
+            request_id=a.request_id,
+            arrival_time=a.arrival_time + offset,
+            input_length=a.input_length,
+            output_length=a.output_length,
+            workload=a.workload,
+        )
+        return Trace._of(block, self.spans, self.name)
 
 
 def merge_traces(traces: Sequence[Trace], name: str = "merged") -> Trace:
     """Interleave several traces by arrival time and renumber request ids.
 
     Used to model workload shifts: e.g. a coding trace for the first half of the
-    horizon followed by a conversation trace for the second half.
+    horizon followed by a conversation trace for the second half.  Equal
+    arrivals keep the order of ``traces``, and every row keeps its tag.
     """
-    requests: List[Request] = []
-    for trace in traces:
-        requests.extend(trace.requests)
-    merged = Trace(requests=requests, name=name)
-    return merged.renumbered()
+    blocks = [t.arrays for t in traces]
+    if not blocks:
+        return Trace(name=name)
+    arrival = np.concatenate([b.arrival_time for b in blocks])
+    order = np.argsort(arrival, kind="stable")
+    tags = np.concatenate([t.workload_tags() for t in traces])[order]
+    spans = tag_spans(tags)
+    block = RequestArrays._trusted(
+        np.arange(order.size, dtype=np.int64),
+        arrival[order],
+        np.concatenate([b.input_length for b in blocks])[order],
+        np.concatenate([b.output_length for b in blocks])[order],
+        _block_tag(spans, "generic"),
+    )
+    return Trace._of(block, spans, name)
 
 
-__all__ = ["RequestArrays", "Trace", "merge_traces"]
+__all__ = ["RequestArrays", "Spans", "Trace", "merge_traces", "span_tags", "tag_spans"]

@@ -279,6 +279,51 @@ class TestFullReplanMemo:
         assert plain_system.require_plan() == memo_system.require_plan()
 
 
+def test_deploy_seeds_the_full_replan_memo(
+    small_hetero_cluster, model_30b, conversation_workload, search_calls, monkeypatch
+):
+    """A recovery back to the deployed cluster state reuses the deployment's plan.
+
+    ``deploy()`` runs exactly the search a ``"full"`` replan runs on the same
+    cluster state, so it seeds that memo entry: after a node loss and its
+    recovery, the recovery replan searches nothing, and the report equals a
+    run whose replans never remember a plan.
+    """
+    crash = FaultEvent(time=5.0, kind=FaultKind.NODE_CRASH, gpu_ids=(4, 5, 6, 7))
+    rejoin = FaultEvent(time=15.0, kind=FaultKind.RECOVERY, gpu_ids=(4, 5, 6, 7))
+    trace = generate_requests(CONVERSATION_WORKLOAD, request_rate=3.0, duration=40.0, seed=3)
+    config = LiveServeConfig(window_s=5.0, faults=FaultSchedule.from_events([crash, rejoin]))
+    pristine = small_hetero_cluster.state_key()
+
+    def run():
+        system = ThunderServe(
+            small_hetero_cluster, model_30b, conversation_workload, 3.0,
+            scheduler_config=MEMO_SCHEDULER,
+        )
+        system.deploy()
+        assert search_calls == [pristine]
+        report = LiveServer(system, config=config).run(trace, label="recover")
+        replans = search_calls[1:]
+        search_calls.clear()
+        return system, _report_signature(report), replans
+
+    memo_system, memoized, replans = run()
+    assert pristine not in replans  # the recovery replan searched nothing
+
+    original = ThunderServe.replan_capacity
+
+    def forgetful(self, *args, **kwargs):
+        self._replans.clear()
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(ThunderServe, "replan_capacity", forgetful)
+    plain_system, plain, plain_replans = run()
+    assert pristine in plain_replans  # without the memo it searches the pristine state again
+    assert plain == memoized
+    assert plain_system.num_plan_changes == memo_system.num_plan_changes
+    assert plain_system.require_plan() == memo_system.require_plan()
+
+
 def test_boundary_replans_over_empty_windows_are_all_counted(
     small_hetero_cluster, model_30b, conversation_workload
 ):
