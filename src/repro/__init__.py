@@ -5,7 +5,7 @@ heterogeneous cloud environments.  This package reproduces the full system on a
 simulated substrate:
 
 * :mod:`repro.hardware` — heterogeneous GPU cluster substrate (GPU specs, nodes,
-  instances, network bandwidth matrices, pricing).
+  instances, network bandwidth matrices, rental prices).
 * :mod:`repro.model` — transformer architecture configurations and memory / FLOPs
   accounting.
 * :mod:`repro.workload` — coding / conversation workload generators (Poisson
@@ -73,28 +73,3 @@ __all__ = [
     "ReplicaPlan",
     "__version__",
 ]
-
-# The higher-level subsystems (scheduling, simulation, serving, baselines,
-# experiments) are imported lazily on attribute access so that importing the
-# package root stays cheap; ``from repro.scheduling import ...`` style imports are
-# the canonical way to reach them.
-
-
-def __getattr__(name: str):  # pragma: no cover - thin convenience shim
-    if name in {"Scheduler", "SchedulerConfig"}:
-        from repro.scheduling.scheduler import Scheduler, SchedulerConfig
-
-        return {"Scheduler": Scheduler, "SchedulerConfig": SchedulerConfig}[name]
-    if name in {"DeploymentPlan", "ServingGroup"}:
-        from repro.scheduling.deployment import DeploymentPlan, ServingGroup
-
-        return {"DeploymentPlan": DeploymentPlan, "ServingGroup": ServingGroup}[name]
-    if name == "ThunderServe":
-        from repro.serving.system import ThunderServe
-
-        return ThunderServe
-    if name in {"ScenarioSweep", "Scenario"}:
-        from repro.scenarios import Scenario, ScenarioSweep
-
-        return {"ScenarioSweep": ScenarioSweep, "Scenario": Scenario}[name]
-    raise AttributeError(f"module 'repro' has no attribute {name!r}")

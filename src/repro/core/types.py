@@ -19,8 +19,7 @@ The types here mirror the vocabulary of the paper:
 from __future__ import annotations
 
 import enum
-import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 
@@ -77,18 +76,9 @@ class RequestOutcome(enum.IntEnum):
     TIMED_OUT = 3
     #: dropped — no surviving capacity to retry on, or retry budget exhausted
     DROPPED_OUTAGE = 4
-    #: refused by the admission front-end (never dispatched to a replica)
+    #: never produced: nothing sheds requests.  Kept so the integer codes stay
+    #: stable and outcome-name listings (perfbench's report) stay complete.
     SHED = 5
-
-    @property
-    def terminal(self) -> bool:
-        """Whether this outcome is final (everything except ``PENDING``)."""
-        return self is not RequestOutcome.PENDING
-
-    @property
-    def completed(self) -> bool:
-        """Whether the request produced its full output."""
-        return self in (RequestOutcome.FINISHED, RequestOutcome.RETRIED_THEN_FINISHED)
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.name.lower()
@@ -96,9 +86,6 @@ class RequestOutcome(enum.IntEnum):
 
 #: dict keys of outcome-count mappings, in ``RequestOutcome`` value order
 OUTCOME_NAMES = tuple(o.name.lower() for o in RequestOutcome)
-
-
-_request_counter = itertools.count()
 
 
 @dataclass(frozen=True)
@@ -139,15 +126,6 @@ class Request:
     def total_tokens(self) -> int:
         """Prompt plus generated tokens (the KV cache footprint at completion)."""
         return self.input_length + self.output_length
-
-    @staticmethod
-    def fresh_id() -> int:
-        """Return a process-unique request id (for ad-hoc construction in examples)."""
-        return next(_request_counter)
-
-    def with_arrival(self, arrival_time: float) -> "Request":
-        """Return a copy of this request arriving at ``arrival_time``."""
-        return replace(self, arrival_time=arrival_time)
 
 
 @dataclass
@@ -222,21 +200,6 @@ class RequestMetrics:
     def queue_time(self) -> float:
         """Time spent queueing before prefill started."""
         return self.prefill_start - self.request.arrival_time
-
-    @property
-    def prefill_time(self) -> float:
-        """Prefill execution time (excluding queueing)."""
-        return self.first_token_time - self.prefill_start
-
-    @property
-    def kv_transfer_time(self) -> float:
-        """Time spent transferring the KV cache from prefill to decode replica."""
-        return max(0.0, self.kv_transfer_done - self.first_token_time)
-
-    @property
-    def decode_time(self) -> float:
-        """Decode execution time (after the KV cache arrived)."""
-        return max(0.0, self.completion_time - self.kv_transfer_done)
 
     def value_for(self, slo_type: SLOType) -> float:
         """Return the latency value compared against an SLO of ``slo_type``."""

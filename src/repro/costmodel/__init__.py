@@ -19,7 +19,7 @@ from repro.costmodel.latency import (
     single_gpu_phase_latency,
 )
 from repro.costmodel.kv_transfer import kv_link, kv_transfer_seconds, kv_transfer_bytes
-from repro.costmodel.price import phase_price_per_request, phase_price_table
+from repro.costmodel.price import phase_price_per_request
 from repro.costmodel.reference import ReferenceLatency, a100_reference_latency
 
 __all__ = [
@@ -31,7 +31,6 @@ __all__ = [
     "kv_transfer_seconds",
     "kv_transfer_bytes",
     "phase_price_per_request",
-    "phase_price_table",
     "ReferenceLatency",
     "a100_reference_latency",
 ]

@@ -62,20 +62,4 @@ def kv_transfer_seconds(
     return transfer_seconds(alpha, beta, kv_transfer_bytes(model, num_tokens, bits))
 
 
-def kv_transfer_fraction(
-    transfer_seconds_value: float,
-    prefill_seconds: float,
-    decode_seconds: float,
-) -> float:
-    """Fraction of the end-to-end request time spent on KV transfer.
-
-    The paper reports that 4-bit compression shrinks this fraction from 16–30 % to
-    4–9 % on 40 Gbps links.
-    """
-    total = transfer_seconds_value + prefill_seconds + decode_seconds
-    if total <= 0:
-        return 0.0
-    return transfer_seconds_value / total
-
-
-__all__ = ["kv_transfer_bytes", "kv_link", "kv_transfer_seconds", "kv_transfer_fraction"]
+__all__ = ["kv_transfer_bytes", "kv_link", "kv_transfer_seconds"]

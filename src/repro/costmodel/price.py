@@ -8,11 +8,9 @@ is simply its roofline execution time multiplied by the GPU's hourly rate.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Sequence
-
 from repro.core.types import Phase
 from repro.costmodel.latency import CostModelParams, DEFAULT_PARAMS, single_gpu_phase_latency
-from repro.hardware.gpu import GPUSpec, GPU_CATALOG, get_gpu_spec
+from repro.hardware.gpu import GPUSpec, get_gpu_spec
 from repro.model.architecture import ModelConfig
 
 
@@ -34,41 +32,4 @@ def phase_price_per_request(
     return seconds * spec.price_per_hour / 3600.0
 
 
-def phase_price_table(
-    model: ModelConfig,
-    gpu_names: Sequence[str] = ("3090Ti", "A40"),
-    input_length: int = 512,
-    output_length: int = 16,
-    params: CostModelParams = DEFAULT_PARAMS,
-) -> Dict[str, Dict[str, float]]:
-    """Per-GPU prefill/decode prices, keyed as ``table[phase][gpu]`` (Figure 1 data)."""
-    table: Dict[str, Dict[str, float]] = {Phase.PREFILL.value: {}, Phase.DECODE.value: {}}
-    for name in gpu_names:
-        for phase in (Phase.PREFILL, Phase.DECODE):
-            table[phase.value][name] = phase_price_per_request(
-                name, model, phase,
-                input_length=input_length, output_length=output_length, params=params,
-            )
-    return table
-
-
-def cheapest_gpu_for_phase(
-    model: ModelConfig,
-    phase: Phase | str,
-    gpu_names: Iterable[str] | None = None,
-    input_length: int = 512,
-    output_length: int = 16,
-) -> str:
-    """Name of the GPU type with the lowest per-request price for a phase."""
-    names = list(gpu_names) if gpu_names is not None else list(GPU_CATALOG)
-    if not names:
-        raise ValueError("gpu_names must be non-empty")
-    return min(
-        names,
-        key=lambda n: phase_price_per_request(
-            n, model, phase, input_length=input_length, output_length=output_length
-        ),
-    )
-
-
-__all__ = ["phase_price_per_request", "phase_price_table", "cheapest_gpu_for_phase"]
+__all__ = ["phase_price_per_request"]

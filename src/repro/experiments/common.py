@@ -32,11 +32,6 @@ class ExperimentResult:
             table += f"\n({self.notes})"
         return table
 
-    def column(self, header: str) -> List[Any]:
-        """Extract one column by header name."""
-        idx = self.headers.index(header)
-        return [row[idx] for row in self.rows]
-
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.to_table()
 

@@ -86,7 +86,8 @@ def run(
         # simulator charges transfer time linearly in tokens through the same
         # network path, so this mirrors a micro-benchmark at that size).
         observed_mean = sim_result.summary()["mean_kv_transfer"]
-        mean_tokens = np.mean([m.request.input_length + 1 for m in sim_result.finished])
+        a = sim_result.arrays
+        mean_tokens = np.mean(a.input_length[a.finished] + 1)
         measured = observed_mean * tokens / mean_tokens if mean_tokens > 0 else float("nan")
         kv_errors.append(abs(estimated - measured) / max(measured, 1e-9))
         rows.append(["kv_latency_ms", tokens, estimated * 1e3, measured * 1e3])

@@ -23,6 +23,9 @@ import zlib
 from dataclasses import dataclass
 from typing import Optional
 
+#: Factor by which each further retry attempt multiplies the backoff delay.
+BACKOFF_MULTIPLIER = 2.0
+
 
 def fault_uniform(salt: str, seed: int, request_id: int, attempt: int) -> float:
     """Deterministic uniform in ``[0, 1)`` keyed by request identity.
@@ -47,10 +50,9 @@ class RetryPolicy:
         ``max_retries + 1``-th disposition drops it as ``dropped_outage``.
         ``0`` is the drop-only policy: any fault touching a request kills it.
     backoff_base_s:
-        Backoff delay of the first retry (seconds, before jitter).
-    backoff_multiplier:
-        Multiplicative factor applied per additional attempt
-        (``delay = base * multiplier ** (attempt - 1)``).
+        Backoff delay of the first retry (seconds, before jitter); each further
+        attempt multiplies it by :data:`BACKOFF_MULTIPLIER`
+        (``delay = base * BACKOFF_MULTIPLIER ** (attempt - 1)``).
     jitter:
         Relative jitter amplitude: the delay is scaled by ``1 + jitter * u``
         with ``u`` a deterministic per-(request, attempt) uniform from
@@ -64,7 +66,6 @@ class RetryPolicy:
 
     max_retries: int = 3
     backoff_base_s: float = 0.5
-    backoff_multiplier: float = 2.0
     jitter: float = 0.1
     deadline_s: Optional[float] = None
 
@@ -73,10 +74,6 @@ class RetryPolicy:
             raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
         if self.backoff_base_s <= 0:
             raise ValueError(f"backoff_base_s must be positive, got {self.backoff_base_s}")
-        if self.backoff_multiplier < 1.0:
-            raise ValueError(
-                f"backoff_multiplier must be >= 1, got {self.backoff_multiplier}"
-            )
         if not 0.0 <= self.jitter <= 1.0:
             raise ValueError(f"jitter must be in [0, 1], got {self.jitter}")
         if self.deadline_s is not None and self.deadline_s <= 0:
@@ -92,7 +89,7 @@ class RetryPolicy:
         if attempt < 1:
             raise ValueError(f"attempt must be >= 1, got {attempt}")
         u = fault_uniform("retry-jitter", seed, request_id, attempt)
-        base = self.backoff_base_s * self.backoff_multiplier ** (attempt - 1)
+        base = self.backoff_base_s * BACKOFF_MULTIPLIER ** (attempt - 1)
         return base * (1.0 + self.jitter * u)
 
 

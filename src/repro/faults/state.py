@@ -160,9 +160,4 @@ class ClusterFaultState:
         self.applied.append(applied)
         return applied
 
-    def apply_all(self, events) -> List[AppliedFault]:
-        """Apply a sequence of events in order; return the per-event deltas."""
-        return [self.apply(e) for e in events]
-
-
 __all__ = ["ClusterFaultState", "AppliedFault"]

@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import enum
 import zlib
-from dataclasses import dataclass, field, replace
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, List, Sequence, Tuple
 
 from repro.core.exceptions import ConfigurationError
 from repro.hardware.cluster import Cluster
@@ -130,19 +130,6 @@ class FaultEvent:
             "description": self.description,
         }
 
-    @classmethod
-    def from_dict(cls, data: Mapping[str, object]) -> "FaultEvent":
-        """Rebuild an event from its dict form (inverse of :meth:`to_dict`)."""
-        return cls(
-            time=float(data["time"]),  # type: ignore[arg-type]
-            kind=FaultKind(data["kind"]),
-            gpu_ids=tuple(data.get("gpu_ids", ())),  # type: ignore[arg-type]
-            bandwidth_scale=float(data.get("bandwidth_scale", 1.0)),  # type: ignore[arg-type]
-            latency_scale=float(data.get("latency_scale", 1.0)),  # type: ignore[arg-type]
-            slowdown=float(data.get("slowdown", 1.0)),  # type: ignore[arg-type]
-            description=str(data.get("description", "")),
-        )
-
 
 @dataclass(frozen=True)
 class FaultSchedule:
@@ -204,12 +191,6 @@ class FaultSchedule:
                 )
         return self
 
-    def shifted(self, offset: float) -> "FaultSchedule":
-        """Return a copy with every event time shifted by ``offset`` seconds."""
-        return FaultSchedule(
-            events=tuple(replace(e, time=e.time + offset) for e in self.events)
-        )
-
     def signature(self) -> str:
         """Stable hex digest of the full schedule (bitwise-replay checks)."""
         payload = repr([e.to_dict() for e in self.events]).encode()
@@ -218,11 +199,6 @@ class FaultSchedule:
     def to_dicts(self) -> List[Dict[str, object]]:
         """Return the schedule as JSON-serialisable dicts."""
         return [e.to_dict() for e in self.events]
-
-    @classmethod
-    def from_dicts(cls, dicts: Iterable[Mapping[str, object]]) -> "FaultSchedule":
-        """Rebuild a schedule from dicts (inverse of :meth:`to_dicts`)."""
-        return cls(events=tuple(FaultEvent.from_dict(d) for d in dicts))
 
     @classmethod
     def from_events(cls, events: Sequence[FaultEvent]) -> "FaultSchedule":

@@ -8,9 +8,8 @@ instances and an in-house 8xA100 server) with an explicit, fully-specified model
 * :mod:`repro.hardware.network` — pairwise alpha-beta network model (latency +
   bandwidth matrices) for cloud and in-house topologies (Figure 13).
 * :mod:`repro.hardware.cluster` — the :class:`Cluster` aggregate plus factory
-  functions for the exact hardware environments of §5.1.
-* :mod:`repro.hardware.pricing` — rental-price accounting used by the
-  cost-efficiency comparisons.
+  functions for the exact hardware environments of §5.1; a cluster's rental
+  price is :attr:`Cluster.price_per_hour`.
 """
 
 from repro.hardware.gpu import GPU, GPUSpec, GPU_CATALOG, get_gpu_spec
@@ -23,7 +22,6 @@ from repro.hardware.cluster import (
     make_homogeneous_cluster,
     make_two_datacenter_cluster,
 )
-from repro.hardware.pricing import cluster_price_per_hour
 
 __all__ = [
     "GPU",
@@ -38,5 +36,4 @@ __all__ = [
     "make_inhouse_cluster",
     "make_homogeneous_cluster",
     "make_two_datacenter_cluster",
-    "cluster_price_per_hour",
 ]

@@ -59,8 +59,7 @@ class Cluster:
         roster_ids = [g.gpu_id for g in self.all_gpus]
         if len(set(roster_ids)) != len(roster_ids):
             raise ConfigurationError("duplicate GPU ids in cluster roster")
-        self._roster_by_id: Dict[int, GPU] = {g.gpu_id: g for g in self.all_gpus}
-        missing = set(self._gpu_by_id) - set(self._roster_by_id)
+        missing = set(self._gpu_by_id) - set(roster_ids)
         if missing:
             raise ConfigurationError(
                 f"available GPUs {sorted(missing)} are absent from the cluster roster"
@@ -137,34 +136,6 @@ class Cluster:
             gpus=remaining,
             network=self.network,
             name=name or f"{self.name}-minus-{len(removed)}gpus",
-            all_gpus=self.all_gpus,
-        )
-
-    def with_gpus(self, gpu_ids: Iterable[int], name: Optional[str] = None) -> "Cluster":
-        """Return a new cluster with previously removed ``gpu_ids`` revived.
-
-        The inverse of :meth:`without_gpus`: GPUs are restored from the roster
-        by their global id (capacity recovery — a spot preemption ending, a
-        crashed node rejoining).  Ids must exist in the roster (``KeyError``
-        otherwise) and must currently be removed (:class:`ConfigurationError`
-        when asked to revive an already-alive GPU).
-        """
-        revived = set(gpu_ids)
-        unknown = revived - set(self._roster_by_id)
-        if unknown:
-            raise KeyError(f"cannot revive GPU ids {sorted(unknown)}: not in the cluster roster")
-        already = revived & set(self._gpu_by_id)
-        if already:
-            raise ConfigurationError(
-                f"cannot revive GPU ids {sorted(already)}: already available"
-            )
-        alive = set(self._gpu_by_id) | revived
-        restored = [g for g in self.all_gpus if g.gpu_id in alive]
-        return Cluster(
-            nodes=self.nodes,
-            gpus=restored,
-            network=self.network,
-            name=name or f"{self.name}-plus-{len(revived)}gpus",
             all_gpus=self.all_gpus,
         )
 

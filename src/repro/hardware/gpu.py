@@ -63,27 +63,6 @@ class GPUSpec:
         """Memory capacity in bytes."""
         return self.memory_gb * 1e9
 
-    @property
-    def flops_per_dollar(self) -> float:
-        """Peak FP16 FLOP/s per rental dollar per hour (compute cost-efficiency)."""
-        return self.peak_fp16_flops / self.price_per_hour
-
-    @property
-    def bandwidth_per_dollar(self) -> float:
-        """Memory bandwidth (bytes/s) per rental dollar per hour."""
-        return self.memory_bandwidth_bytes / self.price_per_hour
-
-    @property
-    def ridge_point(self) -> float:
-        """Roofline ridge point in FLOPs per byte.
-
-        Workloads with arithmetic intensity below the ridge point are memory-bound
-        on this GPU; above it they are compute-bound.  The decode phase sits far
-        below typical ridge points, which is why high-bandwidth GPUs (3090Ti) win
-        decode while high-FLOPS GPUs (A40) win prefill.
-        """
-        return self.peak_fp16_flops / self.memory_bandwidth_bytes
-
 
 #: GPU catalog reproducing Table 1 of the paper, plus the A100 used by the in-house
 #: baseline environment.

@@ -224,10 +224,6 @@ class NetworkModel:
         """Number of GPUs covered by the matrices."""
         return self._bandwidth_gbps.shape[0]
 
-    def bandwidth_gbps(self, i: int, j: int) -> float:
-        """Link bandwidth between GPUs ``i`` and ``j`` in GB/s."""
-        return float(self._bandwidth_gbps[i, j])
-
     def bandwidth_bytes(self, i: int, j: int) -> float:
         """Link bandwidth between GPUs ``i`` and ``j`` in bytes/s."""
         return float(self._bandwidth_gbps[i, j] * 1e9)
@@ -235,10 +231,6 @@ class NetworkModel:
     def latency_s(self, i: int, j: int) -> float:
         """Link latency between GPUs ``i`` and ``j`` in seconds."""
         return float(self._latency_s[i, j])
-
-    def link_class(self, i: int, j: int) -> LinkClass:
-        """Coarse link classification between GPUs ``i`` and ``j``."""
-        return self._link_class[i, j]
 
     def bandwidth_matrix_gbps(self) -> np.ndarray:
         """Return a copy of the full bandwidth matrix (GB/s) — the Figure 13 data."""

@@ -13,8 +13,6 @@ from repro.kvcache.quantization import (
     QuantizedTensor,
     quantize_groupwise,
     dequantize_groupwise,
-    quantize_kv_pair,
-    dequantize_kv_pair,
     compression_ratio,
 )
 
@@ -24,7 +22,5 @@ __all__ = [
     "QuantizedTensor",
     "quantize_groupwise",
     "dequantize_groupwise",
-    "quantize_kv_pair",
-    "dequantize_kv_pair",
     "compression_ratio",
 ]

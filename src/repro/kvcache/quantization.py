@@ -126,23 +126,6 @@ def dequantize_groupwise(qt: QuantizedTensor) -> np.ndarray:
     return flat.reshape(qt.shape).astype(np.float32)
 
 
-def quantize_kv_pair(
-    keys: np.ndarray, values: np.ndarray, bits: int = 4, group_size: int = 64
-) -> Tuple[QuantizedTensor, QuantizedTensor]:
-    """Quantize a (K, V) cache pair for transport."""
-    return (
-        quantize_groupwise(keys, bits=bits, group_size=group_size),
-        quantize_groupwise(values, bits=bits, group_size=group_size),
-    )
-
-
-def dequantize_kv_pair(
-    qk: QuantizedTensor, qv: QuantizedTensor
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Reconstruct a (K, V) cache pair after transport."""
-    return dequantize_groupwise(qk), dequantize_groupwise(qv)
-
-
 def compression_ratio(qt: QuantizedTensor, source_dtype_bytes: int = 2) -> float:
     """Ratio of original bytes to transported bytes (higher is better).
 
@@ -155,22 +138,9 @@ def compression_ratio(qt: QuantizedTensor, source_dtype_bytes: int = 2) -> float
     return original / qt.payload_bytes
 
 
-def quantization_error(tensor: np.ndarray, bits: int = 4, group_size: int = 64) -> float:
-    """Relative L2 reconstruction error of a quantize→dequantize round trip."""
-    arr = np.asarray(tensor, dtype=np.float32)
-    restored = dequantize_groupwise(quantize_groupwise(arr, bits=bits, group_size=group_size))
-    denom = np.linalg.norm(arr.reshape(-1))
-    if denom == 0:
-        return 0.0
-    return float(np.linalg.norm((arr - restored).reshape(-1)) / denom)
-
-
 __all__ = [
     "QuantizedTensor",
     "quantize_groupwise",
     "dequantize_groupwise",
-    "quantize_kv_pair",
-    "dequantize_kv_pair",
     "compression_ratio",
-    "quantization_error",
 ]

@@ -4,8 +4,10 @@
   OPT variants) with layer count, hidden size, head counts and vocabulary size.
 * :mod:`repro.model.memory` — parameter and KV-cache memory accounting, used by the
   deployment-plan feasibility checks and the paged KV cache manager.
-* :mod:`repro.model.flops` — per-phase FLOPs accounting feeding the roofline
-  latency model.
+* :mod:`repro.model.flops` — first-principles per-phase FLOPs and memory-traffic
+  accounting.  The roofline latency model prices work on its own path; these
+  functions are kept apart from it as the independent pricing of a planned
+  envelope check on simulated runs.
 """
 
 from repro.model.architecture import ModelConfig, MODEL_CATALOG, get_model_config
@@ -13,8 +15,6 @@ from repro.model.memory import (
     parameter_count,
     parameter_bytes,
     kv_cache_bytes_per_token,
-    kv_cache_bytes,
-    max_kv_tokens,
     weight_bytes_per_layer,
 )
 from repro.model.flops import (
@@ -33,8 +33,6 @@ __all__ = [
     "parameter_count",
     "parameter_bytes",
     "kv_cache_bytes_per_token",
-    "kv_cache_bytes",
-    "max_kv_tokens",
     "weight_bytes_per_layer",
     "prefill_flops",
     "decode_flops_per_token",

@@ -66,44 +66,9 @@ def kv_cache_bytes_per_token(model: ModelConfig, bits: int = 16, num_layers: int
     return float(2 * layers * model.kv_hidden_size * bytes_per_element)
 
 
-def kv_cache_bytes(
-    model: ModelConfig,
-    num_tokens: int,
-    batch_size: int = 1,
-    bits: int = 16,
-) -> float:
-    """Total KV-cache bytes for ``batch_size`` sequences of ``num_tokens`` tokens."""
-    if num_tokens < 0 or batch_size < 0:
-        raise ValueError("num_tokens and batch_size must be >= 0")
-    return kv_cache_bytes_per_token(model, bits=bits) * num_tokens * batch_size
-
-
-def max_kv_tokens(
-    model: ModelConfig,
-    available_memory_bytes: float,
-    reserved_fraction: float = 0.1,
-) -> int:
-    """Maximum number of KV-cache tokens that fit in ``available_memory_bytes``.
-
-    ``available_memory_bytes`` should already exclude the parameter footprint of
-    the shard resident on the device group; ``reserved_fraction`` keeps headroom
-    for activations and fragmentation (PagedAttention makes fragmentation small,
-    but not zero).
-    """
-    if available_memory_bytes <= 0:
-        return 0
-    if not 0 <= reserved_fraction < 1:
-        raise ValueError("reserved_fraction must be in [0, 1)")
-    usable = available_memory_bytes * (1.0 - reserved_fraction)
-    per_token = kv_cache_bytes_per_token(model)
-    return max(0, int(usable // per_token))
-
-
 __all__ = [
     "parameter_count",
     "parameter_bytes",
     "weight_bytes_per_layer",
     "kv_cache_bytes_per_token",
-    "kv_cache_bytes",
-    "max_kv_tokens",
 ]

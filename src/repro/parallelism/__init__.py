@@ -14,7 +14,7 @@
 
 from repro.parallelism.config import ParallelConfig, PipelineStage, ReplicaPlan
 from repro.parallelism.partition import partition_layers, stage_weight
-from repro.parallelism.routing import optimal_stage_order, bottleneck_bandwidth
+from repro.parallelism.routing import optimal_stage_order
 from repro.parallelism.enumeration import (
     enumerate_parallel_plans,
     deduce_parallel_plan,
@@ -28,7 +28,6 @@ __all__ = [
     "partition_layers",
     "stage_weight",
     "optimal_stage_order",
-    "bottleneck_bandwidth",
     "enumerate_parallel_plans",
     "deduce_parallel_plan",
     "candidate_stage_groups",

@@ -31,22 +31,6 @@ def stage_link_bandwidth(
     return network.mean_bandwidth_between(stage_a, stage_b)
 
 
-def bottleneck_bandwidth(
-    network: NetworkModel, ordered_stages: Sequence[Sequence[int]]
-) -> float:
-    """Bandwidth of the slowest hop along an ordered pipeline (GB/s).
-
-    A single-stage pipeline has no hops and returns ``inf``.
-    """
-    if len(ordered_stages) <= 1:
-        return float("inf")
-    hops = [
-        stage_link_bandwidth(network, ordered_stages[i], ordered_stages[i + 1])
-        for i in range(len(ordered_stages) - 1)
-    ]
-    return float(min(hops))
-
-
 def optimal_stage_order(
     network: NetworkModel, stages: Sequence[Sequence[int]]
 ) -> List[int]:
@@ -147,4 +131,4 @@ def _greedy_stage_order(
     return order
 
 
-__all__ = ["stage_link_bandwidth", "bottleneck_bandwidth", "optimal_stage_order"]
+__all__ = ["stage_link_bandwidth", "optimal_stage_order"]

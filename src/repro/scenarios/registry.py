@@ -60,23 +60,13 @@ def get_scenario(name: str, **params) -> Scenario:
     return _REGISTRY[key](**params)
 
 
-def default_scenarios(
-    duration: float = 120.0, rate_scale: float = 1.0
-) -> Tuple[Scenario, ...]:
+def default_scenarios(duration: float = 120.0) -> Tuple[Scenario, ...]:
     """One instance of every registered scenario at its default parameterization.
 
-    ``duration`` overrides every scenario's trace length and ``rate_scale``
-    multiplies its default request rate — the sweeps use these to dial one knob
-    for the whole library (short smoke runs vs. long soak runs).
+    ``duration`` overrides every scenario's trace length — the sweeps use it
+    to dial the whole library at once (short smoke runs vs. long soak runs).
     """
-    scenarios = []
-    for name in list_scenarios():
-        cls = _REGISTRY[name]
-        defaults = cls()
-        scenarios.append(
-            cls(request_rate=defaults.request_rate * rate_scale, duration=duration)
-        )
-    return tuple(scenarios)
+    return tuple(_REGISTRY[name](duration=duration) for name in list_scenarios())
 
 
 __all__ = ["register_scenario", "list_scenarios", "get_scenario", "default_scenarios"]

@@ -21,6 +21,8 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.core.exceptions import ConfigurationError, SchedulingError
 from repro.core.types import SLOType
 from repro.costmodel.reference import a100_reference_latency
@@ -316,47 +318,20 @@ class ScenarioSweep:
         model: ModelConfig,
     ) -> Dict[str, float]:
         """E2E attainment of each tenant's requests at its own SLO tier."""
+        tags = result.workload_tags()
         per_tenant: Dict[str, float] = {}
         for tier in scenario.tiers:
-            tag = f"tenant:{tier.tenant}"
-            metrics = [m for m in result.metrics if m.request.workload == tag]
-            if not metrics:
+            rows = tags == f"tenant:{tier.tenant}"
+            count = int(np.count_nonzero(rows))
+            if not count:
                 per_tenant[tier.tenant] = 0.0
                 continue
             reference = a100_reference_latency(model, tier.workload)
-            slo = reference.slo_spec(tier.slo_scale)
-            hits = sum(1 for m in metrics if slo.is_met(m, SLOType.E2E))
-            per_tenant[tier.tenant] = hits / len(metrics)
+            met = result.arrays.meets(reference.slo_spec(tier.slo_scale), SLOType.E2E)
+            per_tenant[tier.tenant] = int(np.count_nonzero(met[rows])) / count
         return per_tenant
 
     # ------------------------------------------------------------------ reporting
-    @staticmethod
-    def summarize(outcomes: Dict[str, ScenarioOutcome]) -> Dict[str, object]:
-        """Cross-scenario aggregate of a sweep.
-
-        Returns
-        -------
-        dict
-            ``worst_scenario`` (name of the lowest-E2E-attainment scenario),
-            ``worst_attainment`` / ``mean_attainment`` (its and the mean E2E
-            attainment), ``plan_changes`` (per-scenario mapping of the
-            mid-serve plan-change counter — installs after plan adoption,
-            i.e. every lightweight rescheduling the scenario triggered) and
-            ``total_plan_changes`` (their sum across the sweep).
-        """
-        if not outcomes:
-            raise ValueError("cannot summarize an empty sweep")
-        worst = min(outcomes, key=lambda name: outcomes[name].attainment_e2e)
-        values = [o.attainment_e2e for o in outcomes.values()]
-        plan_changes = {name: o.num_plan_changes for name, o in sorted(outcomes.items())}
-        return {
-            "worst_scenario": worst,
-            "worst_attainment": outcomes[worst].attainment_e2e,
-            "mean_attainment": sum(values) / len(values),
-            "plan_changes": plan_changes,
-            "total_plan_changes": sum(plan_changes.values()),
-        }
-
     @staticmethod
     def to_table(outcomes: Dict[str, ScenarioOutcome], precision: int = 3) -> str:
         """Render sweep outcomes as an aligned text table."""

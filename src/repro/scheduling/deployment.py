@@ -139,12 +139,6 @@ class RoutingPolicy:
         """Joint routing fractions ``Z_ij = X_i * Y_ij`` (sums to 1)."""
         return self.x[:, None] * self.y
 
-    def pair_share(self, prefill_group_id: int, decode_group_id: int) -> float:
-        """Fraction of all requests taking the (prefill, decode) replica pair."""
-        i = self.prefill_group_ids.index(prefill_group_id)
-        j = self.decode_group_ids.index(decode_group_id)
-        return float(self.joint[i, j])
-
 
 @dataclass(frozen=True)
 class DeploymentPlan:
@@ -197,11 +191,6 @@ class DeploymentPlan:
     def prefill_decode_ratio(self) -> Tuple[int, int]:
         """(number of prefill replicas, number of decode replicas)."""
         return len(self.prefill_groups), len(self.decode_groups)
-
-    @property
-    def used_gpu_ids(self) -> List[int]:
-        """All GPU ids used by the plan."""
-        return sorted(g for group in self.groups for g in group.gpu_ids)
 
     def group(self, group_id: int) -> ServingGroup:
         """Look up a group by id."""

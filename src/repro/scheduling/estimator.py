@@ -66,6 +66,13 @@ from repro.workload.spec import WorkloadSpec
 #: simulation horizon, which drives the pair's attainment to exactly zero.
 OVERLOAD_QUEUE_WAIT_S = 1.0e9
 
+#: Capacity headroom: replicas are planned to run at most at this utilisation,
+#: so that queueing delays stay bounded.
+TARGET_UTILIZATION = 0.85
+
+#: Quantiles per length dimension of the evaluation grid (``7 x 7`` points).
+NUM_QUANTILES = 7
+
 # Rational approximations of cephes ``ndtri`` (Moshier), as scipy.special
 # evaluates them: P0/Q0 on the centre |y - 0.5| <= 1/2 - exp(-2), P1/Q1 on the
 # tail z = sqrt(-2 log y) in [2, 8), P2/Q2 on z >= 8.  The leading 1 of each Q
@@ -249,11 +256,6 @@ class SLOEstimator:
         Mean arrival rate (requests/s) the deployment must sustain.
     kv_transport_bits:
         KV-cache transport precision (4 with compression, 16 without).
-    target_utilization:
-        Capacity headroom: replicas are planned to run at most at this utilisation
-        so that queueing delays stay bounded.
-    num_quantiles:
-        Number of quantiles per length dimension in the evaluation grid.
     prefill_batch_requests:
         Prefill batching the serving engine applies (the simulator's
         ``max_prefill_batch_requests``); the queueing and capacity terms use
@@ -269,14 +271,10 @@ class SLOEstimator:
         request_rate: float,
         kv_transport_bits: int = 4,
         params: CostModelParams = DEFAULT_PARAMS,
-        target_utilization: float = 0.85,
-        num_quantiles: int = 7,
         prefill_batch_requests: int = DEFAULT_MAX_PREFILL_BATCH_REQUESTS,
     ) -> None:
         if request_rate <= 0:
             raise ValueError("request_rate must be positive")
-        if not 0 < target_utilization <= 1:
-            raise ValueError("target_utilization must be in (0, 1]")
         if prefill_batch_requests < 1:
             raise ValueError("prefill_batch_requests must be >= 1")
         self.cluster = cluster
@@ -286,11 +284,10 @@ class SLOEstimator:
         self.request_rate = request_rate
         self.kv_transport_bits = kv_transport_bits
         self.params = params
-        self.target_utilization = target_utilization
         self.prefill_batch_requests = prefill_batch_requests
         self.mean_input = max(1, int(round(workload.mean_input_length)))
         self.mean_output = max(1, int(round(workload.mean_output_length)))
-        self._grid = self._build_grid(num_quantiles)
+        self._grid = self._build_grid()
         self._init_grid_arrays()
         # Caches keyed by a replica's structural identity (PerfKey).  The tabu
         # search revisits the same serving groups in many candidate solutions, so
@@ -303,9 +300,9 @@ class SLOEstimator:
         self._kv_grid_cache: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], np.ndarray] = {}
 
     # ------------------------------------------------------------------ grid
-    def _build_grid(self, num_quantiles: int) -> List[Tuple[float, int, int]]:
+    def _build_grid(self) -> List[Tuple[float, int, int]]:
         """Deterministic (weight, input_len, output_len) grid from length quantiles."""
-        qs = np.linspace(0.08, 0.92, num_quantiles)
+        qs = np.linspace(0.08, 0.92, NUM_QUANTILES)
         # Inverse-CDF of the (log-normal) length distributions at the quantiles:
         # ``ndtri`` is the standard normal's inverse CDF, bitwise what
         # ``scipy.stats.norm.ppf`` returns at loc 0 and scale 1.
@@ -322,7 +319,7 @@ class SLOEstimator:
             lognormal_q(self.workload.median_output_length, self.workload.output_sigma, qs),
             self.workload.min_output_length, self.workload.max_output_length,
         )
-        weight = 1.0 / (num_quantiles * num_quantiles)
+        weight = 1.0 / (NUM_QUANTILES * NUM_QUANTILES)
         grid = []
         for s_in in inputs:
             for s_out in outputs:
@@ -399,11 +396,11 @@ class SLOEstimator:
         )
         prefill_service = m1
         prefill_cv2 = max(0.0, m2 / (m1 * m1) - 1.0) if m1 > 0 else 0.0
-        prefill_capacity = self.target_utilization / prefill_service
+        prefill_capacity = TARGET_UTILIZATION / prefill_service
         context = self.mean_input + self.mean_output
         max_batch = cost.max_decode_batch(context)
         token_capacity = (
-            self.target_utilization * cost.decode_throughput(context, max_batch)
+            TARGET_UTILIZATION * cost.decode_throughput(context, max_batch)
             if max_batch > 0
             else 0.0
         )
@@ -535,6 +532,35 @@ class SLOEstimator:
                 (1.0 - rho) - rho * np.expm1(-rho * np.maximum(slack, 0.0) / wait)
             )
         return hit
+
+    def operating_points(
+        self,
+        prefills: Sequence[ReplicaPerformance],
+        decodes: Sequence[ReplicaPerformance],
+        prefill_shares: Sequence[float],
+        decode_shares: Sequence[float],
+    ) -> Tuple[List[float], List[int]]:
+        """Per-replica prefill utilisation and decode operating batch at routed shares.
+
+        ``prefill_shares[i]`` and ``decode_shares[j]`` are the fractions of the
+        offered request rate that reach prefill replica ``i`` and decode
+        replica ``j``.  A replica's utilisation is ``share * rate * service``,
+        passed through *unclamped*: a routing that overloads a prefill replica
+        yields ``rho >= 1``, which :meth:`attainment_matrix` turns into zero
+        attainment for its row.  A decode replica runs at the smallest batch
+        that sustains ``share * rate * mean_output`` tokens/s at the mean
+        context; a KV-infeasible one reports batch 0, which zeroes its column.
+        """
+        rate = self.request_rate
+        context = self.mean_input + self.mean_output
+        utilizations = [
+            share * rate * perf.prefill_service_s for share, perf in zip(prefill_shares, prefills)
+        ]
+        batches = [
+            perf.decode_operating_batch(share * rate * self.mean_output, context)
+            for share, perf in zip(decode_shares, decodes)
+        ]
+        return utilizations, batches
 
     def attainment_matrix(
         self,

@@ -18,7 +18,7 @@ the same reason.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -35,7 +35,7 @@ from repro.model.architecture import ModelConfig
 from repro.parallelism.config import ReplicaPlan
 from repro.parallelism.enumeration import deduce_parallel_plan
 from repro.scheduling.deployment import DeploymentPlan, RoutingPolicy, ServingGroup
-from repro.scheduling.estimator import ReplicaPerformance, SLOEstimator
+from repro.scheduling.estimator import SLOEstimator
 from repro.scheduling.orchestration import OrchestrationResult, random_orchestration, solve_orchestration
 from repro.scheduling.solution import UpperLevelSolution
 from repro.workload.spec import WorkloadSpec
@@ -62,11 +62,8 @@ class LowerLevelResult:
     feasible: bool
     plan: Optional[DeploymentPlan] = None
     attainment_matrix: Optional[np.ndarray] = None
-    orchestration: Optional[OrchestrationResult] = None
     #: estimated end-to-end SLO attainment of the routed traffic (no bonus term)
     estimated_attainment: float = 0.0
-    #: per-group performance views, keyed by group id
-    performance: Dict[int, ReplicaPerformance] = field(default_factory=dict)
 
 
 class LowerLevelSolver:
@@ -217,7 +214,9 @@ class LowerLevelSolver:
         orchestration: Optional[OrchestrationResult] = None
         d = np.zeros((len(prefills), len(decodes)))
         for _ in range(2):
-            utilizations, batches = self._operating_points(z, prefills, decodes)
+            utilizations, batches = self.estimator.operating_points(
+                prefills, decodes, *self._shares(z)
+            )
             d = self.estimator.attainment_matrix(
                 prefills, decodes,
                 prefill_utilizations=utilizations,
@@ -251,16 +250,12 @@ class LowerLevelSolver:
             effective = self._clip_to_capacity(orchestration.z, prefill_caps, decode_caps)
         estimated_attainment = float((effective * d).sum())
         objective = estimated_attainment + SERVED_FRACTION_BONUS * float(effective.sum())
-        performance = {p.group.group_id: p for p in prefills}
-        performance.update({q.group.group_id: q for q in decodes})
         return LowerLevelResult(
             objective=objective,
             feasible=True,
             plan=plan,
             attainment_matrix=d,
-            orchestration=orchestration,
             estimated_attainment=estimated_attainment,
-            performance=performance,
         )
 
     # ------------------------------------------------------------------ internals
@@ -272,47 +267,23 @@ class LowerLevelSolver:
         q = q / q.sum() if q.sum() > 0 else np.full_like(q, 1.0 / len(q))
         return np.outer(p, q)
 
-    def _operating_points(
-        self,
-        z: np.ndarray,
-        prefills: List[ReplicaPerformance],
-        decodes: List[ReplicaPerformance],
-    ) -> Tuple[List[float], List[int]]:
-        """Per-replica prefill utilisation and decode operating batch implied by a routing.
+    @staticmethod
+    def _shares(z: np.ndarray) -> Tuple[List[float], List[float]]:
+        """Prefill (row) and decode (column) shares of the offered rate under routing ``z``.
 
-        The implied utilisation is passed through *unclamped*: a routing that
-        overloads a prefill replica yields ``rho >= 1``, which the estimator's
-        M/G/1 overload handling turns into zero attainment for that row — the
-        fixed point then reroutes the mass or the plan scores what an
-        infeasible plan deserves.  (This used to be silently clamped at 0.95,
-        which made overloaded plans look ~0.95-utilised and finite-wait.)
-        A KV-infeasible decode replica likewise reports operating batch 0 and
-        is zeroed by the estimator rather than pretending to run at batch 1.
-
-        The routing ``z`` is normalised before the rates are derived: the LP
-        clips routed mass to replica capacities (``z.sum() < 1`` under
-        overload), but :class:`RoutingPolicy` renormalises ``X`` to route the
-        *full* offered rate, so the replicas' real arrival rates follow the
-        mass shares, not the capacity-clipped mass.  Deriving rho from the
-        clipped mass was the second half of the flattery: a fleet offered 1.5x
-        its capacity would report rho ~ 0.85 because the LP refused to route
-        the overflow the serving system still has to absorb.
+        The routing is normalised before the shares are taken: the LP clips
+        routed mass to replica capacities (``z.sum() < 1`` under overload),
+        but :class:`RoutingPolicy` renormalises ``X`` to route the *full*
+        offered rate, so the replicas' real arrival rates follow the mass
+        shares, not the capacity-clipped mass.  Shares of clipped mass would
+        let a fleet offered 1.5x its capacity report rho ~ 0.85, because the
+        LP refused to route the overflow the serving system still absorbs.
         """
-        rate = self.request_rate
-        mean_out = self.estimator.mean_output
-        context = self.estimator.mean_input + mean_out
         total = float(z.sum())
         m, n = z.shape
-        utilizations = []
-        for i, perf in enumerate(prefills):
-            share = float(z[i, :].sum()) / total if total > 0 else 1.0 / m
-            utilizations.append(share * rate * perf.prefill_service_s)
-        batches = []
-        for j, perf in enumerate(decodes):
-            share = float(z[:, j].sum()) / total if total > 0 else 1.0 / n
-            token_rate = share * rate * mean_out
-            batches.append(perf.decode_operating_batch(token_rate, context))
-        return utilizations, batches
+        rows = [float(z[i, :].sum()) / total if total > 0 else 1.0 / m for i in range(m)]
+        cols = [float(z[:, j].sum()) / total if total > 0 else 1.0 / n for j in range(n)]
+        return rows, cols
 
     @staticmethod
     def _clip_to_capacity(
@@ -343,8 +314,7 @@ class LowerLevelSolver:
             if result is None:
                 result = solve_orchestration(d, prefill_caps, decode_caps)
                 self._orchestration_cache[key] = result
-            # Fresh arrays on every call: callers own what they get back.
-            return replace(result, x=result.x.copy(), y=result.y.copy(), z=result.z.copy())
+            return result
         return random_orchestration(d.shape[0], d.shape[1], self._rng)
 
 

@@ -103,6 +103,9 @@ _APPLIERS = {"flip": _apply_flip, "split": _apply_split, "merge": _apply_merge, 
 # --------------------------------------------------------------------------- batch
 _KNOWN_MOVES = ("flip", "split", "merge", "move")
 
+#: Move attempts per requested neighbour before a batch gives up on the rest.
+MAX_ATTEMPTS_FACTOR = 8
+
 
 class _MovePlan:
     """All randomness for a batch of neighbourhood moves, drawn up front.
@@ -245,7 +248,6 @@ def construct_neighbors(
     rng: RNGLike = None,
     kv_reserve_fraction: float = 0.3,
     moves: Optional[List[str]] = None,
-    max_attempts_factor: int = 8,
     exclude_keys: Optional[Iterable[Hashable]] = None,
 ) -> List[UpperLevelSolution]:
     """Generate up to ``num_neighbors`` feasible, distinct neighbours of a solution.
@@ -269,7 +271,7 @@ def construct_neighbors(
     if unknown:
         raise ValueError(f"unknown neighbourhood moves: {sorted(unknown)}")
 
-    max_attempts = max_attempts_factor * num_neighbors
+    max_attempts = MAX_ATTEMPTS_FACTOR * num_neighbors
     plan = _MovePlan(gen, allowed, max_attempts, solution, cluster)
     neighbors: List[UpperLevelSolution] = []
     seen = {solution.key()}

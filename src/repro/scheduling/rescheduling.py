@@ -35,6 +35,9 @@ from repro.scheduling.solution import UpperLevelSolution
 from repro.scheduling.tabu import SearchTrace, TabuSearch, TabuSearchConfig
 from repro.workload.spec import WorkloadSpec, WorkloadStats
 
+#: Replicas whose parameters stream from the store concurrently during a reload.
+PARALLEL_LOADS = 4
+
 #: Tabu budget of the flip-only search: flip-only neighbourhoods are tiny, so
 #: far fewer steps are needed than in the full search.
 FLIP_SEARCH = TabuSearchConfig(num_steps=30, num_neighbors=6, memory_size=5, patience=10)
@@ -194,16 +197,16 @@ class ReschedulingOverheadModel:
     #: measured flip-only search time (seconds)
     lightweight_search_seconds: float = 13.0
 
-    def reload_seconds(self, model: ModelConfig, num_replicas: int, parallel_loads: int = 4) -> float:
+    def reload_seconds(self, model: ModelConfig, num_replicas: int) -> float:
         """Time to reload ``num_replicas`` copies of the parameters from disk.
 
-        ``parallel_loads`` replicas stream from the store concurrently (different
-        nodes have independent disks / object-store connections).
+        :data:`PARALLEL_LOADS` replicas stream from the store concurrently
+        (different nodes have independent disks / object-store connections).
         """
-        if num_replicas < 0 or parallel_loads < 1:
-            raise ValueError("num_replicas must be >= 0 and parallel_loads >= 1")
+        if num_replicas < 0:
+            raise ValueError("num_replicas must be >= 0")
         per_copy = parameter_bytes(model) / self.disk_bandwidth_bytes
-        waves = -(-num_replicas // parallel_loads) if num_replicas else 0
+        waves = -(-num_replicas // PARALLEL_LOADS) if num_replicas else 0
         return per_copy * waves
 
     def full_overhead_seconds(self, model: ModelConfig, num_gpus: int, num_replicas: int) -> float:

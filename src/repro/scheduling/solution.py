@@ -70,20 +70,11 @@ class UpperLevelSolution:
         assignments.sort(key=lambda a: (min(a.gpu_ids), a.phase.value))
         return cls(groups=tuple(assignments))
 
-    def canonical(self) -> "UpperLevelSolution":
-        """Return the canonically-ordered equivalent of this solution."""
-        return UpperLevelSolution.from_lists([(g.gpu_ids, g.phase) for g in self.groups])
-
     # ------------------------------------------------------------------ accessors
     @property
     def num_groups(self) -> int:
         """Number of serving groups."""
         return len(self.groups)
-
-    @property
-    def all_gpu_ids(self) -> FrozenSet[int]:
-        """All GPUs used by the solution."""
-        return frozenset(g for group in self.groups for g in group.gpu_ids)
 
     @property
     def num_prefill(self) -> int:

@@ -10,20 +10,18 @@ window it
 1. estimates the health of the installed plan for the window's observed
    request mix with the M/G/1 :class:`~repro.scheduling.estimator.SLOEstimator`
    (per-replica utilisation ``rho`` and routed attainment);
-2. optionally sheds load at admission when the estimator reports the plan
-   would run beyond a configured utilisation ceiling;
-3. serves the admitted window through the engine and measures a telemetry
-   snapshot (:class:`WindowTelemetry` — attainment, queue wait, per-tenant
-   breakdown, plan id);
-4. judges the snapshot under the fixed SLO policy
+2. serves the window through the engine and measures a telemetry snapshot
+   (:class:`WindowTelemetry` — attainment, queue wait, per-tenant breakdown,
+   plan id);
+3. judges the snapshot under the fixed SLO policy
    (:func:`~repro.serving.slo_objectives.slo_policy`: a realtime or degraded
    profile and its objectives), evaluates the objectives, and emits
    edge-triggered breach events; and
-5. on a breach — or a profiler-detected workload shift — triggers the §3.4
+4. on a breach — or a profiler-detected workload shift — triggers the §3.4
    lightweight rescheduler online, so the next window is served by a plan
    re-designated for the observed workload, once shadow validation shows it
    serves the window just served strictly better; and
-6. optionally replays a :class:`~repro.faults.FaultSchedule` against the loop:
+5. optionally replays a :class:`~repro.faults.FaultSchedule` against the loop:
    capacity events inside the window are compiled into a replica-level
    :class:`~repro.faults.FaultTimeline` and handed to the engine, which
    preempts in-flight work at the exact fault instant and retries it under the
@@ -67,6 +65,10 @@ from repro.workload.trace import Trace
 #: cannot place new groups on revived GPUs, so re-expansion needs the whole
 #: scheduler.
 RECOVERY_MODE = "full"
+#: Replan strategies tried in order after a capacity loss; the first one that
+#: yields a servable plan wins.  Strategies are the Figure 11 modes accepted by
+#: :meth:`~repro.serving.system.ThunderServe.replan_capacity`.
+FAILURE_MODE_ORDER = ("lightweight", "none")
 #: Consecutive failed replan attempts tolerated before the loop backs off.
 #: While backed off (and whenever every strategy fails), affected windows are
 #: served by the surviving plan — or recorded as zero-attainment outage
@@ -109,8 +111,6 @@ class PlanHealth:
     rho: float
     #: routed estimated E2E attainment (``sum_ij z_ij * D_ij``)
     attainment: float
-    #: arrival rate (requests/s) the estimate was computed for
-    request_rate: float
 
 
 @dataclass
@@ -126,11 +126,15 @@ class WindowTelemetry:
     plan_id: str
     #: SLO profile the window was judged under (``realtime`` / ``degraded`` / ...)
     profile: str
-    #: requests admitted / shed at admission / finished in the window
+    #: requests served in the window
     num_requests: int
+    #: always 0: the loop serves every request of the window.  Kept because
+    #: readers of the telemetry (perfbench's ledger, the snapshot's
+    #: ``shed_fraction``) read it.
     num_shed: int
+    #: requests finished in the window
     num_finished: int
-    #: observed arrival rate over the window, admitted and shed (requests/s)
+    #: observed arrival rate over the window (requests/s)
     request_rate: float
     #: served SLO attainment at the system deadline, per SLO type
     attainment_e2e: float
@@ -138,7 +142,7 @@ class WindowTelemetry:
     attainment_tpot: float
     #: mean simulated queue wait of finished requests (0 when none finished)
     mean_queue_wait: float
-    #: fraction of admitted requests that finished within the window horizon
+    #: fraction of the window's requests that finished within its horizon
     completion_rate: float
     #: estimator utilisation / attainment of the plan for the observed mix
     estimated_rho: float
@@ -161,8 +165,8 @@ class WindowTelemetry:
     #: capacity replans (``failure`` / ``recovery``) installed at the window
     #: boundaries since the previous served window, in order
     replan_triggers: Tuple[str, ...] = ()
-    #: request count per :class:`~repro.core.types.RequestOutcome` name,
-    #: including admission sheds (sums to ``num_requests + num_shed``)
+    #: request count per :class:`~repro.core.types.RequestOutcome` name
+    #: (sums to ``num_requests``)
     outcome_counts: Dict[str, int] = field(default_factory=dict)
 
     def snapshot(self) -> Dict[str, float]:
@@ -209,11 +213,6 @@ class LiveServeConfig:
     ----------
     window_s:
         Serving window length on the time-warped clock (seconds of trace time).
-    admission_max_rho:
-        Utilisation ceiling for the admission front-end: when the estimator
-        reports a window would run the hottest prefill replica beyond this,
-        excess arrivals are shed deterministically to bring it back under.
-        ``None`` (default) disables shedding — every request is admitted.
     adapt_to_workload:
         React to workload change (§3.4's first trigger): after a window that
         emits breach events — or, without breaches, one where the workload
@@ -246,7 +245,7 @@ class LiveServeConfig:
         preempted work instead.
     adapt_to_capacity:
         React to capacity change (§3.4's second trigger): replan through
-        ``failure_mode_order`` after a capacity loss, and re-expand onto
+        :data:`FAILURE_MODE_ORDER` after a capacity loss, and re-expand onto
         revived GPUs with a :data:`RECOVERY_MODE` replan after a recovery —
         shadow-validated like workload adaptation, but non-strictly (ties keep
         the candidate, see
@@ -254,40 +253,22 @@ class LiveServeConfig:
         off, dead serving groups are still dropped (mode ``"none"``) so the
         surviving replicas keep serving, but nothing re-optimises and revived
         capacity stays idle — the static arm of a chaos comparison.
-    failure_mode_order:
-        Replan strategies tried in order after a capacity loss; the first one
-        that yields a servable plan wins.  Strategies are the Figure 11 modes
-        accepted by :meth:`~repro.serving.system.ThunderServe.replan_capacity`.
 
     Raises
     ------
     ValueError
-        If ``window_s`` is not positive, ``admission_max_rho`` is not in
-        ``(0, 1]``, or a failure replan mode is unknown.
+        If ``window_s`` is not positive.
     """
 
     window_s: float = 30.0
-    admission_max_rho: Optional[float] = None
     adapt_to_workload: bool = True
     faults: Optional[FaultSchedule] = None
     retry_policy: Optional[RetryPolicy] = None
     adapt_to_capacity: bool = True
-    failure_mode_order: Tuple[str, ...] = ("lightweight", "none")
 
     def __post_init__(self) -> None:
         if self.window_s <= 0:
             raise ValueError("window_s must be positive")
-        if self.admission_max_rho is not None and not 0 < self.admission_max_rho <= 1:
-            raise ValueError("admission_max_rho must be in (0, 1]")
-        modes = ThunderServe.RESCHEDULE_MODES
-        self.failure_mode_order = tuple(self.failure_mode_order)
-        if not self.failure_mode_order:
-            raise ValueError("failure_mode_order must name at least one mode")
-        for mode in self.failure_mode_order:
-            if mode not in modes:
-                raise ValueError(
-                    f"failure_mode_order entries must be one of {modes}, got {mode!r}"
-                )
 
 
 @dataclass
@@ -472,8 +453,7 @@ class LiveServer:
         Returns
         -------
         PlanHealth
-            ``rho`` (hottest prefill replica), routed E2E ``attainment`` and
-            the ``request_rate`` the figures were computed for.
+            ``rho`` (hottest prefill replica) and routed E2E ``attainment``.
         """
         system = self.system
         plan = system.require_plan()
@@ -505,48 +485,20 @@ class LiveServer:
             estimator.replica_performance(plan.group(gid))
             for gid in routing.decode_group_ids
         ]
-        x = routing.x
         z = routing.joint
-        utilizations = [
-            float(x[i]) * rate * p.prefill_service_s for i, p in enumerate(prefills)
-        ]
-        context = estimator.mean_input + estimator.mean_output
-        batches = [
-            q.decode_operating_batch(
-                float(z[:, j].sum()) * rate * estimator.mean_output, context
-            )
-            for j, q in enumerate(decodes)
-        ]
+        utilizations, batches = estimator.operating_points(
+            prefills,
+            decodes,
+            routing.x.tolist(),
+            [float(z[:, j].sum()) for j in range(z.shape[1])],
+        )
         d = estimator.attainment_matrix(
             prefills, decodes, prefill_utilizations=utilizations, decode_batches=batches
         )
         return PlanHealth(
             rho=max(utilizations) if utilizations else 0.0,
             attainment=float((z * d).sum()),
-            request_rate=rate,
         )
-
-    def _admit(self, window: Trace, health: PlanHealth) -> Tuple[Trace, int]:
-        """Apply the admission front-end to one window.
-
-        When the estimated utilisation exceeds ``admission_max_rho``, requests
-        are shed with a deterministic deficit counter so the admitted fraction
-        tracks ``admission_max_rho / rho`` exactly (no sampling noise).
-        Returns the admitted sub-trace and the number of shed requests.
-        """
-        max_rho = self.config.admission_max_rho
-        if max_rho is None or health.rho <= max_rho or health.rho <= 0:
-            return window, 0
-        keep_fraction = max_rho / health.rho
-        kept = []
-        acc = 0.0
-        for row in range(len(window)):
-            acc += keep_fraction
-            if acc >= 1.0:
-                acc -= 1.0
-                kept.append(row)
-        admitted = window.select(np.array(kept, dtype=np.int64), name=f"{window.name}-admitted")
-        return admitted, len(window) - len(kept)
 
     # ------------------------------------------------------------------ telemetry
     def _measure(
@@ -556,7 +508,6 @@ class LiveServer:
         end: float,
         result: SimulationResult,
         health: PlanHealth,
-        num_shed: int,
         served_plan_id: str,
     ) -> WindowTelemetry:
         """Build the telemetry record of one served window."""
@@ -572,7 +523,6 @@ class LiveServer:
             tenant: sum(hits) / len(hits) for tenant, hits in sorted(tenant_hits.items())
         }
         outcome_counts = {k: int(v) for k, v in result.outcome_counts().items()}
-        outcome_counts["shed"] = outcome_counts.get("shed", 0) + num_shed
         return WindowTelemetry(
             index=index,
             start=start,
@@ -580,9 +530,9 @@ class LiveServer:
             plan_id=served_plan_id,
             profile="",  # set by the caller from the SLO policy
             num_requests=result.num_requests,
-            num_shed=num_shed,
+            num_shed=0,
             num_finished=result.num_finished,
-            request_rate=(result.num_requests + num_shed) / (end - start) if end > start else 0.0,
+            request_rate=result.num_requests / (end - start) if end > start else 0.0,
             attainment_e2e=result.slo_attainment(slo, SLOType.E2E),
             attainment_ttft=result.slo_attainment(slo, SLOType.TTFT),
             attainment_tpot=result.slo_attainment(slo, SLOType.TPOT),
@@ -647,10 +597,7 @@ class LiveServer:
                 # miss), so the window reports attainment 0 and the run goes on.
                 faults, fault_notes = None, ()
                 served_plan_id = ""
-                health = PlanHealth(
-                    rho=0.0, attainment=0.0, request_rate=len(window) / (window_end - w_start)
-                )
-                num_shed = 0
+                health = PlanHealth(rho=0.0, attainment=0.0)
                 result = SimulationResult.dropped(
                     window, makespan=window_end, label=f"{label}[{index}]"
                 )
@@ -659,17 +606,13 @@ class LiveServer:
                 faults, fault_notes = self._intra_window_faults(w_start, window_end)
                 degraded = degraded or faults is not None
                 health = self.plan_health(window)
-                admitted, num_shed = self._admit(window, health)
                 result = system.serve(
-                    admitted,
+                    window,
                     label=f"{label}[{index}]",
                     faults=faults,
                     retry=config.retry_policy,
                 )
-            telemetry = self._measure(
-                index, w_start, window_end, result, health,
-                num_shed, served_plan_id,
-            )
+            telemetry = self._measure(index, w_start, window_end, result, health, served_plan_id)
             telemetry.outage = outage
             if state is not None:
                 telemetry.faults = tuple(self._fault_notes) + fault_notes
@@ -687,8 +630,8 @@ class LiveServer:
             )
             telemetry.breaches = tuple(events)
             if not outage:
-                telemetry.plan_changed = self._adapt(events, admitted, label)
-                self._last_window = admitted
+                telemetry.plan_changed = self._adapt(events, window, label)
+                self._last_window = window
             if self.on_window is not None:
                 self.on_window(telemetry)
             windows.append(telemetry)
@@ -773,7 +716,7 @@ class LiveServer:
         self._system_stale = False
         trigger = ""
         if lost or was_unservable:
-            modes = config.failure_mode_order if config.adapt_to_capacity else ("none",)
+            modes = FAILURE_MODE_ORDER if config.adapt_to_capacity else ("none",)
             reason = (
                 f"fault injection ({'; '.join(descriptions)})"
                 if descriptions

@@ -383,11 +383,6 @@ class SimulationResult:
         return len(self.arrays)
 
     @property
-    def finished(self) -> List[RequestMetrics]:
-        """Metrics of requests that completed."""
-        return [m for m in self.metrics if m.finished]
-
-    @property
     def num_finished(self) -> int:
         """Number of completed requests."""
         return int(np.count_nonzero(self.arrays.finished))
@@ -537,13 +532,6 @@ class SimulationResult:
         fin = self.arrays.finished
         tokens = int(self.arrays.input_length[fin].sum() + self.arrays.output_length[fin].sum())
         return tokens / self.makespan
-
-    @property
-    def request_throughput(self) -> float:
-        """Completed requests per second over the run."""
-        if self.makespan <= 0:
-            return 0.0
-        return self.num_finished / self.makespan
 
 
 def merge_results(

@@ -14,7 +14,6 @@ from repro.workload.spec import (
     WorkloadStats,
     CODING_WORKLOAD,
     CONVERSATION_WORKLOAD,
-    get_workload,
 )
 from repro.workload.generator import (
     DEFAULT_CHUNK_SIZE,
@@ -30,7 +29,6 @@ __all__ = [
     "WorkloadStats",
     "CODING_WORKLOAD",
     "CONVERSATION_WORKLOAD",
-    "get_workload",
     "DEFAULT_CHUNK_SIZE",
     "DiurnalTimeWarp",
     "PoissonArrivalGenerator",

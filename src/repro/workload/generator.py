@@ -39,6 +39,9 @@ from repro.workload.trace import RequestArrays, Trace
 #: default number of requests per streamed chunk (~2 MB of request columns)
 DEFAULT_CHUNK_SIZE = 65_536
 
+#: resolution of :class:`DiurnalTimeWarp`'s inversion grid (points per period)
+WARP_GRID_POINTS_PER_PERIOD = 4096
+
 
 @dataclass
 class DiurnalTimeWarp:
@@ -66,15 +69,15 @@ class DiurnalTimeWarp:
         Relative swing of the intensity, in ``[0, 1)``.
     phase:
         Phase offset of the sinusoid in radians.
-    grid_points_per_period:
-        Resolution of the inversion grid.
+
+    The inversion grid holds :data:`WARP_GRID_POINTS_PER_PERIOD` points per
+    period.
     """
 
     horizon: float
     period: float = 86_400.0
     amplitude: float = 0.5
     phase: float = 0.0
-    grid_points_per_period: int = 4096
 
     def __post_init__(self) -> None:
         if self.horizon <= 0:
@@ -83,13 +86,11 @@ class DiurnalTimeWarp:
             raise ValueError("period must be positive")
         if not 0.0 <= self.amplitude < 1.0:
             raise ValueError("amplitude must be in [0, 1)")
-        if self.grid_points_per_period < 8:
-            raise ValueError("grid_points_per_period must be >= 8")
         # M(s) is increasing with slope >= 1 - amplitude, so the preimage of
         # [0, horizon] is contained in [0, horizon / (1 - amplitude)]; one
         # extra period of slack keeps the top grid cell interior.
         s_max = self.horizon / (1.0 - self.amplitude) + self.period
-        points = int(math.ceil(s_max / self.period * self.grid_points_per_period)) + 1
+        points = int(math.ceil(s_max / self.period * WARP_GRID_POINTS_PER_PERIOD)) + 1
         self._s_grid = np.linspace(0.0, s_max, points)
         omega = 2.0 * math.pi / self.period
         scale = self.amplitude / omega

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Dict
 
 import numpy as np
 
@@ -94,11 +93,6 @@ class WorkloadSpec:
     def mean_output_length(self) -> float:
         """Analytic mean of the (untruncated) response-length distribution."""
         return self.median_output_length * math.exp(self.output_sigma**2 / 2)
-
-    @property
-    def prefill_decode_token_ratio(self) -> float:
-        """Expected prompt tokens per response token — the prefill:decode demand ratio."""
-        return self.mean_input_length / self.mean_output_length
 
     def with_name(self, name: str) -> "WorkloadSpec":
         """Return a renamed copy (useful when building mixed workloads)."""
@@ -178,24 +172,9 @@ CONVERSATION_WORKLOAD = WorkloadSpec(
     output_sigma=0.6,
 )
 
-_WORKLOADS: Dict[str, WorkloadSpec] = {
-    "coding": CODING_WORKLOAD,
-    "conversation": CONVERSATION_WORKLOAD,
-}
-
-
-def get_workload(name: str) -> WorkloadSpec:
-    """Look up a built-in workload by name (``"coding"`` or ``"conversation"``)."""
-    key = name.strip().lower()
-    if key in _WORKLOADS:
-        return _WORKLOADS[key]
-    raise KeyError(f"Unknown workload {name!r}; known: {sorted(_WORKLOADS)}")
-
-
 __all__ = [
     "WorkloadSpec",
     "WorkloadStats",
     "CODING_WORKLOAD",
     "CONVERSATION_WORKLOAD",
-    "get_workload",
 ]

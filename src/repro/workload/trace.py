@@ -11,8 +11,8 @@ A request sequence is stored one way, as columns:
 * :class:`Trace` — one block plus its workload spans, ``(first_row, tag)``
   pairs that give the workload tag of each run of rows (the encoding the
   simulation engine and :class:`~repro.simulation.metrics.SimulationResult`
-  use), and a name.  Windows, heads, shifts, renumbering, merges and the
-  summary statistics all work on the columns.
+  use), and a name.  Windows, merges and the summary statistics all work on
+  the columns.
 
 :class:`~repro.core.types.Request` objects are built only when a caller
 iterates or indexes a trace: :attr:`Trace.requests` is a read-only view built
@@ -25,7 +25,7 @@ loop, shadow replays and the workload profiler) reads the columns only.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence, Tuple, Union
+from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -43,9 +43,8 @@ class RequestArrays:
     attribute instead of one Python object per request.  Blocks come from
     the generator (whole traces or fixed-size chunks) and back every
     :class:`Trace`; they can be concatenated and sliced.  A trace shares its
-    block's columns with its windows, heads, shifted and renumbered copies (a
-    window is a view), so the columns are read-only by convention: build a new
-    block instead of writing into one.
+    block's columns with its windows (a window is a view), so the columns are
+    read-only by convention: build a new block instead of writing into one.
 
     Parameters
     ----------
@@ -140,16 +139,6 @@ class RequestArrays:
             input_length=self.input_length[start:stop].copy(),
             output_length=self.output_length[start:stop].copy(),
             workload=self.workload,
-        )
-
-    def _rows(self, rows: Union[slice, np.ndarray], workload: str) -> "RequestArrays":
-        """Rows ``rows`` (a step-1 slice, viewed, or ascending indices, copied) as a block."""
-        return RequestArrays._trusted(
-            self.request_id[rows],
-            self.arrival_time[rows],
-            self.input_length[rows],
-            self.output_length[rows],
-            workload,
         )
 
     # ------------------------------------------------------------------ conversion
@@ -366,51 +355,25 @@ class Trace:
         return self.total_input_tokens + self.total_output_tokens
 
     # ------------------------------------------------------------------ transforms
-    def _take(self, rows: Union[slice, np.ndarray], name: str) -> "Trace":
-        """Rows ``rows`` (a step-1 slice, viewed, or ascending indices, copied) as a trace."""
-        block = self.arrays._rows(rows, self.arrays.workload)
-        if len(self.spans) > 1:
-            spans = tag_spans(span_tags(self.spans, np.arange(len(self))[rows]))
-        else:
-            spans = self.spans if len(block) else ()
-        block.workload = _block_tag(spans, block.workload)
-        return Trace._of(block, spans, name)
-
-    def select(self, rows: np.ndarray, name: Optional[str] = None) -> "Trace":
-        """Return the rows at ascending indices ``rows`` as a new trace (tags kept)."""
-        return self._take(np.asarray(rows, dtype=np.int64), self.name if name is None else name)
-
     def window(self, start: float, end: float) -> "Trace":
-        """Return the sub-trace of requests arriving in ``[start, end)``."""
+        """Return the sub-trace of requests arriving in ``[start, end)`` (a view, tags kept)."""
         if end < start:
             raise ValueError("end must be >= start")
-        lo, hi = np.searchsorted(self.arrays.arrival_time, (start, end), side="left").tolist()
-        return self._take(slice(lo, hi), f"{self.name}[{start:g},{end:g})")
-
-    def head(self, n: int) -> "Trace":
-        """Return the first ``n`` requests as a new trace."""
-        return self._take(slice(None, n), f"{self.name}-head{n}")
-
-    def renumbered(self, first_id: int = 0) -> "Trace":
-        """Return a copy with request ids renumbered consecutively from ``first_id``."""
         a = self.arrays
-        ids = np.arange(first_id, first_id + len(self), dtype=np.int64)
+        lo, hi = np.searchsorted(a.arrival_time, (start, end), side="left").tolist()
+        if len(self.spans) > 1:
+            spans = tag_spans(span_tags(self.spans, np.arange(lo, hi)))
+        else:
+            spans = self.spans if hi > lo else ()
+        rows = slice(lo, hi)
         block = RequestArrays._trusted(
-            ids, a.arrival_time, a.input_length, a.output_length, a.workload
+            a.request_id[rows],
+            a.arrival_time[rows],
+            a.input_length[rows],
+            a.output_length[rows],
+            _block_tag(spans, a.workload),
         )
-        return Trace._of(block, self.spans, self.name)
-
-    def shifted(self, offset: float) -> "Trace":
-        """Return a copy with every arrival time shifted by ``offset`` seconds."""
-        a = self.arrays
-        block = RequestArrays(
-            request_id=a.request_id,
-            arrival_time=a.arrival_time + offset,
-            input_length=a.input_length,
-            output_length=a.output_length,
-            workload=a.workload,
-        )
-        return Trace._of(block, self.spans, self.name)
+        return Trace._of(block, spans, f"{self.name}[{start:g},{end:g})")
 
 
 def merge_traces(traces: Sequence[Trace], name: str = "merged") -> Trace:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.types import Phase, Request, RequestMetrics, SLOSpec, SLOType
+from repro.simulation.metrics import MetricArrays, SimulationResult
 
 
 class TestPhase:
@@ -37,18 +38,6 @@ class TestRequest:
         with pytest.raises(ValueError):
             Request(request_id=0, arrival_time=0.0, input_length=1, output_length=0)
 
-    def test_with_arrival_returns_shifted_copy(self):
-        request = Request(request_id=3, arrival_time=1.0, input_length=10, output_length=2)
-        shifted = request.with_arrival(5.0)
-        assert shifted.arrival_time == 5.0
-        assert shifted.request_id == 3
-        assert request.arrival_time == 1.0
-
-    def test_fresh_id_monotone(self):
-        first = Request.fresh_id()
-        second = Request.fresh_id()
-        assert second > first
-
 
 def _make_metrics(**overrides):
     request = Request(request_id=1, arrival_time=10.0, input_length=100, output_length=5)
@@ -66,6 +55,12 @@ def _make_metrics(**overrides):
     return metrics
 
 
+def _stage_means():
+    """The run summary's per-stage means over the one request of ``_make_metrics``."""
+    arrays = MetricArrays.from_metrics([_make_metrics()])
+    return SimulationResult(arrays, makespan=12.0, trace_duration=0.0).summary()
+
+
 class TestRequestMetrics:
     def test_ttft(self):
         assert _make_metrics().ttft == pytest.approx(1.0)
@@ -74,13 +69,13 @@ class TestRequestMetrics:
         assert _make_metrics().queue_time == pytest.approx(0.5)
 
     def test_prefill_time(self):
-        assert _make_metrics().prefill_time == pytest.approx(0.5)
+        assert _stage_means()["mean_prefill"] == pytest.approx(0.5)
 
     def test_kv_transfer_time(self):
-        assert _make_metrics().kv_transfer_time == pytest.approx(0.2)
+        assert _stage_means()["mean_kv_transfer"] == pytest.approx(0.2)
 
     def test_decode_time(self):
-        assert _make_metrics().decode_time == pytest.approx(0.8)
+        assert _stage_means()["mean_decode"] == pytest.approx(0.8)
 
     def test_e2e_latency(self):
         assert _make_metrics().e2e_latency == pytest.approx(2.0)

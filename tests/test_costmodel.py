@@ -8,7 +8,6 @@ from repro.costmodel.alpha_beta import transfer_seconds
 from repro.costmodel.kv_transfer import (
     kv_link,
     kv_transfer_bytes,
-    kv_transfer_fraction,
     kv_transfer_seconds,
 )
 from repro.costmodel.latency import (
@@ -19,7 +18,7 @@ from repro.costmodel.latency import (
     _stage_view,
     single_gpu_phase_latency,
 )
-from repro.costmodel.price import cheapest_gpu_for_phase, phase_price_per_request, phase_price_table
+from repro.costmodel.price import phase_price_per_request
 from repro.costmodel.reference import a100_reference_latency
 from repro.hardware.gpu import get_gpu_spec
 from repro.parallelism.config import ReplicaPlan
@@ -372,20 +371,14 @@ class TestKVTransfer:
         i, j, _bw = network.best_link_between(a40, ti)
         assert kv_link(network, a40, ti) == (network.latency_s(i, j), network.bandwidth_bytes(i, j))
 
-    def test_fraction(self):
-        assert kv_transfer_fraction(1.0, 2.0, 7.0) == pytest.approx(0.1)
-        assert kv_transfer_fraction(0.0, 0.0, 0.0) == 0.0
-
 
 class TestPrices:
     def test_figure1_shape(self, model_30b):
-        assert cheapest_gpu_for_phase(model_30b, Phase.PREFILL, ["3090Ti", "A40"]) == "A40"
-        assert cheapest_gpu_for_phase(model_30b, Phase.DECODE, ["3090Ti", "A40"]) == "3090Ti"
+        def cheapest(phase):
+            return min(["3090Ti", "A40"], key=lambda g: phase_price_per_request(g, model_30b, phase))
 
-    def test_price_table_structure(self, model_30b):
-        table = phase_price_table(model_30b)
-        assert set(table) == {"prefill", "decode"}
-        assert set(table["prefill"]) == {"3090Ti", "A40"}
+        assert cheapest(Phase.PREFILL) == "A40"
+        assert cheapest(Phase.DECODE) == "3090Ti"
 
     def test_prices_positive(self, model_30b):
         assert phase_price_per_request("A5000", model_30b, Phase.PREFILL) > 0

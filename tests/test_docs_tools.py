@@ -1,4 +1,4 @@
-"""Tests for the offline gates: the link checker and the docstring and import mirrors."""
+"""Tests for the offline gates: the link checker, the docstring and import mirrors, the caller check."""
 
 import importlib.util
 from pathlib import Path
@@ -28,6 +28,11 @@ def check_docstrings():
 @pytest.fixture(scope="module")
 def check_imports():
     return _load("check_imports")
+
+
+@pytest.fixture(scope="module")
+def check_callers():
+    return _load("check_callers")
 
 
 class TestCheckLinks:
@@ -138,4 +143,57 @@ class TestCheckImports:
     def test_repository_has_no_unused_imports(self, check_imports, capsys):
         # The gate CI runs: no module-level import of the repository is unused.
         assert check_imports.main([]) == 0
+        assert "OK" in capsys.readouterr().out
+
+
+class TestCheckCallers:
+    """``tools/check_callers.py`` on a throwaway tree: ``src/`` plus its callers."""
+
+    def _flagged(self, check_callers, tmp_path, files):
+        for rel, source in files.items():
+            path = tmp_path / rel
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(source)
+        return check_callers.unreferenced(tmp_path)
+
+    def test_used_name_passes(self, check_callers, tmp_path):
+        flagged = self._flagged(check_callers, tmp_path, {
+            "src/pkg/mod.py": "def used():\n    pass\n",
+            "examples/run.py": "from pkg import mod\n\nmod.used()\n",
+        })
+        assert flagged == []
+
+    def test_unused_name_flagged_even_when_tests_call_it(self, check_callers, tmp_path):
+        flagged = self._flagged(check_callers, tmp_path, {
+            "src/pkg/mod.py": "class Box:\n    def only_tested(self):\n        pass\n",
+            # A local variable of the same name is no call of the method.
+            "benchmarks/bench.py": "from pkg.mod import Box\n\nonly_tested = Box()\nprint(only_tested)\n",
+            "tests/test_mod.py": "from pkg.mod import Box\n\nBox().only_tested()\n",
+        })
+        assert len(flagged) == 1 and "'Box.only_tested'" in flagged[0]
+
+    def test_allowlisted_name_passes(self, check_callers, tmp_path):
+        flagged = self._flagged(check_callers, tmp_path, {
+            "src/repro/model/flops.py": "def prefill_flops():\n    pass\n",
+        })
+        assert flagged == []
+        assert all(reason.strip() for reason in check_callers.ALLOWLIST.values())
+
+    def test_all_only_reexport_is_flagged(self, check_callers, tmp_path):
+        flagged = self._flagged(check_callers, tmp_path, {
+            "src/pkg/mod.py": "def exported():\n    pass\n",
+            "src/pkg/__init__.py": 'from pkg.mod import exported\n\n__all__ = ["exported"]\n',
+        })
+        assert len(flagged) == 1 and "'exported'" in flagged[0]
+
+    def test_dotted_string_target_counts_as_a_use(self, check_callers, tmp_path):
+        flagged = self._flagged(check_callers, tmp_path, {
+            "src/pkg/mod.py": "class Engine:\n    def step(self):\n        pass\n",
+            "perfbench/tracing.py": 'TARGETS = (("pkg.mod", "Engine.step", "engine.step"),)\n',
+        })
+        assert flagged == []
+
+    def test_repository_public_names_all_have_callers(self, check_callers, capsys):
+        # The gate CI runs: every public name in src/ has a caller outside tests/.
+        assert check_callers.main([]) == 0
         assert "OK" in capsys.readouterr().out

@@ -32,6 +32,7 @@ from repro.faults import (
     FaultSchedule,
 )
 from repro.hardware.cluster import make_two_datacenter_cluster
+from repro.serving import live
 from repro.serving.live import LiveServeConfig, LiveServer
 from repro.serving.system import ThunderServe
 from repro.workload.generator import generate_requests
@@ -90,21 +91,6 @@ class TestFaultScheduleValidation:
         assert [e.time for e in forward] == [5.0, 10.0, 20.0]
         assert forward.to_dicts() == shuffled.to_dicts()
         assert forward.signature() == shuffled.signature()
-
-    def test_dict_round_trip_is_exact(self):
-        schedule = FaultSchedule(
-            events=(
-                _loss(10.0, (0, 1)),
-                FaultEvent(
-                    time=15.0, kind=FaultKind.LINK_DEGRADATION, bandwidth_scale=0.5
-                ),
-                FaultEvent(time=18.0, kind=FaultKind.STRAGGLER, gpu_ids=(2,), slowdown=1.5),
-                _recovery(30.0, (0, 1)),
-            )
-        )
-        rebuilt = FaultSchedule.from_dicts(schedule.to_dicts())
-        assert rebuilt.to_dicts() == schedule.to_dicts()
-        assert rebuilt.signature() == schedule.signature()
 
 
 # --------------------------------------------------------------------------- state machine
@@ -182,18 +168,21 @@ class TestFaultStateProperties:
         assert first.signature() == second.signature()
         # Compiled schedules are valid by construction and replay safely.
         first.validate(300.0, cluster)
-        ClusterFaultState(cluster).apply_all(first)
+        state = ClusterFaultState(cluster)
+        for event in first:
+            state.apply(event)
 
 
 class TestFaultStateReplay:
     def test_replaying_capacity_events_is_idempotent(self, small_hetero_cluster):
         events = (_loss(10.0, (0, 1)), _loss(12.0, (1, 2)), _recovery(20.0, (0, 1, 2)))
         state = ClusterFaultState(small_hetero_cluster)
-        state.apply_all(events)
+        for event in events:
+            state.apply(event)
         assert not state.removed
         # A second replay of the full sequence changes nothing permanent and
         # each loss reports only newly-dead victims.
-        deltas = state.apply_all(events)
+        deltas = [state.apply(event) for event in events]
         assert set(deltas[0].removed) == {0, 1}
         assert set(deltas[1].removed) == {2}
         assert not state.removed
@@ -333,6 +322,12 @@ class TestLiveFaultReplay:
 
 
 class TestLiveFaultConfigValidation:
-    def test_bad_failure_mode_rejected(self):
-        with pytest.raises(ValueError, match="failure_mode_order"):
-            LiveServeConfig(window_s=10.0, failure_mode_order=("sideways",))
+    def test_bad_failure_mode_rejected(self, monkeypatch, fault_system_factory, fault_trace):
+        """An unknown failure replan mode fails the run at the first capacity loss."""
+        monkeypatch.setattr(live, "FAILURE_MODE_ORDER", ("sideways",))
+        schedule = FaultSchedule(events=(_loss(5.0, (0, 1)),))
+        server = LiveServer(
+            fault_system_factory(), config=LiveServeConfig(window_s=10.0, faults=schedule)
+        )
+        with pytest.raises(ValueError, match="sideways"):
+            server.run(fault_trace, label="bad-mode")

@@ -36,11 +36,13 @@ class TestCatalog:
             get_gpu_spec("H200")
 
     def test_a40_has_best_flops_per_dollar(self):
-        best = max(GPU_CATALOG.values(), key=lambda s: s.flops_per_dollar)
+        best = max(GPU_CATALOG.values(), key=lambda s: s.peak_fp16_flops / s.price_per_hour)
         assert best.name == "A40"
 
     def test_3090ti_has_best_bandwidth_per_dollar(self):
-        best = max(GPU_CATALOG.values(), key=lambda s: s.bandwidth_per_dollar)
+        best = max(
+            GPU_CATALOG.values(), key=lambda s: s.memory_bandwidth_bytes / s.price_per_hour
+        )
         assert best.name == "3090Ti"
 
 
@@ -51,13 +53,14 @@ class TestGPUSpec:
         assert spec.memory_bandwidth_bytes == pytest.approx(2000e9)
         assert spec.memory_bytes == pytest.approx(80e9)
 
-    def test_ridge_point_positive(self):
-        for spec in GPU_CATALOG.values():
-            assert spec.ridge_point > 0
-
     def test_a40_more_compute_bound_friendly_than_3090ti(self):
-        # Higher ridge point = needs more FLOPs per byte to saturate compute.
-        assert GPU_CATALOG["A40"].ridge_point > GPU_CATALOG["3090Ti"].ridge_point
+        # Higher roofline ridge point (FLOPs per byte) = needs more FLOPs per
+        # byte to saturate compute.
+        def ridge(name):
+            spec = GPU_CATALOG[name]
+            return spec.peak_fp16_flops / spec.memory_bandwidth_bytes
+
+        assert ridge("A40") > ridge("3090Ti")
 
     def test_invalid_spec_rejected(self):
         with pytest.raises(ConfigurationError):

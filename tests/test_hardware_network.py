@@ -24,13 +24,13 @@ class TestNetworkConstruction:
 
     def test_intra_node_bandwidth(self, two_node_network):
         network, _ = two_node_network
-        assert network.bandwidth_gbps(0, 1) == pytest.approx(28.0)
-        assert network.link_class(0, 1) is LinkClass.INTRA_NODE
+        assert network.bandwidth_matrix_gbps()[0, 1] == pytest.approx(28.0)
+        assert network._link_class[0, 1] is LinkClass.INTRA_NODE
 
     def test_cross_datacenter_links_are_slowest(self, two_node_network):
         network, _ = two_node_network
-        assert network.link_class(0, 2) is LinkClass.INTER_DATACENTER
-        assert network.bandwidth_gbps(0, 2) < network.bandwidth_gbps(0, 1)
+        assert network._link_class[0, 2] is LinkClass.INTER_DATACENTER
+        assert network.bandwidth_matrix_gbps()[0, 2] < network.bandwidth_matrix_gbps()[0, 1]
 
     def test_matrix_symmetry(self, two_node_network):
         network, _ = two_node_network
@@ -39,7 +39,7 @@ class TestNetworkConstruction:
 
     def test_self_link(self, two_node_network):
         network, _ = two_node_network
-        assert network.link_class(3, 3) is LinkClass.SELF
+        assert network._link_class[3, 3] is LinkClass.SELF
         assert network.latency_s(3, 3) == 0.0
 
     def test_asymmetric_matrix_rejected(self):
@@ -74,7 +74,7 @@ class TestAggregates:
         network, _ = two_node_network
         i, j, bandwidth = network.best_link_between([0, 1], [2, 3])
         assert i in (0, 1) and j in (2, 3)
-        assert bandwidth == pytest.approx(network.bandwidth_gbps(i, j))
+        assert bandwidth == pytest.approx(network.bandwidth_matrix_gbps()[i, j])
 
     def test_mean_bandwidth_requires_nonempty(self, two_node_network):
         network, _ = two_node_network
@@ -84,7 +84,7 @@ class TestAggregates:
     def test_distance_matrix_inverse_of_bandwidth(self, two_node_network):
         network, _ = two_node_network
         dist = network.distance_matrix()
-        assert dist[0, 2] == pytest.approx(1.0 / network.bandwidth_gbps(0, 2))
+        assert dist[0, 2] == pytest.approx(1.0 / network.bandwidth_matrix_gbps()[0, 2])
         assert np.all(np.diag(dist) == 0)
 
 

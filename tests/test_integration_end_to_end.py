@@ -94,7 +94,7 @@ class TestEndToEnd:
     def test_adaptive_serving_reschedules_on_shift(
         self, small_hetero_cluster, model_30b, monkeypatch
     ):
-        from repro.workload.trace import merge_traces
+        from repro.workload.trace import RequestArrays, merge_traces
 
         rate = 3.0
         system = ThunderServe(
@@ -102,7 +102,11 @@ class TestEndToEnd:
         )
         system.deploy()
         coding = generate_requests(CODING_WORKLOAD, rate, duration=30.0, seed=45)
-        conversation = generate_requests(CONVERSATION_WORKLOAD, rate, duration=30.0, seed=46).shifted(30.0)
+        late = generate_requests(CONVERSATION_WORKLOAD, rate, duration=30.0, seed=46).arrays
+        conversation = RequestArrays(
+            late.request_id, late.arrival_time + 30.0, late.input_length, late.output_length,
+            late.workload,
+        ).to_trace()
         trace = merge_traces([coding, conversation])
         # Shadow validation off: the test checks that a shift reaches the
         # rescheduler, not which candidate validation would keep.

@@ -241,10 +241,10 @@ def _search(monkeypatch):
 
     def recorded(self, solution):
         result = original(self, solution)
-        routing = () if result.orchestration is None else (
-            result.orchestration.x.tobytes(),
-            result.orchestration.y.tobytes(),
-            result.orchestration.z.tobytes(),
+        routing = () if result.plan is None else (
+            result.plan.routing.x.tobytes(),
+            result.plan.routing.y.tobytes(),
+            _bits(result.estimated_attainment),
         )
         solves.append((solution.key(), _bits(result.objective), routing))
         return result

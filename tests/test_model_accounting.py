@@ -13,9 +13,7 @@ from repro.model.flops import (
     prefill_memory_bytes,
 )
 from repro.model.memory import (
-    kv_cache_bytes,
     kv_cache_bytes_per_token,
-    max_kv_tokens,
     parameter_bytes,
     parameter_count,
     weight_bytes_per_layer,
@@ -84,16 +82,6 @@ class TestKVCacheAccounting:
         with pytest.raises(ValueError):
             kv_cache_bytes_per_token(model_7b, bits=3)
 
-    def test_kv_cache_bytes_scales_with_batch(self, model_7b):
-        one = kv_cache_bytes(model_7b, num_tokens=100, batch_size=1)
-        four = kv_cache_bytes(model_7b, num_tokens=100, batch_size=4)
-        assert four == pytest.approx(4 * one)
-
-    def test_max_kv_tokens_zero_for_no_memory(self, model_7b):
-        assert max_kv_tokens(model_7b, 0.0) == 0
-
-    def test_max_kv_tokens_monotone_in_memory(self, model_7b):
-        assert max_kv_tokens(model_7b, 2e9) <= max_kv_tokens(model_7b, 4e9)
 
 
 class TestFlopsAccounting:

@@ -14,7 +14,6 @@ from repro.parallelism.enumeration import (
 )
 from repro.parallelism.partition import group_can_hold_model, partition_layers, stage_max_layers
 from repro.parallelism.routing import (
-    bottleneck_bandwidth,
     optimal_stage_order,
     stage_link_bandwidth,
 )
@@ -109,8 +108,13 @@ class TestRouting:
         stages = [[0], [8], [16], [24], [4]]
         order = optimal_stage_order(cloud_cluster.network, stages)
         ordered = [stages[i] for i in order]
-        identity = bottleneck_bandwidth(cloud_cluster.network, stages)
-        optimised = bottleneck_bandwidth(cloud_cluster.network, ordered)
+        def bottleneck(path):
+            return min(
+                stage_link_bandwidth(cloud_cluster.network, a, b) for a, b in zip(path, path[1:])
+            )
+
+        identity = bottleneck(stages)
+        optimised = bottleneck(ordered)
         assert optimised >= identity - 1e-9
 
     def test_greedy_fallback_for_many_stages(self, cloud_cluster):

@@ -41,7 +41,7 @@ def small_schedule(request):
 class TestScheduler:
     def test_plan_covers_only_cluster_gpus(self, small_schedule):
         cluster, _, _, result = small_schedule
-        assert set(result.plan.used_gpu_ids) <= set(cluster.gpu_ids)
+        assert {g for group in result.plan.groups for g in group.gpu_ids} <= set(cluster.gpu_ids)
 
     def test_plan_has_both_phases(self, small_schedule):
         _, _, _, result = small_schedule

@@ -14,6 +14,7 @@ from repro.scheduling.deployment import DeploymentPlan
 from repro.scheduling.rescheduling import LightweightRescheduler
 from repro.scheduling.scheduler import Scheduler, SchedulerConfig
 from repro.scheduling.tabu import TabuSearchConfig
+from repro.serving import live
 from repro.serving.live import LiveServeConfig, LiveServer
 from repro.serving.system import ThunderServe
 from repro.workload.generator import generate_requests
@@ -89,7 +90,7 @@ class TestThunderServeFacade:
         victim_group = deployed_system.plan.groups[-1]
         victims = list(victim_group.gpu_ids)[:1]
         plan = deployed_system.handle_gpu_failure(victims, mode="lightweight")
-        assert all(v not in plan.used_gpu_ids for v in victims)
+        assert all(v not in group.gpu_ids for group in plan.groups for v in victims)
         # The system can still serve traffic afterwards.
         trace = generate_requests(CONVERSATION_WORKLOAD, 2.0, num_requests=10, seed=7)
         result = deployed_system.serve(trace)
@@ -242,11 +243,8 @@ class TestFullReplanMemo:
         self, memo_system_factory, search_calls, monkeypatch, validate
     ):
         trace = generate_requests(CONVERSATION_WORKLOAD, request_rate=3.0, duration=70.0, seed=3)
-        config = LiveServeConfig(
-            window_s=10.0,
-            faults=STORM,
-            failure_mode_order=("lightweight", "full", "none"),
-        )
+        config = LiveServeConfig(window_s=10.0, faults=STORM)
+        monkeypatch.setattr(live, "FAILURE_MODE_ORDER", ("lightweight", "full", "none"))
         if not validate:
             for name in ("reschedule_online", "replan_capacity"):
                 monkeypatch.setattr(

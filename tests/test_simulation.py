@@ -64,7 +64,7 @@ class TestServingSimulator:
 
     def test_timestamps_are_causally_ordered(self, small_hetero_cluster, small_plan, model_30b, small_trace):
         result = ServingSimulator(small_hetero_cluster, small_plan, model_30b).run(small_trace)
-        for metrics in result.finished:
+        for metrics in (m for m in result.metrics if m.finished):
             assert metrics.prefill_start >= metrics.request.arrival_time - 1e-9
             assert metrics.first_token_time >= metrics.prefill_start
             assert metrics.kv_transfer_done >= metrics.first_token_time
@@ -167,7 +167,7 @@ class TestColocatedSimulator:
 
     def test_causality(self, colocated, small_trace):
         result = colocated.run(small_trace)
-        for metrics in result.finished:
+        for metrics in (m for m in result.metrics if m.finished):
             assert metrics.first_token_time >= metrics.prefill_start
             assert metrics.completion_time >= metrics.first_token_time
 
@@ -273,7 +273,6 @@ class TestSimulationResult:
         result = ServingSimulator(small_hetero_cluster, small_plan, model_30b).run(small_trace)
         assert result.output_token_throughput > 0
         assert result.total_token_throughput > result.output_token_throughput
-        assert result.request_throughput > 0
 
     def test_summary_on_empty_metrics(self):
         summary = SimulationResult(MetricArrays.from_metrics([]), 0.0, 0.0).summary()

@@ -9,8 +9,8 @@ These tests hold it to three contracts:
   workload tags (a Hypothesis property);
 * ``run(trace)`` equals ``run_stream`` over the same rows, and the result
   keeps every row's tag;
-* the serving path (``to_trace``, ``window``, the live loop with shedding,
-  ``serve``) builds no request object at all.
+* the serving path (``to_trace``, ``window``, the live loop, ``serve``)
+  builds no request object at all.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from repro.serving.system import ThunderServe
 from repro.simulation.engine import ServingSimulator, SimulatorConfig
 from repro.workload.generator import PoissonArrivalGenerator
 from repro.workload.spec import CODING_WORKLOAD, CONVERSATION_WORKLOAD
-from repro.workload.trace import Trace, merge_traces
+from repro.workload.trace import RequestArrays, Trace, merge_traces
 
 #: a small palette of arrival times, so equal arrivals are common
 ARRIVALS = (0.0, 0.1, 0.2, 0.30000000000000004, 0.3, 1.0, 1.5, 7.25, 1e-9, 2.0 / 3.0)
@@ -68,9 +68,9 @@ def _ordered(requests) -> list:
     return sorted(requests, key=lambda r: r.arrival_time)
 
 
-@given(requests=requests_lists, start=bounds, end=bounds, n=st.integers(-5, 50))
+@given(requests=requests_lists, start=bounds, end=bounds)
 @settings(max_examples=200, deadline=None)
-def test_statistics_and_transforms_equal_the_request_list(requests, start, end, n):
+def test_statistics_and_transforms_equal_the_request_list(requests, start, end):
     trace = Trace(requests=requests, name="t")
     plain = _ordered(requests)
     assert len(trace) == len(plain)
@@ -98,19 +98,6 @@ def test_statistics_and_transforms_equal_the_request_list(requests, start, end, 
     else:
         with pytest.raises(ValueError):
             trace.window(start, end)
-    assert _bits(trace.head(n)) == _bits(plain[:n])
-    assert _bits(trace.renumbered(7)) == _bits(
-        [replace(r, request_id=7 + i) for i, r in enumerate(plain)]
-    )
-    rows = np.flatnonzero(np.arange(len(plain)) % 3 != 1)
-    assert _bits(trace.select(rows)) == _bits([plain[i] for i in rows.tolist()])
-
-
-@given(requests=requests_lists, offset=st.sampled_from((0.0, 0.1, 1e-9, 3.0, 1e6)))
-@settings(max_examples=100, deadline=None)
-def test_shifted_equals_the_request_list(requests, offset):
-    expected = _ordered(r.with_arrival(r.arrival_time + offset) for r in _ordered(requests))
-    assert _bits(Trace(requests=requests).shifted(offset)) == _bits(expected)
 
 
 @given(parts=st.lists(requests_lists, max_size=4))
@@ -125,9 +112,10 @@ def test_merge_traces_equals_the_request_list(parts):
 
 
 def test_shift_below_zero_is_rejected():
-    trace = Trace(requests=[Request(0, 1.0, 10, 10)])
+    """A block whose arrivals were shifted below zero fails validation."""
+    a = Trace(requests=[Request(0, 1.0, 10, 10)]).arrays
     with pytest.raises(ValueError):
-        trace.shifted(-2.0)
+        RequestArrays(a.request_id, a.arrival_time - 2.0, a.input_length, a.output_length)
 
 
 def test_the_object_view_is_read_only_and_cached():
@@ -173,13 +161,13 @@ def test_run_equals_run_stream_and_keeps_every_tag(
 
 # --------------------------------------------------------------------------- guard
 def test_the_serving_path_builds_no_request_object(monkeypatch):
-    """``to_trace``, ``window``, the live loop (shedding on), ``serve``: no request is built.
+    """``to_trace``, ``window``, the live loop, ``serve``: no request is built.
 
     The live-chaos set-up in small: a two-DC deployment serves 1,200 s of a
     20,000-row coding trace in 30 s windows under the chaos storm, with
-    adaptation on.  Outage windows, failure and recovery replans, SLO
-    breaches with shadow replays and admission sheds all run, so every
-    serving-side consumer of a trace does.
+    adaptation on.  Outage windows, failure and recovery replans and SLO
+    breaches with shadow replays all run, so every serving-side consumer of
+    a trace does.
     """
     cluster = make_two_datacenter_cluster(inter_dc_gbps=5.0)
     model = get_model_config("llama-30b")
@@ -198,12 +186,11 @@ def test_the_serving_path_builds_no_request_object(monkeypatch):
     monkeypatch.setattr(Request, "__post_init__", counted)
     trace = arrays.to_trace(name="guard")
     window = trace.window(0.0, 1200.0)
-    config = LiveServeConfig(window_s=30.0, admission_max_rho=0.5, faults=storm)
+    config = LiveServeConfig(window_s=30.0, faults=storm)
     report = LiveServer(system, config=config).run(window, label="guard")
     replay = system.serve(trace, label="replay")
 
     stats = report.fault_stats()
-    assert stats["requests_shed"] > 0
     assert stats["outage_windows"] > 0
     assert stats["num_recovery_replans"] > 0
     assert report.breaches

@@ -1,5 +1,7 @@
 """Unit tests for workload specs, generators, traces and the online profiler."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,19 +9,23 @@ from repro.core.exceptions import ConfigurationError
 from repro.core.types import Request
 from repro.workload.generator import PoissonArrivalGenerator, generate_requests
 from repro.workload.profiler import WorkloadProfiler
-from repro.workload.spec import CODING_WORKLOAD, CONVERSATION_WORKLOAD, WorkloadSpec, get_workload
+from repro.workload.spec import CODING_WORKLOAD, CONVERSATION_WORKLOAD, WorkloadSpec
 from repro.workload.trace import Trace, merge_traces
+
+
+def _prompt_tokens_per_response_token(spec):
+    """The prefill:decode token demand ratio of a workload."""
+    return spec.mean_input_length / spec.mean_output_length
 
 
 class TestWorkloadSpec:
     def test_coding_is_prefill_heavy(self):
-        assert CODING_WORKLOAD.prefill_decode_token_ratio > 10
+        assert _prompt_tokens_per_response_token(CODING_WORKLOAD) > 10
 
     def test_conversation_is_decode_heavier_than_coding(self):
-        assert (
-            CONVERSATION_WORKLOAD.prefill_decode_token_ratio
-            < CODING_WORKLOAD.prefill_decode_token_ratio
-        )
+        assert _prompt_tokens_per_response_token(
+            CONVERSATION_WORKLOAD
+        ) < _prompt_tokens_per_response_token(CODING_WORKLOAD)
 
     def test_paper_medians(self):
         assert CODING_WORKLOAD.median_output_length == pytest.approx(13.0)
@@ -41,11 +47,6 @@ class TestWorkloadSpec:
         spec = WorkloadSpec(name="fixed", median_input_length=100, median_output_length=10,
                             input_sigma=0.0, output_sigma=0.0)
         assert set(spec.sample_input_lengths(10, rng=0).tolist()) == {100}
-
-    def test_get_workload(self):
-        assert get_workload("coding") is CODING_WORKLOAD
-        with pytest.raises(KeyError):
-            get_workload("gaming")
 
     def test_invalid_spec_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -115,15 +116,12 @@ class TestTrace:
 
     def test_merge_traces_renumbers(self):
         a = generate_requests(CODING_WORKLOAD, 5.0, num_requests=5, seed=0)
-        b = generate_requests(CONVERSATION_WORKLOAD, 5.0, num_requests=5, seed=1).shifted(100.0)
+        late = generate_requests(CONVERSATION_WORKLOAD, 5.0, num_requests=5, seed=1)
+        b = Trace(requests=[replace(r, arrival_time=r.arrival_time + 100.0) for r in late])
         merged = merge_traces([a, b])
         assert len(merged) == 10
         assert [r.request_id for r in merged] == list(range(10))
         assert merged[-1].arrival_time >= 100.0
-
-    def test_head(self):
-        trace = generate_requests(CODING_WORKLOAD, 5.0, num_requests=10, seed=0)
-        assert len(trace.head(3)) == 3
 
 
 class TestProfiler:
