@@ -52,6 +52,18 @@ INFEASIBLE_OBJECTIVE = -1.0
 #: without ever outweighing a real attainment difference.
 SERVED_FRACTION_BONUS = 0.05
 
+#: Supremum of :meth:`LowerLevelSolver.solve`'s objective under LP
+#: orchestration: the estimated attainment ``sum(z * D)`` is at most 1 because
+#: every entry of ``D`` is at most 1 and the routed mass ``sum(z)`` is at most
+#: 1, and the bonus term is at most ``SERVED_FRACTION_BONUS`` for the same
+#: reason.  A search that has scored this value cannot strictly improve, so
+#: the tabu search stops there.  Float rounding of ``sum(z)`` can put an
+#: objective above it by an ulp (about 2e-16); a search stopped at the
+#: ceiling then keeps the earlier, equally optimal plan.  An objective that
+#: changes these terms (say, a lexicographic one) must restate this bound or
+#: drop it.
+OBJECTIVE_CEILING = 1.0 + SERVED_FRACTION_BONUS
+
 
 @dataclass
 class LowerLevelResult:
@@ -134,6 +146,16 @@ class LowerLevelSolver:
         # lives with the solver (one search), never process-wide.
         self._orchestration_cache: Dict[object, OrchestrationResult] = {}
         self.num_evaluations = 0
+
+    @property
+    def ceiling(self) -> Optional[float]:
+        """Objective no solution can exceed, for stopping the search; ``None`` in ``random`` mode.
+
+        ``random`` orchestration draws a new routing on every :meth:`solve`,
+        so how many solves a search makes is part of its result and the
+        search must spend its whole budget.
+        """
+        return OBJECTIVE_CEILING if self.orchestration_mode == "lp" else None
 
     # ------------------------------------------------------------------ plans
     def _plan_for(self, gpu_ids: Tuple[int, ...], phase: Phase) -> Optional[ReplicaPlan]:
@@ -318,4 +340,4 @@ class LowerLevelSolver:
         return random_orchestration(d.shape[0], d.shape[1], self._rng)
 
 
-__all__ = ["LowerLevelSolver", "LowerLevelResult", "INFEASIBLE_OBJECTIVE"]
+__all__ = ["LowerLevelSolver", "LowerLevelResult", "INFEASIBLE_OBJECTIVE", "OBJECTIVE_CEILING"]

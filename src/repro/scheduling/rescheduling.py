@@ -10,6 +10,11 @@ minutes.  ThunderServe instead performs a *lightweight* rescheduling that
 * re-runs the tabu search restricted to the *flip-phase* neighbourhood, and
 * re-solves the orchestration LP for the new phases.
 
+The flip-only space of ``K`` surviving groups holds just ``2**K - 2``
+designations that use both phases, so the search stops once it has scored
+all of them (and, like the full search, once it reaches the objective's
+ceiling); nothing it could still score would change the plan.
+
 :class:`ReschedulingOverheadModel` reproduces the Table 4 accounting of full vs
 lightweight rescheduling overhead (search time + parameter-reloading time).
 """
@@ -91,6 +96,9 @@ class LightweightRescheduler:
         surviving = [g for g in plan.groups if set(g.gpu_ids) <= available]
         if not surviving:
             raise SchedulingError("no serving group survived the cluster change")
+        if len(surviving) < 2:
+            # One group cannot serve both phases, whatever its designation.
+            raise SchedulingError("lightweight rescheduling could not produce a feasible plan")
 
         fixed_plans: Dict[Tuple[int, ...], ReplicaPlan] = {
             tuple(sorted(g.gpu_ids)): g.plan for g in surviving if g.plan is not None
@@ -111,17 +119,28 @@ class LightweightRescheduler:
             [(g.gpu_ids, g.phase) for g in surviving]
         )
 
+        # Keys of the designations using both phases that the search has
+        # scored: every neighbour handed out is scored (tabu ones were scored
+        # when visited), so once all 2**K - 2 are in, nothing new is left.
+        scored = {initial.key()} if initial.num_prefill and initial.num_decode else set()
+        flip_space = 2 ** len(surviving) - 2
+
         def neighbor_fn(solution: UpperLevelSolution, count: int):
+            if len(scored) >= flip_space:
+                return []
             # Only the flip-phase move is allowed (§3.4).
-            return construct_neighbors(
+            neighbors = construct_neighbors(
                 solution, cluster, model, num_neighbors=count, rng=rng, moves=["flip"]
             )
+            scored.update(n.key() for n in neighbors)
+            return neighbors
 
         search = TabuSearch(
             objective=solver.evaluate_batch,
             neighbor_fn=neighbor_fn,
             key_fn=lambda s: s.key(),
             config=FLIP_SEARCH,
+            ceiling=solver.ceiling,
         )
         result = search.run(initial)
         lower = solver.solve(result.best_solution)

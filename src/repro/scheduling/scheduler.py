@@ -139,6 +139,7 @@ class Scheduler:
             key_fn=lambda s: s.key(),
             config=cfg.tabu,
             pass_tabu_keys=True,
+            ceiling=solver.ceiling,
         )
         result = search.run(initial_solution)
         lower = solver.solve(result.best_solution)

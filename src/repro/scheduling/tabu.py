@@ -6,6 +6,14 @@ neighbourhood batch — moves to the best non-tabu neighbour and remembers
 recently visited solutions in a bounded tabu list.  It returns the best
 solution seen and a trace of (wall-clock time, best objective) pairs, which
 regenerates the convergence curves of Figure 10.
+
+The best solution is replaced only on a strict improvement, so the search
+stops as soon as nothing it could still score can change the result: when
+the best objective reaches a known ``ceiling`` of the objective, and when the
+neighbour function returns an empty neighbourhood (the flip-only rescheduler
+does so once it has scored every designation).  Both stops return the
+solution the full budget would have returned, as long as the ceiling truly
+bounds the objective.
 """
 
 from __future__ import annotations
@@ -89,6 +97,10 @@ class TabuSearch(Generic[S]):
         Explicit opt-in: pass the current tabu keys as a third positional
         argument to ``neighbor_fn`` so candidates can be filtered during
         generation.
+    ceiling:
+        Optional upper bound of ``objective``: the search stops once its best
+        objective is ``>= ceiling``, since no later candidate can then
+        strictly improve on it.  ``None`` spends the whole budget.
     """
 
     def __init__(
@@ -98,12 +110,14 @@ class TabuSearch(Generic[S]):
         key_fn: Optional[Callable[[S], Hashable]] = None,
         config: TabuSearchConfig = TabuSearchConfig(),
         pass_tabu_keys: bool = False,
+        ceiling: Optional[float] = None,
     ) -> None:
         self.objective = objective
         self.neighbor_fn = neighbor_fn
         self.key_fn = key_fn or (lambda s: s)  # type: ignore[assignment]
         self.config = config
         self.pass_tabu_keys = pass_tabu_keys
+        self.ceiling = ceiling
 
     def _score(self, candidates: Sequence[S]) -> List[float]:
         """Score a batch of candidates with one objective call."""
@@ -132,6 +146,8 @@ class TabuSearch(Generic[S]):
 
         stale_steps = 0
         for _ in range(cfg.num_steps):
+            if self.ceiling is not None and best_obj >= self.ceiling:
+                break
             if self.pass_tabu_keys:
                 neighbors = list(self.neighbor_fn(current, cfg.num_neighbors, tuple(tabu)))
                 if not neighbors:

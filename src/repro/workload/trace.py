@@ -115,21 +115,11 @@ class RequestArrays:
         return self.request_id.size
 
     @property
-    def num_requests(self) -> int:
-        """Number of requests in the block."""
-        return self.request_id.size
-
-    @property
     def duration(self) -> float:
         """Span between the first and last arrival (seconds)."""
         if self.request_id.size < 2:
             return 0.0
         return float(self.arrival_time[-1] - self.arrival_time[0])
-
-    @property
-    def total_tokens(self) -> int:
-        """Total tokens (prompt + generated) in the block."""
-        return int(self.input_length.sum() + self.output_length.sum())
 
     def slice(self, start: int, stop: int) -> "RequestArrays":
         """Return rows ``[start, stop)`` as a new block (columns are copies)."""
@@ -338,21 +328,6 @@ class Trace:
     def median_output_length(self) -> float:
         """Median response length across the trace."""
         return float(np.median(self.arrays.output_length)) if len(self) else 0.0
-
-    @property
-    def total_input_tokens(self) -> int:
-        """Total prompt tokens in the trace."""
-        return int(self.arrays.input_length.sum())
-
-    @property
-    def total_output_tokens(self) -> int:
-        """Total generated tokens in the trace."""
-        return int(self.arrays.output_length.sum())
-
-    @property
-    def total_tokens(self) -> int:
-        """Total tokens (prompt + generated) in the trace."""
-        return self.total_input_tokens + self.total_output_tokens
 
     # ------------------------------------------------------------------ transforms
     def window(self, start: float, end: float) -> "Trace":

@@ -31,7 +31,7 @@ from repro.hardware.cluster import make_cloud_cluster
 from repro.model.architecture import get_model_config
 from repro.scheduling import lower_level
 from repro.scheduling.estimator import ReplicaPerformance, SLOEstimator
-from repro.scheduling.lower_level import SERVED_FRACTION_BONUS, LowerLevelSolver
+from repro.scheduling.lower_level import OBJECTIVE_CEILING, SERVED_FRACTION_BONUS, LowerLevelSolver
 from repro.scheduling.orchestration import OrchestrationResult, solve_orchestration
 from repro.scheduling.scheduler import Scheduler, SchedulerConfig
 from repro.scheduling.tabu import TabuSearchConfig
@@ -230,11 +230,10 @@ def test_orchestration_reuses_the_model_of_one_shape():
 # --------------------------------------------------------------------------- whole lower level
 CLUSTER = make_cloud_cluster(seed=0)
 MODEL = get_model_config("llama-30b")
-SLO = a100_reference_latency(MODEL, CONVERSATION_WORKLOAD).slo_spec(10.0)
 SEARCH = SchedulerConfig(tabu=TabuSearchConfig(num_steps=6, num_neighbors=5, patience=6), seed=0)
 
 
-def _search(monkeypatch):
+def _search(monkeypatch, slo_scale: float):
     """One small tabu search; every solve it makes, in order, and the result."""
     solves = []
     original = LowerLevelSolver.solve
@@ -250,21 +249,38 @@ def _search(monkeypatch):
         return result
 
     monkeypatch.setattr(LowerLevelSolver, "solve", recorded)
-    result = Scheduler(SEARCH).schedule(CLUSTER, MODEL, CONVERSATION_WORKLOAD, 1.6, SLO)
+    slo = a100_reference_latency(MODEL, CONVERSATION_WORKLOAD).slo_spec(slo_scale)
+    result = Scheduler(SEARCH).schedule(CLUSTER, MODEL, CONVERSATION_WORKLOAD, 1.6, slo)
     return solves, result
 
 
-def test_fast_lower_level_equals_reference_bitwise(monkeypatch):
-    """Every visited solution scores and routes the same on the scalar references."""
+def _fast_and_reference(monkeypatch, slo_scale: float):
     with monkeypatch.context() as plain:
-        fast_solves, fast = _search(plain)
+        fast_solves, fast = _search(plain, slo_scale)
     with monkeypatch.context() as patched:
         ReferenceHelpers.install(patched)
-        reference_solves, reference = _search(patched)
-    assert len(fast_solves) > 20
+        reference_solves, reference = _search(patched, slo_scale)
     assert fast_solves == reference_solves
     assert fast.plan == reference.plan
     assert _bits(fast.objective) == _bits(reference.objective)
     assert fast.lower_result.attainment_matrix.tobytes() == (
         reference.lower_result.attainment_matrix.tobytes()
     )
+    return fast_solves, fast
+
+
+def test_fast_lower_level_equals_reference_bitwise(monkeypatch):
+    """Every visited solution scores and routes the same on the scalar references.
+
+    At SLO scale 5 the search never reaches the objective's ceiling, so it
+    spends its whole budget and the comparison covers many solves.
+    """
+    solves, fast = _fast_and_reference(monkeypatch, slo_scale=5.0)
+    assert len(solves) > 20
+    assert fast.objective < OBJECTIVE_CEILING
+
+
+def test_fast_lower_level_equals_reference_bitwise_at_the_ceiling(monkeypatch):
+    """The same on a search that reaches the ceiling (SLO scale 10) and stops there."""
+    _, fast = _fast_and_reference(monkeypatch, slo_scale=10.0)
+    assert fast.objective >= OBJECTIVE_CEILING

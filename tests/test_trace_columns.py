@@ -88,8 +88,8 @@ def test_statistics_and_transforms_equal_the_request_list(requests, start, end):
     for attr in ("input_length", "output_length"):
         expected = float(np.median([getattr(r, attr) for r in plain])) if plain else 0.0
         assert _same_float(getattr(trace, f"median_{attr}"), expected)
-    assert trace.total_input_tokens == sum(r.input_length for r in plain)
-    assert trace.total_output_tokens == sum(r.output_length for r in plain)
+    assert int(trace.arrays.input_length.sum()) == sum(r.input_length for r in plain)
+    assert int(trace.arrays.output_length.sum()) == sum(r.output_length for r in plain)
 
     if end >= start:
         window = trace.window(start, end)

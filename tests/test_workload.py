@@ -110,10 +110,6 @@ class TestTrace:
         assert empty.request_rate == 0.0
         assert empty.mean_input_length == 0.0
 
-    def test_total_tokens(self):
-        trace = generate_requests(CODING_WORKLOAD, 5.0, num_requests=10, seed=0)
-        assert trace.total_tokens == trace.total_input_tokens + trace.total_output_tokens
-
     def test_merge_traces_renumbers(self):
         a = generate_requests(CODING_WORKLOAD, 5.0, num_requests=5, seed=0)
         late = generate_requests(CONVERSATION_WORKLOAD, 5.0, num_requests=5, seed=1)
