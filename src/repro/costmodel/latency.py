@@ -100,6 +100,10 @@ DECODE_STEP_MEMO_MAX = 262_144
 #: the cap is smaller — the memo restarts cold when it fills)
 PREFILL_LATENCY_MEMO_MAX = 65_536
 
+#: cap on the cost models one :class:`CostModelPool` holds; when a new build
+#: would pass it, the pool restarts empty (as the per-replica memos do)
+COST_MODEL_POOL_MAX = 512
+
 #: default number of requests coalesced into one prefill batch, shared by the
 #: discrete-event simulators (``SimulatorConfig.max_prefill_batch_requests``,
 #: ``ColocatedSimulator``) and the scheduler's :class:`SLOEstimator` so the
@@ -675,8 +679,52 @@ class ReplicaCostModel:
         return self.kv_token_capacity() > 0
 
 
+class CostModelPool:
+    """Shared :class:`ReplicaCostModel` objects, one per distinct replica pricing.
+
+    A cost model reads, and prices from, exactly the network's matrices
+    (:meth:`~repro.hardware.network.NetworkModel.state_key`), the specs of
+    the replica's GPUs, the replica plan, the model, the params and the
+    slowdown; its memos cache prices that every path computes bitwise alike.
+    So :meth:`get` hands out one object per equal key, memos warm: a serving
+    system prices each replica once across its simulators, shadow replays and
+    searches.  Removing GPUs from a cluster keeps its network, so the replicas
+    that survive a fault keep their cost models; a degraded network, another
+    slowdown or another plan is a new key.  The pool holds at most
+    :data:`COST_MODEL_POOL_MAX` models and restarts empty when a build would
+    pass that.
+    """
+
+    def __init__(self) -> None:
+        self._models: Dict[tuple, ReplicaCostModel] = {}
+
+    def __len__(self) -> int:
+        return len(self._models)
+
+    def get(
+        self,
+        cluster: Cluster,
+        plan: ReplicaPlan,
+        model: ModelConfig,
+        params: CostModelParams = DEFAULT_PARAMS,
+        slowdown: float = 1.0,
+    ) -> ReplicaCostModel:
+        """The pool's cost model for these arguments (those of :class:`ReplicaCostModel`)."""
+        specs = tuple(cluster.gpu(g).spec for g in plan.gpu_ids)
+        key = (cluster.network.state_key(), specs, plan, model, params, float(slowdown))
+        models = self._models
+        cost = models.get(key)
+        if cost is None:
+            cost = ReplicaCostModel(cluster, plan, model, params, slowdown)
+            if len(models) >= COST_MODEL_POOL_MAX:
+                models.clear()
+            models[key] = cost
+        return cost
+
+
 __all__ = [
     "CostModelParams",
+    "CostModelPool",
     "DEFAULT_PARAMS",
     "DEFAULT_MAX_PREFILL_BATCH_REQUESTS",
     "single_gpu_phase_latency",

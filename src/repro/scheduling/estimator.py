@@ -45,10 +45,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.types import Phase, SLOSpec, SLOType
+from repro.core.types import SLOSpec, SLOType
 from repro.costmodel.kv_transfer import kv_link, kv_transfer_seconds
 from repro.costmodel.latency import (
     CostModelParams,
+    CostModelPool,
     DEFAULT_MAX_PREFILL_BATCH_REQUESTS,
     DEFAULT_PARAMS,
     ReplicaCostModel,
@@ -155,11 +156,13 @@ def ndtri(y: float) -> float:
     return x0 - x1 if upper else -(x0 - x1)
 
 
-#: Structural identity of a serving group: the GPU set, the phase and the parallel
-#: plan's stage layout.  Two groups with the same key have identical cost models
-#: regardless of their ``group_id``, so cached performance figures can be shared
-#: across tabu-search candidates that reuse the same group.
-PerfKey = Tuple[Tuple[int, ...], Phase, Tuple[Tuple[Tuple[int, ...], int, int], ...]]
+#: Structural identity of a serving group: the GPU set and the parallel plan's
+#: stage layout.  Two groups with the same key have identical cost models
+#: regardless of their ``group_id`` and phase, so cached performance figures can
+#: be shared across tabu-search candidates that reuse the same group, and a
+#: group flipped to the other phase reuses its own: no field of
+#: :class:`ReplicaPerformance`, and no grid vector, depends on the phase.
+PerfKey = Tuple[Tuple[int, ...], Tuple[Tuple[Tuple[int, ...], int, int], ...]]
 
 
 def _perf_key(group: ServingGroup) -> PerfKey:
@@ -168,7 +171,7 @@ def _perf_key(group: ServingGroup) -> PerfKey:
     plan_sig = tuple(
         (tuple(stage.gpu_ids), stage.num_layers, stage.tp) for stage in group.plan.stages
     )
-    return (tuple(sorted(group.gpu_ids)), group.phase, plan_sig)
+    return (tuple(sorted(group.gpu_ids)), plan_sig)
 
 
 @dataclass
@@ -260,6 +263,10 @@ class SLOEstimator:
         Prefill batching the serving engine applies (the simulator's
         ``max_prefill_batch_requests``); the queueing and capacity terms use
         the effective per-request service time at this batch size.
+    cost_models:
+        :class:`~repro.costmodel.latency.CostModelPool` the replicas' cost
+        models come from; ``None`` builds them here.  The figures are the
+        same bits either way.
     """
 
     def __init__(
@@ -272,6 +279,7 @@ class SLOEstimator:
         kv_transport_bits: int = 4,
         params: CostModelParams = DEFAULT_PARAMS,
         prefill_batch_requests: int = DEFAULT_MAX_PREFILL_BATCH_REQUESTS,
+        cost_models: Optional[CostModelPool] = None,
     ) -> None:
         if request_rate <= 0:
             raise ValueError("request_rate must be positive")
@@ -285,6 +293,7 @@ class SLOEstimator:
         self.kv_transport_bits = kv_transport_bits
         self.params = params
         self.prefill_batch_requests = prefill_batch_requests
+        self._build_cost = ReplicaCostModel if cost_models is None else cost_models.get
         self.mean_input = max(1, int(round(workload.mean_input_length)))
         self.mean_output = max(1, int(round(workload.mean_output_length)))
         self._grid = self._build_grid()
@@ -362,9 +371,10 @@ class SLOEstimator:
     def replica_performance(self, group: ServingGroup) -> ReplicaPerformance:
         """Build (or fetch) the cached performance view of one serving group.
 
-        Memoised on the group's structural identity (GPU set, phase, stage
-        layout) — ``group_id`` is free to differ between candidate solutions, so
-        the cached figures are re-wrapped around the requesting group.
+        Memoised on the group's structural identity (GPU set and stage
+        layout) — ``group_id`` and the phase are free to differ between
+        candidate solutions, so the cached figures are re-wrapped around the
+        requesting group.
         """
         if group.plan is None:
             raise ValueError(f"group {group.group_id} has no parallel plan")
@@ -382,7 +392,7 @@ class SLOEstimator:
                 decode_max_batch=cached.decode_max_batch,
                 decode_token_capacity=cached.decode_token_capacity,
             )
-        cost = ReplicaCostModel(self.cluster, group.plan, self.model, self.params)
+        cost = self._build_cost(self.cluster, group.plan, self.model, self.params)
         # Effective per-request service time under the engine's prefill
         # batching: a loaded replica drains its queue in coalesced batches, so
         # its throughput is the batched latency amortised over the batch.  At

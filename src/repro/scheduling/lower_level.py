@@ -27,6 +27,7 @@ from repro.core.exceptions import InsufficientMemoryError
 from repro.core.types import Phase, SLOSpec, SLOType
 from repro.costmodel.latency import (
     CostModelParams,
+    CostModelPool,
     DEFAULT_MAX_PREFILL_BATCH_REQUESTS,
     DEFAULT_PARAMS,
 )
@@ -98,6 +99,9 @@ class LowerLevelSolver:
         Prefill batching assumed by the attainment estimator (defaults to the
         serving engine's ``max_prefill_batch_requests`` default, so estimates
         and simulation agree on the batching policy).
+    cost_models:
+        :class:`~repro.costmodel.latency.CostModelPool` the estimator takes
+        its replicas' cost models from; ``None`` builds them per solver.
     """
 
     def __init__(
@@ -114,6 +118,7 @@ class LowerLevelSolver:
         fixed_plans: Optional[Dict[Tuple[int, ...], ReplicaPlan]] = None,
         seed: int = 0,
         prefill_batch_requests: int = DEFAULT_MAX_PREFILL_BATCH_REQUESTS,
+        cost_models: Optional[CostModelPool] = None,
     ) -> None:
         if orchestration_mode not in ("lp", "random"):
             raise ValueError("orchestration_mode must be 'lp' or 'random'")
@@ -137,9 +142,11 @@ class LowerLevelSolver:
             kv_transport_bits=kv_transport_bits,
             params=params,
             prefill_batch_requests=prefill_batch_requests,
+            cost_models=cost_models,
         )
         self._plan_cache: Dict[Tuple[Tuple[int, ...], Phase], Optional[ReplicaPlan]] = {}
-        self._objective_cache: Dict[object, float] = {}
+        #: solution key -> (the solved solution's groups, its result)
+        self._scored: Dict[object, Tuple[tuple, LowerLevelResult]] = {}
         # LP orchestrations keyed by their exact inputs.  The fixed point's
         # second pass often reproduces the first pass's LP, and candidates
         # whose groups price identically reach the same LP again.  The memo
@@ -183,14 +190,31 @@ class LowerLevelSolver:
         Memoised on the solution's canonical key: the tabu search repeatedly
         generates structurally identical candidates across steps, and a full
         ``solve`` is by far the hottest call of the whole scheduling run.
+        The memo keeps the whole result, for :meth:`result_for`.
         """
         key = solution.key()
-        cached = self._objective_cache.get(key)
-        if cached is not None:
-            return cached
-        objective = self.solve(solution).objective
-        self._objective_cache[key] = objective
-        return objective
+        scored = self._scored.get(key)
+        if scored is None:
+            scored = self._scored[key] = (solution.groups, self.solve(solution))
+        return scored[1].objective
+
+    def result_for(self, solution: UpperLevelSolution) -> LowerLevelResult:
+        """The :meth:`solve` result of ``solution``, reusing the one :meth:`evaluate` scored.
+
+        Under ``lp`` orchestration ``solve`` is a pure function of the
+        solution's groups in order (their order fixes the group ids), so a
+        scored solution with the same groups returns its result instead of
+        solving again.  ``random`` orchestration solves anew: each solve
+        draws a new routing.
+        """
+        scored = self._scored.get(solution.key())
+        if (
+            self.orchestration_mode == "lp"
+            and scored is not None
+            and scored[0] == solution.groups
+        ):
+            return scored[1]
+        return self.solve(solution)
 
     def evaluate_batch(self, solutions: Sequence[UpperLevelSolution]) -> List[float]:
         """Objective values of a whole neighbourhood batch.

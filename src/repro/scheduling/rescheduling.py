@@ -28,7 +28,7 @@ from typing import Dict, Optional, Tuple
 from repro.core.exceptions import SchedulingError
 from repro.core.rng import RNGLike, ensure_rng
 from repro.core.types import SLOSpec
-from repro.costmodel.latency import CostModelParams, DEFAULT_PARAMS
+from repro.costmodel.latency import CostModelParams, CostModelPool, DEFAULT_PARAMS
 from repro.hardware.cluster import Cluster
 from repro.model.architecture import ModelConfig
 from repro.model.memory import parameter_bytes
@@ -60,17 +60,24 @@ class RescheduleResult:
 
 
 class LightweightRescheduler:
-    """Re-designate phases and re-orchestrate an existing deployment plan."""
+    """Re-designate phases and re-orchestrate an existing deployment plan.
+
+    ``cost_models`` is the :class:`~repro.costmodel.latency.CostModelPool`
+    every search's estimator takes its cost models from; ``None`` builds
+    them per search.
+    """
 
     def __init__(
         self,
         kv_transport_bits: int = 4,
         params: CostModelParams = DEFAULT_PARAMS,
         seed: int = 0,
+        cost_models: Optional[CostModelPool] = None,
     ) -> None:
         self.kv_transport_bits = kv_transport_bits
         self.params = params
         self.seed = seed
+        self.cost_models = cost_models
 
     def reschedule(
         self,
@@ -113,6 +120,7 @@ class LightweightRescheduler:
             params=self.params,
             fixed_plans=fixed_plans,
             seed=int(rng.integers(0, 2**31 - 1)),
+            cost_models=self.cost_models,
         )
 
         initial = UpperLevelSolution.from_lists(
@@ -143,10 +151,10 @@ class LightweightRescheduler:
             ceiling=solver.ceiling,
         )
         result = search.run(initial)
-        lower = solver.solve(result.best_solution)
+        lower = solver.result_for(result.best_solution)
         if not lower.feasible or lower.plan is None:
             # Fall back to the unmodified surviving plan with re-orchestration only.
-            lower = solver.solve(initial)
+            lower = solver.result_for(initial)
             if not lower.feasible or lower.plan is None:
                 raise SchedulingError("lightweight rescheduling could not produce a feasible plan")
         elapsed = time.perf_counter() - start

@@ -16,7 +16,7 @@ from typing import Optional
 from repro.core.exceptions import SchedulingError
 from repro.core.rng import RNGLike, ensure_rng
 from repro.core.types import SLOSpec
-from repro.costmodel.latency import CostModelParams, DEFAULT_PARAMS
+from repro.costmodel.latency import CostModelParams, CostModelPool, DEFAULT_PARAMS
 from repro.costmodel.reference import a100_reference_latency
 from repro.hardware.cluster import Cluster
 from repro.model.architecture import ModelConfig
@@ -66,10 +66,20 @@ class ScheduleResult:
 
 
 class Scheduler:
-    """End-to-end scheduling: cluster + model + workload + SLO → deployment plan."""
+    """End-to-end scheduling: cluster + model + workload + SLO → deployment plan.
 
-    def __init__(self, config: SchedulerConfig | None = None) -> None:
+    ``cost_models`` is the :class:`~repro.costmodel.latency.CostModelPool`
+    every search's estimator takes its cost models from; ``None`` builds
+    them per search.  Plans are the same either way.
+    """
+
+    def __init__(
+        self,
+        config: SchedulerConfig | None = None,
+        cost_models: Optional[CostModelPool] = None,
+    ) -> None:
         self.config = config or SchedulerConfig()
+        self.cost_models = cost_models
 
     # ------------------------------------------------------------------ helpers
     def default_slo(
@@ -109,6 +119,7 @@ class Scheduler:
             params=cfg.cost_params,
             orchestration_mode=cfg.orchestration_mode,
             seed=cfg.seed,
+            cost_models=self.cost_models,
         )
         # ``rng`` feeds the clustering initialiser first, then every
         # neighbourhood draw, so one seed fixes the whole search trajectory.
@@ -142,7 +153,7 @@ class Scheduler:
             ceiling=solver.ceiling,
         )
         result = search.run(initial_solution)
-        lower = solver.solve(result.best_solution)
+        lower = solver.result_for(result.best_solution)
         if not lower.feasible or lower.plan is None:
             raise SchedulingError(
                 "the tabu search did not find a feasible deployment plan; "

@@ -448,7 +448,9 @@ class LiveServer:
         plan's routing through it: per-prefill-replica utilisation follows the
         routed share of the observed rate, decode operating batches follow the
         routed token demand, and the routed attainment aggregates the pair
-        matrix exactly like the lower-level solver does.
+        matrix exactly like the lower-level solver does.  The estimator takes
+        its cost models from the system's pool, so each window reprices only
+        the window's mix, not the replicas.
 
         Returns
         -------
@@ -475,6 +477,7 @@ class LiveServer:
             kv_transport_bits=plan.kv_transport_bits,
             params=system.params,
             prefill_batch_requests=system.simulator_config.max_prefill_batch_requests,
+            cost_models=system.cost_models,
         )
         routing = self._routing(plan)
         prefills = [

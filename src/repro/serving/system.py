@@ -21,7 +21,7 @@ from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro.core.exceptions import InvalidPlanError, SchedulingError
 from repro.core.types import SLOSpec, SLOType
-from repro.costmodel.latency import CostModelParams, DEFAULT_PARAMS
+from repro.costmodel.latency import CostModelParams, CostModelPool, DEFAULT_PARAMS
 from repro.costmodel.reference import ReferenceLatency, a100_reference_latency
 from repro.faults.retry import RetryPolicy
 from repro.faults.timeline import FaultTimeline
@@ -63,6 +63,12 @@ class ThunderServe:
         Absolute SLO deadlines; defaults to 5x the A100 reference latency.
     scheduler_config:
         Scheduling hyper-parameters (tabu search budget, KV transport bits, ...).
+
+    The system prices each replica once: one
+    :class:`~repro.costmodel.latency.CostModelPool`, ``cost_models``, serves
+    every cost model it builds — its serving simulator, shadow replays,
+    deploy and replan searches and the live loop's plan-health estimator —
+    and lives and dies with the system.
     """
 
     def __init__(
@@ -83,12 +89,15 @@ class ThunderServe:
         self.workload = workload
         self.request_rate = request_rate
         self.params = params
-        self.scheduler = Scheduler(scheduler_config or SchedulerConfig())
+        self.cost_models = CostModelPool()
+        self.scheduler = Scheduler(scheduler_config or SchedulerConfig(), self.cost_models)
         self.simulator_config = simulator_config or SimulatorConfig()
         self.reference: ReferenceLatency = a100_reference_latency(model, workload, params=params)
         self.slo = slo or self.reference.slo_spec(5.0)
         self.rescheduler = LightweightRescheduler(
-            kv_transport_bits=self.scheduler.config.kv_transport_bits, params=params
+            kv_transport_bits=self.scheduler.config.kv_transport_bits,
+            params=params,
+            cost_models=self.cost_models,
         )
         self.profiler = WorkloadProfiler()
         self.plan: Optional[DeploymentPlan] = None
@@ -96,6 +105,9 @@ class ThunderServe:
         self.events: List[ServeEvent] = []
         #: simulator reused across serve() calls; rebuilt when the plan changes
         self._simulator: Optional[ServingSimulator] = None
+        #: the simulator, trace and result of the last serve() that ran
+        #: without in-engine faults; see _served_attainment
+        self._last_served: Optional[tuple] = None
         #: full and lightweight replan plans keyed by mode and
         #: ``Cluster.state_key()`` (plus the incumbent plan for lightweight
         #: replans); see replan_capacity
@@ -160,10 +172,12 @@ class ThunderServe:
         """Serve a request trace with the current deployment plan.
 
         The :class:`ServingSimulator` is cached between calls (``run`` resets all
-        simulator state, including the routing RNG, so reuse is exact): windowed
-        serving — adaptive rescheduling, failure scenarios — skips rebuilding the
-        replica cost models and keeps their per-batch decode-step latency rows
-        and prefill latency memo warm.
+        simulator state, including the routing RNG, so reuse is exact) until
+        the plan, cluster or slowdowns change; its cost models come from the
+        system's pool, so even a rebuilt simulator finds the replicas it has
+        priced before with their decode-step rows and prefill memo warm.  A
+        run without in-engine faults is remembered, so a shadow replay of the
+        same window on the same plan reuses it (:meth:`reschedule_online`).
 
         ``faults`` / ``retry`` are forwarded to
         :meth:`~repro.simulation.engine.ServingSimulator.run`: a compiled
@@ -174,11 +188,11 @@ class ThunderServe:
         """
         plan = self.require_plan()
         if self._simulator is None:
-            self._simulator = ServingSimulator(
-                self.cluster, plan, self.model, params=self.params, config=self.simulator_config
-            )
+            self._simulator = self._new_simulator(plan)
         self.profiler.observe_many(trace)
-        return self._simulator.run(trace, label=label, faults=faults, retry=retry)
+        result = self._simulator.run(trace, label=label, faults=faults, retry=retry)
+        self._last_served = (self._simulator, trace, result) if not faults else None
+        return result
 
     def reschedule_online(
         self,
@@ -215,8 +229,11 @@ class ThunderServe:
             estimator that guides the flip-only search can mis-rank plans near
             saturation; the shadow replay keeps a mis-ranked candidate from
             ever being installed.  A candidate equal to the incumbent would
-            replay identically, so it is rejected without replaying.  ``None``
-            (default) trusts the estimator.
+            replay identically, so it is rejected without replaying.  When
+            ``validate_on`` is the window the last :meth:`serve` ran without
+            in-engine faults on the same plan, cluster and slowdowns, the
+            incumbent's replay would repeat that serve, so its attainment is
+            reused instead.  ``None`` (default) trusts the estimator.
 
         Returns
         -------
@@ -244,7 +261,9 @@ class ThunderServe:
             # An equal candidate replays identically, so it cannot strictly win.
             if result.plan == plan:
                 return False
-            incumbent = self._shadow_attainment(plan, validate_on)
+            incumbent = self._served_attainment(validate_on)
+            if incumbent is None:
+                incumbent = self._shadow_attainment(plan, validate_on)
             candidate = self._shadow_attainment(result.plan, validate_on)
             if candidate <= incumbent:
                 return False
@@ -252,12 +271,34 @@ class ThunderServe:
         self.profiler.set_reference(stats)
         return True
 
-    def _shadow_attainment(self, plan: DeploymentPlan, trace: Trace) -> float:
-        """Simulated E2E attainment of ``plan`` on ``trace`` (no state touched)."""
-        simulator = ServingSimulator(
-            self.cluster, plan, self.model, params=self.params, config=self.simulator_config
+    def _new_simulator(self, plan: DeploymentPlan) -> ServingSimulator:
+        """A simulator of ``plan`` on the current cluster, priced from the pool."""
+        return ServingSimulator(
+            self.cluster, plan, self.model, params=self.params,
+            config=self.simulator_config, cost_models=self.cost_models,
         )
-        return simulator.run(trace, label="shadow").slo_attainment(self.slo)
+
+    def _shadow_attainment(self, plan: DeploymentPlan, trace: Trace) -> float:
+        """Simulated E2E attainment of ``plan`` on ``trace``.
+
+        Runs a fresh simulator, so no serving state is touched; its cost
+        models come from the system's pool, whose memos only cache prices.
+        """
+        return self._new_simulator(plan).run(trace, label="shadow").slo_attainment(self.slo)
+
+    def _served_attainment(self, trace: Trace) -> Optional[float]:
+        """E2E attainment of the last serve() when it replayed ``trace`` as a shadow would.
+
+        That holds when ``trace`` is the trace the last serve() ran without
+        in-engine faults, and the plan, cluster and slowdowns are still the
+        ones it ran on (any change drops the cached simulator).  The shadow
+        replay would then run the same simulation from the same reset state:
+        only its label differs.  ``None`` when that does not hold.
+        """
+        served = self._last_served
+        if served is None or served[0] is not self._simulator or served[1] is not trace:
+            return None
+        return served[2].slo_attainment(self.slo)
 
     @property
     def num_plan_changes(self) -> int:

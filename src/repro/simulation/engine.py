@@ -101,6 +101,7 @@ from repro.faults.timeline import FaultTimeline, ReplicaFaultEvent
 from repro.costmodel.kv_transfer import kv_link, kv_transfer_seconds
 from repro.costmodel.latency import (
     CostModelParams,
+    CostModelPool,
     DEFAULT_MAX_PREFILL_BATCH_REQUESTS,
     DEFAULT_PARAMS,
     ReplicaCostModel,
@@ -309,7 +310,13 @@ _COLUMNS = {
 
 
 class ServingSimulator:
-    """Simulates a phase-splitting deployment serving a request trace."""
+    """Simulates a phase-splitting deployment serving a request trace.
+
+    ``cost_models`` is the :class:`~repro.costmodel.latency.CostModelPool`
+    the replicas' cost models come from; without one the simulator builds
+    its own.  Either way it prices the same bits: a pooled model only
+    arrives with warm memos.
+    """
 
     def __init__(
         self,
@@ -318,6 +325,7 @@ class ServingSimulator:
         model: ModelConfig,
         params: CostModelParams = DEFAULT_PARAMS,
         config: SimulatorConfig = SimulatorConfig(),
+        cost_models: Optional[CostModelPool] = None,
     ) -> None:
         if not plan.prefill_groups or not plan.decode_groups:
             raise SimulationError("the deployment plan must contain prefill and decode replicas")
@@ -326,6 +334,7 @@ class ServingSimulator:
         self.model = model
         self.params = params
         self.config = config
+        build = ReplicaCostModel if cost_models is None else cost_models.get
 
         self.prefills: Dict[int, _PrefillReplica] = {}
         for group in plan.prefill_groups:
@@ -333,7 +342,7 @@ class ServingSimulator:
                 raise SimulationError(f"prefill group {group.group_id} has no parallel plan")
             self.prefills[group.group_id] = _PrefillReplica(
                 group_id=group.group_id,
-                cost=ReplicaCostModel(
+                cost=build(
                     cluster, group.plan, model, params,
                     slowdown=config.group_slowdown(group.gpu_ids),
                 ),
@@ -342,7 +351,7 @@ class ServingSimulator:
         for group in plan.decode_groups:
             if group.plan is None:
                 raise SimulationError(f"decode group {group.group_id} has no parallel plan")
-            cost = ReplicaCostModel(
+            cost = build(
                 cluster, group.plan, model, params,
                 slowdown=config.group_slowdown(group.gpu_ids),
             )
