@@ -219,6 +219,21 @@ class NetworkModel:
             )
         return self._state_key
 
+    def state_key_among(self, gpu_ids: Sequence[int]) -> tuple:
+        """Hashable key over the matrices' entries among ``gpu_ids``.
+
+        Two models give equal keys for the same ids when every bandwidth,
+        latency and link class between those GPUs is bitwise equal, whatever
+        the links to other GPUs are.
+        """
+        ids = np.asarray(gpu_ids)
+        block = (ids[:, None], ids)
+        return (
+            self._bandwidth_gbps[block].tobytes(),
+            self._latency_s[block].tobytes(),
+            tuple(self._link_class[block].ravel()),
+        )
+
     @property
     def num_gpus(self) -> int:
         """Number of GPUs covered by the matrices."""

@@ -37,6 +37,25 @@ from repro.workload.spec import WorkloadSpec
 from repro.workload.trace import Trace
 
 
+def _replay_inputs(cluster: Cluster, plan: DeploymentPlan, config: SimulatorConfig) -> tuple:
+    """Everything a simulator run of ``plan`` reads from ``cluster`` and ``config``.
+
+    A run prices each replica from the network's entries among the plan's
+    GPUs and those GPUs' specs, and each KV handoff from the links between
+    them; it reads the slowdowns of those GPUs and the rest of ``config``.
+    Nothing else of the cluster (other GPUs, their links, their
+    availability) reaches it.
+    """
+    ids = sorted({g for group in plan.groups for g in group.gpu_ids})
+    slowdowns = dict(config.gpu_slowdowns)
+    return (
+        cluster.network.state_key_among(ids),
+        tuple(cluster.gpu(g).spec for g in ids),
+        tuple(slowdowns.get(g, 1.0) for g in ids),
+        replace(config, gpu_slowdowns=()),
+    )
+
+
 @dataclass(frozen=True)
 class ServeEvent:
     """A notable runtime event (rescheduling, failure handling) during serving."""
@@ -177,7 +196,8 @@ class ThunderServe:
         system's pool, so even a rebuilt simulator finds the replicas it has
         priced before with their decode-step rows and prefill memo warm.  A
         run without in-engine faults is remembered, so a shadow replay of the
-        same window on the same plan reuses it (:meth:`reschedule_online`).
+        same window on the same plan reuses it (:meth:`reschedule_online`,
+        :meth:`replan_capacity`).
 
         ``faults`` / ``retry`` are forwarded to
         :meth:`~repro.simulation.engine.ServingSimulator.run`: a compiled
@@ -231,9 +251,11 @@ class ThunderServe:
             ever being installed.  A candidate equal to the incumbent would
             replay identically, so it is rejected without replaying.  When
             ``validate_on`` is the window the last :meth:`serve` ran without
-            in-engine faults on the same plan, cluster and slowdowns, the
-            incumbent's replay would repeat that serve, so its attainment is
-            reused instead.  ``None`` (default) trusts the estimator.
+            in-engine faults on the incumbent, and nothing that replay reads
+            has changed since, the incumbent's replay would repeat that serve,
+            so its attainment is reused instead
+            (:meth:`_served_attainment`).  ``None`` (default) trusts the
+            estimator.
 
         Returns
         -------
@@ -261,7 +283,7 @@ class ThunderServe:
             # An equal candidate replays identically, so it cannot strictly win.
             if result.plan == plan:
                 return False
-            incumbent = self._served_attainment(validate_on)
+            incumbent = self._served_attainment(validate_on, plan)
             if incumbent is None:
                 incumbent = self._shadow_attainment(plan, validate_on)
             candidate = self._shadow_attainment(result.plan, validate_on)
@@ -286,19 +308,28 @@ class ThunderServe:
         """
         return self._new_simulator(plan).run(trace, label="shadow").slo_attainment(self.slo)
 
-    def _served_attainment(self, trace: Trace) -> Optional[float]:
-        """E2E attainment of the last serve() when it replayed ``trace`` as a shadow would.
+    def _served_attainment(self, trace: Trace, plan: DeploymentPlan) -> Optional[float]:
+        """E2E attainment of the last serve() when it ran ``plan`` on ``trace`` as a shadow would.
 
-        That holds when ``trace`` is the trace the last serve() ran without
-        in-engine faults, and the plan, cluster and slowdowns are still the
-        ones it ran on (any change drops the cached simulator).  The shadow
+        That holds when the last serve() ran ``plan`` on ``trace`` without
+        in-engine faults, and everything a run of ``plan`` reads is still
+        bitwise what that serve read (:func:`_replay_inputs`).  A recovery
+        that revives GPUs outside the plan, or a brownout on links between
+        other GPUs, swaps the cluster but keeps those inputs.  The shadow
         replay would then run the same simulation from the same reset state:
         only its label differs.  ``None`` when that does not hold.
         """
         served = self._last_served
-        if served is None or served[0] is not self._simulator or served[1] is not trace:
+        if served is None:
             return None
-        return served[2].slo_attainment(self.slo)
+        simulator, served_trace, result = served
+        if served_trace is not trace or simulator.plan != plan:
+            return None
+        if _replay_inputs(simulator.cluster, plan, simulator.config) != _replay_inputs(
+            self.cluster, plan, self.simulator_config
+        ):
+            return None
+        return result.slo_attainment(self.slo)
 
     @property
     def num_plan_changes(self) -> int:
@@ -370,7 +401,11 @@ class ThunderServe:
         not be vetoed by a tie on a quiet window.  A candidate that replays
         strictly worse is rejected — ``None`` is returned and the incumbent
         plan stays installed.  A candidate equal to the incumbent ties by
-        construction, so it is installed without replaying.
+        construction, so it is installed without replaying.  When the
+        validation trace is the window the last :meth:`serve` ran without
+        in-engine faults on the incumbent, and nothing that replay reads has
+        changed since, the served attainment stands in for the incumbent's
+        replay (:meth:`_served_attainment`).
 
         ``"full"`` and ``"lightweight"`` replans are memoized per system.  A
         full replan is keyed on
@@ -422,7 +457,9 @@ class ThunderServe:
         if validate_on is not None and not validate_on.is_empty and new_plan != plan:
             available = set(self.cluster.gpu_ids)
             if all(set(g.gpu_ids) <= available for g in plan.groups):
-                incumbent = self._shadow_attainment(plan, validate_on)
+                incumbent = self._served_attainment(validate_on, plan)
+                if incumbent is None:
+                    incumbent = self._shadow_attainment(plan, validate_on)
                 candidate = self._shadow_attainment(new_plan, validate_on)
                 if candidate < incumbent:
                     return None

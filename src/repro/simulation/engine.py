@@ -38,12 +38,15 @@ Two engines implement the same semantics:
   (greedy FIFO, up to ``max_prefill_batch_requests`` per batch), and one scalar
   pass prices every batch through the memoized
   :meth:`~repro.costmodel.latency.ReplicaCostModel.prefill_latency_memo` and
-  precomputes the per-batch completion times.  Each completion pushes the
-  next batch's event, where the per-event engine pushes its own.  A new
-  arrival on the replica cancels the trailing batch if it is underfull and
-  not yet started (re-queueing its rows), exactly where the per-event engine
-  would re-form batches.  The heap holds nothing but these batch completions
-  and fault retries.
+  precomputes the per-batch completion times.  The commonest epoch by far
+  is one arrival on an idle replica (57,131 of the 62,486 epochs of
+  ``decode-stream-cloud`` seed 1), so the main loop plans it directly and
+  the planner's one turn for it copies and searches nothing.  Each
+  completion pushes the next batch's event, where the per-event engine
+  pushes its own.  A new arrival on the replica cancels the trailing batch
+  if it is underfull and not yet started (re-queueing its rows), exactly
+  where the per-event engine would re-form batches.  The heap holds nothing
+  but these batch completions and fault retries.
 
   **Decode replicas are sinks**: nothing upstream reads their state
   (routing is drawn at ingest, prefill has no back-pressure), so they stay
@@ -51,9 +54,13 @@ Two engines implement the same semantics:
   replica's **log** of pending deliveries, and the replica replays its own
   timeline from that log (:meth:`ServingSimulator._decode_until`) only when
   something needs it: a fault that kills it, the horizon or the end of the
-  run, a chunk ingest, or a log grown to ``_LOG_BOUND`` entries.  Each
-  replica keeps its running batch as a step counter, a min-heap of
-  ``(finish_step, row)`` and a running context sum, and **coalesces decode
+  run, a chunk ingest, or a log grown to ``_LOG_BOUND`` entries.  A replay
+  serves the deliveries and the replica's own wakes in one loop, with the
+  replica's batch and epoch state in locals that are written back when it
+  stops: a wake is per-event work (128,465 of them on
+  ``decode-stream-cloud`` seed 1, beside 70,000 deliveries), so it makes no
+  call.  Each replica keeps its running batch as a step counter, a min-heap
+  of ``(finish_step, row)`` and a running context sum, and **coalesces decode
   steps into epochs**: the batch composition is constant until the earliest
   completion, and with a constant batch of ``n`` the mean context of step
   ``t`` is ``ctx_sum // n + t`` (the reference's truncated float64 mean,
@@ -234,6 +241,12 @@ class _DecodeReplica:
     the earliest completion, priced lazily into ``epoch_times``, and its next
     wake is ``epoch_cut`` steps in: the epoch end, or the boundary where a
     delivery waits for admission.
+
+    A replay (:meth:`ServingSimulator._decode_until`) serves the deliveries
+    and the wakes inline: it loads the batch and epoch fields into locals
+    when it starts and writes them back when it stops, so they are exact
+    between replays and stale during one.  A wake costs no call and no
+    attribute access, and a replay can stop at any event.
     """
 
     group_id: int
@@ -399,9 +412,11 @@ class ServingSimulator:
         self._kv_bytes_per_token = kv_cache_bytes_per_token(
             model, bits=plan.kv_transport_bits
         )
-        #: (prefill group, decode group) -> (alpha, beta) of the best link;
-        #: lazily filled
-        self._kv_links: Dict[Tuple[int, int], Tuple[float, float]] = {}
+        #: prefill group -> decode group -> (alpha, beta) of the best link;
+        #: lazily filled by _kv_link
+        self._kv_links: Dict[int, Dict[int, Tuple[float, float]]] = {
+            gid: {} for gid in self.prefills
+        }
         self._reset_fast_state()
 
     # ------------------------------------------------------------------ reset
@@ -736,8 +751,12 @@ class ServingSimulator:
                 pre = pre_rep[row]
                 if self._faults_active and pre in self._dead_prefills:
                     self._dispose_fast(row, at)
+                    continue
+                replica = prefills[pre]
+                if replica.busy:
+                    self._queue_prefill(replica, row)
                 else:
-                    self._on_prefill_arrival_fast(prefills[pre], row, at)
+                    self._plan_prefill_epoch(replica, at, [row])
                 continue
             t, _, kind, replica_id, payload = heappop(heap)
             if horizon is not None and t > horizon:
@@ -755,8 +774,12 @@ class ServingSimulator:
                 pre = pre_rep[payload]
                 if pre in self._dead_prefills:
                     self._dispose_fast(payload, t)
+                    continue
+                replica = prefills[pre]
+                if replica.busy:
+                    self._queue_prefill(replica, payload)
                 else:
-                    self._on_prefill_arrival_fast(prefills[pre], payload, t)
+                    self._plan_prefill_epoch(replica, t, [payload])
         self._cursor = cursor
         # The per-event engine processes every event at or before the horizon.
         stop = _INF if horizon is None else nextafter(horizon, _INF)
@@ -814,11 +837,11 @@ class ServingSimulator:
         )
 
     # ----------------------------------------------------- prefill (fast engine)
-    def _on_prefill_arrival_fast(
-        self, replica: _PrefillReplica, row: int, now: float
-    ) -> None:
-        """Start an epoch on an idle replica, or queue behind the running one.
+    def _queue_prefill(self, replica: _PrefillReplica, row: int) -> None:
+        """Queue an arrival behind a busy replica's running epoch.
 
+        An idle replica's arrival starts an epoch of its own at once
+        (:meth:`_plan_prefill_epoch`, called straight from :meth:`_run_fast`).
         The per-event engine re-forms batches from the live queue at every batch
         boundary, but FIFO order makes almost every planned batch immune to a
         later arrival: the arrival joins the *back* of the queue, so a planned
@@ -832,9 +855,6 @@ class ServingSimulator:
         and an arrival at that very instant runs first (see :meth:`_run_fast`),
         as in the per-event engine.
         """
-        if not replica.busy:
-            self._plan_prefill_epoch(replica, now, [row])
-            return
         replica.queue.append(row)
         epoch = replica.epoch
         if len(epoch) >= 2 and len(epoch[-1][0]) < self.config.max_prefill_batch_requests:
@@ -851,25 +871,33 @@ class ServingSimulator:
         :meth:`~repro.costmodel.latency.ReplicaCostModel.prefill_latency_memo`
         at its longest prompt, and its completion time accumulates ``t = t +
         latency`` (the reference engine's per-batch ``now + latency`` chain).
-        One planner serves every queue size: a queue that fits one batch is
-        one loop iteration.  Only the first batch's
+        One planner serves every queue size, and the commonest epoch, a
+        single arrival on an idle replica, is one cheap loop turn: a queue
+        that fits one batch is that batch, with no copy, and a one-row batch's
+        longest prompt is its own.  Only the first batch's
         ``PREFILL_BATCH`` event is pushed now; each completion pushes the
         next one, at the point where the per-event engine pushes its
         ``PREFILL_DONE``, so exact-time ties between replicas resolve alike.
         An arrival mid-epoch truncates the not-yet-started tail (see
-        :meth:`_on_prefill_arrival_fast`).
+        :meth:`_queue_prefill`).
         """
         replica.busy = True
         inlen = self._inlen
         price = replica.cost.prefill_latency_memo
         cap = self.config.max_prefill_batch_requests
+        n = len(rows)
         epoch = []
         t = now
-        for lo in range(0, len(rows), cap):
-            batch = rows[lo : lo + cap]
+        lo = 0
+        while lo < n:
+            batch = rows if n <= cap else rows[lo : lo + cap]
+            size = len(batch)
             start = t
-            t = t + price(max(map(inlen.__getitem__, batch)), len(batch))
+            t = t + price(
+                inlen[batch[0]] if size == 1 else max(map(inlen.__getitem__, batch)), size
+            )
             epoch.append((batch, start, t))
+            lo += cap
         replica.epoch = epoch
         heappush(
             self._heap,
@@ -880,12 +908,13 @@ class ServingSimulator:
         """:func:`~repro.costmodel.kv_transfer.kv_link` of a prefill and a decode group.
 
         Groups never share GPUs (:class:`DeploymentPlan` rejects it), so every
-        pair has a real link; results are cached per pair.
+        pair has a real link; results are cached per pair in ``_kv_links``,
+        which the batch completions read directly.
         """
-        key = (prefill_id, decode_id)
-        link = self._kv_links.get(key)
+        links = self._kv_links[prefill_id]
+        link = links.get(decode_id)
         if link is None:
-            link = self._kv_links[key] = kv_link(
+            link = links[decode_id] = kv_link(
                 self.cluster.network,
                 self.plan.group(prefill_id).gpu_ids,
                 self.plan.group(decode_id).gpu_ids,
@@ -916,6 +945,7 @@ class ServingSimulator:
         m_first = self._m_first
         decodes = self.decodes
         prefill_id = replica.group_id
+        links = self._kv_links[prefill_id]
         kv_bytes = self._kv_bytes_per_token
         dead_decodes = self._dead_decodes if self._faults_active else ()
         dead_rows: List[int] = []
@@ -936,7 +966,7 @@ class ServingSimulator:
             # The alpha-beta arithmetic is inlined: this runs once per
             # request, where a kv_transfer_seconds call would redo its
             # validation and link lookup.
-            alpha, beta = self._kv_link(prefill_id, decode_id)
+            alpha, beta = links.get(decode_id) or self._kv_link(prefill_id, decode_id)
             target = decodes[decode_id]
             log = target.log
             log.append((now + (alpha + (kv_bytes * (inlen[r] + 1)) / beta), now, r))
@@ -968,26 +998,55 @@ class ServingSimulator:
         ``stop`` is still to be logged, and that no fault kills the replica
         before ``stop``.  The log is sorted stably by arrival, so same-time
         deliveries keep their handoff order (the per-event engine's push
-        order).
+        order).  The replica's batch and epoch state lives in locals for the
+        whole replay and is written back once, at the end: a replay is one
+        Python frame however many events it serves.
 
         * **Delivery.**  Stamps the row's KV arrival and queues it for
-          admission.  An idle replica starts an epoch at once.  A running
-          one moves its wake to the first step boundary at or after the
-          arrival (``bisect_left``; the one after, at a tie the step wins) —
-          exactly where the per-event engine's per-step admission would pick
-          the request up — unless a FIFO head is already waiting: then
-          admission is blocked on capacity that only a completion can free,
-          and the epoch end already covers it.
-        * **Wake** (:meth:`_decode_wake`): applies the steps, retires
-          finishers, admits and plans the next epoch.
+          admission.  An idle replica wakes at once.  A running one moves
+          its wake to the first step boundary at or after the arrival
+          (``bisect_left``; the one after, at a tie the step wins) — exactly
+          where the per-event engine's per-step admission would pick the
+          request up — unless a FIFO head is already waiting: then admission
+          is blocked on capacity that only a completion can free, and the
+          epoch end already covers it.
+        * **Wake** at ``now``: applies the ``cut`` steps of the current
+          epoch (none on an idle replica), retires finishers, admits pending
+          rows while capacity allows, and plans the next epoch from ``now``.
+          ``pushed`` is the instant the per-event engine pushed its event at
+          ``now``: the step boundary before the wake, or the handoff of the
+          delivery that wakes an idle replica.
+
+          - *Completion wake.*  An epoch runs to the earliest completion, so
+            a full-length wake retires every row whose finish step is now,
+            each at the last boundary and taking its final context ``in_len
+            + out_len`` out of ``ctx_sum`` and its blocks back into
+            ``kv_free``.
+          - *Truncated wake.*  A delivery cut the epoch short, so nothing
+            finishes here.  When nothing can be admitted either (capacity),
+            the epoch runs on from here to its end: the remaining boundary
+            times are a pure function of batch state the truncation did not
+            change.
+          - *Admission* replays the reference's FIFO ``kv.can_allocate``
+            guarded loop over plain ints, pushing each newcomer's finish step
+            onto the batch heap and its context onto ``ctx_sum``.
+          - *Planning.*  The batch composition cannot change before the
+            earliest completion (``heap[0][0] - steps_done`` steps away), so
+            the epoch spans that many steps with a **constant batch** of
+            ``n``.  The reference prices step ``t`` at mean context
+            ``int((ctx_sum + n*t) / n)``, which for integers below 2**53
+            equals ``ctx_sum // n + t``: the epoch's step latencies are the
+            contiguous slice ``row[m0 : m0 + k]`` of the batch size's latency
+            row (:meth:`~repro.costmodel.latency.ReplicaCostModel.decode_step_row`),
+            turned into boundary times by the reference's left-to-right
+            ``now + latency`` chain.
 
         A delivery landing exactly on a step boundary, the wake or one
         before it, is admitted there only when the per-event engine would pop
         it before that step (:meth:`_delivery_first`); otherwise it waits for
         the boundary after.  Step boundaries are priced only as far as the
-        next delivery or ``stop`` needs.  The clock
-        takes every replayed time, including the running epoch's boundaries
-        before ``stop``.
+        next delivery or ``stop`` needs.  The clock takes every replayed
+        time, including the running epoch's boundaries before ``stop``.
         """
         log = replica.log
         stepping = replica.stepping
@@ -995,15 +1054,35 @@ class ServingSimulator:
             return
         if len(log) > 1:
             log.sort(key=itemgetter(0))  # stable: ties keep handoff order
-        pending = replica.pending
-        m_kvdone = self._m_kvdone
-        clock = self._clock
         nlog = len(log)
         i = 0
         a = log[0][0] if nlog else _INF
-        # The epoch state lives in locals between wakes.
-        times = replica.epoch_times
+        pending = replica.pending
+        heap = replica.heap
+        steps_done = replica.steps_done
+        ctx_sum = replica.ctx_sum
+        kv_free = replica.kv_free
+        start = replica.epoch_start
+        k = replica.epoch_len
         cut = replica.epoch_cut
+        times = replica.epoch_times
+        lat = replica.epoch_row
+        m0 = replica.epoch_m0
+        pushed = replica.start_pushed
+        max_batch = replica.max_batch
+        cost = replica.cost
+        # The cost model's latency rows, read directly; a row too short for
+        # an epoch is extended by decode_step_row.
+        latency_rows = cost._decode_rows
+        block = self.config.kv_block_size
+        inlen = self._inlen
+        outlen = self._outlen
+        m_kvdone = self._m_kvdone
+        m_comp = self._m_comp
+        m_fin = self._m_fin
+        m_out = self._m_out
+        att = self._att
+        clock = self._clock
         while True:
             if stepping:
                 p = len(times)
@@ -1015,26 +1094,24 @@ class ServingSimulator:
                     # latencies grow with the context, so the current one
                     # bounds how many steps reach the limit.
                     limit = a if a < stop else stop
-                    t = times[-1] if p else replica.epoch_start
-                    if t <= limit:
-                        k = replica.epoch_len
-                        lat = replica.epoch_row
-                        m0 = replica.epoch_m0
-                        while p < k and t <= limit:
-                            q = k
-                            if limit < _INF:
-                                q = min(k, p + int((limit - t) / lat[m0 + p]) + 2)
-                            steps = accumulate(lat[m0 + p : m0 + q], initial=t)
-                            next(steps)
-                            times.extend(steps)
-                            p = q
-                            t = times[-1]
+                    t = times[-1] if p else start
+                    while p < k and t <= limit:
+                        q = k
+                        if limit < _INF:
+                            q = min(k, p + int((limit - t) / lat[m0 + p]) + 2)
+                        steps = accumulate(lat[m0 + p : m0 + q], initial=t)
+                        next(steps)
+                        times.extend(steps)
+                        p = q
+                        t = times[-1]
                     w = times[cut - 1] if cut <= p else _INF
                 else:
                     w = times[cut - 1]
             else:
                 w = _INF
-            if a < w or (a == w < _INF and self._delivery_first(replica, log[i], cut)):
+            if a < w or (
+                a == w < _INF and self._delivery_first(times, start, pushed, log[i], cut)
+            ):
                 if a >= stop:
                     break
                 _, handoff, row = log[i]
@@ -1042,34 +1119,79 @@ class ServingSimulator:
                 if a > clock:
                     clock = a
                 m_kvdone[row] = a
-                if not stepping:
-                    pending.append(row)
-                    self._decode_wake(replica, a, handoff)
-                    stepping = replica.stepping
-                    times = replica.epoch_times
-                    cut = replica.epoch_cut
-                elif pending:
-                    pending.append(row)
-                else:
-                    pending.append(row)
-                    hi = cut if cut < p else p
-                    idx = bisect_left(times, a, 0, hi)
-                    if idx < hi and times[idx] == a and not self._delivery_first(
-                        replica, log[i - 1], idx + 1
-                    ):
-                        idx += 1
-                    if idx + 1 < cut:
-                        cut = replica.epoch_cut = idx + 1
+                pending.append(row)
+                now = a
                 a = log[i][0] if i < nlog else _INF
+                if stepping:
+                    if len(pending) == 1:
+                        hi = cut if cut < p else p
+                        idx = bisect_left(times, now, 0, hi)
+                        if idx < hi and times[idx] == now and not self._delivery_first(
+                            times, start, pushed, log[i - 1], idx + 1
+                        ):
+                            idx += 1
+                        if idx + 1 < cut:
+                            cut = idx + 1
+                    continue
+                # An idle replica wakes at the delivery, with no steps to apply.
+                pushed = handoff
+                truncated = False
             else:
                 if w >= stop:
                     break
                 if w > clock:
                     clock = w
-                self._decode_wake(replica, w, times[cut - 2] if cut > 1 else replica.epoch_start)
-                stepping = replica.stepping
-                times = replica.epoch_times
-                cut = replica.epoch_cut
+                now = w
+                pushed = times[cut - 2] if cut > 1 else start
+                steps_done += cut
+                ctx_sum += len(heap) * cut
+                truncated = cut < k
+                if not truncated:
+                    while heap and heap[0][0] == steps_done:
+                        row = heappop(heap)[1]
+                        total = inlen[row] + outlen[row]
+                        ctx_sum -= total
+                        kv_free += blocks_for(total, block)
+                        m_comp[row] = now
+                        m_fin[row] = True
+                        m_out[row] = _OUT_RETRIED if att[row] > 0 else _OUT_FINISHED
+            running = n = len(heap)
+            if pending and n < max_batch:
+                # The prefill already produced the first output token: a row
+                # enters with context ``prompt + 1`` and ``o - 1`` steps to go.
+                finish_base = steps_done - 1
+                while pending and n < max_batch:
+                    row = pending[0]
+                    prompt = inlen[row]
+                    o = outlen[row]
+                    need = blocks_for(prompt + o, block)
+                    if need > kv_free:
+                        break
+                    pending.popleft()
+                    kv_free -= need
+                    ctx_sum += prompt + 1
+                    heappush(heap, (finish_base + o, row))
+                    n += 1
+            if n == 0:
+                stepping = False
+                cut = 0
+                lat = None
+                continue
+            if truncated and n == running:
+                # Run on: the epoch restarts here with its own remaining steps.
+                del times[:cut]
+                m0 += cut
+                k -= cut
+            else:
+                k = heap[0][0] - steps_done
+                m0 = ctx_sum // n
+                lat = latency_rows.get(n)
+                if lat is None or len(lat) < m0 + k:
+                    lat = cost.decode_step_row(n, m0 + k)
+                times = []
+                stepping = True
+            start = now
+            cut = k
         del log[:i]
         if stepping:
             # Steps strictly before ``stop`` fired: the per-event engine
@@ -1078,137 +1200,51 @@ class ServingSimulator:
             if fired and times[fired - 1] > clock:
                 clock = times[fired - 1]
         self._clock = clock
+        replica.stepping = stepping
+        replica.steps_done = steps_done
+        replica.ctx_sum = ctx_sum
+        replica.kv_free = kv_free
+        replica.epoch_start = start
+        replica.epoch_len = k
+        replica.epoch_cut = cut
+        replica.epoch_times = times
+        replica.epoch_row = lat
+        replica.epoch_m0 = m0
+        replica.start_pushed = pushed
 
     def _delivery_first(
-        self, replica: _DecodeReplica, entry: Tuple[float, float, int], k: int
+        self,
+        times: List[float],
+        start: float,
+        start_pushed: float,
+        entry: Tuple[float, float, int],
+        k: int,
     ) -> bool:
         """Whether a delivery landing exactly on boundary ``k`` precedes that step.
 
-        ``k`` counts the current epoch's boundaries from one.  The per-event
-        engine pops same-instant events in push order: the delivery's
-        ``KV_ARRIVED`` was pushed at its handoff, the step's ``DECODE_STEP``
-        at the boundary before (``epoch_start`` for ``k = 1``).  So the
-        delivery goes first, and is admitted at this boundary, when its
-        handoff came before that boundary.  When the two are the same
-        instant, the events processed there were themselves popped in push
-        order: the batch completion, pushed when its batch started, against
-        the event at the previous boundary, pushed at the boundary before it
-        (``start_pushed`` for ``k = 1``).  A tie at that level too lets the
-        step go first.
+        ``k`` counts the current epoch's boundaries from one: ``times`` are
+        the epoch's priced boundaries after its ``start``, and
+        ``start_pushed`` is the instant the per-event engine pushed the event
+        at ``start``.  The per-event engine pops same-instant events in push
+        order: the delivery's ``KV_ARRIVED`` was pushed at its handoff, the
+        step's ``DECODE_STEP`` at the boundary before (``start`` for ``k =
+        1``).  So the delivery goes first, and is admitted at this boundary,
+        when its handoff came before that boundary.  When the two are the
+        same instant, the events processed there were themselves popped in
+        push order: the batch completion, pushed when its batch started,
+        against the event at the previous boundary, pushed at the boundary
+        before it (``start_pushed`` for ``k = 1``).  A tie at that level too
+        lets the step go first.
         """
         _, handoff, row = entry
-        times = replica.epoch_times
-        prev = times[k - 2] if k > 1 else replica.epoch_start
+        prev = times[k - 2] if k > 1 else start
         if handoff != prev:
             return handoff < prev
         if k > 2:
             pushed = times[k - 3]
         else:
-            pushed = replica.epoch_start if k == 2 else replica.start_pushed
+            pushed = start if k == 2 else start_pushed
         return self._m_pstart[row] < pushed
-
-    def _decode_wake(self, replica: _DecodeReplica, now: float, pushed: float) -> None:
-        """Run a decode replica to its wake at ``now`` and start its next epoch.
-
-        Applies the ``epoch_cut`` steps of the current epoch (none on an idle
-        replica), admits pending rows while capacity allows, and plans the
-        next epoch from ``now``.  ``pushed`` is the instant the per-event
-        engine pushed its event at ``now``: the step boundary before the wake,
-        or the handoff of the delivery that wakes an idle replica.
-
-        * **Completion wake.**  An epoch runs to the earliest completion, so
-          a full-length wake retires every row whose finish step is now, each
-          at the last boundary and taking its final context ``in_len +
-          out_len`` out of ``ctx_sum`` and its blocks back into ``kv_free``.
-        * **Truncated wake.**  A delivery cut the epoch short, so nothing
-          finishes here.  When nothing can be admitted either (capacity), the
-          epoch runs on from here to its end: the remaining boundary times
-          are a pure function of batch state the truncation did not change.
-        * **Admission** replays the reference's FIFO ``kv.can_allocate``
-          guarded loop over plain ints, pushing each newcomer's finish step
-          onto the batch heap and its context onto ``ctx_sum``.
-        * **Planning.**  The batch composition cannot change before the
-          earliest completion (``heap[0][0] - steps_done`` steps away), so
-          the epoch spans that many steps with a **constant batch** of ``n``.
-          The reference prices step ``t`` at mean context ``int((ctx_sum +
-          n*t) / n)``, which for integers below 2**53 equals ``ctx_sum // n +
-          t``: the epoch's step latencies are the contiguous slice ``row[m0 :
-          m0 + k]`` of the batch size's latency row
-          (:meth:`~repro.costmodel.latency.ReplicaCostModel.decode_step_row`),
-          and :meth:`_decode_until` turns it into boundary times by the
-          reference's left-to-right ``now + latency`` chain.
-        """
-        heap = replica.heap
-        pending = replica.pending
-        steps = replica.epoch_cut
-        ctx_sum = replica.ctx_sum
-        kv_free = replica.kv_free
-        block = self.config.kv_block_size
-        inlen = self._inlen
-        outlen = self._outlen
-        truncated = False
-        if steps:
-            now_step = replica.steps_done + steps
-            replica.steps_done = now_step
-            ctx_sum += len(heap) * steps
-            if steps < replica.epoch_len:
-                truncated = True
-            else:
-                att = self._att
-                m_comp = self._m_comp
-                m_fin = self._m_fin
-                m_out = self._m_out
-                while heap and heap[0][0] == now_step:
-                    row = heappop(heap)[1]
-                    total = inlen[row] + outlen[row]
-                    ctx_sum -= total
-                    kv_free += blocks_for(total, block)
-                    m_comp[row] = now
-                    m_fin[row] = True
-                    m_out[row] = _OUT_RETRIED if att[row] > 0 else _OUT_FINISHED
-        admitted = False
-        n = len(heap)
-        max_batch = replica.max_batch
-        if pending and n < max_batch:
-            # The prefill already produced the first output token: a row
-            # enters with context ``i + 1`` and ``o - 1`` steps to go.
-            finish_base = replica.steps_done - 1
-            while pending and n < max_batch:
-                row = pending[0]
-                i = inlen[row]
-                o = outlen[row]
-                need = blocks_for(i + o, block)
-                if need > kv_free:
-                    break
-                pending.popleft()
-                kv_free -= need
-                ctx_sum += i + 1
-                heappush(heap, (finish_base + o, row))
-                n += 1
-                admitted = True
-        replica.ctx_sum = ctx_sum
-        replica.kv_free = kv_free
-        replica.start_pushed = pushed
-        if n == 0:
-            replica.stepping = False
-            replica.epoch_cut = 0
-            replica.epoch_row = None
-            return
-        if truncated and not admitted:
-            # Run on: the epoch restarts here with its own remaining steps.
-            del replica.epoch_times[:steps]
-            replica.epoch_m0 += steps
-            replica.epoch_len -= steps
-        else:
-            k = heap[0][0] - replica.steps_done
-            m0 = ctx_sum // n
-            replica.epoch_row = replica.cost.decode_step_row(n, m0 + k)
-            replica.epoch_m0 = m0
-            replica.epoch_len = k
-            replica.epoch_times = []
-            replica.stepping = True
-        replica.epoch_start = now
-        replica.epoch_cut = replica.epoch_len
 
     # ------------------------------------------------------- faults (fast engine)
     def _dispose_fast(self, row: int, now: float) -> None:

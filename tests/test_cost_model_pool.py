@@ -168,9 +168,12 @@ def _live_run(chaos_setup):
 def test_live_storm_is_bitwise_equal_without_the_pool(chaos_setup, monkeypatch):
     """Pooled and served-window reuse, or neither: the same report, bit for bit.
 
-    In the pooled run every incumbent attainment the breach path reuses is
-    checked, as it is taken, against a real shadow replay.  A window served
-    without in-engine faults is always reused; one with them never is.
+    In the pooled run every incumbent attainment the breach and recovery
+    paths reuse is checked, as it is taken, against a real shadow replay.  A
+    window served with in-engine faults is never reused.  One served without
+    them is always reused while the simulator that served it is still the
+    cached one (the breach path: nothing has changed since), and on a
+    recovery whenever the replay's inputs kept their bits.
     """
     served_faults = []
     original_serve = ThunderServe.serve
@@ -182,12 +185,14 @@ def test_live_storm_is_bitwise_equal_without_the_pool(chaos_setup, monkeypatch):
     reused = []
     original_served = ThunderServe._served_attainment
 
-    def served_attainment(self, trace):
-        value = original_served(self, trace)
+    def served_attainment(self, trace, plan):
+        value = original_served(self, trace, plan)
         if served_faults[-1]:
             assert value is None
-        else:
-            assert value == self._shadow_attainment(self.require_plan(), trace)
+        elif self._last_served[0] is self._simulator and self._last_served[1] is trace:
+            assert value is not None
+        if value is not None:
+            assert value == self._shadow_attainment(plan, trace)
             reused.append(value)
         return value
 
@@ -202,7 +207,7 @@ def test_live_storm_is_bitwise_equal_without_the_pool(chaos_setup, monkeypatch):
     monkeypatch.setattr(
         CostModelPool, "get", lambda self, *args, **kwargs: ReplicaCostModel(*args, **kwargs)
     )
-    monkeypatch.setattr(ThunderServe, "_served_attainment", lambda self, trace: None)
+    monkeypatch.setattr(ThunderServe, "_served_attainment", lambda self, trace, plan: None)
     plain = _live_run(chaos_setup)
     assert _report_signature(plain) == _report_signature(pooled)
 

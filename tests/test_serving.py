@@ -9,10 +9,13 @@ import pytest
 from repro.core.exceptions import InvalidPlanError, SchedulingError
 from repro.core.types import Phase, Request
 from repro.faults import FaultEvent, FaultKind, FaultSchedule
+from repro.hardware.network import NetworkModel
 from repro.scheduling import lower_level
 from repro.scheduling.deployment import DeploymentPlan
+from repro.scheduling.lower_level import LowerLevelSolver
 from repro.scheduling.rescheduling import LightweightRescheduler
 from repro.scheduling.scheduler import Scheduler, SchedulerConfig
+from repro.scheduling.solution import UpperLevelSolution
 from repro.scheduling.tabu import TabuSearchConfig
 from repro.serving import live
 from repro.serving.live import LiveServeConfig, LiveServer
@@ -511,3 +514,74 @@ class TestShadowShortCircuit:
         assert system.plan is again
         assert shadow_calls == []
         assert system.num_plan_changes == 2
+
+
+class TestRecoveryValidationReuse:
+    """A capacity replan's validation reuses the served window when it can.
+
+    The incumbent prefills on two A40s and decodes on the other two.  It
+    serves a window without in-engine faults; then a link or a slowdown
+    changes, and a validated capacity replan compares a candidate with it on
+    that window.  A change that no run of the incumbent reads (a link to a
+    3090Ti, a slowed 3090Ti) leaves its replay as it was served, so the
+    served attainment stands in for it and only the candidate replays.  A
+    change among the incumbent's own GPUs forces its replay.
+    """
+
+    @pytest.fixture()
+    def plans(self, small_hetero_cluster, model_30b, conversation_workload, relaxed_slo):
+        a40 = [g.gpu_id for g in small_hetero_cluster.gpus_of_type("A40")]
+        ti = [g.gpu_id for g in small_hetero_cluster.gpus_of_type("3090Ti")]
+        solver = LowerLevelSolver(
+            cluster=small_hetero_cluster,
+            model=model_30b,
+            workload=conversation_workload,
+            slo=relaxed_slo,
+            request_rate=3.0,
+        )
+        incumbent = solver.solve(
+            UpperLevelSolution.from_lists([(a40[:2], Phase.PREFILL), (a40[2:], Phase.DECODE)])
+        ).plan
+        candidate = solver.solve(
+            UpperLevelSolution.from_lists([(a40, Phase.PREFILL), (ti, Phase.DECODE)])
+        ).plan
+        return a40, ti, incumbent, candidate
+
+    @pytest.mark.parametrize(
+        "change, reused",
+        [
+            ("link to an outside GPU", True),
+            ("outside slowdown", True),
+            ("link inside", False),
+            ("inside slowdown", False),
+        ],
+    )
+    def test_replays_the_incumbent_only_when_its_inputs_changed(
+        self, memo_system_factory, shadow_calls, monkeypatch, plans, change, reused
+    ):
+        a40, ti, incumbent, candidate = plans
+        system = memo_system_factory()
+        system.adopt_plan(incumbent)
+        window = generate_requests(CONVERSATION_WORKLOAD, 3.0, num_requests=30, seed=9)
+        served = system.serve(window)
+        if change.startswith("link"):
+            i, j = (a40[0], ti[0]) if reused else (a40[0], a40[2])
+            network = system.cluster.network
+            bandwidth = network.bandwidth_matrix_gbps()
+            bandwidth[i, j] = bandwidth[j, i] = bandwidth[i, j] / 2
+            system.set_cluster(
+                system.cluster.with_network(
+                    NetworkModel(bandwidth, network._latency_s, network._link_class)
+                )
+            )
+        else:
+            system.apply_gpu_slowdowns({ti[0] if reused else a40[0]: 2.0})
+        monkeypatch.setattr(
+            system.scheduler, "schedule", lambda *args, **kwargs: SimpleNamespace(plan=candidate)
+        )
+        system.replan_capacity(mode="full", validate_on=window)
+        assert shadow_calls == ([candidate] if reused else [incumbent, candidate])
+        if reused:
+            assert system._shadow_attainment(incumbent, window) == served.slo_attainment(
+                system.slo
+            )
